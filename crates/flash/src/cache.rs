@@ -38,6 +38,27 @@
 //!   epoch is the epoch of the oldest resident entry;
 //! * `latest`/`chain_head` only ever point at resident entries;
 //! * `dirty` counts exactly the resident entries in [`EntryState::Dirty`].
+//!
+//! ## The destage frontier
+//!
+//! The device asks "which entries may start a flash program now?" on every
+//! submit, DMA completion and program completion, and takes at most a
+//! chip-array's worth of answers. Answering by walking the slab is linear
+//! in cache occupancy, so the cache keeps a cursor, `frontier`, with one
+//! guarantee: **every resident entry below it is ineligible** — it is
+//! already [`EntryState::Destaging`] or, when the cache serialises per LBA,
+//! an older version of its LBA is still resident. [`WritebackCache::frontier`]
+//! walks from the cursor and yields candidates lazily, so a consumer that
+//! takes `n` pays for `n` candidates plus the ineligible entries between
+//! them, whatever the occupancy.
+//!
+//! * A pull *advances* the cursor to the first eligible entry.
+//! * [`WritebackCache::complete`] *rewinds* it: the only way an entry turns
+//!   eligible is that the oldest resident version of its LBA completes and
+//!   unblocks the next one, which may sit below the cursor.
+//! * `insert` and `mark_destaging` never move it. New sequences are above
+//!   it, a same-epoch coalesce rewrites a tag in place, and marking only
+//!   turns an entry ineligible, which keeps the guarantee.
 
 use bio_sim::{PagedMap, SeqTable};
 
@@ -99,12 +120,22 @@ struct Slot {
     next_same_lba: u64,
 }
 
+impl Slot {
+    /// True when a flash program for this entry may start: still dirty
+    /// and, for a cache that serialises per LBA, the oldest resident
+    /// version of its LBA (the chain makes that an O(1) test).
+    #[inline]
+    fn eligible(&self, lba_ordered: bool) -> bool {
+        self.entry.state == EntryState::Dirty && !(lba_ordered && self.prev_same_lba != NO_SEQ)
+    }
+}
+
 /// Sentinel for "no sequence" in the dense LBA side tables (real
 /// sequences start at 1).
 const NO_SEQ: u64 = 0;
 
 /// Transfer-ordered writeback cache with epoch accounting.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct WritebackCache {
     /// Entries in transfer order, keyed by transfer sequence number.
     slots: SeqTable<Slot>,
@@ -117,11 +148,29 @@ pub struct WritebackCache {
     capacity: usize,
     current_epoch: u64,
     next_seq: u64,
+    /// Whether the frontier holds a version back until every older
+    /// resident version of its LBA has been programmed.
+    lba_ordered: bool,
+    /// Every resident entry with a sequence below this is ineligible (see
+    /// the module docs); never above `next_seq`.
+    frontier: u64,
 }
 
 impl WritebackCache {
-    /// Creates a cache holding at most `capacity` block versions.
+    /// Creates a cache holding at most `capacity` block versions whose
+    /// frontier serialises per LBA, as an engine that writes in place needs.
     pub fn new(capacity: usize) -> WritebackCache {
+        WritebackCache::with_order(capacity, true)
+    }
+
+    /// Creates a cache holding at most `capacity` block versions (see
+    /// [`WritebackCache::has_room`]). With `lba_ordered` the frontier yields an entry only once every older resident version
+    /// of its LBA has been programmed — required for engines that write in
+    /// place. A log-structured device (the paper's UFS firmware) must NOT
+    /// set it: the FTL appends strictly in transfer order, and two versions
+    /// of one LBA are simply two appends, so holding the newer one back
+    /// would reorder the append log and break prefix recovery.
+    pub fn with_order(capacity: usize, lba_ordered: bool) -> WritebackCache {
         WritebackCache {
             slots: SeqTable::new(),
             latest: PagedMap::new(),
@@ -130,6 +179,8 @@ impl WritebackCache {
             capacity: capacity.max(1),
             current_epoch: 0,
             next_seq: 1,
+            lba_ordered,
+            frontier: 1,
         }
     }
 
@@ -143,9 +194,11 @@ impl WritebackCache {
         self.slots.is_empty()
     }
 
-    /// True when at capacity; inserts must wait for a destage.
-    pub fn is_full(&self) -> bool {
-        self.slots.len() >= self.capacity
+    /// True when `blocks` more versions fit under the capacity; otherwise
+    /// the insert must wait for a destage. (`insert` itself never refuses:
+    /// a FUA write passes through without holding a long-term slot.)
+    pub fn has_room(&self, blocks: usize) -> bool {
+        self.slots.len() + blocks <= self.capacity
     }
 
     /// The epoch new writes are tagged with.
@@ -247,43 +300,56 @@ impl WritebackCache {
     }
 
     /// Sequence numbers of every resident entry, in transfer order: the
-    /// snapshot a flush command must drain.
-    pub fn pending_seqs(&self) -> Vec<u64> {
-        self.slots.iter().map(|(seq, _)| seq).collect()
+    /// snapshot a flush command must drain. Walks the slab's live span.
+    pub fn resident_seqs(&self) -> impl Iterator<Item = u64> + '_ {
+        self.slots.keys()
     }
 
-    /// Destage candidates in transfer order.
-    ///
-    /// `max_epoch` optionally gates candidates to epochs `<=` the bound
-    /// (used by the in-order writeback engine).
-    ///
-    /// With `lba_ordered` set, an entry is only eligible once every earlier
-    /// resident version of the same LBA has been programmed — required for
-    /// engines that write in place. A log-structured device (the paper's
-    /// UFS firmware) must NOT set it: the FTL appends strictly in transfer
-    /// order, and two versions of one LBA are simply two appends, so
-    /// holding the newer one back would reorder the append log and break
-    /// prefix recovery.
+    /// [`WritebackCache::resident_seqs`], collected (tests and probes).
+    pub fn pending_seqs(&self) -> Vec<u64> {
+        self.resident_seqs().collect()
+    }
+
+    /// Candidates from `from` on, in transfer order. `max_epoch` gates
+    /// them to epochs `<=` the bound (the in-order writeback engine);
+    /// epochs are non-decreasing in sequence order, so the walk ends at
+    /// the first entry past it.
+    fn candidates_from(
+        &self,
+        from: u64,
+        max_epoch: Option<u64>,
+        lba_ordered: bool,
+    ) -> impl Iterator<Item = u64> + '_ {
+        self.slots
+            .iter_from(from)
+            .take_while(move |(_, slot)| max_epoch.is_none_or(|bound| slot.entry.epoch <= bound))
+            .filter(move |(_, slot)| slot.eligible(lba_ordered))
+            .map(|(seq, _)| seq)
+    }
+
+    /// Every destage candidate in transfer order, for either ordering
+    /// discipline (see [`WritebackCache::with_order`]): a full walk of the
+    /// slab that ignores the frontier. Tests and probes use it; the device
+    /// pulls from [`WritebackCache::frontier`].
     pub fn destage_candidates(&self, max_epoch: Option<u64>, lba_ordered: bool) -> Vec<u64> {
-        let mut out = Vec::new();
-        for (seq, slot) in self.slots.iter() {
-            // The intrusive chain makes the per-LBA test O(1): an entry is
-            // the first resident version of its LBA iff it has no older
-            // resident predecessor.
-            if lba_ordered && slot.prev_same_lba != NO_SEQ {
-                continue;
-            }
-            if slot.entry.state != EntryState::Dirty {
-                continue;
-            }
-            if let Some(bound) = max_epoch {
-                if slot.entry.epoch > bound {
-                    continue;
-                }
-            }
-            out.push(seq);
-        }
-        out
+        self.candidates_from(0, max_epoch, lba_ordered).collect()
+    }
+
+    /// The destage candidates under this cache's ordering discipline, in
+    /// transfer order, yielded lazily from the frontier: taking `n` costs
+    /// `n` candidates plus the ineligible entries between them, not a walk
+    /// of the cache. Equal, element for element, to
+    /// `destage_candidates(max_epoch, lba_ordered)`.
+    pub fn frontier(&mut self, max_epoch: Option<u64>) -> impl Iterator<Item = u64> + '_ {
+        let lba_ordered = self.lba_ordered;
+        // Advance over what turned ineligible since the last pull. A
+        // candidate left unstarted (no idle chip) is found again at once.
+        self.frontier = self
+            .slots
+            .iter_from(self.frontier)
+            .find(|(_, slot)| slot.eligible(lba_ordered))
+            .map_or(self.next_seq, |(seq, _)| seq);
+        self.candidates_from(self.frontier, max_epoch, lba_ordered)
     }
 
     /// Marks an entry as having a flash program in flight.
@@ -321,6 +387,11 @@ impl WritebackCache {
         }
         if let Some(n) = self.slots.get_mut(slot.next_same_lba) {
             n.prev_same_lba = slot.prev_same_lba;
+            if self.lba_ordered && slot.prev_same_lba == NO_SEQ {
+                // The oldest resident version left: the next one is
+                // unblocked, possibly below the frontier — rewind to it.
+                self.frontier = self.frontier.min(slot.next_same_lba);
+            }
         }
         if Self::side(&self.chain_head, slot.entry.lba) == seq {
             // Roll the resident head back to the next-older version.
@@ -351,7 +422,7 @@ mod tests {
         assert_eq!(c.lookup(Lba(1)), Some(BlockTag(10)));
         assert_eq!(c.lookup(Lba(2)), None);
         assert_eq!(c.len(), 1);
-        assert!(!c.is_full());
+        assert!(c.has_room(7) && !c.has_room(8));
     }
 
     #[test]
@@ -426,9 +497,10 @@ mod tests {
     fn complete_frees_capacity() {
         let mut c = WritebackCache::new(1);
         let s1 = c.insert(Lba(1), BlockTag(1), false);
-        assert!(c.is_full());
+        assert!(!c.has_room(1));
         c.mark_destaging(s1).unwrap();
         let e = c.complete(s1).unwrap();
+        assert!(c.has_room(1));
         assert_eq!(e.tag, BlockTag(1));
         assert!(c.is_empty());
         assert_eq!(c.lookup(Lba(1)), None);
@@ -474,6 +546,38 @@ mod tests {
         c.mark_destaging(s).unwrap();
         assert_eq!(c.mark_destaging(s), Err(CacheError::AlreadyDestaging(s)));
         assert_eq!(c.dirty_count(), 0);
+    }
+
+    #[test]
+    fn frontier_skips_started_entries_and_rewinds_on_unblock() {
+        let mut c = WritebackCache::new(8);
+        let s1 = c.insert(Lba(1), BlockTag(1), true); // epoch 0
+        let s2 = c.insert(Lba(1), BlockTag(2), true); // epoch 1, blocked by s1
+        let s3 = c.insert(Lba(2), BlockTag(3), false); // epoch 2
+        assert_eq!(c.frontier(None).collect::<Vec<_>>(), vec![s1, s3]);
+        assert_eq!(c.frontier(Some(0)).collect::<Vec<_>>(), vec![s1]);
+        c.mark_destaging(s1).unwrap();
+        c.mark_destaging(s3).unwrap();
+        // Nothing eligible: the cursor runs past the blocked s2 ...
+        assert_eq!(c.frontier(None).next(), None);
+        // ... a later insert lands above it ...
+        let s4 = c.insert(Lba(3), BlockTag(4), false);
+        assert_eq!(c.frontier(None).collect::<Vec<_>>(), vec![s4]);
+        // ... and s1 completing unblocks s2 *below* it.
+        c.complete(s1).unwrap();
+        assert_eq!(c.frontier(None).collect::<Vec<_>>(), vec![s2, s4]);
+        assert_eq!(c.frontier(Some(1)).collect::<Vec<_>>(), vec![s2]);
+        assert_eq!(c.destage_candidates(None, true), vec![s2, s4]);
+    }
+
+    #[test]
+    fn log_structured_frontier_does_not_serialise_per_lba() {
+        let mut c = WritebackCache::with_order(8, false);
+        let s1 = c.insert(Lba(1), BlockTag(1), true);
+        let s2 = c.insert(Lba(1), BlockTag(2), false);
+        assert_eq!(c.frontier(None).collect::<Vec<_>>(), vec![s1, s2]);
+        c.mark_destaging(s1).unwrap();
+        assert_eq!(c.frontier(None).collect::<Vec<_>>(), vec![s2]);
     }
 
     #[test]

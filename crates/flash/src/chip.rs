@@ -12,8 +12,6 @@ pub struct ChipArray {
     busy_until: Vec<SimTime>,
     /// Round-robin cursor for spreading work over idle dies.
     cursor: usize,
-    /// Total busy time accumulated, for utilisation reporting.
-    busy_ns: u128,
 }
 
 impl ChipArray {
@@ -27,7 +25,6 @@ impl ChipArray {
         ChipArray {
             busy_until: vec![SimTime::ZERO; n],
             cursor: 0,
-            busy_ns: 0,
         }
     }
 
@@ -55,7 +52,8 @@ impl ChipArray {
         None
     }
 
-    /// Number of dies idle at `now`.
+    /// Number of dies idle at `now`: the most programs that can start at
+    /// this instant.
     pub fn idle_count(&self, now: SimTime) -> usize {
         self.busy_until.iter().filter(|&&t| t <= now).count()
     }
@@ -74,7 +72,6 @@ impl ChipArray {
         );
         let done = now + dur;
         self.busy_until[chip] = done;
-        self.busy_ns += dur.as_nanos() as u128;
         done
     }
 
@@ -85,7 +82,6 @@ impl ChipArray {
             let start = (*b).max(now);
             *b = start + dur;
         }
-        self.busy_ns += (dur.as_nanos() as u128) * self.busy_until.len() as u128;
     }
 
     /// Earliest time any die becomes idle.
@@ -104,11 +100,6 @@ impl ChipArray {
         let raw = rng.normal(b, b * rel_stddev);
         let clamped = raw.clamp(b * 0.25, b * (1.0 + 3.0 * rel_stddev));
         SimDuration::from_nanos(clamped as u64)
-    }
-
-    /// Total die-busy nanoseconds accumulated so far.
-    pub fn total_busy_ns(&self) -> u128 {
-        self.busy_ns
     }
 }
 
@@ -182,12 +173,5 @@ mod tests {
     #[should_panic(expected = "at least one die")]
     fn zero_dies_rejected() {
         ChipArray::new(0);
-    }
-
-    #[test]
-    fn busy_accounting() {
-        let mut a = ChipArray::new(1);
-        a.start_op(0, us(0), SimDuration::from_micros(7));
-        assert_eq!(a.total_busy_ns(), 7_000);
     }
 }

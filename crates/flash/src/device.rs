@@ -21,7 +21,7 @@
 //! closes the current epoch. How epochs constrain destaging is decided by
 //! the profile's [`BarrierMode`].
 
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use bio_sim::{RunSet, SeqTable, SimDuration, SimRng, SimTime, TimeSeries};
 
@@ -136,18 +136,27 @@ struct DestageInfo {
 
 /// Transactional-writeback engine state.
 ///
-/// `committed` is an ordered set: [`Device::committed_groups`] iterates
-/// it into the crash enumerator, so the order must be reproducible
-/// across processes. `open` members are only probed (`contains`), never
-/// iterated, so the hash set stays.
+/// Groups open one at a time, in id order, and only close by committing,
+/// so the committed groups are exactly the ids handed out so far minus the
+/// open one — no set of them is kept.
 #[derive(Debug, Clone, Default)]
 struct TransState {
-    open: Option<(u64, HashSet<u64>)>,
+    /// Id of the open group, if any.
+    open: Option<u64>,
+    /// What the open group still waits for: the cache sequences resident
+    /// when it opened, retired as their programs finish. Empty between
+    /// groups; its storage carries over from one group to the next.
+    members: RunSet,
     next_gid: u64,
-    committed: BTreeSet<u64>,
     /// When capture tracking is armed, groups committed since the last
     /// [`Device::take_capture_delta`], in commit order.
     committed_log: Option<Vec<u64>>,
+}
+
+impl TransState {
+    fn is_committed(&self, gid: u64) -> bool {
+        gid < self.next_gid && self.open != Some(gid)
+    }
 }
 
 /// What changed in a device's capture-relevant state since the previous
@@ -229,6 +238,15 @@ pub struct Device {
     /// here at completion, and cache insertion draws its working copy from
     /// the pool, so the steady-state write path stops allocating.
     tag_bufs: Vec<Vec<BlockTag>>,
+    /// Emptied drain sets, reused by the next flush, preflush or FUA write.
+    spare_sets: Vec<RunSet>,
+    /// Scratch for one destage pump's candidates (always left empty).
+    candidates: Vec<u64>,
+    /// Scratch for the drains one program completion finishes (ditto).
+    finished: Vec<(CmdId, DrainKind)>,
+    /// `destage_watermark` in blocks: destaging starts above this many
+    /// dirty entries.
+    watermark_blocks: usize,
 }
 
 impl Device {
@@ -238,7 +256,13 @@ impl Device {
         profile.validate();
         Device {
             queue: CommandQueue::new(profile.queue_depth),
-            cache: WritebackCache::new(profile.cache_blocks),
+            // Log-structured recovery appends strictly in transfer order
+            // (the paper's §3.2 firmware); in-place engines must serialise
+            // per LBA.
+            cache: WritebackCache::with_order(
+                profile.cache_blocks,
+                profile.barrier_mode != BarrierMode::LfsInOrderRecovery,
+            ),
             ftl: Ftl::new(
                 profile.segments,
                 profile.pages_per_segment,
@@ -260,6 +284,12 @@ impl Device {
             stats: DeviceStats::default(),
             next_pump_at: None,
             tag_bufs: Vec::new(),
+            spare_sets: Vec::new(),
+            candidates: Vec::new(),
+            finished: Vec::new(),
+            // An integer dirty count exceeds the (real) threshold exactly
+            // when it exceeds its floor.
+            watermark_blocks: (profile.destage_watermark * profile.cache_blocks as f64) as usize,
             profile,
         }
     }
@@ -300,11 +330,6 @@ impl Device {
         self.ftl.stats()
     }
 
-    /// Number of dirty cache entries.
-    pub fn dirty_blocks(&self) -> usize {
-        self.cache.len()
-    }
-
     /// The transfer history, when recording is enabled.
     pub fn history(&self) -> Option<&[TransferRec]> {
         self.history.as_deref()
@@ -328,7 +353,7 @@ impl Device {
     /// crash enumerator needs this to tell all-or-nothing groups that are
     /// already pinned durable from those still free to vanish.
     pub fn committed_groups(&self) -> impl Iterator<Item = u64> + '_ {
-        self.trans.committed.iter().copied()
+        (0..self.trans.next_gid).filter(|&gid| self.trans.is_committed(gid))
     }
 
     /// Arms capture-delta tracking: fold and group-commit streams are
@@ -454,64 +479,42 @@ impl Device {
                         arrived,
                     },
                 );
-                let remaining = if self.profile.plp {
-                    RunSet::new() // PLP: cache contents already durable
-                } else {
-                    // pending_seqs is ascending (cache slab key order).
-                    RunSet::from_sorted(self.cache.pending_seqs())
-                };
-                if remaining.is_empty() {
-                    out.push(DevAction::After(
-                        self.profile.flush_overhead,
-                        DevEvent::Finish { id },
-                    ));
-                } else {
-                    self.drains.push(Drain {
+                match self.drain_snapshot() {
+                    Some(remaining) => self.drains.push(Drain {
                         id,
                         remaining,
                         kind: DrainKind::Flush,
-                    });
+                    }),
+                    None => out.push(DevAction::After(
+                        self.profile.flush_overhead,
+                        DevEvent::Finish { id },
+                    )),
                 }
             }
             CmdKind::Write { flags, .. } => {
                 let needs_preflush = flags.flush_before;
                 if needs_preflush {
-                    // PLP: nothing to drain, but the flush round trip is
-                    // still paid (t_eps of the paper's quick-flush).
-                    let remaining = if self.profile.plp {
-                        RunSet::new()
-                    } else {
-                        RunSet::from_sorted(self.cache.pending_seqs())
-                    };
-                    if remaining.is_empty() {
-                        // Even an empty preflush costs the controller
-                        // round trip, like an explicit flush.
-                        self.active.insert(
-                            id.0,
-                            ActiveCmd {
-                                cmd,
-                                stage: Stage::Preflush,
-                                arrived,
-                            },
-                        );
-                        out.push(DevAction::After(
-                            self.profile.flush_overhead,
-                            DevEvent::PreflushDone { id },
-                        ));
-                    } else {
-                        self.active.insert(
-                            id.0,
-                            ActiveCmd {
-                                cmd,
-                                stage: Stage::Preflush,
-                                arrived,
-                            },
-                        );
-                        self.drains.push(Drain {
+                    self.active.insert(
+                        id.0,
+                        ActiveCmd {
+                            cmd,
+                            stage: Stage::Preflush,
+                            arrived,
+                        },
+                    );
+                    match self.drain_snapshot() {
+                        Some(remaining) => self.drains.push(Drain {
                             id,
                             remaining,
                             kind: DrainKind::Preflush,
-                        });
+                        }),
+                        // Nothing to drain (an empty cache, or PLP), but
+                        // the controller round trip is still paid, like an
+                        // explicit flush (t_eps of the paper's quick-flush).
+                        None => out.push(DevAction::After(
+                            self.profile.flush_overhead,
+                            DevEvent::PreflushDone { id },
+                        )),
                     }
                 } else {
                     self.active.insert(
@@ -537,6 +540,19 @@ impl Device {
                 self.ready_for_link.push_back(id);
             }
         }
+    }
+
+    /// What a flush or preflush entering service must wait for: every
+    /// cache sequence resident now, read off the slab's live span. `None`
+    /// when that is nothing — always so under PLP, where cache contents
+    /// are already durable.
+    fn drain_snapshot(&mut self) -> Option<RunSet> {
+        if self.profile.plp || self.cache.is_empty() {
+            return None;
+        }
+        let mut set = self.spare_sets.pop().unwrap_or_default();
+        set.extend_sorted(self.cache.resident_seqs());
+        Some(set)
     }
 
     fn start_dma(&mut self, id: CmdId, now: SimTime, out: &mut Vec<DevAction>) {
@@ -652,22 +668,23 @@ impl Device {
                     continue;
                 }
             };
-            if !fua && self.cache.len() + blocks > self.profile.cache_blocks {
+            if !fua && !self.cache.has_room(blocks) {
                 break; // wait for programs to free space
             }
             self.pending_inserts.pop_front();
-            let seqs = self.insert_blocks(id);
             if fua {
+                let mut remaining = self.spare_sets.pop().unwrap_or_default();
+                self.insert_blocks(id, Some(&mut remaining));
                 if let Some(a) = self.active.get_mut(id.0) {
                     a.stage = Stage::WaitFua;
                 }
                 self.drains.push(Drain {
                     id,
-                    // Sequences of one insert batch are consecutive.
-                    remaining: RunSet::from_sorted(seqs),
+                    remaining,
                     kind: DrainKind::Fua,
                 });
             } else {
+                self.insert_blocks(id, None);
                 self.stats.write_cmds += 1;
                 self.complete_cmd(id, now, out);
             }
@@ -675,9 +692,11 @@ impl Device {
     }
 
     /// Inserts a write command's blocks into the cache in transfer order,
-    /// honouring the barrier flag on the final block. Returns the cache
-    /// sequences of the inserted blocks.
-    fn insert_blocks(&mut self, id: CmdId) -> Vec<u64> {
+    /// honouring the barrier flag on the final block. A FUA write passes
+    /// `fua_seqs` to collect the cache sequences it must see programmed
+    /// (one insert batch is consecutive unless a block coalesced into an
+    /// older entry).
+    fn insert_blocks(&mut self, id: CmdId, mut fua_seqs: Option<&mut RunSet>) {
         // The working copy of the payload comes from the recycled-buffer
         // pool (the active entry keeps its own Vec until completion).
         let mut tags = self.tag_bufs.pop().unwrap_or_default();
@@ -694,15 +713,16 @@ impl Device {
             _ => None,
         }) else {
             self.reclaim_tag_buf(tags);
-            return Vec::new();
+            return;
         };
         let n = tags.len();
-        let mut seqs = Vec::with_capacity(n);
         for (i, &tag) in tags.iter().enumerate() {
             let lba = start.offset(i as u64);
             let barrier = flags.barrier && i + 1 == n;
             let seq = self.cache.insert(lba, tag, barrier);
-            seqs.push(seq);
+            if let Some(seqs) = fua_seqs.as_deref_mut() {
+                seqs.insert(seq);
+            }
             self.stats.blocks_written += 1;
             if let Some(h) = self.history.as_mut() {
                 let epoch = self.cache.entry(seq).expect("just inserted").epoch;
@@ -715,7 +735,6 @@ impl Device {
             }
         }
         self.reclaim_tag_buf(tags);
-        seqs
     }
 
     /// Banks a retired payload buffer for reuse by later inserts.
@@ -736,8 +755,7 @@ impl Device {
         }
         let drain_active = !self.drains.is_empty();
         let waiters = !self.pending_inserts.is_empty();
-        let over_watermark = self.cache.dirty_count() as f64
-            > self.profile.destage_watermark * self.profile.cache_blocks as f64;
+        let over_watermark = self.cache.dirty_count() > self.watermark_blocks;
         let open_group = self.trans.open.is_some();
         drain_active || waiters || over_watermark || open_group
     }
@@ -747,34 +765,47 @@ impl Device {
             return;
         }
         let engine = self.profile.barrier_mode;
-        // Transactional engine: open a group snapshot if none is open.
+        // Transactional engine: open a group snapshot if none is open. The
+        // cache is not empty here (destaging is wanted), so neither is it.
         if engine == BarrierMode::Transactional && self.trans.open.is_none() {
-            let members: HashSet<u64> = self.cache.pending_seqs().into_iter().collect();
-            if !members.is_empty() {
-                let gid = self.trans.next_gid;
-                self.trans.next_gid += 1;
-                self.trans.open = Some((gid, members));
-            }
+            self.trans.members.extend_sorted(self.cache.resident_seqs());
+            self.trans.open = Some(self.trans.next_gid);
+            self.trans.next_gid += 1;
         }
         let epoch_bound = match engine {
             BarrierMode::InOrderWriteback => self.cache.min_pending_epoch(),
             _ => None,
         };
-        // Log-structured recovery appends strictly in transfer order (the
-        // paper's §3.2 firmware); in-place engines must serialise per-LBA.
-        let lba_ordered = engine != BarrierMode::LfsInOrderRecovery;
-        let mut candidates = self.cache.destage_candidates(epoch_bound, lba_ordered);
-        if let Some((_, members)) = &self.trans.open {
-            candidates.retain(|s| members.contains(s));
+        // Every program started below takes an idle chip for a positive
+        // time, so the loop looks at no more candidates than chips idle
+        // now, plus the one it stops at.
+        let mut want = self.chips.idle_count(now) + 1;
+        // Orderless controller: no ordering promise, pick within a
+        // parallelism-sized window at random. The shuffle draws once per
+        // window slot whether or not a chip is idle.
+        let window = self.profile.parallelism().max(2);
+        if engine == BarrierMode::Unsupported {
+            want = want.max(window);
         }
+        // Sequences only grow, so whatever entered the cache after the
+        // open group's snapshot lies above every member, and whatever is
+        // still resident at or below the last member is one.
+        let member_bound = match self.trans.open {
+            Some(_) => self.trans.members.last().unwrap_or(0),
+            None => u64::MAX,
+        };
+        let mut candidates = std::mem::take(&mut self.candidates);
+        candidates.extend(
+            self.cache
+                .frontier(epoch_bound)
+                .take_while(|&seq| seq <= member_bound)
+                .take(want),
+        );
         if engine == BarrierMode::Unsupported && candidates.len() > 1 {
-            // Orderless controller: no ordering promise, pick within a
-            // parallelism-sized window at random.
-            let w = candidates.len().min(self.profile.parallelism().max(2));
-            let head: &mut [u64] = &mut candidates[..w];
-            self.rng.shuffle(head);
+            let w = candidates.len().min(window);
+            self.rng.shuffle(&mut candidates[..w]);
         }
-        for seq in candidates {
+        for seq in candidates.drain(..) {
             // Roll/GC first so the time cost lands before chip selection.
             if let Some(gc) = self.ftl.prepare_append() {
                 let per_page = self.profile.page_read + self.profile.page_program;
@@ -786,7 +817,7 @@ impl Device {
             let Some(chip) = self.chips.find_idle(now) else {
                 break;
             };
-            // Candidates come from the cache snapshot above with no
+            // Candidates come from the cache pull above with no
             // intervening completions, so marking cannot fail.
             let marked = self.cache.mark_destaging(seq);
             debug_assert!(marked.is_ok(), "destage candidate vanished: {marked:?}");
@@ -795,8 +826,7 @@ impl Device {
             }
             let entry = *self.cache.entry(seq).expect("marked entry");
             self.ftl.append(entry.lba, entry.tag);
-            let group = self.trans.open.as_ref().map(|(g, _)| *g);
-            let append_seq = self.log.begin(entry.lba, entry.tag, group);
+            let append_seq = self.log.begin(entry.lba, entry.tag, self.trans.open);
             self.destage_info.insert(seq, DestageInfo { append_seq });
             let dur = ChipArray::jittered(
                 self.profile.page_program,
@@ -808,6 +838,7 @@ impl Device {
             self.stats.programs += 1;
             out.push(DevAction::After(dur, DevEvent::ProgramDone { seq, chip }));
         }
+        self.candidates = candidates;
         // If work remains but every chip is busy and nothing is in flight
         // (GC blanket delay), schedule a wake-up at the next idle instant.
         if self.destage_wanted() && self.in_flight_programs == 0 {
@@ -832,35 +863,32 @@ impl Device {
         self.log.mark_done(info.append_seq);
 
         // Transactional group accounting.
-        let mut group_committed = false;
-        if let Some((gid, members)) = self.trans.open.as_mut() {
-            members.remove(&seq);
-            if members.is_empty() {
-                self.trans.committed.insert(*gid);
+        if let Some(gid) = self.trans.open {
+            self.trans.members.remove(seq);
+            if self.trans.members.is_empty() {
                 if let Some(log) = &mut self.trans.committed_log {
-                    log.push(*gid);
+                    log.push(gid);
                 }
-                group_committed = true;
+                self.trans.open = None;
             }
         }
-        if group_committed {
-            self.trans.open = None;
-        }
-        let committed = &self.trans.committed;
-        self.log.fold(|g| committed.contains(&g));
+        let trans = &self.trans;
+        self.log.fold(|g| trans.is_committed(g));
 
         // Drain accounting (flushes, preflushes, FUA writes).
-        let mut finished: Vec<(CmdId, DrainKind)> = Vec::new();
+        let mut finished = std::mem::take(&mut self.finished);
+        let spare_sets = &mut self.spare_sets;
         self.drains.retain_mut(|d| {
             d.remaining.remove(seq);
             if d.remaining.is_empty() {
                 finished.push((d.id, d.kind));
+                spare_sets.push(std::mem::take(&mut d.remaining));
                 false
             } else {
                 true
             }
         });
-        for (id, kind) in finished {
+        for (id, kind) in finished.drain(..) {
             match kind {
                 DrainKind::Flush => {
                     out.push(DevAction::After(
@@ -882,6 +910,7 @@ impl Device {
                 }
             }
         }
+        self.finished = finished;
 
         // Cache space freed: admit waiting writes in transfer order.
         self.drain_pending_inserts(now, out);
@@ -928,13 +957,10 @@ impl Device {
         }
         match self.profile.barrier_mode {
             BarrierMode::LfsInOrderRecovery => self.log.image(|r| r.done, true),
-            BarrierMode::Transactional => {
-                let committed = self.trans.committed.clone();
-                self.log.image(
-                    move |r| r.done && r.group.is_none_or(|g| committed.contains(&g)),
-                    false,
-                )
-            }
+            BarrierMode::Transactional => self.log.image(
+                |r| r.done && r.group.is_none_or(|g| self.trans.is_committed(g)),
+                false,
+            ),
             BarrierMode::InOrderWriteback | BarrierMode::Unsupported => {
                 self.log.image(|r| r.done, false)
             }

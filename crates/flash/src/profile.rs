@@ -288,7 +288,7 @@ impl DeviceProfile {
     ///
     /// # Panics
     ///
-    /// Panics if any structural parameter is zero.
+    /// Panics if any structural parameter, or the program time, is zero.
     pub fn validate(&self) {
         assert!(self.queue_depth > 0, "queue_depth must be positive");
         assert!(self.channels > 0 && self.ways > 0, "need at least one chip");
@@ -300,6 +300,12 @@ impl DeviceProfile {
         assert!(
             (0.0..=1.0).contains(&self.destage_watermark),
             "watermark must be a fraction"
+        );
+        // The destage pump pulls one candidate more than there are idle
+        // chips: a started program has to keep its chip busy.
+        assert!(
+            self.page_program > SimDuration::ZERO,
+            "a flash program must take time"
         );
     }
 }

@@ -58,11 +58,6 @@ impl CommandQueue {
         self.waiting.len() + self.in_service.len()
     }
 
-    /// Commands waiting to be picked.
-    pub fn waiting_len(&self) -> usize {
-        self.waiting.len()
-    }
-
     /// Highest occupancy seen.
     pub fn peak_occupancy(&self) -> usize {
         self.peak

@@ -174,6 +174,43 @@ fn assert_cache_equiv(
     Ok(())
 }
 
+/// The lazy frontier pull of a dense cache built with `lba_ordered` must
+/// be the reference's full candidate scan — unbounded and under the
+/// in-order epoch bound — and stay its head when only a prefix is taken
+/// through a member filter (the transactional group's role).
+fn assert_frontier_equiv(
+    dense: &mut WritebackCache,
+    lba_ordered: bool,
+    reference: &RefCache,
+    sel: u64,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let member = |seq: &u64| (seq.wrapping_mul(0x9E37_79B9) ^ sel) % 3 != 0;
+    let take = (sel % 7) as usize;
+    for bound in [None, reference.min_pending_epoch()] {
+        let full = reference.destage_candidates(bound, lba_ordered);
+        prop_assert_eq!(
+            dense.frontier(bound).collect::<Vec<_>>(),
+            &full[..],
+            "frontier diverges (bound {:?}, lba_ordered {})",
+            bound,
+            lba_ordered
+        );
+        let filtered: Vec<u64> = full.iter().copied().filter(member).collect();
+        prop_assert_eq!(
+            dense
+                .frontier(bound)
+                .filter(member)
+                .take(take)
+                .collect::<Vec<_>>(),
+            &filtered[..take.min(filtered.len())],
+            "filtered frontier diverges (bound {:?}, lba_ordered {})",
+            bound,
+            lba_ordered
+        );
+    }
+    Ok(())
+}
+
 const LBA_SPAN: u64 = 12;
 
 proptest! {
@@ -189,42 +226,59 @@ proptest! {
             1..60,
         )
     ) {
-        let mut dense = WritebackCache::new(1024);
+        // One dense cache per frontier discipline, driven in lockstep: the
+        // in-place one (per-LBA serialised) and the log-structured one.
+        let mut dense = [WritebackCache::new(1024), WritebackCache::with_order(1024, false)];
         let mut reference = RefCache::new();
         let mut tag = 1u64;
         for (op, lba, sel, flag) in ops {
             match op {
                 // Inserts dominate so caches actually fill up.
                 0..=2 => {
-                    let s1 = dense.insert(Lba(lba), BlockTag(tag), flag);
                     let s2 = reference.insert(Lba(lba), BlockTag(tag), flag);
-                    prop_assert_eq!(s1, s2, "insert returned different seqs");
+                    for d in &mut dense {
+                        let s1 = d.insert(Lba(lba), BlockTag(tag), flag);
+                        prop_assert_eq!(s1, s2, "insert returned different seqs");
+                    }
                     tag += 1;
                 }
                 3 | 4 => {
                     // Mark a dirty candidate (both sides agree on the
-                    // candidate list by induction).
+                    // candidate list by induction) — with `flag` clear,
+                    // possibly one still blocked behind an older version.
                     let cands = reference.destage_candidates(None, flag);
                     if !cands.is_empty() {
                         let seq = cands[(sel as usize) % cands.len()];
-                        dense.mark_destaging(seq).expect("candidate is dirty");
+                        for d in &mut dense {
+                            d.mark_destaging(seq).expect("candidate is dirty");
+                        }
                         reference.mark_destaging(seq);
                     }
                 }
                 _ => {
-                    // Complete any resident entry — in-order or not.
+                    // Complete any resident entry — in-order or not, so a
+                    // newer version can leave before an older one.
                     let pending = reference.pending_seqs();
                     if !pending.is_empty() {
                         let seq = pending[(sel as usize) % pending.len()];
-                        let e1 = dense.complete(seq).expect("pending entry resident");
                         let e2 = reference.complete(seq);
-                        prop_assert_eq!(e1.lba, e2.lba);
-                        prop_assert_eq!(e1.tag, e2.tag);
-                        prop_assert_eq!(e1.epoch, e2.epoch);
+                        for d in &mut dense {
+                            let e1 = d.complete(seq).expect("pending entry resident");
+                            prop_assert_eq!(e1.lba, e2.lba);
+                            prop_assert_eq!(e1.tag, e2.tag);
+                            prop_assert_eq!(e1.epoch, e2.epoch);
+                        }
                     }
                 }
             }
-            assert_cache_equiv(&dense, &reference, LBA_SPAN)?;
+            for (d, lba_ordered) in dense.iter_mut().zip([true, false]) {
+                assert_cache_equiv(d, &reference, LBA_SPAN)?;
+                // Pull only on some steps, so the cursor also has to catch
+                // up over several operations at once.
+                if sel % 3 != 0 {
+                    assert_frontier_equiv(d, lba_ordered, &reference, sel)?;
+                }
+            }
         }
     }
 

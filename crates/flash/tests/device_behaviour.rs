@@ -148,6 +148,36 @@ fn fua_write_is_durable_at_completion() {
 }
 
 #[test]
+fn fua_write_coalescing_out_of_order_completes() {
+    // Two dirty same-epoch entries, the higher LBA transferred first. A
+    // FUA write over both coalesces into them, so the sequences it waits
+    // on come back descending — its drain must still retire both.
+    let mut h = Harness::new(DeviceProfile::plain_ssd(), 8);
+    h.submit(wcmd(1, 6, 60, WriteFlags::NONE));
+    h.submit(wcmd(2, 5, 50, WriteFlags::NONE));
+    h.run_until_complete(CmdId(2));
+    let fua = WriteFlags {
+        fua: true,
+        ..WriteFlags::NONE
+    };
+    h.submit(Command::write(
+        CmdId(3),
+        Lba(5),
+        vec![BlockTag(51), BlockTag(61)],
+        fua,
+    ));
+    h.run();
+    assert!(
+        h.completions.iter().any(|c| c.id == CmdId(3)),
+        "FUA write never completed"
+    );
+    assert_eq!(h.dev.queue_depth(), 0);
+    let img = h.dev.crash_image();
+    assert_eq!(img.tag(Lba(5)), BlockTag(51));
+    assert_eq!(img.tag(Lba(6)), BlockTag(61));
+}
+
+#[test]
 fn flush_fua_write_drains_cache_first() {
     let mut h = Harness::new(DeviceProfile::ufs(), 7);
     h.submit(wcmd(1, 0, 10, WriteFlags::NONE));
@@ -458,4 +488,133 @@ fn qd_series_tracks_occupancy() {
     assert!(peak >= 4.0, "peak {peak}");
     h.run();
     assert_eq!(h.dev.queue_depth(), 0);
+}
+
+// ---------------------------------------------------------------------
+// Golden action stream: the device's whole observable behaviour, pinned.
+// ---------------------------------------------------------------------
+
+/// FNV-1a over the `Debug` rendering of every `(time, action)` the device
+/// emits while a closed loop of `GOLDEN_CMDS` mixed commands keeps its
+/// queue full. Returns the hash and the number of loop iterations that
+/// found the writeback cache at capacity.
+fn golden_action_stream(profile: DeviceProfile) -> (u64, usize) {
+    use std::fmt::Write as _;
+
+    const GOLDEN_CMDS: u64 = 20_000;
+    let cache_blocks = profile.cache_blocks;
+    let mut dev = Device::new(profile, 0x5EED);
+    let mut q: EventQueue<DevEvent> = EventQueue::new();
+    let mut gen = bio_sim::SimRng::new(0xC0FFEE);
+    let mut out: Vec<DevAction> = Vec::new();
+    let mut line = String::new();
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut saturated = 0usize;
+    let mut next = 1u64;
+    let mut tag = 1u64;
+    loop {
+        while next <= GOLDEN_CMDS && dev.can_accept() {
+            // A flush-free first half lets even the 4,096-block cache fill;
+            // the second half mixes in the commands that drain it.
+            let cmd = match next {
+                12_000 | 16_000 | 20_000 => Command::flush(CmdId(next)),
+                _ => {
+                    let flags = match (next, gen.below(64)) {
+                        (14_000 | 18_000, _) => WriteFlags::FLUSH_FUA,
+                        (_, 0) => WriteFlags {
+                            fua: true,
+                            ..WriteFlags::NONE
+                        },
+                        (_, 1..=4) => WriteFlags::BARRIER,
+                        _ => WriteFlags::NONE,
+                    };
+                    // FUA writes stay single-block: the recording commit
+                    // mishandled a multi-block one whose blocks coalesced
+                    // into older entries out of order (see
+                    // `fua_write_coalescing_out_of_order_completes`).
+                    let blocks = if flags.fua { 1 } else { 1 + gen.below(4) };
+                    let tags = (0..blocks).map(|i| BlockTag(tag + i)).collect();
+                    tag += blocks;
+                    Command::write(CmdId(next), Lba(gen.below(1020)), tags, flags)
+                }
+            };
+            dev.submit(cmd, q.now(), &mut out)
+                .expect("can_accept promised room");
+            next += 1;
+        }
+        if out.is_empty() {
+            let Some((now, ev)) = q.pop() else { break };
+            dev.handle(ev, now, &mut out);
+        }
+        saturated += usize::from(dev.cache().len() >= cache_blocks);
+        for a in out.drain(..) {
+            line.clear();
+            write!(line, "{:?} {a:?}", q.now()).expect("write to String");
+            for b in line.bytes() {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            if let DevAction::After(d, ev) = a {
+                q.push_after(d, ev);
+            }
+        }
+    }
+    assert_eq!(dev.queue_depth(), 0, "every command completed");
+    assert!(dev.ftl_stats().gc_runs > 0, "GC never ran");
+    (hash, saturated)
+}
+
+#[test]
+fn action_stream_matches_golden_hashes() {
+    // Recorded at the commit before the incremental destage frontier
+    // (c4edb07), whose pump rescanned the whole cache. The stream covers
+    // every completion and every scheduled event with its delay, so it
+    // pins RNG draw order (program jitter, the orderless shuffle) and GC
+    // timing, not just end-of-run totals.
+    const MODES: [BarrierMode; 4] = [
+        BarrierMode::Unsupported,
+        BarrierMode::InOrderWriteback,
+        BarrierMode::Transactional,
+        BarrierMode::LfsInOrderRecovery,
+    ];
+    let golden: [(DeviceProfile, [u64; 4]); 2] = [
+        (
+            DeviceProfile::ufs(),
+            [
+                0xc4c4_85e7_fd29_533f,
+                0xd97f_4164_db4d_e9c3,
+                0x74dc_97c9_5dd5_f0a1,
+                0x1038_9823_8877_3af8,
+            ],
+        ),
+        (
+            DeviceProfile::plain_ssd(),
+            [
+                0x642d_f0dd_0977_941c,
+                0x8bdc_3f31_1f01_8dcb,
+                0x712f_1323_ba47_960c,
+                0x9c35_0f2b_456e_429d,
+            ],
+        ),
+    ];
+    for (base, want) in golden {
+        let got = MODES.map(|mode| {
+            let mut profile = base.clone().with_barrier_mode(mode);
+            // ~50k blocks over a 1,024-block region of a 16k-page device:
+            // GC runs, and its victims are empty by the time it picks them.
+            profile.segments = 64;
+            profile.pages_per_segment = 256;
+            let (hash, saturated) = golden_action_stream(profile);
+            assert!(
+                saturated > 1_000,
+                "{} {mode:?}: cache at capacity on only {saturated} steps",
+                base.name
+            );
+            hash
+        });
+        assert!(
+            got == want,
+            "{} action streams drifted (modes {MODES:?}): now {got:#018x?}",
+            base.name
+        );
+    }
 }

@@ -34,20 +34,37 @@ impl RunSet {
     /// snapshots are; an unsorted source must insert one by one instead).
     pub fn from_sorted(keys: impl IntoIterator<Item = u64>) -> RunSet {
         let mut set = RunSet::new();
+        set.extend_sorted(keys);
+        set
+    }
+
+    /// Appends an ascending key sequence lying wholly above the keys
+    /// already present, coalescing adjacent keys into runs. A set that was
+    /// drained to empty keeps its run storage, so refilling it this way
+    /// does not allocate once it has held as many runs before.
+    ///
+    /// # Panics
+    ///
+    /// As [`RunSet::from_sorted`].
+    pub fn extend_sorted(&mut self, keys: impl IntoIterator<Item = u64>) {
         for k in keys {
             assert_ne!(k, u64::MAX, "RunSet keys must be below u64::MAX");
-            if let Some((_, end)) = set.runs.last_mut() {
-                debug_assert!(k >= *end, "from_sorted input not ascending at {k}");
+            if let Some((_, end)) = self.runs.last_mut() {
+                debug_assert!(k >= *end, "extend_sorted input not ascending at {k}");
                 if k == *end {
                     *end += 1;
-                    set.len += 1;
+                    self.len += 1;
                     continue;
                 }
             }
-            set.runs.push((k, k + 1));
-            set.len += 1;
+            self.runs.push((k, k + 1));
+            self.len += 1;
         }
-        set
+    }
+
+    /// The largest key in the set.
+    pub fn last(&self) -> Option<u64> {
+        self.runs.last().map(|&(_, end)| end - 1)
     }
 
     /// Number of keys in the set.
@@ -165,6 +182,21 @@ mod tests {
         assert!(s.contains(4) && s.contains(9) && s.contains(20));
         assert!(!s.contains(6) && !s.contains(0) && !s.contains(21));
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 4, 5, 9, 10, 20]);
+    }
+
+    #[test]
+    fn extend_sorted_refills_a_drained_set_and_tracks_last() {
+        let mut s = RunSet::from_sorted([3, 4, 9]);
+        assert_eq!(s.last(), Some(9));
+        s.extend_sorted([10, 12]);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 4, 9, 10, 12]);
+        assert_eq!((s.runs(), s.last()), (3, Some(12)));
+        for k in [3, 4, 9, 10, 12] {
+            assert!(s.remove(k));
+        }
+        assert_eq!(s.last(), None);
+        s.extend_sorted(20..24);
+        assert_eq!((s.len(), s.runs(), s.last()), (4, 1, Some(23)));
     }
 
     #[test]

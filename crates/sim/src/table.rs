@@ -261,10 +261,25 @@ impl<T> SeqTable<T> {
     /// wrap a `SeqTable` behind another enum (e.g. a dual-backend table
     /// used for equivalence testing) can embed it without boxing.
     pub fn iter(&self) -> SeqTableIter<'_, T> {
+        self.iter_from(self.base)
+    }
+
+    /// Iterates over `(key, &entry)` pairs with keys `>= key`, in key
+    /// order. The cost is proportional to the window span from `key` on
+    /// (dead slots included), not to the whole table: a consumer that
+    /// stops early pays only for what it looked at.
+    pub fn iter_from(&self, key: u64) -> SeqTableIter<'_, T> {
+        let skip = usize::try_from(key.saturating_sub(self.base))
+            .map_or(self.slots.len(), |i| i.min(self.slots.len()));
         SeqTableIter {
-            inner: self.slots.iter().enumerate(),
-            base: self.base,
+            inner: self.slots.range(skip..).enumerate(),
+            base: self.base + skip as u64,
         }
+    }
+
+    /// Iterates over the live keys in key order.
+    pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
+        self.iter().map(|(key, _)| key)
     }
 
     /// Iterates over `(key, &mut entry)` pairs in key order.
@@ -360,6 +375,22 @@ mod tests {
         t.remove(1);
         t.remove(2);
         assert_eq!(t.iter().map(|(k, _)| k).collect::<Vec<_>>(), vec![4, 5]);
+    }
+
+    #[test]
+    fn iter_from_clamps_to_the_window() {
+        let mut t = SeqTable::new();
+        for k in 10..16u64 {
+            t.insert(k, k);
+        }
+        t.remove(12);
+        let keys = |from| t.iter_from(from).map(|(k, _)| k).collect::<Vec<_>>();
+        assert_eq!(keys(0), vec![10, 11, 13, 14, 15], "below the window");
+        assert_eq!(keys(12), vec![13, 14, 15], "from a hole");
+        assert_eq!(keys(15), vec![15]);
+        assert_eq!(keys(16), Vec::<u64>::new(), "past the end");
+        assert_eq!(keys(u64::MAX), Vec::<u64>::new());
+        assert_eq!(t.keys().collect::<Vec<_>>(), keys(0));
     }
 
     #[test]

@@ -31,6 +31,7 @@ proptest! {
             prop_assert_eq!(set.is_empty(), model.is_empty());
             let mut expect: Vec<u64> = model.iter().copied().collect();
             expect.sort_unstable();
+            prop_assert_eq!(set.last(), expect.last().copied());
             let got: Vec<u64> = set.iter().collect();
             prop_assert_eq!(got, expect, "iteration must be sorted and complete");
         }

@@ -48,7 +48,16 @@ proptest! {
             let mut expect: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
             expect.sort();
             let got: Vec<(u64, u64)> = table.iter().map(|(k, &v)| (k, v)).collect();
-            prop_assert_eq!(got, expect, "iteration must be key-ordered and complete");
+            prop_assert_eq!(&got, &expect, "iteration must be key-ordered and complete");
+            // From-key iteration is the suffix of the full walk, wherever
+            // the key falls: below the window, in a hole, past the end.
+            let suffix: Vec<(u64, u64)> = table.iter_from(sel).map(|(k, &v)| (k, v)).collect();
+            expect.retain(|&(k, _)| k >= sel);
+            prop_assert_eq!(suffix, expect, "iter_from({}) must be the >= suffix", sel);
+            prop_assert_eq!(
+                table.keys().collect::<Vec<_>>(),
+                got.iter().map(|&(k, _)| k).collect::<Vec<_>>()
+            );
         }
     }
 
