@@ -89,7 +89,7 @@ fn main() {
         let report = bio_bench::crash::run(crash_seeds);
         let secs = t0.elapsed().as_secs_f64();
         // Throughput goes to stderr: stdout stays byte-identical between
-        // capture modes (BIO_FORK_CAPTURE) and machines.
+        // machines.
         eprintln!(
             "[crash-enum] points={} elapsed_s={:.2} points_per_s={:.0}",
             report.total_points,

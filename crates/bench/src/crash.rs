@@ -36,9 +36,10 @@
 //!    O(log length). The shared parts are immutable behind `Arc`;
 //!    copy-on-write (`Arc::make_mut`) keeps retained points intact.
 //!
-//! The fork-based path stays alive behind `BIO_FORK_CAPTURE=1` (or
-//! [`CaptureMode::Fork`]) as a differential reference: both paths must
-//! produce bit-identical [`CrashPoint`]s, verdicts and dedup counts.
+//! The fork-based path stays as [`CaptureMode::Fork`], the differential
+//! reference `tests/capture_equivalence.rs` holds the delta engine to:
+//! both paths must produce bit-identical [`CrashPoint`]s, verdicts and
+//! dedup counts.
 //!
 //! Subset/group spaces are enumerated exhaustively up to [`MAX_FREE_BITS`]
 //! free choices per device and [`MAX_IMAGES_PER_POINT`] images per capture
@@ -327,22 +328,11 @@ impl Default for CaptureCursor {
 /// How crash points are captured from the running trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CaptureMode {
-    /// Zero-clone capture with delta snapshots (the default).
+    /// Zero-clone capture with delta snapshots (what [`run`] uses).
     Delta,
     /// Deep-fork the whole stack at every commit (the first-generation
     /// path, kept as a differential reference).
     Fork,
-}
-
-impl CaptureMode {
-    /// `BIO_FORK_CAPTURE=1` selects the fork-based reference path.
-    pub fn from_env() -> CaptureMode {
-        if std::env::var("BIO_FORK_CAPTURE").is_ok_and(|v| v == "1") {
-            CaptureMode::Fork
-        } else {
-            CaptureMode::Delta
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -981,12 +971,6 @@ pub fn enumerate_trace_with(
     CellOutcome { points }
 }
 
-/// [`enumerate_trace_with`] under the environment-selected capture mode
-/// (`BIO_FORK_CAPTURE=1` for the fork-based reference path).
-pub fn enumerate_trace(cfg: StackConfig, sync: SyncMode, seed: u64) -> CellOutcome {
-    enumerate_trace_with(cfg, sync, seed, CaptureMode::from_env())
-}
-
 /// Deterministic per-point sampling seed: same trace seed and commit
 /// index → same sampled draws, in both capture modes.
 fn sample_seed(trace_seed: u64, commit_idx: usize) -> u64 {
@@ -1156,7 +1140,7 @@ pub fn run(traces: u64) -> CrashEnumReport {
         let (label, mk_cfg, sync) = (*label, *mk_cfg, *sync);
         for seed in 0..traces {
             grid.push(format!("crashenum/{label}/seed{seed}"), move || {
-                enumerate_trace(mk_cfg(), sync, seed)
+                enumerate_trace_with(mk_cfg(), sync, seed, CaptureMode::Delta)
             });
         }
     }
@@ -1533,7 +1517,7 @@ mod tests {
     fn differential_trace_smoke_is_clean() {
         for (_, group) in diff_stacks() {
             for (label, mk_cfg, sync) in group {
-                let cell = enumerate_trace(mk_cfg(), sync, 1);
+                let cell = enumerate_trace_with(mk_cfg(), sync, 1, CaptureMode::Delta);
                 assert!(!cell.points.is_empty(), "{label}: no capture points");
                 for p in &cell.points {
                     assert_eq!(
@@ -1556,7 +1540,7 @@ mod tests {
         let (_, group) = &groups[1];
         let cells: Vec<CellOutcome> = group
             .iter()
-            .map(|(_, mk_cfg, sync)| enumerate_trace(mk_cfg(), *sync, 0))
+            .map(|(_, mk_cfg, sync)| enumerate_trace_with(mk_cfg(), *sync, 0, CaptureMode::Delta))
             .collect();
         let per_stack: Vec<HashMap<usize, &PointOutcome>> = cells
             .iter()

@@ -1,44 +1,286 @@
 //! Cohort-drained batch execution must be unobservable in results.
 //!
-//! The `IoStack` driver drains same-timestamp event cohorts and routes
-//! them per destination layer instead of popping one event at a time;
-//! `BIO_SINGLE_STEP=1` forces the cohort size to 1, which reduces the
-//! driver to the pre-batching single-pop loop. Running the `figures`
-//! binary both ways and comparing stdout byte-for-byte pins down the
-//! bit-exactness claim end to end — every simulated figure and table,
-//! not just unit-level invariants.
+//! `IoStack::run_for`/`run_until_done` drain same-timestamp event cohorts
+//! and route them per destination layer; `IoStack::step` pops exactly one
+//! event and routes it before the next. Each cell below runs both ways in
+//! process and must agree on the full `StackReport` and on the crash
+//! verdict at the end of the window.
+//!
+//! `step()` cannot look ahead, so a stepped stack only learns a fixed
+//! window is over by running the first event past it. Fixed windows are
+//! therefore stepped twice: once to count the events inside the window,
+//! then on a fresh stack for exactly that many steps (determinism makes
+//! it the same prefix).
 
-use std::process::Command;
+use barrier_io::{DeviceProfile, FileRef, IoStack, StackConfig, Topology};
+use bio_sim::SimDuration;
+use bio_workloads::{
+    Dwsl, MailQueue, OltpInsert, RandWrite, RocksDbWal, Sqlite, SqliteJournalMode, SyncMode,
+    Varmail, WriteMode,
+};
 
-fn figures(args: &[&str], single_step: bool) -> String {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_figures"));
-    cmd.args(args);
-    if single_step {
-        cmd.env("BIO_SINGLE_STEP", "1");
-    } else {
-        cmd.env_remove("BIO_SINGLE_STEP");
+const WARM: SimDuration = SimDuration::from_millis(5);
+const WINDOW: SimDuration = SimDuration::from_millis(25);
+const DONE_CAP: SimDuration = SimDuration::from_secs(3600);
+/// Op budget per thread of an until-done cell.
+const DONE_OPS: u64 = 12;
+
+/// Creates a model's files and threads; `n` bounds each thread's
+/// iterations.
+type Setup = fn(&mut IoStack, SyncMode, u64);
+
+#[derive(Clone, Copy)]
+enum Window {
+    /// `run_for(WARM)`, `start_measuring`, `run_for(WINDOW)`.
+    Fixed,
+    /// `start_measuring`, `run_until_done`.
+    UntilDone,
+}
+
+struct Cell {
+    name: String,
+    cfg: StackConfig,
+    sync: SyncMode,
+    setup: Setup,
+    window: Window,
+}
+
+impl Cell {
+    fn stack(&self) -> IoStack {
+        let mut stack = IoStack::new(self.cfg.clone().with_history());
+        let n = match self.window {
+            Window::Fixed => u64::MAX / 2,
+            Window::UntilDone => DONE_OPS,
+        };
+        (self.setup)(&mut stack, self.sync, n);
+        stack
     }
-    let out = cmd.output().expect("figures binary runs");
-    assert!(
-        out.status.success(),
-        "figures {args:?} (single_step={single_step}) failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8(out.stdout).expect("utf-8 output")
+}
+
+fn randwrite(s: &mut IoStack, sync: SyncMode, n: u64) {
+    let f = FileRef::Global(s.create_global_file());
+    s.add_thread(Box::new(RandWrite::new(
+        f,
+        256,
+        WriteMode::SyncEach(sync),
+        n,
+    )));
+}
+
+fn dwsl(s: &mut IoStack, sync: SyncMode, n: u64) {
+    for _ in 0..4 {
+        s.add_thread(Box::new(Dwsl::new(sync, n)));
+    }
+}
+
+fn sqlite(s: &mut IoStack, sync: SyncMode, n: u64) {
+    let db = FileRef::Global(s.create_global_file());
+    let journal = FileRef::Global(s.create_global_file());
+    s.add_thread(Box::new(Sqlite::new(
+        SqliteJournalMode::Persist,
+        sync,
+        sync,
+        db,
+        journal,
+        n,
+        2048,
+    )));
+}
+
+fn varmail(s: &mut IoStack, sync: SyncMode, n: u64) {
+    for _ in 0..4 {
+        s.add_thread(Box::new(Varmail::new(sync, n, 8)));
+    }
+}
+
+fn oltp(s: &mut IoStack, sync: SyncMode, n: u64) {
+    let table = FileRef::Global(s.create_global_file());
+    let redo = FileRef::Global(s.create_global_file());
+    let binlog = FileRef::Global(s.create_global_file());
+    for _ in 0..4 {
+        s.add_thread(Box::new(OltpInsert::new(sync, table, redo, binlog, n)));
+    }
+}
+
+fn rocksdb(s: &mut IoStack, sync: SyncMode, n: u64) {
+    for _ in 0..2 {
+        s.add_thread(Box::new(RocksDbWal::new(sync, n)));
+    }
+}
+
+fn mailqueue(s: &mut IoStack, sync: SyncMode, n: u64) {
+    for _ in 0..4 {
+        s.add_thread(Box::new(MailQueue::new(sync, n, 8)));
+    }
+}
+
+/// fig17's thread count and per-thread write count (`n` is not used: the
+/// cell is sized by how far it backs the block layer up).
+fn dwsl_256(s: &mut IoStack, sync: SyncMode, _n: u64) {
+    for _ in 0..256 {
+        s.add_thread(Box::new(Dwsl::new(sync, 2)));
+    }
+}
+
+/// Every `StackConfig` constructor the figures use × {UFS, plain-SSD},
+/// crossed with all seven workload models; the window kind alternates so
+/// every constructor and every model runs under both.
+fn cells() -> Vec<Cell> {
+    type Preset = (fn(DeviceProfile) -> StackConfig, SyncMode);
+    let presets: [Preset; 5] = [
+        (StackConfig::ext4_dr, SyncMode::Fsync),
+        (StackConfig::ext4_od, SyncMode::Fsync),
+        (StackConfig::bfs, SyncMode::Fsync),
+        (|d| StackConfig::bfs(d).ordering_only(), SyncMode::Fbarrier),
+        (StackConfig::optfs, SyncMode::Fbarrier),
+    ];
+    let models: [(&str, Setup); 7] = [
+        ("randwrite", randwrite),
+        ("dwsl", dwsl),
+        ("sqlite", sqlite),
+        ("varmail", varmail),
+        ("oltp", oltp),
+        ("rocksdb-wal", rocksdb),
+        ("mail-queue", mailqueue),
+    ];
+    let mut cells = Vec::new();
+    for (di, dev) in [DeviceProfile::ufs(), DeviceProfile::plain_ssd()]
+        .into_iter()
+        .enumerate()
+    {
+        for (pi, (preset, sync)) in presets.iter().enumerate() {
+            for (mi, (model, setup)) in models.iter().enumerate() {
+                let cfg = preset(dev.clone());
+                let window = if (di + pi + mi) % 2 == 0 {
+                    Window::Fixed
+                } else {
+                    Window::UntilDone
+                };
+                cells.push(Cell {
+                    name: format!("{}/{model}", cfg.label()),
+                    cfg,
+                    sync: *sync,
+                    setup: *setup,
+                    window,
+                });
+            }
+        }
+    }
+    // The lane grid with its cross-lane epoch sequencer.
+    let mq = StackConfig::bfs(DeviceProfile::plain_ssd())
+        .ordering_only()
+        .with_topology(Topology::new(2, 2, 8));
+    for window in [Window::Fixed, Window::UntilDone] {
+        cells.push(Cell {
+            name: format!("{}/dwsl", mq.label()),
+            cfg: mq.clone(),
+            sync: SyncMode::Fbarrier,
+            setup: dwsl,
+            window,
+        });
+    }
+    cells
+}
+
+/// What a run is judged by: the whole report and the crash verdict
+/// (persisted image, filesystem and epoch violations).
+fn observe(stack: &IoStack) -> (String, String) {
+    (
+        format!("{:?}", stack.report()),
+        format!("{:?}", stack.crash()),
+    )
+}
+
+fn batched(cell: &Cell) -> (String, String) {
+    let mut s = cell.stack();
+    match cell.window {
+        Window::Fixed => {
+            s.run_for(WARM);
+            s.start_measuring();
+            s.run_for(WINDOW);
+        }
+        Window::UntilDone => {
+            s.start_measuring();
+            assert!(s.run_until_done(DONE_CAP), "{}: hit the cap", cell.name);
+        }
+    }
+    observe(&s)
+}
+
+/// Steps through a window of `d` and returns how many events fell inside
+/// it. The stack ends one event past the window: only the count is good.
+fn count_steps(stack: &mut IoStack, d: SimDuration) -> u64 {
+    let deadline = stack.now() + d;
+    let mut n = 0;
+    while stack.step() && stack.now() <= deadline {
+        n += 1;
+    }
+    n
+}
+
+fn step_n(stack: &mut IoStack, n: u64) {
+    for _ in 0..n {
+        assert!(stack.step(), "replay ran out of events");
+    }
+}
+
+fn stepped(cell: &Cell) -> (String, String) {
+    let mut s = cell.stack();
+    match cell.window {
+        Window::Fixed => {
+            let warm = count_steps(&mut cell.stack(), WARM);
+            let mut probe = cell.stack();
+            step_n(&mut probe, warm);
+            let window = count_steps(&mut probe, WINDOW);
+            assert!(window > 0, "{}: empty window proves nothing", cell.name);
+            step_n(&mut s, warm);
+            s.start_measuring();
+            step_n(&mut s, window);
+        }
+        Window::UntilDone => {
+            s.start_measuring();
+            while !s.workloads_finished() {
+                assert!(s.step(), "{}: queue drained before done", cell.name);
+            }
+        }
+    }
+    observe(&s)
 }
 
 #[test]
-fn batched_figures_match_single_step_byte_for_byte() {
-    let args = &["--all", "--scale", "1", "--seeds", "2", "--jobs", "1"];
-    let batched = figures(args, false);
-    let single = figures(args, true);
-    assert_eq!(
-        batched, single,
-        "cohort-drained execution diverged from single-step execution"
-    );
-    // Guard against a silently empty run proving nothing.
-    assert!(
-        batched.contains("Fig"),
-        "figures output missing: {batched:?}"
-    );
+fn batched_runs_match_single_step_runs() {
+    for cell in cells() {
+        let (report, crash) = batched(&cell);
+        let (step_report, step_crash) = stepped(&cell);
+        assert_eq!(report, step_report, "{}: reports diverge", cell.name);
+        assert_eq!(crash, step_crash, "{}: crash verdicts diverge", cell.name);
+    }
+}
+
+/// fig17's BFS-OD 1q×1dev cell: 256 DWSL threads whose `fbarrier`s
+/// return at dispatch back the block layer up to `congestion_limit`, so
+/// `drive` takes its exact per-event fallback and threads only resume
+/// through `maybe_uncongest`.
+#[test]
+fn congested_run_matches_single_step_run() {
+    let cell = Cell {
+        name: "BFS-OD@plain-SSD/dwsl×256".into(),
+        cfg: StackConfig::bfs(DeviceProfile::plain_ssd()).ordering_only(),
+        sync: SyncMode::Fbarrier,
+        setup: dwsl_256,
+        window: Window::UntilDone,
+    };
+    let limit = cell.cfg.congestion_limit;
+    let mut s = cell.stack();
+    s.start_measuring();
+    let mut crossed = false;
+    while !s.workloads_finished() {
+        assert!(s.step(), "queue drained before done");
+        if !crossed {
+            let queued: usize = s.report().lanes.iter().map(|l| l.queued).sum();
+            crossed = queued >= limit;
+        }
+    }
+    assert!(crossed, "block queue never reached {limit}: not congested");
+    assert_eq!(batched(&cell), observe(&s));
 }

@@ -5,7 +5,7 @@
 //! filesystem disciplines, at 1q×1dev and 2q×2dev), the full sequence of
 //! [`CrashPoint`]s captured through the delta cursor must equal — field
 //! for field — the sequence captured by deep-forking the stack at every
-//! commit with `BIO_FORK_CAPTURE`-style capture.
+//! commit ([`CaptureMode::Fork`]).
 
 use barrier_io::{DeviceProfile, StackConfig, Topology};
 use bio_bench::crash::{capture_points, CaptureMode};

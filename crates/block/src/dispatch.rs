@@ -45,22 +45,8 @@ pub enum DispatchMode {
     OrderPreserving,
 }
 
-/// How the block layer maps a request to a hardware queue on a multi-queue
-/// topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LaneRouting {
-    /// Spread by request id (round-robin-ish; the historical default).
-    #[default]
-    ByRequestId,
-    /// Route by submitting context ([`BlockRequest::origin`]): every
-    /// request from one thread lands on one deterministic hardware queue,
-    /// like the kernel's per-CPU software queues feeding blk-mq.
-    ByThread,
-}
-
 /// Everything the block layer needs to know, in one place: the base
-/// scheduler, the dispatch discipline, the lane [`Topology`] and the
-/// software-queue routing policy.
+/// scheduler, the dispatch discipline and the lane [`Topology`].
 ///
 /// Replaces the old `BlockLayer::new(dev, scheduler, dispatch)` positional
 /// constructor so new knobs extend this struct instead of churning every
@@ -73,8 +59,6 @@ pub struct BlockConfig {
     pub dispatch: DispatchMode,
     /// Lane topology (queues × devices, stripe unit).
     pub topology: Topology,
-    /// Hardware-queue selection policy.
-    pub routing: LaneRouting,
 }
 
 impl Default for BlockConfig {
@@ -83,7 +67,6 @@ impl Default for BlockConfig {
             scheduler: SchedulerKind::Elevator,
             dispatch: DispatchMode::OrderPreserving,
             topology: Topology::single(),
-            routing: LaneRouting::ByRequestId,
         }
     }
 }
@@ -102,12 +85,6 @@ impl BlockConfig {
     /// Builder-style topology override.
     pub fn with_topology(mut self, topology: Topology) -> BlockConfig {
         self.topology = topology;
-        self
-    }
-
-    /// Builder-style routing override.
-    pub fn with_routing(mut self, routing: LaneRouting) -> BlockConfig {
-        self.routing = routing;
         self
     }
 }
@@ -186,8 +163,8 @@ pub struct LaneStats {
     pub epochs_released: u64,
     /// Requests currently queued (scheduler + held).
     pub queued: usize,
-    /// Requests (or split parts) the routing policy placed on this lane —
-    /// how evenly the [`LaneRouting`] choice spreads the submitted load.
+    /// Requests (or split parts) placed on this lane — how evenly
+    /// request-id routing and striping spread the submitted load.
     pub routed: u64,
 }
 
@@ -251,7 +228,6 @@ const RECLAIM_POOL_CAP: usize = 64;
 pub struct BlockLayer {
     topology: Topology,
     mode: DispatchMode,
-    routing: LaneRouting,
     lanes: Vec<Lane>,
     devs: Vec<Device>,
     /// Commands in flight per device, keyed by the bump-allocated
@@ -318,7 +294,6 @@ impl BlockLayer {
         BlockLayer {
             topology: cfg.topology,
             mode: cfg.dispatch,
-            routing: cfg.routing,
             lanes,
             inflight: (0..n).map(|_| SeqTable::new()).collect(),
             next_cmd: vec![1; n],
@@ -348,36 +323,6 @@ impl BlockLayer {
     /// Device `i` (metrics, crash injection).
     pub fn device_at(&self, i: usize) -> &Device {
         &self.devs[i]
-    }
-
-    /// Single-device convenience accessor.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a multi-device topology; use [`BlockLayer::devices`] or
-    /// [`BlockLayer::device_at`] there.
-    pub fn device(&self) -> &Device {
-        assert!(
-            self.devs.len() == 1,
-            "BlockLayer::device() on a {}-device topology; use devices()/device_at(i)",
-            self.devs.len()
-        );
-        &self.devs[0]
-    }
-
-    /// Mutable access to the single device (history recording).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a multi-device topology; use
-    /// [`BlockLayer::devices_mut`] there.
-    pub fn device_mut(&mut self) -> &mut Device {
-        assert!(
-            self.devs.len() == 1,
-            "BlockLayer::device_mut() on a {}-device topology; use devices_mut()",
-            self.devs.len()
-        );
-        &mut self.devs[0]
     }
 
     /// Mutable access to all devices.
@@ -450,7 +395,7 @@ impl BlockLayer {
             if self.gate_closed {
                 self.front.push_back(req);
             } else {
-                self.admit(req);
+                self.admit(req, now, out);
             }
             self.run_multi(now, out);
         }
@@ -501,8 +446,9 @@ impl BlockLayer {
 
     /// Splits `req` into per-device parts and enqueues them on their
     /// lanes; a barrier additionally fences every lane and closes the
-    /// sequencer gate (the cross-lane epoch boundary).
-    fn admit(&mut self, mut req: BlockRequest) {
+    /// sequencer gate (the cross-lane epoch boundary). A request that
+    /// moves no blocks has no part to wait for and completes at `now`.
+    fn admit(&mut self, mut req: BlockRequest, now: SimTime, out: &mut ActionSink<BlockAction>) {
         debug_assert!(!self.gate_closed, "admit only while the gate is open");
         // REQ_PREFLUSH on a striped volume: a write's preflush only
         // reaches its own device, but the blocks it orders after may sit
@@ -521,7 +467,6 @@ impl BlockLayer {
                     id: self.alloc_part(key),
                     op: ReqOp::Flush,
                     flags: crate::request::ReqFlags::NONE,
-                    origin: req.origin,
                 };
                 let lane = self.topology.lane(dev, hw_queue);
                 self.lanes[lane].routed += 1;
@@ -562,7 +507,6 @@ impl BlockLayer {
                             tags: tags[off as usize..(off + n) as usize].to_vec(),
                         },
                         flags: req.flags,
-                        origin: req.origin,
                     };
                     remaining += 1;
                     let lane = self.topology.lane(dev, hw_queue);
@@ -579,7 +523,6 @@ impl BlockLayer {
                             count: n,
                         },
                         flags: req.flags,
-                        origin: req.origin,
                     };
                     remaining += 1;
                     let lane = self.topology.lane(dev, hw_queue);
@@ -594,7 +537,6 @@ impl BlockLayer {
                         id: self.alloc_part(key),
                         op: ReqOp::Flush,
                         flags: req.flags,
-                        origin: req.origin,
                     };
                     remaining += 1;
                     let lane = self.topology.lane(dev, hw_queue);
@@ -603,15 +545,20 @@ impl BlockLayer {
                 }
             }
         }
-        self.stats.split_parts += u64::from(remaining) - 1;
-        self.splits.insert(
-            key,
-            SplitState {
-                remaining,
-                ids: vec![req.id],
-                then: None,
-            },
-        );
+        if remaining == 0 {
+            self.stats.completed += 1;
+            out.push(BlockAction::Complete(req.id, now));
+        } else {
+            self.stats.split_parts += u64::from(remaining) - 1;
+            self.splits.insert(
+                key,
+                SplitState {
+                    remaining,
+                    ids: vec![req.id],
+                    then: None,
+                },
+            );
+        }
         // The original payload was sliced into per-device parts above;
         // hand its buffer back to the submitter's arena.
         if let ReqOp::Write { tags, .. } = req.op {
@@ -626,10 +573,7 @@ impl BlockLayer {
     }
 
     fn hw_queue_for(&self, req: &BlockRequest) -> usize {
-        match self.routing {
-            LaneRouting::ByRequestId => (req.id.0 % self.topology.nr_hw_queues as u64) as usize,
-            LaneRouting::ByThread => req.origin as usize % self.topology.nr_hw_queues,
-        }
+        (req.id.0 % self.topology.nr_hw_queues as u64) as usize
     }
 
     fn alloc_part(&mut self, key: u64) -> ReqId {
@@ -660,7 +604,7 @@ impl BlockLayer {
                     let Some(req) = self.front.pop_front() else {
                         break;
                     };
-                    self.admit(req);
+                    self.admit(req, now, out);
                 }
                 continue; // newly admitted requests need pumping
             }
@@ -815,7 +759,7 @@ impl BlockLayer {
                 if self.gate_closed {
                     self.front.push_back(*w);
                 } else {
-                    self.admit(*w);
+                    self.admit(*w, at, out);
                 }
             }
         }
@@ -850,20 +794,6 @@ mod tests {
     fn device_count_must_match_topology() {
         let cfg = BlockConfig::default().with_topology(Topology::new(1, 2, 8));
         BlockLayer::new(vec![Device::new(DeviceProfile::ufs(), 1)], cfg);
-    }
-
-    #[test]
-    #[should_panic(expected = "use devices()/device_at(i)")]
-    fn singular_device_accessor_panics_on_multi_device() {
-        let cfg = BlockConfig::default().with_topology(Topology::new(1, 2, 8));
-        let layer = BlockLayer::new(
-            vec![
-                Device::new(DeviceProfile::ufs(), 1),
-                Device::new(DeviceProfile::ufs(), 2),
-            ],
-            cfg,
-        );
-        let _ = layer.device();
     }
 
     #[test]

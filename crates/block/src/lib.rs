@@ -45,8 +45,8 @@ mod topology;
 
 pub use bio_sim::ActionSink;
 pub use dispatch::{
-    BlockAction, BlockConfig, BlockEvent, BlockLayer, BlockStats, DispatchMode, LaneRouting,
-    LaneStats, BUSY_RETRY_INTERVAL,
+    BlockAction, BlockConfig, BlockEvent, BlockLayer, BlockStats, DispatchMode, LaneStats,
+    BUSY_RETRY_INTERVAL,
 };
 pub use epoch::EpochScheduler;
 pub use request::{BlockRequest, MergedRequest, ReqFlags, ReqId, ReqOp};

@@ -103,13 +103,6 @@ pub struct BlockRequest {
     pub op: ReqOp,
     /// Ordering/durability attributes.
     pub flags: ReqFlags,
-    /// Submitting-context key for software-queue affinity (the kernel's
-    /// per-CPU software queue): requests from the same context map to the
-    /// same hardware queue under [`LaneRouting::ByThread`]. `0` is the
-    /// kernel/daemon context (journal, pdflush).
-    ///
-    /// [`LaneRouting::ByThread`]: crate::LaneRouting::ByThread
-    pub origin: u32,
 }
 
 impl BlockRequest {
@@ -119,7 +112,6 @@ impl BlockRequest {
             id,
             op: ReqOp::Write { start, tags },
             flags,
-            origin: 0,
         }
     }
 
@@ -129,7 +121,6 @@ impl BlockRequest {
             id,
             op: ReqOp::Read { start, count },
             flags: ReqFlags::NONE,
-            origin: 0,
         }
     }
 
@@ -139,15 +130,7 @@ impl BlockRequest {
             id,
             op: ReqOp::Flush,
             flags: ReqFlags::NONE,
-            origin: 0,
         }
-    }
-
-    /// Builder-style submitting-context override (thread-affine lane
-    /// routing).
-    pub fn with_origin(mut self, origin: u32) -> BlockRequest {
-        self.origin = origin;
-        self
     }
 
     /// Number of blocks moved.

@@ -124,7 +124,7 @@ fn busy_device_retries_and_completes_everything() {
 fn barrier_epochs_survive_crash_in_order_preserving_mode() {
     for seed_steps in 0..12usize {
         let mut h = Harness::new(DeviceProfile::ufs(), DispatchMode::OrderPreserving);
-        h.layer.device_mut().record_history(true);
+        h.layer.devices_mut()[0].record_history(true);
         let mut id = 0;
         for epoch in 0..5u64 {
             for i in 0..3u64 {
@@ -139,8 +139,8 @@ fn barrier_epochs_survive_crash_in_order_preserving_mode() {
         }
         h.submit(BlockRequest::flush(ReqId(9999)));
         h.run_steps(5 + seed_steps * 3);
-        let img = h.layer.device().crash_image();
-        let hist = h.layer.device().history().unwrap();
+        let img = h.layer.device_at(0).crash_image();
+        let hist = h.layer.device_at(0).history().unwrap();
         let violations = audit_epoch_order(hist, &img);
         assert!(
             violations.is_empty(),
@@ -154,11 +154,11 @@ fn legacy_mode_strips_barrier_semantics() {
     // In legacy dispatch the barrier flag must not reach the device: the
     // device cache sees a single epoch.
     let mut h = Harness::new(DeviceProfile::ufs(), DispatchMode::Legacy);
-    h.layer.device_mut().record_history(true);
+    h.layer.devices_mut()[0].record_history(true);
     h.submit(w(1, 0, ReqFlags::BARRIER));
     h.submit(w(2, 10, ReqFlags::BARRIER));
     h.run();
-    let hist = h.layer.device().history().unwrap();
+    let hist = h.layer.device_at(0).history().unwrap();
     assert!(
         hist.iter().all(|t| t.epoch == 0),
         "legacy mode must not advance device epochs: {hist:?}"
@@ -168,11 +168,11 @@ fn legacy_mode_strips_barrier_semantics() {
 #[test]
 fn order_preserving_mode_advances_device_epochs() {
     let mut h = Harness::new(DeviceProfile::ufs(), DispatchMode::OrderPreserving);
-    h.layer.device_mut().record_history(true);
+    h.layer.devices_mut()[0].record_history(true);
     h.submit(w(1, 0, ReqFlags::BARRIER));
     h.submit(w(2, 10, ReqFlags::BARRIER));
     h.run();
-    let hist = h.layer.device().history().unwrap();
+    let hist = h.layer.device_at(0).history().unwrap();
     let epochs: Vec<u64> = hist.iter().map(|t| t.epoch).collect();
     assert_eq!(epochs, vec![0, 1]);
 }
@@ -187,7 +187,7 @@ fn flush_completes_after_drain() {
     let t_f = h.done.iter().find(|(id, _)| *id == ReqId(2)).unwrap().1;
     assert!(t_f > t_w, "flush must complete after the write it drains");
     assert_eq!(
-        h.layer.device().crash_image().tag(Lba(0)),
+        h.layer.device_at(0).crash_image().tag(Lba(0)),
         BlockTag(1001),
         "flushed data is durable"
     );
@@ -204,7 +204,7 @@ fn non_blocking_barrier_dispatch_fills_the_queue() {
     }
     let peak = h
         .layer
-        .device()
+        .device_at(0)
         .qd_series()
         .max_in(SimTime::ZERO, SimTime::from_secs(1));
     assert!(peak >= 8.0, "barrier writes queued without waiting: {peak}");
@@ -349,4 +349,27 @@ fn striped_final_state_matches_single_device() {
     let single = run(Topology::single());
     let striped = run(Topology::new(2, 3, 2));
     assert_eq!(single, striped);
+}
+
+#[test]
+fn zero_length_request_completes_on_multi_device() {
+    // A zero-block read or an empty write moves nothing, but its submitter
+    // still waits on it: it must complete exactly once on the 1×1 path
+    // and on a striped volume, where there is no part to wait for.
+    for topology in [Topology::single(), Topology::new(1, 2, 1)] {
+        for req in [
+            BlockRequest::read(ReqId(1), Lba(3), 0),
+            BlockRequest::write(ReqId(1), Lba(3), Vec::new(), ReqFlags::NONE),
+        ] {
+            let mut h =
+                Harness::with_topology(DeviceProfile::ufs(), DispatchMode::Legacy, topology);
+            h.submit(req.clone());
+            h.run();
+            let ids: Vec<ReqId> = h.done.iter().map(|(id, _)| *id).collect();
+            assert_eq!(ids, vec![ReqId(1)], "{topology:?} {req:?}");
+            let stats = h.layer.stats();
+            assert_eq!((stats.completed, stats.split_parts), (1, 0), "{topology:?}");
+            assert_eq!(h.layer.queued(), 0);
+        }
+    }
 }

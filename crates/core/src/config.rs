@@ -11,7 +11,7 @@
 //! | BFS-OD | [`StackConfig::bfs().ordering_only()`] + `fbarrier` | BarrierFS, ordering only |
 //! | OptFS | [`StackConfig::optfs`] | osync-based ordering |
 
-use bio_block::{DispatchMode, LaneRouting, SchedulerKind, Topology};
+use bio_block::{DispatchMode, SchedulerKind, Topology};
 use bio_flash::DeviceProfile;
 use bio_fs::{FsConfig, FsMode};
 use bio_sim::SimDuration;
@@ -47,10 +47,6 @@ pub struct StackConfig {
     pub dispatch: DispatchMode,
     /// Lane topology: hardware queues × devices (default 1×1).
     pub topology: Topology,
-    /// Software-queue → hardware-queue routing policy (default: by
-    /// request id; [`LaneRouting::ByThread`] pins each submitting thread
-    /// to a queue).
-    pub routing: LaneRouting,
     /// Sync discipline the driving workload uses (labels only).
     pub discipline: SyncDiscipline,
     /// Master seed; every run with the same config and seed is identical.
@@ -96,7 +92,6 @@ impl StackConfig {
             scheduler: SchedulerKind::Elevator,
             dispatch,
             topology: Topology::single(),
-            routing: LaneRouting::ByRequestId,
             discipline: SyncDiscipline::Durability,
             seed: 42,
             cpu_per_op: SimDuration::from_micros(2),
@@ -121,13 +116,6 @@ impl StackConfig {
     /// Builder-style lane topology override.
     pub fn with_topology(mut self, topology: Topology) -> StackConfig {
         self.topology = topology;
-        self
-    }
-
-    /// Builder-style lane-routing override (thread-affine software
-    /// queues).
-    pub fn with_routing(mut self, routing: LaneRouting) -> StackConfig {
-        self.routing = routing;
         self
     }
 

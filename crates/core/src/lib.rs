@@ -54,7 +54,7 @@ pub use ops::{FileRef, FnWorkload, Op, OpKind, ScriptWorkload, Workload};
 pub use stack::{CrashReport, IoStack, StackCaptureDelta, StackReport};
 
 // Re-export the vocabulary types callers need alongside the stack.
-pub use bio_block::{BlockConfig, DispatchMode, LaneRouting, LaneStats, SchedulerKind, Topology};
+pub use bio_block::{BlockConfig, DispatchMode, LaneStats, SchedulerKind, Topology};
 pub use bio_flash::{BarrierMode, DeviceCaptureDelta, DeviceProfile};
 pub use bio_fs::{
     check_crash_consistency, ConsistencyCheck, FsConfig, FsMode, FsViolation, ThreadId, TxnRecord,

@@ -151,10 +151,6 @@ pub struct IoStack {
     /// Threads in the terminal `Finished` state (the all-done check must
     /// run between consecutive events, so it has to be O(1)).
     finished_threads: usize,
-    /// `BIO_SINGLE_STEP` escape hatch: drain one event per queue visit,
-    /// mirroring the pre-batching loop (the equivalence suite runs the
-    /// full figure pipeline both ways and diffs the bytes).
-    single_step: bool,
 }
 
 /// Upper bound on events drained per cohort visit; a cohort larger than
@@ -181,7 +177,6 @@ impl IoStack {
                 scheduler: cfg.scheduler,
                 dispatch: cfg.dispatch,
                 topology: cfg.topology,
-                routing: cfg.routing,
             },
         );
         let fs = Filesystem::new(cfg.fs.clone());
@@ -200,7 +195,6 @@ impl IoStack {
             cohort: Vec::new(),
             cohort_pos: 0,
             finished_threads: 0,
-            single_step: std::env::var_os("BIO_SINGLE_STEP").is_some_and(|v| v != "0"),
             cfg,
         };
         // Arm the filesystem's periodic tasks through the router.
@@ -248,28 +242,12 @@ impl IoStack {
             cohort: self.cohort.clone(),
             cohort_pos: self.cohort_pos,
             finished_threads: self.finished_threads,
-            single_step: self.single_step,
         }
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.q.now()
-    }
-
-    /// Single-device convenience accessor (stats, queue-depth series).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a multi-device topology; use [`IoStack::devices`] or
-    /// [`IoStack::device_at`] there.
-    pub fn device(&self) -> &Device {
-        assert!(
-            self.block.devices().len() == 1,
-            "IoStack::device() on a {}-device topology; use devices()/device_at(i)",
-            self.block.devices().len()
-        );
-        self.block.device()
     }
 
     /// All devices, in device-index order.
@@ -599,8 +577,9 @@ impl IoStack {
     /// maximal same-layer runs, flushing the action sinks once per run
     /// instead of once per event.
     ///
-    /// The batched path is *bit-exact* with the single-pop loop it
-    /// replaced, by construction:
+    /// The batched path is *bit-exact* with popping the same events one
+    /// [`IoStack::step`] at a time (the oracle of
+    /// `crates/bench/tests/batch_equivalence.rs`), by construction:
     ///
     /// - A cohort shares one timestamp, and followers pushed while it is
     ///   processed carry later sequence numbers, so they sort after the
@@ -617,8 +596,10 @@ impl IoStack {
     /// - The per-event `maybe_uncongest` calls a single-pop loop makes
     ///   are no-ops while `congested` is empty, and nothing inside an
     ///   Fs/Block run can populate `congested` (only `thread_issue`
-    ///   does); the moment it is non-empty the remainder of the cohort
-    ///   falls back to exact per-event dispatch.
+    ///   does, and only while the block queue is at or above the limit,
+    ///   so no wake-up is due right after it either); the moment it is
+    ///   non-empty the remainder of the cohort falls back to exact
+    ///   per-event dispatch.
     ///
     /// Returns true when every thread has finished — checked between
     /// events exactly where the single-pop `run_until_done` checked it
@@ -627,7 +608,6 @@ impl IoStack {
     /// the loop stops at that point, leaving any unprocessed cohort
     /// remainder buffered for the next run call.
     fn drive(&mut self, deadline: SimTime, until_done: bool) -> bool {
-        let cohort_max = if self.single_step { 1 } else { COHORT_MAX };
         loop {
             if until_done && self.all_threads_finished() {
                 return true;
@@ -638,7 +618,7 @@ impl IoStack {
                 let mut buf = std::mem::take(&mut self.cohort);
                 let n = self
                     .q
-                    .pop_batch_at_or_before(deadline, &mut buf, cohort_max);
+                    .pop_batch_at_or_before(deadline, &mut buf, COHORT_MAX);
                 self.cohort = buf;
                 if n == 0 {
                     return false;
@@ -678,7 +658,6 @@ impl IoStack {
                     Event::ThreadNext(tid) => {
                         self.cohort_pos += 1;
                         self.thread_issue(tid, now);
-                        self.maybe_uncongest();
                         if until_done && self.all_threads_finished() {
                             return true;
                         }
@@ -776,7 +755,7 @@ impl IoStack {
     /// device against that device's own local image and history.
     pub fn crash(&self) -> CrashReport {
         let image = if self.cfg.topology.is_single() {
-            self.block.device().crash_image()
+            self.block.device_at(0).crash_image()
         } else {
             let mut map = BTreeMap::new();
             for (di, d) in self.block.devices().iter().enumerate() {

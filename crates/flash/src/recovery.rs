@@ -136,23 +136,6 @@ impl AppendLog {
         self.entries.iter()
     }
 
-    /// Replay of the base plus the tail records selected by `mask`
-    /// (`mask.len()` must equal [`AppendLog::tail_len`]), in append order.
-    /// `prefix_only` stops at the first deselected record, mirroring the
-    /// LFS in-order recovery rule.
-    pub fn image_masked(&self, mask: &[bool], prefix_only: bool) -> PersistedImage {
-        debug_assert_eq!(mask.len(), self.entries.len());
-        let mut map = self.base.clone();
-        for (rec, &keep) in self.entries.iter().zip(mask) {
-            if keep {
-                map.insert(rec.lba, rec.tag);
-            } else if prefix_only {
-                break;
-            }
-        }
-        PersistedImage { map }
-    }
-
     /// Replay of the base plus every unfolded record matching `keep`,
     /// in append order. `prefix_only` stops at the first rejected record
     /// (the LFS in-order recovery rule).

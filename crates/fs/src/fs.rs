@@ -27,7 +27,7 @@ use crate::config::{FsConfig, FsMode};
 use crate::file::{FileId, FileTable};
 use crate::layout::Layout;
 use crate::recovery::TxnRecord;
-use crate::txn::{ConflictList, ThreadId, Txn, TxnId, TxnState, TxnTable};
+use crate::txn::{ConflictList, ThreadId, Txn, TxnId, TxnState};
 
 /// Events the filesystem schedules for itself (routed back by the
 /// embedding simulator).
@@ -206,8 +206,8 @@ pub struct Filesystem {
     /// Live transactions, keyed by the bump-allocated [`TxnId`]: a dense
     /// sliding-window table whose base acts as a generation check, so a
     /// completion for a retired transaction reads as absent instead of
-    /// aliasing a live one (see [`TxnTable`]).
-    pub(crate) txns: TxnTable,
+    /// aliasing a live one.
+    pub(crate) txns: SeqTable<Txn>,
     pub(crate) running: Option<TxnId>,
     /// Committing-transaction list, in commit order (§4.2).
     pub(crate) committing: Vec<TxnId>,
@@ -263,25 +263,12 @@ impl Filesystem {
     /// Creates a filesystem with the given configuration. `meta_blocks`
     /// bounds how many files can ever be created.
     pub fn new(cfg: FsConfig) -> Filesystem {
-        Filesystem::with_txn_table(cfg, TxnTable::dense())
-    }
-
-    /// Creates a filesystem whose transaction table is the `HashMap`
-    /// reference backend. Exists so equivalence tests can drive the dense
-    /// and map-backed journals through identical syscall traces; not for
-    /// production use.
-    #[doc(hidden)]
-    pub fn new_with_map_txn_table(cfg: FsConfig) -> Filesystem {
-        Filesystem::with_txn_table(cfg, TxnTable::map_reference())
-    }
-
-    fn with_txn_table(cfg: FsConfig, txns: TxnTable) -> Filesystem {
         cfg.validate();
         let layout = Layout::new(65_536, cfg.journal_blocks);
         Filesystem {
             layout,
             files: FileTable::new(),
-            txns,
+            txns: SeqTable::new(),
             running: None,
             committing: Vec::new(),
             next_txn: 1,
@@ -374,7 +361,7 @@ impl Filesystem {
             && self.dirty_total == 0
             && self
                 .running
-                .and_then(|rt| self.txns.get(rt))
+                .and_then(|rt| self.txns.get(rt.0))
                 .is_none_or(|t| !t.commit_requested)
     }
 
@@ -458,7 +445,7 @@ impl Filesystem {
                     // conflict-page list and proceed without blocking.
                     let inode = self.files.get(file).inode_lba;
                     self.conflicts.add(inode, file, holder);
-                } else if let Some(t) = self.txns.get_mut(holder) {
+                } else if let Some(t) = self.txns.get_mut(holder.0) {
                     // Legacy journaling: the writer blocks until the
                     // committing transaction releases the buffer.
                     t.conflict_waiters.push(tid);
@@ -513,7 +500,7 @@ impl Filesystem {
     /// file's inode buffer, if any.
     fn committing_holder(&self, file: FileId) -> Option<TxnId> {
         let t = self.files.get(file).txn?;
-        let txn = self.txns.get(t)?;
+        let txn = self.txns.get(t.0)?;
         match txn.state {
             TxnState::Running => None,
             _ if self.committing.contains(&t) => Some(t),
@@ -530,7 +517,7 @@ impl Filesystem {
         out: &mut ActionSink<FsAction>,
     ) {
         let rt = self.ensure_running(out);
-        if let Some(t) = self.txns.get_mut(rt) {
+        if let Some(t) = self.txns.get_mut(rt.0) {
             t.add_buffer(inode_lba, file, tag);
         }
         self.files.get_mut(file).txn = Some(rt);
@@ -549,7 +536,7 @@ impl Filesystem {
             }
             None => Txn::new(id),
         };
-        self.txns.insert(id, txn);
+        self.txns.insert(id.0, txn);
         self.running = Some(id);
         id
     }
@@ -638,12 +625,7 @@ impl Filesystem {
                 f.barrier = true;
                 f.ordered = true;
             }
-            // Data writes carry the submitting thread as origin so the
-            // block layer can route them thread-affine (`LaneRouting::
-            // ByThread`); origin 0 stays reserved for kernel contexts.
-            out.push(FsAction::Submit(
-                BlockRequest::write(rid, start, tags, f).with_origin(tid.0.wrapping_add(1)),
-            ));
+            out.push(FsAction::Submit(BlockRequest::write(rid, start, tags, f)));
             reqs.push(rid);
         }
         (reqs, pairs)
@@ -761,7 +743,7 @@ impl Filesystem {
     ) -> SyscallOutcome {
         // Wait on an in-flight commit holding this inode.
         if let Some(holder) = self.committing_holder(file) {
-            if let Some(t) = self.txns.get_mut(holder) {
+            if let Some(t) = self.txns.get_mut(holder.0) {
                 t.durable_waiters.push(tid);
                 self.syscalls
                     .set(tid, SyscallState::AwaitTxnDurable { txn: holder });
@@ -771,7 +753,7 @@ impl Filesystem {
         if self.files.get(file).metadata_dirty(datasync) {
             let rt = self.ensure_running(out);
             // The inode is in the running transaction (dirtied at write).
-            if let Some(t) = self.txns.get_mut(rt) {
+            if let Some(t) = self.txns.get_mut(rt.0) {
                 t.durable_waiters.push(tid);
             }
             self.trigger_commit(rt, out);
@@ -812,7 +794,7 @@ impl Filesystem {
                 self.note_ordered_data(&pairs);
             }
             let rt = self.ensure_running(out);
-            if let Some(t) = self.txns.get_mut(rt) {
+            if let Some(t) = self.txns.get_mut(rt.0) {
                 t.durable_waiters.push(tid);
             }
             self.trigger_commit(rt, out);
@@ -847,7 +829,7 @@ impl Filesystem {
         // Nothing dirty at all: force a journal commit to delimit an epoch
         // and provide durability (§4.2).
         let rt = self.ensure_running(out);
-        if let Some(t) = self.txns.get_mut(rt) {
+        if let Some(t) = self.txns.get_mut(rt.0) {
             t.durable_waiters.push(tid);
         }
         self.stats.forced_commits += 1;
@@ -880,7 +862,7 @@ impl Filesystem {
                 self.note_ordered_data(&pairs);
             }
             let rt = self.ensure_running(out);
-            if let Some(t) = self.txns.get_mut(rt) {
+            if let Some(t) = self.txns.get_mut(rt.0) {
                 t.dispatch_waiters.push(tid);
             }
             self.trigger_commit(rt, out);
@@ -920,7 +902,7 @@ impl Filesystem {
         txn: TxnId,
         out: &mut ActionSink<FsAction>,
     ) -> SyscallOutcome {
-        match self.txns.get_mut(txn) {
+        match self.txns.get_mut(txn.0) {
             Some(t) if t.state < TxnState::Durable => {
                 let state = t.state;
                 t.durable_waiters.push(tid);
@@ -944,7 +926,7 @@ impl Filesystem {
         let mut scratch = ActionSink::new();
         let rt = self.ensure_running(&mut scratch);
         debug_assert!(scratch.is_empty());
-        if let Some(t) = self.txns.get_mut(rt) {
+        if let Some(t) = self.txns.get_mut(rt.0) {
             t.ordered_data.extend_from_slice(pairs);
         }
     }
@@ -1013,9 +995,7 @@ impl Filesystem {
             return SyscallOutcome::Done; // hole: zeros, no IO
         };
         let rid = self.alloc_req(Purpose::Read(tid));
-        out.push(FsAction::Submit(
-            BlockRequest::read(rid, start, blocks).with_origin(tid.0.wrapping_add(1)),
-        ));
+        out.push(FsAction::Submit(BlockRequest::read(rid, start, blocks)));
         self.syscalls.set(tid, SyscallState::AwaitRead);
         SyscallOutcome::Blocked
     }

@@ -78,7 +78,7 @@ impl Filesystem {
     /// and schedules the commit thread.
     pub(crate) fn trigger_commit(&mut self, txn: TxnId, out: &mut ActionSink<FsAction>) {
         debug_assert_eq!(self.running, Some(txn));
-        let Some(t) = self.txns.get_mut(txn) else {
+        let Some(t) = self.txns.get_mut(txn.0) else {
             return;
         };
         t.commit_requested = true;
@@ -108,7 +108,7 @@ impl Filesystem {
     /// True when the running transaction exists and has a pending commit
     /// request.
     fn running_commit_requested(&self, rt: TxnId) -> bool {
-        self.txns.get(rt).is_some_and(|t| t.commit_requested)
+        self.txns.get(rt.0).is_some_and(|t| t.commit_requested)
     }
 
     /// Legacy JBD: at most one committing transaction; JD then JC with
@@ -157,7 +157,7 @@ impl Filesystem {
             }
             // Wake fbarrier callers: ordering is now in flight (§4.2, "in
             // ordering guarantee the commit thread wakes up the caller").
-            let mut waiters = match self.txns.get_mut(rt) {
+            let mut waiters = match self.txns.get_mut(rt.0) {
                 Some(t) => std::mem::take(&mut t.dispatch_waiters),
                 None => Vec::new(),
             };
@@ -176,7 +176,7 @@ impl Filesystem {
     /// false when the journal has no room (commit retried after
     /// checkpointing frees space) or the transaction is gone.
     fn freeze_running(&mut self, rt: TxnId) -> bool {
-        let Some(blocks) = self.txns.get(rt).map(|t| t.journal_blocks()) else {
+        let Some(blocks) = self.txns.get(rt.0).map(|t| t.journal_blocks()) else {
             return false;
         };
         if self.journal_used + blocks > self.cfg.journal_blocks {
@@ -185,7 +185,7 @@ impl Filesystem {
         }
         self.journal_used += blocks;
         let mut buffers = std::mem::take(&mut self.scratch_files);
-        let Some(txn) = self.txns.get_mut(rt) else {
+        let Some(txn) = self.txns.get_mut(rt.0) else {
             self.scratch_files = buffers;
             return false;
         };
@@ -208,7 +208,7 @@ impl Filesystem {
     fn submit_jd(&mut self, txn: TxnId, extra: ReqFlags, out: &mut ActionSink<FsAction>) {
         let Some((n_logs, data_journal)) = self
             .txns
-            .get(txn)
+            .get(txn.0)
             .map(|t| (t.buffers.len() as u64, t.data_journal.len() as u64))
         else {
             return;
@@ -218,7 +218,7 @@ impl Filesystem {
         let mut tags = self.take_payload_buf();
         self.layout.next_tags_into(jd_blocks as usize, &mut tags);
         let jc_lba = bio_flash::Lba(lba.0 + jd_blocks);
-        if let Some(t) = self.txns.get_mut(txn) {
+        if let Some(t) = self.txns.get_mut(txn.0) {
             t.jd_lba = Some(lba);
             // Copy into the (recycled) tag buffer instead of cloning:
             // `tags` itself is moved into the request payload below.
@@ -247,14 +247,14 @@ impl Filesystem {
         extra: ReqFlags,
         out: &mut ActionSink<FsAction>,
     ) -> Result<(), JournalError> {
-        let Some(t) = self.txns.get(txn) else {
+        let Some(t) = self.txns.get(txn.0) else {
             return Err(JournalError::RetiredTxn(txn));
         };
         let Some(jc_lba) = t.jc_lba else {
             return Err(JournalError::JcBeforeJd(txn));
         };
         let tag = self.layout.next_tag();
-        if let Some(t) = self.txns.get_mut(txn) {
+        if let Some(t) = self.txns.get_mut(txn.0) {
             t.jc_tag = Some(tag);
         }
         let rid = self.alloc_req(Purpose::Jc(txn));
@@ -280,7 +280,9 @@ impl Filesystem {
     }
 
     fn record_txn(&mut self, txn: TxnId) {
-        let Some(t) = self.txns.get(txn) else { return };
+        let Some(t) = self.txns.get(txn.0) else {
+            return;
+        };
         let (Some(jd_lba), Some(jc_lba), Some(jc_tag)) = (t.jd_lba, t.jc_lba, t.jc_tag) else {
             debug_assert!(false, "record_txn before journal placement");
             return;
@@ -309,7 +311,7 @@ impl Filesystem {
         if self.cfg.mode == FsMode::BarrierFs {
             return;
         }
-        if self.txns.get(txn).is_some_and(|t| t.jc_tag.is_some()) {
+        if self.txns.get(txn.0).is_some_and(|t| t.jc_tag.is_some()) {
             // JC already dispatched: this JD completion is a replay.
             self.note_dropped_journal_event();
             return;
@@ -324,7 +326,7 @@ impl Filesystem {
     /// transaction, or one already past `Committing` (a replayed JC) —
     /// are dropped.
     pub(crate) fn on_jc_done(&mut self, txn: TxnId, now: SimTime, out: &mut ActionSink<FsAction>) {
-        let Some(t) = self.txns.get_mut(txn) else {
+        let Some(t) = self.txns.get_mut(txn.0) else {
             self.note_dropped_journal_event();
             return;
         };
@@ -362,7 +364,7 @@ impl Filesystem {
                 // transaction later; fsync-style callers get a flush now.
                 let urgent = self
                     .txns
-                    .get(txn)
+                    .get(txn.0)
                     .is_some_and(|t| !t.durable_waiters.is_empty());
                 // Release buffers (writers unblock) but checkpoint only
                 // after durability.
@@ -377,7 +379,7 @@ impl Filesystem {
                 // or an earlier transferred transaction; otherwise release
                 // immediately (ordering-only commit).
                 let wants_flush = self.committing.iter().any(|t| {
-                    self.txns.get(*t).is_some_and(|tx| {
+                    self.txns.get(t.0).is_some_and(|tx| {
                         tx.state == TxnState::Transferred && !tx.durable_waiters.is_empty()
                     })
                 });
@@ -401,7 +403,7 @@ impl Filesystem {
             .txns
             .iter()
             .filter(|(_, t)| t.state == TxnState::Transferred)
-            .map(|(id, _)| id)
+            .map(|(id, _)| TxnId(id))
             .max();
         let Some(upto) = upto else { return };
         self.flush_inflight = true;
@@ -412,14 +414,14 @@ impl Filesystem {
 
     pub(crate) fn on_txn_flush_done(&mut self, upto: TxnId, out: &mut ActionSink<FsAction>) {
         self.flush_inflight = false;
-        // Every transaction transferred before the flush is now durable.
-        let mut ready: Vec<TxnId> = self
+        // Every transaction transferred before the flush is now durable,
+        // in commit order (the table iterates in id order).
+        let ready: Vec<TxnId> = self
             .txns
             .iter()
-            .filter(|(id, t)| id.0 <= upto.0 && t.state == TxnState::Transferred)
-            .map(|(id, _)| id)
+            .filter(|(id, t)| *id <= upto.0 && t.state == TxnState::Transferred)
+            .map(|(id, _)| TxnId(id))
             .collect();
-        ready.sort();
         let now = SimTime::ZERO; // release paths do not use wall time
         for t in ready {
             self.mark_durable(t, true, out);
@@ -449,7 +451,7 @@ impl Filesystem {
         field: impl FnOnce(&mut Txn) -> &mut Vec<ThreadId>,
     ) {
         debug_assert!(buf.is_empty());
-        if let Some(t) = self.txns.get_mut(txn) {
+        if let Some(t) = self.txns.get_mut(txn.0) {
             let slot = field(t);
             if slot.is_empty() {
                 *slot = buf;
@@ -468,7 +470,7 @@ impl Filesystem {
         real_durability: bool,
         out: &mut ActionSink<FsAction>,
     ) {
-        let Some(t) = self.txns.get_mut(txn) else {
+        let Some(t) = self.txns.get_mut(txn.0) else {
             return;
         };
         if t.state >= TxnState::Durable {
@@ -511,7 +513,7 @@ impl Filesystem {
     ) {
         self.committing.retain(|t| *t != txn);
         let mut files = std::mem::take(&mut self.scratch_files);
-        match self.txns.get(txn) {
+        match self.txns.get(txn.0) {
             Some(t) => files.extend(t.buffers.iter().map(|(_, f, _)| *f)),
             None => {
                 self.scratch_files = files;
@@ -541,7 +543,7 @@ impl Filesystem {
             }
         }
         // Wake EXT4 writers blocked on the conflict.
-        let mut writers = match self.txns.get_mut(txn) {
+        let mut writers = match self.txns.get_mut(txn.0) {
             Some(t) => std::mem::take(&mut t.conflict_waiters),
             None => Vec::new(),
         };
@@ -568,7 +570,7 @@ impl Filesystem {
     /// transaction.
     pub(crate) fn start_checkpoint(&mut self, txn: TxnId, out: &mut ActionSink<FsAction>) {
         let mut writes = std::mem::take(&mut self.scratch_writes);
-        match self.txns.get(txn) {
+        match self.txns.get(txn.0) {
             Some(t) => writes.extend(
                 t.buffers
                     .iter()
@@ -593,7 +595,7 @@ impl Filesystem {
         } else {
             ReqFlags::NONE
         };
-        if let Some(t) = self.txns.get_mut(txn) {
+        if let Some(t) = self.txns.get_mut(txn.0) {
             t.checkpoints_left = writes.len();
         }
         for (lba, tag) in writes.drain(..) {
@@ -610,7 +612,7 @@ impl Filesystem {
     /// retired transaction, or one with no checkpoint outstanding — are
     /// dropped.
     pub(crate) fn on_checkpoint_done(&mut self, txn: TxnId, out: &mut ActionSink<FsAction>) {
-        let Some(t) = self.txns.get_mut(txn) else {
+        let Some(t) = self.txns.get_mut(txn.0) else {
             self.note_dropped_journal_event();
             return;
         };
@@ -627,7 +629,7 @@ impl Filesystem {
     fn finish_checkpoint(&mut self, txn: TxnId, out: &mut ActionSink<FsAction>) {
         // The transaction is complete; retire it into the arena (records
         // keep the history).
-        let Some(t) = self.txns.remove(txn) else {
+        let Some(t) = self.txns.remove(txn.0) else {
             return;
         };
         self.journal_used = self.journal_used.saturating_sub(t.journal_blocks());
@@ -674,7 +676,7 @@ impl Filesystem {
                     (f.lba_of(b).expect("allocated"), t)
                 })
                 .collect();
-            if let Some(t) = self.txns.get_mut(rt) {
+            if let Some(t) = self.txns.get_mut(rt.0) {
                 t.data_journal.extend(entries);
             }
         }
@@ -690,10 +692,12 @@ impl Filesystem {
                 self.stats.data_blocks += 1;
                 let mut tags = self.take_payload_buf();
                 tags.push(tag);
-                out.push(FsAction::Submit(
-                    BlockRequest::write(rid, lba, tags, ReqFlags::NONE)
-                        .with_origin(tid.0.wrapping_add(1)),
-                ));
+                out.push(FsAction::Submit(BlockRequest::write(
+                    rid,
+                    lba,
+                    tags,
+                    ReqFlags::NONE,
+                )));
                 reqs.push(rid);
                 pairs.push((lba, tag));
             }
@@ -715,10 +719,10 @@ impl Filesystem {
         let rt = self.ensure_running(out);
         // Page-scanning overhead proportional to the transaction size
         // (§6.5: selective data journaling increases the pages to scan).
-        let pages = self.txns.get(rt).map_or(0, |t| t.journal_blocks());
+        let pages = self.txns.get(rt.0).map_or(0, |t| t.journal_blocks());
         let scan =
             bio_sim::SimDuration::from_nanos(self.cfg.optfs_scan_per_page.as_nanos() * pages);
-        if let Some(t) = self.txns.get_mut(rt) {
+        if let Some(t) = self.txns.get_mut(rt.0) {
             t.commit_requested = true;
             if durable {
                 t.durable_waiters.push(tid);
@@ -815,7 +819,7 @@ mod tests {
         let retired = TxnId(1);
         settle(fs, &mut out);
         assert!(
-            fs.txns.get(retired).is_none(),
+            fs.txns.get(retired.0).is_none(),
             "txn should have checkpointed and retired"
         );
         retired

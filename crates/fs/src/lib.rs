@@ -49,4 +49,4 @@ pub use fs::{Filesystem, FsAction, FsEvent, FsStats, SyscallOutcome};
 pub use journal::JournalError;
 pub use layout::Layout;
 pub use recovery::{check_crash_consistency, ConsistencyCheck, FsViolation, TxnRecord};
-pub use txn::{ConflictEntry, ConflictList, ThreadId, Txn, TxnId, TxnState, TxnTable};
+pub use txn::{ConflictEntry, ConflictList, ThreadId, Txn, TxnId, TxnState};

@@ -11,10 +11,7 @@
 //! *committing transaction list* in flight (§4.2) — that difference is the
 //! throughput story of Fig 8/13.
 
-use std::collections::HashMap;
-
 use bio_flash::{BlockTag, Lba};
-use bio_sim::{SeqTable, SeqTableIter};
 
 use crate::file::FileId;
 
@@ -172,134 +169,6 @@ impl Txn {
     }
 }
 
-/// The journal's transaction table, keyed by the bump-allocated [`TxnId`].
-///
-/// The production backend is a [`SeqTable`]: ids are dense, monotonic and
-/// retire roughly in allocation order, so the table is a sliding-window
-/// slab whose base doubles as a generation check — a completion event for
-/// an already-retired transaction reads as absent instead of aliasing a
-/// live one. The `Map` backend keeps the original `HashMap` implementation
-/// alive so equivalence proptests can drive both through identical syscall
-/// traces (`crates/fs/tests/journal_equivalence.rs`); every observable call
-/// site is iteration-order-insensitive, so the two backends are
-/// behaviourally identical.
-#[derive(Debug, Clone)]
-pub enum TxnTable {
-    /// Dense sliding-window backend (production).
-    Dense(SeqTable<Txn>),
-    /// Reference `HashMap` backend (equivalence tests).
-    #[doc(hidden)]
-    Map(HashMap<u64, Txn>),
-}
-
-/// Key-ordered (dense) or arbitrary-ordered (map) iterator over a
-/// [`TxnTable`]. Call sites must not rely on order; the journal only uses
-/// order-insensitive folds (`max`, `any`, collect-then-sort).
-#[derive(Debug)]
-pub enum TxnTableIter<'a> {
-    /// Iterating the dense backend.
-    Dense(SeqTableIter<'a, Txn>),
-    /// Iterating the map backend.
-    Map(std::collections::hash_map::Iter<'a, u64, Txn>),
-}
-
-impl<'a> Iterator for TxnTableIter<'a> {
-    type Item = (TxnId, &'a Txn);
-
-    fn next(&mut self) -> Option<(TxnId, &'a Txn)> {
-        match self {
-            TxnTableIter::Dense(it) => it.next().map(|(k, t)| (TxnId(k), t)),
-            TxnTableIter::Map(it) => it.next().map(|(&k, t)| (TxnId(k), t)),
-        }
-    }
-}
-
-impl Default for TxnTable {
-    fn default() -> Self {
-        TxnTable::dense()
-    }
-}
-
-impl TxnTable {
-    /// An empty dense-backed table (the production configuration).
-    pub fn dense() -> TxnTable {
-        TxnTable::Dense(SeqTable::new())
-    }
-
-    /// An empty map-backed reference table (equivalence tests only).
-    #[doc(hidden)]
-    pub fn map_reference() -> TxnTable {
-        TxnTable::Map(HashMap::new())
-    }
-
-    /// Number of live transactions.
-    pub fn len(&self) -> usize {
-        match self {
-            TxnTable::Dense(t) => t.len(),
-            TxnTable::Map(m) => m.len(),
-        }
-    }
-
-    /// True when no transactions are live.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The transaction with this id, if live.
-    #[inline]
-    pub fn get(&self, id: TxnId) -> Option<&Txn> {
-        match self {
-            TxnTable::Dense(t) => t.get(id.0),
-            TxnTable::Map(m) => m.get(&id.0),
-        }
-    }
-
-    /// Mutable access to the transaction with this id, if live.
-    #[inline]
-    pub fn get_mut(&mut self, id: TxnId) -> Option<&mut Txn> {
-        match self {
-            TxnTable::Dense(t) => t.get_mut(id.0),
-            TxnTable::Map(m) => m.get_mut(&id.0),
-        }
-    }
-
-    /// True when `id` is live.
-    pub fn contains(&self, id: TxnId) -> bool {
-        self.get(id).is_some()
-    }
-
-    /// Inserts a transaction. Ids come from a bump allocator and are never
-    /// reused after removal (the sliding window relies on that).
-    pub fn insert(&mut self, id: TxnId, txn: Txn) {
-        match self {
-            TxnTable::Dense(t) => {
-                t.insert(id.0, txn);
-            }
-            TxnTable::Map(m) => {
-                m.insert(id.0, txn);
-            }
-        }
-    }
-
-    /// Removes and returns the transaction. Unknown, stale and
-    /// already-retired ids all return `None`.
-    pub fn remove(&mut self, id: TxnId) -> Option<Txn> {
-        match self {
-            TxnTable::Dense(t) => t.remove(id.0),
-            TxnTable::Map(m) => m.remove(&id.0),
-        }
-    }
-
-    /// Iterates over `(id, &txn)` pairs. Order is backend-specific; use
-    /// only order-insensitive folds.
-    pub fn iter(&self) -> TxnTableIter<'_> {
-        match self {
-            TxnTable::Dense(t) => TxnTableIter::Dense(t.iter()),
-            TxnTable::Map(m) => TxnTableIter::Map(m.iter()),
-        }
-    }
-}
-
 /// The conflict-page list of §4.3: metadata buffers a writer dirtied while
 /// their inode was held by a committing transaction.
 #[derive(Debug, Clone, Default)]
@@ -436,25 +305,6 @@ mod tests {
         assert!(TxnState::Committing < TxnState::Transferred);
         assert!(TxnState::Transferred < TxnState::Durable);
         assert!(TxnState::Durable < TxnState::Checkpointed);
-    }
-
-    #[test]
-    fn txn_table_backends_agree_on_the_map_contract() {
-        for mut table in [TxnTable::dense(), TxnTable::map_reference()] {
-            assert!(table.is_empty());
-            table.insert(TxnId(1), Txn::new(TxnId(1)));
-            table.insert(TxnId(2), Txn::new(TxnId(2)));
-            assert_eq!(table.len(), 2);
-            assert!(table.contains(TxnId(1)));
-            table.get_mut(TxnId(2)).unwrap().commit_requested = true;
-            assert!(table.get(TxnId(2)).unwrap().commit_requested);
-            let removed = table.remove(TxnId(1)).unwrap();
-            assert_eq!(removed.id, TxnId(1));
-            assert!(table.remove(TxnId(1)).is_none(), "retired id stays dead");
-            assert!(table.get(TxnId(1)).is_none());
-            let ids: Vec<u64> = table.iter().map(|(id, _)| id.0).collect();
-            assert_eq!(ids, vec![2]);
-        }
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! ```toml
 //! [[allow]]
 //! analyzer = "determinism"          # required: which analyzer to quiet
-//! path = "crates/fs/src/txn.rs"     # required: repo-relative file
-//! symbol = "TxnTable::iter"         # optional: substring of the symbol
+//! path = "crates/fs/src/index.rs"   # required: repo-relative file
+//! symbol = "Index::iter"            # optional: substring of the symbol
 //! snippet = "m.iter()"              # optional: substring of the snippet
-//! reason = "test-only reference backend; call sites fold order-insensitively"
+//! reason = "why this iteration cannot leak hash order into anything observable"
 //! ```
 //!
 //! Comments and blank lines are allowed; anything else (tables, arrays,
@@ -180,15 +180,15 @@ mod tests {
 # suppressions
 [[allow]]
 analyzer = "determinism"   # hash iteration
-path = "crates/fs/src/txn.rs"
-symbol = "TxnTable::iter"
+path = "crates/fs/src/index.rs"
+symbol = "Index::iter"
 snippet = "m.iter()"
-reason = "reference backend"
+reason = "keyed lookups only"
 "#;
         let es = parse(text).expect("parses");
         assert_eq!(es.len(), 1);
         assert_eq!(es[0].analyzer, "determinism");
-        assert_eq!(es[0].symbol.as_deref(), Some("TxnTable::iter"));
+        assert_eq!(es[0].symbol.as_deref(), Some("Index::iter"));
     }
 
     #[test]

@@ -18,11 +18,14 @@
 //!   serial/parallel byte-identity.
 //! * OS-entropy randomness (`OsRng`, `thread_rng`, `from_entropy`,
 //!   `getrandom`) — all randomness flows from the seeded `SimRng`.
+//! * environment reads (`var`, `var_os`, `vars`, `vars_os` of
+//!   `std::env`) — a run is a function of its `StackConfig`, seed and
+//!   workload; the process environment is not an input.
 //!
 //! Hash-typed *receivers* are found per file: struct fields and enum
 //! variant payloads typed `HashMap`/`HashSet`, plus `let` bindings whose
 //! declaration mentions either type, plus single-binding patterns of
-//! map-payload enum variants (`TxnTable::Map(m) => m.iter()`).
+//! map-payload enum variants (`Table::Map(m) => m.iter()`).
 
 use std::collections::BTreeSet;
 
@@ -54,6 +57,8 @@ const HASH_ITER_TYPES: [&str; 8] = [
 ];
 
 const ENTROPY_IDENTS: [&str; 4] = ["OsRng", "thread_rng", "from_entropy", "getrandom"];
+
+const ENV_READS: [&str; 4] = ["var", "var_os", "vars", "vars_os"];
 
 fn is_hashy(type_text: &str) -> bool {
     type_text.contains("HashMap") || type_text.contains("HashSet")
@@ -138,6 +143,16 @@ pub fn run(file: &SourceFile) -> Vec<Finding> {
                     "std::thread".into(),
                     "host threads in a deterministic crate; parallelism goes through bio-bench's ExperimentGrid".into(),
                 );
+            }
+            "env" => {
+                if let Some(f) = path_next(i + 1).filter(|f| ENV_READS.contains(f)) {
+                    finding(
+                        i,
+                        format!("env::{f}"),
+                        "reads the process environment; a run's only inputs are its config, seed and workload"
+                            .into(),
+                    );
+                }
             }
             "hash_map" | "hash_set" => {
                 if let Some(t) = path_next(i + 1) {

@@ -62,6 +62,15 @@ pub fn ambient() {
     let _it: std::collections::hash_map::Iter<u64, u64>;
 }
 
+// VIOLATIONS: the process environment as a hidden input. Arguments are
+// explicit inputs and stay legal.
+pub fn hidden_switch() -> bool {
+    use std::env;
+    let listed = env::vars().count() + std::env::vars_os().count();
+    let args = env::args().count();
+    std::env::var_os("SINGLE_STEP").is_some() || env::var("MODE").is_ok() || listed + args > 0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

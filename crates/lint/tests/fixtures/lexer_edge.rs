@@ -4,7 +4,7 @@
 
 /* outer comment
    /* nested comment mentioning self.map.iter() and panic!("x") */
-   still inside the outer comment: Instant::now()
+   still inside the outer comment: Instant::now() and env::var("X")
 */
 
 pub struct Decoy {
@@ -15,7 +15,7 @@ pub struct Decoy {
 impl Decoy {
     pub fn handle_decoys(&self) -> usize {
         // Triggers inside cooked strings are not code.
-        let a = "self.map.iter() and v[0] and .unwrap()";
+        let a = "self.map.iter() and v[0] and .unwrap() and std::env::var_os(k)";
         // Raw strings with hashes, containing quotes and fake panics.
         let b = r#"panic!("not real") and thread_rng() "quoted""#;
         let c = r##"r#"nested raw"# with hash_map::Iter inside"##;

@@ -40,6 +40,10 @@ fn determinism_fixture_findings() {
             "std::thread",
             "thread_rng",
             "hash_map::Iter",
+            "env::vars",
+            "env::vars_os",
+            "env::var_os",
+            "env::var",
         ],
         "{f:#?}"
     );

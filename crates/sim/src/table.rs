@@ -256,10 +256,6 @@ impl<T> SeqTable<T> {
     }
 
     /// Iterates over `(key, &entry)` pairs in key (= allocation) order.
-    ///
-    /// The iterator is a named type ([`SeqTableIter`]) so containers that
-    /// wrap a `SeqTable` behind another enum (e.g. a dual-backend table
-    /// used for equivalence testing) can embed it without boxing.
     pub fn iter(&self) -> SeqTableIter<'_, T> {
         self.iter_from(self.base)
     }
