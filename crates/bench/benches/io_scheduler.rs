@@ -9,17 +9,17 @@ fn epoch_roundtrip(n: u64) -> usize {
     let mut s = EpochScheduler::new(Box::new(NoopScheduler::new()));
     let mut dispatched = 0;
     for i in 0..n {
-        let flags = if i % 4 == 3 {
-            ReqFlags::BARRIER
-        } else {
-            ReqFlags::ORDERED
-        };
         s.enqueue(BlockRequest::write(
             ReqId(i),
             Lba(i * 8),
             vec![BlockTag(i + 1)],
-            flags,
+            ReqFlags::ORDERED,
         ));
+        // Every fourth request closes its epoch, the way the block
+        // layer's sequencer fences a lane on a barrier.
+        if i % 4 == 3 {
+            s.fence();
+        }
         while let Some(m) = s.dequeue() {
             dispatched += m.ids.len();
         }

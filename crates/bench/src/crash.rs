@@ -440,7 +440,7 @@ impl OverlayView<'_> {
 }
 
 /// The cross-device image of one choice combination: device-local views
-/// stitched by the lane topology (trivial at 1×1).
+/// stitched by the stripe layout (trivial on one device).
 enum StackImage<'a> {
     Single(&'a OverlayView<'a>),
     Striped {
@@ -616,7 +616,7 @@ impl<'a> PointCtx<'a> {
     }
 
     fn global<'v>(&self, views: &'v [OverlayView<'a>]) -> StackImage<'v> {
-        if self.p.topology.is_single() {
+        if self.p.topology.nr_devices == 1 {
             StackImage::Single(&views[0])
         } else {
             StackImage::Striped {
@@ -1408,7 +1408,7 @@ mod tests {
     }
 
     #[test]
-    fn plp_is_single_image_with_cache() {
+    fn plp_is_one_image_with_cache() {
         let mut d = dev_state(BarrierMode::Unsupported, true, mixed_log());
         d.cache.push((Lba(9), BlockTag(90)));
         let (space, _) = d.choice_space();

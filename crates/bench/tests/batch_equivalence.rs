@@ -277,8 +277,11 @@ fn congested_run_matches_single_step_run() {
     while !s.workloads_finished() {
         assert!(s.step(), "queue drained before done");
         if !crossed {
-            let queued: usize = s.report().lanes.iter().map(|l| l.queued).sum();
-            crossed = queued >= limit;
+            // Lane gauges plus the requests behind the epoch gate: what
+            // `BlockLayer::queued()` — the congestion check's input — sums.
+            let report = s.report();
+            let lanes: usize = report.lanes.iter().map(|l| l.queued).sum();
+            crossed = lanes + report.block.gated >= limit;
         }
     }
     assert!(crossed, "block queue never reached {limit}: not congested");

@@ -45,5 +45,8 @@ fn fig17_is_deterministic_across_worker_pool_widths() {
 fn fig17_matches_golden_output() {
     let got = figures(&["--fig", "17", "--scale", "1", "--jobs", "1"]);
     let want = include_str!("golden/fig17.txt");
-    assert_eq!(got, want, "fig17 (queues × devices) drifted from its fixture");
+    assert_eq!(
+        got, want,
+        "fig17 (queues × devices) drifted from its fixture"
+    );
 }

@@ -8,95 +8,59 @@
 //!    scheduler's discipline);
 //! 3. orderless requests schedule freely across epochs.
 //!
-//! Mechanism: when a barrier request arrives, its barrier flag is stripped
-//! and the queue stops accepting new requests. The queued requests (all of
-//! one epoch, plus orderless strays) are dispatched under the inner
-//! discipline; the *last order-preserving request to leave the queue* is
-//! re-designated as the barrier. Only then does the queue unblock — which
-//! is exactly the Fig 5 scenario reproduced in the tests below.
-
-use std::collections::VecDeque;
+//! The work is split between two owners. The block layer's epoch
+//! sequencer owns rule 1: when a barrier request arrives it strips the
+//! barrier flag, closes its gate so nothing of the next epoch reaches a
+//! lane, and [`EpochScheduler::fence`]s every lane. The scheduler in this
+//! module owns the reassignment: the queued requests (all of one epoch,
+//! plus orderless strays) dispatch under the inner discipline, and the
+//! *last order-preserving request to leave the queue* is re-designated as
+//! the barrier (Fig 5). The sequencer reopens the gate once every lane
+//! reports [`EpochScheduler::is_drained`].
 
 use crate::request::{BlockRequest, MergedRequest};
 use crate::scheduler::IoScheduler;
 
-/// The epoch scheduler: wraps any [`IoScheduler`] and adds barrier
-/// awareness.
+/// The epoch scheduler: wraps any [`IoScheduler`] and re-attaches the
+/// barrier its lane owes to the last order-preserving request leaving it.
 ///
-/// In the classical single-lane stack it is self-contained: a barrier
-/// arrival blocks the queue and draining the epoch unblocks it. In a
-/// multi-lane topology each lane runs one `EpochScheduler` in
-/// *coordinated* mode: the cross-lane sequencer in the block layer calls
-/// [`EpochScheduler::fence`] on every lane when a barrier closes the
-/// global epoch, and only calls [`EpochScheduler::release`] once **every**
-/// lane reports [`EpochScheduler::is_drained`] — so no device starts the
-/// successor epoch while another lane still owes requests from the
-/// predecessor.
+/// It never blocks on its own: whoever owns the lanes (the block layer's
+/// epoch sequencer — one lane or many) keeps the successor epoch out
+/// until every lane of the fenced epoch has drained.
 #[derive(Debug)]
 pub struct EpochScheduler {
     inner: Box<dyn IoScheduler + Send>,
-    /// Requests that arrived while the queue was blocked.
-    pending: VecDeque<BlockRequest>,
-    /// True between barrier arrival and epoch drain.
-    blocked: bool,
     /// Set when the stripped barrier must be re-attached to the last
     /// order-preserving request leaving the queue.
     barrier_owed: bool,
-    /// Coordinated mode: fencing and release are driven externally by the
-    /// cross-lane epoch sequencer; draining never self-unblocks.
-    coordinated: bool,
     /// Barriers reassigned so far (observability for tests/metrics).
     reassignments: u64,
-    /// Epochs this lane has drained and released (each unblock closes
-    /// exactly one epoch on this lane). The crash engine's capture hooks
-    /// read this to prove cross-lane epoch alignment at a capture point.
-    epochs_released: u64,
 }
 
 impl Clone for EpochScheduler {
     fn clone(&self) -> Self {
         EpochScheduler {
             inner: self.inner.clone_box(),
-            pending: self.pending.clone(),
-            blocked: self.blocked,
             barrier_owed: self.barrier_owed,
-            coordinated: self.coordinated,
             reassignments: self.reassignments,
-            epochs_released: self.epochs_released,
         }
     }
 }
 
 impl EpochScheduler {
-    /// Wraps an inner scheduler (self-contained single-lane mode).
+    /// Wraps an inner scheduler.
     pub fn new(inner: Box<dyn IoScheduler + Send>) -> EpochScheduler {
         EpochScheduler {
             inner,
-            pending: VecDeque::new(),
-            blocked: false,
             barrier_owed: false,
-            coordinated: false,
             reassignments: 0,
-            epochs_released: 0,
         }
     }
 
-    /// Wraps an inner scheduler in coordinated (multi-lane) mode: the
-    /// caller owns epoch fencing via [`EpochScheduler::fence`] /
-    /// [`EpochScheduler::release`].
-    pub fn coordinated(inner: Box<dyn IoScheduler + Send>) -> EpochScheduler {
-        let mut s = EpochScheduler::new(inner);
-        s.coordinated = true;
-        s
-    }
-
-    /// Closes the current epoch on this lane (coordinated mode): stop
-    /// admitting requests, and owe a barrier to the last order-preserving
-    /// request if the lane holds any — that request closes the epoch on
-    /// this lane's device.
+    /// Closes the current epoch on this lane: owe a barrier to the last
+    /// order-preserving request if the lane holds any — that request
+    /// closes the epoch on this lane's device.
     pub fn fence(&mut self) {
-        debug_assert!(self.coordinated, "fence is driven by the sequencer");
-        self.blocked = true;
         if self.inner.contains_ordered() {
             self.barrier_owed = true;
         }
@@ -108,54 +72,9 @@ impl EpochScheduler {
         !self.inner.contains_ordered()
     }
 
-    /// Reopens the lane after every lane drained the fenced epoch
-    /// (coordinated mode).
-    pub fn release(&mut self) {
-        debug_assert!(self.coordinated, "release is driven by the sequencer");
-        self.unblock();
-    }
-
-    /// True while the queue refuses new requests (epoch draining).
-    pub fn is_blocked(&self) -> bool {
-        self.blocked
-    }
-
     /// Number of barrier reassignments performed.
     pub fn reassignments(&self) -> u64 {
         self.reassignments
-    }
-
-    /// Epochs this lane has drained and released so far.
-    pub fn epochs_released(&self) -> u64 {
-        self.epochs_released
-    }
-
-    fn accept(&mut self, mut req: BlockRequest) {
-        debug_assert!(
-            !(self.coordinated && req.flags.barrier),
-            "coordinated lanes receive barrier parts pre-stripped by the sequencer"
-        );
-        if req.flags.barrier {
-            // Strip the barrier flag, remember we owe one, and block.
-            req.flags.barrier = false;
-            req.flags.ordered = true;
-            self.barrier_owed = true;
-            self.blocked = true;
-        }
-        self.inner.enqueue(req);
-    }
-
-    fn unblock(&mut self) {
-        self.blocked = false;
-        self.epochs_released += 1;
-        // Re-admit buffered requests; one of them may be another barrier,
-        // which re-blocks the queue and stops the drain.
-        while !self.blocked {
-            let Some(req) = self.pending.pop_front() else {
-                break;
-            };
-            self.accept(req);
-        }
     }
 }
 
@@ -165,36 +84,32 @@ impl IoScheduler for EpochScheduler {
     }
 
     fn enqueue(&mut self, req: BlockRequest) {
-        if self.blocked {
-            self.pending.push_back(req);
-        } else {
-            self.accept(req);
-        }
+        debug_assert!(
+            !req.flags.barrier,
+            "the sequencer strips the barrier flag before a lane sees the request"
+        );
+        self.inner.enqueue(req);
     }
 
     fn dequeue(&mut self) -> Option<MergedRequest> {
         let mut m = self.inner.dequeue()?;
-        if m.req.flags.is_order_preserving() && !self.inner.contains_ordered() {
+        if self.barrier_owed && m.req.flags.is_order_preserving() && !self.inner.contains_ordered()
+        {
             // Last order-preserving request of the epoch: it becomes the
             // barrier (Epoch-Based Barrier Reassignment).
-            if self.barrier_owed {
-                m.req.flags.barrier = true;
-                self.barrier_owed = false;
-                self.reassignments += 1;
-            }
-            if self.blocked && !self.coordinated {
-                self.unblock();
-            }
+            m.req.flags.barrier = true;
+            self.barrier_owed = false;
+            self.reassignments += 1;
         }
         Some(m)
     }
 
     fn len(&self) -> usize {
-        self.inner.len() + self.pending.len()
+        self.inner.len()
     }
 
     fn contains_ordered(&self) -> bool {
-        self.inner.contains_ordered() || self.pending.iter().any(|r| r.flags.is_order_preserving())
+        self.inner.contains_ordered()
     }
 }
 
@@ -209,139 +124,53 @@ mod tests {
         BlockRequest::write(ReqId(id), Lba(start), vec![BlockTag(id)], flags)
     }
 
-    fn epoch_noop() -> EpochScheduler {
-        EpochScheduler::new(Box::new(NoopScheduler::new()))
-    }
-
-    #[test]
-    fn barrier_blocks_queue() {
-        let mut s = epoch_noop();
-        s.enqueue(w(1, 0, ReqFlags::ORDERED));
-        s.enqueue(w(2, 10, ReqFlags::BARRIER));
-        assert!(s.is_blocked());
-        s.enqueue(w(3, 20, ReqFlags::NONE));
-        // Req 3 arrived while blocked: buffered, not in the inner queue.
-        assert_eq!(s.len(), 3);
-        // Drain the epoch; after the last ordered request leaves, unblock.
-        let a = s.dequeue().unwrap();
-        assert_eq!(a.req.id, ReqId(1));
-        assert!(!a.req.flags.barrier);
-        let b = s.dequeue().unwrap();
-        assert_eq!(b.req.id, ReqId(2));
-        assert!(b.req.flags.barrier, "last ordered request carries barrier");
-        assert!(!s.is_blocked());
-        assert_eq!(s.dequeue().unwrap().req.id, ReqId(3));
+    fn drain(s: &mut EpochScheduler) -> Vec<(u64, bool)> {
+        std::iter::from_fn(|| s.dequeue().map(|m| (m.req.id.0, m.req.flags.barrier))).collect()
     }
 
     #[test]
     fn barrier_reassigned_to_last_leaver() {
-        // Fig 5: w1, w2 ordered; w4 barrier; elevator dispatches by LBA so
-        // w4 (low LBA) leaves before w1 (high LBA); the barrier must ride
-        // out on whichever ordered request leaves LAST.
+        // Fig 5: w1, w2 ordered; w4 the (stripped) barrier; elevator
+        // dispatches by LBA so w4 (low LBA) leaves before w1 (high LBA);
+        // the barrier must ride out on whichever ordered request leaves
+        // LAST.
         let mut s = EpochScheduler::new(Box::new(ElevatorScheduler::new()));
         s.enqueue(w(1, 90, ReqFlags::ORDERED));
         s.enqueue(w(2, 50, ReqFlags::ORDERED));
-        s.enqueue(w(4, 10, ReqFlags::BARRIER));
-        let order: Vec<(u64, bool)> =
-            std::iter::from_fn(|| s.dequeue().map(|m| (m.req.id.0, m.req.flags.barrier))).collect();
-        assert_eq!(order.len(), 3);
-        // Elevator order: 10, 50, 90 -> ids 4, 2, 1.
-        assert_eq!(
-            order.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
-            vec![4, 2, 1]
-        );
-        // Only the last carries the barrier.
-        assert_eq!(
-            order.iter().map(|(_, b)| *b).collect::<Vec<_>>(),
-            vec![false, false, true]
-        );
+        s.enqueue(w(4, 10, ReqFlags::ORDERED));
+        s.fence();
+        assert!(!s.is_drained());
+        // Elevator order: 10, 50, 90 -> ids 4, 2, 1; only the last
+        // carries the barrier.
+        assert_eq!(drain(&mut s), vec![(4, false), (2, false), (1, true)]);
+        assert!(s.is_drained());
         assert_eq!(s.reassignments(), 1);
     }
 
     #[test]
-    fn fig5_scenario_end_to_end() {
-        // fsync() issues w1, w2 ordered and w4 barrier; pdflush issues
-        // orderless w3, w5, w6 interleaved: w1 w2 w3 w5 w4(barrier) w6.
-        // w6 arrives after the barrier so it must wait for the next epoch.
-        let mut s = EpochScheduler::new(Box::new(ElevatorScheduler::new()));
-        s.enqueue(w(1, 10, ReqFlags::ORDERED));
-        s.enqueue(w(2, 30, ReqFlags::ORDERED));
-        s.enqueue(w(3, 20, ReqFlags::NONE));
-        s.enqueue(w(5, 50, ReqFlags::NONE));
-        s.enqueue(w(4, 40, ReqFlags::BARRIER));
-        s.enqueue(w(6, 5, ReqFlags::NONE)); // blocked: buffered
-        let mut first_epoch: Vec<u64> = Vec::new();
-        let mut barrier_id = None;
-        while barrier_id.is_none() {
-            let m = s.dequeue().unwrap();
-            first_epoch.push(m.req.id.0);
-            if m.req.flags.barrier {
-                barrier_id = Some(m.req.id.0);
-            }
-        }
-        // w6 was not dispatched within the first epoch.
-        assert!(!first_epoch.contains(&6));
-        // The barrier went to an order-preserving request (w1, w2 or w4).
-        assert!([1, 2, 4].contains(&barrier_id.unwrap()));
-        // Remaining requests (w6 and any leftover orderless) now flow.
-        let rest: Vec<u64> = std::iter::from_fn(|| s.dequeue().map(|m| m.req.id.0)).collect();
-        assert!(rest.contains(&6));
-    }
-
-    #[test]
-    fn orderless_requests_flow_without_barriers() {
-        let mut s = epoch_noop();
-        s.enqueue(w(1, 0, ReqFlags::NONE));
+    fn orderless_strays_do_not_take_the_barrier() {
+        // An orderless request leaving after the epoch's last ordered
+        // one is not the barrier, and does not keep the lane undrained.
+        let mut s = EpochScheduler::new(Box::new(NoopScheduler::new()));
+        s.enqueue(w(1, 0, ReqFlags::ORDERED));
         s.enqueue(w(2, 10, ReqFlags::NONE));
-        assert!(!s.is_blocked());
-        assert_eq!(s.dequeue().unwrap().req.id, ReqId(1));
-        assert_eq!(s.dequeue().unwrap().req.id, ReqId(2));
+        s.fence();
+        assert_eq!(s.dequeue().map(|m| m.req.flags.barrier), Some(true));
+        assert!(s.is_drained());
+        assert_eq!(drain(&mut s), vec![(2, false)]);
+    }
+
+    #[test]
+    fn fence_on_a_lane_without_ordered_requests_owes_nothing() {
+        // The epoch's ordered requests all went to other lanes: this
+        // lane is drained at once and a later epoch's ordered request
+        // must not inherit a stale barrier.
+        let mut s = EpochScheduler::new(Box::new(NoopScheduler::new()));
+        s.enqueue(w(1, 0, ReqFlags::NONE));
+        s.fence();
+        assert!(s.is_drained());
+        s.enqueue(w(2, 10, ReqFlags::ORDERED));
+        assert_eq!(drain(&mut s), vec![(1, false), (2, false)]);
         assert_eq!(s.reassignments(), 0);
-    }
-
-    #[test]
-    fn consecutive_barriers_make_consecutive_epochs() {
-        let mut s = epoch_noop();
-        s.enqueue(w(1, 0, ReqFlags::BARRIER));
-        s.enqueue(w(2, 10, ReqFlags::BARRIER)); // buffered while blocked
-        s.enqueue(w(3, 20, ReqFlags::ORDERED)); // buffered
-        let a = s.dequeue().unwrap();
-        assert!(a.req.flags.barrier);
-        // Unblocked, re-admitted w2 (barrier: re-blocks) but not yet w3?
-        // w2 is itself a barrier so after it is admitted the queue blocks
-        // again and w3 stays pending.
-        let b = s.dequeue().unwrap();
-        assert_eq!(b.req.id, ReqId(2));
-        assert!(b.req.flags.barrier);
-        let c = s.dequeue().unwrap();
-        assert_eq!(c.req.id, ReqId(3));
-        assert!(
-            !c.req.flags.barrier,
-            "no barrier owed for the trailing epoch"
-        );
-        assert_eq!(s.reassignments(), 2);
-    }
-
-    #[test]
-    fn merged_ordered_requests_share_one_barrier() {
-        // Two adjacent ordered writes merge inside the inner scheduler; the
-        // merged request is the last ordered leaver and carries the barrier.
-        let mut s = epoch_noop();
-        s.enqueue(w(1, 10, ReqFlags::ORDERED));
-        s.enqueue(w(2, 11, ReqFlags::BARRIER));
-        let m = s.dequeue().unwrap();
-        assert_eq!(m.ids.len(), 2, "requests merged");
-        assert!(m.req.flags.barrier);
-        assert!(!s.is_blocked());
-    }
-
-    #[test]
-    fn len_counts_pending() {
-        let mut s = epoch_noop();
-        s.enqueue(w(1, 0, ReqFlags::BARRIER));
-        s.enqueue(w(2, 1, ReqFlags::NONE));
-        s.enqueue(w(3, 2, ReqFlags::NONE));
-        assert_eq!(s.len(), 3);
-        assert!(!s.is_empty());
     }
 }

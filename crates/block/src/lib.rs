@@ -8,15 +8,17 @@
 //!   `REQ_BARRIER` alongside the classical `REQ_FLUSH`/`REQ_FUA`;
 //! * [`EpochScheduler`] implements Epoch-Based Barrier Reassignment on top
 //!   of a wrapped legacy scheduler ([`NoopScheduler`] or
-//!   [`ElevatorScheduler`]);
-//! * [`BlockLayer`] implements Order-Preserving Dispatch: barrier writes
-//!   go out with the SCSI `ordered` priority, device-busy bounces retry on
-//!   a timer, and merged requests fan completions back out to every
-//!   constituent bio;
-//! * [`Topology`] generalises the layer to N hardware queues × M devices
-//!   (blk-mq style lanes with RAID-0 LBA striping); a cross-lane epoch
-//!   sequencer keeps barrier epochs globally ordered across lanes. The
-//!   default 1×1 topology is exactly the classical single-queue stack.
+//!   [`ElevatorScheduler`]): fenced at a barrier, it hands the barrier to
+//!   the epoch's last order-preserving request to leave;
+//! * [`BlockLayer`] implements the epoch sequencer — the queue blocks at a
+//!   barrier and unblocks when that last request leaves — and
+//!   Order-Preserving Dispatch: barrier writes go out with the SCSI
+//!   `ordered` priority, device-busy bounces retry on a timer, and merged
+//!   requests fan completions back out to every constituent bio;
+//! * [`Topology`] shapes the layer as N hardware queues × M devices
+//!   (blk-mq style lanes with RAID-0 LBA striping). One path serves every
+//!   shape; the default 1×1 topology — the classical single-queue stack —
+//!   is its one-lane case.
 //!
 //! ```
 //! use bio_block::{

@@ -8,8 +8,9 @@
 //! units of `stripe_blocks`.
 //!
 //! The default topology is a single queue on a single device — exactly the
-//! stack the paper evaluates — and every layer above treats that case as a
-//! straight pass-through.
+//! stack the paper evaluates. It is the one-lane case of the same code:
+//! striping over one device is the identity map, so every request has a
+//! single target and runs the one dispatch path whole.
 
 use bio_flash::Lba;
 
@@ -69,11 +70,6 @@ impl Topology {
         self.nr_devices * self.nr_hw_queues
     }
 
-    /// True for the classical single-queue single-device shape.
-    pub fn is_single(&self) -> bool {
-        self.nr_lanes() == 1
-    }
-
     /// Lane index of `(device, hw_queue)`.
     pub fn lane(&self, device: usize, hw_queue: usize) -> usize {
         debug_assert!(device < self.nr_devices && hw_queue < self.nr_hw_queues);
@@ -109,9 +105,11 @@ impl Topology {
     /// per-device contiguous runs, in ascending global order.
     ///
     /// Each element is `(device, local start, offset into the global
-    /// range, length)`. A contiguous global range lands on each device as
-    /// one contiguous local run, so the result holds at most `nr_devices`
-    /// entries; with a single device it is the identity split.
+    /// range of the run's first block, length)`. A contiguous global range
+    /// lands on each device as one contiguous local run, so the result
+    /// holds at most `nr_devices` entries; with a single device it is the
+    /// identity split. A run longer than one stripe is *not* contiguous in
+    /// the global range — [`Topology::gather_run`] collects its blocks.
     pub fn split_range(&self, start: Lba, count: u64) -> Vec<(usize, Lba, u64, u64)> {
         let mut parts: Vec<(usize, Lba, u64, u64)> = Vec::new();
         let mut at = start.0;
@@ -130,6 +128,33 @@ impl Topology {
         }
         parts
     }
+
+    /// `Some((device, local start))` when the global range
+    /// `[start, start + count)` lands on one device as one local run: the
+    /// volume has a single device, or the range stays inside one stripe
+    /// (an empty range lands where `start` does). Such a request needs no
+    /// splitting.
+    pub fn single_target(&self, start: Lba, count: u64) -> Option<(usize, Lba)> {
+        let in_one_stripe = count <= self.stripe_blocks - start.0 % self.stripe_blocks;
+        (self.nr_devices == 1 || in_one_stripe).then(|| self.locate(start))
+    }
+
+    /// Collects one device's share of a per-block payload: `src` holds one
+    /// element per block of the global range starting at `start`, and
+    /// `(off, len)` is a run reported by [`Topology::split_range`]. The
+    /// run's stripe chunks sit `nr_devices` stripes apart in the global
+    /// range, so they are gathered chunk by chunk.
+    pub fn gather_run<T: Clone>(&self, start: Lba, off: u64, len: u64, src: &[T]) -> Vec<T> {
+        let mut run = Vec::with_capacity(len as usize);
+        let mut at = off;
+        while (run.len() as u64) < len {
+            let chunk = (self.stripe_blocks - (start.0 + at) % self.stripe_blocks)
+                .min(len - run.len() as u64);
+            run.extend_from_slice(&src[at as usize..(at + chunk) as usize]);
+            at += chunk + self.stripe_blocks * (self.nr_devices as u64 - 1);
+        }
+        run
+    }
 }
 
 #[cfg(test)]
@@ -139,10 +164,34 @@ mod tests {
     #[test]
     fn single_is_identity() {
         let t = Topology::single();
-        assert!(t.is_single());
         assert_eq!(t.locate(Lba(12345)), (0, Lba(12345)));
         assert_eq!(t.global(0, Lba(12345)), Lba(12345));
         assert_eq!(t.split_range(Lba(100), 20), vec![(0, Lba(100), 0, 20)]);
+        assert_eq!(t.single_target(Lba(100), 20), Some((0, Lba(100))));
+    }
+
+    #[test]
+    fn single_target_is_one_stripe_or_one_device() {
+        let t = Topology::new(1, 2, 4);
+        assert_eq!(t.single_target(Lba(5), 3), Some((1, Lba(1))));
+        assert_eq!(t.single_target(Lba(5), 0), Some((1, Lba(1))));
+        assert_eq!(t.single_target(Lba(5), 4), None, "crosses into stripe 2");
+    }
+
+    #[test]
+    fn gather_run_follows_the_stripes() {
+        // 2 devices, 4-block stripes, global range [2, 20): device 0 owns
+        // global blocks 2,3 | 8..12 | 16..20, device 1 owns 4..8 | 12..16.
+        let t = Topology::new(1, 2, 4);
+        let src: Vec<u64> = (2..20).collect();
+        let runs = t.split_range(Lba(2), 18);
+        assert_eq!(runs, vec![(0, Lba(2), 0, 10), (1, Lba(0), 2, 8)]);
+        let got: Vec<Vec<u64>> = runs
+            .iter()
+            .map(|&(_, _, off, len)| t.gather_run(Lba(2), off, len, &src))
+            .collect();
+        assert_eq!(got[0], vec![2, 3, 8, 9, 10, 11, 16, 17, 18, 19]);
+        assert_eq!(got[1], vec![4, 5, 6, 7, 12, 13, 14, 15]);
     }
 
     #[test]

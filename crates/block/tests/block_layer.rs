@@ -213,6 +213,117 @@ fn non_blocking_barrier_dispatch_fills_the_queue() {
 }
 
 // ---------------------------------------------------------------------
+// §3.3 on one lane: the queue blocks at a barrier and unblocks when the
+// epoch's last order-preserving request leaves it.
+// ---------------------------------------------------------------------
+
+/// A 1×1 layer whose device queue (UFS, QD 16) is already full of
+/// far-away orderless writes, so the requests a test submits pool in the
+/// scheduler — where epochs are formed — instead of dispatching at once.
+fn congested() -> Harness {
+    let mut h = Harness::new(DeviceProfile::ufs(), DispatchMode::OrderPreserving);
+    h.layer.devices_mut()[0].record_history(true);
+    fill_device_zero(&mut h);
+    h
+}
+
+/// Sixteen orderless, unmergeable writes (ids 9000..) at even LBAs: they
+/// fill device 0's queue on one device and on two with 1-block stripes.
+fn fill_device_zero(h: &mut Harness) {
+    for i in 0..16 {
+        h.submit(w(9000 + i, 100_000 + i * 50, ReqFlags::NONE));
+    }
+    assert_eq!(h.layer.queued(), 0, "fillers sit in the device queue");
+}
+
+/// `(request id, device epoch)` of a [`congested`] test's own writes, in
+/// transfer order.
+fn transfers(h: &Harness) -> Vec<(u64, u64)> {
+    let hist = h.layer.device_at(0).history().unwrap();
+    hist.iter()
+        .filter(|t| t.tag.0 < 10_000)
+        .map(|t| (t.tag.0 - 1000, t.epoch))
+        .collect()
+}
+
+#[test]
+fn barrier_blocks_the_queue_until_its_epoch_drains() {
+    let mut h = congested();
+    h.submit(w(1, 0, ReqFlags::ORDERED));
+    h.submit(w(2, 10, ReqFlags::BARRIER));
+    h.submit(w(3, 20, ReqFlags::NONE));
+    // w3 arrived behind the barrier: buffered at the gate, not on the
+    // lane — and still counted as queued.
+    assert_eq!(h.layer.stats().gated, 1);
+    assert_eq!(h.layer.lane_stats()[0].queued, 2);
+    assert_eq!(h.layer.queued(), 3);
+    h.run();
+    // The last ordered request to leave (w2) carried the barrier, so w3
+    // transferred in the next device epoch.
+    assert_eq!(transfers(&h), vec![(1, 0), (2, 0), (3, 1)]);
+    assert_eq!(h.layer.stats().gated, 0);
+    assert_eq!(h.layer.stats().epochs_sequenced, 1);
+    assert_eq!(h.layer.lane_stats()[0].reassignments, 1);
+}
+
+#[test]
+fn fig5_scenario_end_to_end() {
+    // fsync() issues w1, w2 ordered and w4 barrier; pdflush issues
+    // orderless w3, w5, w6 interleaved: w1 w2 w3 w5 w4(barrier) w6.
+    // The elevator sweeps the epoch by LBA, so w2 — not w4 — is not the
+    // last ordered leaver; w4 (LBA 40) is. w6 arrives after the barrier
+    // and must wait for the next epoch even though its LBA sorts first.
+    let mut h = congested();
+    h.submit(w(1, 10, ReqFlags::ORDERED));
+    h.submit(w(2, 30, ReqFlags::ORDERED));
+    h.submit(w(3, 20, ReqFlags::NONE));
+    h.submit(w(5, 50, ReqFlags::NONE));
+    h.submit(w(4, 40, ReqFlags::BARRIER));
+    h.submit(w(6, 5, ReqFlags::NONE));
+    assert_eq!(h.layer.stats().gated, 1);
+    h.run();
+    assert_eq!(
+        transfers(&h),
+        vec![(1, 0), (3, 0), (2, 0), (4, 0), (5, 1), (6, 1)]
+    );
+}
+
+#[test]
+fn consecutive_barriers_make_consecutive_epochs() {
+    let mut h = congested();
+    h.submit(w(1, 0, ReqFlags::BARRIER));
+    h.submit(w(2, 10, ReqFlags::BARRIER));
+    h.submit(w(3, 20, ReqFlags::ORDERED));
+    // Both wait at the gate; releasing epoch 1 admits w2, whose barrier
+    // closes the gate again with w3 still behind it.
+    assert_eq!(h.layer.stats().gated, 2);
+    h.run();
+    assert_eq!(transfers(&h), vec![(1, 0), (2, 1), (3, 2)]);
+    assert_eq!(h.layer.stats().epochs_sequenced, 2);
+    assert_eq!(
+        h.layer.lane_stats()[0].reassignments,
+        2,
+        "no barrier owed for the trailing epoch"
+    );
+}
+
+#[test]
+fn merged_ordered_requests_share_one_barrier() {
+    // Two adjacent ordered writes merge inside the scheduler; the merged
+    // request is the last ordered leaver and carries the one barrier.
+    let mut h = congested();
+    h.submit(w(1, 10, ReqFlags::ORDERED));
+    h.submit(w(2, 11, ReqFlags::BARRIER));
+    h.submit(w(3, 30, ReqFlags::NONE));
+    assert_eq!(h.layer.lane_stats()[0].queued, 1, "requests merged");
+    h.run();
+    assert_eq!(transfers(&h), vec![(1, 0), (2, 0), (3, 1)]);
+    assert_eq!(h.layer.stats().dispatched, 16 + 2);
+    assert_eq!(h.layer.lane_stats()[0].reassignments, 1);
+    assert_eq!(h.done.len(), 16 + 3, "every bio completes");
+}
+
+// ---------------------------------------------------------------------
 // Multi-queue / multi-device lane topologies.
 // ---------------------------------------------------------------------
 
@@ -239,27 +350,35 @@ fn multi_lane_requests_complete_through_the_stack() {
 
 #[test]
 fn sequencer_counts_global_epochs() {
-    let mut h = Harness::with_topology(
-        DeviceProfile::ufs(),
-        DispatchMode::OrderPreserving,
-        Topology::new(2, 2, 1),
-    );
-    let mut id = 0;
-    for epoch in 0..5u64 {
-        for i in 0..4u64 {
-            let flags = if i == 3 {
-                ReqFlags::BARRIER
-            } else {
-                ReqFlags::ORDERED
-            };
-            // Span both devices so every epoch exercises cross-lane order.
-            h.submit(w(id, epoch * 32 + i * 2, flags));
-            id += 1;
+    // One epoch per barrier, whatever the lane count.
+    for topology in [Topology::single(), Topology::new(2, 2, 1)] {
+        let mut h = Harness::with_topology(
+            DeviceProfile::ufs(),
+            DispatchMode::OrderPreserving,
+            topology,
+        );
+        let mut id = 0;
+        for epoch in 0..5u64 {
+            for i in 0..4u64 {
+                let flags = if i == 3 {
+                    ReqFlags::BARRIER
+                } else {
+                    ReqFlags::ORDERED
+                };
+                // With two devices the epoch spans both, so every epoch
+                // exercises cross-lane order.
+                h.submit(w(id, epoch * 32 + i * 2, flags));
+                id += 1;
+            }
         }
+        h.run();
+        assert_eq!(h.done.len(), 20, "{topology:?}");
+        assert_eq!(h.layer.stats().epochs_sequenced, 5, "{topology:?}");
+        assert!(
+            h.layer.lane_stats().iter().all(|l| l.epochs_released == 5),
+            "{topology:?}"
+        );
     }
-    h.run();
-    assert_eq!(h.done.len(), 20);
-    assert_eq!(h.layer.stats().epochs_sequenced, 5);
 }
 
 #[test]
@@ -334,9 +453,25 @@ fn striped_final_state_matches_single_device() {
                 flags,
             ));
         }
+        // Writes longer than `stripe_blocks × nr_devices`: each device
+        // receives several non-adjacent stripes of the payload.
+        for i in 0..6u64 {
+            let len = 17 + 5 * i;
+            let flags = if i % 2 == 1 {
+                ReqFlags::BARRIER
+            } else {
+                ReqFlags::NONE
+            };
+            h.submit(BlockRequest::write(
+                ReqId(100 + i),
+                Lba(201 + 50 * i),
+                (0..len).map(|b| BlockTag(10_000 * (i + 1) + b)).collect(),
+                flags,
+            ));
+        }
         h.submit(BlockRequest::flush(ReqId(5000)));
         h.run();
-        assert_eq!(h.done.len(), 31);
+        assert_eq!(h.done.len(), 37);
         let mut global: Vec<(Lba, BlockTag)> = Vec::new();
         for (di, dev) in h.layer.devices().iter().enumerate() {
             for (local, tag) in dev.final_image().iter() {
@@ -347,16 +482,54 @@ fn striped_final_state_matches_single_device() {
         global
     };
     let single = run(Topology::single());
-    let striped = run(Topology::new(2, 3, 2));
-    assert_eq!(single, striped);
+    assert_eq!(single, run(Topology::new(2, 3, 2)));
+    assert_eq!(single, run(Topology::new(4, 2, 8)));
+}
+
+#[test]
+fn split_part_merged_with_a_whole_bio_completes_both() {
+    // 1-block stripes over two devices, device 0 congested: the device-0
+    // part of split write A and the single-target write B are adjacent
+    // on device 0 and merge into one command, which then answers for a
+    // part id and a bio id at once.
+    let mut h = Harness::with_topology(
+        DeviceProfile::ufs(),
+        DispatchMode::OrderPreserving,
+        Topology::new(1, 2, 1),
+    );
+    fill_device_zero(&mut h);
+    h.submit(BlockRequest::write(
+        ReqId(1),
+        Lba(0),
+        vec![BlockTag(10), BlockTag(11)],
+        ReqFlags::NONE,
+    ));
+    h.submit(BlockRequest::write(
+        ReqId(2),
+        Lba(2),
+        vec![BlockTag(12)],
+        ReqFlags::NONE,
+    ));
+    assert_eq!(h.layer.lane_stats()[0].queued, 1, "part and bio merged");
+    h.run();
+    let mut ids: Vec<u64> = h
+        .done
+        .iter()
+        .map(|(id, _)| id.0)
+        .filter(|&id| id < 9000)
+        .collect();
+    ids.sort_unstable();
+    assert_eq!(ids, vec![1, 2]);
+    assert_eq!(h.layer.stats().completed, 18);
+    assert_eq!(h.layer.devices()[0].final_image().tag(Lba(1)), BlockTag(12));
 }
 
 #[test]
 fn zero_length_request_completes_on_multi_device() {
     // A zero-block read or an empty write moves nothing, but its submitter
-    // still waits on it: it must complete exactly once on the 1×1 path
-    // and on a striped volume, where there is no part to wait for.
-    for topology in [Topology::single(), Topology::new(1, 2, 1)] {
+    // still waits on it: on every topology it passes through whole to the
+    // device its start address lives on and completes exactly once.
+    for topology in [Topology::single(), Topology::new(2, 2, 1)] {
         for req in [
             BlockRequest::read(ReqId(1), Lba(3), 0),
             BlockRequest::write(ReqId(1), Lba(3), Vec::new(), ReqFlags::NONE),
@@ -368,7 +541,11 @@ fn zero_length_request_completes_on_multi_device() {
             let ids: Vec<ReqId> = h.done.iter().map(|(id, _)| *id).collect();
             assert_eq!(ids, vec![ReqId(1)], "{topology:?} {req:?}");
             let stats = h.layer.stats();
-            assert_eq!((stats.completed, stats.split_parts), (1, 0), "{topology:?}");
+            assert_eq!(
+                (stats.dispatched, stats.completed, stats.split_parts),
+                (1, 1, 0),
+                "{topology:?}"
+            );
             assert_eq!(h.layer.queued(), 0);
         }
     }

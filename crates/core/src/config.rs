@@ -143,7 +143,7 @@ impl StackConfig {
     /// Full label for reports: stack, device and — when not the classical
     /// 1×1 — the lane topology (`BFS-OD@plain-SSD 8q×4dev`).
     pub fn label(&self) -> String {
-        if self.topology.is_single() {
+        if self.topology.nr_lanes() == 1 {
             format!("{}@{}", self.stack_label(), self.device.name)
         } else {
             format!(

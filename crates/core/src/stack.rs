@@ -754,7 +754,7 @@ impl IoStack {
     /// filesystem-level audit; the device-level epoch audit runs per
     /// device against that device's own local image and history.
     pub fn crash(&self) -> CrashReport {
-        let image = if self.cfg.topology.is_single() {
+        let image = if self.cfg.topology.nr_devices == 1 {
             self.block.device_at(0).crash_image()
         } else {
             let mut map = BTreeMap::new();

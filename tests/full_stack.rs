@@ -2,7 +2,7 @@
 //! layer (workload generator → filesystem → block layer → device), with
 //! shape assertions matching the paper's headline claims.
 
-use barrier_io::{DeviceProfile, FileRef, IoStack, SimDuration, StackConfig};
+use barrier_io::{DeviceProfile, FileRef, IoStack, SimDuration, StackConfig, Topology};
 use bio_workloads::{Dwsl, OltpInsert, Sqlite, SqliteJournalMode, SyncMode, Varmail};
 
 fn sqlite_tps(cfg: StackConfig, mk: fn(SqliteJournalMode, FileRef, FileRef, u64) -> Sqlite) -> f64 {
@@ -61,6 +61,35 @@ fn dwsl_scales_better_on_barrierfs() {
         bfs > ext4 * 1.15,
         "BFS-DR {bfs:.0} ops/s should clearly beat EXT4-DR {ext4:.0}"
     );
+}
+
+#[test]
+fn striped_dwsl_survives_a_crash_after_a_clean_run() {
+    // 256 threads share each journal commit, so the descriptor+log write
+    // is far longer than `stripe_blocks × nr_devices` and every device
+    // receives several stripes of it: the split must hand each device
+    // exactly its own stripes, or recovery reads torn transactions.
+    let dev = DeviceProfile::plain_ssd();
+    for (queues, devices) in [(1, 2), (4, 2)] {
+        for (cfg, sync) in [
+            (StackConfig::ext4_dr(dev.clone()), SyncMode::Fsync),
+            (StackConfig::bfs(dev.clone()), SyncMode::Fsync),
+            (
+                StackConfig::bfs(dev.clone()).ordering_only(),
+                SyncMode::Fbarrier,
+            ),
+        ] {
+            let cfg = cfg.with_topology(Topology::new(queues, devices, 8));
+            let label = cfg.label();
+            let mut stack = IoStack::new(cfg);
+            for _ in 0..256 {
+                stack.add_thread(Box::new(Dwsl::new(sync, 24)));
+            }
+            assert!(stack.run_until_done(SimDuration::from_secs(600)));
+            let violations = stack.crash().fs_violations;
+            assert!(violations.is_empty(), "{label}: {violations:?}");
+        }
+    }
 }
 
 #[test]
