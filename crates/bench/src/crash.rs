@@ -22,7 +22,7 @@
 //! The first generation of this engine called [`IoStack::fork`] at every
 //! commit — a deep clone of the calendar queue, journal, lanes and device
 //! models — only to flatten the fork into a plain-data [`CrashPoint`] and
-//! drop it. Capture is now two-tier:
+//! drop it. Capture and checking now share three tiers:
 //!
 //! 1. **Zero-clone capture** — [`extract_point`] reads the live stack
 //!    through borrowed accessors (`&AppendLog` tail, cache snapshot,
@@ -36,10 +36,26 @@
 //!    O(log length). The shared parts are immutable behind `Arc`;
 //!    copy-on-write (`Arc::make_mut`) keeps retained points intact.
 //!
+//! 3. **Incremental checkers** — every image of a point is the shared
+//!    base plus an overlay over the blocks of the unfolded tail, so a
+//!    transaction record or transfer the overlay does not touch reads the
+//!    same against all of them, and between points its reading changes
+//!    only when a fold writes one of its blocks. The cursor therefore also
+//!    carries a [`ConsistencyIndex`] and, per device, an [`EpochIndex`]:
+//!    each record's and block's verdict under the base, advanced from the
+//!    same delta. [`enumerate_point`] judges an image from what its
+//!    overlay touches plus the indexes' aggregates; whenever that cannot
+//!    certify the image clean, the full [`ConsistencyCheck`] /
+//!    [`EpochAudit`] run on it, so every reported violation, `worst` case
+//!    and minimisation still comes from them. Checking an image costs
+//!    O(writes in flight), not O(trace so far).
+//!
 //! The fork-based path stays as [`CaptureMode::Fork`], the differential
 //! reference `tests/capture_equivalence.rs` holds the delta engine to:
-//! both paths must produce bit-identical [`CrashPoint`]s, verdicts and
-//! dedup counts.
+//! both paths must produce bit-identical [`CrashPoint`]s — indexes
+//! included, which makes "advanced by deltas" equal "built from nothing"
+//! — verdicts and dedup counts. `tests/check_equivalence.rs` holds the
+//! indexed verdicts to the full checkers, image by image.
 //!
 //! Subset/group spaces are enumerated exhaustively up to [`MAX_FREE_BITS`]
 //! free choices per device and [`MAX_IMAGES_PER_POINT`] images per capture
@@ -58,15 +74,17 @@
 //! cross-stack divergence, reported as a minimized
 //! `(trace seed, capture point, reordering choice)` triple.
 
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use barrier_io::{
-    ConsistencyCheck, DeviceCaptureDelta, DeviceProfile, FileRef, IoStack, StackConfig, Topology,
-    TxnRecord,
+    ConsistencyCheck, ConsistencyIndex, ConsistencyProbe, DeviceCaptureDelta, DeviceProfile,
+    FileRef, FsViolation, IoStack, StackConfig, Topology, TxnRecord,
 };
 use bio_flash::{
-    AppendRec, BarrierMode, BlockTag, Device, EpochAudit, ImageView, Lba, TransferRec,
+    AppendRec, BarrierMode, BlockTag, Device, EpochAudit, EpochIndex, EpochProbe, EpochViolation,
+    ImageView, Lba, PersistedImage, TransferRec,
 };
 use bio_sim::{SimDuration, SimRng};
 use bio_workloads::{RandWrite, SyncMode, WriteMode};
@@ -102,16 +120,19 @@ const STALE_STEP_LIMIT: u64 = 200_000;
 // Capture-point snapshot (plain data, `Send`, structurally shared).
 // ---------------------------------------------------------------------
 
-/// Snapshot of one device at a capture point. The folded base image and
-/// the committed-group set are `Arc`-shared with the capture cursor (and
-/// through it with neighbouring points): only the unfolded tail, the
-/// cache and the scalars are per-point.
+/// Snapshot of one device at a capture point. The folded base image, the
+/// committed-group set, the transfer history and the epoch-audit index
+/// are `Arc`-shared with the capture cursor (and through it with
+/// neighbouring points): only the unfolded tail, the cache and the
+/// scalars are per-point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceState {
     /// Folded durable prefix of the append log (shared, immutable).
     base: Arc<BTreeMap<Lba, BlockTag>>,
     /// Unfolded tail records, in append order.
     tail: Vec<AppendRec>,
+    /// Writeback-cache content in insertion order — captured under PLP
+    /// only, the one case where the cache survives a crash.
     cache: Vec<(Lba, BlockTag)>,
     plp: bool,
     mode: BarrierMode,
@@ -119,27 +140,35 @@ pub struct DeviceState {
     committed: Arc<BTreeSet<u64>>,
     /// Transfer history prefix at the capture (shared, immutable).
     history: Option<Arc<Vec<TransferRec>>>,
+    /// [`EpochAudit`] over `history`, indexed under `base` (shared,
+    /// immutable; present exactly when `history` is).
+    audit: Option<Arc<EpochIndex>>,
 }
 
 impl DeviceState {
     /// Captures one device through borrowed accessors. With a cursor the
     /// shared parts are `Arc`-clones of the cursor's delta-maintained
     /// copies (O(1)); without one they are materialized from the device
-    /// (O(state), the fork-path reference behaviour).
+    /// (O(state), the fork-path reference behaviour) and `audit` is left
+    /// to [`CrashPoint::reindex`].
     fn capture(dev: &Device, cursor: Option<&DeviceCursor>) -> DeviceState {
         let log = dev.append_log();
+        let plp = dev.profile().plp;
         DeviceState {
             base: match cursor {
                 Some(c) => Arc::clone(&c.base),
                 None => Arc::new(log.base().clone()),
             },
             tail: log.tail().copied().collect(),
-            cache: dev
-                .cache()
-                .entries_in_order()
-                .map(|(_, e)| (e.lba, e.tag))
-                .collect(),
-            plp: dev.profile().plp,
+            cache: if plp {
+                dev.cache()
+                    .entries_in_order()
+                    .map(|(_, e)| (e.lba, e.tag))
+                    .collect()
+            } else {
+                Vec::new()
+            },
+            plp,
             mode: dev.profile().barrier_mode,
             committed: match cursor {
                 Some(c) => Arc::clone(&c.committed),
@@ -149,6 +178,26 @@ impl DeviceState {
                 Some(c) => c.history.clone(),
                 None => dev.history().map(|h| Arc::new(h.to_vec())),
             },
+            audit: cursor.and_then(|c| c.audit.clone()),
+        }
+    }
+}
+
+/// Device-local views stitched into the global address space by the
+/// stripe layout (the identity on one device).
+struct Striped<'a, V> {
+    topology: Topology,
+    locals: &'a [V],
+}
+
+impl<V: ImageView> ImageView for Striped<'_, V> {
+    fn tag(&self, lba: Lba) -> BlockTag {
+        match self.locals {
+            [only] => only.tag(lba),
+            locals => {
+                let (di, local) = self.topology.locate(lba);
+                locals[di].tag(local)
+            }
         }
     }
 }
@@ -162,15 +211,19 @@ pub struct CrashPoint {
     /// Ground-truth transaction records at the capture (shared with the
     /// cursor; copy-on-write across durability flips).
     pub records: Arc<Vec<TxnRecord>>,
+    /// [`ConsistencyCheck`] over `records`, indexed under the devices'
+    /// bases (shared with the cursor, copy-on-write).
+    check: Arc<ConsistencyIndex>,
     devices: Vec<DeviceState>,
     topology: Topology,
 }
 
 impl CrashPoint {
     /// Captures the live stack into a plain-data crash point, reading
-    /// through borrowed accessors only. With a cursor the records and the
-    /// per-device shared parts are `Arc`-clones of the cursor's
-    /// delta-maintained state.
+    /// through borrowed accessors only. With a cursor the records, the
+    /// check index and the per-device shared parts are `Arc`-clones of
+    /// the cursor's delta-maintained state; without one they are built
+    /// from the stack.
     fn capture(stack: &IoStack, cursor: Option<&CaptureCursor>) -> CrashPoint {
         let records = match cursor {
             Some(c) => Arc::clone(&c.records),
@@ -182,12 +235,133 @@ impl CrashPoint {
             .enumerate()
             .map(|(i, d)| DeviceState::capture(d, cursor.map(|c| &c.devices[i])))
             .collect();
-        CrashPoint {
+        let mut point = CrashPoint {
             commit_idx: records.len(),
             records,
+            check: cursor.map(|c| Arc::clone(&c.check)).unwrap_or_default(),
             devices,
             topology: stack.config().topology,
+        };
+        if cursor.is_none() {
+            point.reindex();
         }
+        point
+    }
+
+    /// Builds both check indexes from nothing: the records under the
+    /// devices' bases, each transfer history under its device's base.
+    fn reindex(&mut self) {
+        for d in &mut self.devices {
+            d.audit = d.history.as_deref().map(|history| {
+                let mut index = EpochIndex::new();
+                index.advance(history, [], &*d.base);
+                Arc::new(index)
+            });
+        }
+        let bases: Vec<_> = self.devices.iter().map(|d| &*d.base).collect();
+        let mut check = ConsistencyIndex::new();
+        check.advance(
+            &self.records,
+            [],
+            &[],
+            &Striped {
+                topology: self.topology,
+                locals: &bases,
+            },
+        );
+        self.check = Arc::new(check);
+    }
+
+    /// The transfer history of each device (`None` where recording is
+    /// off) — what [`EpochAudit`] judges a device image against.
+    pub fn histories(&self) -> impl Iterator<Item = Option<&[TransferRec]>> + '_ {
+        self.devices
+            .iter()
+            .map(|d| d.history.as_deref().map(Vec::as_slice))
+    }
+}
+
+/// A defect written into a captured point by hand: the violating input
+/// the checker differential test feeds both tiers of the judge. Indices
+/// wrap around what the point holds; with nothing to forge the point
+/// comes back as it was.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Forgery {
+    /// Drops one record from a device's unfolded tail.
+    DropTail {
+        /// Device index.
+        device: usize,
+        /// Tail record.
+        index: usize,
+    },
+    /// Flips `done` on one tail record.
+    FlipDone {
+        /// Device index.
+        device: usize,
+        /// Tail record.
+        index: usize,
+    },
+    /// Folds one transfer of the device's history into the base again,
+    /// out of order — the base goes back to an old version of that block.
+    Refold {
+        /// Device index.
+        device: usize,
+        /// Transfer in the device's history.
+        transfer: usize,
+    },
+    /// Alters one record's commit-block tag.
+    AlterJcTag {
+        /// Record position.
+        record: usize,
+    },
+    /// Sets `durability_claimed` on one record.
+    ClaimDurable {
+        /// Record position.
+        record: usize,
+    },
+}
+
+impl CrashPoint {
+    /// This point with `forgery` written into it and both check indexes
+    /// rebuilt from nothing, as if captured from a stack in that state.
+    pub fn forged(&self, forgery: Forgery) -> CrashPoint {
+        let mut p = self.clone();
+        let nr_devices = p.devices.len();
+        let nr_records = p.records.len().max(1);
+        match forgery {
+            Forgery::DropTail { device, index } => {
+                let tail = &mut p.devices[device % nr_devices].tail;
+                if !tail.is_empty() {
+                    tail.remove(index % tail.len());
+                }
+            }
+            Forgery::FlipDone { device, index } => {
+                let tail = &mut p.devices[device % nr_devices].tail;
+                let index = index % tail.len().max(1);
+                if let Some(r) = tail.get_mut(index) {
+                    r.done = !r.done;
+                }
+            }
+            Forgery::Refold { device, transfer } => {
+                let d = &mut p.devices[device % nr_devices];
+                let history = d.history.as_deref().map_or(&[][..], Vec::as_slice);
+                if let Some(t) = history.get(transfer % history.len().max(1)) {
+                    Arc::make_mut(&mut d.base).insert(t.lba, t.tag);
+                }
+            }
+            Forgery::AlterJcTag { record } => {
+                if let Some(r) = Arc::make_mut(&mut p.records).get_mut(record % nr_records) {
+                    r.jc_tag = BlockTag(r.jc_tag.0 ^ (1 << 40));
+                }
+            }
+            Forgery::ClaimDurable { record } => {
+                if let Some(r) = Arc::make_mut(&mut p.records).get_mut(record % nr_records) {
+                    r.durability_claimed = true;
+                }
+            }
+        }
+        p.reindex();
+        p
     }
 }
 
@@ -202,13 +376,15 @@ pub fn extract_point(stack: &IoStack) -> CrashPoint {
 // ---------------------------------------------------------------------
 
 /// Per-device half of the capture cursor: `Arc`-backed copies of the
-/// folded base image, committed groups and transfer history, advanced by
-/// each epoch's [`DeviceCaptureDelta`] instead of being re-read.
+/// folded base image, committed groups, transfer history and epoch-audit
+/// index, advanced by each epoch's [`DeviceCaptureDelta`] instead of
+/// being re-read.
 #[derive(Debug, Clone)]
 struct DeviceCursor {
     base: Arc<BTreeMap<Lba, BlockTag>>,
     committed: Arc<BTreeSet<u64>>,
     history: Option<Arc<Vec<TransferRec>>>,
+    audit: Option<Arc<EpochIndex>>,
 }
 
 impl DeviceCursor {
@@ -217,21 +393,32 @@ impl DeviceCursor {
             base: Arc::new(BTreeMap::new()),
             committed: Arc::new(BTreeSet::new()),
             history: None,
+            audit: None,
         }
     }
 
-    /// Advances the cursor by one epoch's delta. `Arc::make_mut` keeps
-    /// this O(delta) when the previous point has been dropped (the
-    /// enumerate-and-drop hot path) and silently degrades to a
-    /// copy-on-write clone when it is retained.
-    fn delta_apply(&mut self, dev: &Device, delta: DeviceCaptureDelta) {
+    /// Advances the cursor by one epoch's delta and returns the folds as
+    /// `(block, tag before, tag after)` plus the index work done.
+    /// `Arc::make_mut` keeps this O(delta) when the previous point has
+    /// been dropped (the enumerate-and-drop hot path) and silently
+    /// degrades to a copy-on-write clone when it is retained.
+    fn delta_apply(
+        &mut self,
+        dev: &Device,
+        delta: DeviceCaptureDelta,
+    ) -> (Vec<(Lba, BlockTag, BlockTag)>, usize) {
         let mut base = std::mem::take(&mut self.base);
-        {
+        let folds: Vec<(Lba, BlockTag, BlockTag)> = {
             let map = Arc::make_mut(&mut base);
-            for (lba, tag) in delta.folds {
-                map.insert(lba, tag);
-            }
-        }
+            delta
+                .folds
+                .into_iter()
+                .map(|(lba, tag)| {
+                    let before = map.insert(lba, tag).unwrap_or(BlockTag::UNWRITTEN);
+                    (lba, before, tag)
+                })
+                .collect()
+        };
         let mut committed = std::mem::take(&mut self.committed);
         {
             let set = Arc::make_mut(&mut committed);
@@ -239,20 +426,25 @@ impl DeviceCursor {
                 set.insert(g);
             }
         }
-        // History is append-only: copy just the new suffix.
-        let history = match dev.history() {
+        // History is append-only: copy just the new suffix, and let the
+        // audit index read the same suffix plus this epoch's folds.
+        let mut work = 0;
+        let (history, audit) = match dev.history() {
             Some(live) => {
                 let mut arc = self.history.take().unwrap_or_default();
                 let h = Arc::make_mut(&mut arc);
                 h.extend_from_slice(&live[h.len()..]);
-                Some(arc)
+                let mut audit = self.audit.take().unwrap_or_default();
+                work = Arc::make_mut(&mut audit).advance(live, folds.iter().map(|f| f.0), &*base);
+                (Some(arc), Some(audit))
             }
-            None => None,
+            None => (None, None),
         };
         *self = DeviceCursor {
             base,
             committed,
             history,
+            audit,
         };
         debug_assert!(
             self.base.as_ref() == dev.append_log().base(),
@@ -260,6 +452,7 @@ impl DeviceCursor {
              capture tracking enabled before the run started?"
         );
         debug_assert_eq!(self.committed.len(), dev.committed_groups().count());
+        (folds, work)
     }
 }
 
@@ -269,7 +462,10 @@ impl DeviceCursor {
 #[derive(Debug, Clone)]
 pub struct CaptureCursor {
     records: Arc<Vec<TxnRecord>>,
+    check: Arc<ConsistencyIndex>,
     devices: Vec<DeviceCursor>,
+    /// Verdicts the two indexes recomputed during the last capture.
+    last_index_work: usize,
 }
 
 impl CaptureCursor {
@@ -277,7 +473,9 @@ impl CaptureCursor {
     pub fn new() -> CaptureCursor {
         CaptureCursor {
             records: Arc::new(Vec::new()),
+            check: Arc::new(ConsistencyIndex::new()),
             devices: Vec::new(),
+            last_index_work: 0,
         }
     }
 
@@ -307,14 +505,34 @@ impl CaptureCursor {
                 .map(|_| DeviceCursor::new())
                 .collect();
         }
-        for ((cur, dev), d) in self
+        let topology = stack.config().topology;
+        let mut folds = Vec::new();
+        self.last_index_work = 0;
+        for (di, ((cur, dev), d)) in self
             .devices
             .iter_mut()
             .zip(stack.devices())
             .zip(delta.devices)
+            .enumerate()
         {
-            cur.delta_apply(dev, d);
+            let (local, work) = cur.delta_apply(dev, d);
+            folds.extend(
+                local
+                    .into_iter()
+                    .map(|(lba, before, after)| (topology.global(di, lba), before, after)),
+            );
+            self.last_index_work += work;
         }
+        let bases: Vec<_> = self.devices.iter().map(|d| &*d.base).collect();
+        self.last_index_work += Arc::make_mut(&mut self.check).advance(
+            &self.records,
+            folds,
+            &delta.records_marked_durable,
+            &Striped {
+                topology,
+                locals: &bases,
+            },
+        );
         CrashPoint::capture(stack, Some(self))
     }
 }
@@ -404,60 +622,157 @@ impl ChoiceSpace {
     }
 }
 
-/// One admissible crash image as a copy-on-write overlay: the shared
-/// folded base plus the resolved survival of every tail (and, for PLP,
-/// cache) block. Covers the *same* block set for every choice of a
-/// point, so overlay equality is image equality and the overlay doubles
-/// as the dedup key — no base clone per image.
-struct OverlayView<'a> {
-    base: &'a BTreeMap<Lba, BlockTag>,
-    over: BTreeMap<Lba, BlockTag>,
+/// One device's crash image under the current reordering choice, as an
+/// overlay on the shared folded base: every tail (and, for PLP, cache)
+/// block in ascending order with the tag it resolves to. Covers the
+/// *same* block set for every choice of a point, so the tags alone are a
+/// complete image-equality key — no base clone and no allocation per
+/// image: [`Overlay::resolve`] rewrites the tags in place.
+struct Overlay<'a> {
+    dev: &'a DeviceState,
+    /// `(block, tag under the current choice)`, ascending by block.
+    entries: Vec<(Lba, BlockTag)>,
+    /// Tag of each entry under the base alone.
+    base_tags: Vec<BlockTag>,
+    /// Entry of each tail record, then of each cache block.
+    slots: Vec<u32>,
+    /// Tail records applied so far ([`ChoiceSpace::Prefix`] only): the
+    /// next, longer prefix extends the overlay instead of rebuilding it.
+    cut: usize,
 }
 
-impl ImageView for OverlayView<'_> {
+impl ImageView for Overlay<'_> {
     fn tag(&self, lba: Lba) -> BlockTag {
-        match self.over.get(&lba) {
-            Some(&t) => t,
-            None => self.base.get(&lba).copied().unwrap_or(BlockTag::UNWRITTEN),
+        match self.entries.binary_search_by_key(&lba, |e| e.0) {
+            Ok(i) => self.entries[i].1,
+            Err(_) => self.dev.base.tag(lba),
         }
     }
 }
 
-impl OverlayView<'_> {
-    /// Materializes the overlay into a standalone image (test oracle).
-    #[cfg(test)]
-    fn materialize(&self) -> bio_flash::PersistedImage {
-        let mut map = self.base.clone();
-        for (&lba, &tag) in &self.over {
+impl<'a> Overlay<'a> {
+    /// The overlay of `dev` with nothing but the base resolved.
+    fn new(dev: &'a DeviceState) -> Overlay<'a> {
+        let blocks = || {
+            let cache = dev.cache.iter().map(|c| c.0);
+            dev.tail.iter().map(|r| r.lba).chain(cache)
+        };
+        let mut lbas: Vec<Lba> = blocks().collect();
+        lbas.sort_unstable();
+        lbas.dedup();
+        let slots = blocks()
+            .map(|lba| lbas.binary_search(&lba).expect("collected above") as u32)
+            .collect();
+        let base_tags: Vec<BlockTag> = lbas.iter().map(|&lba| dev.base.tag(lba)).collect();
+        Overlay {
+            dev,
+            entries: lbas.into_iter().zip(base_tags.iter().copied()).collect(),
+            base_tags,
+            slots,
+            cut: 0,
+        }
+    }
+
+    /// Per entry, the least tag any choice can resolve it to: its base
+    /// tag or any tail or cache tag written to it. (It bounds which
+    /// ordered-data entries can read differently from the base.)
+    fn floors(&self) -> Vec<BlockTag> {
+        let mut floors = self.base_tags.clone();
+        let tail = self.dev.tail.iter().map(|r| r.tag);
+        let cache = self.dev.cache.iter().map(|c| c.1);
+        for (&slot, tag) in self.slots.iter().zip(tail.chain(cache)) {
+            floors[slot as usize] = floors[slot as usize].min(tag);
+        }
+        floors
+    }
+
+    fn reset(&mut self) {
+        for (e, &tag) in self.entries.iter_mut().zip(&self.base_tags) {
+            e.1 = tag;
+        }
+        self.cut = 0;
+    }
+
+    /// Tail record `i` survived: its block now holds its tag.
+    fn keep(&mut self, i: usize) {
+        self.entries[self.slots[i] as usize].1 = self.dev.tail[i].tag;
+    }
+
+    /// Rewrites the overlay to the image of one choice. Choice 0 always
+    /// reproduces the device's own deterministic
+    /// [`bio_flash::Device::crash_image`]. Survivors are applied in
+    /// append order over the base, so every tail block resolves — the
+    /// masked-out ones to the base version (UNWRITTEN when the base never
+    /// held them).
+    fn resolve(&mut self, space: &ChoiceSpace, choice: u64) {
+        let dev = self.dev;
+        match space {
+            ChoiceSpace::Prefix(holes) => {
+                let cut = holes
+                    .get(choice as usize)
+                    .copied()
+                    .unwrap_or(dev.tail.len());
+                if cut < self.cut {
+                    self.reset();
+                }
+                for i in self.cut..cut {
+                    self.keep(i);
+                }
+                self.cut = cut;
+            }
+            ChoiceSpace::Single => {
+                self.reset();
+                for i in 0..dev.tail.len() {
+                    self.keep(i);
+                }
+                for (slot, c) in self.slots[dev.tail.len()..].iter().zip(&dev.cache) {
+                    self.entries[*slot as usize].1 = c.1;
+                }
+            }
+            ChoiceSpace::Subset(free) => {
+                self.reset();
+                let mut bit = 0;
+                for (i, r) in dev.tail.iter().enumerate() {
+                    let retired = if free.get(bit) == Some(&i) {
+                        bit += 1;
+                        choice & (1u64 << (bit - 1)) != 0
+                    } else {
+                        r.done
+                    };
+                    if retired {
+                        self.keep(i);
+                    }
+                }
+            }
+            ChoiceSpace::Groups(gs) => {
+                self.reset();
+                let survives = |g: u64| {
+                    dev.committed.contains(&g)
+                        || gs
+                            .iter()
+                            .position(|&open| open == g)
+                            .is_some_and(|bit| choice & (1u64 << bit) != 0)
+                };
+                for (i, r) in dev.tail.iter().enumerate() {
+                    if r.done && r.group.is_none_or(survives) {
+                        self.keep(i);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Materializes the overlay into a standalone image.
+    fn materialize(&self) -> PersistedImage {
+        let mut map = (*self.dev.base).clone();
+        for &(lba, tag) in &self.entries {
             if tag == BlockTag::UNWRITTEN {
                 map.remove(&lba);
             } else {
                 map.insert(lba, tag);
             }
         }
-        bio_flash::PersistedImage::from_map(map)
-    }
-}
-
-/// The cross-device image of one choice combination: device-local views
-/// stitched by the stripe layout (trivial on one device).
-enum StackImage<'a> {
-    Single(&'a OverlayView<'a>),
-    Striped {
-        topology: Topology,
-        locals: &'a [OverlayView<'a>],
-    },
-}
-
-impl ImageView for StackImage<'_> {
-    fn tag(&self, lba: Lba) -> BlockTag {
-        match self {
-            StackImage::Single(v) => v.tag(lba),
-            StackImage::Striped { topology, locals } => {
-                let (di, local) = topology.locate(lba);
-                locals[di].tag(local)
-            }
-        }
+        PersistedImage::from_map(map)
     }
 }
 
@@ -498,74 +813,6 @@ impl DeviceState {
             }
         }
     }
-
-    /// The overlay for one choice. Choice 0 always reproduces the
-    /// device's own deterministic [`bio_flash::Device::crash_image`].
-    fn view_for(&self, space: &ChoiceSpace, choice: u64) -> OverlayView<'_> {
-        let mut over: BTreeMap<Lba, BlockTag> = BTreeMap::new();
-        match space {
-            ChoiceSpace::Single => {
-                for r in &self.tail {
-                    over.insert(r.lba, r.tag);
-                }
-                for &(lba, tag) in &self.cache {
-                    over.insert(lba, tag);
-                }
-            }
-            ChoiceSpace::Prefix(holes) => {
-                let cut = holes
-                    .get(choice as usize)
-                    .copied()
-                    .unwrap_or(self.tail.len());
-                for r in &self.tail[..cut] {
-                    over.insert(r.lba, r.tag);
-                }
-            }
-            ChoiceSpace::Subset(free) => {
-                let mut mask: Vec<bool> = self.tail.iter().map(|r| r.done).collect();
-                for (bit, &idx) in free.iter().enumerate() {
-                    if choice & (1u64 << bit) != 0 {
-                        mask[idx] = true;
-                    }
-                }
-                for (r, &keep) in self.tail.iter().zip(&mask) {
-                    if keep {
-                        over.insert(r.lba, r.tag);
-                    }
-                }
-            }
-            ChoiceSpace::Groups(gs) => {
-                let survive: Vec<u64> = gs
-                    .iter()
-                    .enumerate()
-                    .filter(|(bit, _)| choice & (1u64 << *bit) != 0)
-                    .map(|(_, &g)| g)
-                    .collect();
-                for r in &self.tail {
-                    let keep = r.done
-                        && r.group
-                            .is_none_or(|g| self.committed.contains(&g) || survive.contains(&g));
-                    if keep {
-                        over.insert(r.lba, r.tag);
-                    }
-                }
-            }
-        }
-        // Canonical cover: every tail block resolves, the masked-out ones
-        // to the base version (UNWRITTEN when the base never held them).
-        for r in &self.tail {
-            over.entry(r.lba).or_insert_with(|| {
-                self.base
-                    .get(&r.lba)
-                    .copied()
-                    .unwrap_or(BlockTag::UNWRITTEN)
-            });
-        }
-        OverlayView {
-            base: &self.base,
-            over,
-        }
-    }
 }
 
 /// A violating reordering, minimized: per-device choice ids after greedy
@@ -582,57 +829,105 @@ pub struct ViolationCase {
     pub detail: String,
 }
 
-/// Per-point enumeration context: the choice spaces plus both checkers
-/// with their record/history-only tables hoisted out of the image loop.
-struct PointCtx<'a> {
+/// Both rules' verdict on one image: the filesystem violations, then the
+/// epoch violations of every device in device order.
+type Verdict = (Vec<FsViolation>, Vec<EpochViolation>);
+
+/// Judges the images of one capture point, in two tiers. The point's
+/// check indexes know every record's and block's verdict under the base,
+/// so an image is first put to the probes — which look only at what its
+/// overlay touches, and can certify it clean — and, whenever a probe
+/// cannot, to the full [`ConsistencyCheck`] / [`EpochAudit`], whose
+/// tables are built on first use. Every reported violation therefore
+/// comes from the full checkers.
+struct Judge<'a> {
     p: &'a CrashPoint,
     spaces: &'a [ChoiceSpace],
-    checker: ConsistencyCheck<'a>,
-    audits: Vec<Option<EpochAudit<'a>>>,
+    fs_probe: Option<ConsistencyProbe<'a>>,
+    epoch_probes: Vec<Option<EpochProbe<'a>>>,
+    checker: OnceCell<ConsistencyCheck<'a>>,
+    audits: Vec<OnceCell<EpochAudit<'a>>>,
 }
 
-impl<'a> PointCtx<'a> {
-    fn new(p: &'a CrashPoint, spaces: &'a [ChoiceSpace]) -> PointCtx<'a> {
-        PointCtx {
+impl<'a> Judge<'a> {
+    /// `overlays` are the point's overlays in any resolution: the probes
+    /// depend on the blocks they cover, not on the tags. With `indexed`
+    /// off there are no probes and every image takes the full checkers.
+    fn new(
+        p: &'a CrashPoint,
+        spaces: &'a [ChoiceSpace],
+        overlays: &[Overlay<'a>],
+        indexed: bool,
+    ) -> Judge<'a> {
+        let touched = overlays.iter().enumerate().flat_map(|(di, o)| {
+            let lbas = o.entries.iter().map(move |e| p.topology.global(di, e.0));
+            lbas.zip(o.floors())
+        });
+        Judge {
             p,
             spaces,
-            checker: ConsistencyCheck::new(&p.records),
-            audits: p
-                .devices
+            fs_probe: indexed
+                .then(|| p.check.probe(&p.records, touched))
+                .flatten(),
+            epoch_probes: overlays
                 .iter()
-                .map(|d| d.history.as_deref().map(|h| EpochAudit::new(h)))
+                .map(|o| {
+                    let covered = |lba| o.entries.binary_search_by_key(&lba, |e| e.0).is_ok();
+                    let index = o.dev.audit.as_deref().filter(|_| indexed)?;
+                    index.probe(covered)
+                })
                 .collect(),
+            checker: OnceCell::new(),
+            audits: p.devices.iter().map(|_| OnceCell::new()).collect(),
         }
     }
 
-    fn views(&self, choices: &[u64]) -> Vec<OverlayView<'a>> {
+    /// Fresh overlays resolved to one choice combination.
+    fn views(&self, choices: &[u64]) -> Vec<Overlay<'a>> {
         self.p
             .devices
             .iter()
             .zip(self.spaces)
             .zip(choices)
-            .map(|((d, s), &c)| d.view_for(s, c))
+            .map(|((d, s), &c)| {
+                let mut o = Overlay::new(d);
+                o.resolve(s, c);
+                o
+            })
             .collect()
     }
 
-    fn global<'v>(&self, views: &'v [OverlayView<'a>]) -> StackImage<'v> {
-        if self.p.topology.nr_devices == 1 {
-            StackImage::Single(&views[0])
-        } else {
-            StackImage::Striped {
-                topology: self.p.topology,
-                locals: views,
-            }
-        }
+    /// Both verdicts on the image `views` resolve to.
+    fn verdict(&self, views: &[Overlay<'a>]) -> Verdict {
+        let global = Striped {
+            topology: self.p.topology,
+            locals: views,
+        };
+        self.verdict_on(&global, views)
     }
 
-    /// Violation counts of one choice combination.
-    fn counts(&self, views: &[OverlayView<'a>]) -> (usize, usize) {
-        let fsv = self.checker.violations(&self.global(views)).len();
-        let mut epv = 0usize;
-        for (audit, v) in self.audits.iter().zip(views) {
-            if let Some(a) = audit {
-                epv += a.violations(v).len();
+    /// [`Judge::verdict`] with the cross-device image passed in, so a test
+    /// can interpose on its reads.
+    fn verdict_on<V: ImageView>(&self, global: &V, views: &[Overlay<'a>]) -> Verdict {
+        let fsv = match &self.fs_probe {
+            Some(probe) if probe.certifies(global) => Vec::new(),
+            _ => self
+                .checker
+                .get_or_init(|| ConsistencyCheck::new(&self.p.records))
+                .violations(global),
+        };
+        let mut epv = Vec::new();
+        for (di, v) in views.iter().enumerate() {
+            let Some(history) = v.dev.history.as_deref() else {
+                continue;
+            };
+            match &self.epoch_probes[di] {
+                Some(probe) if probe.certifies(v.entries.iter().copied()) => {}
+                _ => epv.extend(
+                    self.audits[di]
+                        .get_or_init(|| EpochAudit::new(history))
+                        .violations(v),
+                ),
             }
         }
         (fsv, epv)
@@ -641,27 +936,13 @@ impl<'a> PointCtx<'a> {
     /// Runs both checkers over one choice combination: returns
     /// `(fs violations, epoch violations, first violation rendered)`.
     fn check_choice(&self, choices: &[u64]) -> (usize, usize, String) {
-        let views = self.views(choices);
-        let fsv = self.checker.violations(&self.global(&views));
-        let mut epv = 0usize;
-        let mut detail = String::new();
-        for (audit, v) in self.audits.iter().zip(&views) {
-            if let Some(a) = audit {
-                let viols = a.violations(v);
-                if detail.is_empty() {
-                    if let Some(first) = viols.first() {
-                        detail = format!("{first:?}");
-                    }
-                }
-                epv += viols.len();
-            }
-        }
-        if detail.is_empty() {
-            if let Some(first) = fsv.first() {
-                detail = format!("{first:?}");
-            }
-        }
-        (fsv.len(), epv, detail)
+        let (fsv, epv) = self.verdict(&self.views(choices));
+        let detail = match (epv.first(), fsv.first()) {
+            (Some(first), _) => format!("{first:?}"),
+            (None, Some(first)) => format!("{first:?}"),
+            (None, None) => String::new(),
+        };
+        (fsv.len(), epv.len(), detail)
     }
 
     /// Greedily shrinks a violating choice combination: clears
@@ -720,50 +1001,37 @@ impl<'a> PointCtx<'a> {
         }
         choices
     }
+}
 
-    /// Dedups, checks and records one choice combination.
-    fn visit(
-        &self,
-        choices: &[u64],
-        seen: &mut HashSet<Vec<(u64, u64)>>,
-        out: &mut PointOutcome,
-        sampled: bool,
-    ) {
-        let views = self.views(choices);
-        // The overlays cover the same block set for every choice of this
-        // point and the base is shared, so the resolved overlays are a
-        // complete image-equality key.
-        let mut key: Vec<(u64, u64)> = Vec::new();
-        for (di, v) in views.iter().enumerate() {
-            for (&lba, &tag) in &v.over {
-                key.push((self.p.topology.global(di, lba).0, tag.0));
+/// The distinct images seen at one point: every image's overlay tags
+/// (the equality key, see [`Overlay`]) back to back in one buffer, and
+/// the images' numbers ordered by key.
+#[derive(Default)]
+struct SeenImages {
+    keys: Vec<BlockTag>,
+    order: Vec<u32>,
+}
+
+impl SeenImages {
+    /// Records the image `views` resolve to; false when it was seen before.
+    fn insert(&mut self, views: &[Overlay<'_>]) -> bool {
+        let at = self.keys.len();
+        self.keys
+            .extend(views.iter().flat_map(|v| &v.entries).map(|e| e.1));
+        let (seen, key) = self.keys.split_at(at);
+        let stride = key.len();
+        let slot = self
+            .order
+            .binary_search_by(|&i| seen[i as usize * stride..][..stride].cmp(key));
+        match slot {
+            Ok(_) => {
+                self.keys.truncate(at);
+                false
             }
-        }
-        if !seen.insert(key) {
-            if sampled {
-                out.sampled_duplicates += 1;
-            } else {
-                out.duplicates += 1;
+            Err(slot) => {
+                self.order.insert(slot, self.order.len() as u32);
+                true
             }
-            return;
-        }
-        if sampled {
-            out.sampled_images += 1;
-        } else {
-            out.images += 1;
-        }
-        let (fsv, epv) = self.counts(&views);
-        out.fs_violations += fsv as u64;
-        out.epoch_violations += epv as u64;
-        if (fsv > 0 || epv > 0) && out.worst.is_none() {
-            let min = self.minimize(choices.to_vec());
-            let (f, e, detail) = self.check_choice(&min);
-            out.worst = Some(ViolationCase {
-                choices: min,
-                fs_violations: f,
-                epoch_violations: e,
-                detail,
-            });
         }
     }
 }
@@ -799,6 +1067,74 @@ pub struct PointOutcome {
 /// `sample_seed` seeds the sampling draws only; the exhaustive window is
 /// deterministic and unaffected.
 pub fn enumerate_point(p: &CrashPoint, sample_seed: u64) -> PointOutcome {
+    enumerate(p, sample_seed, true, |_| {})
+}
+
+/// [`enumerate_point`] with every image put to the full checkers and none
+/// to the check indexes: the oracle the differential test holds the
+/// indexed path to.
+pub fn enumerate_point_unindexed(p: &CrashPoint, sample_seed: u64) -> PointOutcome {
+    enumerate(p, sample_seed, false, |_| {})
+}
+
+/// One distinct image of a capture point with the verdict
+/// [`enumerate_point`] reached on it — what the checker differential test
+/// judges again with checkers of its own.
+pub struct ImageCase<'a> {
+    /// Per-device reordering choice.
+    pub choices: &'a [u64],
+    /// Filesystem violations, as enumerated.
+    pub fs_violations: &'a [FsViolation],
+    /// Epoch violations of all devices in device order, as enumerated.
+    pub epoch_violations: &'a [EpochViolation],
+    topology: Topology,
+    views: &'a [Overlay<'a>],
+}
+
+impl ImageCase<'_> {
+    /// The cross-device image (what [`ConsistencyCheck`] reads).
+    pub fn image(&self) -> impl ImageView + '_ {
+        Striped {
+            topology: self.topology,
+            locals: self.views,
+        }
+    }
+
+    /// One device's own image (what its [`EpochAudit`] reads).
+    pub fn device_image(&self, device: usize) -> impl ImageView + '_ {
+        &self.views[device]
+    }
+
+    /// [`ImageCase::image`] as a standalone map, sharing nothing with the
+    /// point.
+    pub fn materialized(&self) -> PersistedImage {
+        let mut map = BTreeMap::new();
+        for (di, v) in self.views.iter().enumerate() {
+            for (lba, tag) in v.materialize().iter() {
+                map.insert(self.topology.global(di, lba), tag);
+            }
+        }
+        PersistedImage::from_map(map)
+    }
+}
+
+/// [`enumerate_point`], handing every distinct image it checks to
+/// `on_image` together with the verdict it reached.
+pub fn enumerate_point_with(
+    p: &CrashPoint,
+    sample_seed: u64,
+    on_image: impl FnMut(&ImageCase<'_>),
+) -> PointOutcome {
+    enumerate(p, sample_seed, true, on_image)
+}
+
+/// The enumeration behind [`enumerate_point`].
+fn enumerate(
+    p: &CrashPoint,
+    sample_seed: u64,
+    indexed: bool,
+    mut on_image: impl FnMut(&ImageCase<'_>),
+) -> PointOutcome {
     let mut spaces = Vec::with_capacity(p.devices.len());
     let mut clamped = false;
     for d in &p.devices {
@@ -810,7 +1146,9 @@ pub fn enumerate_point(p: &CrashPoint, sample_seed: u64) -> PointOutcome {
     let product: u128 = counts.iter().map(|&c| c as u128).product();
     clamped |= product > MAX_IMAGES_PER_POINT as u128;
 
-    let ctx = PointCtx::new(p, &spaces);
+    let mut views: Vec<Overlay<'_>> = p.devices.iter().map(Overlay::new).collect();
+    let judge = Judge::new(p, &spaces, &views, indexed);
+    let mut seen = SeenImages::default();
     let mut out = PointOutcome {
         commit_idx: p.commit_idx,
         images: 0,
@@ -822,14 +1160,49 @@ pub fn enumerate_point(p: &CrashPoint, sample_seed: u64) -> PointOutcome {
         epoch_violations: 0,
         worst: None,
     };
-    let mut seen: HashSet<Vec<(u64, u64)>> = HashSet::new();
+    // Dedups, checks and records one choice combination.
+    let mut visit = |choices: &[u64], sampled: bool, out: &mut PointOutcome| {
+        for ((v, s), &c) in views.iter_mut().zip(&spaces).zip(choices) {
+            v.resolve(s, c);
+        }
+        let fresh = seen.insert(&views);
+        *match (fresh, sampled) {
+            (true, false) => &mut out.images,
+            (true, true) => &mut out.sampled_images,
+            (false, false) => &mut out.duplicates,
+            (false, true) => &mut out.sampled_duplicates,
+        } += 1;
+        if !fresh {
+            return;
+        }
+        let (fsv, epv) = judge.verdict(&views);
+        out.fs_violations += fsv.len() as u64;
+        out.epoch_violations += epv.len() as u64;
+        if (!fsv.is_empty() || !epv.is_empty()) && out.worst.is_none() {
+            let min = judge.minimize(choices.to_vec());
+            let (f, e, detail) = judge.check_choice(&min);
+            out.worst = Some(ViolationCase {
+                choices: min,
+                fs_violations: f,
+                epoch_violations: e,
+                detail,
+            });
+        }
+        on_image(&ImageCase {
+            choices,
+            fs_violations: &fsv,
+            epoch_violations: &epv,
+            topology: p.topology,
+            views: &views,
+        });
+    };
 
     // Exhaustive window: odometer over the per-device choice counts.
     let mut choices = vec![0u64; spaces.len()];
     let mut visited = 0u64;
     'exhaustive: loop {
         visited += 1;
-        ctx.visit(&choices, &mut seen, &mut out, false);
+        visit(&choices, false, &mut out);
         if visited >= MAX_IMAGES_PER_POINT {
             break;
         }
@@ -863,7 +1236,7 @@ pub fn enumerate_point(p: &CrashPoint, sample_seed: u64) -> PointOutcome {
                     .iter()
                     .map(|s| s.sample_choice(k, &mut rng))
                     .collect();
-                ctx.visit(&draws, &mut seen, &mut out, true);
+                visit(&draws, true, &mut out);
             }
         }
     }
@@ -881,9 +1254,9 @@ pub struct CellOutcome {
     pub points: Vec<PointOutcome>,
 }
 
-/// Builds one differential trace cell: a single thread of `TRACE_OPS`
+/// Builds one differential trace cell: a single thread of `ops`
 /// write+sync pairs over a 64-block region, 1 µs journal tick.
-fn trace_stack(mut cfg: StackConfig, sync: SyncMode, seed: u64) -> IoStack {
+fn trace_stack(mut cfg: StackConfig, sync: SyncMode, seed: u64, ops: u64) -> IoStack {
     cfg.seed = seed;
     cfg.fs.timer_tick = SimDuration::from_micros(1);
     let mut stack = IoStack::new(cfg);
@@ -892,7 +1265,7 @@ fn trace_stack(mut cfg: StackConfig, sync: SyncMode, seed: u64) -> IoStack {
         FileRef::Global(f),
         64,
         WriteMode::SyncEach(sync),
-        TRACE_OPS,
+        ops,
     )));
     stack
 }
@@ -904,10 +1277,11 @@ fn drive<F: FnMut(CrashPoint)>(
     cfg: StackConfig,
     sync: SyncMode,
     seed: u64,
+    ops: u64,
     mode: CaptureMode,
     mut on_point: F,
 ) {
-    let mut stack = trace_stack(cfg, sync, seed);
+    let mut stack = trace_stack(cfg, sync, seed, ops);
     if mode == CaptureMode::Delta {
         stack.enable_capture_tracking();
     }
@@ -951,8 +1325,21 @@ pub fn capture_points(
     seed: u64,
     mode: CaptureMode,
 ) -> Vec<CrashPoint> {
+    capture_points_of(cfg, sync, seed, mode, TRACE_OPS)
+}
+
+/// [`capture_points`] of a trace of `ops` write+sync pairs — traces long
+/// enough to wrap a small journal, or to meet a known tear, for the
+/// checker differential test.
+pub fn capture_points_of(
+    cfg: StackConfig,
+    sync: SyncMode,
+    seed: u64,
+    mode: CaptureMode,
+    ops: u64,
+) -> Vec<CrashPoint> {
     let mut points = Vec::new();
-    drive(cfg, sync, seed, mode, |p| points.push(p));
+    drive(cfg, sync, seed, ops, mode, |p| points.push(p));
     points
 }
 
@@ -965,7 +1352,7 @@ pub fn enumerate_trace_with(
     mode: CaptureMode,
 ) -> CellOutcome {
     let mut points = Vec::new();
-    drive(cfg, sync, seed, mode, |p| {
+    drive(cfg, sync, seed, TRACE_OPS, mode, |p| {
         points.push(enumerate_point(&p, sample_seed(seed, p.commit_idx)));
     });
     CellOutcome { points }
@@ -981,16 +1368,9 @@ fn sample_seed(trace_seed: u64, commit_idx: usize) -> u64 {
 
 /// Legacy single-sample crash cell (the ablation table's unit of work):
 /// run for `dur`, inject one wall-clock crash, count violations.
-pub fn sampled_crash_violations(mut cfg: StackConfig, sync: SyncMode, dur: SimDuration) -> u64 {
-    cfg.fs.timer_tick = SimDuration::from_micros(1);
-    let mut stack = IoStack::new(cfg);
-    let f = stack.create_global_file();
-    stack.add_thread(Box::new(RandWrite::new(
-        FileRef::Global(f),
-        64,
-        WriteMode::SyncEach(sync),
-        100,
-    )));
+pub fn sampled_crash_violations(cfg: StackConfig, sync: SyncMode, dur: SimDuration) -> u64 {
+    let seed = cfg.seed;
+    let mut stack = trace_stack(cfg, sync, seed, TRACE_OPS);
     stack.run_for(dur);
     let crash = stack.crash();
     (crash.fs_violations.len() + crash.epoch_violations.len()) as u64
@@ -1319,7 +1699,28 @@ mod tests {
             mode,
             committed: Arc::new(BTreeSet::new()),
             history: None,
+            audit: None,
         }
+    }
+
+    /// A one-device point over hand-made state, indexed from nothing.
+    fn point(commit_idx: usize, records: Vec<TxnRecord>, dev: DeviceState) -> CrashPoint {
+        let mut p = CrashPoint {
+            commit_idx,
+            records: Arc::new(records),
+            check: Arc::default(),
+            devices: vec![dev],
+            topology: Topology::single(),
+        };
+        p.reindex();
+        p
+    }
+
+    /// The overlay of one choice.
+    fn view<'a>(d: &'a DeviceState, space: &ChoiceSpace, choice: u64) -> Overlay<'a> {
+        let mut o = Overlay::new(d);
+        o.resolve(space, choice);
+        o
     }
 
     /// log with entries: done, in-flight, done, in-flight.
@@ -1341,17 +1742,17 @@ mod tests {
         assert!(!clamped);
         assert_eq!(space.exhaustive_choices(), 3); // holes at idx 1 and 3, plus "none"
                                                    // Choice 0 == the deterministic crash image (prefix to first hole).
-        let img0 = d.view_for(&space, 0);
+        let img0 = view(&d, &space, 0);
         assert_eq!(img0.tag(Lba(1)), BlockTag(10));
         assert_eq!(img0.tag(Lba(2)), BlockTag::UNWRITTEN);
         assert_eq!(img0.tag(Lba(3)), BlockTag::UNWRITTEN);
         // Choice 1: first in-flight made it, hole at idx 3.
-        let img1 = d.view_for(&space, 1);
+        let img1 = view(&d, &space, 1);
         assert_eq!(img1.tag(Lba(2)), BlockTag(20));
         assert_eq!(img1.tag(Lba(3)), BlockTag(30));
         assert_eq!(img1.tag(Lba(4)), BlockTag::UNWRITTEN);
         // Choice 2: everything made it.
-        let img2 = d.view_for(&space, 2);
+        let img2 = view(&d, &space, 2);
         assert_eq!(img2.tag(Lba(4)), BlockTag(40));
     }
 
@@ -1362,11 +1763,11 @@ mod tests {
         assert!(!clamped);
         assert_eq!(space.exhaustive_choices(), 4); // two free bits
                                                    // Choice 0 == done-only image.
-        let img0 = d.view_for(&space, 0);
+        let img0 = view(&d, &space, 0);
         assert_eq!(img0.materialize().len(), 2);
         // Bit 1 (second in-flight, idx 3) alone: out-of-order survival the
         // LFS mode cannot produce.
-        let img = d.view_for(&space, 0b10);
+        let img = view(&d, &space, 0b10);
         assert_eq!(img.tag(Lba(2)), BlockTag::UNWRITTEN);
         assert_eq!(img.tag(Lba(4)), BlockTag(40));
     }
@@ -1398,11 +1799,11 @@ mod tests {
         let d = dev_state(BarrierMode::Transactional, false, log);
         let (space, _) = d.choice_space();
         assert_eq!(space.exhaustive_choices(), 2); // one open group
-        let lost = d.view_for(&space, 0);
+        let lost = view(&d, &space, 0);
         assert_eq!(lost.tag(Lba(1)), BlockTag::UNWRITTEN);
         assert_eq!(lost.tag(Lba(2)), BlockTag::UNWRITTEN);
         assert_eq!(lost.tag(Lba(3)), BlockTag(30));
-        let survived = d.view_for(&space, 1);
+        let survived = view(&d, &space, 1);
         assert_eq!(survived.tag(Lba(1)), BlockTag(10));
         assert_eq!(survived.tag(Lba(2)), BlockTag(20));
     }
@@ -1413,7 +1814,7 @@ mod tests {
         d.cache.push((Lba(9), BlockTag(90)));
         let (space, _) = d.choice_space();
         assert_eq!(space.exhaustive_choices(), 1);
-        let img = d.view_for(&space, 0);
+        let img = view(&d, &space, 0);
         assert_eq!(img.tag(Lba(2)), BlockTag(20)); // even in-flight survives
         assert_eq!(img.tag(Lba(9)), BlockTag(90)); // cache overlaid
     }
@@ -1427,12 +1828,11 @@ mod tests {
         log.mark_done(a);
         log.begin(Lba(2), BlockTag(20), None);
         log.begin(Lba(2), BlockTag(21), None);
-        let p = CrashPoint {
-            commit_idx: 0,
-            records: Arc::new(Vec::new()),
-            devices: vec![dev_state(BarrierMode::Unsupported, false, log)],
-            topology: Topology::single(),
-        };
+        let p = point(
+            0,
+            Vec::new(),
+            dev_state(BarrierMode::Unsupported, false, log),
+        );
         let out = enumerate_point(&p, 0);
         // {}, {20}, {21}, {20,21}→21 : the last dedups onto {21}.
         assert_eq!(out.images, 3);
@@ -1460,12 +1860,11 @@ mod tests {
             ordered_data: Vec::new(),
             durability_claimed: true,
         };
-        let p = CrashPoint {
-            commit_idx: 1,
-            records: Arc::new(vec![rec]),
-            devices: vec![dev_state(BarrierMode::Unsupported, false, log)],
-            topology: Topology::single(),
-        };
+        let p = point(
+            1,
+            vec![rec],
+            dev_state(BarrierMode::Unsupported, false, log),
+        );
         let out = enumerate_point(&p, 0);
         assert!(out.fs_violations > 0);
         let worst = out.worst.expect("violating case recorded");
@@ -1482,12 +1881,11 @@ mod tests {
         for i in 0..12 {
             log.begin(Lba(i), BlockTag(100 + i), None);
         }
-        let p = CrashPoint {
-            commit_idx: 0,
-            records: Arc::new(Vec::new()),
-            devices: vec![dev_state(BarrierMode::Unsupported, false, log)],
-            topology: Topology::single(),
-        };
+        let p = point(
+            0,
+            Vec::new(),
+            dev_state(BarrierMode::Unsupported, false, log),
+        );
         let out = enumerate_point(&p, 42);
         assert!(out.clamped);
         assert_eq!(out.images, MAX_IMAGES_PER_POINT);
@@ -1499,6 +1897,118 @@ mod tests {
         let other = enumerate_point(&p, 43);
         assert_eq!(other.images, out.images);
         assert_eq!(other.duplicates, out.duplicates);
+    }
+
+    /// An image that counts how often it is read.
+    struct CountingImage<'a, V> {
+        image: &'a V,
+        reads: std::cell::Cell<u64>,
+    }
+
+    impl<V: ImageView> ImageView for CountingImage<'_, V> {
+        fn tag(&self, lba: Lba) -> BlockTag {
+            self.reads.set(self.reads.get() + 1);
+            self.image.tag(lba)
+        }
+    }
+
+    /// Over the last ten capture points of an `ops`-long trace: the most
+    /// image reads any one image took to judge. Asserts on the way that no
+    /// image took more than three reads per tail record and overlay block
+    /// of its point, and that the probes certified every one of them.
+    fn most_reads_per_image(label: &str, cfg: StackConfig, sync: SyncMode, ops: u64) -> u64 {
+        let mut points = std::collections::VecDeque::new();
+        drive(cfg, sync, 11, ops, CaptureMode::Delta, |p| {
+            points.push_back(p);
+            if points.len() > 10 {
+                points.pop_front();
+            }
+        });
+        let mut most = 0;
+        for p in &points {
+            let spaces: Vec<ChoiceSpace> = p.devices.iter().map(|d| d.choice_space().0).collect();
+            let mut views: Vec<Overlay<'_>> = p.devices.iter().map(Overlay::new).collect();
+            let judge = Judge::new(p, &spaces, &views, true);
+            let size = (p.devices[0].tail.len() + views[0].entries.len()) as u64;
+            for choice in 0..spaces[0].exhaustive_choices() {
+                views[0].resolve(&spaces[0], choice);
+                let counting = CountingImage {
+                    image: &Striped {
+                        topology: p.topology,
+                        locals: &views,
+                    },
+                    reads: std::cell::Cell::new(0),
+                };
+                let (fsv, epv) = judge.verdict_on(&counting, &views);
+                assert!(fsv.is_empty() && epv.is_empty());
+                let reads = counting.reads.get();
+                assert!(
+                    reads <= 3 * size,
+                    "{label}, {ops} ops, commit {}: {reads} reads at a point of size {size}",
+                    p.commit_idx
+                );
+                most = most.max(reads);
+            }
+            // The full checkers' tables were never built.
+            assert!(judge.checker.get().is_none());
+            assert!(judge.audits.iter().all(|a| a.get().is_none()));
+        }
+        most
+    }
+
+    #[test]
+    fn image_reads_follow_the_writes_in_flight_not_the_trace() {
+        let (_, group) = diff_stacks().remove(0);
+        let mut busiest = 0;
+        for (label, mk_cfg, sync) in group {
+            let short = most_reads_per_image(label, mk_cfg(), sync, 100);
+            let long = most_reads_per_image(label, mk_cfg(), sync, 1_000);
+            busiest = busiest.max(long);
+            assert!(
+                long <= 2 * short,
+                "{label}: {long} reads per image after 1,000 ops, {short} after 100"
+            );
+        }
+        // (BFS-DR captures with nothing in flight; the other two do not.)
+        assert!(busiest > 0, "no stack had a write in flight at a capture");
+    }
+
+    #[test]
+    fn index_advance_work_is_bounded_by_the_delta() {
+        // What a capture may look at: the records, durability flips, folds
+        // and transfers since the previous one, read off the live stack.
+        fn progress(stack: &IoStack) -> usize {
+            let records = stack.fs().records();
+            let claimed = records.iter().filter(|r| r.durability_claimed).count();
+            let devices = stack.devices().iter().map(|d| {
+                let log = d.append_log();
+                log.appends() as usize - log.tail_len() + d.history().map_or(0, <[_]>::len)
+            });
+            records.len() + claimed + devices.sum::<usize>()
+        }
+        for (_, group) in diff_stacks() {
+            for (label, mk_cfg, sync) in group {
+                let mut stack = trace_stack(mk_cfg(), sync, 11, 400);
+                stack.enable_capture_tracking();
+                let mut cursor = CaptureCursor::new();
+                let (mut commits, mut before) = (0, progress(&stack));
+                while stack.step() && !stack.workloads_finished() {
+                    if stack.fs().records().len() > commits {
+                        commits = stack.fs().records().len();
+                        let after = progress(&stack);
+                        cursor.capture(&mut stack);
+                        assert!(
+                            cursor.last_index_work <= 2 * (after - before),
+                            "{label} commit {commits}: {} verdicts recomputed for a delta of {}",
+                            cursor.last_index_work,
+                            after - before
+                        );
+                        before = after;
+                    }
+                }
+                assert!(commits >= 300, "{label}: {commits} commits");
+            }
+        }
     }
 
     #[test]
@@ -1566,7 +2076,7 @@ mod tests {
         // Per-lane epoch capture hook: the barrier-issuing stack (BFS-DR)
         // must have released epochs on all four lanes.
         let (_, mk_cfg, sync) = group[1];
-        let mut stack = trace_stack(mk_cfg(), sync, 0);
+        let mut stack = trace_stack(mk_cfg(), sync, 0, TRACE_OPS);
         stack.run_until_done(SimDuration::from_secs(10));
         let lanes = stack.report().lanes;
         assert_eq!(lanes.len(), 4);

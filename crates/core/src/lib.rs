@@ -57,6 +57,7 @@ pub use stack::{CrashReport, IoStack, StackCaptureDelta, StackReport};
 pub use bio_block::{BlockConfig, DispatchMode, LaneStats, SchedulerKind, Topology};
 pub use bio_flash::{BarrierMode, DeviceCaptureDelta, DeviceProfile};
 pub use bio_fs::{
-    check_crash_consistency, ConsistencyCheck, FsConfig, FsMode, FsViolation, ThreadId, TxnRecord,
+    check_crash_consistency, ConsistencyCheck, ConsistencyIndex, ConsistencyProbe, FsConfig,
+    FsMode, FsViolation, ThreadId, TxnRecord,
 };
 pub use bio_sim::{SimDuration, SimTime};

@@ -8,7 +8,8 @@
 //! crash image is a replay of the records that survive under the device's
 //! barrier-enforcement mode.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::ops::Bound;
 
 use crate::types::{BlockTag, Lba};
 
@@ -212,6 +213,19 @@ impl ImageView for PersistedImage {
     }
 }
 
+impl<V: ImageView + ?Sized> ImageView for &V {
+    fn tag(&self, lba: Lba) -> BlockTag {
+        (**self).tag(lba)
+    }
+}
+
+/// A bare block map (an [`AppendLog::base`] snapshot) read as an image.
+impl ImageView for BTreeMap<Lba, BlockTag> {
+    fn tag(&self, lba: Lba) -> BlockTag {
+        self.get(&lba).copied().unwrap_or(BlockTag::UNWRITTEN)
+    }
+}
+
 /// One host-visible transfer, in transfer order, with its barrier epoch.
 /// The device records these (when history recording is enabled) so audits
 /// can compare what *should* be orderable with what actually persisted.
@@ -292,6 +306,178 @@ impl<'a> EpochAudit<'a> {
             }
         }
         violations
+    }
+}
+
+/// What one block contributes to the [`EpochAudit`] rule when it holds a
+/// given content version: the two numbers the rule compares.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct LbaVerdict {
+    /// Epoch of the transfer whose tag the block holds (it makes that
+    /// epoch *visible*); `None` when no transfer of this block wrote it.
+    vis: Option<u64>,
+    /// Epoch of the first transfer of this block newer than what it holds
+    /// (that transfer is *lost*); `None` when the block is up to date.
+    need: Option<u64>,
+}
+
+/// `min` over epochs where `None` means "no such epoch".
+fn min_epoch(a: Option<u64>, b: Option<u64>) -> Option<u64> {
+    match (a, b) {
+        (Some(x), Some(y)) => Some(x.min(y)),
+        (x, None) | (None, x) => x,
+    }
+}
+
+/// Re-keys `lba` in one of [`EpochIndex`]'s ordered sets.
+fn move_entry(set: &mut BTreeSet<(u64, Lba)>, lba: Lba, old: Option<u64>, new: Option<u64>) {
+    if old == new {
+        return;
+    }
+    if let Some(e) = old {
+        set.remove(&(e, lba));
+    }
+    if let Some(e) = new {
+        set.insert((e, lba));
+    }
+}
+
+/// [`EpochAudit`] kept incrementally over a base image that changes by
+/// folds, for the crash enumerator: every image of a capture point is the
+/// base plus a small overlay, so a block the overlay does not touch
+/// contributes the same verdict (`LbaVerdict`) to every image of the point.
+///
+/// The audit's rule reduces to two extremes: an image violates iff the
+/// smallest `need` over all blocks is below the largest `vis`. The index
+/// holds every block's verdict under the base in two ordered sets, so the
+/// extremes *excluding* an overlay's blocks cost O(overlay), and the
+/// overlay's own blocks are judged from the tag each image gives them.
+///
+/// What can move a cached verdict: a fold of that block, or a new
+/// transfer of it — nothing else. [`EpochIndex::advance`] takes exactly
+/// those. It relies on two regularities of a real transfer history (per
+/// block, sequences and epochs never decrease; a content tag is
+/// transferred once); a history that breaks one marks the index
+/// irregular and it certifies nothing — callers then run [`EpochAudit`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct EpochIndex {
+    /// The index covers `history[..ingested]`.
+    ingested: usize,
+    /// Content tag → the transfer that carried it.
+    by_tag: BTreeMap<BlockTag, TransferRec>,
+    /// `(block, transfer seq)` → epoch, i.e. each block's transfers in
+    /// order.
+    by_lba: BTreeMap<(Lba, u64), u64>,
+    /// Verdict of every block under the base (absent = nothing visible,
+    /// nothing lost).
+    verdicts: BTreeMap<Lba, LbaVerdict>,
+    /// `(vis, block)` over `verdicts`.
+    vis: BTreeSet<(u64, Lba)>,
+    /// `(need, block)` over `verdicts`.
+    need: BTreeSet<(u64, Lba)>,
+    irregular: bool,
+}
+
+impl EpochIndex {
+    /// An index over an empty history.
+    pub fn new() -> EpochIndex {
+        EpochIndex::default()
+    }
+
+    /// Brings the index up to `history` (whose prefix it already covers)
+    /// and to `base`, given the blocks folded since the previous call.
+    /// Returns the number of block verdicts recomputed — the work done,
+    /// bounded by the new transfers plus the folds.
+    pub fn advance<B: ImageView>(
+        &mut self,
+        history: &[TransferRec],
+        folded: impl IntoIterator<Item = Lba>,
+        base: &B,
+    ) -> usize {
+        let mut dirty: Vec<Lba> = folded.into_iter().collect();
+        for t in &history[self.ingested..] {
+            let last = self
+                .by_lba
+                .range((t.lba, 0)..=(t.lba, u64::MAX))
+                .next_back();
+            self.irregular |= t.tag == BlockTag::UNWRITTEN
+                || last.is_some_and(|(&(_, seq), &epoch)| t.seq < seq || t.epoch < epoch)
+                || self.by_tag.insert(t.tag, *t).is_some();
+            // A same-epoch overwrite coalesces onto its predecessor's
+            // sequence; both transfers then share one entry.
+            self.by_lba.entry((t.lba, t.seq)).or_insert(t.epoch);
+            dirty.push(t.lba);
+        }
+        self.ingested = history.len();
+        dirty.sort_unstable();
+        dirty.dedup();
+        for &lba in &dirty {
+            let new = self.verdict(lba, base.tag(lba));
+            let old = if new == LbaVerdict::default() {
+                self.verdicts.remove(&lba)
+            } else {
+                self.verdicts.insert(lba, new)
+            }
+            .unwrap_or_default();
+            move_entry(&mut self.vis, lba, old.vis, new.vis);
+            move_entry(&mut self.need, lba, old.need, new.need);
+        }
+        dirty.len()
+    }
+
+    /// The verdict of `lba` when it holds `tag`.
+    fn verdict(&self, lba: Lba, tag: BlockTag) -> LbaVerdict {
+        let held = self.by_tag.get(&tag);
+        let seq = held.map_or(0, |t| t.seq);
+        LbaVerdict {
+            vis: held.filter(|t| t.lba == lba).map(|t| t.epoch),
+            need: self
+                .by_lba
+                .range((
+                    Bound::Excluded((lba, seq)),
+                    Bound::Included((lba, u64::MAX)),
+                ))
+                .next()
+                .map(|(_, &epoch)| epoch),
+        }
+    }
+
+    /// Prepares the per-point half of the check: the extremes over every
+    /// block *not* `in_overlay`. `None` when the history is irregular.
+    pub fn probe(&self, in_overlay: impl Fn(Lba) -> bool) -> Option<EpochProbe<'_>> {
+        if self.irregular {
+            return None;
+        }
+        let outside = |e: &&(u64, Lba)| !in_overlay(e.1);
+        Some(EpochProbe {
+            index: self,
+            vis: self.vis.iter().rev().find(outside).map(|e| e.0),
+            need: self.need.iter().find(outside).map(|e| e.0),
+        })
+    }
+}
+
+/// One capture point's view of an [`EpochIndex`]: the extremes outside
+/// the point's overlay, ready to be combined with each image's overlay.
+#[derive(Debug, Clone, Copy)]
+pub struct EpochProbe<'a> {
+    index: &'a EpochIndex,
+    vis: Option<u64>,
+    need: Option<u64>,
+}
+
+impl EpochProbe<'_> {
+    /// True when the image `base ⊕ overlay` provably has no
+    /// [`EpochViolation`]; `overlay` must resolve exactly the blocks the
+    /// probe was built for. False means "run [`EpochAudit`]".
+    pub fn certifies(&self, overlay: impl IntoIterator<Item = (Lba, BlockTag)>) -> bool {
+        let (mut vis, mut need) = (self.vis, self.need);
+        for (lba, tag) in overlay {
+            let v = self.index.verdict(lba, tag);
+            vis = vis.max(v.vis);
+            need = min_epoch(need, v.need);
+        }
+        !matches!((vis, need), (Some(v), Some(n)) if n < v)
     }
 }
 
@@ -451,6 +637,132 @@ mod tests {
         let v = audit_epoch_order(&history, &img);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].lost.tag, BlockTag(200));
+    }
+
+    /// The index of `history` under `base`, from nothing.
+    fn index_of(history: &[TransferRec], base: &BTreeMap<Lba, BlockTag>) -> EpochIndex {
+        let mut index = EpochIndex::new();
+        index.advance(history, [], base);
+        index
+    }
+
+    /// Whether the index certifies `base ⊕ overlay`.
+    fn certifies(index: &EpochIndex, overlay: &BTreeMap<Lba, BlockTag>) -> bool {
+        let probe = index
+            .probe(|lba| overlay.contains_key(&lba))
+            .expect("regular");
+        probe.certifies(overlay.iter().map(|(&l, &t)| (l, t)))
+    }
+
+    #[test]
+    fn index_reads_an_overlay_like_the_audit_reads_the_image() {
+        // Epoch 0 writes blocks 10 and 11, epoch 1 overwrites 10 and writes
+        // 12; the base holds epoch 0.
+        let history = vec![
+            rec(1, 10, 100, 0),
+            rec(2, 11, 101, 0),
+            rec(3, 10, 200, 1),
+            rec(4, 12, 201, 1),
+        ];
+        let base: BTreeMap<Lba, BlockTag> =
+            [(Lba(10), BlockTag(100)), (Lba(11), BlockTag(101))].into();
+        let index = index_of(&history, &base);
+        // Nothing of epoch 1 landed, or all of it, or part of it: ordered.
+        assert!(certifies(&index, &[].into()));
+        assert!(certifies(
+            &index,
+            &[(Lba(10), BlockTag(200)), (Lba(12), BlockTag(201))].into()
+        ));
+        assert!(certifies(&index, &[(Lba(12), BlockTag(201))].into()));
+        // Epoch 1 visible while a block of epoch 0 went missing: not
+        // certified, and the audit names the loss.
+        let overlay: BTreeMap<Lba, BlockTag> =
+            [(Lba(11), BlockTag::UNWRITTEN), (Lba(12), BlockTag(201))].into();
+        assert!(!certifies(&index, &overlay));
+        let mut image = base.clone();
+        image.extend(overlay);
+        assert_eq!(EpochAudit::new(&history).violations(&image).len(), 1);
+    }
+
+    #[test]
+    fn irregular_history_is_never_certified() {
+        let base = BTreeMap::new();
+        // One tag carried by two transfers.
+        let twice = [rec(1, 10, 100, 0), rec(2, 11, 100, 0)];
+        assert!(index_of(&twice, &base).probe(|_| false).is_none());
+        // A block's sequence going backwards.
+        let backwards = [rec(5, 10, 100, 0), rec(4, 10, 101, 0)];
+        assert!(index_of(&backwards, &base).probe(|_| false).is_none());
+        // A same-epoch overwrite coalesced onto its predecessor's sequence
+        // is regular.
+        let coalesced = [rec(5, 10, 100, 0), rec(6, 11, 101, 0), rec(5, 10, 102, 0)];
+        assert!(index_of(&coalesced, &base).probe(|_| false).is_some());
+    }
+
+    #[test]
+    fn index_matches_the_audit_on_random_histories() {
+        let mut rng = bio_sim::SimRng::new(0xE90C);
+        let (mut clean, mut dirty) = (0, 0);
+        for _ in 0..300 {
+            // A regular history over six blocks: sequences and epochs grow,
+            // every tag is new, some overwrites coalesce.
+            let mut history: Vec<TransferRec> = Vec::new();
+            let (mut epoch, mut last_seq) = (0, BTreeMap::new());
+            for i in 0..rng.range(4, 40) {
+                epoch += rng.below(3) / 2;
+                let lba = Lba(rng.below(6));
+                let seq = match last_seq.get(&lba) {
+                    Some(&(s, e)) if e == epoch && rng.chance(0.3) => s,
+                    _ => i + 1,
+                };
+                last_seq.insert(lba, (seq, epoch));
+                history.push(rec(seq, lba.0, 100 + i, epoch));
+            }
+            // Ingest it in steps; after each, fold a few ingested transfers
+            // in any order and hold the advanced index to a rebuilt one.
+            let mut base = BTreeMap::new();
+            let mut index = EpochIndex::new();
+            let mut upto = 0;
+            while upto < history.len() {
+                upto = (upto + 1 + rng.below(6) as usize).min(history.len());
+                let folded: Vec<Lba> = (0..rng.below(4))
+                    .map(|_| {
+                        let t = history[rng.below(upto as u64) as usize];
+                        base.insert(t.lba, t.tag);
+                        t.lba
+                    })
+                    .collect();
+                index.advance(&history[..upto], folded, &base);
+                assert_eq!(index, index_of(&history[..upto], &base));
+                // Any overlay: each block unwritten, or at any version ever
+                // transferred to it.
+                let overlay: BTreeMap<Lba, BlockTag> = (0..rng.below(4))
+                    .map(|_| {
+                        let lba = Lba(rng.below(6));
+                        let versions: Vec<BlockTag> = history[..upto]
+                            .iter()
+                            .filter(|t| t.lba == lba)
+                            .map(|t| t.tag)
+                            .chain([BlockTag::UNWRITTEN])
+                            .collect();
+                        (lba, *rng.choose(&versions).expect("non-empty"))
+                    })
+                    .collect();
+                let mut image = base.clone();
+                image.extend(overlay.iter().map(|(&l, &t)| (l, t)));
+                let audit = EpochAudit::new(&history[..upto]).violations(&image);
+                assert_eq!(certifies(&index, &overlay), audit.is_empty());
+                if audit.is_empty() {
+                    clean += 1;
+                } else {
+                    dirty += 1;
+                }
+            }
+        }
+        assert!(
+            clean > 100 && dirty > 100,
+            "{clean} clean, {dirty} violating"
+        );
     }
 
     #[test]

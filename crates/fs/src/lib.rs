@@ -48,5 +48,8 @@ pub use file::{DirtyTracker, File, FileId, FileTable};
 pub use fs::{Filesystem, FsAction, FsEvent, FsStats, SyscallOutcome};
 pub use journal::JournalError;
 pub use layout::Layout;
-pub use recovery::{check_crash_consistency, ConsistencyCheck, FsViolation, TxnRecord};
+pub use recovery::{
+    check_crash_consistency, ConsistencyCheck, ConsistencyIndex, ConsistencyProbe, FsViolation,
+    TxnRecord,
+};
 pub use txn::{ConflictEntry, ConflictList, ThreadId, Txn, TxnId, TxnState};

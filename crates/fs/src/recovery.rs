@@ -20,6 +20,9 @@
 //! numeric comparison, and overwritten (superseded) blocks are not false
 //! positives.
 
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
+
 use bio_flash::{BlockTag, ImageView, Lba, PersistedImage};
 
 /// Ground truth of one committed journal transaction.
@@ -74,6 +77,31 @@ pub enum FsViolation {
     },
 }
 
+/// The journal blocks of a record: descriptor and logs, then the commit
+/// block.
+fn journal_lbas(r: &TxnRecord) -> impl Iterator<Item = Lba> + '_ {
+    (0..r.jd_tags.len() as u64)
+        .map(|i| Lba(r.jd_lba.0 + i))
+        .chain([r.jc_lba])
+}
+
+fn jd_intact<V: ImageView>(r: &TxnRecord, image: &V) -> bool {
+    r.jd_tags
+        .iter()
+        .enumerate()
+        .all(|(i, &t)| image.tag(Lba(r.jd_lba.0 + i as u64)) == t)
+}
+
+fn jc_intact<V: ImageView>(r: &TxnRecord, image: &V) -> bool {
+    image.tag(r.jc_lba) == r.jc_tag
+}
+
+/// "Version at lba is at least `tag`": tags are globally monotonic, so a
+/// bigger tag at the same block is a newer version of it.
+fn present_or_superseded<V: ImageView>(image: &V, lba: Lba, tag: BlockTag) -> bool {
+    image.tag(lba).0 >= tag.0
+}
+
 /// The crash-consistency checker with its record-only tables hoisted out
 /// of the per-image loop: last-writer resolution and checkability depend
 /// only on the records, so the crash enumerator builds one checker per
@@ -121,16 +149,10 @@ impl<'a> ConsistencyCheck<'a> {
         let mut violations = Vec::new();
         let records = self.records;
         let checkable = |i: usize| self.checkable[i];
-        let jd_intact = |r: &TxnRecord| -> bool {
-            r.jd_tags
-                .iter()
-                .enumerate()
-                .all(|(i, &t)| image.tag(Lba(r.jd_lba.0 + i as u64)) == t)
-        };
-        let jc_intact = |r: &TxnRecord| -> bool { image.tag(r.jc_lba) == r.jc_tag };
-        // "Version at lba is at least `tag`": tags are globally monotonic,
-        // so a bigger tag at the same block is a newer version of it.
-        let present_or_superseded = |lba: Lba, tag: BlockTag| -> bool { image.tag(lba).0 >= tag.0 };
+        let jd_intact = |r: &TxnRecord| jd_intact(r, image);
+        let jc_intact = |r: &TxnRecord| jc_intact(r, image);
+        let present_or_superseded =
+            |lba: Lba, tag: BlockTag| present_or_superseded(image, lba, tag);
 
         // Pass 1: classify.
         let mut valid: Vec<bool> = Vec::with_capacity(records.len());
@@ -185,6 +207,237 @@ impl<'a> ConsistencyCheck<'a> {
         }
 
         violations
+    }
+}
+
+/// How one checkable record reads against an image, as far as the four
+/// invariants care.
+struct RecVerdict {
+    /// JD and JC intact: the transaction survived.
+    valid: bool,
+    /// Violates by itself, whatever the other records do: torn, survived
+    /// without its ordered data, or promised durable and lost.
+    bad: bool,
+}
+
+fn rec_verdict<V: ImageView>(r: &TxnRecord, image: &V) -> RecVerdict {
+    let (jd, jc) = (jd_intact(r, image), jc_intact(r, image));
+    let valid = jd && jc;
+    let od_lost = valid
+        && r.ordered_data
+            .iter()
+            .any(|&(lba, tag)| !present_or_superseded(image, lba, tag));
+    RecVerdict {
+        valid,
+        bad: (jc && !jd) || od_lost || (r.durability_claimed && !valid),
+    }
+}
+
+/// [`ConsistencyCheck`] kept incrementally over a base image that changes
+/// by folds, for the crash enumerator: every image of a capture point is
+/// the base plus a small overlay, so a record none of whose blocks the
+/// overlay touches reads the same against every image of the point.
+///
+/// The four invariants reduce to: no checkable record is `bad` (see
+/// `RecVerdict`), and every checkable record older than the newest
+/// valid one is valid. The index keeps each checkable record's verdict
+/// under the base in three ordered sets (by record position, which is
+/// commit order) plus a block → records map, so a point needs only the
+/// records its overlay's blocks name and the sets' extremes without them.
+///
+/// What can move a cached verdict: a fold of one of the record's blocks,
+/// a newer record reusing one of its journal blocks (it stops being
+/// checkable), or its durability flag flipping — nothing else.
+/// [`ConsistencyIndex::advance`] takes exactly those.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ConsistencyIndex {
+    /// Per record position: all of its journal blocks still name it as
+    /// last writer ([`ConsistencyCheck`]'s table, kept up to date).
+    checkable: Vec<bool>,
+    /// Journal block → position of its last writer.
+    journal_owner: BTreeMap<Lba, u32>,
+    /// `(block, tag, position)` for the ordered data of checkable records.
+    ordered: BTreeSet<(Lba, BlockTag, u32)>,
+    /// Checkable records valid under the base.
+    valid: BTreeSet<u32>,
+    /// Checkable records not valid under the base.
+    invalid: BTreeSet<u32>,
+    /// Checkable records that are `bad` under the base.
+    bad: BTreeSet<u32>,
+    /// Record ids were not strictly ascending: positions are not commit
+    /// order, and the index certifies nothing.
+    irregular: bool,
+}
+
+impl ConsistencyIndex {
+    /// An index over no records.
+    pub fn new() -> ConsistencyIndex {
+        ConsistencyIndex::default()
+    }
+
+    /// Brings the index up to `records` (whose prefix it already covers)
+    /// and to `base`, given what happened since the previous call:
+    /// `folds` as `(block, tag before, tag after)` and the ids of records
+    /// whose `durability_claimed` flipped. Returns the number of record
+    /// verdicts recomputed — the work done, bounded by the new records
+    /// plus the records the folds and flips name.
+    pub fn advance<B: ImageView>(
+        &mut self,
+        records: &[TxnRecord],
+        folds: impl IntoIterator<Item = (Lba, BlockTag, BlockTag)>,
+        durable: &[u64],
+        base: &B,
+    ) -> usize {
+        let mut dirty: Vec<u32> = Vec::new();
+        for (pos, r) in records.iter().enumerate().skip(self.checkable.len()) {
+            self.irregular |= pos > 0 && records[pos - 1].id >= r.id;
+            let pos = pos as u32;
+            self.checkable.push(true);
+            for lba in journal_lbas(r) {
+                match self.journal_owner.insert(lba, pos) {
+                    Some(prev) if prev != pos => self.retire(records, prev),
+                    _ => {}
+                }
+            }
+            for &(lba, tag) in &r.ordered_data {
+                self.ordered.insert((lba, tag, pos));
+            }
+            dirty.push(pos);
+        }
+        for id in durable {
+            if let Ok(pos) = records.binary_search_by_key(id, |r| r.id) {
+                dirty.push(pos as u32);
+            }
+        }
+        for (lba, before, after) in folds {
+            dirty.extend(self.journal_owner.get(&lba));
+            // Ordered data reads "at least this tag": only the entries
+            // between the two versions change sides.
+            let (lo, hi) = (before.min(after), before.max(after));
+            dirty.extend(
+                self.ordered
+                    .range((
+                        Bound::Excluded((lba, lo, u32::MAX)),
+                        Bound::Included((lba, hi, u32::MAX)),
+                    ))
+                    .map(|e| e.2),
+            );
+        }
+        dirty.sort_unstable();
+        dirty.dedup();
+        dirty.retain(|&pos| self.checkable[pos as usize]);
+        for &pos in &dirty {
+            let v = rec_verdict(&records[pos as usize], base);
+            set_member(&mut self.valid, pos, v.valid);
+            set_member(&mut self.invalid, pos, !v.valid);
+            set_member(&mut self.bad, pos, v.bad);
+        }
+        dirty.len()
+    }
+
+    /// A newer record reused one of `pos`'s journal blocks: it takes no
+    /// further part in any invariant.
+    fn retire(&mut self, records: &[TxnRecord], pos: u32) {
+        if !std::mem::take(&mut self.checkable[pos as usize]) {
+            return;
+        }
+        for &(lba, tag) in &records[pos as usize].ordered_data {
+            self.ordered.remove(&(lba, tag, pos));
+        }
+        self.valid.remove(&pos);
+        self.invalid.remove(&pos);
+        self.bad.remove(&pos);
+    }
+
+    /// Prepares the per-point half of the check. `overlay` names every
+    /// block the point's images may resolve differently from the base,
+    /// each with a lower bound on the tags it may resolve to (the base
+    /// tag included). `None` when the records are irregular.
+    pub fn probe<'a>(
+        &'a self,
+        records: &'a [TxnRecord],
+        overlay: impl IntoIterator<Item = (Lba, BlockTag)>,
+    ) -> Option<ConsistencyProbe<'a>> {
+        if self.irregular {
+            return None;
+        }
+        let mut touched: Vec<u32> = Vec::new();
+        for (lba, floor) in overlay {
+            touched.extend(
+                self.journal_owner
+                    .get(&lba)
+                    .filter(|&&pos| self.checkable[pos as usize]),
+            );
+            // Ordered data at or below the floor is present in the base
+            // and in every image alike.
+            touched.extend(
+                self.ordered
+                    .range((
+                        Bound::Excluded((lba, floor, u32::MAX)),
+                        Bound::Included((lba, BlockTag(u64::MAX), u32::MAX)),
+                    ))
+                    .map(|e| e.2),
+            );
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        let outside = |pos: &&u32| touched.binary_search(pos).is_err();
+        Some(ConsistencyProbe {
+            records,
+            newest_valid: self.valid.iter().rev().find(outside).copied(),
+            oldest_invalid: self.invalid.iter().find(outside).copied(),
+            bad: self.bad.iter().any(|pos| outside(&pos)),
+            touched,
+        })
+    }
+}
+
+/// Puts `pos` in or out of `set`.
+fn set_member(set: &mut BTreeSet<u32>, pos: u32, member: bool) {
+    if member {
+        set.insert(pos);
+    } else {
+        set.remove(&pos);
+    }
+}
+
+/// One capture point's view of a [`ConsistencyIndex`]: the records the
+/// point's overlay touches, and the base verdicts of all the others
+/// reduced to what the invariants need.
+#[derive(Debug, Clone)]
+pub struct ConsistencyProbe<'a> {
+    records: &'a [TxnRecord],
+    /// Checkable records the overlay touches, ascending.
+    touched: Vec<u32>,
+    /// Over the untouched records, under the base:
+    newest_valid: Option<u32>,
+    oldest_invalid: Option<u32>,
+    bad: bool,
+}
+
+impl ConsistencyProbe<'_> {
+    /// True when `image` — the base plus an overlay over the blocks the
+    /// probe was built for — provably has no [`FsViolation`]. False means
+    /// "run [`ConsistencyCheck`]".
+    pub fn certifies<V: ImageView>(&self, image: &V) -> bool {
+        if self.bad {
+            return false;
+        }
+        let (mut newest_valid, mut oldest_invalid) = (self.newest_valid, self.oldest_invalid);
+        for &pos in &self.touched {
+            let v = rec_verdict(&self.records[pos as usize], image);
+            if v.bad {
+                return false;
+            }
+            if v.valid {
+                newest_valid = newest_valid.max(Some(pos));
+            } else {
+                oldest_invalid = Some(oldest_invalid.map_or(pos, |o| o.min(pos)));
+            }
+        }
+        // Commit order: nothing checkable and lost below the newest
+        // survivor.
+        !matches!((oldest_invalid, newest_valid), (Some(o), Some(n)) if o < n)
     }
 }
 
@@ -290,6 +543,151 @@ mod tests {
         assert!(v
             .iter()
             .any(|x| matches!(x, FsViolation::DurabilityLoss { txn: 1 })));
+    }
+
+    /// The index of `records` under `base`, from nothing.
+    fn index_of(records: &[TxnRecord], base: &BTreeMap<Lba, BlockTag>) -> ConsistencyIndex {
+        let mut index = ConsistencyIndex::new();
+        index.advance(records, [], &[], base);
+        index
+    }
+
+    /// Whether the index certifies `base ⊕ overlay`. The floor handed to
+    /// the probe is the lower of each block's two possible tags.
+    fn certifies(
+        index: &ConsistencyIndex,
+        records: &[TxnRecord],
+        base: &BTreeMap<Lba, BlockTag>,
+        overlay: &BTreeMap<Lba, BlockTag>,
+    ) -> bool {
+        let floors = overlay.iter().map(|(&l, &t)| (l, t.min(base.tag(l))));
+        let probe = index.probe(records, floors).expect("regular");
+        let mut image = base.clone();
+        image.extend(overlay.iter().map(|(&l, &t)| (l, t)));
+        probe.certifies(&image)
+    }
+
+    #[test]
+    fn index_reads_an_overlay_like_the_checker_reads_the_image() {
+        let mut records = vec![rec(1, 100, &[10, 11], 102, 12), rec(2, 103, &[20], 104, 21)];
+        records[1].ordered_data.push((Lba(500), BlockTag(19)));
+        // Txn 1 folded, txn 2 in flight.
+        let base: BTreeMap<Lba, BlockTag> = [(100, 10), (101, 11), (102, 12)]
+            .map(|(l, t)| (Lba(l), BlockTag(t)))
+            .into();
+        let index = index_of(&records, &base);
+        let over = |pairs: &[(u64, u64)]| -> BTreeMap<Lba, BlockTag> {
+            pairs.iter().map(|&(l, t)| (Lba(l), BlockTag(t))).collect()
+        };
+        let certified = |pairs| certifies(&index, &records, &base, &over(pairs));
+        // None of txn 2 landed; all of it; its data and logs without the
+        // commit block: clean prefixes.
+        assert!(certified(&[]));
+        assert!(certified(&[(500, 19), (103, 20), (104, 21)]));
+        assert!(certified(&[(500, 19), (103, 20)]));
+        // Commit block without the log, journal without the ordered data,
+        // and txn 2 whole while txn 1's commit block is gone.
+        assert!(!certified(&[(104, 21)]));
+        assert!(!certified(&[(103, 20), (104, 21)]));
+        assert!(!certified(&[(500, 19), (103, 20), (104, 21), (102, 0)]));
+    }
+
+    #[test]
+    fn out_of_order_ids_are_never_certified() {
+        let records = vec![rec(2, 100, &[10], 101, 11), rec(1, 102, &[20], 103, 21)];
+        let index = index_of(&records, &BTreeMap::new());
+        assert!(index.probe(&records, []).is_none());
+    }
+
+    #[test]
+    fn index_matches_the_checker_on_random_journals() {
+        let mut rng = bio_sim::SimRng::new(0xC0DE);
+        let (mut clean, mut dirty) = (0, 0);
+        for _ in 0..300 {
+            // Records round a 12-block journal (so blocks are reused), each
+            // with up to two ordered data pages out of four; tags grow.
+            let mut records: Vec<TxnRecord> = Vec::new();
+            let (mut head, mut tag) = (0u64, 1u64);
+            for id in 1..=rng.range(2, 14) {
+                let mut r = rec(id, 0, &[], 0, 0);
+                for _ in 0..rng.below(3) {
+                    r.ordered_data
+                        .push((Lba(500 + rng.below(4)), BlockTag(tag)));
+                    tag += 1;
+                }
+                let logs = 1 + rng.below(2);
+                if head + logs + 1 > 12 {
+                    head = 0;
+                }
+                r.jd_lba = Lba(100 + head);
+                r.jd_tags = (0..logs).map(|i| BlockTag(tag + i)).collect();
+                r.jc_lba = Lba(100 + head + logs);
+                r.jc_tag = BlockTag(tag + logs);
+                head += logs + 1;
+                tag += logs + 1;
+                records.push(r);
+            }
+            // Every write the records imply, in tag order.
+            let mut writes: Vec<(Lba, BlockTag)> = Vec::new();
+            for r in &records {
+                writes.extend(&r.ordered_data);
+                writes.extend(journal_lbas(r).zip(r.jd_tags.iter().copied().chain([r.jc_tag])));
+            }
+            // Take the records in steps; after each, fold a few writes in
+            // any order, flip a durability flag, and hold the advanced
+            // index to a rebuilt one.
+            let mut base = BTreeMap::new();
+            let mut index = ConsistencyIndex::new();
+            let mut upto = 0;
+            while upto < records.len() {
+                upto = (upto + 1 + rng.below(3) as usize).min(records.len());
+                let folds: Vec<(Lba, BlockTag, BlockTag)> = (0..rng.below(8))
+                    .map(|_| {
+                        let (lba, tag) = *rng.choose(&writes).expect("non-empty");
+                        let before = base.insert(lba, tag).unwrap_or(BlockTag::UNWRITTEN);
+                        (lba, before, tag)
+                    })
+                    .collect();
+                let flipped = rng.chance(0.3).then(|| {
+                    let r = &mut records[rng.below(upto as u64) as usize];
+                    r.durability_claimed = true;
+                    r.id
+                });
+                index.advance(&records[..upto], folds, flipped.as_slice(), &base);
+                assert_eq!(index, index_of(&records[..upto], &base));
+                // Any overlay: each block unwritten, or at any version ever
+                // written to it.
+                let overlay: BTreeMap<Lba, BlockTag> = (0..rng.below(5))
+                    .map(|_| {
+                        let lba = rng.choose(&writes).expect("non-empty").0;
+                        let versions: Vec<BlockTag> = writes
+                            .iter()
+                            .filter(|w| w.0 == lba)
+                            .map(|w| w.1)
+                            .chain([BlockTag::UNWRITTEN])
+                            .collect();
+                        (lba, *rng.choose(&versions).expect("non-empty"))
+                    })
+                    .collect();
+                let mut image = base.clone();
+                image.extend(overlay.iter().map(|(&l, &t)| (l, t)));
+                let full = ConsistencyCheck::new(&records[..upto]).violations(&image);
+                assert_eq!(
+                    certifies(&index, &records[..upto], &base, &overlay),
+                    full.is_empty(),
+                    "{full:?}"
+                );
+                if full.is_empty() {
+                    clean += 1;
+                } else {
+                    dirty += 1;
+                }
+            }
+        }
+        assert!(
+            clean > 100 && dirty > 100,
+            "{clean} clean, {dirty} violating"
+        );
     }
 
     #[test]

@@ -49,12 +49,29 @@ pub struct Cursor {
     base: u64,
     committed: u64,
     history: Vec<u64>,
+    audit: Vec<u64>,
 }
 
 impl Cursor {
-    // VIOLATION: the rebuilt cursor never mentions `history` — a capture
-    // delta that silently drops the newest tracked field.
+    // VIOLATION (twice): the rebuilt cursor mentions neither `history` nor
+    // `audit`, the index kept over it — a capture delta that silently
+    // drops the newest tracked fields.
     pub fn delta_apply(&mut self, base: u64, committed: u64) {
         *self = Cursor { base, committed };
+    }
+}
+
+pub struct Point {
+    records: Vec<u64>,
+    check: Vec<u64>,
+}
+
+impl Point {
+    // VIOLATION: the captured point never mentions `check` — a check
+    // index that stays behind when the records move on.
+    pub fn capture(cursor: &Point) -> Point {
+        Point {
+            records: cursor.records.clone(),
+        }
     }
 }

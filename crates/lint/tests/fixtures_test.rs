@@ -143,12 +143,23 @@ fn forkcov_fixture_findings() {
         src,
     );
     let s = snippets(&f, "fork-coverage");
-    assert_eq!(s, ["Snapshot.arena", "Cursor.history"], "{f:#?}");
+    assert_eq!(
+        s,
+        [
+            "Snapshot.arena",
+            "Cursor.history",
+            "Cursor.audit",
+            "Point.check"
+        ],
+        "{f:#?}"
+    );
     let miss = f.iter().find(|x| x.analyzer == "fork-coverage").unwrap();
     assert_eq!(miss.symbol, "core::Snapshot::fork");
     assert!(miss.message.contains("arena"));
     let delta = f.iter().find(|x| x.snippet == "Cursor.history").unwrap();
     assert_eq!(delta.symbol, "core::Cursor::delta_apply");
+    let capture = f.iter().find(|x| x.snippet == "Point.check").unwrap();
+    assert_eq!(capture.symbol, "core::Point::capture");
 }
 
 #[test]

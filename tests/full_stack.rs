@@ -3,7 +3,9 @@
 //! shape assertions matching the paper's headline claims.
 
 use barrier_io::{DeviceProfile, FileRef, IoStack, SimDuration, StackConfig, Topology};
-use bio_workloads::{Dwsl, OltpInsert, Sqlite, SqliteJournalMode, SyncMode, Varmail};
+use bio_workloads::{
+    Dwsl, OltpInsert, RandWrite, Sqlite, SqliteJournalMode, SyncMode, Varmail, WriteMode,
+};
 
 fn sqlite_tps(cfg: StackConfig, mk: fn(SqliteJournalMode, FileRef, FileRef, u64) -> Sqlite) -> f64 {
     let mut stack = IoStack::new(cfg);
@@ -88,6 +90,77 @@ fn striped_dwsl_survives_a_crash_after_a_clean_run() {
             assert!(stack.run_until_done(SimDuration::from_secs(600)));
             let violations = stack.crash().fs_violations;
             assert!(violations.is_empty(), "{label}: {violations:?}");
+        }
+    }
+}
+
+/// The crash explorer's trace at any length: `writes` write+sync pairs by
+/// one thread over a 64-block region on the barrier UFS, run to the end,
+/// left idle for five simulated seconds, then crashed. Returns the
+/// violations the recovery check reports.
+fn idle_crash_violations(cfg: StackConfig, sync: SyncMode, writes: u64, seed: u64) -> Vec<String> {
+    let mut cfg = cfg.with_seed(seed).with_history();
+    cfg.fs.timer_tick = SimDuration::from_micros(1);
+    let mut stack = IoStack::new(cfg);
+    let f = stack.create_global_file();
+    stack.add_thread(Box::new(RandWrite::new(
+        FileRef::Global(f),
+        64,
+        WriteMode::SyncEach(sync),
+        writes,
+    )));
+    assert!(stack.run_until_done(SimDuration::from_secs(600)));
+    stack.run_for(SimDuration::from_secs(5));
+    let crash = stack.crash();
+    let fs = crash.fs_violations.iter().map(|v| format!("{v:?}"));
+    let epoch = crash.epoch_violations.iter().map(|v| format!("{v:?}"));
+    fs.chain(epoch).collect()
+}
+
+/// The differential stacks of `bio_bench::crash::run` at one topology.
+fn differential_stacks(topology: Topology) -> [(StackConfig, SyncMode); 3] {
+    let dev = DeviceProfile::ufs;
+    [
+        (StackConfig::ext4_dr(dev()), SyncMode::Fsync),
+        (StackConfig::bfs(dev()), SyncMode::Fsync),
+        (StackConfig::bfs(dev()).ordering_only(), SyncMode::Fbarrier),
+    ]
+    .map(|(cfg, sync)| (cfg.with_topology(topology), sync))
+}
+
+#[test]
+fn long_randwrite_trace_survives_an_idle_crash() {
+    // Nothing is in flight after five idle seconds, so whatever the crash
+    // loses was lost for good. The explorer's traces stop at 100 writes;
+    // these go past where the journal and the device settle into a
+    // steady state. (BFS-OD at 2q×2dev is the known gap below.)
+    let single = differential_stacks(Topology::single());
+    let striped = differential_stacks(Topology::new(2, 2, 16));
+    for (cfg, sync) in single.iter().chain(&striped[..2]) {
+        for writes in [200, 2_000] {
+            let violations = idle_crash_violations(cfg.clone(), *sync, writes, 42);
+            assert!(
+                violations.is_empty(),
+                "{} at {writes} writes: {violations:?}",
+                cfg.label()
+            );
+        }
+    }
+}
+
+#[test]
+#[ignore = "known gap: BFS-OD on 2q×2dev ends long traces with torn transactions (docs/INVARIANTS.md)"]
+fn long_randwrite_trace_survives_an_idle_crash_on_striped_bfs_od() {
+    let (cfg, sync) = differential_stacks(Topology::new(2, 2, 16))[2].clone();
+    for seed in [42, 7, 1234] {
+        for writes in [200, 2_000] {
+            let violations = idle_crash_violations(cfg.clone(), sync, writes, seed);
+            assert!(
+                violations.is_empty(),
+                "seed {seed} at {writes} writes: {} violations, first {:?}",
+                violations.len(),
+                violations.first()
+            );
         }
     }
 }
