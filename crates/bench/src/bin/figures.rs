@@ -35,51 +35,16 @@ fn main() {
     let crash_enum = opts.crash_enum;
     let (wanted, scale, crash_seeds) = (opts.wanted, opts.scale, opts.crash_seeds);
     let all = wanted.iter().any(|w| w == "all");
-    let want = |name: &str| all || wanted.iter().any(|w| w == name);
     let started = std::time::Instant::now();
 
     println!("Barrier-Enabled IO Stack — experiment harness (scale {scale})");
-    if want("fig1") {
-        experiments::fig01(scale);
-    }
-    if want("fig8") {
-        experiments::fig08(scale);
-    }
-    if want("fig9") {
-        experiments::fig09(scale);
-    }
-    if want("fig10") {
-        experiments::fig10(scale);
-    }
-    if want("table1") {
-        experiments::table1(scale);
-    }
-    if want("fig11") {
-        experiments::fig11(scale);
-    }
-    if want("fig12") {
-        experiments::fig12(scale);
-    }
-    if want("fig13") {
-        experiments::fig13(scale);
-    }
-    if want("fig14") {
-        experiments::fig14(scale);
-    }
-    if want("fig15") {
-        experiments::fig15(scale);
-    }
-    if want("fig16") {
-        experiments::fig16(scale);
-    }
-    if want("fig17") {
-        experiments::fig17(scale);
-    }
-    if want("figengines") || want("figbarrier-engine") || all {
-        experiments::ablation_engines(scale);
-    }
-    if want("figcrash") || all {
-        experiments::ablation_crash(crash_seeds);
+    for &(name, run) in experiments::SELECTORS {
+        if all || wanted.iter().any(|w| w == name) {
+            run(match name {
+                "figcrash" => crash_seeds,
+                _ => scale,
+            });
+        }
     }
     // Opt-in only (never under --all): the exhaustive differential crash
     // enumeration. Non-zero exit on cross-stack divergence so CI can gate.

@@ -2,6 +2,8 @@
 //! contract (notably `--jobs` validation) is unit-testable without
 //! spawning the binary.
 
+use crate::experiments::SELECTORS;
+
 /// Parsed `figures` options.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CliOptions {
@@ -39,8 +41,9 @@ impl Default for CliOptions {
 ///
 /// # Errors
 ///
-/// Returns a user-facing message for unknown flags, missing values, and
-/// invalid values — in particular `--jobs 0`: a zero-worker pool is
+/// Returns a user-facing message for unknown flags, missing values,
+/// selectors that name no figure or table ([`SELECTORS`]), and invalid
+/// values — in particular `--jobs 0`: a zero-worker pool is
 /// meaningless (`std::thread::scope` with no workers would simply hang the
 /// grid's consumers), so it is rejected rather than silently reinterpreted.
 pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
@@ -71,14 +74,14 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
                 let n = args
                     .get(i)
                     .ok_or_else(|| "--fig requires a figure number".to_string())?;
-                opts.wanted.push(format!("fig{n}"));
+                opts.wanted.push(known_selector(format!("fig{n}"))?);
             }
             "--table" => {
                 i += 1;
                 let n = args
                     .get(i)
                     .ok_or_else(|| "--table requires a table number".to_string())?;
-                opts.wanted.push(format!("table{n}"));
+                opts.wanted.push(known_selector(format!("table{n}"))?);
             }
             "--scale" => {
                 i += 1;
@@ -106,6 +109,15 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
         i += 1;
     }
     Ok(opts)
+}
+
+/// `name` if a runner is registered under it, else the error message.
+fn known_selector(name: String) -> Result<String, String> {
+    if SELECTORS.iter().any(|(known, _)| *known == name) {
+        Ok(name)
+    } else {
+        Err(format!("no such figure or table: {name}"))
+    }
 }
 
 #[cfg(test)]
@@ -148,6 +160,16 @@ mod tests {
     fn selectors_accumulate() {
         let o = parse_args(&args(&["--fig", "9", "--fig", "11", "--table", "1"])).unwrap();
         assert_eq!(o.wanted, vec!["fig9", "fig11", "table1"]);
+    }
+
+    #[test]
+    fn unknown_selectors_are_rejected() {
+        let err = parse_args(&args(&["--fig", "7"])).unwrap_err();
+        assert!(err.contains("fig7"), "{err}");
+        let err = parse_args(&args(&["--table", "2"])).unwrap_err();
+        assert!(err.contains("table2"), "{err}");
+        let o = parse_args(&args(&["--fig", "engines"])).unwrap();
+        assert_eq!(o.wanted, vec!["figengines"]);
     }
 
     #[test]

@@ -1530,7 +1530,12 @@ pub fn run(traces: u64) -> CrashEnumReport {
     let mut rows = Vec::new();
     let mut stats = CrashStats::default();
     let mut divergences = Vec::new();
-    let cells: Vec<&[CellOutcome]> = results.chunks((traces as usize).max(1)).collect();
+    // One slice per stack, empty when `traces` is 0 (`chunks` would
+    // yield no slices at all then, and the group fold below indexes them).
+    let per_stack = traces as usize;
+    let cells: Vec<&[CellOutcome]> = (0..stacks.len())
+        .map(|i| &results[i * per_stack..(i + 1) * per_stack])
+        .collect();
     for ((label, _, _), chunk) in stacks.iter().zip(&cells) {
         let mut row = StackRow {
             label,
@@ -2039,6 +2044,15 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn zero_traces_report_zero_rows_for_every_stack() {
+        let report = run(0);
+        assert_eq!(report.rows.len(), 6);
+        assert!(report.rows.iter().all(|r| r.traces == 0 && r.images == 0));
+        assert_eq!(report.total_points, 0);
+        assert!(report.divergences.is_empty());
     }
 
     #[test]

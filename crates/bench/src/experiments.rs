@@ -1,9 +1,7 @@
 //! One runner per table/figure of the paper.
 //!
 //! Every function takes `scale` (1 = quick CI-sized run, larger = closer
-//! to the paper's operation counts) and prints its results; it also
-//! returns the raw rows so tests and EXPERIMENTS.md generation can check
-//! shapes programmatically.
+//! to the paper's operation counts) and prints its results.
 //!
 //! Each figure enumerates its cells into an [`ExperimentGrid`] — one
 //! independent `(config, workload, seed)` simulation per cell — and runs
@@ -19,6 +17,28 @@ use bio_workloads::{
 };
 
 use crate::{print_table, run_to_completion, run_windowed, run_windowed_stack, ExperimentGrid};
+
+/// A table/figure runner: takes `--scale` (`figcrash`: `--seeds`), prints.
+pub type Runner = fn(u64);
+
+/// Every selector the `figures` binary accepts (`--fig N` is `figN`,
+/// `--table N` is `tableN`) with its runner, in `--all` order.
+pub const SELECTORS: &[(&str, Runner)] = &[
+    ("fig1", fig01),
+    ("fig8", fig08),
+    ("fig9", fig09),
+    ("fig10", fig10),
+    ("table1", table1),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("fig14", fig14),
+    ("fig15", fig15),
+    ("fig16", fig16),
+    ("fig17", fig17),
+    ("figengines", ablation_engines),
+    ("figcrash", ablation_crash),
+];
 
 fn huge() -> u64 {
     u64::MAX / 2
@@ -72,7 +92,7 @@ fn measure_kiops(
 // ---------------------------------------------------------------------
 
 /// Fig 1: `write()+fdatasync()` vs plain `write()` IOPS ratio per device.
-pub fn fig01(scale: u64) -> Vec<(String, f64, f64, f64)> {
+pub fn fig01(scale: u64) {
     // Device letters follow the paper: A eMMC, B UFS, C SATA, D NVMe,
     // E SATA+supercap, F PCIe, G 32-channel flash array (+HDD reference).
     let devices: Vec<(&str, DeviceProfile)> = vec![
@@ -113,7 +133,6 @@ pub fn fig01(scale: u64) -> Vec<(String, f64, f64, f64)> {
         "fig01 cell/device pairing"
     );
     let mut rows = Vec::new();
-    let mut out = Vec::new();
     for (i, (label, _)) in devices.iter().enumerate() {
         let (buffered, ordered) = (results[2 * i], results[2 * i + 1]);
         let ratio = if buffered > 0.0 {
@@ -127,7 +146,6 @@ pub fn fig01(scale: u64) -> Vec<(String, f64, f64, f64)> {
             format!("{ordered:.2}"),
             format!("{ratio:.1}%"),
         ]);
-        out.push((label.to_string(), buffered, ordered, ratio));
     }
     print_table(
         "Fig 1 — Ordered write() vs buffered write() (4KB random)",
@@ -139,28 +157,14 @@ pub fn fig01(scale: u64) -> Vec<(String, f64, f64, f64)> {
         ],
         &rows,
     );
-    out
 }
 
 // ---------------------------------------------------------------------
 // Fig 9 — 4KB random write, XnF / X / B / P per device.
 // ---------------------------------------------------------------------
 
-/// One Fig 9 cell.
-#[derive(Debug, Clone)]
-pub struct Fig9Cell {
-    /// Device name.
-    pub device: String,
-    /// Scenario label (XnF/X/B/P).
-    pub scenario: &'static str,
-    /// Thousands of 4 KiB writes per second.
-    pub kiops: f64,
-    /// Mean device queue depth.
-    pub qd: f64,
-}
-
 /// Fig 9: IOPS and queue depth for the four ordering scenarios.
-pub fn fig09(scale: u64) -> Vec<Fig9Cell> {
+pub fn fig09(scale: u64) {
     let region = 8192;
     let mut grid = ExperimentGrid::new();
     let mut meta = Vec::new();
@@ -201,28 +205,20 @@ pub fn fig09(scale: u64) -> Vec<Fig9Cell> {
     }
     let results = grid.run();
     assert_eq!(results.len(), meta.len(), "grid cell/meta pairing");
-    let mut cells = Vec::new();
     let mut rows = Vec::new();
     for ((device, scenario), (kiops, qd)) in meta.into_iter().zip(results) {
         rows.push(vec![
-            device.clone(),
+            device,
             scenario.to_string(),
             format!("{kiops:.2}"),
             format!("{qd:.2}"),
         ]);
-        cells.push(Fig9Cell {
-            device,
-            scenario,
-            kiops,
-            qd,
-        });
     }
     print_table(
         "Fig 9 — 4KB random write: XnF (flush), X (wait-on-transfer), B (barrier), P (buffered)",
         &["device", "scenario", "KIOPS", "mean QD"],
         &rows,
     );
-    cells
 }
 
 // ---------------------------------------------------------------------
@@ -230,7 +226,7 @@ pub fn fig09(scale: u64) -> Vec<Fig9Cell> {
 // ---------------------------------------------------------------------
 
 /// Fig 10: queue-depth traces (down-sampled) for X vs B on two devices.
-pub fn fig10(scale: u64) -> Vec<(String, Vec<f64>)> {
+pub fn fig10(scale: u64) {
     let mut grid = ExperimentGrid::new();
     for dev in [DeviceProfile::plain_ssd(), DeviceProfile::ufs()] {
         for (label, cfg, sync) in [
@@ -267,8 +263,7 @@ pub fn fig10(scale: u64) -> Vec<(String, Vec<f64>)> {
             });
         }
     }
-    let out = grid.run();
-    for (name, series) in &out {
+    for (name, series) in grid.run() {
         let plot: String = series
             .iter()
             .map(|v| {
@@ -279,23 +274,11 @@ pub fn fig10(scale: u64) -> Vec<(String, Vec<f64>)> {
             .collect();
         println!("Fig10 {name:<28} mean-QD trace: {plot}");
     }
-    out
 }
 
 // ---------------------------------------------------------------------
 // Table 1 — fsync latency statistics.
 // ---------------------------------------------------------------------
-
-/// One Table 1 row: latency stats in milliseconds.
-#[derive(Debug, Clone)]
-pub struct Table1Row {
-    /// Device name.
-    pub device: String,
-    /// Stack label.
-    pub stack: &'static str,
-    /// Mean, median, p99, p99.9, p99.99 (ms).
-    pub stats: [f64; 5],
-}
 
 /// Ages a device so garbage collection is active during the measurement
 /// (responsible for the paper's heavy fsync tail latencies).
@@ -309,7 +292,7 @@ fn aged(mut dev: DeviceProfile, run_blocks: u64) -> DeviceProfile {
 /// The workload is the paper's "4 KByte write() followed by fsync()"
 /// (overwrites of a warm region), on an aged device so GC contributes the
 /// tail.
-pub fn table1(scale: u64) -> Vec<Table1Row> {
+pub fn table1(scale: u64) {
     let n = 1_000 * scale;
     let mut grid = ExperimentGrid::new();
     let mut meta = Vec::new();
@@ -353,10 +336,9 @@ pub fn table1(scale: u64) -> Vec<Table1Row> {
     let results = grid.run();
     assert_eq!(results.len(), meta.len(), "grid cell/meta pairing");
     let mut rows = Vec::new();
-    let mut printed = Vec::new();
     for ((device, stack), stats) in meta.into_iter().zip(results) {
-        printed.push(vec![
-            device.clone(),
+        rows.push(vec![
+            device,
             stack.to_string(),
             format!("{:.2}", stats[0]),
             format!("{:.2}", stats[1]),
@@ -364,20 +346,14 @@ pub fn table1(scale: u64) -> Vec<Table1Row> {
             format!("{:.2}", stats[3]),
             format!("{:.2}", stats[4]),
         ]);
-        rows.push(Table1Row {
-            device,
-            stack,
-            stats,
-        });
     }
     print_table(
         "Table 1 — fsync() latency statistics (ms)",
         &[
             "device", "stack", "mean", "median", "p99", "p99.9", "p99.99",
         ],
-        &printed,
+        &rows,
     );
-    rows
 }
 
 // ---------------------------------------------------------------------
@@ -385,7 +361,7 @@ pub fn table1(scale: u64) -> Vec<Table1Row> {
 // ---------------------------------------------------------------------
 
 /// Fig 11: application-level context switches per fsync/fbarrier.
-pub fn fig11(scale: u64) -> Vec<(String, &'static str, f64)> {
+pub fn fig11(scale: u64) {
     let n = 1_000 * scale;
     let mut grid = ExperimentGrid::new();
     let mut meta = Vec::new();
@@ -443,18 +419,15 @@ pub fn fig11(scale: u64) -> Vec<(String, &'static str, f64)> {
     }
     let results = grid.run();
     assert_eq!(results.len(), meta.len(), "grid cell/meta pairing");
-    let mut out = Vec::new();
     let mut rows = Vec::new();
     for ((device, label), s) in meta.into_iter().zip(results) {
-        rows.push(vec![device.clone(), label.to_string(), format!("{s:.2}")]);
-        out.push((device, label, s));
+        rows.push(vec![device, label.to_string(), format!("{s:.2}")]);
     }
     print_table(
         "Fig 11 — context switches per fsync()/fbarrier()",
         &["device", "stack", "switches/op"],
         &rows,
     );
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -462,7 +435,7 @@ pub fn fig11(scale: u64) -> Vec<(String, &'static str, f64)> {
 // ---------------------------------------------------------------------
 
 /// Fig 12: peak device queue depth under fsync vs fbarrier on BarrierFS.
-pub fn fig12(scale: u64) -> Vec<(&'static str, f64, f64)> {
+pub fn fig12(scale: u64) {
     let mut grid = ExperimentGrid::new();
     let mut meta = Vec::new();
     for (label, sync) in [("fsync", SyncMode::Fsync), ("fbarrier", SyncMode::Fbarrier)] {
@@ -496,7 +469,6 @@ pub fn fig12(scale: u64) -> Vec<(&'static str, f64, f64)> {
     }
     let results = grid.run();
     assert_eq!(results.len(), meta.len(), "grid cell/meta pairing");
-    let mut out = Vec::new();
     let mut rows = Vec::new();
     for (label, (mean, peak)) in meta.into_iter().zip(results) {
         rows.push(vec![
@@ -504,14 +476,12 @@ pub fn fig12(scale: u64) -> Vec<(&'static str, f64, f64)> {
             format!("{mean:.2}"),
             format!("{peak:.0}"),
         ]);
-        out.push((label, mean, peak));
     }
     print_table(
         "Fig 12 — BarrierFS queue depth: durability vs ordering guarantee",
         &["call", "mean QD", "peak QD"],
         &rows,
     );
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -519,7 +489,7 @@ pub fn fig12(scale: u64) -> Vec<(&'static str, f64, f64)> {
 // ---------------------------------------------------------------------
 
 /// Fig 13: ops/sec vs core (=thread) count, EXT4-DR vs BFS-DR.
-pub fn fig13(scale: u64) -> Vec<(String, &'static str, usize, f64)> {
+pub fn fig13(scale: u64) {
     let cores = [1usize, 2, 4, 6, 8, 10, 12];
     let writes = 200 * scale;
     let mut grid = ExperimentGrid::new();
@@ -548,23 +518,20 @@ pub fn fig13(scale: u64) -> Vec<(String, &'static str, usize, f64)> {
     }
     let results = grid.run();
     assert_eq!(results.len(), meta.len(), "grid cell/meta pairing");
-    let mut out = Vec::new();
     let mut rows = Vec::new();
     for ((device, label, n), ops) in meta.into_iter().zip(results) {
         rows.push(vec![
-            device.clone(),
+            device,
             label.to_string(),
             n.to_string(),
             format!("{:.0}", ops),
         ]);
-        out.push((device, label, n, ops));
     }
     print_table(
         "Fig 13 — fxmark DWSL scalability (ops/s per core count)",
         &["device", "stack", "cores", "ops/s"],
         &rows,
     );
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -572,7 +539,7 @@ pub fn fig13(scale: u64) -> Vec<(String, &'static str, usize, f64)> {
 // ---------------------------------------------------------------------
 
 /// Fig 14: SQLite inserts/sec per journal mode and stack.
-pub fn fig14(scale: u64) -> Vec<(String, String, &'static str, f64)> {
+pub fn fig14(scale: u64) {
     let inserts = 500 * scale;
     type MkSqlite = fn(SqliteJournalMode, FileRef, FileRef, u64) -> Sqlite;
     // (a) mobile storage: durability rows.
@@ -642,23 +609,20 @@ pub fn fig14(scale: u64) -> Vec<(String, String, &'static str, f64)> {
     }
     let results = grid.run();
     assert_eq!(results.len(), meta.len(), "grid cell/meta pairing");
-    let mut out = Vec::new();
     let mut rows = Vec::new();
     for ((mode_name, device, label), tps) in meta.into_iter().zip(results) {
         rows.push(vec![
-            mode_name.clone(),
-            device.clone(),
+            mode_name,
+            device,
             label.to_string(),
             format!("{tps:.0}"),
         ]);
-        out.push((mode_name, device, label, tps));
     }
     print_table(
         "Fig 14 — SQLite inserts/s (PERSIST and WAL journal modes)",
         &["journal", "device", "stack", "inserts/s"],
         &rows,
     );
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -666,7 +630,7 @@ pub fn fig14(scale: u64) -> Vec<(String, String, &'static str, f64)> {
 // ---------------------------------------------------------------------
 
 /// Fig 15: server workloads across the five stacks on two devices.
-pub fn fig15(scale: u64) -> Vec<(String, String, &'static str, f64)> {
+pub fn fig15(scale: u64) {
     let mut grid = ExperimentGrid::new();
     let mut meta = Vec::new();
     for dev in [DeviceProfile::plain_ssd(), DeviceProfile::supercap_ssd()] {
@@ -721,45 +685,25 @@ pub fn fig15(scale: u64) -> Vec<(String, String, &'static str, f64)> {
     let results = grid.run();
     assert_eq!(results.len(), 2 * meta.len(), "fig15 cell/meta pairing");
     let mut rows = Vec::new();
-    let mut out = Vec::new();
     for ((device, label), pair) in meta.into_iter().zip(results.chunks(2)) {
         let (varmail_ops, oltp_tps) = (pair[0], pair[1]);
         rows.push(vec![
-            device.clone(),
+            device,
             label.to_string(),
             format!("{varmail_ops:.0}"),
             format!("{oltp_tps:.0}"),
         ]);
-        out.push((device.clone(), "varmail".to_string(), label, varmail_ops));
-        out.push((device, "oltp".to_string(), label, oltp_tps));
     }
     print_table(
         "Fig 15 — server workloads: varmail (iterations/s) and OLTP-insert (Tx/s)",
         &["device", "stack", "varmail it/s", "OLTP Tx/s"],
         &rows,
     );
-    out
 }
 
 // ---------------------------------------------------------------------
 // Fig 16 — new server workloads: throughput AND sync tail latency.
 // ---------------------------------------------------------------------
-
-/// One Fig 16 cell: throughput plus the sync-call latency tail.
-#[derive(Debug, Clone)]
-pub struct Fig16Cell {
-    /// Device name.
-    pub device: String,
-    /// Workload label (`rocksdb-wal` / `mail-queue`).
-    pub workload: &'static str,
-    /// Stack label.
-    pub stack: &'static str,
-    /// Application transactions per second.
-    pub txns_per_sec: f64,
-    /// Sync-call latency p50 / p95 / p99 in milliseconds (merged across
-    /// all four sync kinds).
-    pub sync_ms: [f64; 3],
-}
 
 /// Fig 16: the two post-paper server workloads (RocksDB-style WAL +
 /// compaction, mail-queue fsync storm) across the five stacks on two
@@ -767,7 +711,7 @@ pub struct Fig16Cell {
 /// stacks (BFS-OD, OptFS) win primarily on the latency columns: a
 /// barrier returns without waiting on transfer or flush, so the sync
 /// tail collapses even where throughput gains are modest.
-pub fn fig16(scale: u64) -> Vec<Fig16Cell> {
+pub fn fig16(scale: u64) {
     fn cell_stats(report: &barrier_io::StackReport) -> (f64, [f64; 3]) {
         let s = report.run.sync_latency;
         (
@@ -832,10 +776,9 @@ pub fn fig16(scale: u64) -> Vec<Fig16Cell> {
     let results = grid.run();
     assert_eq!(results.len(), meta.len(), "grid cell/meta pairing");
     let mut rows = Vec::new();
-    let mut out = Vec::new();
     for ((device, workload, stack), (tps, sync_ms)) in meta.into_iter().zip(results) {
         rows.push(vec![
-            device.clone(),
+            device,
             workload.to_string(),
             stack.to_string(),
             format!("{tps:.0}"),
@@ -843,42 +786,17 @@ pub fn fig16(scale: u64) -> Vec<Fig16Cell> {
             format!("{:.3}", sync_ms[1]),
             format!("{:.3}", sync_ms[2]),
         ]);
-        out.push(Fig16Cell {
-            device,
-            workload,
-            stack,
-            txns_per_sec: tps,
-            sync_ms,
-        });
     }
     print_table(
         "Fig 16 — RocksDB-WAL and mail-queue: Tx/s and sync-call latency (ms)",
         &["device", "workload", "stack", "Tx/s", "p50", "p95", "p99"],
         &rows,
     );
-    out
 }
 
 // ---------------------------------------------------------------------
 // Fig 17 — multi-queue / multi-device scaling (post-paper).
 // ---------------------------------------------------------------------
-
-/// One Fig 17 cell: throughput of one stack on one lane topology.
-#[derive(Debug, Clone)]
-pub struct Fig17Cell {
-    /// Stack label (`EXT4-DR` / `BFS-OD`).
-    pub stack: &'static str,
-    /// Hardware queues per device.
-    pub queues: usize,
-    /// Device count.
-    pub devices: usize,
-    /// Application transactions per second.
-    pub txns_per_sec: f64,
-    /// Mean device queue depth (averaged over devices).
-    pub mean_qd: f64,
-    /// Global epochs released by the cross-lane sequencer.
-    pub epochs: u64,
-}
 
 /// Fig 17: the paper's open question — does order-preserving dispatch
 /// survive a multi-queue interface? 256 workload threads drive a DWSL
@@ -889,7 +807,7 @@ pub struct Fig17Cell {
 /// drain every lane per epoch, so its ordering advantage is bounded by
 /// the slowest lane — the grid shows where that cost grows with queue
 /// count and where added devices buy it back.
-pub fn fig17(scale: u64) -> Vec<Fig17Cell> {
+pub fn fig17(scale: u64) {
     const THREADS: usize = 256;
     let writes = 2 * scale;
     let mut grid = ExperimentGrid::new();
@@ -933,7 +851,6 @@ pub fn fig17(scale: u64) -> Vec<Fig17Cell> {
     let results = grid.run();
     assert_eq!(results.len(), meta.len(), "grid cell/meta pairing");
     let mut rows = Vec::new();
-    let mut out = Vec::new();
     for ((stack, queues, devices), (tps, mean_qd, epochs)) in meta.into_iter().zip(results) {
         rows.push(vec![
             stack.to_string(),
@@ -943,21 +860,12 @@ pub fn fig17(scale: u64) -> Vec<Fig17Cell> {
             format!("{mean_qd:.2}"),
             epochs.to_string(),
         ]);
-        out.push(Fig17Cell {
-            stack,
-            queues,
-            devices,
-            txns_per_sec: tps,
-            mean_qd,
-            epochs,
-        });
     }
     print_table(
         "Fig 17 — multi-queue scaling: 256-thread DWSL, queues × devices",
         &["stack", "queues", "devices", "Tx/s", "mean QD", "epochs"],
         &rows,
     );
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -967,7 +875,7 @@ pub fn fig17(scale: u64) -> Vec<Fig17Cell> {
 /// Fig 8: journal commits per second under a commit storm (the inverse of
 /// the commit interval): BFS (tD) > no-flush (tD+tC) > quick flush
 /// (tD+tC+te) > full flush (tD+tC+tF).
-pub fn fig08(scale: u64) -> Vec<(&'static str, f64)> {
+pub fn fig08(scale: u64) {
     let cells: Vec<(&'static str, StackConfig, SyncMode)> = vec![
         (
             "BarrierFS (tD)",
@@ -1016,7 +924,6 @@ pub fn fig08(scale: u64) -> Vec<(&'static str, f64)> {
     }
     let results = grid.run();
     assert_eq!(results.len(), meta.len(), "grid cell/meta pairing");
-    let mut out = Vec::new();
     let mut rows = Vec::new();
     for (label, per_sec) in meta.into_iter().zip(results) {
         let interval_us = if per_sec > 0.0 {
@@ -1029,14 +936,12 @@ pub fn fig08(scale: u64) -> Vec<(&'static str, f64)> {
             format!("{per_sec:.0}"),
             format!("{interval_us:.0}"),
         ]);
-        out.push((label, per_sec));
     }
     print_table(
         "Fig 8 — journal commit rate under a commit storm",
         &["configuration", "commits/s", "mean interval (us)"],
         &rows,
     );
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -1044,7 +949,7 @@ pub fn fig08(scale: u64) -> Vec<(&'static str, f64)> {
 // ---------------------------------------------------------------------
 
 /// Ablation: fdatabarrier throughput under each barrier engine.
-pub fn ablation_engines(scale: u64) -> Vec<(&'static str, f64)> {
+pub fn ablation_engines(scale: u64) {
     let mut grid = ExperimentGrid::new();
     let mut meta = Vec::new();
     for (label, mode) in [
@@ -1061,18 +966,15 @@ pub fn ablation_engines(scale: u64) -> Vec<(&'static str, f64)> {
     }
     let results = grid.run();
     assert_eq!(results.len(), meta.len(), "grid cell/meta pairing");
-    let mut out = Vec::new();
     let mut rows = Vec::new();
     for (label, kiops) in meta.into_iter().zip(results) {
         rows.push(vec![label.to_string(), format!("{kiops:.2}")]);
-        out.push((label, kiops));
     }
     print_table(
         "Ablation — barrier write KIOPS per enforcement engine (UFS-class device)",
         &["engine", "KIOPS"],
         &rows,
     );
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -1080,7 +982,7 @@ pub fn ablation_engines(scale: u64) -> Vec<(&'static str, f64)> {
 // ---------------------------------------------------------------------
 
 /// Crash audit: violation counts over `seeds` random crash points.
-pub fn ablation_crash(seeds: u64) -> Vec<(&'static str, u64, u64)> {
+pub fn ablation_crash(seeds: u64) {
     type Cfg = fn() -> StackConfig;
     fn bfs_barrier_dev() -> StackConfig {
         StackConfig::bfs(DeviceProfile::ufs()).with_history()
@@ -1143,19 +1045,16 @@ pub fn ablation_crash(seeds: u64) -> Vec<(&'static str, u64, u64)> {
             .collect()
     };
     let mut rows = Vec::new();
-    let mut out = Vec::new();
     for (label, (crashes_with_violation, total_violations)) in meta.into_iter().zip(per_stack) {
         rows.push(vec![
             label.to_string(),
             format!("{crashes_with_violation}/{seeds}"),
             total_violations.to_string(),
         ]);
-        out.push((label, crashes_with_violation, total_violations));
     }
     print_table(
         "Ablation — crash-consistency violations over random crash points",
         &["stack", "crashes w/ violations", "total violations"],
         &rows,
     );
-    out
 }

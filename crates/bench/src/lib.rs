@@ -3,12 +3,11 @@
 //! Regenerates every table and figure of "Barrier-Enabled IO Stack for
 //! Flash Storage" (FAST 2018). The [`experiments`] module holds one runner
 //! per table/figure; the `figures` binary prints them
-//! (`cargo run -p bio-bench --release --bin figures -- --all`), and the
-//! criterion benches reuse the same configurations for micro-timings.
+//! (`cargo run -p bio-bench --release --bin figures -- --all`).
 //!
 //! Absolute numbers come from a simulator, not the authors' testbed; the
 //! claims to check are the *shapes* — who wins, by what factor, where the
-//! crossovers sit. EXPERIMENTS.md records paper-vs-measured for each.
+//! crossovers sit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,10 +1,12 @@
-//! Cohort-drained batch execution must be unobservable in results.
+//! `run_for`/`run_until_done` stop exactly where a `step()` loop stops.
 //!
-//! `IoStack::run_for`/`run_until_done` drain same-timestamp event cohorts
-//! and route them per destination layer; `IoStack::step` pops exactly one
-//! event and routes it before the next. Each cell below runs both ways in
-//! process and must agree on the full `StackReport` and on the crash
-//! verdict at the end of the window.
+//! The run loop is `IoStack::step` bounded by a deadline (`run_for`) or
+//! by every thread finishing (`run_until_done`). Each cell below runs a
+//! stack through the run calls and a second one through bare `step()`s,
+//! in process, and the two must agree on the full `StackReport` and on
+//! the crash verdict at the end of the window — which pins the bounds:
+//! no event past the deadline, none after the last thread finishes, and
+//! congested threads woken after every event.
 //!
 //! `step()` cannot look ahead, so a stepped stack only learns a fixed
 //! window is over by running the first event past it. Fixed windows are
@@ -259,8 +261,8 @@ fn batched_runs_match_single_step_runs() {
 
 /// fig17's BFS-OD 1q×1dev cell: 256 DWSL threads whose `fbarrier`s
 /// return at dispatch back the block layer up to `congestion_limit`, so
-/// `drive` takes its exact per-event fallback and threads only resume
-/// through `maybe_uncongest`.
+/// threads stall and only resume through the run loop's
+/// `maybe_uncongest`.
 #[test]
 fn congested_run_matches_single_step_run() {
     let cell = Cell {

@@ -140,22 +140,10 @@ pub struct IoStack {
     fs_sink: ActionSink<FsAction>,
     /// Reusable scratch for block-layer actions (same lifecycle).
     block_sink: ActionSink<BlockAction>,
-    /// Reusable scratch the run loops drain same-instant event cohorts
-    /// into; `cohort_pos` is the consumption cursor, so an early exit
-    /// (`run_until_done` seeing every thread finish mid-cohort) leaves
-    /// the unprocessed remainder for the next `step`/run call — exactly
-    /// where a single-pop loop would have left them in the queue.
-    cohort: Vec<(SimTime, Event)>,
-    /// Next unconsumed index into `cohort`.
-    cohort_pos: usize,
     /// Threads in the terminal `Finished` state (the all-done check must
     /// run between consecutive events, so it has to be O(1)).
     finished_threads: usize,
 }
-
-/// Upper bound on events drained per cohort visit; a cohort larger than
-/// this is simply drained across several visits of the same instant.
-const COHORT_MAX: usize = 256;
 
 impl IoStack {
     /// Builds the stack from a configuration. A multi-device topology
@@ -192,8 +180,6 @@ impl IoStack {
             dev_blocks_at_start: 0,
             fs_sink: ActionSink::new(),
             block_sink: ActionSink::new(),
-            cohort: Vec::new(),
-            cohort_pos: 0,
             finished_threads: 0,
             cfg,
         };
@@ -239,8 +225,6 @@ impl IoStack {
             dev_blocks_at_start: self.dev_blocks_at_start,
             fs_sink: ActionSink::new(),
             block_sink: ActionSink::new(),
-            cohort: self.cohort.clone(),
-            cohort_pos: self.cohort_pos,
             finished_threads: self.finished_threads,
         }
     }
@@ -534,15 +518,8 @@ impl IoStack {
     /// Exposed so callers can observe intermediate state (e.g. the
     /// committing-transaction list) between events.
     pub fn step(&mut self) -> bool {
-        let (now, ev) = if self.cohort_pos < self.cohort.len() {
-            let e = self.cohort[self.cohort_pos];
-            self.cohort_pos += 1;
-            e
-        } else {
-            match self.q.pop() {
-                Some(e) => e,
-                None => return false,
-            }
+        let Some((now, ev)) = self.q.pop() else {
+            return false;
         };
         self.dispatch_event(ev, now);
         self.maybe_uncongest();
@@ -571,99 +548,21 @@ impl IoStack {
         self.finished_threads == self.threads.len()
     }
 
-    /// The shared run loop behind [`IoStack::run_for`] and
-    /// [`IoStack::run_until_done`]: drains same-instant event cohorts
-    /// into the reusable scratch buffer and routes each cohort as
-    /// maximal same-layer runs, flushing the action sinks once per run
-    /// instead of once per event.
-    ///
-    /// The batched path is *bit-exact* with popping the same events one
-    /// [`IoStack::step`] at a time (the oracle of
-    /// `crates/bench/tests/batch_equivalence.rs`), by construction:
-    ///
-    /// - A cohort shares one timestamp, and followers pushed while it is
-    ///   processed carry later sequence numbers, so they sort after the
-    ///   whole cohort — draining upfront preserves the `(time, seq)`
-    ///   FIFO order.
-    /// - Within a same-layer run, `handle` only reads that layer's own
-    ///   state, while routing only touches *other* state (the queue,
-    ///   threads, metrics, the block layer for `Submit`s) — so deferring
-    ///   the routing to the end of the run leaves every `handle` input
-    ///   and the emitted action order unchanged. Runs break at layer
-    ///   boundaries because routing a filesystem `Submit` mutates block
-    ///   state, and `ThreadNext` is always dispatched individually (it
-    ///   reads block congestion and routes inline).
-    /// - The per-event `maybe_uncongest` calls a single-pop loop makes
-    ///   are no-ops while `congested` is empty, and nothing inside an
-    ///   Fs/Block run can populate `congested` (only `thread_issue`
-    ///   does, and only while the block queue is at or above the limit,
-    ///   so no wake-up is due right after it either); the moment it is
-    ///   non-empty the remainder of the cohort falls back to exact
-    ///   per-event dispatch.
-    ///
-    /// Returns true when every thread has finished — checked between
-    /// events exactly where the single-pop `run_until_done` checked it
-    /// (threads only finish inside `ThreadNext` dispatch, so the check
-    /// is needed only there and at cohort boundaries). With `until_done`
-    /// the loop stops at that point, leaving any unprocessed cohort
-    /// remainder buffered for the next run call.
+    /// The run loop behind [`IoStack::run_for`] and
+    /// [`IoStack::run_until_done`]: [`IoStack::step`] repeated while an
+    /// event is due at or before `deadline`. With `until_done` it returns
+    /// true as soon as every thread has finished — checked before each
+    /// pop, so nothing past that point is consumed; otherwise false.
     fn drive(&mut self, deadline: SimTime, until_done: bool) -> bool {
         loop {
             if until_done && self.all_threads_finished() {
                 return true;
             }
-            if self.cohort_pos == self.cohort.len() {
-                self.cohort.clear();
-                self.cohort_pos = 0;
-                let mut buf = std::mem::take(&mut self.cohort);
-                let n = self
-                    .q
-                    .pop_batch_at_or_before(deadline, &mut buf, COHORT_MAX);
-                self.cohort = buf;
-                if n == 0 {
-                    return false;
-                }
-            }
-            while self.cohort_pos < self.cohort.len() {
-                let (now, ev) = self.cohort[self.cohort_pos];
-                if !self.congested.is_empty() {
-                    // Exact fallback: congestion wake-ups depend on the
-                    // block queue depth after *each* event.
-                    self.cohort_pos += 1;
-                    self.dispatch_event(ev, now);
-                    self.maybe_uncongest();
-                    if until_done
-                        && matches!(ev, Event::ThreadNext(_))
-                        && self.all_threads_finished()
-                    {
-                        return true;
-                    }
-                    continue;
-                }
-                match ev {
-                    Event::Fs(_) => {
-                        while let Some(&(t, Event::Fs(fe))) = self.cohort.get(self.cohort_pos) {
-                            self.cohort_pos += 1;
-                            self.fs.handle(fe, t, &mut self.fs_sink);
-                        }
-                        self.route_fs_actions();
-                    }
-                    Event::Block(_) => {
-                        while let Some(&(t, Event::Block(be))) = self.cohort.get(self.cohort_pos) {
-                            self.cohort_pos += 1;
-                            self.block.handle(be, t, &mut self.block_sink);
-                        }
-                        self.route_block_actions();
-                    }
-                    Event::ThreadNext(tid) => {
-                        self.cohort_pos += 1;
-                        self.thread_issue(tid, now);
-                        if until_done && self.all_threads_finished() {
-                            return true;
-                        }
-                    }
-                }
-            }
+            let Some((now, ev)) = self.q.pop_at_or_before(deadline) else {
+                return false;
+            };
+            self.dispatch_event(ev, now);
+            self.maybe_uncongest();
         }
     }
 

@@ -303,6 +303,22 @@ fn deterministic_given_seed() {
     assert_ne!(run(1), run(2), "different seeds should differ");
 }
 
+/// `run_until_done` looks at the threads before it pops: entered with
+/// every thread already finished it consumes nothing, like the loop
+/// `while !workloads_finished() { step() }`, although the filesystem's
+/// periodic timers are always queued.
+#[test]
+fn run_until_done_on_a_finished_stack_consumes_nothing() {
+    let mut stack = IoStack::new(StackConfig::ext4_dr(DeviceProfile::plain_ssd()));
+    let f = stack.create_global_file();
+    stack.add_thread(Box::new(write_fsync_script(FileRef::Global(f), 10)));
+    assert!(stack.run_until_done(SimDuration::from_secs(60)));
+    let stopped_at = stack.now();
+    assert!(stack.run_until_done(SimDuration::from_secs(60)));
+    assert_eq!(stack.now(), stopped_at, "an event past the finish ran");
+    assert!(stack.step(), "a timer was still queued to be consumed");
+}
+
 #[test]
 fn workload_closure_api_works() {
     let mut stack = IoStack::new(StackConfig::ext4_dr(DeviceProfile::supercap_ssd()));

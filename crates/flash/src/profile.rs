@@ -11,7 +11,7 @@
 //!
 //! Latency constants are calibrated so the *baseline* (EXT4, full flush)
 //! fsync latencies land near Table 1 of the paper (UFS ≈ 1.3 ms, plain-SSD
-//! ≈ 6 ms, supercap ≈ 0.15 ms). See EXPERIMENTS.md for measured values.
+//! ≈ 6 ms, supercap ≈ 0.15 ms); `figures --table 1` prints them.
 
 use bio_sim::SimDuration;
 

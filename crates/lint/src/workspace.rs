@@ -9,9 +9,9 @@ use crate::files::{CrateKey, FileKind, SourceFile};
 use crate::report::{Finding, Report};
 use crate::{allow, determinism, forkcov, layering, totality};
 
-/// The member crates and their directories. `crates/compat/*` (vendored
-/// criterion/proptest stand-ins) and `crates/lint` itself are scanned for
-/// layering only via their manifests; their sources model foreign APIs
+/// The member crates and their directories. `crates/compat/*` (the
+/// vendored proptest stand-in) and `crates/lint` itself are scanned for
+/// layering only via their manifests; their sources model a foreign API
 /// and tooling, not the simulation, so the simulation invariants do not
 /// apply there.
 const MEMBERS: [(&str, CrateKey); 8] = [

@@ -313,34 +313,9 @@ impl<E> EventQueue<E> {
         self.active_bucket = bucket;
     }
 
-    /// Key of the earliest pending event, if any (no clock movement).
-    fn peek_key(&self) -> Option<(SimTime, u64)> {
-        if self.active_bucket != NO_ACTIVE {
-            let run = self.ring[self.active_slot].last().map(Scheduled::key);
-            let ovf = self.overflow.peek().map(Scheduled::key);
-            match (run, ovf) {
-                (Some(r), Some(o)) => return Some(r.min(o)),
-                (Some(r), None) => return Some(r),
-                (None, Some(o)) => return Some(o),
-                (None, None) => {}
-            }
-        }
-        if self.ring_len > 0 {
-            let (slot, _) = self.scan_slot();
-            return self.ring[slot].iter().map(Scheduled::key).min();
-        }
-        self.far.peek().map(Scheduled::key)
-    }
-
-    /// Timestamp of the next event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.peek_key().map(|(t, _)| t)
-    }
-
     /// Pops the earliest event only if it is scheduled at or before
     /// `deadline`. Activates the earliest bucket once and reads its tail
-    /// key, so the ring is traversed once (not a `peek_time` scan plus a
-    /// `pop` scan) — the fast path for bounded run loops.
+    /// key, so the ring is traversed once — the pop of bounded run loops.
     pub fn pop_at_or_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
         let next = loop {
             if self.active_bucket != NO_ACTIVE {
@@ -384,51 +359,20 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Drains every event scheduled at the earliest pending instant (up to
-    /// `max`) into `out`, in FIFO order, advancing the clock to that
-    /// instant. Returns the number of events drained.
-    ///
-    /// Draining one instant at a time keeps batch processing equivalent to
-    /// popping one event at a time, as long as batch consumers process the
-    /// drained events in order (events pushed *while* processing carry
-    /// later sequence numbers, so they sort after the whole batch anyway).
-    ///
-    /// ```
-    /// use bio_sim::{EventQueue, SimTime};
-    ///
-    /// let mut q = EventQueue::new();
-    /// let t = SimTime::from_micros(3);
-    /// q.push(t, "a");
-    /// q.push(t, "b");
-    /// q.push(SimTime::from_micros(9), "later");
-    /// let mut out = Vec::new();
-    /// assert_eq!(q.pop_batch(&mut out, 16), 2);
-    /// assert_eq!(out, vec![(t, "a"), (t, "b")]);
-    /// assert_eq!(q.len(), 1);
-    /// ```
-    pub fn pop_batch(&mut self, out: &mut Vec<(SimTime, E)>, max: usize) -> usize {
-        if max == 0 {
-            return 0;
-        }
-        let Some((t, ev)) = self.pop() else { return 0 };
-        out.push((t, ev));
-        let mut n = 1;
-        while n < max && self.peek_time() == Some(t) {
-            out.push(self.pop().expect("peeked"));
-            n += 1;
-        }
-        n
-    }
-
-    /// Deadline-bounded [`EventQueue::pop_batch`]: drains the earliest
-    /// pending instant's events (up to `max`) into `out`, but only when
-    /// that instant is at or before `deadline`. Returns the number of
-    /// events drained — 0 on an empty queue or a deadline miss (the
-    /// queue is untouched and the clock does not advance).
+    /// Drains the earliest pending instant's events (up to `max`) into
+    /// `out`, in FIFO order, but only when that instant is at or before
+    /// `deadline`. Returns the number of events drained — 0 on an empty
+    /// queue or a deadline miss (the queue is untouched and the clock
+    /// does not advance).
     ///
     /// Only the *first* pop pays the deadline comparison; same-instant
     /// followers are necessarily within the deadline too, so they drain
     /// through the active-bucket fast path.
+    ///
+    /// No run loop in the workspace drains by instant (`IoStack` pops
+    /// one event at a time). This stays only because the benchmark's
+    /// `sim.event_ns.*` probes (`benchmark/src/probes.rs`) time it, and a
+    /// PR may not edit `benchmark/`.
     ///
     /// ```
     /// use bio_sim::{EventQueue, SimTime};
@@ -468,9 +412,8 @@ impl<E> EventQueue<E> {
     /// after an event at `t` was popped: the pop advanced the window to
     /// `t`, so every remaining event at `t` has migrated out of the far
     /// tier and sits in the active bucket's run or overflow — if neither
-    /// holds one, the instant is drained. (A generic `peek_time` would
-    /// rescan the ring whenever the pop emptied the active run, which is
-    /// the common case for singleton instants.)
+    /// holds one, the instant is drained. Kept, like its one caller
+    /// [`EventQueue::pop_batch_at_or_before`], for the benchmark's probes.
     fn has_follower_at(&self, t: SimTime) -> bool {
         if self.active_bucket == NO_ACTIVE {
             return false;
@@ -590,16 +533,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_advance() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_micros(9), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(9)));
-        assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-    }
-
-    #[test]
     fn interleaved_push_pop_stays_sorted() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_nanos(5), 5);
@@ -646,38 +579,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_batch_drains_one_instant() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_micros(2);
-        q.push(t, 1);
-        q.push(t, 2);
-        q.push(SimTime::from_micros(3), 9);
-        let mut out = Vec::new();
-        assert_eq!(q.pop_batch(&mut out, 8), 2);
-        assert_eq!(out, vec![(t, 1), (t, 2)]);
-        out.clear();
-        assert_eq!(q.pop_batch(&mut out, 8), 1);
-        assert_eq!(out[0].1, 9);
-        assert_eq!(q.pop_batch(&mut out, 8), 0);
-    }
-
-    #[test]
-    fn pop_batch_respects_max() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_micros(1);
-        for i in 0..10 {
-            q.push(t, i);
-        }
-        let mut out = Vec::new();
-        assert_eq!(q.pop_batch(&mut out, 4), 4);
-        assert_eq!(
-            out.iter().map(|(_, e)| *e).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3]
-        );
-        assert_eq!(q.len(), 6);
-    }
-
-    #[test]
     fn pop_batch_at_or_before_bounds_the_instant() {
         let mut q = EventQueue::new();
         let t = SimTime::from_micros(2);
@@ -718,7 +619,6 @@ mod tests {
         q.push(SimTime::from_nanos(200), "b"); // overflow of the active bucket
         assert_eq!(q.pop_at_or_before(SimTime::from_nanos(150)), None);
         assert_eq!(q.len(), 1);
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(200)));
         assert_eq!(q.pop().unwrap().1, "b");
         assert!(q.pop().is_none());
     }
@@ -745,7 +645,6 @@ mod tests {
         q.push(SimTime::from_millis(50), "late");
         assert_eq!(q.pop_at_or_before(SimTime::from_millis(10)), None);
         q.push(SimTime::from_millis(20), "early");
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(20)));
         assert_eq!(q.pop().unwrap().1, "early");
         assert_eq!(q.pop().unwrap().1, "late");
         assert!(q.pop().is_none());

@@ -126,29 +126,6 @@ proptest! {
             }
         }
     }
-
-    /// Draining through `pop_batch` yields the same sequence as repeated
-    /// `pop` calls.
-    #[test]
-    fn pop_batch_equals_pop_sequence(
-        sched in prop::collection::vec((0u64..100_000, 0u64..50), 1..200),
-        max in 1usize..9,
-    ) {
-        let mut by_pop = EventQueue::new();
-        let mut by_batch = EventQueue::new();
-        for &(at, v) in &sched {
-            by_pop.push(SimTime::from_nanos(at), v);
-            by_batch.push(SimTime::from_nanos(at), v);
-        }
-        let mut a = Vec::new();
-        while let Some(e) = by_pop.pop() {
-            a.push(e);
-        }
-        let mut b = Vec::new();
-        while by_batch.pop_batch(&mut b, max) > 0 {}
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(by_pop.now(), by_batch.now());
-    }
 }
 
 proptest! {
@@ -156,7 +133,7 @@ proptest! {
 
     /// Cohort draining through `pop_batch_at_or_before` is
     /// indistinguishable from the single-pop loop the `IoStack` drivers
-    /// used before batching: same events, same `(time, seq)` order, same
+    /// run: same events, same `(time, seq)` order, same
     /// deadline misses, same clock — across interleaved pushes (so
     /// batches drain queues that earlier batches partially emptied, the
     /// steady-state shape of the simulator main loop).

@@ -52,10 +52,6 @@ impl AppModel for DwslModel {
 
 impl Dwsl {
     /// `writes` append+sync operations on a fresh private file.
-    ///
-    /// The append phase draws no RNG and advances its single write
-    /// offset by one block per iteration, so it is compiled into a
-    /// replay trace after the first three iterations ([`PhaseSpec::replayable`]).
     pub fn new(sync: SyncMode, writes: u64) -> Dwsl {
         Dwsl {
             engine: PhaseEngine::new(DwslModel {
@@ -63,7 +59,7 @@ impl Dwsl {
                 think: None,
                 phases: [
                     PhaseSpec::once("create"),
-                    PhaseSpec::replayable("append", writes),
+                    PhaseSpec::iterations("append", writes),
                 ],
             }),
         }
@@ -111,6 +107,27 @@ mod tests {
         assert_eq!(ops[3], Op::TxnMark);
         assert!(matches!(ops[4], Op::Write { offset: 1, .. }));
         assert_eq!(ops.len(), 7);
+
+        // The rate-bounded shape `oltp_hour` runs, well past the first
+        // few iterations: create, (write i, sync, mark, think) × n.
+        let (n, think) = (40u64, SimDuration::from_micros(250));
+        let mut w = Dwsl::new(SyncMode::Fbarrier, n).with_think(think);
+        let ops: Vec<Op> = std::iter::from_fn(|| w.next_op(&mut rng)).collect();
+        let file = FileRef::Slot(0);
+        let mut want = vec![Op::Create { slot: 0 }];
+        for i in 0..n {
+            want.extend([
+                Op::Write {
+                    file,
+                    offset: i,
+                    blocks: 1,
+                },
+                Op::Fbarrier { file },
+                Op::TxnMark,
+                Op::Think { dur: think },
+            ]);
+        }
+        assert_eq!(ops, want);
     }
 
     #[test]

@@ -44,12 +44,6 @@ pub struct PhaseSpec {
     pub name: &'static str,
     /// Iteration budget.
     pub len: PhaseLen,
-    /// Steady-state replay opt-in: the model promises that this phase's
-    /// `build` draws no RNG and emits an op sequence whose only
-    /// iteration-to-iteration change is a constant per-op offset stride.
-    /// The engine compiles the phase into a flat replay template after
-    /// verifying the first three iterations (see [`PhaseEngine`]).
-    pub replay: bool,
 }
 
 impl PhaseSpec {
@@ -58,7 +52,6 @@ impl PhaseSpec {
         PhaseSpec {
             name,
             len: PhaseLen::Exactly(n),
-            replay: false,
         }
     }
 
@@ -67,7 +60,6 @@ impl PhaseSpec {
         PhaseSpec {
             name,
             len: PhaseLen::Exactly(1),
-            replay: false,
         }
     }
 
@@ -76,24 +68,6 @@ impl PhaseSpec {
         PhaseSpec {
             name,
             len: PhaseLen::Unbounded,
-            replay: false,
-        }
-    }
-
-    /// A steady-state phase of exactly `n` iterations opted into the
-    /// compiled-trace fast path. The contract the model signs up for:
-    /// `build` draws nothing from the RNG in this phase, and every
-    /// iteration emits the same op shapes with offsets advancing by a
-    /// constant per-op stride (appends, circular logs). The engine
-    /// *verifies* the shape against the first three built iterations and
-    /// silently falls back to per-iteration builds when it does not
-    /// hold — but it cannot detect RNG draws, which is why replay is an
-    /// explicit opt-in rather than an inference.
-    pub const fn replayable(name: &'static str, n: u64) -> PhaseSpec {
-        PhaseSpec {
-            name,
-            len: PhaseLen::Exactly(n),
-            replay: true,
         }
     }
 }
@@ -176,12 +150,6 @@ impl OpScript {
     pub fn pop(&mut self) -> Option<Op> {
         self.queue.pop_front()
     }
-
-    /// Iterates the queued ops in emission order without consuming them
-    /// (the replay compiler snapshots a freshly built iteration).
-    pub fn ops(&self) -> impl Iterator<Item = &Op> + '_ {
-        self.queue.iter()
-    }
 }
 
 /// An application model: a declarative phase list plus a per-iteration op
@@ -204,127 +172,13 @@ pub trait AppModel {
     fn build(&mut self, phase: usize, iter: u64, script: &mut OpScript, rng: &mut SimRng);
 }
 
-/// Compiled steady-state trace of one replayable phase: iteration 0's
-/// op sequence plus one offset stride per op.
-#[derive(Debug, Clone, Default)]
-enum Trace {
-    /// No trace for the current phase (not replayable, not yet captured,
-    /// or verification failed — the engine then builds every iteration).
-    #[default]
-    Off,
-    /// Iteration 0 captured; awaiting the stride measurement against
-    /// iteration 1.
-    Captured(Vec<Op>),
-    /// Strides measured between iterations 0 and 1; awaiting
-    /// confirmation that iteration 2 advances by the same strides again
-    /// (a single difference cannot distinguish an affine sequence from,
-    /// say, a quadratic one — two consecutive differences can).
-    Verify {
-        /// Iteration-0 template ops.
-        template: Vec<Op>,
-        /// Candidate per-op offset strides (iteration 1 minus 0).
-        strides: Vec<u64>,
-    },
-    /// Verified affine: iteration `k` replays `ops[i]` with its offset
-    /// advanced by `strides[i] * k`, without calling `build` (and
-    /// therefore without touching the model or the RNG).
-    Compiled {
-        /// Iteration-0 template ops.
-        ops: Vec<Op>,
-        /// Per-op offset stride (wrapping; 0 for offset-less ops).
-        strides: Vec<u64>,
-    },
-}
-
-/// Computes the per-op offset strides between two consecutively built
-/// iterations of a candidate phase, or `None` when the shape is not
-/// affine-replayable (different lengths, kinds, files, block counts, or
-/// any non-offset field changing).
-fn affine_strides(template: &[Op], next: &[Op]) -> Option<Vec<u64>> {
-    if template.len() != next.len() {
-        return None;
-    }
-    template
-        .iter()
-        .zip(next)
-        .map(|(a, b)| match (a, b) {
-            (
-                Op::Write {
-                    file: fa,
-                    offset: oa,
-                    blocks: ba,
-                },
-                Op::Write {
-                    file: fb,
-                    offset: ob,
-                    blocks: bb,
-                },
-            )
-            | (
-                Op::Read {
-                    file: fa,
-                    offset: oa,
-                    blocks: ba,
-                },
-                Op::Read {
-                    file: fb,
-                    offset: ob,
-                    blocks: bb,
-                },
-            ) if fa == fb && ba == bb => Some(ob.wrapping_sub(*oa)),
-            (a, b) if a == b => Some(0),
-            _ => None,
-        })
-        .collect()
-}
-
-/// `op` as iteration `k` of the replay would emit it: the template
-/// offset advanced by `stride * k` (wrapping, matching how an append
-/// head would have advanced had the model been rebuilt).
-fn replay_op(op: Op, stride: u64, k: u64) -> Op {
-    let d = stride.wrapping_mul(k);
-    match op {
-        Op::Write {
-            file,
-            offset,
-            blocks,
-        } => Op::Write {
-            file,
-            offset: offset.wrapping_add(d),
-            blocks,
-        },
-        Op::Read {
-            file,
-            offset,
-            blocks,
-        } => Op::Read {
-            file,
-            offset: offset.wrapping_add(d),
-            blocks,
-        },
-        other => other,
-    }
-}
-
 /// Drives an [`AppModel`] through its phases as a [`Workload`].
-///
-/// Phases marked [`PhaseSpec::replayable`] get the compiled-trace fast
-/// path: the engine builds iterations 0–2 normally, checks that each
-/// iteration is the previous one advanced by a constant per-op offset
-/// stride ([`affine_strides`], confirmed over two consecutive
-/// differences), and from then on replays the pre-lowered template
-/// directly — no model call, no RNG access, no per-iteration
-/// rebuilding. A failed check falls back to building every iteration,
-/// so a wrongly annotated phase is slower, never incorrect (unless its
-/// `build` draws RNG, which the annotation contract forbids precisely
-/// because skipped draws are unobservable here).
 #[derive(Debug, Clone)]
 pub struct PhaseEngine<M> {
     model: M,
     phase: usize,
     iter: u64,
     script: OpScript,
-    trace: Trace,
 }
 
 impl<M: AppModel> PhaseEngine<M> {
@@ -335,7 +189,6 @@ impl<M: AppModel> PhaseEngine<M> {
             phase: 0,
             iter: 0,
             script: OpScript::new(),
-            trace: Trace::Off,
         }
     }
 
@@ -370,55 +223,13 @@ impl<M: AppModel> Workload for PhaseEngine<M> {
                 PhaseLen::Exactly(n) if self.iter >= n => {
                     self.phase += 1;
                     self.iter = 0;
-                    self.trace = Trace::Off; // traces never cross phases
                     continue;
                 }
                 _ => {}
             }
             let iter = self.iter;
             self.iter += 1;
-            if spec.replay {
-                if let Trace::Compiled { ops, strides } = &self.trace {
-                    for (op, stride) in ops.iter().zip(strides) {
-                        self.script.push(replay_op(*op, *stride, iter));
-                    }
-                    continue;
-                }
-            }
             self.model.build(self.phase, iter, &mut self.script, rng);
-            if spec.replay {
-                self.trace = match (std::mem::take(&mut self.trace), iter) {
-                    // An empty iteration 0 is not worth compiling (and a
-                    // compiled-empty trace would spin without emitting).
-                    (Trace::Off, 0) if !self.script.is_empty() => {
-                        Trace::Captured(self.script.ops().copied().collect())
-                    }
-                    (Trace::Captured(template), 1) => {
-                        let built: Vec<Op> = self.script.ops().copied().collect();
-                        match affine_strides(&template, &built) {
-                            Some(strides) => Trace::Verify { template, strides },
-                            None => Trace::Off, // shape check failed: build every iteration
-                        }
-                    }
-                    (Trace::Verify { template, strides }, 2) => {
-                        let built: Vec<Op> = self.script.ops().copied().collect();
-                        // Affine means iteration 2 sits exactly two
-                        // strides past the template.
-                        let confirmed = affine_strides(&template, &built).is_some_and(|d| {
-                            d.iter().zip(&strides).all(|(d, s)| *d == s.wrapping_mul(2))
-                        });
-                        if confirmed {
-                            Trace::Compiled {
-                                ops: template,
-                                strides,
-                            }
-                        } else {
-                            Trace::Off
-                        }
-                    }
-                    (t, _) => t,
-                };
-            }
             if self.script.is_empty() && spec.len == PhaseLen::Unbounded {
                 // An unbounded phase that stopped emitting is done;
                 // advancing (instead of re-calling build forever) keeps
@@ -594,131 +405,6 @@ mod tests {
             left: 4,
         }));
         assert_eq!(ops.len(), 4);
-    }
-
-    /// Append-style model counting its `build` calls; `affine` selects a
-    /// constant-stride or quadratic offset sequence.
-    #[derive(Debug)]
-    struct Appender {
-        phases: [PhaseSpec; 2],
-        affine: bool,
-        builds: u64,
-    }
-
-    impl Appender {
-        fn new(n: u64, replay: bool, affine: bool) -> Appender {
-            Appender {
-                phases: [
-                    PhaseSpec::once("setup"),
-                    if replay {
-                        PhaseSpec::replayable("steady", n)
-                    } else {
-                        PhaseSpec::iterations("steady", n)
-                    },
-                ],
-                affine,
-                builds: 0,
-            }
-        }
-    }
-
-    impl AppModel for Appender {
-        fn phases(&self) -> &[PhaseSpec] {
-            &self.phases
-        }
-
-        fn build(&mut self, phase: usize, iter: u64, s: &mut OpScript, _rng: &mut SimRng) {
-            self.builds += 1;
-            if phase == 0 {
-                s.create(0);
-                return;
-            }
-            let off = if self.affine {
-                7 + 3 * iter
-            } else {
-                iter * iter
-            };
-            s.write(FileRef::Slot(0), off, 2);
-            s.sync(SyncMode::Fsync, FileRef::Slot(0));
-            s.think(SimDuration::from_micros(4));
-            s.txn_mark();
-        }
-    }
-
-    #[test]
-    fn replayable_phase_emits_the_built_stream() {
-        let built = drain(PhaseEngine::new(Appender::new(50, false, true)));
-        let mut replayed_engine = PhaseEngine::new(Appender::new(50, true, true));
-        let mut rng = SimRng::new(1);
-        let replayed: Vec<Op> = std::iter::from_fn(|| replayed_engine.next_op(&mut rng)).collect();
-        assert_eq!(replayed, built, "replay is byte-identical to building");
-        assert_eq!(
-            replayed_engine.model().builds,
-            1 + 3,
-            "setup + three verification iterations; the other 47 replayed"
-        );
-    }
-
-    #[test]
-    fn non_affine_replayable_phase_falls_back_to_building() {
-        let built = drain(PhaseEngine::new(Appender::new(20, false, false)));
-        let mut e = PhaseEngine::new(Appender::new(20, true, false));
-        let mut rng = SimRng::new(1);
-        let replayed: Vec<Op> = std::iter::from_fn(|| e.next_op(&mut rng)).collect();
-        assert_eq!(replayed, built);
-        assert_eq!(
-            e.model().builds,
-            1 + 20,
-            "verification failed: every iteration built"
-        );
-    }
-
-    #[test]
-    fn affine_strides_rejects_shape_changes() {
-        let w = |o| Op::Write {
-            file: FileRef::Slot(0),
-            offset: o,
-            blocks: 1,
-        };
-        assert_eq!(affine_strides(&[w(0)], &[w(5)]), Some(vec![5]));
-        assert_eq!(
-            affine_strides(&[w(0), Op::TxnMark], &[w(1), Op::TxnMark]),
-            Some(vec![1, 0])
-        );
-        assert_eq!(
-            affine_strides(&[w(0)], &[w(1), Op::TxnMark]),
-            None,
-            "length"
-        );
-        assert_eq!(
-            affine_strides(
-                &[w(0)],
-                &[Op::Read {
-                    file: FileRef::Slot(0),
-                    offset: 1,
-                    blocks: 1
-                }]
-            ),
-            None,
-            "kind"
-        );
-        assert_eq!(
-            affine_strides(
-                &[w(0)],
-                &[Op::Write {
-                    file: FileRef::Slot(0),
-                    offset: 1,
-                    blocks: 2
-                }]
-            ),
-            None,
-            "block count"
-        );
-        assert_eq!(
-            affine_strides(&[Op::Create { slot: 0 }], &[Op::Create { slot: 1 }]),
-            None,
-            "non-offset field changed"
-        );
     }
 
     #[test]
