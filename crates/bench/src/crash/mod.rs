@@ -1,0 +1,105 @@
+//! Exhaustive crash-point enumeration with differential recovery checking.
+//!
+//! The legacy ablation ([`crate::experiments::ablation_crash`]) samples one
+//! random wall-clock crash per seed and replays the whole trace from t=0 for
+//! every sample. This module explores the crash space exhaustively: each
+//! trace runs **once**, the live stack is captured at every barrier-epoch
+//! boundary (journal commit), and for every capture point the enumerator
+//! walks *all* persisted images the device's barrier mode admits for the
+//! in-flight flash programs:
+//!
+//! * [`BarrierMode::LfsInOrderRecovery`] — firmware recovery truncates at
+//!   the first unprogrammed page (§3.2), so the admissible images are the
+//!   n+1 tail prefixes cut at each in-flight program ("first hole").
+//! * [`BarrierMode::InOrderWriteback`] / [`BarrierMode::Unsupported`] — any
+//!   subset of in-flight programs may have retired: 2^n images.
+//! * [`BarrierMode::Transactional`] — uncommitted groups land
+//!   all-or-nothing: one bit per open group.
+//! * PLP (supercap) devices yield a single image: everything survives.
+//!
+//! # Module map
+//!
+//! * `capture` — [`CrashPoint`], the plain-data snapshot of a stack at a
+//!   commit; the delta cursor that builds each point from the previous
+//!   one; the trace driver ([`capture_points`], [`CaptureMode`]).
+//! * `choice` — the choice space a barrier mode admits at a point, one
+//!   image of it as an overlay on the shared base, and image dedup.
+//! * `enumerate` — [`enumerate_point`] / [`enumerate_trace_with`]: walk
+//!   the choice space, judge every distinct image, minimize the first
+//!   violating one.
+//! * `differential` — [`run`]: the six [`differential_cells`] over many
+//!   seeds, aligned by commit count, divergences reported.
+//! * [`oracle`] — what only tests call: the reference the capture engine
+//!   is held to and the surface the checker differential test needs.
+//!
+//! The items re-exported here are the product API; everything else is
+//! private to the module tree.
+//!
+//! # Capture architecture: zero-clone + delta snapshots
+//!
+//! Capture and checking share three tiers:
+//!
+//! 1. **Zero-clone capture** — a point is read off the live stack through
+//!    borrowed accessors (`&AppendLog` tail, cache snapshot, committed
+//!    groups, txn records); nothing outside the point itself is cloned.
+//! 2. **Delta snapshots** — a capture cursor holds the previous point's
+//!    `Arc`-backed base image, committed-group set and record history;
+//!    the stack journals its per-epoch dirty sets (blocks folded, groups
+//!    committed, records marked durable) and the next point is built from
+//!    the previous one plus that delta — O(writes-this-epoch), not
+//!    O(log length). The shared parts are immutable behind `Arc`;
+//!    copy-on-write (`Arc::make_mut`) keeps retained points intact.
+//! 3. **Incremental checkers** — every image of a point is the shared
+//!    base plus an overlay over the blocks of the unfolded tail, so a
+//!    transaction record or transfer the overlay does not touch reads the
+//!    same against all of them, and between points its reading changes
+//!    only when a fold writes one of its blocks. The cursor therefore also
+//!    carries a [`ConsistencyIndex`] and, per device, an [`EpochIndex`]:
+//!    each record's and block's verdict under the base, advanced from the
+//!    same delta. [`enumerate_point`] judges an image from what its
+//!    overlay touches plus the indexes' aggregates; whenever that cannot
+//!    certify the image clean, the full [`ConsistencyCheck`] /
+//!    [`EpochAudit`] run on it, so every reported violation, `worst` case
+//!    and minimisation still comes from them. Checking an image costs
+//!    O(writes in flight), not O(trace so far).
+//!
+//! Subset/group spaces are enumerated exhaustively up to 8 free choices
+//! per device and 256 images per capture point; clamping is counted,
+//! never silent, and clamped points are additionally covered by
+//! **stratified sampling**: seeded strata over subset cardinality draw
+//! reorderings from the *full* free list (up to 64 bits), with
+//! sampled-vs-exhaustive coverage reported in [`CrashStats`].
+//!
+//! **Differential recovery**: the same op trace runs against EXT4-DR,
+//! BFS-DR and BFS-OD, at the 1q×1dev topology and again at 2q×2dev;
+//! capture points align across stacks of the same topology by commit
+//! count. Every enumerated image must recover to a clean transaction
+//! prefix (no commit-order / torn-transaction / ordered-data /
+//! durability-loss violation and no epoch-order violation). A stack that
+//! violates where a peer stays clean at the same aligned point is a
+//! cross-stack divergence, reported as a minimized
+//! `(trace seed, capture point, reordering choice)` triple.
+//!
+//! [`BarrierMode::LfsInOrderRecovery`]: bio_flash::BarrierMode::LfsInOrderRecovery
+//! [`BarrierMode::InOrderWriteback`]: bio_flash::BarrierMode::InOrderWriteback
+//! [`BarrierMode::Unsupported`]: bio_flash::BarrierMode::Unsupported
+//! [`BarrierMode::Transactional`]: bio_flash::BarrierMode::Transactional
+//! [`ConsistencyIndex`]: barrier_io::ConsistencyIndex
+//! [`ConsistencyCheck`]: barrier_io::ConsistencyCheck
+//! [`EpochIndex`]: bio_flash::EpochIndex
+//! [`EpochAudit`]: bio_flash::EpochAudit
+
+mod capture;
+mod choice;
+mod differential;
+mod enumerate;
+pub mod oracle;
+
+pub use capture::{capture_points, CaptureMode, CrashPoint};
+pub(crate) use capture::{trace_stack, TRACE_OPS};
+pub use differential::{
+    differential_cells, run, CrashEnumReport, CrashStats, DivergenceTriple, StackRow,
+};
+pub use enumerate::{
+    enumerate_point, enumerate_trace_with, CellOutcome, PointOutcome, ViolationCase,
+};

@@ -981,6 +981,16 @@ pub fn ablation_engines(scale: u64) {
 // Ablation: crash-consistency violations.
 // ---------------------------------------------------------------------
 
+/// One sampled crash (the ablation table's unit of work): the explorer's
+/// trace run for `dur`, then one wall-clock crash; counts its violations.
+fn sampled_crash_violations(cfg: StackConfig, sync: SyncMode, dur: SimDuration) -> u64 {
+    let seed = cfg.seed;
+    let mut stack = crate::crash::trace_stack(cfg, sync, seed, crate::crash::TRACE_OPS);
+    stack.run_for(dur);
+    let crash = stack.crash();
+    (crash.fs_violations.len() + crash.epoch_violations.len()) as u64
+}
+
 /// Crash audit: violation counts over `seeds` random crash points.
 pub fn ablation_crash(seeds: u64) {
     type Cfg = fn() -> StackConfig;
@@ -1018,7 +1028,7 @@ pub fn ablation_crash(seeds: u64) {
         meta.push(label);
         for seed in 0..seeds {
             grid.push(format!("crash/{label}/seed{seed}"), move || {
-                crate::crash::sampled_crash_violations(
+                sampled_crash_violations(
                     mk_cfg().with_seed(seed),
                     sync,
                     SimDuration::from_millis(2 + seed * 3),

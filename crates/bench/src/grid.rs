@@ -13,6 +13,7 @@
 //! therefore produce byte-identical output — `tests/grid_determinism.rs`
 //! locks that in, and CI diffs a serial vs parallel `figures` run.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -46,6 +47,26 @@ struct Cell<R> {
     run: Box<dyn FnOnce() -> R + Send>,
 }
 
+impl<R> Cell<R> {
+    /// Runs the cell. A panic comes back as the message to raise in the
+    /// caller: the cell's label, then the original message.
+    fn run(self) -> Result<R, String> {
+        // The cell owns everything it touches and is consumed here, so no
+        // broken state outlives the unwind.
+        catch_unwind(AssertUnwindSafe(self.run)).map_err(|payload| {
+            let msg = match (
+                payload.downcast_ref::<&str>(),
+                payload.downcast_ref::<String>(),
+            ) {
+                (Some(s), _) => s,
+                (_, Some(s)) => s.as_str(),
+                _ => "(non-string panic payload)",
+            };
+            format!("grid cell `{}` panicked: {msg}", self.label)
+        })
+    }
+}
+
 /// An ordered collection of independent experiment cells producing `R`.
 pub struct ExperimentGrid<R> {
     cells: Vec<Cell<R>>,
@@ -73,11 +94,6 @@ impl<R> ExperimentGrid<R> {
         self.cells.is_empty()
     }
 
-    /// Cell labels, in enqueue (= result) order.
-    pub fn labels(&self) -> impl Iterator<Item = &str> {
-        self.cells.iter().map(|c| c.label.as_str())
-    }
-
     /// Enqueues one cell. The closure must be self-contained (build its
     /// own stack, return plain data, print nothing).
     pub fn push(&mut self, label: impl Into<String>, run: impl FnOnce() -> R + Send + 'static) {
@@ -97,13 +113,22 @@ impl<R: Send> ExperimentGrid<R> {
     }
 
     /// Runs every cell on `jobs` workers (`<= 1` runs serially on the
-    /// calling thread). Results are in enqueue order either way; a
-    /// panicking cell propagates its panic to the caller.
+    /// calling thread). Results are in enqueue order either way.
+    ///
+    /// # Panics
+    ///
+    /// When a cell panics: with the label of the first such cell in
+    /// enqueue order in front of its message. No further cell is started.
     pub fn run_with(self, jobs: usize) -> Vec<R> {
         let n = self.cells.len();
         CELLS_RUN.fetch_add(n, Ordering::Relaxed);
+        let raise = |msg: String| -> R { panic!("{msg}") };
         if jobs <= 1 || n <= 1 {
-            return self.cells.into_iter().map(|c| (c.run)()).collect();
+            return self
+                .cells
+                .into_iter()
+                .map(|c| c.run().unwrap_or_else(raise))
+                .collect();
         }
         // Work-stealing by atomic index: workers claim the next unstarted
         // cell, so long cells don't serialise behind short ones. Each
@@ -114,7 +139,8 @@ impl<R: Send> ExperimentGrid<R> {
             .into_iter()
             .map(|c| Mutex::new(Some(c)))
             .collect();
-        let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let results: Vec<Mutex<Option<Result<R, String>>>> =
+            (0..n).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
         std::thread::scope(|s| {
             for _ in 0..jobs.min(n) {
@@ -128,17 +154,25 @@ impl<R: Send> ExperimentGrid<R> {
                         .expect("work slot poisoned")
                         .take()
                         .expect("cell claimed twice");
-                    let r = (cell.run)();
+                    let r = cell.run();
+                    if r.is_err() {
+                        // Cells are claimed in index order, so everything
+                        // in front of this one still finishes.
+                        next.store(n, Ordering::Relaxed);
+                    }
                     *results[i].lock().expect("result slot poisoned") = Some(r);
                 });
             }
         });
+        // In index order the first failed cell comes before any slot left
+        // empty by the stop above.
         results
             .into_iter()
             .map(|m| {
                 m.into_inner()
                     .expect("result slot poisoned")
                     .expect("worker pool ran every claimed cell")
+                    .unwrap_or_else(raise)
             })
             .collect()
     }
@@ -176,10 +210,24 @@ mod tests {
     }
 
     #[test]
-    fn labels_track_cells() {
-        let mut g: ExperimentGrid<()> = ExperimentGrid::new();
-        g.push("a", || ());
-        g.push("b", || ());
-        assert_eq!(g.labels().collect::<Vec<_>>(), vec!["a", "b"]);
+    fn a_panicking_cell_is_named_on_both_paths() {
+        for jobs in [1, 4] {
+            let mut g: ExperimentGrid<u64> = ExperimentGrid::new();
+            for i in 0..16u64 {
+                g.push(format!("fig0/cell{i}"), move || {
+                    assert!(i != 5 && i != 11, "FTL out of space at step {i}");
+                    i
+                });
+            }
+            let payload = std::panic::catch_unwind(AssertUnwindSafe(|| g.run_with(jobs)))
+                .expect_err("the grid swallowed the panic");
+            let msg = payload
+                .downcast_ref::<String>()
+                .expect("a formatted message");
+            assert_eq!(
+                msg, "grid cell `fig0/cell5` panicked: FTL out of space at step 5",
+                "jobs {jobs}"
+            );
+        }
     }
 }

@@ -18,12 +18,12 @@
 //! asserts that violations were in fact seen.
 
 use barrier_io::{
-    check_crash_consistency, BarrierMode, ConsistencyCheck, DeviceProfile, StackConfig, Topology,
+    check_crash_consistency, BarrierMode, ConsistencyCheck, DeviceProfile, StackConfig,
 };
-use bio_bench::crash::{
-    capture_points_of, enumerate_point_unindexed, enumerate_point_with, CaptureMode, CrashPoint,
-    Forgery,
+use bio_bench::crash::oracle::{
+    capture_points_of, enumerate_point_unindexed, enumerate_point_with, Forgery,
 };
+use bio_bench::crash::{differential_cells, CaptureMode, CrashPoint};
 use bio_flash::{EpochAudit, EpochViolation};
 use bio_workloads::SyncMode;
 use proptest::prelude::*;
@@ -48,15 +48,8 @@ fn device(space: u8) -> DeviceProfile {
 /// The six differential cells of `crash::run` over `dev`, with the journal
 /// shrunk to `journal` blocks when given.
 fn cell(stack: u8, dev: DeviceProfile, journal: Option<u64>) -> (StackConfig, SyncMode) {
-    let (cfg, sync) = match stack % 3 {
-        0 => (StackConfig::ext4_dr(dev), SyncMode::Fsync),
-        1 => (StackConfig::bfs(dev), SyncMode::Fsync),
-        _ => (StackConfig::bfs(dev).ordering_only(), SyncMode::Fbarrier),
-    };
-    let mut cfg = cfg.with_history();
-    if stack >= 3 {
-        cfg = cfg.with_topology(Topology::new(2, 2, 16));
-    }
+    let cells = differential_cells(dev);
+    let (_, mut cfg, sync) = cells.as_flattened()[stack as usize].clone();
     if let Some(blocks) = journal {
         cfg.fs = cfg.fs.with_journal_blocks(blocks);
     }
@@ -209,7 +202,7 @@ fn the_multi_device_tear_reads_the_same_through_the_index() {
 #[test]
 fn delta_advanced_indexes_equal_rebuilt_ones() {
     // The delta-advanced indexes ride in `CrashPoint`'s equality, so
-    // delta == fork holds them to indexes built from nothing at every
+    // delta == scratch holds them to indexes built from nothing at every
     // point — here where the capture-equivalence cells do not go. 300
     // commits through 16–64 journal blocks: every journal block is reused
     // many times over, so records keep leaving the checkable set. And a
@@ -223,11 +216,11 @@ fn delta_advanced_indexes_equal_rebuilt_ones() {
         for stack in 0..6 {
             let (cfg, sync) = cell(stack, dev.clone(), journal);
             let delta = capture_points_of(cfg.clone(), sync, 9, CaptureMode::Delta, 300);
-            let fork = capture_points_of(cfg, sync, 9, CaptureMode::Fork, 300);
+            let scratch = capture_points_of(cfg, sync, 9, CaptureMode::Scratch, 300);
             assert!(delta.len() >= 250, "stack {stack}: {} points", delta.len());
             assert!(
-                delta == fork,
-                "{} stack {stack} journal {journal:?}: delta != fork",
+                delta == scratch,
+                "{} stack {stack} journal {journal:?}: delta != scratch",
                 dev.name
             );
         }

@@ -182,7 +182,7 @@ pub struct LaneStats {
 }
 
 /// One `(device, hardware queue)` lane: scheduler plus dispatch state.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Lane {
     sched: EpochScheduler,
     /// A dispatched request the device bounced; retried on `Retry`.
@@ -243,12 +243,7 @@ const RECLAIM_POOL_CAP: usize = 64;
 
 /// The order-preserving block device layer over an N-queue × M-device
 /// lane topology.
-///
-/// `Clone` deep-copies the layer — lanes (schedulers included, via
-/// `IoScheduler::clone_box`), devices, in-flight tables and sequencer
-/// state — so a clone evolves bit-identically under the same event
-/// stream. This is the `bio-block` leg of stack `fork()`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BlockLayer {
     topology: Topology,
     mode: DispatchMode,

@@ -37,16 +37,6 @@ pub struct EpochScheduler {
     reassignments: u64,
 }
 
-impl Clone for EpochScheduler {
-    fn clone(&self) -> Self {
-        EpochScheduler {
-            inner: self.inner.clone_box(),
-            barrier_owed: self.barrier_owed,
-            reassignments: self.reassignments,
-        }
-    }
-}
-
 impl EpochScheduler {
     /// Wraps an inner scheduler.
     pub fn new(inner: Box<dyn IoScheduler + Send>) -> EpochScheduler {
@@ -79,10 +69,6 @@ impl EpochScheduler {
 }
 
 impl IoScheduler for EpochScheduler {
-    fn clone_box(&self) -> Box<dyn IoScheduler + Send> {
-        Box::new(self.clone())
-    }
-
     fn enqueue(&mut self, req: BlockRequest) {
         debug_assert!(
             !req.flags.barrier,

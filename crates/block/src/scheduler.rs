@@ -15,9 +15,6 @@ pub const MAX_MERGE_BLOCKS: u64 = 128;
 /// A single-queue IO scheduler: requests go in, dispatchable (possibly
 /// merged) requests come out.
 pub trait IoScheduler: core::fmt::Debug {
-    /// Deep-copies the scheduler behind a fresh box (the `bio-block` leg
-    /// of stack `fork()` — lanes hold schedulers as trait objects).
-    fn clone_box(&self) -> Box<dyn IoScheduler + Send>;
     /// Adds a request to the queue, merging where allowed.
     fn enqueue(&mut self, req: BlockRequest);
     /// Removes the next request to dispatch, or `None` if the queue is
@@ -49,10 +46,6 @@ impl NoopScheduler {
 }
 
 impl IoScheduler for NoopScheduler {
-    fn clone_box(&self) -> Box<dyn IoScheduler + Send> {
-        Box::new(self.clone())
-    }
-
     fn enqueue(&mut self, req: BlockRequest) {
         let incoming = MergedRequest::single(req);
         for existing in self.queue.iter_mut() {
@@ -94,10 +87,6 @@ impl ElevatorScheduler {
 }
 
 impl IoScheduler for ElevatorScheduler {
-    fn clone_box(&self) -> Box<dyn IoScheduler + Send> {
-        Box::new(self.clone())
-    }
-
     fn enqueue(&mut self, req: BlockRequest) {
         let incoming = MergedRequest::single(req);
         for existing in self.queue.iter_mut() {

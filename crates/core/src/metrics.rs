@@ -36,7 +36,7 @@ pub struct Metrics {
     pub txns: u64,
     started: SimTime,
     /// Completions referencing a thread this stack never created
-    /// (forged or cross-fork events, dropped instead of panicking).
+    /// (forged events, dropped instead of panicking).
     pub dropped_wakeups: u64,
 }
 

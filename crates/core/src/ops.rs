@@ -167,15 +167,6 @@ impl OpKind {
 pub trait Workload {
     /// Produces the next operation.
     fn next_op(&mut self, rng: &mut SimRng) -> Option<Op>;
-
-    /// Deep-copies the workload mid-run (the workload leg of stack
-    /// `fork()`): the copy must continue the op stream exactly where the
-    /// original stands. Returns `None` for workloads that cannot be
-    /// duplicated (e.g. closures over external state); forking a stack
-    /// that runs one panics.
-    fn fork(&self) -> Option<Box<dyn Workload>> {
-        None
-    }
 }
 
 /// A workload from a closure (handy in tests).
@@ -225,10 +216,6 @@ impl ScriptWorkload {
 }
 
 impl Workload for ScriptWorkload {
-    fn fork(&self) -> Option<Box<dyn Workload>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn next_op(&mut self, _rng: &mut SimRng) -> Option<Op> {
         if self.script.is_empty() {
             return None;

@@ -45,21 +45,6 @@ struct WThread {
     op_started: SimTime,
 }
 
-impl Clone for WThread {
-    fn clone(&self) -> Self {
-        WThread {
-            workload: self.workload.fork().expect(
-                "IoStack::fork() requires forkable workloads (Workload::fork returned None)",
-            ),
-            slots: self.slots.clone(),
-            state: self.state,
-            rng: self.rng.clone(),
-            current_kind: self.current_kind,
-            op_started: self.op_started,
-        }
-    }
-}
-
 /// Full report of one run: per-op metrics plus device/fs/block counters.
 #[derive(Debug, Clone)]
 pub struct StackReport {
@@ -192,41 +177,6 @@ impl IoStack {
     /// The configuration.
     pub fn config(&self) -> &StackConfig {
         &self.cfg
-    }
-
-    /// Forks the stack: a deep, independent copy of every layer — event
-    /// queue, filesystem (transaction table, arenas), block layer (lanes,
-    /// schedulers, in-flight splits), devices (FTL, cache, command queue,
-    /// append log) and workload threads. Running the fork and the
-    /// original produces bit-identical futures, and neither observes the
-    /// other (crash-point enumeration forks at an epoch boundary instead
-    /// of replaying from t=0).
-    ///
-    /// # Panics
-    ///
-    /// Panics when any workload thread is not forkable
-    /// ([`Workload::fork`] returns `None`, e.g. [`crate::FnWorkload`]).
-    pub fn fork(&self) -> IoStack {
-        debug_assert!(self.fs_sink.is_empty(), "sinks are drained between events");
-        debug_assert!(
-            self.block_sink.is_empty(),
-            "sinks are drained between events"
-        );
-        IoStack {
-            cfg: self.cfg.clone(),
-            q: self.q.clone(),
-            fs: self.fs.clone(),
-            block: self.block.clone(),
-            threads: self.threads.clone(),
-            metrics: self.metrics.clone(),
-            congested: self.congested.clone(),
-            global_files: self.global_files.clone(),
-            measure_start: self.measure_start,
-            dev_blocks_at_start: self.dev_blocks_at_start,
-            fs_sink: ActionSink::new(),
-            block_sink: ActionSink::new(),
-            finished_threads: self.finished_threads,
-        }
     }
 
     /// Current simulated time.
@@ -373,8 +323,8 @@ impl IoStack {
     fn complete_op(&mut self, tid: ThreadId) {
         let now = self.q.now();
         // A completion for a thread id this stack never created is a
-        // forged or cross-fork event: drop it with a counter (handlers
-        // are total; see docs/INVARIANTS.md).
+        // forged event: drop it with a counter (handlers are total; see
+        // docs/INVARIANTS.md).
         let Some(th) = self.threads.get_mut(tid.0 as usize) else {
             self.metrics.note_dropped_wakeup();
             return;

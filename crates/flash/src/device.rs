@@ -191,12 +191,7 @@ pub struct DeviceStats {
 }
 
 /// The simulated storage device.
-///
-/// `Clone` deep-copies the whole machine — queue, cache, FTL, chips,
-/// append log, in-flight bookkeeping and RNG — so a clone evolves
-/// bit-identically to the original under the same event stream. This is
-/// the `bio-flash` leg of stack `fork()`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Device {
     profile: DeviceProfile,
     rng: SimRng,
@@ -337,7 +332,7 @@ impl Device {
 
     /// The append log (durable prefix + in-flight tail). The crash
     /// enumerator reads this to construct every admissible crash image at
-    /// a fork point instead of the single sampled one.
+    /// a capture point instead of the single sampled one.
     pub fn append_log(&self) -> &AppendLog {
         &self.log
     }

@@ -253,7 +253,7 @@ pub struct EpochViolation {
 
 /// The epoch-order auditor with its per-history tables hoisted out of the
 /// per-image loop: the tag → transfer-seq map depends only on the history,
-/// so the crash enumerator builds one auditor per fork point and runs it
+/// so the crash enumerator builds one auditor per capture point and runs it
 /// against hundreds of images instead of rebuilding the map every time.
 pub struct EpochAudit<'a> {
     history: &'a [TransferRec],

@@ -194,11 +194,7 @@ pub struct FsStats {
 const PAYLOAD_POOL_CAP: usize = 64;
 
 /// The simulated filesystem.
-///
-/// `Clone` is a deep copy: every table, transaction, pool and scratch
-/// buffer is duplicated, so a clone is an independent fork of the machine
-/// (the `bio-fs` leg of stack `fork()`).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Filesystem {
     pub(crate) cfg: FsConfig,
     pub(crate) layout: Layout,

@@ -105,7 +105,7 @@ fn present_or_superseded<V: ImageView>(image: &V, lba: Lba, tag: BlockTag) -> bo
 /// The crash-consistency checker with its record-only tables hoisted out
 /// of the per-image loop: last-writer resolution and checkability depend
 /// only on the records, so the crash enumerator builds one checker per
-/// fork point and replays hundreds of images through it instead of
+/// capture point and replays hundreds of images through it instead of
 /// rebuilding the tables every time.
 ///
 /// Only *checkable* transactions participate: a transaction whose journal

@@ -1,7 +1,7 @@
 //! Determinism analyzer.
 //!
 //! The whole evaluation rests on bit-exact reproducibility: golden
-//! `figures` diffs, serial-vs-parallel grid identity, fork bit-identity.
+//! `figures` diffs, serial-vs-parallel grid identity.
 //! Anything that injects ambient nondeterminism into the six simulation
 //! crates breaks those guarantees silently. This pass forbids, in
 //! non-test `src/` code of `sim`/`flash`/`block`/`fs`/`core`/`workloads`:

@@ -122,8 +122,8 @@ pub const ALL: [CrateKey; 9] = [
     CrateKey::Lint,
 ];
 
-/// Which compilation target a file belongs to. Determinism/totality/
-/// fork-coverage apply to `Src` only; layering applies everywhere
+/// Which compilation target a file belongs to. Determinism and
+/// totality apply to `Src` only; layering applies everywhere
 /// (test/bench code must not reach around the facade either).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileKind {

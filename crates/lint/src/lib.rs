@@ -4,13 +4,12 @@
 //! The reproduction's correctness argument rests on three source-level
 //! invariants that, before this crate, lived only in tests and reviewer
 //! memory: **bit-exact determinism** (golden `figures` diffs,
-//! serial/parallel grid identity, fork bit-identity), **total event
-//! handlers** (the PR 3–4 panic-path purge: bad completions drop with
-//! typed errors, never abort), and the **strict 7-crate layer DAG**.
-//! This crate machine-checks all three — plus **fork coverage**, so a
-//! newly added field cannot silently alias across `fork()` — on every
-//! build, with findings suppressible only through the checked-in
-//! `lint.toml` allowlist (mandatory reason strings).
+//! serial/parallel grid identity), **total event handlers** (the PR 3–4
+//! panic-path purge: bad completions drop with typed errors, never
+//! abort), and the **strict 7-crate layer DAG**. This crate
+//! machine-checks all three on every build, with findings suppressible
+//! only through the checked-in `lint.toml` allowlist (mandatory reason
+//! strings).
 //!
 //! See `docs/INVARIANTS.md` for the invariant catalogue and rationale;
 //! run `cargo run -p bio-lint` (or `-- --json`) from anywhere in the
@@ -18,13 +17,12 @@
 //!
 //! Internals: a dependency-free lexer ([`lexer`]) and item scanner
 //! ([`scan`]) — no `syn`, the workspace builds hermetically offline —
-//! and four analyzers on top ([`determinism`], [`totality`],
-//! [`layering`], [`forkcov`]).
+//! and three analyzers on top ([`determinism`], [`totality`],
+//! [`layering`]).
 
 pub mod allow;
 pub mod determinism;
 pub mod files;
-pub mod forkcov;
 pub mod layering;
 pub mod lexer;
 pub mod report;

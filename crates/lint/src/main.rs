@@ -28,7 +28,7 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!("bio-lint [--json] [--root <dir>]");
                 println!("Static analysis for the barrier-io workspace: determinism,");
-                println!("totality, layer-DAG and fork-coverage invariants.");
+                println!("totality and layer-DAG invariants.");
                 println!("Suppressions live in <root>/lint.toml (reason required).");
                 return ExitCode::SUCCESS;
             }

@@ -7,7 +7,7 @@ use crate::allow::AllowEntry;
 /// One analyzer hit, attributed to `crate::module::fn` at `path:line`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// `determinism` | `totality` | `layering` | `fork-coverage`.
+    /// `determinism` | `totality` | `layering`.
     pub analyzer: &'static str,
     /// Repo-relative path with forward slashes.
     pub path: String,
@@ -38,7 +38,7 @@ pub struct Report {
     pub files_scanned: usize,
 }
 
-pub const ANALYZERS: [&str; 4] = ["determinism", "totality", "layering", "fork-coverage"];
+pub const ANALYZERS: [&str; 3] = ["determinism", "totality", "layering"];
 
 impl Report {
     /// Splits `findings` against the allowlist. First matching entry wins.

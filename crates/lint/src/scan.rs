@@ -29,12 +29,7 @@ pub struct StructItem {
     pub line: u32,
     /// Empty for unit and tuple structs.
     pub fields: Vec<Field>,
-    /// Trait names mentioned in `#[derive(...)]`.
-    pub derives: Vec<String>,
     pub is_test: bool,
-    /// True only for brace-form structs (the fork-coverage analyzer
-    /// checks field mentions only on those).
-    pub has_named_fields: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -64,8 +59,6 @@ pub struct FnItem {
     pub is_test: bool,
     /// Set when the fn lives in an `impl` (or trait) block.
     pub impl_type: Option<String>,
-    /// Set when the fn lives in an `impl Trait for Type` block.
-    pub impl_trait: Option<String>,
 }
 
 /// The scanned file: tokens plus item structure.
@@ -108,7 +101,6 @@ pub fn scan(src: &str) -> FileScan {
         &Ctx {
             path: Vec::new(),
             impl_type: None,
-            impl_trait: None,
             in_test: false,
         },
     );
@@ -122,15 +114,7 @@ pub fn scan(src: &str) -> FileScan {
 struct Ctx {
     path: Vec<String>,
     impl_type: Option<String>,
-    impl_trait: Option<String>,
     in_test: bool,
-}
-
-/// Attributes gathered in front of one item.
-#[derive(Default)]
-struct Attrs {
-    test: bool,
-    derives: Vec<String>,
 }
 
 struct Scanner<'a> {
@@ -220,10 +204,11 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    /// Consumes the run of outer attributes in front of an item. Inner
-    /// attributes (`#![…]`) are skipped without attaching.
-    fn attrs(&mut self) -> Attrs {
-        let mut out = Attrs::default();
+    /// Consumes the run of outer attributes in front of an item and
+    /// returns whether they mark it test-only. Inner attributes (`#![…]`)
+    /// are skipped without attaching.
+    fn attrs(&mut self) -> bool {
+        let mut test = false;
         loop {
             match (self.tok(self.i), self.tok(self.i + 1)) {
                 (Some(Tok::Punct('#')), Some(Tok::Punct('['))) => {
@@ -232,15 +217,11 @@ impl<'a> Scanner<'a> {
                         .iter()
                         .filter_map(|t| t.tok.ident())
                         .collect();
-                    match idents.first().copied() {
-                        Some("test") => out.test = true,
-                        Some("cfg") if idents.contains(&"test") => out.test = true,
-                        Some("derive") => {
-                            out.derives
-                                .extend(idents[1..].iter().map(|s| s.to_string()));
-                        }
-                        _ => {}
-                    }
+                    test |= match idents.first().copied() {
+                        Some("test") => true,
+                        Some("cfg") => idents.contains(&"test"),
+                        _ => false,
+                    };
                     self.i = end;
                 }
                 (Some(Tok::Punct('#')), Some(Tok::Punct('!'))) => {
@@ -251,7 +232,7 @@ impl<'a> Scanner<'a> {
                         self.i += 2;
                     }
                 }
-                _ => return out,
+                _ => return test,
             }
         }
     }
@@ -259,25 +240,25 @@ impl<'a> Scanner<'a> {
     /// Scans items until token index `end`.
     fn items(&mut self, end: usize, ctx: &Ctx) {
         while self.i < end {
-            let attr = self.attrs();
+            let attr_test = self.attrs();
             if self.i >= end {
                 return;
             }
             let start = self.i;
-            let item_test = ctx.in_test || attr.test;
+            let item_test = ctx.in_test || attr_test;
             match self.tok(self.i).cloned() {
                 Some(Tok::Ident(kw)) => match kw.as_str() {
                     // Visibility / qualifier prefixes: consume and loop so
                     // the collected attrs… are lost. To keep attrs, handle
                     // inline: scan past prefixes here.
                     "pub" | "unsafe" | "async" | "default" | "extern" | "const" => {
-                        self.prefixed_item(end, ctx, attr, start);
+                        self.prefixed_item(end, ctx, item_test, start);
                     }
                     "mod" => self.mod_item(ctx, item_test, start),
                     "fn" => {
                         self.fn_item(ctx, item_test, start);
                     }
-                    "struct" | "union" => self.struct_item(attr, item_test, start),
+                    "struct" | "union" => self.struct_item(item_test, start),
                     "enum" => self.enum_item(item_test, start),
                     "impl" => self.impl_item(ctx, item_test, start),
                     "trait" => self.trait_item(ctx, item_test, start),
@@ -310,8 +291,7 @@ impl<'a> Scanner<'a> {
 
     /// Handles `pub`/`unsafe`/`const`/… prefixes without losing the item's
     /// attributes: skips the prefixes, then dispatches on the keyword.
-    fn prefixed_item(&mut self, end: usize, ctx: &Ctx, attr: Attrs, start: usize) {
-        let item_test = ctx.in_test || attr.test;
+    fn prefixed_item(&mut self, end: usize, ctx: &Ctx, item_test: bool, start: usize) {
         loop {
             match self.tok(self.i).cloned() {
                 Some(Tok::Ident(w)) => match w.as_str() {
@@ -344,7 +324,7 @@ impl<'a> Scanner<'a> {
                         return;
                     }
                     "struct" | "union" => {
-                        self.struct_item(attr, item_test, start);
+                        self.struct_item(item_test, start);
                         return;
                     }
                     "enum" => {
@@ -457,12 +437,11 @@ impl<'a> Scanner<'a> {
             body: (body_start, body_end.saturating_sub(1)),
             is_test: item_test,
             impl_type: ctx.impl_type.clone(),
-            impl_trait: ctx.impl_trait.clone(),
         });
         self.note_test(item_test, ctx, start);
     }
 
-    fn struct_item(&mut self, attr: Attrs, item_test: bool, start: usize) {
+    fn struct_item(&mut self, item_test: bool, start: usize) {
         self.i += 1; // struct / union
         let (name, line) = match self.tok(self.i).cloned() {
             Some(Tok::Ident(n)) => {
@@ -476,7 +455,6 @@ impl<'a> Scanner<'a> {
             self.i = self.skip_generics(self.i);
         }
         let mut fields = Vec::new();
-        let mut named = false;
         loop {
             match self.tok(self.i) {
                 Some(Tok::Punct(';')) => {
@@ -488,7 +466,6 @@ impl<'a> Scanner<'a> {
                     self.i = self.skip_balanced(self.i);
                 }
                 Some(Tok::Punct('{')) => {
-                    named = true;
                     let body_end = self.skip_balanced(self.i);
                     self.named_fields(self.i + 1, body_end - 1, &mut fields);
                     self.i = body_end;
@@ -502,9 +479,7 @@ impl<'a> Scanner<'a> {
             name,
             line,
             fields,
-            derives: attr.derives,
             is_test: item_test,
-            has_named_fields: named,
         });
         if item_test {
             self.out.test_ranges.push((start, self.i.saturating_sub(1)));
@@ -644,14 +619,13 @@ impl<'a> Scanner<'a> {
         if self.tok(self.i).is_some_and(|t| t.is_punct('<')) {
             self.i = self.skip_generics(self.i);
         }
-        // First path (trait, or the type when there is no `for`).
-        let mut first_last: Option<String> = None;
-        let mut second_last: Option<String> = None;
-        let mut saw_for = false;
+        // The implementing type: the last path segment in front of the
+        // body, counted from `for` when the impl names a trait.
+        let mut ty: Option<String> = None;
         loop {
             match self.tok(self.i).cloned() {
                 Some(Tok::Ident(w)) if w == "for" => {
-                    saw_for = true;
+                    ty = None;
                     self.i += 1;
                 }
                 Some(Tok::Ident(w)) if w == "where" => {
@@ -663,11 +637,7 @@ impl<'a> Scanner<'a> {
                     }
                 }
                 Some(Tok::Ident(w)) => {
-                    if saw_for {
-                        second_last = Some(w);
-                    } else {
-                        first_last = Some(w);
-                    }
+                    ty = Some(w);
                     self.i += 1;
                 }
                 Some(Tok::Punct('<')) => self.i = self.skip_generics(self.i),
@@ -676,16 +646,10 @@ impl<'a> Scanner<'a> {
                 None => return,
             }
         }
-        let (ty, tr) = if saw_for {
-            (second_last, first_last)
-        } else {
-            (first_last, None)
-        };
         let body_end = self.skip_balanced(self.i);
         self.i += 1;
         let mut inner = ctx.clone();
         inner.impl_type = ty;
-        inner.impl_trait = tr;
         inner.in_test = item_test;
         self.items(body_end - 1, &inner);
         self.i = body_end;
@@ -721,7 +685,6 @@ impl<'a> Scanner<'a> {
         self.i += 1;
         let mut inner = ctx.clone();
         inner.impl_type = Some(name);
-        inner.impl_trait = None;
         inner.in_test = item_test;
         self.items(body_end - 1, &inner);
         self.i = body_end;
@@ -798,7 +761,6 @@ mod tests {
         let s = scan(SRC);
         let t = &s.structs[0];
         assert_eq!(t.name, "Table");
-        assert!(t.has_named_fields);
         assert_eq!(t.fields.len(), 2);
         assert_eq!(t.fields[0].name, "base");
         assert!(t.fields[0].ty.contains("HashMap"));
@@ -816,9 +778,7 @@ mod tests {
         let handle = s.fns.iter().find(|f| f.name == "handle_event").expect("fn");
         assert_eq!(handle.qual, "Table::handle_event");
         assert_eq!(handle.impl_type.as_deref(), Some("Table"));
-        assert!(handle.impl_trait.is_none());
         let clone = s.fns.iter().find(|f| f.name == "clone").expect("fn");
-        assert_eq!(clone.impl_trait.as_deref(), Some("Clone"));
         assert_eq!(clone.impl_type.as_deref(), Some("Table"));
         let probe = s.fns.iter().find(|f| f.name == "submit_probe").expect("fn");
         assert_eq!(probe.qual, "helpers::submit_probe");
@@ -832,11 +792,5 @@ mod tests {
         assert!(s.in_test(probe.body.0));
         let handle = s.fns.iter().find(|f| f.name == "handle_event").expect("fn");
         assert!(!s.in_test(handle.body.0));
-    }
-
-    #[test]
-    fn derives_are_collected() {
-        let s = scan("#[derive(Debug, Clone, Default)] struct A { x: u8 }");
-        assert_eq!(s.structs[0].derives, ["Debug", "Clone", "Default"]);
     }
 }

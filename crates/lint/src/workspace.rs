@@ -1,5 +1,5 @@
 //! Workspace walker and orchestration: finds every Rust source file in
-//! the workspace, scans it, runs the four analyzers, and partitions the
+//! the workspace, scans it, runs the three analyzers, and partitions the
 //! findings against `lint.toml`.
 
 use std::fs;
@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 
 use crate::files::{CrateKey, FileKind, SourceFile};
 use crate::report::{Finding, Report};
-use crate::{allow, determinism, forkcov, layering, totality};
+use crate::{allow, determinism, layering, totality};
 
 /// The member crates and their directories. `crates/compat/*` (the
 /// vendored proptest stand-in) and `crates/lint` itself are scanned for
@@ -79,8 +79,6 @@ pub fn run_workspace(root: &Path) -> Result<Report, String> {
             findings.extend(totality::run(f));
             findings.extend(layering::run(f));
         }
-        let refs: Vec<&SourceFile> = crate_files.iter().collect();
-        findings.extend(forkcov::run_crate(&refs));
 
         let manifest = base.join("Cargo.toml");
         if let Ok(text) = fs::read_to_string(&manifest) {
@@ -106,13 +104,12 @@ pub fn run_workspace(root: &Path) -> Result<Report, String> {
     Ok(Report::partition(findings, allows, files_scanned))
 }
 
-/// Runs all four analyzers over one in-memory file (fixture harness).
+/// Runs all three analyzers over one in-memory file (fixture harness).
 pub fn run_str(key: CrateKey, kind: FileKind, rel: &str, src: &str) -> Vec<Finding> {
     let f = SourceFile::new(key, kind, rel, src);
     let mut out = determinism::run(&f);
     out.extend(totality::run(&f));
     out.extend(layering::run(&f));
-    out.extend(forkcov::run_crate(&[&f]));
     out.sort_by(|a, b| (a.line, a.analyzer).cmp(&(b.line, b.analyzer)));
     out
 }

@@ -134,35 +134,6 @@ fn layering_fixture_findings() {
 }
 
 #[test]
-fn forkcov_fixture_findings() {
-    let src = include_str!("fixtures/forkcov_bad.rs");
-    let f = run_str(
-        CrateKey::Core,
-        FileKind::Src,
-        "crates/core/src/forkcov_bad.rs",
-        src,
-    );
-    let s = snippets(&f, "fork-coverage");
-    assert_eq!(
-        s,
-        [
-            "Snapshot.arena",
-            "Cursor.history",
-            "Cursor.audit",
-            "Point.check"
-        ],
-        "{f:#?}"
-    );
-    let miss = f.iter().find(|x| x.analyzer == "fork-coverage").unwrap();
-    assert_eq!(miss.symbol, "core::Snapshot::fork");
-    assert!(miss.message.contains("arena"));
-    let delta = f.iter().find(|x| x.snippet == "Cursor.history").unwrap();
-    assert_eq!(delta.symbol, "core::Cursor::delta_apply");
-    let capture = f.iter().find(|x| x.snippet == "Point.check").unwrap();
-    assert_eq!(capture.symbol, "core::Point::capture");
-}
-
-#[test]
 fn lexer_edge_cases_produce_no_findings() {
     // Every trigger in this fixture is buried in strings, raw strings,
     // nested comments, chars, or raw identifiers — a lexer that leaks any

@@ -131,27 +131,6 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-impl<E: Clone> Clone for EventQueue<E> {
-    /// Deep-copies the queue, preserving the clock, sequence counter and
-    /// every pending event — the clone pops the exact same `(time, seq)`
-    /// stream as the original. This is the `bio-sim` leg of stack
-    /// `fork()`: all storage is `Vec`/`BinaryHeap`-backed, so cloning is a
-    /// flat memcpy of the live entries.
-    fn clone(&self) -> Self {
-        EventQueue {
-            ring: self.ring.clone(),
-            ring_len: self.ring_len,
-            base: self.base,
-            active_bucket: self.active_bucket,
-            active_slot: self.active_slot,
-            overflow: self.overflow.clone(),
-            far: self.far.clone(),
-            next_seq: self.next_seq,
-            now: self.now,
-        }
-    }
-}
-
 impl<E> EventQueue<E> {
     /// Creates an empty queue with the clock at [`SimTime::ZERO`].
     /// Allocation-free; the bucket ring materialises on first push.
@@ -457,29 +436,6 @@ impl<E> core::fmt::Debug for EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn clone_pops_identical_stream() {
-        let mut q = EventQueue::new();
-        // Spread entries across the ring, the active bucket's overflow and
-        // the far heap, then check the clone drains byte-identically.
-        for i in 0..200u64 {
-            q.push(SimTime::from_nanos((i * 7919) % 100_000), i);
-        }
-        q.push(SimTime::from_millis(500), 1000); // far heap
-        let _ = q.pop(); // activate a bucket
-        q.push(q.now(), 1001); // overflow of the active bucket
-        let mut c = q.clone();
-        assert_eq!(q.len(), c.len());
-        loop {
-            let a = q.pop();
-            let b = c.pop();
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
 
     #[test]
     fn pops_in_time_order() {

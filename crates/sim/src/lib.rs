@@ -59,6 +59,6 @@ pub use rng::SimRng;
 pub use runset::RunSet;
 pub use series::TimeSeries;
 pub use sink::ActionSink;
-pub use stats::{mean_f64, Counter, LatencyHistogram, LatencySummary};
+pub use stats::{LatencyHistogram, LatencySummary};
 pub use table::{PagedMap, SeqTable, SeqTableIter};
 pub use time::{SimDuration, SimTime};

@@ -47,12 +47,6 @@ impl SimRng {
         }
     }
 
-    /// Derives an independent child generator; useful for giving each
-    /// simulated thread or component its own stream.
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::new(self.next_u64())
-    }
-
     /// Next raw 64-bit value.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -140,18 +134,6 @@ impl SimRng {
             acc += self.f64();
         }
         mean + (acc - 6.0) * stddev
-    }
-
-    /// Pareto-distributed value with minimum `xm` and shape `alpha`; used to
-    /// model heavy-tailed device stalls (GC pauses).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha <= 0` or `xm <= 0`.
-    pub fn pareto(&mut self, xm: f64, alpha: f64) -> f64 {
-        assert!(alpha > 0.0 && xm > 0.0, "invalid pareto parameters");
-        let u = 1.0 - self.f64(); // (0, 1]
-        xm / u.powf(1.0 / alpha)
     }
 
     /// Chooses a uniformly random element of `items`, or `None` when empty.
@@ -247,14 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn pareto_exceeds_minimum() {
-        let mut rng = SimRng::new(9);
-        for _ in 0..1000 {
-            assert!(rng.pareto(2.0, 1.5) >= 2.0);
-        }
-    }
-
-    #[test]
     fn chance_extremes() {
         let mut rng = SimRng::new(10);
         assert!(!rng.chance(0.0));
@@ -275,13 +249,5 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
         assert_ne!(v, (0..100).collect::<Vec<_>>(), "shuffle should permute");
-    }
-
-    #[test]
-    fn fork_streams_are_independent() {
-        let mut parent = SimRng::new(12);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        assert_ne!(c1.next_u64(), c2.next_u64());
     }
 }

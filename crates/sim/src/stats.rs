@@ -1,4 +1,4 @@
-//! Latency statistics: histograms, percentile summaries, counters.
+//! Latency statistics: histograms and percentile summaries.
 //!
 //! The paper reports mean / median / p99 / p99.9 / p99.99 fsync latencies
 //! (Table 1), so the histogram here is built to answer exactly those
@@ -220,55 +220,6 @@ impl fmt::Display for LatencySummary {
     }
 }
 
-/// A monotonically increasing named counter with convenience arithmetic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub const fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Current value.
-    #[inline]
-    pub const fn get(self) -> u64 {
-        self.0
-    }
-
-    /// Resets to zero and returns the prior value.
-    pub fn take(&mut self) -> u64 {
-        core::mem::take(&mut self.0)
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
-    }
-}
-
-/// Computes mean of a slice of f64 (0 for empty input).
-pub fn mean_f64(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,16 +318,6 @@ mod tests {
     #[should_panic(expected = "quantile out of range")]
     fn quantile_rejects_bad_input() {
         LatencyHistogram::new().quantile(1.5);
-    }
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        assert_eq!(c.take(), 5);
-        assert_eq!(c.get(), 0);
     }
 
     #[test]

@@ -133,13 +133,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Creates a duration from fractional microseconds, rounding to the
-    /// nearest nanosecond. Negative values clamp to zero.
-    #[inline]
-    pub fn from_micros_f64(us: f64) -> Self {
-        SimDuration((us * 1_000.0).round().max(0.0) as u64)
-    }
-
     /// Raw nanoseconds.
     #[inline]
     pub const fn as_nanos(self) -> u64 {
@@ -338,12 +331,6 @@ mod tests {
         assert_eq!(d / 2, SimDuration::from_micros(5));
         assert_eq!(d.mul_f64(0.5), SimDuration::from_micros(5));
         assert_eq!(d.mul_f64(-1.0), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn from_micros_f64_rounds() {
-        assert_eq!(SimDuration::from_micros_f64(1.0004).as_nanos(), 1_000);
-        assert_eq!(SimDuration::from_micros_f64(1.0006).as_nanos(), 1_001);
     }
 
     #[test]

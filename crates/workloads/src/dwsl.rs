@@ -76,10 +76,6 @@ impl Dwsl {
 }
 
 impl Workload for Dwsl {
-    fn fork(&self) -> Option<Box<dyn Workload>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn next_op(&mut self, rng: &mut SimRng) -> Option<Op> {
         self.engine.next_op(rng)
     }

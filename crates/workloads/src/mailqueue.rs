@@ -93,10 +93,6 @@ impl MailQueue {
 }
 
 impl Workload for MailQueue {
-    fn fork(&self) -> Option<Box<dyn Workload>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn next_op(&mut self, rng: &mut SimRng) -> Option<Op> {
         self.engine.next_op(rng)
     }

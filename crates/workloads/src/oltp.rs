@@ -129,10 +129,6 @@ impl OltpInsert {
 }
 
 impl Workload for OltpInsert {
-    fn fork(&self) -> Option<Box<dyn Workload>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn next_op(&mut self, rng: &mut SimRng) -> Option<Op> {
         self.engine.next_op(rng)
     }

@@ -157,10 +157,6 @@ impl RocksDbWal {
 }
 
 impl Workload for RocksDbWal {
-    fn fork(&self) -> Option<Box<dyn Workload>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn next_op(&mut self, rng: &mut SimRng) -> Option<Op> {
         self.engine.next_op(rng)
     }

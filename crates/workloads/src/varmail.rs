@@ -75,10 +75,6 @@ impl Varmail {
 }
 
 impl Workload for Varmail {
-    fn fork(&self) -> Option<Box<dyn Workload>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn next_op(&mut self, rng: &mut SimRng) -> Option<Op> {
         self.engine.next_op(rng)
     }

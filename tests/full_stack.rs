@@ -3,6 +3,7 @@
 //! shape assertions matching the paper's headline claims.
 
 use barrier_io::{DeviceProfile, FileRef, IoStack, SimDuration, StackConfig, Topology};
+use bio_bench::crash::differential_cells;
 use bio_workloads::{
     Dwsl, OltpInsert, RandWrite, Sqlite, SqliteJournalMode, SyncMode, Varmail, WriteMode,
 };
@@ -117,26 +118,14 @@ fn idle_crash_violations(cfg: StackConfig, sync: SyncMode, writes: u64, seed: u6
     fs.chain(epoch).collect()
 }
 
-/// The differential stacks of `bio_bench::crash::run` at one topology.
-fn differential_stacks(topology: Topology) -> [(StackConfig, SyncMode); 3] {
-    let dev = DeviceProfile::ufs;
-    [
-        (StackConfig::ext4_dr(dev()), SyncMode::Fsync),
-        (StackConfig::bfs(dev()), SyncMode::Fsync),
-        (StackConfig::bfs(dev()).ordering_only(), SyncMode::Fbarrier),
-    ]
-    .map(|(cfg, sync)| (cfg.with_topology(topology), sync))
-}
-
 #[test]
 fn long_randwrite_trace_survives_an_idle_crash() {
     // Nothing is in flight after five idle seconds, so whatever the crash
     // loses was lost for good. The explorer's traces stop at 100 writes;
     // these go past where the journal and the device settle into a
     // steady state. (BFS-OD at 2q×2dev is the known gap below.)
-    let single = differential_stacks(Topology::single());
-    let striped = differential_stacks(Topology::new(2, 2, 16));
-    for (cfg, sync) in single.iter().chain(&striped[..2]) {
+    let [single, striped] = differential_cells(DeviceProfile::ufs());
+    for (_, cfg, sync) in single.iter().chain(&striped[..2]) {
         for writes in [200, 2_000] {
             let violations = idle_crash_violations(cfg.clone(), *sync, writes, 42);
             assert!(
@@ -151,7 +140,7 @@ fn long_randwrite_trace_survives_an_idle_crash() {
 #[test]
 #[ignore = "known gap: BFS-OD on 2q×2dev ends long traces with torn transactions (docs/INVARIANTS.md)"]
 fn long_randwrite_trace_survives_an_idle_crash_on_striped_bfs_od() {
-    let (cfg, sync) = differential_stacks(Topology::new(2, 2, 16))[2].clone();
+    let [_, [_, _, (_, cfg, sync)]] = differential_cells(DeviceProfile::ufs());
     for seed in [42, 7, 1234] {
         for writes in [200, 2_000] {
             let violations = idle_crash_violations(cfg.clone(), sync, writes, seed);
