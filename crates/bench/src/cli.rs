@@ -2,6 +2,8 @@
 //! contract (notably `--jobs` validation) is unit-testable without
 //! spawning the binary.
 
+use std::num::NonZeroU64;
+
 use crate::experiments::SELECTORS;
 
 /// Parsed `figures` options.
@@ -45,7 +47,8 @@ impl Default for CliOptions {
 /// selectors that name no figure or table ([`SELECTORS`]), and invalid
 /// values — in particular `--jobs 0`: a zero-worker pool is
 /// meaningless (`std::thread::scope` with no workers would simply hang the
-/// grid's consumers), so it is rejected rather than silently reinterpreted.
+/// grid's consumers), so it is rejected rather than silently reinterpreted,
+/// and so is `--scale 0`.
 pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
     let mut opts = CliOptions::default();
     let mut i = 0;
@@ -88,10 +91,10 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
                 let raw = args
                     .get(i)
                     .ok_or_else(|| "--scale requires a multiplier".to_string())?;
-                let scale: u64 = raw
+                let scale: NonZeroU64 = raw
                     .parse()
                     .map_err(|_| format!("--scale expects a positive integer, got '{raw}'"))?;
-                opts.scale = scale.max(1);
+                opts.scale = scale.get();
             }
             "--seeds" => {
                 i += 1;
@@ -173,15 +176,21 @@ mod tests {
     }
 
     #[test]
+    fn scale_zero_is_rejected() {
+        let err = parse_args(&args(&["--all", "--scale", "0"])).unwrap_err();
+        assert_eq!(err, "--scale expects a positive integer, got '0'");
+    }
+
+    #[test]
     fn fig_and_table_require_values() {
         assert!(parse_args(&args(&["--fig"])).is_err());
         assert!(parse_args(&args(&["--table"])).is_err());
     }
 
     #[test]
-    fn scale_clamps_to_one_and_seeds_parse() {
-        let o = parse_args(&args(&["--scale", "0", "--seeds", "7"])).unwrap();
-        assert_eq!(o.scale, 1);
+    fn scale_and_seeds_parse() {
+        let o = parse_args(&args(&["--scale", "3", "--seeds", "7"])).unwrap();
+        assert_eq!(o.scale, 3);
         assert_eq!(o.crash_seeds, 7);
         assert!(parse_args(&args(&["--scale", "x"])).is_err());
     }

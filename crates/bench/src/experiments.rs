@@ -16,7 +16,10 @@ use bio_workloads::{
     Varmail, WriteMode,
 };
 
-use crate::{print_table, run_to_completion, run_windowed, run_windowed_stack, ExperimentGrid};
+use crate::{
+    print_table, run_to_completion, run_until_done_or_panic, run_windowed, run_windowed_stack,
+    ExperimentGrid,
+};
 
 /// A table/figure runner: takes `--scale` (`figcrash`: `--seeds`), prints.
 pub type Runner = fn(u64);
@@ -601,7 +604,7 @@ pub fn fig14(scale: u64) {
                     let w = mk(mode, FileRef::Global(db), FileRef::Global(journal), inserts);
                     stack.add_thread(Box::new(w));
                     stack.start_measuring();
-                    stack.run_until_done(SimDuration::from_secs(3600));
+                    run_until_done_or_panic(&mut stack, SimDuration::from_secs(3600));
                     stack.report().run.txns_per_sec()
                 },
             );
@@ -677,7 +680,7 @@ pub fn fig15(scale: u64) {
                     )));
                 }
                 stack.start_measuring();
-                stack.run_until_done(SimDuration::from_secs(3600));
+                run_until_done_or_panic(&mut stack, SimDuration::from_secs(3600));
                 stack.report().run.txns_per_sec()
             });
         }

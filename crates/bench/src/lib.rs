@@ -22,63 +22,80 @@ pub use grid::{cells_run, default_jobs, set_default_jobs, ExperimentGrid};
 use barrier_io::{IoStack, StackConfig, StackReport, Workload};
 use bio_sim::SimDuration;
 
-/// Runs `threads` copies of a workload until done (capped), measuring from
-/// after `warmup`. One shared file is pre-created as `FileRef::Global(0)`.
-/// Returns the report.
-pub fn run_to_completion(
+/// Runs `stack` until every workload thread has finished.
+///
+/// # Panics
+///
+/// Panics, naming the configuration and the cap, when the threads have not
+/// finished within `cap`: a report cut off there would print as if it were
+/// a completed cell (a hung request looks exactly like this).
+pub(crate) fn run_until_done_or_panic(stack: &mut IoStack, cap: SimDuration) {
+    assert!(
+        stack.run_until_done(cap),
+        "{} did not finish within {cap} of simulated time",
+        stack.config().label()
+    );
+}
+
+/// A stack with one shared file (`FileRef::Global(0)`) and `threads` copies
+/// of a workload, warmed up for `warmup` and measuring from there.
+fn warmed_stack(
     cfg: StackConfig,
     mut mk: impl FnMut(usize) -> Box<dyn Workload>,
     threads: usize,
     warmup: SimDuration,
-    cap: SimDuration,
-) -> StackReport {
+) -> IoStack {
     let mut stack = IoStack::new(cfg);
     stack.create_global_file();
     for i in 0..threads {
-        let w = mk(i);
-        stack.add_thread(w);
+        stack.add_thread(mk(i));
     }
     stack.run_for(warmup);
     stack.start_measuring();
-    stack.run_until_done(cap);
+    stack
+}
+
+/// Runs `threads` copies of a workload until done, measuring from after
+/// `warmup`. One shared file is pre-created as `FileRef::Global(0)`.
+/// Returns the report.
+///
+/// # Panics
+///
+/// Panics, naming the configuration, when the threads have not finished
+/// within `cap` of simulated time.
+pub fn run_to_completion(
+    cfg: StackConfig,
+    mk: impl FnMut(usize) -> Box<dyn Workload>,
+    threads: usize,
+    warmup: SimDuration,
+    cap: SimDuration,
+) -> StackReport {
+    let mut stack = warmed_stack(cfg, mk, threads, warmup);
+    run_until_done_or_panic(&mut stack, cap);
     stack.report()
 }
 
 /// Runs a continuous workload for a fixed measured window after warm-up.
 pub fn run_windowed(
     cfg: StackConfig,
-    mut mk: impl FnMut(usize) -> Box<dyn Workload>,
+    mk: impl FnMut(usize) -> Box<dyn Workload>,
     threads: usize,
     warmup: SimDuration,
     window: SimDuration,
 ) -> StackReport {
-    let mut stack = IoStack::new(cfg);
-    stack.create_global_file();
-    for i in 0..threads {
-        stack.add_thread(mk(i));
-    }
-    stack.run_for(warmup);
-    stack.start_measuring();
-    stack.run_for(window);
-    stack.report()
+    run_windowed_stack(cfg, mk, threads, warmup, window).1
 }
 
 /// Like [`run_windowed`] but hands back the stack too (for queue-depth
 /// series and crash injection).
 pub fn run_windowed_stack(
     cfg: StackConfig,
-    mut mk: impl FnMut(usize) -> Box<dyn Workload>,
+    mk: impl FnMut(usize) -> Box<dyn Workload>,
     threads: usize,
     warmup: SimDuration,
     window: SimDuration,
 ) -> (IoStack, StackReport) {
-    let mut stack = IoStack::new(cfg);
-    stack.create_global_file();
-    for i in 0..threads {
-        stack.add_thread(mk(i));
-    }
-    stack.run_for(warmup);
-    stack.start_measuring();
+    let mut stack = warmed_stack(cfg, mk, threads, warmup);
     stack.run_for(window);
     let report = stack.report();
     (stack, report)
@@ -109,5 +126,29 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     );
     for row in rows {
         println!("{}", fmt_row(row));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use barrier_io::{DeviceProfile, FileRef, Op, ScriptWorkload};
+
+    #[test]
+    #[should_panic(expected = "EXT4-DR@plain-SSD did not finish within 10.00ms of simulated time")]
+    fn run_to_completion_panics_when_the_cap_cuts_the_run_short() {
+        let file = FileRef::Global(0);
+        let write = Op::Write {
+            file,
+            offset: 0,
+            blocks: 1,
+        };
+        run_to_completion(
+            StackConfig::ext4_dr(DeviceProfile::plain_ssd()),
+            |_| Box::new(ScriptWorkload::forever(vec![write, Op::Fsync { file }])),
+            1,
+            SimDuration::ZERO,
+            SimDuration::from_millis(10),
+        );
     }
 }

@@ -30,7 +30,9 @@
 
 use std::collections::VecDeque;
 
-use bio_flash::{BlockTag, CmdId, Command, DevAction, DevEvent, Device, Lba, Priority, WriteFlags};
+use bio_flash::{
+    BlockTag, CmdId, CmdKind, Command, DevAction, DevEvent, Device, Lba, Priority, WriteFlags,
+};
 use bio_sim::{ActionSink, SeqTable, SimDuration, SimTime};
 
 use crate::epoch::EpochScheduler;
@@ -228,19 +230,6 @@ enum SplitDone {
     Admit(Box<BlockRequest>),
 }
 
-/// An in-flight device command: the bio ids it answers for, plus the
-/// write-payload buffer to hand back to the submitter's arena when the
-/// command completes.
-#[derive(Debug, Clone)]
-struct InflightCmd {
-    ids: Vec<ReqId>,
-    payload: Vec<BlockTag>,
-}
-
-/// Cap on the completion-side payload-buffer pool; beyond it buffers are
-/// simply dropped.
-const RECLAIM_POOL_CAP: usize = 64;
-
 /// The order-preserving block device layer over an N-queue × M-device
 /// lane topology.
 #[derive(Debug)]
@@ -249,11 +238,12 @@ pub struct BlockLayer {
     mode: DispatchMode,
     lanes: Vec<Lane>,
     devs: Vec<Device>,
-    /// Commands in flight per device, keyed by the bump-allocated
-    /// [`CmdId`] (dense sliding-window table; commands complete roughly in
-    /// dispatch order, so the window stays narrow and a completion for an
-    /// already-retired id reads as absent instead of aliasing).
-    inflight: Vec<SeqTable<InflightCmd>>,
+    /// The bio ids each in-flight command answers for, per device, keyed
+    /// by the bump-allocated [`CmdId`] (dense sliding-window table;
+    /// commands complete roughly in dispatch order, so the window stays
+    /// narrow and a completion for an already-retired id reads as absent
+    /// instead of aliasing).
+    inflight: Vec<SeqTable<Vec<ReqId>>>,
     /// Per-device command-id allocators (each device sees a dense,
     /// monotonically increasing id stream).
     next_cmd: Vec<u64>,
@@ -266,12 +256,9 @@ pub struct BlockLayer {
     splits: SeqTable<SplitState>,
     next_split: u64,
     stats: BlockStats,
-    /// Reusable scratch for device actions — the device write path runs
-    /// once per command, so this keeps the hot loop allocation-free.
+    /// Reusable scratch for device actions (the device write path runs
+    /// once per command).
     dev_scratch: Vec<DevAction>,
-    /// Payload buffers retired by completed write commands, awaiting
-    /// return to the submitting filesystem's arena.
-    reclaimed: Vec<Vec<BlockTag>>,
 }
 
 impl BlockLayer {
@@ -315,7 +302,6 @@ impl BlockLayer {
             next_split: 1,
             stats: BlockStats::default(),
             dev_scratch: Vec::new(),
-            reclaimed: Vec::new(),
         }
     }
 
@@ -365,18 +351,12 @@ impl BlockLayer {
             .collect()
     }
 
-    /// Pops one payload buffer retired by a completed write command, for
-    /// return to the submitter's arena (cleared, capacity preserved).
+    /// Always `None`: a write's payload moves into its device command and
+    /// is dropped there, so nothing is handed back. Stays only because
+    /// `benchmark/src/probes.rs` — its one caller — may not be edited by a
+    /// PR.
     pub fn pop_reclaimed_payload(&mut self) -> Option<Vec<BlockTag>> {
-        self.reclaimed.pop()
-    }
-
-    /// Banks a retired payload buffer for return to the submitter.
-    fn reclaim_payload(&mut self, mut buf: Vec<BlockTag>) {
-        if self.reclaimed.len() < RECLAIM_POOL_CAP && buf.capacity() > 0 {
-            buf.clear();
-            self.reclaimed.push(buf);
-        }
+        None
     }
 
     /// Requests waiting in the block layer (not yet dispatched), summed
@@ -499,11 +479,6 @@ impl BlockLayer {
             };
             self.stats.split_parts += parts.len() as u64 - 1;
             self.enqueue_parts(hw_queue, req.flags, parts, SplitDone::Complete(req.id));
-            // The payload was gathered into per-device parts above; hand
-            // its buffer back to the submitter's arena.
-            if let ReqOp::Write { tags, .. } = req.op {
-                self.reclaim_payload(tags);
-            }
         }
         if closes_epoch {
             for lane in &mut self.lanes {
@@ -576,7 +551,7 @@ impl BlockLayer {
         let mut scratch = std::mem::take(&mut self.dev_scratch);
         loop {
             // Re-offer a held (bounced) request first to preserve order.
-            let m = match self.lanes[li].held.take() {
+            let mut m = match self.lanes[li].held.take() {
                 Some(m) => m,
                 None => {
                     if !self.devs[di].can_accept() {
@@ -588,21 +563,16 @@ impl BlockLayer {
                     }
                 }
             };
-            let cmd = self.build_command(di, &m);
+            let cmd = self.build_command(di, &mut m);
             let cmd_id = cmd.id;
             match self.devs[di].submit(cmd, now, &mut scratch) {
                 Ok(()) => {
                     self.stats.dispatched += 1;
                     self.lanes[li].dispatched += 1;
-                    // The request is consumed here; its payload buffer
-                    // parks in the in-flight table until completion, when
-                    // it is reclaimed for the submitter's arena.
+                    // The request is consumed here: its payload went with
+                    // the command, its ids wait for the completion.
                     let MergedRequest { req, ids } = m;
-                    let payload = match req.op {
-                        ReqOp::Write { tags, .. } => tags,
-                        _ => Vec::new(),
-                    };
-                    self.inflight[di].insert(cmd_id.0, InflightCmd { ids, payload });
+                    self.inflight[di].insert(cmd_id.0, ids);
                     self.apply_dev_actions(di, &mut scratch, out);
                     // §3.3's release point: the epoch's last
                     // order-preserving request has just left the queue.
@@ -616,9 +586,15 @@ impl BlockLayer {
                         self.release_epoch();
                     }
                 }
-                Err(_cmd) => {
-                    // Device busy: hold the request and retry later
-                    // (Fig 6(b) — the kernel daemon inherits the retry).
+                Err(cmd) => {
+                    // Device busy: take the payload back out of the bounced
+                    // command, hold the request and retry later (Fig 6(b)
+                    // — the kernel daemon inherits the retry).
+                    if let (ReqOp::Write { tags, .. }, CmdKind::Write { tags: bounced, .. }) =
+                        (&mut m.req.op, cmd.kind)
+                    {
+                        *tags = bounced;
+                    }
                     self.stats.busy_retries += 1;
                     self.lanes[li].busy_retries += 1;
                     self.lanes[li].held = Some(m);
@@ -636,11 +612,13 @@ impl BlockLayer {
         self.dev_scratch = scratch;
     }
 
-    fn build_command(&mut self, di: usize, m: &MergedRequest) -> Command {
+    /// Builds the device command for `m`, moving a write's payload out of
+    /// the request into it (the request keeps its flags and ids).
+    fn build_command(&mut self, di: usize, m: &mut MergedRequest) -> Command {
         let id = CmdId(self.next_cmd[di]);
         self.next_cmd[di] += 1;
         let flags = m.req.flags;
-        match &m.req.op {
+        match &mut m.req.op {
             ReqOp::Write { start, tags } => {
                 let wf = WriteFlags {
                     fua: flags.fua,
@@ -652,7 +630,7 @@ impl BlockLayer {
                 } else {
                     Priority::Simple
                 };
-                Command::write(id, *start, tags.clone(), wf).with_priority(prio)
+                Command::write(id, *start, std::mem::take(tags), wf).with_priority(prio)
             }
             ReqOp::Read { start, count } => Command::read(id, *start, *count),
             ReqOp::Flush => Command::flush(id),
@@ -672,12 +650,10 @@ impl BlockLayer {
                     // The sliding window makes a retired id read as
                     // absent, so a duplicated or forged completion is
                     // dropped instead of double-completing its bios.
-                    let Some(InflightCmd { ids, payload }) = self.inflight[di].remove(c.id.0)
-                    else {
+                    let Some(ids) = self.inflight[di].remove(c.id.0) else {
                         debug_assert!(false, "completion for unknown command {:?}", c.id);
                         continue;
                     };
-                    self.reclaim_payload(payload);
                     for id in ids {
                         self.complete(id, c.at, out);
                     }

@@ -120,8 +120,8 @@ pub struct IoStack {
     measure_start: SimTime,
     dev_blocks_at_start: u64,
     /// Reusable scratch the filesystem writes its actions into; drained by
-    /// the routing work loop after every syscall/event, so steady-state
-    /// event processing allocates nothing.
+    /// the routing work loop after every syscall/event, so routing itself
+    /// allocates nothing (the layers do: `tests/alloc_census.rs` counts it).
     fs_sink: ActionSink<FsAction>,
     /// Reusable scratch for block-layer actions (same lifecycle).
     block_sink: ActionSink<BlockAction>,
@@ -309,12 +309,6 @@ impl IoStack {
                     self.q.push_after(d, Event::Block(ev));
                 }
             }
-        }
-        // Completion-side payload return: tag buffers the block layer
-        // retired (command completions, split submissions) go back into
-        // the filesystem's arena instead of the allocator.
-        while let Some(buf) = self.block.pop_reclaimed_payload() {
-            self.fs.restore_payload_buf(buf);
         }
     }
 

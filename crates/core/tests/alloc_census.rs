@@ -1,0 +1,164 @@
+//! Whole-stack allocation census: heap allocations per 1,000 events of
+//! `IoStack::step()` in steady state, counted exactly and independent of
+//! the machine. The device alone is held to zero by `bio-flash`'s
+//! `alloc_steady_state`; the stack above it does allocate (a payload `Vec`
+//! per write, dirty-run and request-id vectors per sync), and this test
+//! pins how much: each cell must stay at or below what the stack counted
+//! before PR 18 deleted its three payload-buffer pools. Lower a ceiling
+//! when a change earns it; never raise one without saying why.
+//!
+//! The counting allocator is the one from `alloc_steady_state.rs`, repeated
+//! here because an integration test is its own crate and the library crates
+//! `#![forbid(unsafe_code)]`. It counts per thread and only while armed,
+//! i.e. only inside `step()`.
+//!
+//! Run with `--nocapture` to print the five census lines.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use barrier_io::{
+    DeviceProfile, FileRef, IoStack, Op, ScriptWorkload, SimDuration, StackConfig, Topology,
+};
+
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    /// Fresh blocks requested while armed.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Existing blocks regrown while armed.
+    static REALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count(counter: &'static std::thread::LocalKey<Cell<u64>>) {
+    if ARMED.with(Cell::get) {
+        counter.with(|c| c.set(c.get() + 1));
+    }
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counters are const-initialised thread-locals
+// without destructors, so touching them never allocates or re-enters.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(&ALLOCS);
+        // SAFETY: the caller's obligations are passed straight through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(&ALLOCS);
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(&REALLOCS);
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Simulated warm-up before counting: caches, tables and scratch buffers
+/// reach their working size.
+const WARM_UP: SimDuration = SimDuration::from_millis(300);
+/// Events counted per cell.
+const EVENTS: u64 = 200_000;
+
+/// `threads` threads, each looping `write(1 block); sync(); txn` on its own
+/// pre-created file. Returns `(allocations, reallocations)` over [`EVENTS`]
+/// steady-state events.
+fn census(cfg: StackConfig, threads: usize, sync: fn(FileRef) -> Op) -> (u64, u64) {
+    let mut stack = IoStack::new(cfg);
+    for _ in 0..threads {
+        let file = FileRef::Global(stack.create_global_file());
+        let write = Op::Write {
+            file,
+            offset: 0,
+            blocks: 1,
+        };
+        stack.add_thread(Box::new(ScriptWorkload::forever(vec![
+            write,
+            sync(file),
+            Op::TxnMark,
+        ])));
+    }
+    stack.run_for(WARM_UP);
+    ARMED.with(|a| a.set(true));
+    for _ in 0..EVENTS {
+        assert!(stack.step(), "a `forever` workload never runs dry");
+    }
+    ARMED.with(|a| a.set(false));
+    (ALLOCS.with(Cell::take), REALLOCS.with(Cell::take))
+}
+
+/// Runs one cell, prints its census line and holds it to `ceiling`: the
+/// allocations per 1,000 events the stack counted at PR 17, rounded up.
+fn check(cell: &str, cfg: StackConfig, threads: usize, sync: fn(FileRef) -> Op, ceiling: u64) {
+    let (allocs, reallocs) = census(cfg, threads, sync);
+    let per_1k = |n: u64| n as f64 * 1000.0 / EVENTS as f64;
+    println!(
+        "alloc census: {cell}: {:.1} allocs + {:.1} reallocs per 1k events \
+         ({allocs} + {reallocs} in {EVENTS})",
+        per_1k(allocs),
+        per_1k(reallocs),
+    );
+    assert!(
+        allocs * 1000 <= ceiling * EVENTS,
+        "{cell}: {allocs} allocations in {EVENTS} events, above {ceiling} per 1,000"
+    );
+}
+
+#[test]
+fn steady_state_allocations_stay_at_or_below_the_pooled_stack() {
+    let ssd = DeviceProfile::plain_ssd;
+    let mq = Topology::new(2, 2, 16);
+    let fsync = |file| Op::Fsync { file };
+    let fbarrier = |file| Op::Fbarrier { file };
+    let fdatabarrier = |file| Op::Fdatabarrier { file };
+    let bfs_od = |dev| StackConfig::bfs(dev).ordering_only();
+    check(
+        "EXT4-DR 1 thread fsync",
+        StackConfig::ext4_dr(ssd()),
+        1,
+        fsync,
+        1_087,
+    );
+    check(
+        "BFS-DR 1 thread fsync",
+        StackConfig::bfs(ssd()),
+        1,
+        fsync,
+        1_110,
+    );
+    check(
+        "BFS-OD 1 thread fdatabarrier",
+        bfs_od(ssd()),
+        1,
+        fdatabarrier,
+        1_335,
+    );
+    check(
+        "BFS-OD 64 threads fbarrier 2q x 2dev",
+        bfs_od(ssd()).with_topology(mq),
+        64,
+        fbarrier,
+        1_168,
+    );
+    check(
+        "EXT4-DR 64 threads fsync 2q x 2dev",
+        StackConfig::ext4_dr(ssd()).with_topology(mq),
+        64,
+        fsync,
+        1_172,
+    );
+}

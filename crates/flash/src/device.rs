@@ -33,10 +33,6 @@ use crate::queue::CommandQueue;
 use crate::recovery::{AppendLog, PersistedImage, TransferRec};
 use crate::types::{BlockTag, CmdId, CmdKind, Command, Completion, Lba};
 
-/// Cap on recycled tag buffers held by the device; beyond this the Vec is
-/// simply dropped (the pool only needs to cover the in-flight window).
-const TAG_BUF_POOL_CAP: usize = 64;
-
 /// Internal device events; the host event loop schedules these back via
 /// [`Device::handle`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -229,10 +225,6 @@ pub struct Device {
     qd_series: TimeSeries,
     stats: DeviceStats,
     next_pump_at: Option<SimTime>,
-    /// Recycled tag buffers: write commands retire their payload `Vec`s
-    /// here at completion, and cache insertion draws its working copy from
-    /// the pool, so the steady-state write path stops allocating.
-    tag_bufs: Vec<Vec<BlockTag>>,
     /// Emptied drain sets, reused by the next flush, preflush or FUA write.
     spare_sets: Vec<RunSet>,
     /// Scratch for one destage pump's candidates (always left empty).
@@ -278,7 +270,6 @@ impl Device {
             qd_series: TimeSeries::new(),
             stats: DeviceStats::default(),
             next_pump_at: None,
-            tag_bufs: Vec::new(),
             spare_sets: Vec::new(),
             candidates: Vec::new(),
             finished: Vec::new(),
@@ -402,7 +393,7 @@ impl Device {
     pub fn handle(&mut self, ev: DevEvent, now: SimTime, out: &mut Vec<DevAction>) {
         match ev {
             DevEvent::DmaDone { id } => self.on_dma_done(id, now, out),
-            DevEvent::ProgramDone { seq, chip } => self.on_program_done(seq, chip, now, out),
+            DevEvent::ProgramDone { seq, .. } => self.on_program_done(seq, now, out),
             DevEvent::Finish { id } => {
                 // Finish events are only ever scheduled for flush commands
                 // (the delayed-completion path); any other target — a
@@ -692,22 +683,11 @@ impl Device {
     /// (one insert batch is consecutive unless a block coalesced into an
     /// older entry).
     fn insert_blocks(&mut self, id: CmdId, mut fua_seqs: Option<&mut RunSet>) {
-        // The working copy of the payload comes from the recycled-buffer
-        // pool (the active entry keeps its own Vec until completion).
-        let mut tags = self.tag_bufs.pop().unwrap_or_default();
-        tags.clear();
-        let Some((start, flags)) = self.active.get(id.0).and_then(|a| match &a.cmd.kind {
-            CmdKind::Write {
-                start,
-                tags: t,
-                flags,
-            } => {
-                tags.extend_from_slice(t);
-                Some((*start, *flags))
-            }
-            _ => None,
-        }) else {
-            self.reclaim_tag_buf(tags);
+        // The command's own payload is read in place: `active`, `cache`,
+        // `stats` and `history` are disjoint fields.
+        let Some(CmdKind::Write { start, tags, flags }) =
+            self.active.get(id.0).map(|a| &a.cmd.kind)
+        else {
             return;
         };
         let n = tags.len();
@@ -728,15 +708,6 @@ impl Device {
                     epoch,
                 });
             }
-        }
-        self.reclaim_tag_buf(tags);
-    }
-
-    /// Banks a retired payload buffer for reuse by later inserts.
-    fn reclaim_tag_buf(&mut self, mut buf: Vec<BlockTag>) {
-        if self.tag_bufs.len() < TAG_BUF_POOL_CAP && buf.capacity() > 0 {
-            buf.clear();
-            self.tag_bufs.push(buf);
         }
     }
 
@@ -845,7 +816,7 @@ impl Device {
         }
     }
 
-    fn on_program_done(&mut self, seq: u64, _chip: usize, now: SimTime, out: &mut Vec<DevAction>) {
+    fn on_program_done(&mut self, seq: u64, now: SimTime, out: &mut Vec<DevAction>) {
         // The destage record is the ground truth for in-flight programs: a
         // duplicate or forged ProgramDone has no record and is dropped
         // before any accounting changes.
@@ -921,11 +892,8 @@ impl Device {
         let Some(active) = self.active.remove(id.0) else {
             return;
         };
-        match active.cmd.kind {
-            CmdKind::Flush => self.stats.flush_cmds += 1,
-            // A retiring write hands its payload buffer back to the pool.
-            CmdKind::Write { tags, .. } => self.reclaim_tag_buf(tags),
-            CmdKind::Read { .. } => {}
+        if active.cmd.kind == CmdKind::Flush {
+            self.stats.flush_cmds += 1;
         }
         let released = self.queue.complete(id);
         debug_assert!(released, "active command missing from queue");

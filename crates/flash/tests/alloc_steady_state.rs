@@ -1,7 +1,10 @@
-//! "Steady-state event processing performs no heap allocation" (README),
-//! asserted for the device: once the writeback cache and the buffer pools
-//! are full, `Device::submit` / `Device::handle` allocate nothing — not per
-//! destage pump, not per write, not per flush.
+//! The device allocates nothing in steady state (README): once the
+//! writeback cache is full and the pooled drain sets and scratch buffers
+//! have met their largest use, `Device::submit` / `Device::handle` allocate
+//! nothing — not per destage pump, not per write, not per flush. A write's
+//! payload arrives inside its command and is read in place. (The stack
+//! above the device does allocate; `crates/core/tests/alloc_census.rs`
+//! counts it.)
 //!
 //! The counting allocator lives here, in the integration test's own crate,
 //! so `bio-flash` keeps `#![forbid(unsafe_code)]`. It counts per thread and

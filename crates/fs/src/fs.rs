@@ -81,7 +81,6 @@ pub(crate) enum AfterData {
 
 /// Per-thread syscall progress.
 #[derive(Debug, Clone)]
-#[allow(dead_code)] // txn fields are kept for state debugging
 enum SyscallState {
     /// Waiting for data-page writes.
     AwaitData {
@@ -94,11 +93,11 @@ enum SyscallState {
     /// Waiting for an explicit flush request.
     AwaitFlush,
     /// Waiting for a transaction to become durable.
-    AwaitTxnDurable { txn: TxnId },
+    AwaitTxnDurable,
     /// Waiting for a transaction's commit dispatch (fbarrier).
-    AwaitTxnDispatch { txn: TxnId },
+    AwaitTxnDispatch,
     /// Waiting for a transaction's JC transfer (OptFS osync).
-    AwaitTxnTransferred { txn: TxnId },
+    AwaitTxnTransferred,
     /// EXT4 writer blocked on a page conflict; the write retries when the
     /// holder transaction releases its buffers.
     AwaitConflict {
@@ -190,9 +189,6 @@ pub struct FsStats {
     pub dropped_data_pages: u64,
 }
 
-/// Cap on the payload-buffer arena ([`Filesystem::restore_payload_buf`]).
-const PAYLOAD_POOL_CAP: usize = 64;
-
 /// The simulated filesystem.
 #[derive(Debug)]
 pub struct Filesystem {
@@ -243,11 +239,6 @@ pub struct Filesystem {
     pub(crate) scratch_files: Vec<FileId>,
     /// Scratch for checkpoint write lists (same lifecycle).
     pub(crate) scratch_writes: Vec<(Lba, BlockTag)>,
-    /// Arena of journal-record payload buffers: the tag `Vec`s moved into
-    /// submitted [`BlockRequest`]s come from here and return through
-    /// [`Filesystem::restore_payload_buf`] when the block layer retires
-    /// the command (completion-side return path).
-    pub(crate) payload_pool: Vec<Vec<BlockTag>>,
     /// When capture tracking is armed, ids of records whose
     /// `durability_claimed` flag flipped since the last take — the only
     /// in-place mutation the otherwise append-only record history sees,
@@ -284,27 +275,16 @@ impl Filesystem {
             txn_pool: Vec::new(),
             scratch_files: Vec::new(),
             scratch_writes: Vec::new(),
-            payload_pool: Vec::new(),
             durable_mark_log: None,
             cfg,
         }
     }
 
-    /// Pops a recycled payload buffer (empty, capacity retained), or a
-    /// fresh one when the arena is dry.
-    pub(crate) fn take_payload_buf(&mut self) -> Vec<BlockTag> {
-        self.payload_pool.pop().unwrap_or_default()
-    }
-
-    /// Returns a payload buffer to the arena. The embedding stack calls
-    /// this with the tag `Vec`s the block layer hands back at command
-    /// completion, closing the submit→complete→reuse loop.
-    pub fn restore_payload_buf(&mut self, mut buf: Vec<BlockTag>) {
-        if self.payload_pool.len() < PAYLOAD_POOL_CAP && buf.capacity() > 0 {
-            buf.clear();
-            self.payload_pool.push(buf);
-        }
-    }
+    /// Does nothing: a write's payload is built here, moved down the stack
+    /// and dropped by the device, so no buffer ever comes back. Stays only
+    /// because `benchmark/src/probes.rs` — its one caller — may not be
+    /// edited by a PR.
+    pub fn restore_payload_buf(&mut self, _buf: Vec<BlockTag>) {}
 
     /// Arms the periodic background tasks (pdflush, OptFS flusher). Call
     /// once after construction.
@@ -380,16 +360,16 @@ impl Filesystem {
     }
 
     /// Creates a file.
-    pub fn create(&mut self, _tid: ThreadId, out: &mut ActionSink<FsAction>) -> FileId {
+    pub fn create(&mut self, _tid: ThreadId, _out: &mut ActionSink<FsAction>) -> FileId {
         let id = self.files.create(&mut self.layout);
         let f = self.files.get(id);
         let (lba, tag) = (f.inode_lba, f.meta_tag);
-        self.dirty_inode(id, lba, tag, out);
+        self.dirty_inode(id, lba, tag);
         id
     }
 
     /// Deletes a file (metadata-only in this model).
-    pub fn unlink(&mut self, _tid: ThreadId, file: FileId, out: &mut ActionSink<FsAction>) {
+    pub fn unlink(&mut self, _tid: ThreadId, file: FileId, _out: &mut ActionSink<FsAction>) {
         let f = self.files.get_mut(file);
         f.live = false;
         let dropped = f.dirty_data.clear() as u64;
@@ -399,7 +379,7 @@ impl Filesystem {
         let f = self.files.get_mut(file);
         f.meta_tag = tag;
         let lba = f.inode_lba;
-        self.dirty_inode(file, lba, tag, out);
+        self.dirty_inode(file, lba, tag);
     }
 
     pub(crate) fn alloc_req(&mut self, purpose: Purpose) -> ReqId {
@@ -481,7 +461,7 @@ impl Filesystem {
             // Conflicted BarrierFS inodes join the running transaction
             // later, at conflict resolution.
             if !self.conflicts.contains(lba) {
-                self.dirty_inode(file, lba, tag, out);
+                self.dirty_inode(file, lba, tag);
             }
         }
         // Dirty-ratio behaviour: past the threshold, writes kick the
@@ -505,21 +485,15 @@ impl Filesystem {
     }
 
     /// Inserts the inode buffer into the running transaction.
-    pub(crate) fn dirty_inode(
-        &mut self,
-        file: FileId,
-        inode_lba: Lba,
-        tag: BlockTag,
-        out: &mut ActionSink<FsAction>,
-    ) {
-        let rt = self.ensure_running(out);
+    pub(crate) fn dirty_inode(&mut self, file: FileId, inode_lba: Lba, tag: BlockTag) {
+        let rt = self.ensure_running();
         if let Some(t) = self.txns.get_mut(rt.0) {
             t.add_buffer(inode_lba, file, tag);
         }
         self.files.get_mut(file).txn = Some(rt);
     }
 
-    pub(crate) fn ensure_running(&mut self, _out: &mut ActionSink<FsAction>) -> TxnId {
+    pub(crate) fn ensure_running(&mut self) -> TxnId {
         if let Some(rt) = self.running {
             return rt;
         }
@@ -584,10 +558,7 @@ impl Filesystem {
                     Some((s, ts)) if lba.0 == s.0 + ts.len() as u64 => ts.push(tag),
                     _ => {
                         segs.extend(seg.take());
-                        // Disjoint field borrow: `f` holds `self.files`.
-                        let mut ts = self.payload_pool.pop().unwrap_or_default();
-                        ts.push(tag);
-                        seg = Some((lba, ts));
+                        seg = Some((lba, vec![tag]));
                     }
                 }
             }
@@ -596,12 +567,9 @@ impl Filesystem {
         segs.sort_by_key(|(l, _)| *l);
         // Coalesce segments that are LBA-adjacent across runs/extents.
         let mut merged: Vec<(Lba, Vec<BlockTag>)> = Vec::with_capacity(segs.len());
-        for (start, mut tags) in segs {
+        for (start, tags) in segs {
             match merged.last_mut() {
-                Some((s, ts)) if start.0 == s.0 + ts.len() as u64 => {
-                    ts.append(&mut tags);
-                    self.restore_payload_buf(tags);
-                }
+                Some((s, ts)) if start.0 == s.0 + ts.len() as u64 => ts.extend(tags),
                 _ => merged.push((start, tags)),
             }
         }
@@ -636,10 +604,10 @@ impl Filesystem {
         &mut self,
         tid: ThreadId,
         file: FileId,
-        now: SimTime,
+        _now: SimTime,
         out: &mut ActionSink<FsAction>,
     ) -> SyscallOutcome {
-        self.sync_common(tid, file, false, now, out)
+        self.sync_common(tid, file, false, out)
     }
 
     /// `fdatasync(fd)`: like `fsync` but skips timestamp-only metadata.
@@ -647,10 +615,10 @@ impl Filesystem {
         &mut self,
         tid: ThreadId,
         file: FileId,
-        now: SimTime,
+        _now: SimTime,
         out: &mut ActionSink<FsAction>,
     ) -> SyscallOutcome {
-        self.sync_common(tid, file, true, now, out)
+        self.sync_common(tid, file, true, out)
     }
 
     fn sync_common(
@@ -658,13 +626,12 @@ impl Filesystem {
         tid: ThreadId,
         file: FileId,
         datasync: bool,
-        _now: SimTime,
         out: &mut ActionSink<FsAction>,
     ) -> SyscallOutcome {
         match self.cfg.mode {
             FsMode::Ext4 | FsMode::Ext4NoBarrier => self.ext4_sync(tid, file, datasync, out),
             FsMode::BarrierFs => self.bfs_sync(tid, file, datasync, out),
-            FsMode::OptFs => self.optfs_osync(tid, file, datasync, true, out),
+            FsMode::OptFs => self.optfs_osync(tid, file, true, out),
         }
     }
 
@@ -674,14 +641,14 @@ impl Filesystem {
         &mut self,
         tid: ThreadId,
         file: FileId,
-        now: SimTime,
+        _now: SimTime,
         out: &mut ActionSink<FsAction>,
     ) -> SyscallOutcome {
         match self.cfg.mode {
             FsMode::BarrierFs => self.bfs_barrier(tid, file, false, out),
-            FsMode::OptFs => self.optfs_osync(tid, file, false, false, out),
+            FsMode::OptFs => self.optfs_osync(tid, file, false, out),
             // Without barrier support the closest legal semantics is fsync.
-            _ => self.sync_common(tid, file, false, now, out),
+            _ => self.sync_common(tid, file, false, out),
         }
     }
 
@@ -691,13 +658,13 @@ impl Filesystem {
         &mut self,
         tid: ThreadId,
         file: FileId,
-        now: SimTime,
+        _now: SimTime,
         out: &mut ActionSink<FsAction>,
     ) -> SyscallOutcome {
         match self.cfg.mode {
             FsMode::BarrierFs => self.bfs_barrier(tid, file, true, out),
-            FsMode::OptFs => self.optfs_osync(tid, file, true, false, out),
-            _ => self.sync_common(tid, file, true, now, out),
+            FsMode::OptFs => self.optfs_osync(tid, file, false, out),
+            _ => self.sync_common(tid, file, true, out),
         }
     }
 
@@ -741,20 +708,18 @@ impl Filesystem {
         if let Some(holder) = self.committing_holder(file) {
             if let Some(t) = self.txns.get_mut(holder.0) {
                 t.durable_waiters.push(tid);
-                self.syscalls
-                    .set(tid, SyscallState::AwaitTxnDurable { txn: holder });
+                self.syscalls.set(tid, SyscallState::AwaitTxnDurable);
                 return SyscallOutcome::Blocked;
             }
         }
         if self.files.get(file).metadata_dirty(datasync) {
-            let rt = self.ensure_running(out);
+            let rt = self.ensure_running();
             // The inode is in the running transaction (dirtied at write).
             if let Some(t) = self.txns.get_mut(rt.0) {
                 t.durable_waiters.push(tid);
             }
             self.trigger_commit(rt, out);
-            self.syscalls
-                .set(tid, SyscallState::AwaitTxnDurable { txn: rt });
+            self.syscalls.set(tid, SyscallState::AwaitTxnDurable);
             return SyscallOutcome::Blocked;
         }
         // Degenerate (fdatasync-equivalent) path.
@@ -789,13 +754,12 @@ impl Filesystem {
                 let (_, pairs) = self.submit_dirty_data(tid, file, ReqFlags::ORDERED, false, out);
                 self.note_ordered_data(&pairs);
             }
-            let rt = self.ensure_running(out);
+            let rt = self.ensure_running();
             if let Some(t) = self.txns.get_mut(rt.0) {
                 t.durable_waiters.push(tid);
             }
             self.trigger_commit(rt, out);
-            self.syscalls
-                .set(tid, SyscallState::AwaitTxnDurable { txn: rt });
+            self.syscalls.set(tid, SyscallState::AwaitTxnDurable);
             return SyscallOutcome::Blocked;
         }
         if let Some(holder) = committing_holder {
@@ -824,14 +788,13 @@ impl Filesystem {
         }
         // Nothing dirty at all: force a journal commit to delimit an epoch
         // and provide durability (§4.2).
-        let rt = self.ensure_running(out);
+        let rt = self.ensure_running();
         if let Some(t) = self.txns.get_mut(rt.0) {
             t.durable_waiters.push(tid);
         }
         self.stats.forced_commits += 1;
         self.trigger_commit(rt, out);
-        self.syscalls
-            .set(tid, SyscallState::AwaitTxnDurable { txn: rt });
+        self.syscalls.set(tid, SyscallState::AwaitTxnDurable);
         SyscallOutcome::Blocked
     }
 
@@ -857,13 +820,12 @@ impl Filesystem {
                 let (_, pairs) = self.submit_dirty_data(tid, file, ReqFlags::ORDERED, false, out);
                 self.note_ordered_data(&pairs);
             }
-            let rt = self.ensure_running(out);
+            let rt = self.ensure_running();
             if let Some(t) = self.txns.get_mut(rt.0) {
                 t.dispatch_waiters.push(tid);
             }
             self.trigger_commit(rt, out);
-            self.syscalls
-                .set(tid, SyscallState::AwaitTxnDispatch { txn: rt });
+            self.syscalls.set(tid, SyscallState::AwaitTxnDispatch);
             return SyscallOutcome::Blocked;
         }
         if has_dirty {
@@ -875,7 +837,7 @@ impl Filesystem {
         }
         // Nothing dirty: force an (asynchronous) commit to delimit the
         // epoch; do not wait.
-        let rt = self.ensure_running(out);
+        let rt = self.ensure_running();
         self.stats.forced_commits += 1;
         self.trigger_commit(rt, out);
         SyscallOutcome::Done
@@ -905,8 +867,7 @@ impl Filesystem {
                 if state == TxnState::Transferred {
                     self.request_txn_flush(out);
                 }
-                self.syscalls
-                    .set(tid, SyscallState::AwaitTxnDurable { txn });
+                self.syscalls.set(tid, SyscallState::AwaitTxnDurable);
                 SyscallOutcome::Blocked
             }
             _ => SyscallOutcome::Done,
@@ -919,9 +880,7 @@ impl Filesystem {
         if pairs.is_empty() {
             return;
         }
-        let mut scratch = ActionSink::new();
-        let rt = self.ensure_running(&mut scratch);
-        debug_assert!(scratch.is_empty());
+        let rt = self.ensure_running();
         if let Some(t) = self.txns.get_mut(rt.0) {
             t.ordered_data.extend_from_slice(pairs);
         }
@@ -956,15 +915,13 @@ impl Filesystem {
     }
 
     /// Blocks `tid` awaiting a transaction's durability.
-    pub(crate) fn set_state_await_durable(&mut self, tid: ThreadId, txn: TxnId) {
-        self.syscalls
-            .set(tid, SyscallState::AwaitTxnDurable { txn });
+    pub(crate) fn set_state_await_durable(&mut self, tid: ThreadId) {
+        self.syscalls.set(tid, SyscallState::AwaitTxnDurable);
     }
 
     /// Blocks `tid` awaiting a transaction's JC transfer.
-    pub(crate) fn set_state_await_transferred(&mut self, tid: ThreadId, txn: TxnId) {
-        self.syscalls
-            .set(tid, SyscallState::AwaitTxnTransferred { txn });
+    pub(crate) fn set_state_await_transferred(&mut self, tid: ThreadId) {
+        self.syscalls.set(tid, SyscallState::AwaitTxnTransferred);
     }
 
     // ------------------------------------------------------------------
@@ -1006,7 +963,7 @@ impl Filesystem {
         match ev {
             FsEvent::ReqDone(rid) => self.on_req_done(rid, now, out),
             FsEvent::Step(tid) => self.on_step(tid, now, out),
-            FsEvent::CommitRun => self.on_commit_run(now, out),
+            FsEvent::CommitRun => self.on_commit_run(out),
             FsEvent::Pdflush => {
                 self.pdflush(out);
                 out.push(FsAction::After(
@@ -1152,12 +1109,10 @@ impl Filesystem {
                 let lba = f.lba_of(b).expect("allocated");
                 let rid = self.alloc_req(Purpose::Writeback);
                 self.stats.writeback_blocks += 1;
-                let mut tags = self.take_payload_buf();
-                tags.push(tag);
                 out.push(FsAction::Submit(BlockRequest::write(
                     rid,
                     lba,
-                    tags,
+                    vec![tag],
                     ReqFlags::NONE,
                 )));
             }

@@ -97,7 +97,7 @@ impl Filesystem {
     }
 
     /// The commit thread body.
-    pub(crate) fn on_commit_run(&mut self, _now: SimTime, out: &mut ActionSink<FsAction>) {
+    pub(crate) fn on_commit_run(&mut self, out: &mut ActionSink<FsAction>) {
         self.commit_scheduled = false;
         match self.cfg.mode {
             FsMode::BarrierFs => self.dual_mode_commit(out),
@@ -215,13 +215,12 @@ impl Filesystem {
         };
         let jd_blocks = 1 + n_logs + data_journal;
         let lba = self.layout.alloc_journal(jd_blocks + 1); // + commit block
-        let mut tags = self.take_payload_buf();
-        self.layout.next_tags_into(jd_blocks as usize, &mut tags);
+        let tags = self.layout.next_tags(jd_blocks as usize);
         let jc_lba = bio_flash::Lba(lba.0 + jd_blocks);
         if let Some(t) = self.txns.get_mut(txn.0) {
             t.jd_lba = Some(lba);
-            // Copy into the (recycled) tag buffer instead of cloning:
-            // `tags` itself is moved into the request payload below.
+            // Copy into the recycled transaction's tag buffer: `tags`
+            // itself is moved into the request payload below.
             t.jd_tags.clear();
             t.jd_tags.extend_from_slice(&tags);
             t.jc_lba = Some(jc_lba);
@@ -269,10 +268,11 @@ impl Filesystem {
                 preflush: false,
             },
         };
-        let mut tags = self.take_payload_buf();
-        tags.push(tag);
         out.push(FsAction::Submit(BlockRequest::write(
-            rid, jc_lba, tags, flags,
+            rid,
+            jc_lba,
+            vec![tag],
+            flags,
         )));
         // The commit is now fully described: record ground truth.
         self.record_txn(txn);
@@ -532,7 +532,7 @@ impl Filesystem {
         let resolved = self.conflicts.resolve(txn);
         for e in resolved {
             let tag = self.files.get(e.file).meta_tag;
-            self.dirty_inode(e.file, e.lba, tag, out);
+            self.dirty_inode(e.file, e.lba, tag);
         }
         if self.conflicts.is_empty() {
             // The running transaction may have been waiting on conflicts.
@@ -601,9 +601,12 @@ impl Filesystem {
         for (lba, tag) in writes.drain(..) {
             let rid = self.alloc_req(Purpose::Checkpoint(txn));
             self.stats.checkpoint_blocks += 1;
-            let mut tags = self.take_payload_buf();
-            tags.push(tag);
-            out.push(FsAction::Submit(BlockRequest::write(rid, lba, tags, flags)));
+            out.push(FsAction::Submit(BlockRequest::write(
+                rid,
+                lba,
+                vec![tag],
+                flags,
+            )));
         }
         self.scratch_writes = writes;
     }
@@ -651,7 +654,6 @@ impl Filesystem {
         &mut self,
         tid: ThreadId,
         file: FileId,
-        _datasync: bool,
         durable: bool,
         out: &mut ActionSink<FsAction>,
     ) -> SyscallOutcome {
@@ -667,7 +669,7 @@ impl Filesystem {
         self.note_dirty_drop((in_place.len() + journaled.len()) as u64);
         // Journaled data joins the running transaction.
         if !journaled.is_empty() {
-            let rt = self.ensure_running(out);
+            let rt = self.ensure_running();
             let entries: Vec<(bio_flash::Lba, bio_flash::BlockTag)> = journaled
                 .iter()
                 .map(|&(b, t)| {
@@ -690,12 +692,10 @@ impl Filesystem {
                 let lba = f.lba_of(b).expect("allocated");
                 let rid = self.alloc_req(Purpose::Data(tid));
                 self.stats.data_blocks += 1;
-                let mut tags = self.take_payload_buf();
-                tags.push(tag);
                 out.push(FsAction::Submit(BlockRequest::write(
                     rid,
                     lba,
-                    tags,
+                    vec![tag],
                     ReqFlags::NONE,
                 )));
                 reqs.push(rid);
@@ -716,7 +716,7 @@ impl Filesystem {
         durable: bool,
         out: &mut ActionSink<FsAction>,
     ) -> SyscallOutcome {
-        let rt = self.ensure_running(out);
+        let rt = self.ensure_running();
         // Page-scanning overhead proportional to the transaction size
         // (§6.5: selective data journaling increases the pages to scan).
         let pages = self.txns.get(rt.0).map_or(0, |t| t.journal_blocks());
@@ -738,9 +738,9 @@ impl Filesystem {
             ));
         }
         if durable {
-            self.set_state_await_durable(tid, rt);
+            self.set_state_await_durable(tid);
         } else {
-            self.set_state_await_transferred(tid, rt);
+            self.set_state_await_transferred(tid);
         }
         SyscallOutcome::Blocked
     }

@@ -101,16 +101,6 @@ impl Layout {
     pub fn next_tags(&mut self, n: usize) -> Vec<BlockTag> {
         (0..n).map(|_| self.next_tag()).collect()
     }
-
-    /// Hands out `n` fresh tags into an existing buffer (arena-recycled
-    /// payload path; same tag stream as [`Layout::next_tags`]).
-    pub fn next_tags_into(&mut self, n: usize, buf: &mut Vec<BlockTag>) {
-        buf.extend((0..n).map(|_| {
-            let t = BlockTag(self.next_tag);
-            self.next_tag += 1;
-            t
-        }));
-    }
 }
 
 #[cfg(test)]

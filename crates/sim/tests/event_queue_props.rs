@@ -1,49 +1,37 @@
-//! Property tests for the calendar-queue [`EventQueue`]: the `(time, seq)`
-//! ordering contract must be indistinguishable from the old heap-only
-//! implementation on arbitrary schedules, including ones that cross the
-//! near-ring horizon into the far-future tier.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! Property tests for [`EventQueue`]: the `(time, seq)` ordering contract
+//! on arbitrary schedules, checked against an oracle that shares nothing
+//! with the implementation — `EventQueue` is a binary heap, the oracle a
+//! `Vec` scanned linearly.
 
 use bio_sim::{EventQueue, SimDuration, SimTime};
 use proptest::prelude::*;
 
-/// Reference model: the old implementation's semantics — one binary heap
-/// ordered by `(time, seq)`, clock advancing to each popped timestamp.
+/// Reference model: pending `(time, value)` pairs in push order. The first
+/// entry with the minimum time is the earliest event and, among equals, the
+/// oldest — FIFO by construction, with no sequence number to get wrong.
+#[derive(Default)]
 struct RefQueue {
-    heap: BinaryHeap<Reverse<(u64, u64, u64)>>,
-    seq: u64,
+    pending: Vec<(u64, u64)>,
     now: u64,
 }
 
 impl RefQueue {
-    fn new() -> RefQueue {
-        RefQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            now: 0,
-        }
-    }
-
     fn push(&mut self, at: u64, v: u64) {
-        let at = at.max(self.now);
-        self.heap.push(Reverse((at, self.seq, v)));
-        self.seq += 1;
+        self.pending.push((at.max(self.now), v));
     }
 
     fn pop(&mut self) -> Option<(u64, u64)> {
-        self.heap.pop().map(|Reverse((at, _, v))| {
-            self.now = at;
-            (at, v)
-        })
+        self.pop_at_or_before(u64::MAX)
     }
 
     fn pop_at_or_before(&mut self, deadline: u64) -> Option<(u64, u64)> {
-        match self.heap.peek() {
-            Some(Reverse((at, _, _))) if *at <= deadline => self.pop(),
-            _ => None,
+        let earliest = self.pending.iter().map(|&(at, _)| at).min()?;
+        if earliest > deadline {
+            return None;
         }
+        self.now = earliest;
+        let first = self.pending.iter().position(|&(at, _)| at == earliest)?;
+        Some(self.pending.remove(first))
     }
 }
 
@@ -90,29 +78,35 @@ proptest! {
         prop_assert!(q.is_empty());
     }
 
-    /// Interleaved pushes, pops and bounded pops match the old
-    /// `BinaryHeap` ordering exactly. Opcode 3 stretches delays ~1000x so
-    /// schedules regularly cross the near-ring horizon into the far tier
-    /// and migrate back; opcode 4 interleaves `pop_at_or_before` (both
-    /// hits and deadline misses) with later pushes, which exercises the
-    /// speculative-activation rollback.
+    /// Interleaved pushes, pops and bounded pops match the linear-scan
+    /// reference exactly. Opcode 2 snaps its timestamp down to an 8 µs
+    /// grid, and opcode 4 its deadline, so several events share an instant
+    /// (FIFO among them is compared too) and deadlines land exactly on
+    /// event times (the bound is inclusive). Opcode 3 stretches delays
+    /// ~1000x so schedules mix DMA-scale and timer-scale delays (up to
+    /// 200 ms); opcode 4 interleaves `pop_at_or_before` (both hits and
+    /// deadline misses) with later pushes, which may land before the event
+    /// that missed.
     #[test]
-    fn matches_binary_heap_reference(
+    fn matches_linear_scan_reference(
         script in prop::collection::vec((0u8..5, 0u64..200_000, 0u64..1000), 1..400),
     ) {
         let mut q = EventQueue::new();
-        let mut r = RefQueue::new();
+        let mut r = RefQueue::default();
+        // `t` snapped down to the grid, but never into the past.
+        let snap = |t: SimTime, now: SimTime| SimTime::from_nanos(t.as_nanos() & !0x1fff).max(now);
         for &(op, dt, v) in &script {
             if op == 0 {
                 let got = q.pop().map(|(t, ev)| (t.as_nanos(), ev));
                 prop_assert_eq!(got, r.pop());
             } else if op == 4 {
-                let deadline = q.now() + SimDuration::from_nanos(dt);
+                let deadline = snap(q.now() + SimDuration::from_nanos(dt), q.now());
                 let got = q.pop_at_or_before(deadline).map(|(t, ev)| (t.as_nanos(), ev));
                 prop_assert_eq!(got, r.pop_at_or_before(deadline.as_nanos()));
             } else {
                 let dt = if op == 3 { dt * 1000 } else { dt };
                 let at = q.now() + SimDuration::from_nanos(dt);
+                let at = if op == 2 { snap(at, q.now()) } else { at };
                 q.push(at, v);
                 r.push(at.as_nanos(), v);
             }
@@ -132,66 +126,53 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Cohort draining through `pop_batch_at_or_before` is
-    /// indistinguishable from the single-pop loop the `IoStack` drivers
-    /// run: same events, same `(time, seq)` order, same
-    /// deadline misses, same clock — across interleaved pushes (so
-    /// batches drain queues that earlier batches partially emptied, the
-    /// steady-state shape of the simulator main loop).
+    /// indistinguishable from popping the linear-scan reference one event
+    /// at a time: same events, same `(time, seq)` order, same deadline
+    /// misses, same clock — across interleaved pushes (so batches drain
+    /// queues that earlier batches partially emptied).
     #[test]
     fn batch_drain_matches_single_pop_reference(
         script in prop::collection::vec((0u8..4, 0u64..150_000, 0u64..1000), 1..300),
         max in 1usize..12,
     ) {
         let mut by_batch = EventQueue::new();
-        let mut by_pop = EventQueue::new();
+        let mut by_pop = RefQueue::default();
         let mut buf = Vec::new();
-        for &(op, dt, v) in &script {
-            if op == 0 {
-                // Drain both queues to a deadline — one in bounded
-                // cohorts, one event at a time — and compare the
-                // concatenated sequences.
-                let deadline = by_batch.now() + SimDuration::from_nanos(dt);
-                let mut batched = Vec::new();
-                loop {
-                    buf.clear();
-                    let n = by_batch.pop_batch_at_or_before(deadline, &mut buf, max);
-                    prop_assert_eq!(n, buf.len());
-                    prop_assert!(n <= max);
-                    if n == 0 {
-                        break;
-                    }
-                    // A batch never mixes instants: it is one cohort.
-                    prop_assert!(buf.iter().all(|&(t, _)| t == buf[0].0));
-                    batched.extend(buf.iter().copied());
+        // Drains `by_batch` to `deadline` in bounded cohorts.
+        let mut drain = |q: &mut EventQueue<u64>, deadline: SimTime| {
+            let mut batched = Vec::new();
+            loop {
+                buf.clear();
+                let n = q.pop_batch_at_or_before(deadline, &mut buf, max);
+                prop_assert_eq!(n, buf.len());
+                prop_assert!(n <= max);
+                if n == 0 {
+                    return Ok(batched);
                 }
+                // A batch never mixes instants: it is one cohort.
+                prop_assert!(buf.iter().all(|&(t, _)| t == buf[0].0));
+                batched.extend(buf.iter().map(|&(t, v)| (t.as_nanos(), v)));
+            }
+        };
+        // Opcode 0 drains both to a deadline and compares the sequences;
+        // the trailing entry is the final full drain.
+        for &(op, dt, v) in script.iter().chain([&(0, u64::MAX, 0)]) {
+            if op == 0 {
+                let deadline = by_batch.now() + SimDuration::from_nanos(dt);
+                let batched = drain(&mut by_batch, deadline)?;
                 let mut reference = Vec::new();
-                while let Some(e) = by_pop.pop_at_or_before(deadline) {
+                while let Some(e) = by_pop.pop_at_or_before(deadline.as_nanos()) {
                     reference.push(e);
                 }
-                prop_assert_eq!(&batched, &reference);
-                prop_assert_eq!(by_batch.now(), by_pop.now());
+                prop_assert_eq!(batched, reference);
+                prop_assert_eq!(by_batch.now().as_nanos(), by_pop.now);
             } else {
                 let dt = if op == 3 { dt * 1000 } else { dt };
                 let at = by_batch.now() + SimDuration::from_nanos(dt);
                 by_batch.push(at, v);
-                by_pop.push(at, v);
+                by_pop.push(at.as_nanos(), v);
             }
         }
-        // Final full drain: nothing left behind, order still identical.
-        let mut batched = Vec::new();
-        loop {
-            buf.clear();
-            if by_batch.pop_batch_at_or_before(SimTime::MAX, &mut buf, max) == 0 {
-                break;
-            }
-            prop_assert!(buf.iter().all(|&(t, _)| t == buf[0].0));
-            batched.extend(buf.iter().copied());
-        }
-        let mut reference = Vec::new();
-        while let Some(e) = by_pop.pop_at_or_before(SimTime::MAX) {
-            reference.push(e);
-        }
-        prop_assert_eq!(batched, reference);
-        prop_assert!(by_batch.is_empty() && by_pop.is_empty());
+        prop_assert!(by_batch.is_empty() && by_pop.pending.is_empty());
     }
 }
