@@ -14,7 +14,7 @@
 //! then on a fresh stack for exactly that many steps (determinism makes
 //! it the same prefix).
 
-use barrier_io::{DeviceProfile, FileRef, IoStack, StackConfig, Topology};
+use barrier_io::{DeviceProfile, FileRef, IoStack, StackConfig, Topology, CONGESTION_LIMIT};
 use bio_sim::SimDuration;
 use bio_workloads::{
     Dwsl, MailQueue, OltpInsert, RandWrite, RocksDbWal, Sqlite, SqliteJournalMode, SyncMode,
@@ -260,7 +260,7 @@ fn batched_runs_match_single_step_runs() {
 }
 
 /// fig17's BFS-OD 1q×1dev cell: 256 DWSL threads whose `fbarrier`s
-/// return at dispatch back the block layer up to `congestion_limit`, so
+/// return at dispatch back the block layer up to `CONGESTION_LIMIT`, so
 /// threads stall and only resume through the run loop's
 /// `maybe_uncongest`.
 #[test]
@@ -272,7 +272,7 @@ fn congested_run_matches_single_step_run() {
         setup: dwsl_256,
         window: Window::UntilDone,
     };
-    let limit = cell.cfg.congestion_limit;
+    let limit = CONGESTION_LIMIT;
     let mut s = cell.stack();
     s.start_measuring();
     let mut crossed = false;

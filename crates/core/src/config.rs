@@ -1,5 +1,6 @@
-//! Stack configuration: which filesystem, scheduler, dispatch mode,
-//! topology and device make up one experiment cell.
+//! Stack configuration: which filesystem, topology and device make up one
+//! experiment cell. The block layer's scheduler and dispatch discipline are
+//! not configured: [`crate::IoStack::new`] derives them from the filesystem.
 //!
 //! The paper's experiment matrix is spanned by presets:
 //!
@@ -11,10 +12,9 @@
 //! | BFS-OD | [`StackConfig::bfs().ordering_only()`] + `fbarrier` | BarrierFS, ordering only |
 //! | OptFS | [`StackConfig::optfs`] | osync-based ordering |
 
-use bio_block::{DispatchMode, SchedulerKind, Topology};
+use bio_block::Topology;
 use bio_flash::DeviceProfile;
 use bio_fs::{FsConfig, FsMode};
-use bio_sim::SimDuration;
 
 /// What a "sync" means in the workload driving this stack: full
 /// durability (`fsync`-style, the DR rows of the paper's tables) or
@@ -41,21 +41,12 @@ pub struct StackConfig {
     pub device: DeviceProfile,
     /// Filesystem parameters.
     pub fs: FsConfig,
-    /// Base IO scheduler (wrapped by the epoch scheduler).
-    pub scheduler: SchedulerKind,
-    /// Dispatch discipline.
-    pub dispatch: DispatchMode,
     /// Lane topology: hardware queues × devices (default 1×1).
     pub topology: Topology,
     /// Sync discipline the driving workload uses (labels only).
     pub discipline: SyncDiscipline,
     /// Master seed; every run with the same config and seed is identical.
     pub seed: u64,
-    /// CPU cost charged per issued syscall (keeps zero-time loops honest).
-    pub cpu_per_op: SimDuration,
-    /// Block-layer congestion threshold (the kernel's `nr_requests`):
-    /// threads stall while more requests than this are queued.
-    pub congestion_limit: usize,
     /// Record device transfer history for crash audits (memory-heavy).
     pub record_history: bool,
 }
@@ -64,38 +55,34 @@ impl StackConfig {
     /// Stock EXT4 with full flush/FUA commits (EXT4-DR rows; on a
     /// supercap device this is the "quick flush" variant).
     pub fn ext4_dr(device: DeviceProfile) -> StackConfig {
-        StackConfig::base(device, FsMode::Ext4, DispatchMode::Legacy)
+        StackConfig::base(device, FsMode::Ext4)
     }
 
     /// EXT4 mounted `nobarrier` (EXT4-OD rows): ordering by transfer
     /// waits only, no flush anywhere.
     pub fn ext4_od(device: DeviceProfile) -> StackConfig {
-        StackConfig::base(device, FsMode::Ext4NoBarrier, DispatchMode::Legacy).ordering_only()
+        StackConfig::base(device, FsMode::Ext4NoBarrier).ordering_only()
     }
 
     /// BarrierFS over the order-preserving block layer. Use `fsync` for
     /// BFS-DR and `fbarrier`/`fdatabarrier` plus
     /// [`StackConfig::ordering_only`] for BFS-OD.
     pub fn bfs(device: DeviceProfile) -> StackConfig {
-        StackConfig::base(device, FsMode::BarrierFs, DispatchMode::OrderPreserving)
+        StackConfig::base(device, FsMode::BarrierFs)
     }
 
     /// OptFS-style optimistic crash consistency (osync).
     pub fn optfs(device: DeviceProfile) -> StackConfig {
-        StackConfig::base(device, FsMode::OptFs, DispatchMode::Legacy).ordering_only()
+        StackConfig::base(device, FsMode::OptFs).ordering_only()
     }
 
-    fn base(device: DeviceProfile, mode: FsMode, dispatch: DispatchMode) -> StackConfig {
+    fn base(device: DeviceProfile, mode: FsMode) -> StackConfig {
         StackConfig {
             device,
             fs: FsConfig::new(mode),
-            scheduler: SchedulerKind::Elevator,
-            dispatch,
             topology: Topology::single(),
             discipline: SyncDiscipline::Durability,
             seed: 42,
-            cpu_per_op: SimDuration::from_micros(2),
-            congestion_limit: 128,
             record_history: false,
         }
     }
@@ -169,10 +156,8 @@ mod tests {
             StackConfig::ext4_od(d.clone()).fs.mode,
             FsMode::Ext4NoBarrier
         );
-        let bfs = StackConfig::bfs(d.clone());
-        assert_eq!(bfs.fs.mode, FsMode::BarrierFs);
-        assert_eq!(bfs.dispatch, DispatchMode::OrderPreserving);
-        assert_eq!(StackConfig::optfs(d).dispatch, DispatchMode::Legacy);
+        assert_eq!(StackConfig::bfs(d.clone()).fs.mode, FsMode::BarrierFs);
+        assert_eq!(StackConfig::optfs(d).fs.mode, FsMode::OptFs);
     }
 
     #[test]

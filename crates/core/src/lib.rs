@@ -51,7 +51,9 @@ mod stack;
 pub use config::{StackConfig, SyncDiscipline};
 pub use metrics::{Metrics, OpMetrics, OpReport, RunReport};
 pub use ops::{FileRef, FnWorkload, Op, OpKind, ScriptWorkload, Workload};
-pub use stack::{CrashReport, IoStack, StackCaptureDelta, StackReport};
+pub use stack::{
+    CrashReport, IoStack, StackCaptureDelta, StackReport, CONGESTION_LIMIT, CPU_PER_OP,
+};
 
 // Re-export the vocabulary types callers need alongside the stack.
 pub use bio_block::{BlockConfig, DispatchMode, LaneStats, SchedulerKind, Topology};

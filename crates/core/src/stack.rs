@@ -4,7 +4,10 @@
 
 use std::collections::BTreeMap;
 
-use bio_block::{BlockAction, BlockConfig, BlockEvent, BlockLayer, BlockStats, LaneStats};
+use bio_block::{
+    BlockAction, BlockConfig, BlockEvent, BlockLayer, BlockStats, DispatchMode, LaneStats,
+    SchedulerKind,
+};
 use bio_flash::{
     audit_epoch_order, Device, DeviceCaptureDelta, DeviceStats, EpochViolation, FtlStats,
     PersistedImage,
@@ -107,6 +110,14 @@ pub struct StackCaptureDelta {
     pub devices: Vec<DeviceCaptureDelta>,
 }
 
+/// CPU cost charged per issued syscall (keeps zero-time loops honest).
+pub const CPU_PER_OP: SimDuration = SimDuration::from_micros(2);
+
+/// Block-layer congestion threshold (the kernel's `nr_requests`): threads
+/// stall while this many requests or more are queued, and resume below
+/// half of it.
+pub const CONGESTION_LIMIT: usize = 128;
+
 /// The assembled barrier-enabled (or legacy) IO stack.
 pub struct IoStack {
     cfg: StackConfig,
@@ -144,11 +155,18 @@ impl IoStack {
                 device
             })
             .collect();
+        // Barrier flags reach the device exactly when the filesystem
+        // issues them; every stack runs the elevator.
+        let dispatch = if cfg.fs.mode.uses_barriers() {
+            DispatchMode::OrderPreserving
+        } else {
+            DispatchMode::Legacy
+        };
         let block = BlockLayer::new(
             devices,
             BlockConfig {
-                scheduler: cfg.scheduler,
-                dispatch: cfg.dispatch,
+                scheduler: SchedulerKind::Elevator,
+                dispatch,
                 topology: cfg.topology,
             },
         );
@@ -327,8 +345,7 @@ impl IoStack {
         th.state = ThreadState::Ready;
         let latency = now.saturating_since(th.op_started);
         self.metrics.record_op(th.current_kind, latency);
-        self.q
-            .push_after(self.cfg.cpu_per_op, Event::ThreadNext(tid));
+        self.q.push_after(CPU_PER_OP, Event::ThreadNext(tid));
     }
 
     fn resolve(&self, tid: ThreadId, r: FileRef) -> FileId {
@@ -345,7 +362,7 @@ impl IoStack {
         }
         // Congestion control (the kernel's nr_requests): stall issuing
         // while the block layer is backed up.
-        if self.block.queued() >= self.cfg.congestion_limit {
+        if self.block.queued() >= CONGESTION_LIMIT {
             self.threads[idx].state = ThreadState::Congested;
             if !self.congested.contains(&tid) {
                 self.congested.push(tid);
@@ -432,8 +449,7 @@ impl IoStack {
         match outcome {
             SyscallOutcome::Done => {
                 self.metrics.record_op(kind, SimDuration::ZERO);
-                self.q
-                    .push_after(self.cfg.cpu_per_op, Event::ThreadNext(tid));
+                self.q.push_after(CPU_PER_OP, Event::ThreadNext(tid));
             }
             SyscallOutcome::Blocked => {
                 self.threads[idx].state = ThreadState::InSyscall;
@@ -442,7 +458,7 @@ impl IoStack {
     }
 
     fn maybe_uncongest(&mut self) {
-        if self.congested.is_empty() || self.block.queued() >= self.cfg.congestion_limit / 2 {
+        if self.congested.is_empty() || self.block.queued() >= CONGESTION_LIMIT / 2 {
             return;
         }
         let woken = std::mem::take(&mut self.congested);

@@ -1,11 +1,13 @@
 //! Whole-stack allocation census: heap allocations per 1,000 events of
 //! `IoStack::step()` in steady state, counted exactly and independent of
 //! the machine. The device alone is held to zero by `bio-flash`'s
-//! `alloc_steady_state`; the stack above it does allocate (a payload `Vec`
-//! per write, dirty-run and request-id vectors per sync), and this test
-//! pins how much: each cell must stay at or below what the stack counted
-//! before PR 18 deleted its three payload-buffer pools. Lower a ceiling
-//! when a change earns it; never raise one without saying why.
+//! `alloc_steady_state`; the stack above it does allocate — a payload `Vec`
+//! per write, `MergedRequest::single`'s id vector, the `TxnRecord` clones of
+//! a commit — and this test pins how much: each ceiling is the count
+//! measured when the dirty tracker became a flat `Vec`, request formation
+//! one pass over a reused buffer and the data wait an id range (PR 19),
+//! rounded up. Lower a ceiling when a change earns it; never raise one
+//! without saying why.
 //!
 //! The counting allocator is the one from `alloc_steady_state.rs`, repeated
 //! here because an integration test is its own crate and the library crates
@@ -101,8 +103,8 @@ fn census(cfg: StackConfig, threads: usize, sync: fn(FileRef) -> Op) -> (u64, u6
     (ALLOCS.with(Cell::take), REALLOCS.with(Cell::take))
 }
 
-/// Runs one cell, prints its census line and holds it to `ceiling`: the
-/// allocations per 1,000 events the stack counted at PR 17, rounded up.
+/// Runs one cell, prints its census line and holds it to `ceiling`
+/// allocations per 1,000 events.
 fn check(cell: &str, cfg: StackConfig, threads: usize, sync: fn(FileRef) -> Op, ceiling: u64) {
     let (allocs, reallocs) = census(cfg, threads, sync);
     let per_1k = |n: u64| n as f64 * 1000.0 / EVENTS as f64;
@@ -119,7 +121,7 @@ fn check(cell: &str, cfg: StackConfig, threads: usize, sync: fn(FileRef) -> Op, 
 }
 
 #[test]
-fn steady_state_allocations_stay_at_or_below_the_pooled_stack() {
+fn steady_state_allocations_stay_at_or_below_their_ceilings() {
     let ssd = DeviceProfile::plain_ssd;
     let mq = Topology::new(2, 2, 16);
     let fsync = |file| Op::Fsync { file };
@@ -131,34 +133,34 @@ fn steady_state_allocations_stay_at_or_below_the_pooled_stack() {
         StackConfig::ext4_dr(ssd()),
         1,
         fsync,
-        1_087,
+        435,
     );
     check(
         "BFS-DR 1 thread fsync",
         StackConfig::bfs(ssd()),
         1,
         fsync,
-        1_110,
+        464,
     );
     check(
         "BFS-OD 1 thread fdatabarrier",
         bfs_od(ssd()),
         1,
         fdatabarrier,
-        1_335,
+        335,
     );
     check(
         "BFS-OD 64 threads fbarrier 2q x 2dev",
         bfs_od(ssd()).with_topology(mq),
         64,
         fbarrier,
-        1_168,
+        320,
     );
     check(
         "EXT4-DR 64 threads fsync 2q x 2dev",
         StackConfig::ext4_dr(ssd()).with_topology(mq),
         64,
         fsync,
-        1_172,
+        453,
     );
 }

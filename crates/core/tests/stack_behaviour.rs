@@ -344,3 +344,28 @@ fn workload_closure_api_works() {
     assert!(stack.run_until_done(SimDuration::from_secs(60)));
     assert!(stack.device_at(0).stats().blocks_written > 0);
 }
+
+/// `Op::Write { blocks: 0 }` is input from outside (any `ScriptWorkload`
+/// can carry it): the run completes and the op is reported like any other
+/// write, with nothing reaching the device for it.
+#[test]
+fn zero_length_write_runs_to_completion() {
+    let mut stack = IoStack::new(StackConfig::bfs(DeviceProfile::plain_ssd()));
+    let file = FileRef::Global(stack.create_global_file());
+    stack.add_thread(Box::new(ScriptWorkload::repeat(
+        vec![
+            Op::Write {
+                file,
+                offset: 7,
+                blocks: 0,
+            },
+            Op::Fdatabarrier { file },
+        ],
+        5,
+    )));
+    stack.start_measuring();
+    assert!(stack.run_until_done(SimDuration::from_secs(60)));
+    let report = stack.report();
+    assert_eq!(report.run.op(OpKind::Write).expect("reported").count, 5);
+    assert_eq!(report.fs.data_blocks, 0);
+}

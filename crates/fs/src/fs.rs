@@ -17,7 +17,7 @@
 //! [`FsAction::CtxSwitch`]. The CtxSwitch count per operation is the
 //! metric of the paper's Fig 11.
 
-use std::collections::HashSet;
+use std::ops::Range;
 
 use bio_block::{BlockRequest, ReqFlags, ReqId};
 use bio_flash::{BlockTag, Lba};
@@ -79,12 +79,17 @@ pub(crate) enum AfterData {
     OptfsScan { durable: bool },
 }
 
-/// Per-thread syscall progress.
+/// Per-thread syscall progress. A thread sleeping on a transaction has no
+/// entry: the transaction's waiter list it sits on is the record.
 #[derive(Debug, Clone)]
 enum SyscallState {
-    /// Waiting for data-page writes.
+    /// Waiting for data-page writes: `left` of the requests `reqs` have yet
+    /// to complete. The ids of one call are consecutive and each completes
+    /// once (`purposes` drops replays), so membership is a range test and
+    /// completion a count.
     AwaitData {
-        pending: HashSet<ReqId>,
+        reqs: Range<u64>,
+        left: u64,
         file: FileId,
         then: AfterData,
     },
@@ -92,12 +97,6 @@ enum SyscallState {
     Stepping { file: FileId, then: AfterData },
     /// Waiting for an explicit flush request.
     AwaitFlush,
-    /// Waiting for a transaction to become durable.
-    AwaitTxnDurable,
-    /// Waiting for a transaction's commit dispatch (fbarrier).
-    AwaitTxnDispatch,
-    /// Waiting for a transaction's JC transfer (OptFS osync).
-    AwaitTxnTransferred,
     /// EXT4 writer blocked on a page conflict; the write retries when the
     /// holder transaction releases its buffers.
     AwaitConflict {
@@ -212,7 +211,10 @@ pub struct Filesystem {
     /// acts as a generation check, so a replayed or duplicate completion
     /// reads as absent instead of aliasing a live request.
     pub(crate) purposes: SeqTable<Purpose>,
-    next_req: u64,
+    /// The id the next [`Filesystem::alloc_req`] hands out: ids are
+    /// consecutive, so a caller brackets its submissions with this to get
+    /// their range.
+    pub(crate) next_req: u64,
     /// Journal blocks held by non-checkpointed transactions.
     pub(crate) journal_used: u64,
     pub(crate) journal_stalled: bool,
@@ -400,7 +402,9 @@ impl Filesystem {
         now: SimTime,
         out: &mut ActionSink<FsAction>,
     ) -> SyscallOutcome {
-        assert!(blocks > 0, "zero-length write");
+        if blocks == 0 {
+            return SyscallOutcome::Done; // writes nothing, dirties nothing
+        }
         let tick = now.as_nanos() / self.cfg.timer_tick.as_nanos().max(1);
         // Would this write change metadata?
         let needs_alloc = {
@@ -515,9 +519,50 @@ impl Filesystem {
     // Data submission helpers.
     // ------------------------------------------------------------------
 
-    /// Takes the file's dirty pages and submits them as write requests
-    /// (contiguous runs become single requests). Returns the request ids
-    /// and the `(lba, tag)` pairs submitted, sorted by LBA.
+    /// The LBA a page leaving the page cache is written to; marks the block
+    /// written back. A dirty page is always backed by an extent, so this
+    /// resolves on every real path; a page without one would mean corrupted
+    /// tracking state, and every write-out path drops it with a counter
+    /// rather than aborting the simulation (totality: docs/INVARIANTS.md).
+    pub(crate) fn page_lba(&mut self, file: FileId, block: u64) -> Option<Lba> {
+        let f = self.files.get_mut(file);
+        let Some(lba) = f.lba_of(block) else {
+            self.stats.dropped_data_pages += 1;
+            return None;
+        };
+        f.committed_blocks.insert(block);
+        Some(lba)
+    }
+
+    /// Moves up to `n` of the file's dirty pages, lowest block first, into
+    /// `writes` as `(lba, tag)`. Returns how many pages left the cache.
+    fn take_dirty_pages(
+        &mut self,
+        file: FileId,
+        n: usize,
+        writes: &mut Vec<(Lba, BlockTag)>,
+    ) -> usize {
+        // The tracker is lifted out of the file while its pages resolve
+        // through `self`, then put back so its buffer is reused.
+        let mut dirty = std::mem::take(&mut self.files.get_mut(file).dirty_data);
+        let before = dirty.len();
+        for (block, tag) in dirty.take(n) {
+            if let Some(lba) = self.page_lba(file, block) {
+                writes.push((lba, tag));
+            }
+        }
+        let taken = before - dirty.len();
+        self.files.get_mut(file).dirty_data = dirty;
+        self.dirty_total = self.dirty_total.saturating_sub(taken as u64);
+        taken
+    }
+
+    /// Submits the file's dirty pages as write requests — the "D" of Eq.
+    /// 2/3 — and records them as ordered data of the running transaction.
+    /// One pass over one reused buffer (a sync drains one or two blocks on
+    /// the paper's workloads): resolve each page, sort by LBA, emit one
+    /// request per maximal LBA-adjacent chunk, the barrier on the last.
+    /// Returns the request ids it allocated, which are consecutive.
     pub(crate) fn submit_dirty_data(
         &mut self,
         tid: ThreadId,
@@ -525,74 +570,32 @@ impl Filesystem {
         flags: ReqFlags,
         barrier_on_last: bool,
         out: &mut ActionSink<FsAction>,
-    ) -> (Vec<ReqId>, Vec<(Lba, BlockTag)>) {
-        // Drain the dirty runs and resolve them to LBA segments, splitting
-        // a run where its blocks cross an extent boundary. Segments are
-        // disjoint LBA ranges, so sorting them by start is the same order a
-        // per-block sort would produce — request formation is byte-for-byte
-        // what the per-block map implementation emitted.
-        let runs = {
-            let f = self.files.get_mut(file);
-            let runs = f.dirty_data.take_runs();
-            let n: usize = runs.iter().map(|(_, tags)| tags.len()).sum();
-            self.dirty_total = self.dirty_total.saturating_sub(n as u64);
-            runs
-        };
-        let mut segs: Vec<(Lba, Vec<BlockTag>)> = Vec::new();
-        for (start, tags) in runs {
-            let f = self.files.get_mut(file);
-            let mut seg: Option<(Lba, Vec<BlockTag>)> = None;
-            for (i, tag) in tags.into_iter().enumerate() {
-                let b = start + i as u64;
-                // A dirty page is always backed by an extent, so the
-                // lookup succeeds on every real path; a page without one
-                // would mean corrupted tracking state, and the submit
-                // path drops it with a counter rather than aborting the
-                // simulation (totality: see docs/INVARIANTS.md).
-                let Some(lba) = f.lba_of(b) else {
-                    self.stats.dropped_data_pages += 1;
-                    continue;
-                };
-                f.committed_blocks.insert(b, ());
-                match &mut seg {
-                    Some((s, ts)) if lba.0 == s.0 + ts.len() as u64 => ts.push(tag),
-                    _ => {
-                        segs.extend(seg.take());
-                        seg = Some((lba, vec![tag]));
-                    }
-                }
-            }
-            segs.extend(seg);
-        }
-        segs.sort_by_key(|(l, _)| *l);
-        // Coalesce segments that are LBA-adjacent across runs/extents.
-        let mut merged: Vec<(Lba, Vec<BlockTag>)> = Vec::with_capacity(segs.len());
-        for (start, tags) in segs {
-            match merged.last_mut() {
-                Some((s, ts)) if start.0 == s.0 + ts.len() as u64 => ts.extend(tags),
-                _ => merged.push((start, tags)),
-            }
-        }
-        let mut pairs: Vec<(Lba, BlockTag)> = Vec::new();
-        let mut reqs = Vec::with_capacity(merged.len());
-        let last = merged.len();
-        for (i, (start, tags)) in merged.into_iter().enumerate() {
-            pairs.extend(
-                tags.iter()
-                    .enumerate()
-                    .map(|(j, t)| (start.offset(j as u64), *t)),
-            );
+    ) -> Range<u64> {
+        let mut writes = std::mem::take(&mut self.scratch_writes);
+        self.take_dirty_pages(file, usize::MAX, &mut writes);
+        // Extents need not be monotone in LBA, so file order is not LBA
+        // order. Distinct blocks have distinct LBAs: the order is total.
+        writes.sort_unstable_by_key(|&(lba, _)| lba);
+        let first = self.next_req;
+        let mut chunks = writes.chunk_by(|a, b| a.0.offset(1) == b.0).peekable();
+        while let Some(chunk) = chunks.next() {
+            let Some(&(start, _)) = chunk.first() else {
+                continue;
+            };
             let rid = self.alloc_req(Purpose::Data(tid));
-            self.stats.data_blocks += tags.len() as u64;
+            self.stats.data_blocks += chunk.len() as u64;
             let mut f = flags;
-            if barrier_on_last && i + 1 == last {
+            if barrier_on_last && chunks.peek().is_none() {
                 f.barrier = true;
                 f.ordered = true;
             }
+            let tags = chunk.iter().map(|&(_, tag)| tag).collect();
             out.push(FsAction::Submit(BlockRequest::write(rid, start, tags, f)));
-            reqs.push(rid);
         }
-        (reqs, pairs)
+        self.note_ordered_data(&writes);
+        writes.clear();
+        self.scratch_writes = writes;
+        first..self.next_req
     }
 
     // ------------------------------------------------------------------
@@ -679,16 +682,8 @@ impl Filesystem {
     ) -> SyscallOutcome {
         let has_dirty = !self.files.get(file).dirty_data.is_empty();
         if has_dirty {
-            let (reqs, pairs) = self.submit_dirty_data(tid, file, ReqFlags::NONE, false, out);
-            self.note_ordered_data(&pairs);
-            self.syscalls.set(
-                tid,
-                SyscallState::AwaitData {
-                    pending: reqs.into_iter().collect(),
-                    file,
-                    then: AfterData::Ext4Phase2 { datasync },
-                },
-            );
+            let reqs = self.submit_dirty_data(tid, file, ReqFlags::NONE, false, out);
+            self.await_data(tid, file, reqs, AfterData::Ext4Phase2 { datasync });
             SyscallOutcome::Blocked
         } else {
             self.ext4_phase2(tid, file, datasync, out)
@@ -708,7 +703,6 @@ impl Filesystem {
         if let Some(holder) = self.committing_holder(file) {
             if let Some(t) = self.txns.get_mut(holder.0) {
                 t.durable_waiters.push(tid);
-                self.syscalls.set(tid, SyscallState::AwaitTxnDurable);
                 return SyscallOutcome::Blocked;
             }
         }
@@ -719,7 +713,6 @@ impl Filesystem {
                 t.durable_waiters.push(tid);
             }
             self.trigger_commit(rt, out);
-            self.syscalls.set(tid, SyscallState::AwaitTxnDurable);
             return SyscallOutcome::Blocked;
         }
         // Degenerate (fdatasync-equivalent) path.
@@ -751,39 +744,28 @@ impl Filesystem {
             // Full path: D (ordered), then dual-mode journal commit; the
             // caller sleeps once, woken by the flush thread.
             if has_dirty {
-                let (_, pairs) = self.submit_dirty_data(tid, file, ReqFlags::ORDERED, false, out);
-                self.note_ordered_data(&pairs);
+                self.submit_dirty_data(tid, file, ReqFlags::ORDERED, false, out);
             }
             let rt = self.ensure_running();
             if let Some(t) = self.txns.get_mut(rt.0) {
                 t.durable_waiters.push(tid);
             }
             self.trigger_commit(rt, out);
-            self.syscalls.set(tid, SyscallState::AwaitTxnDurable);
             return SyscallOutcome::Blocked;
         }
         if let Some(holder) = committing_holder {
             // Metadata already committing: wait for that transaction's
             // durability (requesting a flush if it was ordering-only).
             if has_dirty {
-                let (_, pairs) = self.submit_dirty_data(tid, file, ReqFlags::ORDERED, true, out);
-                self.note_ordered_data(&pairs);
+                self.submit_dirty_data(tid, file, ReqFlags::ORDERED, true, out);
             }
             return self.await_txn_durable(tid, holder, out);
         }
         if has_dirty {
             // Degenerate path: D is its own epoch (barrier on the last
             // request), wait for transfer, then flush. Two sleeps.
-            let (reqs, pairs) = self.submit_dirty_data(tid, file, ReqFlags::ORDERED, true, out);
-            self.note_ordered_data(&pairs);
-            self.syscalls.set(
-                tid,
-                SyscallState::AwaitData {
-                    pending: reqs.into_iter().collect(),
-                    file,
-                    then: AfterData::FlushThenWake,
-                },
-            );
+            let reqs = self.submit_dirty_data(tid, file, ReqFlags::ORDERED, true, out);
+            self.await_data(tid, file, reqs, AfterData::FlushThenWake);
             return SyscallOutcome::Blocked;
         }
         // Nothing dirty at all: force a journal commit to delimit an epoch
@@ -794,7 +776,6 @@ impl Filesystem {
         }
         self.stats.forced_commits += 1;
         self.trigger_commit(rt, out);
-        self.syscalls.set(tid, SyscallState::AwaitTxnDurable);
         SyscallOutcome::Blocked
     }
 
@@ -817,22 +798,19 @@ impl Filesystem {
             // fbarrier full path: D ordered; wait for the commit thread to
             // dispatch JC (one sleep).
             if has_dirty {
-                let (_, pairs) = self.submit_dirty_data(tid, file, ReqFlags::ORDERED, false, out);
-                self.note_ordered_data(&pairs);
+                self.submit_dirty_data(tid, file, ReqFlags::ORDERED, false, out);
             }
             let rt = self.ensure_running();
             if let Some(t) = self.txns.get_mut(rt.0) {
                 t.dispatch_waiters.push(tid);
             }
             self.trigger_commit(rt, out);
-            self.syscalls.set(tid, SyscallState::AwaitTxnDispatch);
             return SyscallOutcome::Blocked;
         }
         if has_dirty {
             // fdatabarrier / degenerate fbarrier: dispatch D as an epoch of
             // its own and return immediately — the storage mfence.
-            let (_, pairs) = self.submit_dirty_data(tid, file, ReqFlags::ORDERED, true, out);
-            self.note_ordered_data(&pairs);
+            self.submit_dirty_data(tid, file, ReqFlags::ORDERED, true, out);
             return SyscallOutcome::Done;
         }
         // Nothing dirty: force an (asynchronous) commit to delimit the
@@ -867,7 +845,6 @@ impl Filesystem {
                 if state == TxnState::Transferred {
                     self.request_txn_flush(out);
                 }
-                self.syscalls.set(tid, SyscallState::AwaitTxnDurable);
                 SyscallOutcome::Blocked
             }
             _ => SyscallOutcome::Done,
@@ -886,42 +863,30 @@ impl Filesystem {
         }
     }
 
-    /// Removes a thread's syscall-state entry (it completed).
-    pub(crate) fn clear_syscall(&mut self, tid: ThreadId) {
-        self.syscalls.take(tid);
-    }
-
     /// Adjusts the global dirty-page counter after a bulk removal.
     pub(crate) fn note_dirty_drop(&mut self, n: u64) {
         self.dirty_total = self.dirty_total.saturating_sub(n);
     }
 
-    /// Blocks `tid` awaiting data-write completions.
-    pub(crate) fn set_state_await_data(
+    /// Blocks `tid` until every request of `reqs` — the consecutive ids of
+    /// the data writes this call just submitted — has completed.
+    pub(crate) fn await_data(
         &mut self,
         tid: ThreadId,
         file: FileId,
-        reqs: Vec<ReqId>,
+        reqs: Range<u64>,
         then: AfterData,
     ) {
+        let left = reqs.end - reqs.start;
         self.syscalls.set(
             tid,
             SyscallState::AwaitData {
-                pending: reqs.into_iter().collect(),
+                reqs,
+                left,
                 file,
                 then,
             },
         );
-    }
-
-    /// Blocks `tid` awaiting a transaction's durability.
-    pub(crate) fn set_state_await_durable(&mut self, tid: ThreadId) {
-        self.syscalls.set(tid, SyscallState::AwaitTxnDurable);
-    }
-
-    /// Blocks `tid` awaiting a transaction's JC transfer.
-    pub(crate) fn set_state_await_transferred(&mut self, tid: ThreadId) {
-        self.syscalls.set(tid, SyscallState::AwaitTxnTransferred);
     }
 
     // ------------------------------------------------------------------
@@ -940,7 +905,7 @@ impl Filesystem {
     ) -> SyscallOutcome {
         let f = self.files.get(file);
         let cached = (offset..offset + blocks)
-            .all(|b| f.dirty_data.contains(b) || f.committed_blocks.contains_key(&b));
+            .all(|b| f.dirty_data.contains(b) || f.committed_blocks.contains(&b));
         if cached {
             return SyscallOutcome::Done;
         }
@@ -1014,7 +979,8 @@ impl Filesystem {
 
     fn on_data_done(&mut self, tid: ThreadId, rid: ReqId, out: &mut ActionSink<FsAction>) {
         let Some(SyscallState::AwaitData {
-            pending,
+            reqs,
+            left,
             file,
             then,
         }) = self.syscalls.get_mut(tid)
@@ -1023,8 +989,13 @@ impl Filesystem {
             // (e.g. fdatabarrier); nothing to continue.
             return;
         };
-        pending.remove(&rid);
-        if !pending.is_empty() {
+        // Nor does such a write count towards a later call of the same
+        // thread that is waiting on its own.
+        if !reqs.contains(&rid.0) {
+            return;
+        }
+        *left = left.saturating_sub(1);
+        if *left > 0 {
             return;
         }
         let (file, then) = (*file, *then);
@@ -1089,6 +1060,7 @@ impl Filesystem {
     /// Background writeback: submits orderless writes for dirty pages.
     fn pdflush(&mut self, out: &mut ActionSink<FsAction>) {
         let mut budget = self.cfg.writeback_batch;
+        let mut writes = std::mem::take(&mut self.scratch_writes);
         let ids: Vec<FileId> = self.files.ids().collect();
         for id in ids {
             if budget == 0 {
@@ -1098,15 +1070,9 @@ impl Filesystem {
                 continue;
             }
             // Writing back data pages does not commit metadata; take up to
-            // `budget` pages (lowest block first, as the map-keyed
-            // implementation did).
-            let taken: Vec<(u64, BlockTag)> = self.files.get_mut(id).dirty_data.take_blocks(budget);
-            budget = budget.saturating_sub(taken.len());
-            self.dirty_total = self.dirty_total.saturating_sub(taken.len() as u64);
-            for (b, tag) in taken {
-                let f = self.files.get_mut(id);
-                f.committed_blocks.insert(b, ());
-                let lba = f.lba_of(b).expect("allocated");
+            // `budget` pages, lowest block first.
+            budget -= self.take_dirty_pages(id, budget, &mut writes);
+            for (lba, tag) in writes.drain(..) {
                 let rid = self.alloc_req(Purpose::Writeback);
                 self.stats.writeback_blocks += 1;
                 out.push(FsAction::Submit(BlockRequest::write(
@@ -1117,5 +1083,6 @@ impl Filesystem {
                 )));
             }
         }
+        self.scratch_writes = writes;
     }
 }

@@ -35,7 +35,7 @@ use crate::config::FsMode;
 use crate::file::FileId;
 use crate::fs::{AfterData, Filesystem, FsAction, FsEvent, Purpose, SyscallOutcome};
 use crate::recovery::TxnRecord;
-use crate::txn::{ThreadId, Txn, TxnId, TxnState};
+use crate::txn::{ThreadId, TxnId, TxnState};
 
 /// Why a journal-path event could not be applied. These conditions are
 /// drivable from outside the filesystem (a replayed interrupt, a forged
@@ -67,6 +67,16 @@ impl std::fmt::Display for JournalError {
 }
 
 impl std::error::Error for JournalError {}
+
+/// Wakes every thread sleeping on one of a transaction's waiter lists: one
+/// context switch and one wake each. The list is the only record of the
+/// sleep, and draining it keeps its capacity for the recycled transaction.
+fn wake_all(waiters: &mut Vec<ThreadId>, out: &mut ActionSink<FsAction>) {
+    for tid in waiters.drain(..) {
+        out.push(FsAction::CtxSwitch(tid));
+        out.push(FsAction::Wake(tid));
+    }
+}
 
 impl Filesystem {
     /// Counts a stale/duplicate/forged journal event that was dropped.
@@ -157,16 +167,9 @@ impl Filesystem {
             }
             // Wake fbarrier callers: ordering is now in flight (§4.2, "in
             // ordering guarantee the commit thread wakes up the caller").
-            let mut waiters = match self.txns.get_mut(rt.0) {
-                Some(t) => std::mem::take(&mut t.dispatch_waiters),
-                None => Vec::new(),
-            };
-            for tid in waiters.drain(..) {
-                self.clear_syscall(tid);
-                out.push(FsAction::CtxSwitch(tid));
-                out.push(FsAction::Wake(tid));
+            if let Some(t) = self.txns.get_mut(rt.0) {
+                wake_all(&mut t.dispatch_waiters, out);
             }
-            self.restore_waiter_buf(rt, waiters, |t| &mut t.dispatch_waiters);
             // Loop: if another running transaction with a pending request
             // appeared, commit it too (committing list grows).
         }
@@ -336,13 +339,7 @@ impl Filesystem {
         }
         t.state = TxnState::Transferred;
         // OptFS osync waiters are satisfied by the transfer.
-        let mut transfer_waiters = std::mem::take(&mut t.transfer_waiters);
-        for tid in transfer_waiters.drain(..) {
-            self.clear_syscall(tid);
-            out.push(FsAction::CtxSwitch(tid));
-            out.push(FsAction::Wake(tid));
-        }
-        self.restore_waiter_buf(txn, transfer_waiters, |t| &mut t.transfer_waiters);
+        wake_all(&mut t.transfer_waiters, out);
         match self.cfg.mode {
             FsMode::Ext4 => {
                 // JC carried FLUSH|FUA: everything up to here is durable.
@@ -439,26 +436,6 @@ impl Filesystem {
         }
     }
 
-    /// Hands a drained waiter buffer back to its transaction so the
-    /// capacity survives into the arena recycling ([`Txn::reset`] keeps
-    /// it). A no-op when the transaction is gone, or when the list was
-    /// repopulated while the drained threads were being woken — newly
-    /// arrived waiters are never clobbered.
-    fn restore_waiter_buf(
-        &mut self,
-        txn: TxnId,
-        buf: Vec<ThreadId>,
-        field: impl FnOnce(&mut Txn) -> &mut Vec<ThreadId>,
-    ) {
-        debug_assert!(buf.is_empty());
-        if let Some(t) = self.txns.get_mut(txn.0) {
-            let slot = field(t);
-            if slot.is_empty() {
-                *slot = buf;
-            }
-        }
-    }
-
     /// Marks `txn` durable and wakes its durability waiters. When
     /// `real_durability` is false (nobarrier) the wake happens but no
     /// durability claim is recorded — the crash checker must not hold the
@@ -477,9 +454,7 @@ impl Filesystem {
             return;
         }
         t.state = TxnState::Durable;
-        let mut waiters = std::mem::take(&mut t.durable_waiters);
-        let claimed = real_durability && !waiters.is_empty();
-        if claimed {
+        if real_durability && !t.durable_waiters.is_empty() {
             t.durability_claimed = true;
             // Records are pushed in ascending txn-id order (`record_txn`
             // runs once per commit, ids are allocated monotonically), so
@@ -492,12 +467,7 @@ impl Filesystem {
                 }
             }
         }
-        for tid in waiters.drain(..) {
-            self.clear_syscall(tid);
-            out.push(FsAction::CtxSwitch(tid));
-            out.push(FsAction::Wake(tid));
-        }
-        self.restore_waiter_buf(txn, waiters, |t| &mut t.durable_waiters);
+        wake_all(&mut t.durable_waiters, out);
     }
 
     /// Removes the transaction from the committing list, resolves page
@@ -550,7 +520,14 @@ impl Filesystem {
         for tid in writers.drain(..) {
             self.retry_conflicted_write(tid, now, out);
         }
-        self.restore_waiter_buf(txn, writers, |t| &mut t.conflict_waiters);
+        // Hand the drained buffer back so its capacity survives into the
+        // arena recycling ([`Txn::reset`] keeps it) — unless a retried
+        // write conflicted again and is already waiting on the list.
+        if let Some(t) = self.txns.get_mut(txn.0) {
+            if t.conflict_waiters.is_empty() {
+                t.conflict_waiters = writers;
+            }
+        }
         if checkpoint {
             self.start_checkpoint(txn, out);
         }
@@ -664,7 +641,7 @@ impl Filesystem {
             let all: Vec<(u64, bio_flash::BlockTag)> = f.dirty_data.iter().collect();
             f.dirty_data.clear();
             all.into_iter()
-                .partition(|(b, _)| !f.committed_blocks.contains_key(b))
+                .partition(|(b, _)| !f.committed_blocks.contains(b))
         };
         self.note_dirty_drop((in_place.len() + journaled.len()) as u64);
         // Journaled data joins the running transaction.
@@ -672,11 +649,7 @@ impl Filesystem {
             let rt = self.ensure_running();
             let entries: Vec<(bio_flash::Lba, bio_flash::BlockTag)> = journaled
                 .iter()
-                .map(|&(b, t)| {
-                    let f = self.files.get_mut(file);
-                    f.committed_blocks.insert(b, ());
-                    (f.lba_of(b).expect("allocated"), t)
-                })
+                .filter_map(|&(b, t)| Some((self.page_lba(file, b)?, t)))
                 .collect();
             if let Some(t) = self.txns.get_mut(rt.0) {
                 t.data_journal.extend(entries);
@@ -684,12 +657,12 @@ impl Filesystem {
         }
         // In-place data is submitted and awaited (Wait-on-Transfer).
         if !in_place.is_empty() {
-            let mut reqs = Vec::new();
+            let first = self.next_req;
             let mut pairs = Vec::new();
             for (b, tag) in in_place {
-                let f = self.files.get_mut(file);
-                f.committed_blocks.insert(b, ());
-                let lba = f.lba_of(b).expect("allocated");
+                let Some(lba) = self.page_lba(file, b) else {
+                    continue;
+                };
                 let rid = self.alloc_req(Purpose::Data(tid));
                 self.stats.data_blocks += 1;
                 out.push(FsAction::Submit(BlockRequest::write(
@@ -698,11 +671,11 @@ impl Filesystem {
                     vec![tag],
                     ReqFlags::NONE,
                 )));
-                reqs.push(rid);
                 pairs.push((lba, tag));
             }
             self.note_ordered_data(&pairs);
-            self.set_state_await_data(tid, file, reqs, AfterData::OptfsScan { durable });
+            let reqs = first..self.next_req;
+            self.await_data(tid, file, reqs, AfterData::OptfsScan { durable });
             return SyscallOutcome::Blocked;
         }
         self.optfs_commit_and_wait(tid, durable, out)
@@ -736,11 +709,6 @@ impl Filesystem {
                 self.cfg.commit_thread_wake + scan,
                 FsEvent::CommitRun,
             ));
-        }
-        if durable {
-            self.set_state_await_durable(tid);
-        } else {
-            self.set_state_await_transferred(tid);
         }
         SyscallOutcome::Blocked
     }

@@ -311,3 +311,116 @@ fn unknown_completion_is_ignored() {
     assert_eq!(r, SyscallOutcome::Done);
     assert_eq!(submits(&out).len(), 1);
 }
+
+/// Completes every submitted request and runs every scheduled event, all
+/// at `now`, until the filesystem emits nothing more.
+fn settle(fs: &mut Filesystem, out: &mut ActionSink<FsAction>, now: SimTime) {
+    for _ in 0..64 {
+        let pending: Vec<FsAction> = out.iter().cloned().collect();
+        out.clear();
+        if pending.is_empty() {
+            return;
+        }
+        for a in pending {
+            match a {
+                FsAction::Submit(r) => fs.handle(FsEvent::ReqDone(r.id), now, out),
+                FsAction::After(_, ev) => fs.handle(ev, now, out),
+                FsAction::Wake(_) | FsAction::CtxSwitch(_) => {}
+            }
+        }
+    }
+    panic!("filesystem failed to quiesce");
+}
+
+#[test]
+fn zero_length_write_is_a_no_op() {
+    let (mut fs, f) = setup(FsMode::BarrierFs);
+    let mut out = ActionSink::new();
+    fs.fsync(T0, f, SimTime::ZERO, &mut out);
+    settle(&mut fs, &mut out, SimTime::ZERO);
+    let r = fs.write(T0, f, 3, 0, SimTime::ZERO, &mut out);
+    assert_eq!(r, SyscallOutcome::Done);
+    // Nothing was dirtied, data or metadata: the barrier finds no D to
+    // dispatch and falls through to the forced commit.
+    let forced = fs.stats().forced_commits;
+    fs.fdatabarrier(T0, f, SimTime::ZERO, &mut out);
+    assert!(
+        submits(&out).is_empty(),
+        "a zero-length write dirties nothing"
+    );
+    assert_eq!(fs.stats().forced_commits, forced + 1);
+}
+
+#[test]
+fn earlier_calls_data_write_does_not_count_towards_a_later_wait() {
+    // fdatabarrier returns with its D in flight; the same thread's next
+    // fsync (clean metadata: the degenerate path) then waits for its own D
+    // only. The wait is a count over an id range, so the earlier request
+    // completing must not be counted.
+    let (mut fs, f) = setup(FsMode::BarrierFs);
+    let now = SimTime::from_micros(10);
+    let mut out = ActionSink::new();
+    fs.write(T0, f, 0, 1, now, &mut out);
+    fs.fsync(T0, f, now, &mut out);
+    settle(&mut fs, &mut out, now);
+    // Same tick, same block: metadata stays clean from here on.
+    fs.write(T0, f, 0, 1, now, &mut out);
+    assert_eq!(fs.fdatabarrier(T0, f, now, &mut out), SyscallOutcome::Done);
+    fs.write(T0, f, 0, 1, now, &mut out);
+    assert_eq!(fs.fsync(T0, f, now, &mut out), SyscallOutcome::Blocked);
+    let subs = submits(&out);
+    assert_eq!(subs.len(), 2, "one D per call, no commit: {subs:?}");
+    let (earlier, own) = (subs[0].0, subs[1].0);
+    out.clear();
+    fs.handle(FsEvent::ReqDone(earlier), now, &mut out);
+    assert_eq!(out.iter().count(), 0, "the earlier call's D is not awaited");
+    fs.handle(FsEvent::ReqDone(own), now, &mut out);
+    let stepped = out
+        .iter()
+        .any(|a| matches!(a, FsAction::After(_, FsEvent::Step(T0))));
+    assert!(stepped, "the call's own D completing steps the thread");
+}
+
+#[test]
+fn sync_submits_lba_ordered_maximally_merged_requests() {
+    fn writes(actions: &ActionSink<FsAction>) -> Vec<(u64, Vec<u64>)> {
+        actions
+            .iter()
+            .filter_map(|a| match a {
+                FsAction::Submit(r) => match &r.op {
+                    ReqOp::Write { start, tags } => {
+                        Some((start.0, tags.iter().map(|t| t.0).collect()))
+                    }
+                    _ => None,
+                },
+                _ => None,
+            })
+            .collect()
+    }
+    // Block 5 is allocated before blocks 0–4, so the file's extents are
+    // not monotone in LBA: file order is 0..=5, LBA order is 5, 0..=4.
+    let (mut fs, f) = setup(FsMode::Ext4);
+    let mut out = ActionSink::new();
+    fs.write(T0, f, 5, 1, SimTime::ZERO, &mut out);
+    fs.write(T0, f, 0, 5, SimTime::ZERO, &mut out);
+    fs.fsync(T0, f, SimTime::ZERO, &mut out);
+    let reqs = writes(&out);
+    assert_eq!(reqs.len(), 1, "six adjacent LBAs are one request: {reqs:?}");
+    let tags = &reqs[0].1;
+    // Tags grow with write order, and block 5 was written first.
+    assert!(tags.len() == 6 && tags.is_sorted(), "LBA order: {tags:?}");
+
+    // The same with another file's block allocated in between: two
+    // requests, lowest LBA first, neither mergeable with the other.
+    let (mut fs, f) = setup(FsMode::Ext4);
+    let g = fs.create(T0, &mut out);
+    out.clear();
+    fs.write(T0, f, 5, 1, SimTime::ZERO, &mut out);
+    fs.write(T0, g, 0, 1, SimTime::ZERO, &mut out);
+    fs.write(T0, f, 0, 5, SimTime::ZERO, &mut out);
+    fs.fsync(T0, f, SimTime::ZERO, &mut out);
+    let reqs = writes(&out);
+    assert_eq!(reqs.len(), 2, "{reqs:?}");
+    assert_eq!((reqs[0].1.len(), reqs[1].1.len()), (1, 5));
+    assert_eq!(reqs[1].0, reqs[0].0 + 2, "g's block sits between them");
+}

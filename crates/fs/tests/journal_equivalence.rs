@@ -373,8 +373,8 @@ fn journal_behaviour_matches_golden_hashes() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The run-based dirty tracker agrees with a per-block `BTreeMap`
-    /// model over random insert/overwrite/budgeted-take/drain workloads.
+    /// The flat dirty tracker agrees with a per-block `BTreeMap` model
+    /// over random insert/overwrite/budgeted-take/drain workloads.
     #[test]
     fn dirty_tracker_matches_btreemap_model(
         ops in prop::collection::vec((0u8..6, 0u64..48, 0u64..16), 1..120)
@@ -388,7 +388,7 @@ proptest! {
         let mut tag = 1u64;
         for (op, block, n) in ops {
             match op {
-                // Inserts dominate so runs form and merge.
+                // Inserts dominate so the set actually fills up.
                 0..=3 => {
                     let newly = dense.insert(block, BlockTag(tag));
                     let model_newly = model.insert(block, BlockTag(tag)).is_none();
@@ -396,7 +396,7 @@ proptest! {
                     tag += 1;
                 }
                 4 => {
-                    let taken = dense.take_blocks(n as usize);
+                    let taken: Vec<(u64, BlockTag)> = dense.take(n as usize).collect();
                     let keys: Vec<u64> = model.keys().copied().take(n as usize).collect();
                     let expect: Vec<(u64, BlockTag)> = keys
                         .iter()
@@ -405,24 +405,11 @@ proptest! {
                     prop_assert_eq!(&taken, &expect, "budgeted take diverges");
                 }
                 _ => {
-                    let runs = dense.take_runs();
-                    let flat: Vec<(u64, BlockTag)> = runs
-                        .iter()
-                        .flat_map(|(s, tags)| {
-                            tags.iter().enumerate().map(move |(i, t)| (s + i as u64, *t))
-                        })
-                        .collect();
+                    let all: Vec<(u64, BlockTag)> = dense.take(usize::MAX).collect();
                     let expect: Vec<(u64, BlockTag)> =
                         model.iter().map(|(&b, &t)| (b, t)).collect();
                     model.clear();
-                    prop_assert_eq!(&flat, &expect, "full drain diverges");
-                    // Runs must be maximal: consecutive runs never touch.
-                    for w in runs.windows(2) {
-                        prop_assert!(
-                            (w[0].0 + w[0].1.len() as u64) < w[1].0,
-                            "adjacent runs were not merged"
-                        );
-                    }
+                    prop_assert_eq!(&all, &expect, "full drain diverges");
                 }
             }
             prop_assert_eq!(dense.len(), model.len());
