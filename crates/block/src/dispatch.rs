@@ -5,9 +5,8 @@
 //! sequencer release — of which the classical 1 queue × 1 device stack is
 //! the one-lane case:
 //!
-//! * requests are queued through per-lane IO schedulers — one lane per
-//!   `(device, hardware queue)` pair, each wrapping the configured base
-//!   scheduler in an [`EpochScheduler`];
+//! * requests are queued per lane — one lane per `(device, hardware
+//!   queue)` pair, each owning one [`EpochScheduler`];
 //! * logical addresses are striped RAID-0 style across the devices. A
 //!   request whose blocks land on one device (every request, on a single
 //!   device) goes to its lane whole, under its own id; one spanning
@@ -37,7 +36,6 @@ use bio_sim::{ActionSink, SeqTable, SimDuration, SimTime};
 
 use crate::epoch::EpochScheduler;
 use crate::request::{BlockRequest, MergedRequest, ReqFlags, ReqId, ReqOp};
-use crate::scheduler::{IoScheduler, SchedulerKind};
 use crate::topology::Topology;
 
 /// How the dispatch module enforces transfer order.
@@ -53,15 +51,27 @@ pub enum DispatchMode {
     OrderPreserving,
 }
 
-/// Everything the block layer needs to know, in one place: the base
-/// scheduler, the dispatch discipline and the lane [`Topology`].
+/// The lane scheduler's name, from when there was a choice. Every lane
+/// owns the one [`EpochScheduler`]; the enum, [`BlockConfig::scheduler`]
+/// and [`BlockConfig::new`]'s first parameter select nothing and stay only
+/// because `benchmark/src/probes.rs` — which a PR may not edit — names
+/// them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SchedulerKind {
+    /// LBA-sweep + merging (CFQ-lite).
+    #[default]
+    Elevator,
+}
+
+/// Everything the block layer needs to know, in one place: the dispatch
+/// discipline and the lane [`Topology`].
 ///
 /// Replaces the old `BlockLayer::new(dev, scheduler, dispatch)` positional
 /// constructor so new knobs extend this struct instead of churning every
 /// call site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockConfig {
-    /// Base IO scheduler each lane wraps in an epoch scheduler.
+    /// Read by nothing (see [`SchedulerKind`]).
     pub scheduler: SchedulerKind,
     /// Dispatch discipline.
     pub dispatch: DispatchMode,
@@ -80,8 +90,8 @@ impl Default for BlockConfig {
 }
 
 impl BlockConfig {
-    /// Config with the given scheduler and dispatch mode on the classical
-    /// 1 queue × 1 device topology.
+    /// Config with the given dispatch mode on the classical 1 queue ×
+    /// 1 device topology.
     pub fn new(scheduler: SchedulerKind, dispatch: DispatchMode) -> BlockConfig {
         BlockConfig {
             scheduler,
@@ -183,7 +193,7 @@ pub struct LaneStats {
     pub routed: u64,
 }
 
-/// One `(device, hardware queue)` lane: scheduler plus dispatch state.
+/// One `(device, hardware queue)` lane: its queue plus dispatch state.
 #[derive(Debug)]
 struct Lane {
     sched: EpochScheduler,
@@ -263,10 +273,7 @@ pub struct BlockLayer {
 
 impl BlockLayer {
     /// Builds a block layer over `devices` (one per topology device, in
-    /// device-index order) with the given configuration. Each lane's
-    /// epoch scheduler wraps the chosen base scheduler — with no barrier
-    /// requests it behaves exactly like the base scheduler, so the legacy
-    /// configurations are unaffected.
+    /// device-index order) with the given configuration.
     ///
     /// # Panics
     ///
@@ -280,7 +287,7 @@ impl BlockLayer {
         );
         let lanes = (0..cfg.topology.nr_lanes())
             .map(|_| Lane {
-                sched: EpochScheduler::new(cfg.scheduler.build()),
+                sched: EpochScheduler::new(),
                 held: None,
                 retry_pending: false,
                 dispatched: 0,
@@ -711,7 +718,7 @@ mod tests {
     fn config_builder_defaults_to_single_lane() {
         let c = BlockConfig::default();
         assert_eq!(c.topology.nr_lanes(), 1);
-        let c = BlockConfig::new(SchedulerKind::Noop, DispatchMode::Legacy)
+        let c = BlockConfig::new(SchedulerKind::Elevator, DispatchMode::Legacy)
             .with_topology(Topology::new(2, 2, 8));
         assert_eq!(c.topology.nr_lanes(), 4);
     }

@@ -6,10 +6,11 @@
 //!
 //! * [`BlockRequest`] carries the new request attributes `REQ_ORDERED` and
 //!   `REQ_BARRIER` alongside the classical `REQ_FLUSH`/`REQ_FUA`;
-//! * [`EpochScheduler`] implements Epoch-Based Barrier Reassignment on top
-//!   of a wrapped legacy scheduler ([`NoopScheduler`] or
-//!   [`ElevatorScheduler`]): fenced at a barrier, it hands the barrier to
-//!   the epoch's last order-preserving request to leave;
+//! * [`EpochScheduler`] is the one queue a lane owns: adjacent writes
+//!   merge, writes leave in an ascending-LBA sweep that never passes a
+//!   flush or a read, and — Epoch-Based Barrier Reassignment — fenced at a
+//!   barrier, it hands the barrier to the epoch's last order-preserving
+//!   request to leave;
 //! * [`BlockLayer`] implements the epoch sequencer — the queue blocks at a
 //!   barrier and unblocks when that last request leaves — and
 //!   Order-Preserving Dispatch: barrier writes go out with the SCSI
@@ -42,17 +43,13 @@
 mod dispatch;
 mod epoch;
 mod request;
-mod scheduler;
 mod topology;
 
 pub use bio_sim::ActionSink;
 pub use dispatch::{
     BlockAction, BlockConfig, BlockEvent, BlockLayer, BlockStats, DispatchMode, LaneStats,
-    BUSY_RETRY_INTERVAL,
+    SchedulerKind, BUSY_RETRY_INTERVAL,
 };
-pub use epoch::EpochScheduler;
+pub use epoch::{EpochScheduler, MAX_MERGE_BLOCKS};
 pub use request::{BlockRequest, MergedRequest, ReqFlags, ReqId, ReqOp};
-pub use scheduler::{
-    ElevatorScheduler, IoScheduler, NoopScheduler, SchedulerKind, MAX_MERGE_BLOCKS,
-};
 pub use topology::Topology;

@@ -188,25 +188,22 @@ impl MergedRequest {
         {
             return false;
         }
-        let (ReqOp::Write { tags: t1, .. }, ReqOp::Write { tags: t2, .. }) =
-            (&self.req.op, &other.req.op)
+        let (ReqOp::Write { start, tags: t1 }, ReqOp::Write { tags: t2, .. }) =
+            (&mut self.req.op, &other.req.op)
         else {
             return false;
         };
-        let merged_op = if e1 == s2 {
-            // Back merge: other follows self.
-            let mut tags = t1.clone();
-            tags.extend_from_slice(t2);
-            ReqOp::Write { start: s1, tags }
+        if e1 == s2 {
+            // Back merge (the common one): other follows self.
+            t1.extend_from_slice(t2);
         } else if e2 == s1 {
             // Front merge: other precedes self.
             let mut tags = t2.clone();
             tags.extend_from_slice(t1);
-            ReqOp::Write { start: s2, tags }
+            (*start, *t1) = (s2, tags);
         } else {
             return false;
-        };
-        self.req.op = merged_op;
+        }
         self.req.flags.ordered |= other.req.flags.ordered;
         self.req.flags.barrier |= other.req.flags.barrier;
         self.ids.extend_from_slice(&other.ids);
@@ -254,6 +251,14 @@ mod tests {
         assert_eq!(a.req.blocks(), 4);
         assert_eq!(a.req.write_span(), Some((Lba(10), Lba(14))));
         assert_eq!(a.ids, vec![ReqId(1), ReqId(2)]);
+        let want = [100, 101, 200, 201].map(BlockTag).to_vec();
+        assert_eq!(
+            a.req.op,
+            ReqOp::Write {
+                start: Lba(10),
+                tags: want
+            }
+        );
     }
 
     #[test]

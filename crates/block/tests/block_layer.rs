@@ -528,11 +528,13 @@ fn split_part_merged_with_a_whole_bio_completes_both() {
 fn zero_length_request_completes_on_multi_device() {
     // A zero-block read or an empty write moves nothing, but its submitter
     // still waits on it: on every topology it passes through whole to the
-    // device its start address lives on and completes exactly once.
+    // device its start address lives on and completes exactly once — an
+    // empty FUA write too, which has no program of its own to wait for.
     for topology in [Topology::single(), Topology::new(2, 2, 1)] {
         for req in [
             BlockRequest::read(ReqId(1), Lba(3), 0),
             BlockRequest::write(ReqId(1), Lba(3), Vec::new(), ReqFlags::NONE),
+            BlockRequest::write(ReqId(1), Lba(3), Vec::new(), ReqFlags::FLUSH_FUA),
         ] {
             let mut h =
                 Harness::with_topology(DeviceProfile::ufs(), DispatchMode::Legacy, topology);
@@ -541,12 +543,15 @@ fn zero_length_request_completes_on_multi_device() {
             let ids: Vec<ReqId> = h.done.iter().map(|(id, _)| *id).collect();
             assert_eq!(ids, vec![ReqId(1)], "{topology:?} {req:?}");
             let stats = h.layer.stats();
+            // Several lanes turn a preflush into a flush of every device.
+            let flushes = stats.preflush_fanouts * topology.nr_devices as u64;
             assert_eq!(
                 (stats.dispatched, stats.completed, stats.split_parts),
-                (1, 1, 0),
-                "{topology:?}"
+                (1 + flushes, 1, 0),
+                "{topology:?} {req:?}"
             );
             assert_eq!(h.layer.queued(), 0);
+            assert!(h.layer.devices().iter().all(|d| d.queue_depth() == 0));
         }
     }
 }

@@ -56,7 +56,7 @@ pub use stack::{
 };
 
 // Re-export the vocabulary types callers need alongside the stack.
-pub use bio_block::{BlockConfig, DispatchMode, LaneStats, SchedulerKind, Topology};
+pub use bio_block::{BlockConfig, DispatchMode, LaneStats, Topology};
 pub use bio_flash::{BarrierMode, DeviceCaptureDelta, DeviceProfile};
 pub use bio_fs::{
     check_crash_consistency, ConsistencyCheck, ConsistencyIndex, ConsistencyProbe, FsConfig,

@@ -6,7 +6,6 @@ use std::collections::BTreeMap;
 
 use bio_block::{
     BlockAction, BlockConfig, BlockEvent, BlockLayer, BlockStats, DispatchMode, LaneStats,
-    SchedulerKind,
 };
 use bio_flash::{
     audit_epoch_order, Device, DeviceCaptureDelta, DeviceStats, EpochViolation, FtlStats,
@@ -156,7 +155,7 @@ impl IoStack {
             })
             .collect();
         // Barrier flags reach the device exactly when the filesystem
-        // issues them; every stack runs the elevator.
+        // issues them.
         let dispatch = if cfg.fs.mode.uses_barriers() {
             DispatchMode::OrderPreserving
         } else {
@@ -165,9 +164,9 @@ impl IoStack {
         let block = BlockLayer::new(
             devices,
             BlockConfig {
-                scheduler: SchedulerKind::Elevator,
                 dispatch,
                 topology: cfg.topology,
+                ..BlockConfig::default()
             },
         );
         let fs = Filesystem::new(cfg.fs.clone());

@@ -299,15 +299,18 @@ impl WritebackCache {
         self.slots.iter().next().map(|(_, s)| s.entry.epoch)
     }
 
-    /// Sequence numbers of every resident entry, in transfer order: the
-    /// snapshot a flush command must drain. Walks the slab's live span.
-    pub fn resident_seqs(&self) -> impl Iterator<Item = u64> + '_ {
-        self.slots.keys()
+    /// The newest sequence handed out so far (0 before the first insert).
+    /// Every resident entry is at or below it and every later insert above
+    /// it, so with [`WritebackCache::len`] it is the whole snapshot a flush
+    /// entering service needs.
+    pub fn newest_seq(&self) -> u64 {
+        self.next_seq - 1
     }
 
-    /// [`WritebackCache::resident_seqs`], collected (tests and probes).
+    /// Sequence numbers of every resident entry, in transfer order (tests
+    /// and probes).
     pub fn pending_seqs(&self) -> Vec<u64> {
-        self.resident_seqs().collect()
+        self.slots.keys().collect()
     }
 
     /// Candidates from `from` on, in transfer order. `max_epoch` gates

@@ -20,10 +20,15 @@
 //! write completes only when its own program finishes; a barrier write
 //! closes the current epoch. How epochs constrain destaging is decided by
 //! the profile's [`BarrierMode`].
+//!
+//! Cache sequences only grow and an entry leaves the cache only by being
+//! programmed, so "resident when the flush entered service" is exactly "a
+//! program of a sequence at or below the newest one then is still to
+//! come": a flush waits on that watermark and a count, not on a set.
 
 use std::collections::VecDeque;
 
-use bio_sim::{RunSet, SeqTable, SimDuration, SimRng, SimTime, TimeSeries};
+use bio_sim::{SeqTable, SimDuration, SimRng, SimTime, TimeSeries};
 
 use crate::cache::WritebackCache;
 use crate::chip::ChipArray;
@@ -72,7 +77,7 @@ pub enum DevAction {
     After(SimDuration, DevEvent),
 }
 
-/// Why a drain (pending-program set) exists.
+/// Why a drain (a wait for flash programs) exists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DrainKind {
     /// A flush command: complete the command when drained.
@@ -85,16 +90,17 @@ enum DrainKind {
     Fua,
 }
 
-/// A pending-program set. The member keys are cache destage sequences —
-/// snapshotted in ascending order and retired one by one — so the set is
-/// a [`RunSet`] of sorted runs (usually exactly one), not a hash set:
-/// membership updates are a binary search over a handful of runs instead
-/// of a hash+probe per program completion.
-#[derive(Debug, Clone)]
+/// A wait for `left` more flash programs. A flush or preflush counts the
+/// programs of cache sequences `<= upto` (everything resident when it
+/// entered service); a FUA write counts the programs of its own blocks,
+/// which [`Device::fua_waits`] lists under its id (`upto` is 0 there:
+/// sequences start at 1).
+#[derive(Debug, Clone, Copy)]
 struct Drain {
     id: CmdId,
-    remaining: RunSet,
     kind: DrainKind,
+    upto: u64,
+    left: usize,
 }
 
 /// Progress of an admitted command.
@@ -139,10 +145,11 @@ struct DestageInfo {
 struct TransState {
     /// Id of the open group, if any.
     open: Option<u64>,
-    /// What the open group still waits for: the cache sequences resident
-    /// when it opened, retired as their programs finish. Empty between
-    /// groups; its storage carries over from one group to the next.
-    members: RunSet,
+    /// What the open group still waits for, as a [`Drain`] does: the
+    /// newest cache sequence resident when it opened, and how many
+    /// programs at or below it are still to come.
+    upto: u64,
+    left: usize,
     next_gid: u64,
     /// When capture tracking is armed, groups committed since the last
     /// [`Device::take_capture_delta`], in commit order.
@@ -225,8 +232,10 @@ pub struct Device {
     qd_series: TimeSeries,
     stats: DeviceStats,
     next_pump_at: Option<SimTime>,
-    /// Emptied drain sets, reused by the next flush, preflush or FUA write.
-    spare_sets: Vec<RunSet>,
+    /// `(cache sequence, command)` for every block a FUA write in
+    /// [`Stage::WaitFua`] still waits to see programmed. A block can
+    /// coalesce into an older entry, so one write's sequences are no range.
+    fua_waits: Vec<(u64, CmdId)>,
     /// Scratch for one destage pump's candidates (always left empty).
     candidates: Vec<u64>,
     /// Scratch for the drains one program completion finishes (ditto).
@@ -270,7 +279,7 @@ impl Device {
             qd_series: TimeSeries::new(),
             stats: DeviceStats::default(),
             next_pump_at: None,
-            spare_sets: Vec::new(),
+            fua_waits: Vec::new(),
             candidates: Vec::new(),
             finished: Vec::new(),
             // An integer dirty count exceeds the (real) threshold exactly
@@ -465,12 +474,8 @@ impl Device {
                         arrived,
                     },
                 );
-                match self.drain_snapshot() {
-                    Some(remaining) => self.drains.push(Drain {
-                        id,
-                        remaining,
-                        kind: DrainKind::Flush,
-                    }),
+                match self.drain_snapshot(id, DrainKind::Flush) {
+                    Some(drain) => self.drains.push(drain),
                     None => out.push(DevAction::After(
                         self.profile.flush_overhead,
                         DevEvent::Finish { id },
@@ -488,12 +493,8 @@ impl Device {
                             arrived,
                         },
                     );
-                    match self.drain_snapshot() {
-                        Some(remaining) => self.drains.push(Drain {
-                            id,
-                            remaining,
-                            kind: DrainKind::Preflush,
-                        }),
+                    match self.drain_snapshot(id, DrainKind::Preflush) {
+                        Some(drain) => self.drains.push(drain),
                         // Nothing to drain (an empty cache, or PLP), but
                         // the controller round trip is still paid, like an
                         // explicit flush (t_eps of the paper's quick-flush).
@@ -529,16 +530,18 @@ impl Device {
     }
 
     /// What a flush or preflush entering service must wait for: every
-    /// cache sequence resident now, read off the slab's live span. `None`
-    /// when that is nothing — always so under PLP, where cache contents
-    /// are already durable.
-    fn drain_snapshot(&mut self) -> Option<RunSet> {
+    /// cache entry resident now. `None` when that is nothing — always so
+    /// under PLP, where cache contents are already durable.
+    fn drain_snapshot(&self, id: CmdId, kind: DrainKind) -> Option<Drain> {
         if self.profile.plp || self.cache.is_empty() {
             return None;
         }
-        let mut set = self.spare_sets.pop().unwrap_or_default();
-        set.extend_sorted(self.cache.resident_seqs());
-        Some(set)
+        Some(Drain {
+            id,
+            kind,
+            upto: self.cache.newest_seq(),
+            left: self.cache.len(),
+        })
     }
 
     fn start_dma(&mut self, id: CmdId, now: SimTime, out: &mut Vec<DevAction>) {
@@ -658,19 +661,20 @@ impl Device {
                 break; // wait for programs to free space
             }
             self.pending_inserts.pop_front();
-            if fua {
-                let mut remaining = self.spare_sets.pop().unwrap_or_default();
-                self.insert_blocks(id, Some(&mut remaining));
+            self.insert_blocks(id, fua);
+            // A FUA write without blocks has no program to wait for: it
+            // completes here, or nothing ever would complete it.
+            if fua && blocks > 0 {
                 if let Some(a) = self.active.get_mut(id.0) {
                     a.stage = Stage::WaitFua;
                 }
                 self.drains.push(Drain {
                     id,
-                    remaining,
                     kind: DrainKind::Fua,
+                    upto: 0,
+                    left: blocks,
                 });
             } else {
-                self.insert_blocks(id, None);
                 self.stats.write_cmds += 1;
                 self.complete_cmd(id, now, out);
             }
@@ -678,11 +682,9 @@ impl Device {
     }
 
     /// Inserts a write command's blocks into the cache in transfer order,
-    /// honouring the barrier flag on the final block. A FUA write passes
-    /// `fua_seqs` to collect the cache sequences it must see programmed
-    /// (one insert batch is consecutive unless a block coalesced into an
-    /// older entry).
-    fn insert_blocks(&mut self, id: CmdId, mut fua_seqs: Option<&mut RunSet>) {
+    /// honouring the barrier flag on the final block. With `fua` each
+    /// block's cache sequence joins [`Device::fua_waits`].
+    fn insert_blocks(&mut self, id: CmdId, fua: bool) {
         // The command's own payload is read in place: `active`, `cache`,
         // `stats` and `history` are disjoint fields.
         let Some(CmdKind::Write { start, tags, flags }) =
@@ -695,8 +697,8 @@ impl Device {
             let lba = start.offset(i as u64);
             let barrier = flags.barrier && i + 1 == n;
             let seq = self.cache.insert(lba, tag, barrier);
-            if let Some(seqs) = fua_seqs.as_deref_mut() {
-                seqs.insert(seq);
+            if fua {
+                self.fua_waits.push((seq, id));
             }
             self.stats.blocks_written += 1;
             if let Some(h) = self.history.as_mut() {
@@ -734,7 +736,8 @@ impl Device {
         // Transactional engine: open a group snapshot if none is open. The
         // cache is not empty here (destaging is wanted), so neither is it.
         if engine == BarrierMode::Transactional && self.trans.open.is_none() {
-            self.trans.members.extend_sorted(self.cache.resident_seqs());
+            self.trans.upto = self.cache.newest_seq();
+            self.trans.left = self.cache.len();
             self.trans.open = Some(self.trans.next_gid);
             self.trans.next_gid += 1;
         }
@@ -753,11 +756,11 @@ impl Device {
         if engine == BarrierMode::Unsupported {
             want = want.max(window);
         }
-        // Sequences only grow, so whatever entered the cache after the
-        // open group's snapshot lies above every member, and whatever is
-        // still resident at or below the last member is one.
+        // Whatever entered the cache after the open group's snapshot lies
+        // above its watermark; whatever is still resident at or below it
+        // is a member.
         let member_bound = match self.trans.open {
-            Some(_) => self.trans.members.last().unwrap_or(0),
+            Some(_) => self.trans.upto,
             None => u64::MAX,
         };
         let mut candidates = std::mem::take(&mut self.candidates);
@@ -830,8 +833,8 @@ impl Device {
 
         // Transactional group accounting.
         if let Some(gid) = self.trans.open {
-            self.trans.members.remove(seq);
-            if self.trans.members.is_empty() {
+            self.trans.left -= usize::from(seq <= self.trans.upto);
+            if self.trans.left == 0 {
                 if let Some(log) = &mut self.trans.committed_log {
                     log.push(gid);
                 }
@@ -843,17 +846,18 @@ impl Device {
 
         // Drain accounting (flushes, preflushes, FUA writes).
         let mut finished = std::mem::take(&mut self.finished);
-        let spare_sets = &mut self.spare_sets;
+        let fua_waits = &mut self.fua_waits;
         self.drains.retain_mut(|d| {
-            d.remaining.remove(seq);
-            if d.remaining.is_empty() {
+            d.left -= match d.kind {
+                DrainKind::Fua => fua_waits.iter().filter(|&&w| w == (seq, d.id)).count(),
+                DrainKind::Flush | DrainKind::Preflush => usize::from(seq <= d.upto),
+            };
+            if d.left == 0 {
                 finished.push((d.id, d.kind));
-                spare_sets.push(std::mem::take(&mut d.remaining));
-                false
-            } else {
-                true
             }
+            d.left > 0
         });
+        fua_waits.retain(|&(s, _)| s != seq);
         for (id, kind) in finished.drain(..) {
             match kind {
                 DrainKind::Flush => {

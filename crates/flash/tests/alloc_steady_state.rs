@@ -1,6 +1,7 @@
 //! The device allocates nothing in steady state (README): once the
-//! writeback cache is full and the pooled drain sets and scratch buffers
-//! have met their largest use, `Device::submit` / `Device::handle` allocate
+//! writeback cache is full and the scratch buffers have met their largest
+//! use (a drain is a watermark and a count, it owns no storage),
+//! `Device::submit` / `Device::handle` allocate
 //! nothing — not per destage pump, not per write, not per flush. A write's
 //! payload arrives inside its command and is read in place. (The stack
 //! above the device does allocate; `crates/core/tests/alloc_census.rs`
@@ -163,7 +164,7 @@ fn steady_state_device_path_does_not_allocate() {
             };
             // Nothing may be allocated afresh. Long-lived buffers may still
             // reach a new high-water mark (the queue-depth series is an
-            // append-only instrument, pooled drain sets and ring tables
+            // append-only instrument, the FUA wait list and ring tables
             // grow to the largest use they have met); what must not show
             // is growth in step with the commands.
             let check = |(allocs, reallocs): (u64, u64), regime: &str| {
@@ -175,7 +176,7 @@ fn steady_state_device_path_does_not_allocate() {
             };
 
             // Warm-up: fill the cache, then let the first flushes meet it
-            // full — the largest drain sets the pools will ever hold.
+            // full — the deepest drains the scratch buffers will ever serve.
             run(&mut dev, FILL, false);
             run(&mut dev, 2_000, true);
             let gc_before = dev.ftl_stats().gc_runs;

@@ -490,6 +490,136 @@ fn qd_series_tracks_occupancy() {
     assert_eq!(h.dev.queue_depth(), 0);
 }
 
+/// UFS with a single chip, so flash programs run one at a time.
+fn one_chip_ufs(mode: BarrierMode) -> DeviceProfile {
+    let mut profile = DeviceProfile::ufs().with_barrier_mode(mode);
+    profile.ways = 1;
+    profile
+}
+
+const FUA: WriteFlags = WriteFlags {
+    fua: true,
+    ..WriteFlags::NONE
+};
+
+#[test]
+fn empty_fua_write_completes_at_once() {
+    // No block means no program to wait for: the write must not sit in its
+    // queue slot until somebody else's program happens to finish.
+    let mut h = Harness::new(DeviceProfile::plain_ssd(), 25);
+    h.submit(Command::write(CmdId(1), Lba(3), vec![], FUA));
+    h.run();
+    let done: Vec<CmdId> = h.completions.iter().map(|c| c.id).collect();
+    assert_eq!(done, vec![CmdId(1)]);
+    assert_eq!(h.dev.queue_depth(), 0);
+    assert_eq!(h.dev.stats().write_cmds, 1);
+}
+
+#[test]
+fn fua_write_coalesced_into_an_older_entry_waits_for_that_entry() {
+    // Three dirty same-epoch entries on a one-chip in-order device; a FUA
+    // write over the middle one coalesces into it. The write is done when
+    // that entry's program is — not at the older entry's program before
+    // it, and without waiting for the younger one after it.
+    let mut h = Harness::new(one_chip_ufs(BarrierMode::LfsInOrderRecovery), 26);
+    for (id, lba) in [(1, 1), (2, 5), (3, 9)] {
+        h.submit(wcmd(id, lba, lba, WriteFlags::NONE));
+        h.run_until_complete(CmdId(id));
+    }
+    h.submit(wcmd(4, 5, 55, FUA));
+    h.run_until_complete(CmdId(4));
+    let img = h.dev.crash_image();
+    assert_eq!(img.tag(Lba(5)), BlockTag(55), "acknowledged before durable");
+    assert_eq!(img.tag(Lba(9)), BlockTag::UNWRITTEN, "waited for too much");
+    h.run();
+    assert_eq!(h.dev.queue_depth(), 0);
+}
+
+#[test]
+fn flush_waits_only_for_what_was_resident() {
+    // One chip and no ordering promise: programs run one at a time, each
+    // picked at random from the two oldest entries, so writes arriving
+    // while a flush drains are programmed in among the entries it waits
+    // for. They must neither count towards the drain nor extend it.
+    let mut overtaken = 0;
+    for seed in 0..16u64 {
+        let mut h = Harness::new(one_chip_ufs(BarrierMode::Unsupported), seed);
+        for i in 1..=3u64 {
+            h.submit(wcmd(i, i, i, WriteFlags::NONE));
+            h.run_until_complete(CmdId(i));
+        }
+        h.submit(Command::flush(CmdId(10)));
+        for i in 11..=18u64 {
+            h.submit(wcmd(i, i, i, WriteFlags::NONE));
+        }
+        // Step to the program completion that ends the drain: the one that
+        // schedules the flush's delayed completion.
+        loop {
+            let (now, ev) = h.q.pop().expect("the flush never drained");
+            let mut out = Vec::new();
+            h.dev.handle(ev, now, &mut out);
+            let drained = out.contains(&DevAction::After(
+                h.dev.profile().flush_overhead,
+                DevEvent::Finish { id: CmdId(10) },
+            ));
+            h.apply(out);
+            if drained {
+                break;
+            }
+        }
+        let img = h.dev.crash_image();
+        for i in 1..=3u64 {
+            assert_eq!(img.tag(Lba(i)), BlockTag(i), "seed {seed}: drained early");
+        }
+        assert!(
+            !h.dev.cache().is_empty(),
+            "seed {seed}: the flush waited for writes that came after it"
+        );
+        overtaken += usize::from((11..=18u64).any(|i| img.tag(Lba(i)) == BlockTag(i)));
+        h.run();
+        assert_eq!(h.dev.queue_depth(), 0);
+    }
+    assert!(
+        overtaken > 0,
+        "no seed programmed a later write inside the drain: the test is vacuous"
+    );
+}
+
+#[test]
+fn transactional_group_commits_at_its_last_member() {
+    // Four entries form one all-or-nothing group: it commits — and its
+    // blocks become recoverable — with the last member's program, not the
+    // first.
+    let profile = DeviceProfile::ufs().with_barrier_mode(BarrierMode::Transactional);
+    let mut h = Harness::new(profile, 27);
+    for i in 1..=4u64 {
+        h.submit(wcmd(i, i, i, WriteFlags::NONE));
+        h.run_until_complete(CmdId(i));
+    }
+    h.submit(Command::flush(CmdId(5)));
+    let mut programmed = 0;
+    while let Some((now, ev)) = h.q.pop() {
+        programmed += usize::from(matches!(ev, DevEvent::ProgramDone { .. }));
+        let mut out = Vec::new();
+        h.dev.handle(ev, now, &mut out);
+        h.apply(out);
+        let committed = h.dev.committed_groups().count();
+        assert_eq!(
+            committed,
+            usize::from(programmed == 4),
+            "{programmed} programmed"
+        );
+        let want = if committed == 1 {
+            BlockTag(1)
+        } else {
+            BlockTag::UNWRITTEN
+        };
+        assert_eq!(h.dev.crash_image().tag(Lba(1)), want);
+    }
+    assert_eq!(programmed, 4);
+    assert_eq!(h.completions.last().map(|c| c.id), Some(CmdId(5)));
+}
+
 // ---------------------------------------------------------------------
 // Golden action stream: the device's whole observable behaviour, pinned.
 // ---------------------------------------------------------------------

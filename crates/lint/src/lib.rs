@@ -7,9 +7,8 @@
 //! serial/parallel grid identity), **total event handlers** (the PR 3–4
 //! panic-path purge: bad completions drop with typed errors, never
 //! abort), and the **strict 7-crate layer DAG**. This crate
-//! machine-checks all three on every build, with findings suppressible
-//! only through the checked-in `lint.toml` allowlist (mandatory reason
-//! strings).
+//! machine-checks all three on every build. There is no allowlist: a
+//! finding is fixed, not suppressed.
 //!
 //! See `docs/INVARIANTS.md` for the invariant catalogue and rationale;
 //! run `cargo run -p bio-lint` (or `-- --json`) from anywhere in the
@@ -20,7 +19,6 @@
 //! and three analyzers on top ([`determinism`], [`totality`],
 //! [`layering`]).
 
-pub mod allow;
 pub mod determinism;
 pub mod files;
 pub mod layering;

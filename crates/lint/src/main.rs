@@ -4,9 +4,8 @@
 //! bio-lint [--json] [--root <dir>]
 //! ```
 //!
-//! Exit codes: 0 — clean (possibly with suppressions); 1 — at least one
-//! unsuppressed finding; 2 — usage or configuration error (unreadable
-//! workspace, malformed `lint.toml`, entry without a reason).
+//! Exit codes: 0 — clean; 1 — at least one finding; 2 — usage error or
+//! unreadable workspace.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -29,7 +28,6 @@ fn main() -> ExitCode {
                 println!("bio-lint [--json] [--root <dir>]");
                 println!("Static analysis for the barrier-io workspace: determinism,");
                 println!("totality and layer-DAG invariants.");
-                println!("Suppressions live in <root>/lint.toml (reason required).");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -58,7 +56,7 @@ fn main() -> ExitCode {
             } else {
                 print!("{}", report.render_table());
             }
-            if report.open.is_empty() {
+            if report.findings.is_empty() {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::from(1)

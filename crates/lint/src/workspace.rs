@@ -1,13 +1,12 @@
 //! Workspace walker and orchestration: finds every Rust source file in
-//! the workspace, scans it, runs the three analyzers, and partitions the
-//! findings against `lint.toml`.
+//! the workspace, scans it and runs the three analyzers.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::files::{CrateKey, FileKind, SourceFile};
 use crate::report::{Finding, Report};
-use crate::{allow, determinism, layering, totality};
+use crate::{determinism, layering, totality};
 
 /// The member crates and their directories. `crates/compat/*` (the
 /// vendored proptest stand-in) and `crates/lint` itself are scanned for
@@ -26,13 +25,10 @@ const MEMBERS: [(&str, CrateKey); 8] = [
 ];
 
 /// Walks up from `start` to the workspace root (the directory holding
-/// `lint.toml` or a `[workspace]` manifest).
+/// a `[workspace]` manifest).
 pub fn find_root(start: &Path) -> Option<PathBuf> {
     let mut dir = start.to_path_buf();
     loop {
-        if dir.join("lint.toml").is_file() {
-            return Some(dir);
-        }
         if let Ok(manifest) = fs::read_to_string(dir.join("Cargo.toml")) {
             if manifest.contains("[workspace]") {
                 return Some(dir);
@@ -44,12 +40,8 @@ pub fn find_root(start: &Path) -> Option<PathBuf> {
     }
 }
 
-/// Runs everything: scan, analyze, load `lint.toml`, partition.
+/// Runs everything: scan and analyze.
 pub fn run_workspace(root: &Path) -> Result<Report, String> {
-    let allows = match fs::read_to_string(root.join("lint.toml")) {
-        Ok(text) => allow::parse(&text)?,
-        Err(_) => Vec::new(), // no allowlist: nothing suppressed
-    };
     let mut findings = Vec::new();
     let mut files_scanned = 0usize;
 
@@ -101,7 +93,10 @@ pub fn run_workspace(root: &Path) -> Result<Report, String> {
     findings.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.analyzer).cmp(&(b.path.as_str(), b.line, b.analyzer))
     });
-    Ok(Report::partition(findings, allows, files_scanned))
+    Ok(Report {
+        findings,
+        files_scanned,
+    })
 }
 
 /// Runs all three analyzers over one in-memory file (fixture harness).

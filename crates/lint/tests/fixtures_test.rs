@@ -1,6 +1,5 @@
 //! Fixture suite: seeded violations for all four analyzers plus lexer
-//! edge cases, and a self-check that the live workspace is clean modulo
-//! the checked-in `lint.toml`.
+//! edge cases, and a self-check that the live workspace is clean.
 //!
 //! The fixture `.rs` files under `tests/fixtures/` are data, not code —
 //! they are pulled in with `include_str!` and scanned through
@@ -149,22 +148,17 @@ fn lexer_edge_cases_produce_no_findings() {
 }
 
 #[test]
-fn live_workspace_is_clean_modulo_allowlist() {
+fn live_workspace_is_clean() {
     // The standing CI gate, as a test: the real workspace must have no
-    // unsuppressed findings and no stale lint.toml entries.
+    // findings.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .canonicalize()
         .expect("workspace root");
     let report = run_workspace(&root).expect("lint run");
     assert!(
-        report.open.is_empty(),
-        "unsuppressed findings in the live workspace:\n{}",
-        report.render_table()
-    );
-    assert!(
-        report.unused_allows.is_empty(),
-        "stale lint.toml entries:\n{}",
+        report.findings.is_empty(),
+        "findings in the live workspace:\n{}",
         report.render_table()
     );
     assert!(
@@ -172,5 +166,4 @@ fn live_workspace_is_clean_modulo_allowlist() {
         "walker found only {} files",
         report.files_scanned
     );
-    assert!(report.allows.iter().all(|a| !a.reason.trim().is_empty()));
 }

@@ -22,8 +22,6 @@
 //!   keys (request ids, destage sequences) that detects stale keys,
 //! * [`PagedMap`] — a direct-indexed map for small keys (LBAs) whose
 //!   memory scales with touched key pages, not the largest key,
-//! * [`RunSet`] — a sorted-run set for dense, mostly-contiguous keys
-//!   (the device's flush/preflush/FUA drain bookkeeping),
 //! * [`LatencyHistogram`] / [`LatencySummary`] — percentile statistics
 //!   (the paper's Table 1 shape),
 //! * [`TimeSeries`] — step-function recording for queue-depth plots
@@ -53,7 +51,6 @@
 
 mod event;
 mod rng;
-mod runset;
 mod series;
 mod sink;
 mod stats;
@@ -62,7 +59,6 @@ mod time;
 
 pub use event::EventQueue;
 pub use rng::SimRng;
-pub use runset::RunSet;
 pub use series::TimeSeries;
 pub use sink::ActionSink;
 pub use stats::{LatencyHistogram, LatencySummary};
