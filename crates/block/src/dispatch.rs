@@ -323,6 +323,11 @@ impl BlockLayer {
     }
 
     /// Device `i` (metrics, crash injection).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the volume has no device `i`.
+    #[allow(clippy::indexing_slicing, reason = "accessor for reports and tests")]
     pub fn device_at(&self, i: usize) -> &Device {
         &self.devs[i]
     }
@@ -495,6 +500,10 @@ impl BlockLayer {
         }
     }
 
+    // `lane` is `Topology::lane(dev, hw_queue)`, `dev` from the stripe
+    // arithmetic and `hw_queue` reduced mod `nr_hw_queues`: below
+    // `nr_lanes()`, the length `new` gave `lanes`.
+    #[allow(clippy::indexing_slicing, reason = "lane from Topology::lane")]
     fn enqueue(&mut self, lane: usize, req: BlockRequest) {
         self.lanes[lane].routed += 1;
         self.lanes[lane].sched.enqueue(req);
@@ -553,6 +562,10 @@ impl BlockLayer {
         }
     }
 
+    // `li` is `run`'s own `0..lanes.len()` and `di` is `lane_device(li)`,
+    // below `nr_devices`: the length `new` gave `devs`, `inflight` and
+    // `next_cmd`. Nothing here comes out of an event.
+    #[allow(clippy::indexing_slicing, reason = "run()'s own lane sweep")]
     fn pump_lane(&mut self, li: usize, now: SimTime, out: &mut ActionSink<BlockAction>) {
         let di = self.topology.lane_device(li);
         let mut scratch = std::mem::take(&mut self.dev_scratch);
@@ -570,8 +583,9 @@ impl BlockLayer {
                     }
                 }
             };
-            let cmd = self.build_command(di, &mut m);
-            let cmd_id = cmd.id;
+            let cmd_id = CmdId(self.next_cmd[di]);
+            self.next_cmd[di] += 1;
+            let cmd = self.build_command(cmd_id, &mut m);
             match self.devs[di].submit(cmd, now, &mut scratch) {
                 Ok(()) => {
                     self.stats.dispatched += 1;
@@ -621,9 +635,7 @@ impl BlockLayer {
 
     /// Builds the device command for `m`, moving a write's payload out of
     /// the request into it (the request keeps its flags and ids).
-    fn build_command(&mut self, di: usize, m: &mut MergedRequest) -> Command {
-        let id = CmdId(self.next_cmd[di]);
-        self.next_cmd[di] += 1;
+    fn build_command(&self, id: CmdId, m: &mut MergedRequest) -> Command {
         let flags = m.req.flags;
         match &mut m.req.op {
             ReqOp::Write { start, tags } => {
@@ -657,7 +669,8 @@ impl BlockLayer {
                     // The sliding window makes a retired id read as
                     // absent, so a duplicated or forged completion is
                     // dropped instead of double-completing its bios.
-                    let Some(ids) = self.inflight[di].remove(c.id.0) else {
+                    let ids = self.inflight.get_mut(di).and_then(|t| t.remove(c.id.0));
+                    let Some(ids) = ids else {
                         debug_assert!(false, "completion for unknown command {:?}", c.id);
                         continue;
                     };

@@ -144,6 +144,9 @@ impl Topology {
     /// `(off, len)` is a run reported by [`Topology::split_range`]. The
     /// run's stripe chunks sit `nr_devices` stripes apart in the global
     /// range, so they are gathered chunk by chunk.
+    // `(off, len)` is a run `split_range` reported for the range `src`
+    // holds one element per block of, so every chunk lies inside it.
+    #[allow(clippy::indexing_slicing, reason = "extent math on a split_range run")]
     pub fn gather_run<T: Clone>(&self, start: Lba, off: u64, len: u64, src: &[T]) -> Vec<T> {
         let mut run = Vec::with_capacity(len as usize);
         let mut at = off;

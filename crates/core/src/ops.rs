@@ -229,7 +229,7 @@ impl Workload for ScriptWorkload {
         if self.repeat == Some(0) {
             return None;
         }
-        let op = self.script[self.pos];
+        let op = *self.script.get(self.pos)?;
         self.pos += 1;
         Some(op)
     }

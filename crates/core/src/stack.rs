@@ -301,10 +301,11 @@ impl IoStack {
                 FsAction::Wake(tid) => {
                     self.complete_op(tid);
                 }
-                FsAction::CtxSwitch(tid) => {
-                    let kind = self.threads[tid.0 as usize].current_kind;
-                    self.metrics.record_ctx_switch(kind);
-                }
+                FsAction::CtxSwitch(tid) => match self.threads.get(tid.0 as usize) {
+                    Some(th) => self.metrics.record_ctx_switch(th.current_kind),
+                    // Forged, like a `Wake` for an unknown thread.
+                    None => self.metrics.note_dropped_wakeup(),
+                },
                 FsAction::After(d, ev) => {
                     self.q.push_after(d, Event::Fs(ev));
                 }
@@ -347,44 +348,48 @@ impl IoStack {
         self.q.push_after(CPU_PER_OP, Event::ThreadNext(tid));
     }
 
-    fn resolve(&self, tid: ThreadId, r: FileRef) -> FileId {
-        match r {
-            FileRef::Global(i) => self.global_files[i],
-            FileRef::Slot(i) => self.threads[tid.0 as usize].slots[i],
-        }
+    /// The file `r` names for a thread with these `slots`. A reference to
+    /// a file that was never created resolves to an id no filesystem
+    /// hands out, so the syscall carrying it is dropped and counted where
+    /// every unknown file is (`FsStats::dropped_journal_events`).
+    fn resolve(global_files: &[FileId], slots: &[FileId], r: FileRef) -> FileId {
+        let file = match r {
+            FileRef::Global(i) => global_files.get(i),
+            FileRef::Slot(i) => slots.get(i),
+        };
+        file.copied().unwrap_or(FileId(u32::MAX))
     }
 
     fn thread_issue(&mut self, tid: ThreadId, now: SimTime) {
-        let idx = tid.0 as usize;
-        if self.threads[idx].state == ThreadState::Finished {
+        // A `ThreadNext` for a thread this stack never created is forged:
+        // dropped and counted like its completion (`complete_op`).
+        let Some(th) = self.threads.get_mut(tid.0 as usize) else {
+            self.metrics.note_dropped_wakeup();
+            return;
+        };
+        if th.state == ThreadState::Finished {
             return;
         }
         // Congestion control (the kernel's nr_requests): stall issuing
         // while the block layer is backed up.
         if self.block.queued() >= CONGESTION_LIMIT {
-            self.threads[idx].state = ThreadState::Congested;
+            th.state = ThreadState::Congested;
             if !self.congested.contains(&tid) {
                 self.congested.push(tid);
             }
             return;
         }
-        let op = {
-            let th = &mut self.threads[idx];
-            th.state = ThreadState::Ready;
-            th.workload.next_op(&mut th.rng)
-        };
-        let Some(op) = op else {
-            self.threads[idx].state = ThreadState::Finished;
+        th.state = ThreadState::Ready;
+        let Some(op) = th.workload.next_op(&mut th.rng) else {
+            th.state = ThreadState::Finished;
             self.finished_threads += 1; // terminal: never decremented
             return;
         };
         let kind = op.kind();
-        {
-            let th = &mut self.threads[idx];
-            th.current_kind = kind;
-            th.op_started = now;
-        }
+        th.current_kind = kind;
+        th.op_started = now;
         debug_assert!(self.fs_sink.is_empty(), "sink drained between ops");
+        let resolve = |r: FileRef| Self::resolve(&self.global_files, &th.slots, r);
         let outcome = match op {
             Op::Think { dur } => {
                 self.metrics.record_op(OpKind::Think, dur);
@@ -398,15 +403,16 @@ impl IoStack {
             }
             Op::Create { slot } => {
                 let fid = self.fs.create(tid, &mut self.fs_sink);
-                let th = &mut self.threads[idx];
                 if th.slots.len() <= slot {
                     th.slots.resize(slot + 1, fid);
                 }
-                th.slots[slot] = fid;
+                if let Some(s) = th.slots.get_mut(slot) {
+                    *s = fid;
+                }
                 SyscallOutcome::Done
             }
             Op::Unlink { file } => {
-                let f = self.resolve(tid, file);
+                let f = resolve(file);
                 self.fs.unlink(tid, f, &mut self.fs_sink);
                 SyscallOutcome::Done
             }
@@ -415,7 +421,7 @@ impl IoStack {
                 offset,
                 blocks,
             } => {
-                let f = self.resolve(tid, file);
+                let f = resolve(file);
                 self.fs
                     .write(tid, f, offset, blocks, now, &mut self.fs_sink)
             }
@@ -424,23 +430,23 @@ impl IoStack {
                 offset,
                 blocks,
             } => {
-                let f = self.resolve(tid, file);
+                let f = resolve(file);
                 self.fs.read(tid, f, offset, blocks, &mut self.fs_sink)
             }
             Op::Fsync { file } => {
-                let f = self.resolve(tid, file);
+                let f = resolve(file);
                 self.fs.fsync(tid, f, now, &mut self.fs_sink)
             }
             Op::Fdatasync { file } => {
-                let f = self.resolve(tid, file);
+                let f = resolve(file);
                 self.fs.fdatasync(tid, f, now, &mut self.fs_sink)
             }
             Op::Fbarrier { file } => {
-                let f = self.resolve(tid, file);
+                let f = resolve(file);
                 self.fs.fbarrier(tid, f, now, &mut self.fs_sink)
             }
             Op::Fdatabarrier { file } => {
-                let f = self.resolve(tid, file);
+                let f = resolve(file);
                 self.fs.fdatabarrier(tid, f, now, &mut self.fs_sink)
             }
         };
@@ -451,7 +457,9 @@ impl IoStack {
                 self.q.push_after(CPU_PER_OP, Event::ThreadNext(tid));
             }
             SyscallOutcome::Blocked => {
-                self.threads[idx].state = ThreadState::InSyscall;
+                if let Some(th) = self.threads.get_mut(tid.0 as usize) {
+                    th.state = ThreadState::InSyscall;
+                }
             }
         }
     }
@@ -462,8 +470,9 @@ impl IoStack {
         }
         let woken = std::mem::take(&mut self.congested);
         for tid in woken {
-            if self.threads[tid.0 as usize].state == ThreadState::Congested {
-                self.threads[tid.0 as usize].state = ThreadState::Ready;
+            let th = self.threads.get_mut(tid.0 as usize);
+            if let Some(th) = th.filter(|th| th.state == ThreadState::Congested) {
+                th.state = ThreadState::Ready;
                 self.q.push_now(Event::ThreadNext(tid));
             }
         }
@@ -635,5 +644,55 @@ impl IoStack {
             fs_violations,
             epoch_violations,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use bio_flash::DeviceProfile;
+
+    use super::*;
+    use crate::ops::ScriptWorkload;
+
+    fn txn_script(file: FileRef) -> Vec<Op> {
+        let (offset, blocks) = (0, 1);
+        let write = Op::Write {
+            file,
+            offset,
+            blocks,
+        };
+        vec![write, Op::Fsync { file }, Op::TxnMark]
+    }
+
+    #[test]
+    fn forged_thread_ids_are_dropped_and_counted_on_every_path() {
+        let mut stack = IoStack::new(StackConfig::bfs(DeviceProfile::ufs()));
+        let f = FileRef::Global(stack.create_global_file());
+        stack.add_thread(Box::new(ScriptWorkload::repeat(txn_script(f), 10)));
+        let forged = ThreadId(7);
+        // Both filesystem-action arms that name a thread…
+        stack.fs_sink.push(FsAction::Wake(forged));
+        stack.fs_sink.push(FsAction::CtxSwitch(forged));
+        stack.route_fs_actions();
+        assert_eq!(stack.metrics.dropped_wakeups, 2);
+        // …and the event that makes a thread issue its next op.
+        stack.q.push_now(Event::ThreadNext(forged));
+        assert!(stack.run_until_done(SimDuration::from_secs(60)));
+        assert_eq!(stack.metrics.dropped_wakeups, 3);
+        assert_eq!(stack.report().run.txns, 10, "the run continues");
+    }
+
+    #[test]
+    fn ops_on_files_never_created_are_dropped_by_the_filesystem() {
+        let mut stack = IoStack::new(StackConfig::ext4_dr(DeviceProfile::ufs()));
+        let f = FileRef::Global(stack.create_global_file());
+        let mut script = txn_script(FileRef::Slot(3));
+        script.extend(txn_script(FileRef::Global(9)));
+        script.extend(txn_script(f));
+        stack.add_thread(Box::new(ScriptWorkload::repeat(script, 5)));
+        assert!(stack.run_until_done(SimDuration::from_secs(60)));
+        // Two forged references, a write and an fsync each, five times.
+        assert_eq!(stack.fs().stats().dropped_journal_events, 2 * 2 * 5);
+        assert_eq!(stack.report().run.txns, 3 * 5);
     }
 }

@@ -355,21 +355,22 @@ impl WritebackCache {
         self.candidates_from(self.frontier, max_epoch, lba_ordered)
     }
 
-    /// Marks an entry as having a flash program in flight.
+    /// Marks an entry as having a flash program in flight and returns it
+    /// (what the program writes).
     ///
     /// # Errors
     ///
     /// [`CacheError::UnknownSeq`] if `seq` is not resident,
     /// [`CacheError::AlreadyDestaging`] if it already has a program in
     /// flight.
-    pub fn mark_destaging(&mut self, seq: u64) -> Result<(), CacheError> {
+    pub fn mark_destaging(&mut self, seq: u64) -> Result<CacheEntry, CacheError> {
         let slot = self.slots.get_mut(seq).ok_or(CacheError::UnknownSeq(seq))?;
         if slot.entry.state != EntryState::Dirty {
             return Err(CacheError::AlreadyDestaging(seq));
         }
         slot.entry.state = EntryState::Destaging;
         self.dirty -= 1;
-        Ok(())
+        Ok(slot.entry)
     }
 
     /// Removes a fully programmed entry, freeing its slot. Returns it.

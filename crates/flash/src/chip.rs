@@ -42,14 +42,11 @@ impl ChipArray {
     /// Returns `None` when all dies are busy.
     pub fn find_idle(&mut self, now: SimTime) -> Option<usize> {
         let n = self.busy_until.len();
-        for i in 0..n {
-            let c = (self.cursor + i) % n;
-            if self.busy_until[c] <= now {
-                self.cursor = (c + 1) % n;
-                return Some(c);
-            }
-        }
-        None
+        let c = (0..n)
+            .map(|i| (self.cursor + i) % n)
+            .find(|&c| self.busy_until.get(c).is_some_and(|&t| t <= now))?;
+        self.cursor = (c + 1) % n;
+        Some(c)
     }
 
     /// Number of dies idle at `now`: the most programs that can start at
@@ -63,15 +60,18 @@ impl ChipArray {
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if the die is still busy at `now`.
+    /// Panics in debug builds if the die is still busy at `now` or is not
+    /// in the array (a release build leaves the array as it is).
     pub fn start_op(&mut self, chip: usize, now: SimTime, dur: SimDuration) -> SimTime {
-        debug_assert!(
-            self.busy_until[chip] <= now,
-            "die {chip} is busy until {}",
-            self.busy_until[chip]
-        );
         let done = now + dur;
-        self.busy_until[chip] = done;
+        let busy_until = self.busy_until.get_mut(chip);
+        debug_assert!(
+            busy_until.as_ref().is_some_and(|t| **t <= now),
+            "die {chip} is busy at {now} or outside the array"
+        );
+        if let Some(t) = busy_until {
+            *t = done;
+        }
         done
     }
 
@@ -86,7 +86,10 @@ impl ChipArray {
 
     /// Earliest time any die becomes idle.
     pub fn next_idle_at(&self) -> SimTime {
-        *self.busy_until.iter().min().expect("non-empty array")
+        // `new` rejects an empty array, so the fold always meets a die.
+        self.busy_until
+            .iter()
+            .fold(SimTime::MAX, |first, &t| first.min(t))
     }
 
     /// Jittered duration for one operation: normal noise around `base` with

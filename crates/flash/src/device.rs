@@ -696,13 +696,15 @@ impl Device {
         for (i, &tag) in tags.iter().enumerate() {
             let lba = start.offset(i as u64);
             let barrier = flags.barrier && i + 1 == n;
+            // A block joins the cache's current epoch; a barrier advances
+            // the epoch only after its own insert.
+            let epoch = self.cache.current_epoch();
             let seq = self.cache.insert(lba, tag, barrier);
             if fua {
                 self.fua_waits.push((seq, id));
             }
             self.stats.blocks_written += 1;
             if let Some(h) = self.history.as_mut() {
-                let epoch = self.cache.entry(seq).expect("just inserted").epoch;
                 h.push(TransferRec {
                     seq,
                     lba,
@@ -772,7 +774,9 @@ impl Device {
         );
         if engine == BarrierMode::Unsupported && candidates.len() > 1 {
             let w = candidates.len().min(window);
-            self.rng.shuffle(&mut candidates[..w]);
+            if let Some(head) = candidates.get_mut(..w) {
+                self.rng.shuffle(head);
+            }
         }
         for seq in candidates.drain(..) {
             // Roll/GC first so the time cost lands before chip selection.
@@ -790,10 +794,9 @@ impl Device {
             // intervening completions, so marking cannot fail.
             let marked = self.cache.mark_destaging(seq);
             debug_assert!(marked.is_ok(), "destage candidate vanished: {marked:?}");
-            if marked.is_err() {
+            let Ok(entry) = marked else {
                 continue;
-            }
-            let entry = *self.cache.entry(seq).expect("marked entry");
+            };
             self.ftl.append(entry.lba, entry.tag);
             let append_seq = self.log.begin(entry.lba, entry.tag, self.trans.open);
             self.destage_info.insert(seq, DestageInfo { append_seq });
@@ -829,7 +832,8 @@ impl Device {
         self.in_flight_programs -= 1;
         let completed = self.cache.complete(seq);
         debug_assert!(completed.is_ok(), "destage record without cache entry");
-        self.log.mark_done(info.append_seq);
+        let logged = self.log.mark_done(info.append_seq);
+        debug_assert!(logged, "destage record without append record");
 
         // Transactional group accounting.
         if let Some(gid) = self.trans.open {

@@ -33,6 +33,28 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Determinism and totality gates (docs/INVARIANTS.md); `tests/invariants_gate.rs`
+// holds these lines in place.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::iter_over_hash_type,
+        clippy::disallowed_methods,
+        clippy::disallowed_types
+    )
+)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 
 mod cache;
 mod chip;

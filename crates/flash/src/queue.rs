@@ -116,7 +116,8 @@ impl CommandQueue {
         // Waiting list is naturally in arrival order (we only remove).
         for (i, (seq, _, cmd)) in self.waiting.iter().enumerate() {
             match cmd.priority {
-                Priority::HeadOfQueue => unreachable!("handled above"),
+                // Handled above: none is waiting here.
+                Priority::HeadOfQueue => {}
                 Priority::Ordered => {
                     // Every earlier arrival must have completed.
                     let earlier_waiting = i > 0;

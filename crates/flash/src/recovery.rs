@@ -32,7 +32,7 @@ pub struct AppendRec {
 /// map so memory stays bounded on long runs. Ordered maps throughout:
 /// crash images flow into golden diffs and differential traces, so their
 /// iteration order must be reproducible across processes (the
-/// determinism invariant bio-lint enforces).
+/// determinism invariant, docs/INVARIANTS.md §1).
 #[derive(Debug, Clone, Default)]
 pub struct AppendLog {
     base: BTreeMap<Lba, BlockTag>,
@@ -65,32 +65,31 @@ impl AppendLog {
         seq
     }
 
-    /// Marks a program as completed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sequence is unknown or already folded.
-    pub fn mark_done(&mut self, seq: u64) {
-        let idx = seq.checked_sub(self.start).expect("append already folded") as usize;
-        self.entries[idx].done = true;
+    /// Marks a program as completed. Returns false (and changes nothing)
+    /// when the sequence is unknown or already folded.
+    pub fn mark_done(&mut self, seq: u64) -> bool {
+        let idx = seq.checked_sub(self.start);
+        let Some(rec) = idx.and_then(|i| self.entries.get_mut(i as usize)) else {
+            return false;
+        };
+        rec.done = true;
+        true
     }
 
     /// Folds the longest completed prefix into the base map. Records are
     /// foldable once `done` and (for transactional groups) once their group
     /// committed — after that their durability can no longer change.
     pub fn fold<F: Fn(u64) -> bool>(&mut self, group_committed: F) {
-        while let Some(front) = self.entries.front() {
-            let committed = front.group.is_none_or(&group_committed);
-            if front.done && committed {
-                let rec = self.entries.pop_front().expect("front exists");
-                self.base.insert(rec.lba, rec.tag);
-                if let Some(log) = &mut self.fold_log {
-                    log.push((rec.lba, rec.tag));
-                }
-                self.start += 1;
-            } else {
+        while let Some(&rec) = self.entries.front() {
+            if !(rec.done && rec.group.is_none_or(&group_committed)) {
                 break;
             }
+            self.entries.pop_front();
+            self.base.insert(rec.lba, rec.tag);
+            if let Some(log) = &mut self.fold_log {
+                log.push((rec.lba, rec.tag));
+            }
+            self.start += 1;
         }
     }
 
@@ -395,7 +394,7 @@ impl EpochIndex {
         base: &B,
     ) -> usize {
         let mut dirty: Vec<Lba> = folded.into_iter().collect();
-        for t in &history[self.ingested..] {
+        for t in history.iter().skip(self.ingested) {
             let last = self
                 .by_lba
                 .range((t.lba, 0)..=(t.lba, u64::MAX))
@@ -583,13 +582,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "append already folded")]
-    fn mark_done_after_fold_panics() {
+    fn mark_done_of_a_folded_or_unknown_append_is_a_miss() {
         let mut log = AppendLog::new();
         let a = log.begin(Lba(1), BlockTag(10), None);
-        log.mark_done(a);
+        assert!(log.mark_done(a));
+        assert!(!log.mark_done(a + 1), "never begun");
         log.fold(|_| true);
-        log.mark_done(a);
+        assert!(!log.mark_done(a), "already folded");
+        assert_eq!(log.tail_len(), 0);
     }
 
     #[test]

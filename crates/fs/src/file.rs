@@ -65,7 +65,9 @@ impl DirtyTracker {
     pub fn insert(&mut self, block: u64, tag: BlockTag) -> bool {
         match self.position(block) {
             Ok(i) => {
-                self.pages[i].1 = tag;
+                if let Some(page) = self.pages.get_mut(i) {
+                    page.1 = tag;
+                }
                 false
             }
             Err(i) => {
@@ -82,7 +84,8 @@ impl DirtyTracker {
 
     /// The tag of a dirty block, if dirty.
     pub fn tag_at(&self, block: u64) -> Option<BlockTag> {
-        self.position(block).ok().map(|i| self.pages[i].1)
+        let page = self.position(block).ok().and_then(|i| self.pages.get(i));
+        page.map(|&(_, tag)| tag)
     }
 
     /// Iterates over `(block, tag)` pairs in ascending block order.
@@ -171,7 +174,7 @@ impl File {
     /// extent per write and every later lookup pays for all of them.
     fn insert_extent(&mut self, start: u64, lba: Lba, len: u64) {
         let idx = self.extents.partition_point(|&(off, _, _)| off <= start);
-        if let Some((poff, plba, plen)) = idx.checked_sub(1).map(|i| &mut self.extents[i]) {
+        if let Some((poff, plba, plen)) = idx.checked_sub(1).and_then(|i| self.extents.get_mut(i)) {
             if *poff + *plen == start && plba.0 + *plen == lba.0 {
                 *plen += len;
                 return;
@@ -212,16 +215,34 @@ impl FileTable {
         id
     }
 
+    /// True when `id` names a file of this table. A [`FileId`] is checked
+    /// here once, where it enters ([`crate::Filesystem`]'s syscalls), so
+    /// that [`FileTable::get`] can index.
+    pub fn contains(&self, id: FileId) -> bool {
+        (id.0 as usize) < self.files.len()
+    }
+
     /// Immutable file access.
     ///
     /// # Panics
     ///
     /// Panics on an unknown id.
+    // A `FileId` is checked where it enters: every syscall drops an
+    // unknown file (counted in `FsStats::dropped_journal_events`) before
+    // anything is looked up, the ids transactions and syscall
+    // continuations keep were checked then, and no file ever leaves the
+    // table.
+    #[allow(clippy::indexing_slicing, reason = "FileId checked at syscall entry")]
     pub fn get(&self, id: FileId) -> &File {
         &self.files[id.0 as usize]
     }
 
     /// Mutable file access.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown id.
+    #[allow(clippy::indexing_slicing, reason = "FileId checked at syscall entry")]
     pub fn get_mut(&mut self, id: FileId) -> &mut File {
         &mut self.files[id.0 as usize]
     }
@@ -246,7 +267,7 @@ impl FileTable {
         offset: u64,
         n: u64,
     ) -> bool {
-        let file = &mut self.files[id.0 as usize];
+        let file = self.get_mut(id);
         let end = offset + n;
         let mut allocated = false;
         // One allocation covers everything from the first unallocated

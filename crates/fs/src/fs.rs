@@ -124,7 +124,9 @@ impl ThreadTable {
             self.slots
                 .resize_with((i + 1).max(self.slots.len() * 2), || None);
         }
-        self.slots[i] = Some(state);
+        if let Some(slot) = self.slots.get_mut(i) {
+            *slot = Some(state);
+        }
     }
 
     fn get(&self, tid: ThreadId) -> Option<&SyscallState> {
@@ -181,7 +183,9 @@ pub struct FsStats {
     /// Flush requests issued.
     pub flushes: u64,
     /// Journal events dropped because they referenced a retired or
-    /// never-placed transaction (stale, duplicated or forged completions).
+    /// never-placed transaction (stale, duplicated or forged completions),
+    /// and syscalls dropped because they named a file this filesystem
+    /// never created (the call returns at once, having done nothing).
     pub dropped_journal_events: u64,
     /// Dirty pages dropped at submit time because no extent backed them
     /// (corrupted tracking state; the submit path never aborts).
@@ -370,8 +374,19 @@ impl Filesystem {
         id
     }
 
+    /// Where a [`FileId`] enters: false, and counted, for a file this
+    /// filesystem never created.
+    fn known_file(&mut self, file: FileId) -> bool {
+        let known = self.files.contains(file);
+        self.stats.dropped_journal_events += u64::from(!known);
+        known
+    }
+
     /// Deletes a file (metadata-only in this model).
     pub fn unlink(&mut self, _tid: ThreadId, file: FileId, _out: &mut ActionSink<FsAction>) {
+        if !self.known_file(file) {
+            return;
+        }
         let f = self.files.get_mut(file);
         f.live = false;
         let dropped = f.dirty_data.clear() as u64;
@@ -402,7 +417,7 @@ impl Filesystem {
         now: SimTime,
         out: &mut ActionSink<FsAction>,
     ) -> SyscallOutcome {
-        if blocks == 0 {
+        if blocks == 0 || !self.known_file(file) {
             return SyscallOutcome::Done; // writes nothing, dirties nothing
         }
         let tick = now.as_nanos() / self.cfg.timer_tick.as_nanos().max(1);
@@ -610,6 +625,9 @@ impl Filesystem {
         _now: SimTime,
         out: &mut ActionSink<FsAction>,
     ) -> SyscallOutcome {
+        if !self.known_file(file) {
+            return SyscallOutcome::Done;
+        }
         self.sync_common(tid, file, false, out)
     }
 
@@ -621,6 +639,9 @@ impl Filesystem {
         _now: SimTime,
         out: &mut ActionSink<FsAction>,
     ) -> SyscallOutcome {
+        if !self.known_file(file) {
+            return SyscallOutcome::Done;
+        }
         self.sync_common(tid, file, true, out)
     }
 
@@ -647,6 +668,9 @@ impl Filesystem {
         _now: SimTime,
         out: &mut ActionSink<FsAction>,
     ) -> SyscallOutcome {
+        if !self.known_file(file) {
+            return SyscallOutcome::Done;
+        }
         match self.cfg.mode {
             FsMode::BarrierFs => self.bfs_barrier(tid, file, false, out),
             FsMode::OptFs => self.optfs_osync(tid, file, false, out),
@@ -664,6 +688,9 @@ impl Filesystem {
         _now: SimTime,
         out: &mut ActionSink<FsAction>,
     ) -> SyscallOutcome {
+        if !self.known_file(file) {
+            return SyscallOutcome::Done;
+        }
         match self.cfg.mode {
             FsMode::BarrierFs => self.bfs_barrier(tid, file, true, out),
             FsMode::OptFs => self.optfs_osync(tid, file, false, out),
@@ -903,6 +930,9 @@ impl Filesystem {
         blocks: u64,
         out: &mut ActionSink<FsAction>,
     ) -> SyscallOutcome {
+        if !self.known_file(file) {
+            return SyscallOutcome::Done;
+        }
         let f = self.files.get(file);
         let cached = (offset..offset + blocks)
             .all(|b| f.dirty_data.contains(b) || f.committed_blocks.contains(&b));

@@ -460,8 +460,9 @@ impl Filesystem {
             // runs once per commit, ids are allocated monotonically), so
             // the ground-truth entry is found by binary search — a linear
             // scan here turns long runs quadratic in committed txns.
-            if let Ok(i) = self.records.binary_search_by_key(&txn.0, |r| r.id) {
-                self.records[i].durability_claimed = true;
+            let hit = self.records.binary_search_by_key(&txn.0, |r| r.id);
+            if let Some(rec) = hit.ok().and_then(|i| self.records.get_mut(i)) {
+                rec.durability_claimed = true;
                 if let Some(log) = &mut self.durable_mark_log {
                     log.push(txn.0);
                 }

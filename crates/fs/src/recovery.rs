@@ -20,6 +20,12 @@
 //! numeric comparison, and overwritten (superseded) blocks are not false
 //! positives.
 
+// A checker walking its own tables: every position is an `enumerate()`
+// count over `records` or a `u32` the index stored for it, and callers
+// pass `records` whole and only ever longer. It judges crash images; no
+// event reaches it.
+#![allow(clippy::indexing_slicing, reason = "checker's own stored positions")]
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 

@@ -152,8 +152,10 @@ impl Txn {
         debug_assert_eq!(self.state, TxnState::Running, "buffer into non-running txn");
         match self.buffer_index.binary_search_by_key(&lba, |&(l, _)| l) {
             Ok(i) => {
-                let pos = self.buffer_index[i].1 as usize;
-                self.buffers[pos].2 = tag;
+                let pos = self.buffer_index.get(i).map(|&(_, pos)| pos as usize);
+                if let Some(buf) = pos.and_then(|pos| self.buffers.get_mut(pos)) {
+                    buf.2 = tag;
+                }
             }
             Err(i) => {
                 let pos = self.buffers.len() as u32;

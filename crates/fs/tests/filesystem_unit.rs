@@ -312,6 +312,33 @@ fn unknown_completion_is_ignored() {
     assert_eq!(submits(&out).len(), 1);
 }
 
+#[test]
+fn syscall_on_a_file_never_created_is_dropped_and_counted() {
+    // A file id is checked where it enters: every syscall that takes one
+    // returns at once for a file this filesystem never handed out.
+    for mode in [FsMode::Ext4, FsMode::BarrierFs, FsMode::OptFs] {
+        let (mut fs, f) = setup(mode);
+        let forged = bio_fs::FileId(f.0 + 7);
+        let mut out = ActionSink::new();
+        let t = SimTime::ZERO;
+        fs.unlink(T0, forged, &mut out);
+        let outcomes = [
+            fs.write(T0, forged, 0, 2, t, &mut out),
+            fs.read(T0, forged, 0, 2, &mut out),
+            fs.fsync(T0, forged, t, &mut out),
+            fs.fdatasync(T0, forged, t, &mut out),
+            fs.fbarrier(T0, forged, t, &mut out),
+            fs.fdatabarrier(T0, forged, t, &mut out),
+        ];
+        assert_eq!(outcomes, [SyscallOutcome::Done; 6], "{mode:?}");
+        assert_eq!(out.iter().count(), 0, "{mode:?}: a dropped call is inert");
+        assert_eq!(fs.stats().dropped_journal_events, 7, "{mode:?}");
+        // The filesystem still works afterwards.
+        fs.write(T0, f, 0, 1, t, &mut out);
+        assert_eq!(fs.fsync(T0, f, t, &mut out), SyscallOutcome::Blocked);
+    }
+}
+
 /// Completes every submitted request and runs every scheduled event, all
 /// at `now`, until the filesystem emits nothing more.
 fn settle(fs: &mut Filesystem, out: &mut ActionSink<FsAction>, now: SimTime) {

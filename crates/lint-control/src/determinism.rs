@@ -1,5 +1,4 @@
-//! Seeded determinism violations. Scanned as `crates/fs/src/` text by
-//! `fixtures_test.rs` — never compiled into the workspace.
+//! Seeded determinism violations.
 
 use std::collections::{HashMap, HashSet};
 
@@ -12,6 +11,16 @@ pub struct Cache {
 pub enum Table {
     Dense(Vec<u32>),
     Sparse(HashMap<u64, u32>),
+}
+
+type Idx = HashMap<u64, u32>;
+
+pub struct Aliased {
+    idx: Idx,
+}
+
+fn mk_map() -> HashMap<u64, u32> {
+    HashMap::new()
 }
 
 impl Cache {
@@ -33,7 +42,7 @@ impl Cache {
     pub fn fine(&self) -> usize {
         let _ = self.pages.get(&1);
         let _ = self.hot.contains(&2);
-        self.names.iter().count()
+        self.names.iter().map(String::len).sum()
     }
 }
 
@@ -47,6 +56,20 @@ impl Table {
     }
 }
 
+impl Aliased {
+    // VIOLATION, visible only to a type-resolving lint: the field's type is
+    // an alias.
+    pub fn total(&self) -> u64 {
+        self.idx.values().map(|x| u64::from(*x)).sum()
+    }
+}
+
+// VIOLATION, visible only to a type-resolving lint: the map is a call's
+// return value.
+pub fn returned() -> u64 {
+    mk_map().into_values().map(u64::from).sum()
+}
+
 // VIOLATION: local HashMap drained in declaration order.
 pub fn drain_local() -> usize {
     let mut scratch: HashMap<u64, u64> = HashMap::new();
@@ -54,12 +77,11 @@ pub fn drain_local() -> usize {
     scratch.drain().count()
 }
 
-// VIOLATIONS: wall clock, host threads, OS entropy, hash-order iterator type.
-pub fn ambient() {
+// VIOLATIONS: wall clock, host threads, hash-order iterator type.
+pub fn ambient(it: std::collections::hash_map::Iter<u64, u64>) -> usize {
     let _t = std::time::Instant::now();
     std::thread::yield_now();
-    let _r = thread_rng();
-    let _it: std::collections::hash_map::Iter<u64, u64>;
+    it.count()
 }
 
 // VIOLATIONS: the process environment as a hidden input. Arguments are
@@ -69,16 +91,4 @@ pub fn hidden_switch() -> bool {
     let listed = env::vars().count() + std::env::vars_os().count();
     let args = env::args().count();
     std::env::var_os("SINGLE_STEP").is_some() || env::var("MODE").is_ok() || listed + args > 0
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    // Exempt: test code may iterate hash maps.
-    #[test]
-    fn order_insensitive_probe() {
-        let m: HashMap<u64, u64> = HashMap::new();
-        assert_eq!(m.iter().count(), 0);
-    }
 }
