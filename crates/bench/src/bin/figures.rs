@@ -9,9 +9,10 @@
 //!
 //! Experiment cells run on a worker pool (`--jobs`, default: all cores).
 //! Results are assembled in deterministic order, so `--jobs 1` and
-//! `--jobs N` print byte-identical tables — CI diffs the two. A run
-//! summary (`[grid] cells=.. jobs=.. elapsed_ms=..`) goes to stderr to
-//! keep stdout clean for that diff.
+//! `--jobs N` print byte-identical tables — `tests/golden_figures.rs`
+//! holds both to `tests/golden/figures_all.txt`. A run summary
+//! (`[grid] cells=.. jobs=.. elapsed_ms=..`) goes to stderr to keep
+//! stdout clean for that comparison.
 
 use bio_bench::{cli, experiments};
 
@@ -32,24 +33,16 @@ fn main() {
     if let Some(jobs) = opts.jobs {
         bio_bench::set_default_jobs(jobs);
     }
-    let crash_enum = opts.crash_enum;
-    let (wanted, scale, crash_seeds) = (opts.wanted, opts.scale, opts.crash_seeds);
-    let all = wanted.iter().any(|w| w == "all");
+    let crash_seeds = opts.crash_seeds;
     let started = std::time::Instant::now();
 
-    println!("Barrier-Enabled IO Stack — experiment harness (scale {scale})");
-    for &(name, run) in experiments::SELECTORS {
-        if all || wanted.iter().any(|w| w == name) {
-            run(match name {
-                "figcrash" => crash_seeds,
-                _ => scale,
-            });
-        }
+    for (_, text) in experiments::render(&opts.wanted, opts.scale, crash_seeds) {
+        print!("{text}");
     }
     // Opt-in only (never under --all): the exhaustive differential crash
     // enumeration. Non-zero exit on cross-stack divergence so CI can gate.
     let mut divergent = false;
-    if crash_enum {
+    if opts.crash_enum {
         let t0 = std::time::Instant::now();
         let report = bio_bench::crash::run(crash_seeds);
         let secs = t0.elapsed().as_secs_f64();
@@ -80,9 +73,10 @@ fn print_help() {
         "usage: figures [--all] [--fig N]... [--table 1] [--scale K] [--seeds N] [--jobs J]\n\
          \x20      [--crash-enum]\n\
          figures: 1, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, engines, crash; table: 1\n\
-         --scale multiplies run length (1 = quick); --jobs bounds the\n\
+         --scale multiplies run length (1 = quick, at most {}); --jobs bounds the\n\
          experiment-grid worker pool (>= 1; 1 = serial, default: all cores)\n\
          --crash-enum runs the exhaustive differential crash enumeration\n\
-         (--seeds traces per stack; exits 3 on cross-stack divergence)"
+         (--seeds traces per stack; exits 3 on cross-stack divergence)",
+        cli::MAX_SCALE
     );
 }

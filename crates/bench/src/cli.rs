@@ -6,12 +6,19 @@ use std::num::NonZeroU64;
 
 use crate::experiments::SELECTORS;
 
+/// Largest `--scale` accepted. The widest product a figure forms from it
+/// is its measured window in nanoseconds (200 ms × scale), which leaves
+/// `u64` just above 9 × 10¹⁰; a release build would wrap there and print a
+/// table from the remainder. The cap sits far below that and far above any
+/// run that finishes (scale 1 is 1.4 s of wall time).
+pub const MAX_SCALE: u64 = 1_000_000;
+
 /// Parsed `figures` options.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CliOptions {
     /// Figure/table selectors: `"all"`, `"fig9"`, `"table1"`, ...
     pub wanted: Vec<String>,
-    /// Run-length multiplier (>= 1).
+    /// Run-length multiplier (1 ..= [`MAX_SCALE`]).
     pub scale: u64,
     /// Seeds for the crash ablation (and traces per stack for
     /// `--crash-enum`).
@@ -48,7 +55,7 @@ impl Default for CliOptions {
 /// values — in particular `--jobs 0`: a zero-worker pool is
 /// meaningless (`std::thread::scope` with no workers would simply hang the
 /// grid's consumers), so it is rejected rather than silently reinterpreted,
-/// and so is `--scale 0`.
+/// and so are `--scale 0` and a `--scale` above [`MAX_SCALE`].
 pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
     let mut opts = CliOptions::default();
     let mut i = 0;
@@ -94,6 +101,9 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
                 let scale: NonZeroU64 = raw
                     .parse()
                     .map_err(|_| format!("--scale expects a positive integer, got '{raw}'"))?;
+                if scale.get() > MAX_SCALE {
+                    return Err(format!("--scale must be <= {MAX_SCALE}, got '{raw}'"));
+                }
                 opts.scale = scale.get();
             }
             "--seeds" => {
@@ -179,6 +189,19 @@ mod tests {
     fn scale_zero_is_rejected() {
         let err = parse_args(&args(&["--all", "--scale", "0"])).unwrap_err();
         assert_eq!(err, "--scale expects a positive integer, got '0'");
+    }
+
+    #[test]
+    fn a_scale_whose_products_overflow_is_rejected() {
+        // 1_000 * scale wraps to 384 in a release build.
+        let err = parse_args(&args(&["--fig", "11", "--scale", "18446744073709552"])).unwrap_err();
+        assert_eq!(err, "--scale must be <= 1000000, got '18446744073709552'");
+        let max = MAX_SCALE.to_string();
+        assert_eq!(
+            parse_args(&args(&["--scale", &max])).unwrap().scale,
+            MAX_SCALE
+        );
+        assert!(parse_args(&args(&["--scale", "1000001"])).is_err());
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! scheduling**, and cells never print; callers assemble and print tables
 //! only after `run` returns. Serial and parallel runs of the same grid
 //! therefore produce byte-identical output — `tests/grid_determinism.rs`
-//! locks that in, and CI diffs a serial vs parallel `figures` run.
+//! locks that in, and the root `tests/golden_figures.rs` holds
+//! `figures --all` to one fixture at a serial and a wide pool.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

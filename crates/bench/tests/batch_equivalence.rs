@@ -14,11 +14,13 @@
 //! then on a fresh stack for exactly that many steps (determinism makes
 //! it the same prefix).
 
-use barrier_io::{DeviceProfile, FileRef, IoStack, StackConfig, Topology, CONGESTION_LIMIT};
+use barrier_io::{DeviceProfile, IoStack, StackConfig, Topology, CONGESTION_LIMIT};
+use bio_bench::experiments::cells::{
+    bfs_od, oltp, randwrite, sqlite, threads_of, ufs_and_ssd, ENDLESS, PRESETS,
+};
 use bio_sim::SimDuration;
 use bio_workloads::{
-    Dwsl, MailQueue, OltpInsert, RandWrite, RocksDbWal, Sqlite, SqliteJournalMode, SyncMode,
-    Varmail, WriteMode,
+    Dwsl, MailQueue, RocksDbWal, Sqlite, SqliteJournalMode, SyncMode, Varmail, WriteMode,
 };
 
 const WARM: SimDuration = SimDuration::from_millis(5);
@@ -27,9 +29,9 @@ const DONE_CAP: SimDuration = SimDuration::from_secs(3600);
 /// Op budget per thread of an until-done cell.
 const DONE_OPS: u64 = 12;
 
-/// Creates a model's files and threads; `n` bounds each thread's
+/// A stack with a model's files and threads; `n` bounds each thread's
 /// iterations.
-type Setup = fn(&mut IoStack, SyncMode, u64);
+type Setup = fn(StackConfig, SyncMode, u64) -> IoStack;
 
 #[derive(Clone, Copy)]
 enum Window {
@@ -49,108 +51,53 @@ struct Cell {
 
 impl Cell {
     fn stack(&self) -> IoStack {
-        let mut stack = IoStack::new(self.cfg.clone().with_history());
         let n = match self.window {
-            Window::Fixed => u64::MAX / 2,
+            Window::Fixed => ENDLESS,
             Window::UntilDone => DONE_OPS,
         };
-        (self.setup)(&mut stack, self.sync, n);
-        stack
+        (self.setup)(self.cfg.clone().with_history(), self.sync, n)
     }
 }
 
-fn randwrite(s: &mut IoStack, sync: SyncMode, n: u64) {
-    let f = FileRef::Global(s.create_global_file());
-    s.add_thread(Box::new(RandWrite::new(
-        f,
-        256,
-        WriteMode::SyncEach(sync),
-        n,
-    )));
-}
-
-fn dwsl(s: &mut IoStack, sync: SyncMode, n: u64) {
-    for _ in 0..4 {
-        s.add_thread(Box::new(Dwsl::new(sync, n)));
-    }
-}
-
-fn sqlite(s: &mut IoStack, sync: SyncMode, n: u64) {
-    let db = FileRef::Global(s.create_global_file());
-    let journal = FileRef::Global(s.create_global_file());
-    s.add_thread(Box::new(Sqlite::new(
-        SqliteJournalMode::Persist,
-        sync,
-        sync,
-        db,
-        journal,
-        n,
-        2048,
-    )));
-}
-
-fn varmail(s: &mut IoStack, sync: SyncMode, n: u64) {
-    for _ in 0..4 {
-        s.add_thread(Box::new(Varmail::new(sync, n, 8)));
-    }
-}
-
-fn oltp(s: &mut IoStack, sync: SyncMode, n: u64) {
-    let table = FileRef::Global(s.create_global_file());
-    let redo = FileRef::Global(s.create_global_file());
-    let binlog = FileRef::Global(s.create_global_file());
-    for _ in 0..4 {
-        s.add_thread(Box::new(OltpInsert::new(sync, table, redo, binlog, n)));
-    }
-}
-
-fn rocksdb(s: &mut IoStack, sync: SyncMode, n: u64) {
-    for _ in 0..2 {
-        s.add_thread(Box::new(RocksDbWal::new(sync, n)));
-    }
-}
-
-fn mailqueue(s: &mut IoStack, sync: SyncMode, n: u64) {
-    for _ in 0..4 {
-        s.add_thread(Box::new(MailQueue::new(sync, n, 8)));
-    }
+fn dwsl(cfg: StackConfig, sync: SyncMode, n: u64) -> IoStack {
+    threads_of(cfg, 4, || Box::new(Dwsl::new(sync, n)))
 }
 
 /// fig17's thread count and per-thread write count (`n` is not used: the
 /// cell is sized by how far it backs the block layer up).
-fn dwsl_256(s: &mut IoStack, sync: SyncMode, _n: u64) {
-    for _ in 0..256 {
-        s.add_thread(Box::new(Dwsl::new(sync, 2)));
-    }
+fn dwsl_256(cfg: StackConfig, sync: SyncMode, _n: u64) -> IoStack {
+    threads_of(cfg, 256, || Box::new(Dwsl::new(sync, 2)))
 }
 
-/// Every `StackConfig` constructor the figures use × {UFS, plain-SSD},
-/// crossed with all seven workload models; the window kind alternates so
-/// every constructor and every model runs under both.
+/// Every stack preset the figures use × {UFS, plain-SSD}, crossed with
+/// all seven workload models; the window kind alternates so every preset
+/// and every model runs under both.
 fn cells() -> Vec<Cell> {
-    type Preset = (fn(DeviceProfile) -> StackConfig, SyncMode);
-    let presets: [Preset; 5] = [
-        (StackConfig::ext4_dr, SyncMode::Fsync),
-        (StackConfig::ext4_od, SyncMode::Fsync),
-        (StackConfig::bfs, SyncMode::Fsync),
-        (|d| StackConfig::bfs(d).ordering_only(), SyncMode::Fbarrier),
-        (StackConfig::optfs, SyncMode::Fbarrier),
-    ];
     let models: [(&str, Setup); 7] = [
-        ("randwrite", randwrite),
+        ("randwrite", |cfg, sync, n| {
+            randwrite(cfg, 1, 256, WriteMode::SyncEach(sync), n)
+        }),
         ("dwsl", dwsl),
-        ("sqlite", sqlite),
-        ("varmail", varmail),
-        ("oltp", oltp),
-        ("rocksdb-wal", rocksdb),
-        ("mail-queue", mailqueue),
+        ("sqlite", |cfg, sync, n| {
+            let mode = SqliteJournalMode::Persist;
+            sqlite(cfg, |db, journal| {
+                Sqlite::new(mode, sync, sync, db, journal, n, 2048)
+            })
+        }),
+        ("varmail", |cfg, sync, n| {
+            threads_of(cfg, 4, || Box::new(Varmail::new(sync, n, 8)))
+        }),
+        ("oltp", |cfg, sync, n| oltp(cfg, 4, sync, n)),
+        ("rocksdb-wal", |cfg, sync, n| {
+            threads_of(cfg, 2, || Box::new(RocksDbWal::new(sync, n)))
+        }),
+        ("mail-queue", |cfg, sync, n| {
+            threads_of(cfg, 4, || Box::new(MailQueue::new(sync, n, 8)))
+        }),
     ];
     let mut cells = Vec::new();
-    for (di, dev) in [DeviceProfile::ufs(), DeviceProfile::plain_ssd()]
-        .into_iter()
-        .enumerate()
-    {
-        for (pi, (preset, sync)) in presets.iter().enumerate() {
+    for (di, dev) in ufs_and_ssd().into_iter().enumerate() {
+        for (pi, (preset, sync)) in PRESETS.iter().enumerate() {
             for (mi, (model, setup)) in models.iter().enumerate() {
                 let cfg = preset(dev.clone());
                 let window = if (di + pi + mi) % 2 == 0 {
@@ -169,9 +116,7 @@ fn cells() -> Vec<Cell> {
         }
     }
     // The lane grid with its cross-lane epoch sequencer.
-    let mq = StackConfig::bfs(DeviceProfile::plain_ssd())
-        .ordering_only()
-        .with_topology(Topology::new(2, 2, 8));
+    let mq = bfs_od(DeviceProfile::plain_ssd()).with_topology(Topology::new(2, 2, 8));
     for window in [Window::Fixed, Window::UntilDone] {
         cells.push(Cell {
             name: format!("{}/dwsl", mq.label()),
@@ -267,7 +212,7 @@ fn batched_runs_match_single_step_runs() {
 fn congested_run_matches_single_step_run() {
     let cell = Cell {
         name: "BFS-OD@plain-SSD/dwsl×256".into(),
-        cfg: StackConfig::bfs(DeviceProfile::plain_ssd()).ordering_only(),
+        cfg: bfs_od(DeviceProfile::plain_ssd()),
         sync: SyncMode::Fbarrier,
         setup: dwsl_256,
         window: Window::UntilDone,

@@ -3,19 +3,18 @@
 //! must produce identical `StackReport`s, and repeated serial runs must be
 //! bit-identical. The simulator's reproducibility story depends on it.
 
-use barrier_io::{DeviceProfile, FileRef, SimDuration, StackConfig, Workload};
-use bio_bench::{run_windowed, ExperimentGrid};
-use bio_workloads::{RandWrite, SyncMode, WriteMode};
+use barrier_io::{SimDuration, StackConfig};
+use bio_bench::experiments::cells::{randwrite, run_cell, ufs_and_ssd, Span, ENDLESS};
+use bio_bench::ExperimentGrid;
+use bio_workloads::{SyncMode, WriteMode};
 
 /// One grid over the experiment matrix: device x mode x seed. Each cell
 /// runs a real stack and returns the full report, formatted (StackReport
 /// holds floats and has no Eq; its Debug form captures every field).
 fn report_grid() -> ExperimentGrid<String> {
+    let span = Span::Window(SimDuration::from_millis(20));
     let mut grid = ExperimentGrid::new();
-    for (di, dev) in [DeviceProfile::ufs(), DeviceProfile::plain_ssd()]
-        .into_iter()
-        .enumerate()
-    {
+    for (di, dev) in ufs_and_ssd().into_iter().enumerate() {
         for seed in [7u64, 21] {
             for (label, cfg) in [
                 ("ext4", StackConfig::ext4_dr(dev.clone())),
@@ -23,21 +22,9 @@ fn report_grid() -> ExperimentGrid<String> {
             ] {
                 let cfg = cfg.with_seed(seed);
                 grid.push(format!("{label}/dev{di}/seed{seed}"), move || {
-                    let report = run_windowed(
-                        cfg,
-                        |_| {
-                            Box::new(RandWrite::new(
-                                FileRef::Global(0),
-                                256,
-                                WriteMode::SyncEach(SyncMode::Fdatasync),
-                                u64::MAX / 2,
-                            )) as Box<dyn Workload>
-                        },
-                        2,
-                        SimDuration::from_millis(5),
-                        SimDuration::from_millis(20),
-                    );
-                    format!("{report:?}")
+                    let mode = WriteMode::SyncEach(SyncMode::Fdatasync);
+                    let writers = randwrite(cfg, 2, 256, mode, ENDLESS);
+                    format!("{:?}", run_cell(writers, span).1)
                 });
             }
         }
