@@ -46,13 +46,13 @@ fn main() {
         let t0 = std::time::Instant::now();
         let report = bio_bench::crash::run(crash_seeds);
         let secs = t0.elapsed().as_secs_f64();
+        print!("{}", report.render());
         // Throughput goes to stderr: stdout stays byte-identical between
         // machines.
+        let points = report.total("crash points");
         eprintln!(
-            "[crash-enum] points={} elapsed_s={:.2} points_per_s={:.0}",
-            report.total_points,
-            secs,
-            report.total_points as f64 / secs.max(f64::MIN_POSITIVE),
+            "[crash-enum] points={points} elapsed_s={secs:.2} points_per_s={:.0}",
+            points as f64 / secs.max(f64::MIN_POSITIVE),
         );
         divergent = !report.divergences.is_empty();
     }
@@ -76,7 +76,8 @@ fn print_help() {
          --scale multiplies run length (1 = quick, at most {}); --jobs bounds the\n\
          experiment-grid worker pool (>= 1; 1 = serial, default: all cores)\n\
          --crash-enum runs the exhaustive differential crash enumeration\n\
-         (--seeds traces per stack; exits 3 on cross-stack divergence)",
-        cli::MAX_SCALE
+         (--seeds traces per stack, at most {}; exits 3 on cross-stack divergence)",
+        cli::MAX_SCALE,
+        cli::MAX_SEEDS
     );
 }

@@ -13,6 +13,16 @@ use crate::experiments::SELECTORS;
 /// run that finishes (scale 1 is 1.4 s of wall time).
 pub const MAX_SCALE: u64 = 1_000_000;
 
+/// Largest `--seeds` accepted. `--crash-enum` enqueues six closures per
+/// seed before it runs one and keeps their outcomes until the fold (about
+/// 100 KB per seed, measured at 1,000 seeds); `--fig crash` holds three
+/// boxed cells per seed. The widest product formed is the crash instant of
+/// `--fig crash`, `(2 + 3 × seed)` ms in nanoseconds, which leaves `u64`
+/// near 6 × 10¹² — a release build would wrap there, a debug build panic.
+/// The cap sits at about 1 GB of held outcomes: far below the overflow,
+/// and 27 times CI's 360-seed run (over a minute of wall time).
+pub const MAX_SEEDS: u64 = 10_000;
+
 /// Parsed `figures` options.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CliOptions {
@@ -21,7 +31,7 @@ pub struct CliOptions {
     /// Run-length multiplier (1 ..= [`MAX_SCALE`]).
     pub scale: u64,
     /// Seeds for the crash ablation (and traces per stack for
-    /// `--crash-enum`).
+    /// `--crash-enum`), at most [`MAX_SEEDS`].
     pub crash_seeds: u64,
     /// Worker-pool override; `None` = auto (all cores).
     pub jobs: Option<usize>,
@@ -55,7 +65,8 @@ impl Default for CliOptions {
 /// values — in particular `--jobs 0`: a zero-worker pool is
 /// meaningless (`std::thread::scope` with no workers would simply hang the
 /// grid's consumers), so it is rejected rather than silently reinterpreted,
-/// and so are `--scale 0` and a `--scale` above [`MAX_SCALE`].
+/// and so are `--scale 0`, a `--scale` above [`MAX_SCALE`] and a `--seeds`
+/// above [`MAX_SEEDS`].
 pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
     let mut opts = CliOptions::default();
     let mut i = 0;
@@ -114,6 +125,9 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
                 opts.crash_seeds = raw
                     .parse()
                     .map_err(|_| format!("--seeds expects an integer, got '{raw}'"))?;
+                if opts.crash_seeds > MAX_SEEDS {
+                    return Err(format!("--seeds must be <= {MAX_SEEDS}, got '{raw}'"));
+                }
             }
             "--crash-enum" => opts.crash_enum = true,
             "--help" | "-h" => opts.help = true,
@@ -202,6 +216,26 @@ mod tests {
             MAX_SCALE
         );
         assert!(parse_args(&args(&["--scale", "1000001"])).is_err());
+    }
+
+    #[test]
+    fn a_seed_count_no_run_could_hold_is_rejected() {
+        // 2 + seed * 3 wraps in a release build and panics in a debug one.
+        let err = parse_args(&args(&[
+            "--fig",
+            "crash",
+            "--seeds",
+            "18446744073709551615",
+        ]));
+        assert_eq!(
+            err.unwrap_err(),
+            "--seeds must be <= 10000, got '18446744073709551615'"
+        );
+        let max = MAX_SEEDS.to_string();
+        let o = parse_args(&args(&["--crash-enum", "--seeds", &max])).unwrap();
+        assert_eq!(o.crash_seeds, MAX_SEEDS);
+        assert!(parse_args(&args(&["--crash-enum", "--seeds", "10001"])).is_err());
+        assert_eq!(parse_args(&args(&["--seeds", "0"])).unwrap().crash_seeds, 0);
     }
 
     #[test]

@@ -462,8 +462,7 @@ impl CrashPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crash::differential_cells;
-    use barrier_io::DeviceProfile;
+    use crate::crash::{differential_cells, DiffCell};
 
     #[test]
     fn index_advance_work_is_bounded_by_the_delta() {
@@ -478,9 +477,9 @@ mod tests {
             });
             records.len() + claimed + devices.sum::<usize>()
         }
-        for (label, cfg, sync) in differential_cells(DeviceProfile::ufs())
-            .into_iter()
-            .flatten()
+        for DiffCell {
+            label, cfg, sync, ..
+        } in differential_cells()
         {
             let mut stack = trace_stack(cfg, sync, 11, 400);
             stack.enable_capture_tracking();
@@ -506,9 +505,9 @@ mod tests {
 
     #[test]
     fn delta_capture_is_bit_identical_to_scratch_capture() {
-        for (label, cfg, sync) in differential_cells(DeviceProfile::ufs())
-            .into_iter()
-            .flatten()
+        for DiffCell {
+            label, cfg, sync, ..
+        } in differential_cells()
         {
             let delta = capture_points(cfg.clone(), sync, 3, CaptureMode::Delta);
             let scratch = capture_points(cfg, sync, 3, CaptureMode::Scratch);

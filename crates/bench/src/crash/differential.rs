@@ -1,19 +1,34 @@
 //! Differential: the same traces through EXT4-DR, BFS-DR and BFS-OD at
 //! 1q×1dev and 2q×2dev, enumerated at every commit, with capture points
 //! aligned across the stacks of one topology and any disagreement reported
-//! as a minimized divergence ([`run`]).
-
-use std::collections::{HashMap, HashSet};
+//! as a minimized divergence. [`differential_cells`] is the table, [`run`]
+//! enqueues it, `fold` makes the [`CrashEnumReport`]; nothing here prints.
 
 use barrier_io::{DeviceProfile, StackConfig, Topology};
 use bio_workloads::SyncMode;
 
 use super::capture::CaptureMode;
 use super::enumerate::{enumerate_trace_with, CellOutcome, PointOutcome};
-use crate::{print_table, ExperimentGrid};
+use crate::{render_table, ExperimentGrid};
+
+/// One row of the differential: a stack, the sync call its trace issues,
+/// and the group of rows it is compared with.
+#[derive(Debug, Clone)]
+pub struct DiffCell {
+    /// Stack label (`EXT4-DR`, `BFS-DR/2x2`, ...).
+    pub label: &'static str,
+    /// Comparison group (`1q1d`, `2q2d`): divergences are only meaningful
+    /// between stacks that shard blocks identically over the same device.
+    /// The rows of a group are adjacent in the table.
+    pub group: &'static str,
+    /// The stack, history recording on.
+    pub cfg: StackConfig,
+    /// Sync flavour of the trace.
+    pub sync: SyncMode,
+}
 
 /// Per-stack aggregate over all traces.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StackRow {
     /// Stack label (`EXT4-DR`, `BFS-DR/2x2`, ...).
     pub label: &'static str,
@@ -37,25 +52,44 @@ pub struct StackRow {
     pub epoch_violations: u64,
 }
 
-/// Sampled-vs-exhaustive coverage counters over the whole run.
-#[derive(Debug, Clone, Default)]
-pub struct CrashStats {
-    /// Distinct images checked by exhaustive enumeration.
-    pub exhaustive_images: u64,
-    /// Exhaustive enumerations skipped by dedup.
-    pub exhaustive_duplicates: u64,
-    /// Distinct images reached only by stratified sampling.
-    pub sampled_images: u64,
-    /// Sampled draws deduplicated away.
-    pub sampled_duplicates: u64,
-    /// Capture points whose choice space was clamped.
-    pub clamped_points: u64,
+impl StackRow {
+    /// The row of `label`: the sums over every capture point of `traces`.
+    fn of(label: &'static str, traces: &[CellOutcome]) -> StackRow {
+        let mut row = StackRow::default();
+        (row.label, row.traces) = (label, traces.len() as u64);
+        for p in traces.iter().flat_map(|t| &t.points) {
+            row.fork_points += 1;
+            row.images += p.images;
+            row.duplicates += p.duplicates;
+            row.sampled_images += p.sampled_images;
+            row.sampled_duplicates += p.sampled_duplicates;
+            row.clamped_points += u64::from(p.clamped);
+            row.fs_violations += p.fs_violations;
+            row.epoch_violations += p.epoch_violations;
+        }
+        row
+    }
+
+    /// The row's counters under their headers in the per-stack table.
+    fn columns(&self) -> [(&'static str, u64); 9] {
+        [
+            ("traces", self.traces),
+            ("fork points", self.fork_points),
+            ("crash points", self.images),
+            ("dedup-skipped", self.duplicates),
+            ("sampled", self.sampled_images),
+            ("sampled-dup", self.sampled_duplicates),
+            ("clamped", self.clamped_points),
+            ("fs violations", self.fs_violations),
+            ("epoch violations", self.epoch_violations),
+        ]
+    }
 }
 
 /// A cross-stack divergence: at an aligned `(trace, capture point)` this
 /// stack violated while a peer stayed clean, minimized to the smallest
 /// reordering choice that still violates.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DivergenceTriple {
     /// Trace seed.
     pub seed: u64,
@@ -72,196 +106,57 @@ pub struct DivergenceTriple {
 /// Full report of one differential crash-enumeration run.
 #[derive(Debug, Clone)]
 pub struct CrashEnumReport {
-    /// Per-stack aggregates.
+    /// Per-stack aggregates, in [`differential_cells`] order.
     pub rows: Vec<StackRow>,
-    /// Total distinct crash points explored exhaustively across stacks.
-    pub total_points: u64,
-    /// Sampled-vs-exhaustive coverage over the whole run.
-    pub stats: CrashStats,
     /// Cross-stack divergences (empty = all stacks agree).
     pub divergences: Vec<DivergenceTriple>,
 }
 
-/// The six differential cells over `dev`, as `(label, config, sync
-/// flavour)` grouped by lane topology (divergences are only meaningful
-/// between stacks that shard blocks identically): the flush-based baseline
-/// and the two BarrierFS disciplines must agree, at 1q×1dev and again at
-/// 2q×2dev, stripe 16. History recording is on in every cell.
-pub fn differential_cells(dev: DeviceProfile) -> [[(&'static str, StackConfig, SyncMode); 3]; 2] {
-    let cells = |[ext4_dr, bfs_dr, bfs_od]: [&'static str; 3], topology: Topology| {
-        [
-            (ext4_dr, StackConfig::ext4_dr(dev.clone()), SyncMode::Fsync),
-            (bfs_dr, StackConfig::bfs(dev.clone()), SyncMode::Fsync),
-            (
-                bfs_od,
-                StackConfig::bfs(dev.clone()).ordering_only(),
-                SyncMode::Fbarrier,
-            ),
-        ]
-        .map(|(label, cfg, sync)| (label, cfg.with_history().with_topology(topology), sync))
-    };
-    [
-        cells(["EXT4-DR", "BFS-DR", "BFS-OD"], Topology::single()),
-        cells(
-            ["EXT4-DR/2x2", "BFS-DR/2x2", "BFS-OD/2x2"],
-            Topology::new(2, 2, 16),
-        ),
-    ]
-}
-
-/// Runs the differential crash enumeration over `traces` seeds per stack,
-/// sharded across the grid pool, prints the per-stack table (and the
-/// divergence table when non-empty), and returns the report. The stacks
-/// are [`differential_cells`] over the paper's barrier UFS.
-pub fn run(traces: u64) -> CrashEnumReport {
-    let groups = differential_cells(DeviceProfile::ufs());
-    let stacks = groups.as_flattened();
-    let mut grid = ExperimentGrid::new();
-    for (label, cfg, sync) in stacks {
-        for seed in 0..traces {
-            let (cfg, sync) = (cfg.clone(), *sync);
-            grid.push(format!("crashenum/{label}/seed{seed}"), move || {
-                enumerate_trace_with(cfg, sync, seed, CaptureMode::Delta)
-            });
-        }
+impl CrashEnumReport {
+    /// The number at row `stack` (its label), column `column` (its header
+    /// in the per-stack table).
+    pub fn value(&self, stack: &str, column: &str) -> Option<u64> {
+        let columns = self.rows.iter().find(|r| r.label == stack)?.columns();
+        let named = |(name, number)| (name == column).then_some(number);
+        columns.into_iter().find_map(named)
     }
-    let results = grid.run();
-    assert_eq!(results.len(), stacks.len() * traces as usize);
 
-    let mut rows = Vec::new();
-    let mut stats = CrashStats::default();
-    let mut divergences = Vec::new();
-    // One slice per stack, empty when `traces` is 0 (`chunks` would
-    // yield no slices at all then, and the group fold below indexes them).
-    let per_stack = traces as usize;
-    let cells: Vec<&[CellOutcome]> = (0..stacks.len())
-        .map(|i| &results[i * per_stack..(i + 1) * per_stack])
-        .collect();
-    for ((label, _, _), chunk) in stacks.iter().zip(&cells) {
-        let mut row = StackRow {
-            label,
-            traces,
-            fork_points: 0,
-            images: 0,
-            duplicates: 0,
-            sampled_images: 0,
-            sampled_duplicates: 0,
-            clamped_points: 0,
-            fs_violations: 0,
-            epoch_violations: 0,
+    /// Column `column` summed over the stacks: `"crash points"` is the
+    /// total of distinct crash points explored exhaustively.
+    pub fn total(&self, column: &str) -> u64 {
+        let of = |r: &StackRow| self.value(r.label, column);
+        self.rows.iter().filter_map(of).sum()
+    }
+
+    /// What `figures --crash-enum` prints: the per-stack table, the totals
+    /// and sampled-vs-exhaustive coverage lines, and the first ten
+    /// divergences as a table when there are any.
+    pub fn render(&self) -> String {
+        let headers = StackRow::default().columns().map(|(name, _)| name);
+        let header: Vec<&str> = std::iter::once("stack").chain(headers).collect();
+        let line = |r: &StackRow| {
+            let mut line = vec![r.label.to_string()];
+            line.extend(r.columns().map(|(_, number)| number.to_string()));
+            line
         };
-        for cell in *chunk {
-            row.fork_points += cell.points.len() as u64;
-            for p in &cell.points {
-                row.images += p.images;
-                row.duplicates += p.duplicates;
-                row.sampled_images += p.sampled_images;
-                row.sampled_duplicates += p.sampled_duplicates;
-                row.clamped_points += p.clamped as u64;
-                row.fs_violations += p.fs_violations;
-                row.epoch_violations += p.epoch_violations;
-            }
-        }
-        stats.exhaustive_images += row.images;
-        stats.exhaustive_duplicates += row.duplicates;
-        stats.sampled_images += row.sampled_images;
-        stats.sampled_duplicates += row.sampled_duplicates;
-        stats.clamped_points += row.clamped_points;
-        rows.push(row);
-    }
-
-    // Differential fold, per topology group: align per-seed capture
-    // points by commit count; any point where the violation verdicts
-    // differ across the group's stacks is a divergence for each violating
-    // stack.
-    let mut offset = 0usize;
-    for group in &groups {
-        let group_cells = &cells[offset..offset + group.len()];
-        for seed in 0..traces as usize {
-            let per_stack: Vec<HashMap<usize, &PointOutcome>> = group_cells
-                .iter()
-                .map(|chunk| {
-                    chunk[seed]
-                        .points
-                        .iter()
-                        .map(|p| (p.commit_idx, p))
-                        .collect()
-                })
-                .collect();
-            let aligned: HashSet<usize> = per_stack
-                .iter()
-                .flat_map(|m| m.keys().copied())
-                .filter(|k| per_stack.iter().all(|m| m.contains_key(k)))
-                .collect();
-            let mut aligned: Vec<usize> = aligned.into_iter().collect();
-            aligned.sort_unstable();
-            for k in aligned {
-                let verdicts: Vec<bool> = per_stack.iter().map(|m| m[&k].worst.is_some()).collect();
-                if verdicts.iter().any(|&v| v) && verdicts.iter().any(|&v| !v) {
-                    for ((label, _, _), m) in group.iter().zip(&per_stack) {
-                        if let Some(case) = &m[&k].worst {
-                            divergences.push(DivergenceTriple {
-                                seed: seed as u64,
-                                commit_idx: k,
-                                stack: label,
-                                choices: case.choices.clone(),
-                                detail: case.detail.clone(),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        offset += group.len();
-    }
-
-    let total_points: u64 = rows.iter().map(|r| r.images).sum();
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.label.to_string(),
-                r.traces.to_string(),
-                r.fork_points.to_string(),
-                r.images.to_string(),
-                r.duplicates.to_string(),
-                r.sampled_images.to_string(),
-                r.sampled_duplicates.to_string(),
-                r.clamped_points.to_string(),
-                r.fs_violations.to_string(),
-                r.epoch_violations.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        "Crash enumeration — exhaustive per-epoch crash images (differential)",
-        &[
-            "stack",
-            "traces",
-            "fork points",
-            "crash points",
-            "dedup-skipped",
-            "sampled",
-            "sampled-dup",
-            "clamped",
-            "fs violations",
-            "epoch violations",
-        ],
-        &table,
-    );
-    println!(
-        "total crash points explored: {total_points}; cross-stack divergences: {}",
-        divergences.len()
-    );
-    println!(
-        "stratified sampling: {} extra images past the clamp ({} draws deduplicated, {} clamped points)",
-        stats.sampled_images, stats.sampled_duplicates, stats.clamped_points
-    );
-    if !divergences.is_empty() {
-        let rows: Vec<Vec<String>> = divergences
-            .iter()
-            .take(10)
-            .map(|d| {
+        let rows: Vec<Vec<String>> = self.rows.iter().map(line).collect();
+        let mut out = render_table(
+            "Crash enumeration — exhaustive per-epoch crash images (differential)",
+            &header,
+            &rows,
+        );
+        out.push_str(&format!(
+            "total crash points explored: {}; cross-stack divergences: {}\n\
+             stratified sampling: {} extra images past the clamp \
+             ({} draws deduplicated, {} clamped points)\n",
+            self.total("crash points"),
+            self.divergences.len(),
+            self.total("sampled"),
+            self.total("sampled-dup"),
+            self.total("clamped")
+        ));
+        if !self.divergences.is_empty() {
+            let line = |d: &DivergenceTriple| {
                 vec![
                     d.stack.to_string(),
                     d.seed.to_string(),
@@ -269,41 +164,273 @@ pub fn run(traces: u64) -> CrashEnumReport {
                     format!("{:?}", d.choices),
                     d.detail.clone(),
                 ]
-            })
-            .collect();
-        print_table(
-            "Cross-stack divergences (minimized reordering triples)",
-            &[
-                "stack",
-                "trace seed",
-                "fork point",
-                "choice",
-                "first violation",
-            ],
-            &rows,
-        );
+            };
+            let rows: Vec<Vec<String>> = self.divergences.iter().take(10).map(line).collect();
+            out.push_str(&render_table(
+                "Cross-stack divergences (minimized reordering triples)",
+                &[
+                    "stack",
+                    "trace seed",
+                    "fork point",
+                    "choice",
+                    "first violation",
+                ],
+                &rows,
+            ));
+        }
+        out
     }
-    CrashEnumReport {
-        rows,
-        total_points,
-        stats,
-        divergences,
+}
+
+/// The differential's rows: the flush-based baseline and the two BarrierFS
+/// disciplines must agree on the paper's barrier UFS, at 1q×1dev and again
+/// at 2q×2dev, stripe 16. History recording is on in every row. A new
+/// stack, device or topology is one more row here, next to the rows it
+/// must agree with (same `group`); then regenerate
+/// `tests/golden/crash_enum.txt`.
+pub fn differential_cells() -> Vec<DiffCell> {
+    let dev = DeviceProfile::ufs;
+    let (single, striped) = (Topology::single(), Topology::new(2, 2, 16));
+    let (dr, bfs) = (StackConfig::ext4_dr, StackConfig::bfs);
+    let od = |dev| StackConfig::bfs(dev).ordering_only();
+    let (fsync, fbarrier) = (SyncMode::Fsync, SyncMode::Fbarrier);
+    let row = |label, group, cfg: StackConfig, topology, sync| DiffCell {
+        label,
+        group,
+        cfg: cfg.with_history().with_topology(topology),
+        sync,
+    };
+    vec![
+        row("EXT4-DR", "1q1d", dr(dev()), single, fsync),
+        row("BFS-DR", "1q1d", bfs(dev()), single, fsync),
+        row("BFS-OD", "1q1d", od(dev()), single, fbarrier),
+        row("EXT4-DR/2x2", "2q2d", dr(dev()), striped, fsync),
+        row("BFS-DR/2x2", "2q2d", bfs(dev()), striped, fsync),
+        row("BFS-OD/2x2", "2q2d", od(dev()), striped, fbarrier),
+    ]
+}
+
+/// Runs the differential crash enumeration: every row of
+/// [`differential_cells`] over trace seeds `0..traces`, sharded across the
+/// grid pool, folded into the report.
+pub fn run(traces: u64) -> CrashEnumReport {
+    let cells = differential_cells();
+    let seeds: Vec<u64> = (0..traces).collect();
+    let mut grid = ExperimentGrid::new();
+    for cell in &cells {
+        for &seed in &seeds {
+            let (cfg, sync) = (cell.cfg.clone(), cell.sync);
+            grid.push(format!("crashenum/{}/seed{seed}", cell.label), move || {
+                enumerate_trace_with(cfg, sync, seed, CaptureMode::Delta)
+            });
+        }
     }
+    // Outcomes come back in enqueue order: one run of `seeds` per row.
+    let mut outcomes = grid.run().into_iter();
+    let per_row = |_| outcomes.by_ref().take(seeds.len()).collect();
+    let outcomes: Vec<Vec<CellOutcome>> = cells.iter().map(per_row).collect();
+    fold(&cells, &seeds, &outcomes)
+}
+
+/// The report of `outcomes`: `outcomes[i][j]` is what row `cells[i]` made
+/// of the trace of `seeds[j]`. A row's counters are the sums over its
+/// points. Within each group, the stacks' capture points of one trace are
+/// aligned by commit count; an aligned point where some stack violates
+/// while another stays clean is a divergence for each violating stack.
+fn fold(cells: &[DiffCell], seeds: &[u64], outcomes: &[Vec<CellOutcome>]) -> CrashEnumReport {
+    assert_eq!(cells.len(), outcomes.len(), "one outcome list per row");
+    let stacks: Vec<(&DiffCell, &Vec<CellOutcome>)> = cells.iter().zip(outcomes).collect();
+    let mut divergences = Vec::new();
+    for group in stacks.chunk_by(|a, b| a.0.group == b.0.group) {
+        for (j, &seed) in seeds.iter().enumerate() {
+            let points: Vec<&[PointOutcome]> = group.iter().map(|(_, t)| &*t[j].points).collect();
+            for point in aligned(&points) {
+                // Nobody disagrees unless some stack stayed clean here.
+                if point.iter().all(|p| p.worst.is_some()) {
+                    continue;
+                }
+                for ((cell, _), p) in group.iter().zip(point) {
+                    if let Some(case) = &p.worst {
+                        divergences.push(DivergenceTriple {
+                            seed,
+                            commit_idx: p.commit_idx,
+                            stack: cell.label,
+                            choices: case.choices.clone(),
+                            detail: case.detail.clone(),
+                        });
+                    }
+                }
+            }
+        }
+    }
+    let row = |(cell, traces): &(&DiffCell, &Vec<CellOutcome>)| StackRow::of(cell.label, traces);
+    let rows = stacks.iter().map(row).collect();
+    CrashEnumReport { rows, divergences }
+}
+
+/// The capture points every one of `stacks` reached, one `PointOutcome`
+/// per stack each, by ascending commit count. Each list is one trace's
+/// points in capture order, so its `commit_idx` only grows and the lists
+/// are walked in step: per point of the first, each peer skips what is
+/// older and must then stand at the same commit.
+fn aligned<'a>(stacks: &[&'a [PointOutcome]]) -> Vec<Vec<&'a PointOutcome>> {
+    let Some((first, peers)) = stacks.split_first() else {
+        return Vec::new();
+    };
+    let mut peers: Vec<_> = peers.iter().map(|s| s.iter().peekable()).collect();
+    let reached_by_all = |p: &'a PointOutcome| {
+        let mut point = vec![p];
+        for peer in &mut peers {
+            while peer.next_if(|q| q.commit_idx < p.commit_idx).is_some() {}
+            point.push(peer.next_if(|q| q.commit_idx == p.commit_idx)?);
+        }
+        Some(point)
+    };
+    first.iter().filter_map(reached_by_all).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::crash::capture::{trace_stack, TRACE_OPS};
+    use crate::crash::ViolationCase;
     use bio_sim::SimDuration;
+
+    fn group(name: &str) -> Vec<DiffCell> {
+        let mut cells = differential_cells();
+        cells.retain(|c| c.group == name);
+        cells
+    }
+
+    /// A one-image point at `commit_idx`, violating or clean.
+    fn point(commit_idx: usize, violates: bool) -> PointOutcome {
+        PointOutcome {
+            commit_idx,
+            images: 1,
+            duplicates: 0,
+            sampled_images: 0,
+            sampled_duplicates: 0,
+            clamped: false,
+            fs_violations: u64::from(violates),
+            epoch_violations: 0,
+            worst: violates.then(|| ViolationCase {
+                choices: vec![1],
+                fs_violations: 1,
+                epoch_violations: 0,
+                detail: "forged".into(),
+            }),
+        }
+    }
+
+    /// One trace (seed 7) per stack of the 1q1d group, from per-stack
+    /// `(commit_idx, violates)` lists, folded.
+    fn folded(stacks: [&[(usize, bool)]; 3]) -> CrashEnumReport {
+        let trace = |points: &[(usize, bool)]| {
+            let points = points.iter().map(|&(k, v)| point(k, v)).collect();
+            vec![CellOutcome { points }]
+        };
+        fold(&group("1q1d"), &[7], &stacks.map(trace))
+    }
 
     #[test]
     fn zero_traces_report_zero_rows_for_every_stack() {
         let report = run(0);
         assert_eq!(report.rows.len(), 6);
         assert!(report.rows.iter().all(|r| r.traces == 0 && r.images == 0));
-        assert_eq!(report.total_points, 0);
+        assert_eq!(report.total("crash points"), 0);
         assert!(report.divergences.is_empty());
+    }
+
+    #[test]
+    fn one_violating_stack_at_an_aligned_point_is_one_divergence() {
+        let clean = [(1, false), (2, false)];
+        let report = folded([&clean, &[(1, false), (2, true)], &clean]);
+        let triple = DivergenceTriple {
+            seed: 7,
+            commit_idx: 2,
+            stack: "BFS-DR",
+            choices: vec![1],
+            detail: "forged".into(),
+        };
+        assert_eq!(report.divergences, [triple]);
+        assert_eq!(report.value("BFS-DR", "fs violations"), Some(1));
+        assert_eq!(report.value("BFS-OD", "fs violations"), Some(0));
+        assert_eq!(report.value("BFS-DR", "no such column"), None);
+        assert_eq!(report.value("no such stack", "traces"), None);
+        let text = report.render();
+        assert!(text.contains("cross-stack divergences: 1\n"), "{text}");
+        let table = "== Cross-stack divergences (minimized reordering triples) ==\n";
+        let (_, rows) = text.split_once(table).expect("a divergence table");
+        let cells: Vec<&str> = rows.lines().nth(1).unwrap().split_whitespace().collect();
+        assert_eq!(cells, ["BFS-DR", "7", "2", "[1]", "forged"]);
+    }
+
+    #[test]
+    fn stacks_that_all_violate_or_all_stay_clean_do_not_diverge() {
+        for verdict in [true, false] {
+            let same = [(1, false), (2, verdict)];
+            let report = folded([&same, &same, &same]);
+            assert!(report.divergences.is_empty(), "{:?}", report.divergences);
+            assert!(!report.render().contains("Cross-stack divergences"));
+        }
+    }
+
+    #[test]
+    fn a_point_one_stack_never_reached_is_not_aligned() {
+        // Commit 2 violates on BFS-DR and is clean on EXT4-DR, but BFS-OD
+        // has no capture there: no three-way verdict, no divergence.
+        let report = folded([
+            &[(1, false), (2, false), (3, false)],
+            &[(1, false), (2, true), (3, false)],
+            &[(1, false), (3, false)],
+        ]);
+        assert!(report.divergences.is_empty(), "{:?}", report.divergences);
+        assert_eq!(report.value("BFS-DR", "fork points"), Some(3));
+        assert_eq!(report.value("BFS-OD", "fork points"), Some(2));
+    }
+
+    #[test]
+    fn verdicts_are_compared_within_a_topology_group_only() {
+        // Every 2q2d stack violates at commit 1 and every 1q1d stack is
+        // clean there: the groups disagree, no group does.
+        let trace = |violates| {
+            vec![CellOutcome {
+                points: vec![point(1, violates)],
+            }]
+        };
+        let cells = differential_cells();
+        let outcomes: Vec<_> = cells.iter().map(|c| trace(c.group == "2q2d")).collect();
+        let report = fold(&cells, &[0], &outcomes);
+        assert!(report.divergences.is_empty(), "{:?}", report.divergences);
+        assert_eq!(report.value("BFS-OD/2x2", "fs violations"), Some(1));
+    }
+
+    #[test]
+    fn trace_seed_376_is_the_known_striped_bfs_od_divergence() {
+        // ROADMAP item 2(a): BFS-OD tears a transaction on 2q×2dev. Closing
+        // that item makes this trace clean — flip the expectation to "no
+        // divergence" in the same PR.
+        let cells = group("2q2d");
+        let outcomes: Vec<_> = cells
+            .iter()
+            .map(|c| {
+                vec![enumerate_trace_with(
+                    c.cfg.clone(),
+                    c.sync,
+                    376,
+                    CaptureMode::Delta,
+                )]
+            })
+            .collect();
+        let report = fold(&cells, &[376], &outcomes);
+        let triple = DivergenceTriple {
+            seed: 376,
+            commit_idx: 100,
+            stack: "BFS-OD/2x2",
+            choices: vec![16, 0],
+            detail: "TornTransaction { txn: 11 }".into(),
+        };
+        assert_eq!(report.divergences, [triple]);
     }
 
     #[test]
@@ -311,36 +438,31 @@ mod tests {
         // The 2q×2dev group: every lane must have sequenced epochs, the
         // three stacks must align on at least 12 capture points by commit
         // count, and the verdicts at every aligned point must agree.
-        let [_, group] = differential_cells(DeviceProfile::ufs());
-        let cells: Vec<CellOutcome> = group
+        let cells = group("2q2d");
+        let outcomes: Vec<_> = cells
             .iter()
-            .map(|(_, cfg, sync)| enumerate_trace_with(cfg.clone(), *sync, 0, CaptureMode::Delta))
+            .map(|c| {
+                vec![enumerate_trace_with(
+                    c.cfg.clone(),
+                    c.sync,
+                    0,
+                    CaptureMode::Delta,
+                )]
+            })
             .collect();
-        let per_stack: Vec<HashMap<usize, &PointOutcome>> = cells
-            .iter()
-            .map(|c| c.points.iter().map(|p| (p.commit_idx, p)).collect())
-            .collect();
-        let aligned: Vec<usize> = per_stack[0]
-            .keys()
-            .copied()
-            .filter(|k| per_stack.iter().all(|m| m.contains_key(k)))
-            .collect();
+        let points: Vec<&[PointOutcome]> =
+            outcomes.iter().map(|t| t[0].points.as_slice()).collect();
+        let aligned = aligned(&points).len();
         assert!(
-            aligned.len() >= 12,
-            "only {} aligned multi-lane capture points",
-            aligned.len()
+            aligned >= 12,
+            "only {aligned} aligned multi-lane capture points"
         );
-        for k in aligned {
-            let verdicts: Vec<bool> = per_stack.iter().map(|m| m[&k].worst.is_some()).collect();
-            assert!(
-                verdicts.iter().all(|&v| v == verdicts[0]),
-                "multi-lane divergence at commit {k}: {verdicts:?}"
-            );
-        }
+        let report = fold(&cells, &[0], &outcomes);
+        assert!(report.divergences.is_empty(), "{:?}", report.divergences);
         // Per-lane epoch capture hook: the barrier-issuing stack (BFS-DR)
         // must have released epochs on all four lanes.
-        let (_, cfg, sync) = group[1].clone();
-        let mut stack = trace_stack(cfg, sync, 0, TRACE_OPS);
+        let bfs_dr = cells.iter().find(|c| c.label == "BFS-DR/2x2").unwrap();
+        let mut stack = trace_stack(bfs_dr.cfg.clone(), bfs_dr.sync, 0, TRACE_OPS);
         stack.run_until_done(SimDuration::from_secs(10));
         let lanes = stack.report().lanes;
         assert_eq!(lanes.len(), 4);

@@ -377,8 +377,8 @@ fn sample_seed(trace_seed: u64, commit_idx: usize) -> u64 {
 mod tests {
     use super::*;
     use crate::crash::capture::DeviceState;
-    use crate::crash::differential_cells;
-    use barrier_io::{DeviceProfile, TxnRecord};
+    use crate::crash::{differential_cells, DiffCell};
+    use barrier_io::TxnRecord;
     use bio_flash::{AppendLog, BarrierMode, BlockTag, Lba};
 
     #[test]
@@ -520,9 +520,14 @@ mod tests {
 
     #[test]
     fn image_reads_follow_the_writes_in_flight_not_the_trace() {
-        let [single, _] = differential_cells(DeviceProfile::ufs());
+        let single = differential_cells()
+            .into_iter()
+            .filter(|c| c.group == "1q1d");
         let mut busiest = 0;
-        for (label, cfg, sync) in single {
+        for DiffCell {
+            label, cfg, sync, ..
+        } in single
+        {
             let short = most_reads_per_image(label, cfg.clone(), sync, 100);
             let long = most_reads_per_image(label, cfg, sync, 1_000);
             busiest = busiest.max(long);
@@ -537,9 +542,9 @@ mod tests {
 
     #[test]
     fn differential_trace_smoke_is_clean() {
-        for (label, cfg, sync) in differential_cells(DeviceProfile::ufs())
-            .into_iter()
-            .flatten()
+        for DiffCell {
+            label, cfg, sync, ..
+        } in differential_cells()
         {
             let cell = enumerate_trace_with(cfg, sync, 1, CaptureMode::Delta);
             assert!(!cell.points.is_empty(), "{label}: no capture points");

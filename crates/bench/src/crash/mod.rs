@@ -27,8 +27,12 @@
 //! * `enumerate` — [`enumerate_point`] / [`enumerate_trace_with`]: walk
 //!   the choice space, judge every distinct image, minimize the first
 //!   violating one.
-//! * `differential` — [`run`]: the six [`differential_cells`] over many
-//!   seeds, aligned by commit count, divergences reported.
+//! * `differential` — [`differential_cells`], the table of stacks under
+//!   comparison (one [`DiffCell`] per row); [`run`], which enqueues it
+//!   over many seeds on the grid; `fold`, which sums each row's counters
+//!   and aligns a group's capture points by commit count; and
+//!   [`CrashEnumReport::render`], the text `figures --crash-enum` prints.
+//!   Nothing in this module prints.
 //! * [`oracle`] — what only tests call: the reference the capture engine
 //!   is held to and the surface the checker differential test needs.
 //!
@@ -68,7 +72,7 @@
 //! never silent, and clamped points are additionally covered by
 //! **stratified sampling**: seeded strata over subset cardinality draw
 //! reorderings from the *full* free list (up to 64 bits), with
-//! sampled-vs-exhaustive coverage reported in [`CrashStats`].
+//! sampled-vs-exhaustive coverage reported per stack ([`StackRow`]).
 //!
 //! **Differential recovery**: the same op trace runs against EXT4-DR,
 //! BFS-DR and BFS-OD, at the 1q×1dev topology and again at 2q×2dev;
@@ -98,7 +102,7 @@ pub mod oracle;
 pub use capture::{capture_points, CaptureMode, CrashPoint};
 pub(crate) use capture::{trace_stack, TRACE_OPS};
 pub use differential::{
-    differential_cells, run, CrashEnumReport, CrashStats, DivergenceTriple, StackRow,
+    differential_cells, run, CrashEnumReport, DiffCell, DivergenceTriple, StackRow,
 };
 pub use enumerate::{
     enumerate_point, enumerate_trace_with, CellOutcome, PointOutcome, ViolationCase,

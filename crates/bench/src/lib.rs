@@ -2,8 +2,9 @@
 //!
 //! Regenerates every table and figure of "Barrier-Enabled IO Stack for
 //! Flash Storage" (FAST 2018). The [`experiments`] module lists each
-//! table/figure as rows of cells and runs them through one driver; the
-//! `figures` binary prints what it renders
+//! table/figure as rows of cells and runs them through one driver, and
+//! [`crash`] lists the crash differential's stacks the same way; the
+//! `figures` binary prints what they render — nothing else here prints
 //! (`cargo run -p bio-bench --release --bin figures -- --all`).
 //!
 //! Absolute numbers come from a simulator, not the authors' testbed; the
@@ -46,9 +47,4 @@ fn table_line<S: AsRef<str>>(cells: &[S], widths: &[usize]) -> String {
     };
     let cells: Vec<String> = cells.iter().enumerate().map(padded).collect();
     cells.join("  ") + "\n"
-}
-
-/// Prints [`render_table`]'s text.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    print!("{}", render_table(title, header, rows));
 }

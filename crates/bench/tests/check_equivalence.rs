@@ -45,15 +45,22 @@ fn device(space: u8) -> DeviceProfile {
     }
 }
 
-/// The six differential cells of `crash::run` over `dev`, with the journal
-/// shrunk to `journal` blocks when given.
-fn cell(stack: u8, dev: DeviceProfile, journal: Option<u64>) -> (StackConfig, SyncMode) {
-    let cells = differential_cells(dev);
-    let (_, mut cfg, sync) = cells.as_flattened()[stack as usize].clone();
+/// The labels of `crash::run`'s differential rows, in table order.
+fn stacks() -> Vec<&'static str> {
+    differential_cells().iter().map(|c| c.label).collect()
+}
+
+/// The differential row `label` moved onto `dev`, with the journal shrunk
+/// to `journal` blocks when given.
+fn cell(label: &str, dev: DeviceProfile, journal: Option<u64>) -> (StackConfig, SyncMode) {
+    let row = differential_cells().into_iter().find(|c| c.label == label);
+    let row = row.unwrap_or_else(|| panic!("no differential row `{label}`"));
+    let mut cfg = row.cfg;
+    cfg.device = dev;
     if let Some(blocks) = journal {
         cfg.fs = cfg.fs.with_journal_blocks(blocks);
     }
-    (cfg, sync)
+    (cfg, row.sync)
 }
 
 /// Images judged so far, and how many of them violated each rule.
@@ -168,7 +175,7 @@ proptest! {
     #[test]
     fn indexed_verdicts_equal_the_full_checkers(
         seed in 0u64..10_000,
-        stack in 0u8..6,
+        stack in 0usize..6,
         space in 0u8..4,
         journal in 0u64..4,
         stride in 5usize..40,
@@ -181,6 +188,8 @@ proptest! {
         // nearly every image, and those all take the full checkers: a
         // shorter trace there.
         let ops = if space == 1 { 40 } else { 100 };
+        let stacks = stacks();
+        let stack = stacks[stack % stacks.len()];
         let r = check_trace(cell(stack, device(space), journal), seed, ops, stride, &mut seen);
         prop_assert!(r.is_ok(), "{}", r.unwrap_err());
         prop_assert!(seen.images > 0);
@@ -193,8 +202,14 @@ fn the_multi_device_tear_reads_the_same_through_the_index() {
     // docs/INVARIANTS.md, "Known gaps"): real violating images.
     for seed in [42, 7, 1234] {
         let mut seen = Seen::default();
-        check_trace(cell(5, device(0), None), seed, 200, 16, &mut seen)
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        check_trace(
+            cell("BFS-OD/2x2", device(0), None),
+            seed,
+            200,
+            16,
+            &mut seen,
+        )
+        .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert!(seen.fs > 0, "seed {seed}: the tear was not met ({seen:?})");
     }
 }
@@ -213,14 +228,14 @@ fn delta_advanced_indexes_equal_rebuilt_ones() {
         .into_iter()
         .chain([(device(3), None)]);
     for (dev, journal) in cells {
-        for stack in 0..6 {
+        for stack in stacks() {
             let (cfg, sync) = cell(stack, dev.clone(), journal);
             let delta = capture_points_of(cfg.clone(), sync, 9, CaptureMode::Delta, 300);
             let scratch = capture_points_of(cfg, sync, 9, CaptureMode::Scratch, 300);
-            assert!(delta.len() >= 250, "stack {stack}: {} points", delta.len());
+            assert!(delta.len() >= 250, "{stack}: {} points", delta.len());
             assert!(
                 delta == scratch,
-                "{} stack {stack} journal {journal:?}: delta != scratch",
+                "{} {stack} journal {journal:?}: delta != scratch",
                 dev.name
             );
         }
@@ -234,10 +249,10 @@ fn every_choice_space_meets_both_kinds_of_violation() {
     // a filesystem and an epoch violation, or the suite proved nothing.
     for space in 0..4 {
         let mut seen = Seen::default();
-        for stack in 0..6 {
+        for stack in stacks() {
             for (seed, journal) in [(1, None), (2, Some(32))] {
                 check_trace(cell(stack, device(space), journal), seed, 120, 7, &mut seen)
-                    .unwrap_or_else(|e| panic!("space {space} stack {stack} seed {seed}: {e}"));
+                    .unwrap_or_else(|e| panic!("space {space} {stack} seed {seed}: {e}"));
             }
         }
         assert!(
