@@ -35,7 +35,7 @@ pub struct StackRow {
     /// Traces run.
     pub traces: u64,
     /// Capture points (journal commits) visited.
-    pub fork_points: u64,
+    pub capture_points: u64,
     /// Distinct crash images enumerated and checked exhaustively.
     pub images: u64,
     /// Equivalent images skipped by dedup.
@@ -58,7 +58,7 @@ impl StackRow {
         let mut row = StackRow::default();
         (row.label, row.traces) = (label, traces.len() as u64);
         for p in traces.iter().flat_map(|t| &t.points) {
-            row.fork_points += 1;
+            row.capture_points += 1;
             row.images += p.images;
             row.duplicates += p.duplicates;
             row.sampled_images += p.sampled_images;
@@ -74,7 +74,7 @@ impl StackRow {
     fn columns(&self) -> [(&'static str, u64); 9] {
         [
             ("traces", self.traces),
-            ("fork points", self.fork_points),
+            ("capture points", self.capture_points),
             ("crash points", self.images),
             ("dedup-skipped", self.duplicates),
             ("sampled", self.sampled_images),
@@ -171,7 +171,7 @@ impl CrashEnumReport {
                 &[
                     "stack",
                     "trace seed",
-                    "fork point",
+                    "capture point",
                     "choice",
                     "first violation",
                 ],
@@ -385,8 +385,8 @@ mod tests {
             &[(1, false), (3, false)],
         ]);
         assert!(report.divergences.is_empty(), "{:?}", report.divergences);
-        assert_eq!(report.value("BFS-DR", "fork points"), Some(3));
-        assert_eq!(report.value("BFS-OD", "fork points"), Some(2));
+        assert_eq!(report.value("BFS-DR", "capture points"), Some(3));
+        assert_eq!(report.value("BFS-OD", "capture points"), Some(2));
     }
 
     #[test]

@@ -41,11 +41,11 @@ fn bfs_dr_explores_one_image_per_capture_point_and_its_peers_more() {
     };
     for topology in ["", "/2x2"] {
         let stack = |name: &str| format!("{name}{topology}");
-        let points = cell(&stack("BFS-DR"), "fork points");
+        let points = cell(&stack("BFS-DR"), "capture points");
         assert_eq!(points, SEEDS * 100, "100 commits per trace");
         assert_eq!(cell(&stack("BFS-DR"), "crash points"), points);
         for peer in ["EXT4-DR", "BFS-OD"] {
-            assert_eq!(cell(&stack(peer), "fork points"), points);
+            assert_eq!(cell(&stack(peer), "capture points"), points);
             let images = cell(&stack(peer), "crash points");
             assert!(images > points, "{peer}{topology}: {images} images");
         }
