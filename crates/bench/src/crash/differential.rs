@@ -84,6 +84,10 @@ impl StackRow {
             ("epoch violations", self.epoch_violations),
         ]
     }
+
+    fn column(&self, header: &str) -> Option<u64> {
+        self.columns().iter().find(|c| c.0 == header).map(|c| c.1)
+    }
 }
 
 /// A cross-stack divergence: at an aligned `(trace, capture point)` this
@@ -116,16 +120,13 @@ impl CrashEnumReport {
     /// The number at row `stack` (its label), column `column` (its header
     /// in the per-stack table).
     pub fn value(&self, stack: &str, column: &str) -> Option<u64> {
-        let columns = self.rows.iter().find(|r| r.label == stack)?.columns();
-        let named = |(name, number)| (name == column).then_some(number);
-        columns.into_iter().find_map(named)
+        self.rows.iter().find(|r| r.label == stack)?.column(column)
     }
 
     /// Column `column` summed over the stacks: `"crash points"` is the
     /// total of distinct crash points explored exhaustively.
     pub fn total(&self, column: &str) -> u64 {
-        let of = |r: &StackRow| self.value(r.label, column);
-        self.rows.iter().filter_map(of).sum()
+        self.rows.iter().filter_map(|r| r.column(column)).sum()
     }
 
     /// What `figures --crash-enum` prints: the per-stack table, the totals
