@@ -418,8 +418,90 @@ fn trace(mut w: impl Workload, seed: u64, cap: usize) -> Vec<Op> {
     ops
 }
 
-/// Asserts two traces match, reporting the first mismatch index.
-fn assert_identical(name: &str, legacy: Vec<Op>, rewritten: Vec<Op>) {
+/// FNV-1a over `u64` words; ops are fed field by field, so the hash moves
+/// only when a stream does.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn file(&mut self, file: FileRef) {
+        match file {
+            FileRef::Global(i) => self.word(i as u64),
+            FileRef::Slot(i) => self.word(1 << 32 | i as u64),
+        }
+    }
+
+    /// One whole stream, its length first.
+    fn ops(&mut self, ops: &[Op]) {
+        self.word(ops.len() as u64);
+        for op in ops {
+            match *op {
+                Op::Write {
+                    file,
+                    offset,
+                    blocks,
+                } => {
+                    self.word(1);
+                    self.file(file);
+                    self.word(offset);
+                    self.word(blocks);
+                }
+                Op::Read {
+                    file,
+                    offset,
+                    blocks,
+                } => {
+                    self.word(2);
+                    self.file(file);
+                    self.word(offset);
+                    self.word(blocks);
+                }
+                Op::Create { slot } => {
+                    self.word(3);
+                    self.word(slot as u64);
+                }
+                Op::Unlink { file } => {
+                    self.word(4);
+                    self.file(file);
+                }
+                Op::Fsync { file } => {
+                    self.word(5);
+                    self.file(file);
+                }
+                Op::Fdatasync { file } => {
+                    self.word(6);
+                    self.file(file);
+                }
+                Op::Fbarrier { file } => {
+                    self.word(7);
+                    self.file(file);
+                }
+                Op::Fdatabarrier { file } => {
+                    self.word(8);
+                    self.file(file);
+                }
+                Op::Think { dur } => {
+                    self.word(9);
+                    self.word(dur.as_nanos());
+                }
+                Op::TxnMark => self.word(10),
+            }
+        }
+    }
+}
+
+/// Asserts two traces match, reporting the first mismatch index, and folds
+/// the rewritten one into `hash`.
+fn assert_identical(hash: &mut Fnv, name: &str, legacy: Vec<Op>, rewritten: Vec<Op>) {
     assert_eq!(
         legacy.len(),
         rewritten.len(),
@@ -428,6 +510,16 @@ fn assert_identical(name: &str, legacy: Vec<Op>, rewritten: Vec<Op>) {
     for (i, (a, b)) in legacy.iter().zip(rewritten.iter()).enumerate() {
         assert_eq!(a, b, "{name}: first divergence at op {i}");
     }
+    hash.ops(&rewritten);
+}
+
+/// Holds a test's folded streams to its recorded hash.
+fn assert_golden(name: &str, hash: Fnv, golden: u64) {
+    assert!(
+        hash.0 == golden,
+        "{name}: op streams drifted: now {:#018x}",
+        hash.0
+    );
 }
 
 const SEEDS: [u64; 4] = [1, 7, 0xDEAD_BEEF, u64::MAX / 3];
@@ -442,6 +534,7 @@ const SYNCS: [SyncMode; 5] = [
 
 #[test]
 fn randwrite_streams_are_byte_identical() {
+    let mut hash = Fnv::new();
     let f = FileRef::Global(0);
     for seed in SEEDS {
         for mode in [
@@ -452,6 +545,7 @@ fn randwrite_streams_are_byte_identical() {
         ] {
             // Finite run, drained fully.
             assert_identical(
+                &mut hash,
                 "randwrite/finite",
                 trace(legacy::RandWrite::new(f, 64, mode, 500), seed, usize::MAX),
                 trace(RandWrite::new(f, 64, mode, 500), seed, usize::MAX),
@@ -460,29 +554,35 @@ fn randwrite_streams_are_byte_identical() {
             // compared over a long prefix.
             let huge = u64::MAX / 2;
             assert_identical(
+                &mut hash,
                 "randwrite/unbounded",
                 trace(legacy::RandWrite::new(f, 8192, mode, huge), seed, 4_000),
                 trace(RandWrite::new(f, 8192, mode, huge), seed, 4_000),
             );
         }
     }
+    assert_golden("randwrite", hash, 0xb176_3070_e7f4_ed19);
 }
 
 #[test]
 fn dwsl_streams_are_byte_identical() {
+    let mut hash = Fnv::new();
     for seed in SEEDS {
         for sync in SYNCS {
             assert_identical(
+                &mut hash,
                 "dwsl",
                 trace(legacy::Dwsl::new(sync, 300), seed, usize::MAX),
                 trace(Dwsl::new(sync, 300), seed, usize::MAX),
             );
         }
     }
+    assert_golden("dwsl", hash, 0x499d_1c65_f1fd_f0a5);
 }
 
 #[test]
 fn sqlite_streams_are_byte_identical() {
+    let mut hash = Fnv::new();
     let (db, journal) = (FileRef::Global(0), FileRef::Global(1));
     let columns = [
         (SyncMode::Fdatasync, SyncMode::Fdatasync),
@@ -493,6 +593,7 @@ fn sqlite_streams_are_byte_identical() {
         for mode in [SqliteJournalMode::Persist, SqliteJournalMode::Wal] {
             for (order, commit) in columns {
                 assert_identical(
+                    &mut hash,
                     "sqlite",
                     trace(
                         legacy::Sqlite::new(mode, order, commit, db, journal, 200, 2048),
@@ -508,14 +609,17 @@ fn sqlite_streams_are_byte_identical() {
             }
         }
     }
+    assert_golden("sqlite", hash, 0xec0c_60f2_7da9_2d8c);
 }
 
 #[test]
 fn varmail_streams_are_byte_identical() {
+    let mut hash = Fnv::new();
     for seed in SEEDS {
         for sync in SYNCS {
             for pool in [1usize, 2, 4, 8] {
                 assert_identical(
+                    &mut hash,
                     "varmail",
                     trace(legacy::Varmail::new(sync, 200, pool), seed, usize::MAX),
                     trace(Varmail::new(sync, 200, pool), seed, usize::MAX),
@@ -523,14 +627,17 @@ fn varmail_streams_are_byte_identical() {
             }
         }
     }
+    assert_golden("varmail", hash, 0x2a13_e488_2136_2aa5);
 }
 
 #[test]
 fn oltp_streams_are_byte_identical() {
+    let mut hash = Fnv::new();
     let (t, r, b) = (FileRef::Global(0), FileRef::Global(1), FileRef::Global(2));
     for seed in SEEDS {
         for sync in SYNCS {
             assert_identical(
+                &mut hash,
                 "oltp",
                 trace(
                     legacy::OltpInsert::new(sync, t, r, b, 300),
@@ -543,6 +650,7 @@ fn oltp_streams_are_byte_identical() {
             let mut lw = legacy::OltpInsert::new(sync, t, r, b, 300);
             lw.redo_blocks = 4;
             assert_identical(
+                &mut hash,
                 "oltp/wrap",
                 trace(lw, seed, usize::MAX),
                 trace(
@@ -553,4 +661,5 @@ fn oltp_streams_are_byte_identical() {
             );
         }
     }
+    assert_golden("oltp", hash, 0xc3ec_00cc_a815_e0f1);
 }
