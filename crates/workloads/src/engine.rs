@@ -13,8 +13,9 @@
 //! `build` exactly once per iteration, in phase order, and the model draws
 //! from the thread RNG only inside `build` — so a model that performs the
 //! same draws in the same order as a bespoke generator emits a
-//! byte-identical op stream (locked by
-//! `crates/workloads/tests/golden_op_trace.rs`).
+//! byte-identical op stream (locked by the hashes in
+//! `crates/workloads/tests/golden_op_trace.rs`, recorded while those
+//! generators were still there to compare against).
 //!
 //! [`FilePool`] covers the recurring working-set pattern (varmail,
 //! mail-queue): a ring of thread-private file slots where the slot being
