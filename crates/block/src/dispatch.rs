@@ -35,7 +35,7 @@ use bio_flash::{
 use bio_sim::{ActionSink, SeqTable, SimDuration, SimTime};
 
 use crate::epoch::EpochScheduler;
-use crate::request::{BlockRequest, MergedRequest, ReqFlags, ReqId, ReqOp};
+use crate::request::{BlockRequest, MergedRequest, ReqFlags, ReqId, ReqIds, ReqOp};
 use crate::topology::Topology;
 
 /// How the dispatch module enforces transfer order.
@@ -185,8 +185,8 @@ pub struct LaneStats {
     /// takes part in every epoch, so this is
     /// [`BlockStats::epochs_sequenced`].
     pub epochs_released: u64,
-    /// Requests currently queued on the lane (scheduler + held); requests
-    /// behind the epoch gate are in [`BlockStats::gated`].
+    /// Requests currently queued on the lane (a bounced one included);
+    /// requests behind the epoch gate are in [`BlockStats::gated`].
     pub queued: usize,
     /// Requests (or split parts) placed on this lane — how evenly
     /// request-id routing and striping spread the submitted load.
@@ -196,26 +196,14 @@ pub struct LaneStats {
 /// One `(device, hardware queue)` lane: its queue plus dispatch state.
 #[derive(Debug)]
 struct Lane {
+    /// Everything the lane holds between admission and the device,
+    /// including a request the device bounced (retried on `Retry`).
     sched: EpochScheduler,
-    /// A dispatched request the device bounced; retried on `Retry`.
-    held: Option<MergedRequest>,
     retry_pending: bool,
     dispatched: u64,
     busy_retries: u64,
     /// Requests routed to this lane at admission.
     routed: u64,
-}
-
-impl Lane {
-    /// True when this lane holds no order-preserving work from the fenced
-    /// epoch (its share has reached the device).
-    fn drained(&self) -> bool {
-        self.sched.is_drained()
-            && self
-                .held
-                .as_ref()
-                .is_none_or(|m| !m.req.flags.is_order_preserving())
-    }
 }
 
 /// Lane-level request ids with this bit set name a split (`PART_BIT |
@@ -253,7 +241,7 @@ pub struct BlockLayer {
     /// commands complete roughly in dispatch order, so the window stays
     /// narrow and a completion for an already-retired id reads as absent
     /// instead of aliasing).
-    inflight: Vec<SeqTable<Vec<ReqId>>>,
+    inflight: Vec<SeqTable<ReqIds>>,
     /// Per-device command-id allocators (each device sees a dense,
     /// monotonically increasing id stream).
     next_cmd: Vec<u64>,
@@ -288,7 +276,6 @@ impl BlockLayer {
         let lanes = (0..cfg.topology.nr_lanes())
             .map(|_| Lane {
                 sched: EpochScheduler::new(),
-                held: None,
                 retry_pending: false,
                 dispatched: 0,
                 busy_retries: 0,
@@ -357,7 +344,7 @@ impl BlockLayer {
                 busy_retries: l.busy_retries,
                 reassignments: l.sched.reassignments(),
                 epochs_released: self.stats.epochs_sequenced,
-                queued: l.sched.len() + usize::from(l.held.is_some()),
+                queued: l.sched.len(),
                 routed: l.routed,
             })
             .collect()
@@ -374,11 +361,7 @@ impl BlockLayer {
     /// Requests waiting in the block layer (not yet dispatched), summed
     /// over every lane plus the sequencer's front buffer.
     pub fn queued(&self) -> usize {
-        self.lanes
-            .iter()
-            .map(|l| l.sched.len() + usize::from(l.held.is_some()))
-            .sum::<usize>()
-            + self.front.len()
+        self.lanes.iter().map(|l| l.sched.len()).sum::<usize>() + self.front.len()
     }
 
     /// Submits a request from the filesystem.
@@ -570,18 +553,13 @@ impl BlockLayer {
         let di = self.topology.lane_device(li);
         let mut scratch = std::mem::take(&mut self.dev_scratch);
         loop {
-            // Re-offer a held (bounced) request first to preserve order.
-            let mut m = match self.lanes[li].held.take() {
-                Some(m) => m,
-                None => {
-                    if !self.devs[di].can_accept() {
-                        break;
-                    }
-                    match self.lanes[li].sched.dequeue() {
-                        Some(m) => m,
-                        None => break,
-                    }
-                }
+            // A bounced request is re-offered first, to preserve order,
+            // and whatever the device says; anything else waits for room.
+            if !self.lanes[li].sched.has_bounced() && !self.devs[di].can_accept() {
+                break;
+            }
+            let Some(mut m) = self.lanes[li].sched.dequeue() else {
+                break;
             };
             let cmd_id = CmdId(self.next_cmd[di]);
             self.next_cmd[di] += 1;
@@ -602,7 +580,7 @@ impl BlockLayer {
                     // closed epoch's orderless strays dispatch.
                     if req.flags.is_order_preserving()
                         && self.gate_closed
-                        && self.lanes.iter().all(Lane::drained)
+                        && self.lanes.iter().all(|l| l.sched.is_drained())
                     {
                         self.release_epoch();
                     }
@@ -618,7 +596,7 @@ impl BlockLayer {
                     }
                     self.stats.busy_retries += 1;
                     self.lanes[li].busy_retries += 1;
-                    self.lanes[li].held = Some(m);
+                    self.lanes[li].sched.bounce(m);
                     if !self.lanes[li].retry_pending {
                         self.lanes[li].retry_pending = true;
                         out.push(BlockAction::After(
@@ -674,7 +652,7 @@ impl BlockLayer {
                         debug_assert!(false, "completion for unknown command {:?}", c.id);
                         continue;
                     };
-                    for id in ids {
+                    for &id in ids.iter() {
                         self.complete(id, c.at, out);
                     }
                 }
@@ -869,10 +847,10 @@ mod tests {
         // 2 queues × 1 device. Epoch n has an ordered write A on lane 0
         // and the barrier write B on lane 1; C belongs to epoch n+1 and
         // routes to lane 0. B has been dequeued and bounced by the device
-        // (`held`), so lane 1's scheduler is empty — but the epoch has not
-        // left the host. If `Lane::drained` ignored `held`, A's dispatch
-        // would release the epoch and lane 0, pumped first, would slip C
-        // to the device ahead of B.
+        // (`EpochScheduler::bounce`), so nothing is queued on lane 1 — but
+        // the epoch has not left the host. If `is_drained` ignored the
+        // bounced request, A's dispatch would release the epoch and lane 0,
+        // pumped first, would slip C to the device ahead of B.
         //
         // `pump_lane` asks `can_accept()` before it dequeues, so today a
         // bounce cannot be provoked from outside; the test plants one.
@@ -894,8 +872,10 @@ mod tests {
             layer.lane_stats().iter().map(|l| l.queued).sum::<usize>(),
             2
         );
-        layer.lanes[1].held = layer.lanes[1].sched.dequeue();
+        let b = layer.lanes[1].sched.dequeue().expect("B is queued");
         assert!(layer.lanes[1].sched.is_drained());
+        layer.lanes[1].sched.bounce(b);
+        assert!(!layer.lanes[1].sched.is_drained());
         layer.submit(w(4, 200, ReqFlags::ORDERED), SimTime::ZERO, &mut out);
         assert_eq!(layer.stats().gated, 1);
 

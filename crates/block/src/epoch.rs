@@ -20,14 +20,64 @@
 //! order-preserving request to leave the queue* is re-designated as the
 //! barrier (Fig 5). The sequencer reopens the gate once every lane reports
 //! [`EpochScheduler::is_drained`].
+//!
+//! No call walks the queue. Each answer comes from state the queue keeps
+//! as requests come and go, the way the kernel's elevator keeps a sort
+//! tree and a merge hash beside its FIFO (`docs/INVARIANTS.md`,
+//! "Test-enforced: the lane queue"):
+//!
+//! * a merge target is looked up by block address — the queued write that
+//!   ends where the newcomer starts (`by_end`) or starts where it ends
+//!   (`near` / `far`), the first in queue order when several do;
+//! * the sweep reads the next write at or above the head, or the lowest
+//!   one, off `near`: the writes ahead of the first queued read or flush,
+//!   ordered by first block, queue order breaking ties;
+//! * whether the fenced epoch has left is a count of the order-preserving
+//!   requests the lane still holds, a bounced one included.
 
 use std::collections::VecDeque;
 
-use crate::request::{BlockRequest, MergedRequest, ReqOp};
+use bio_sim::SeqTable;
+
+use crate::request::{BlockRequest, MergedRequest};
 
 /// Maximum size of a merged request, in blocks (512 KiB at 4 KiB blocks,
 /// matching the kernel's default `max_sectors_kb`).
 pub const MAX_MERGE_BLOCKS: u64 = 128;
+
+/// An index over queued writes: `(block address, arrival number)` keys in
+/// one sorted array — by address, then by queue order. A lookup is a
+/// binary search; an insert or a removal also shifts the 16-byte keys
+/// behind it (a lane holds a few dozen requests, and the stack's
+/// congestion limit keeps it near a hundred).
+#[derive(Debug, Default)]
+struct ByLba(Vec<(u64, u64)>);
+
+impl ByLba {
+    fn insert(&mut self, key: (u64, u64)) {
+        let at = self.0.partition_point(|k| *k < key);
+        self.0.insert(at, key);
+    }
+
+    fn remove(&mut self, key: (u64, u64)) {
+        if let Ok(at) = self.0.binary_search(&key) {
+            self.0.remove(at);
+        }
+    }
+
+    /// The arrivals at block address `lba`, in queue order.
+    fn at(&self, lba: u64) -> impl Iterator<Item = u64> + '_ {
+        let from = self.0.partition_point(|k| k.0 < lba);
+        let rest = self.0.get(from..).unwrap_or_default();
+        rest.iter().take_while(move |k| k.0 == lba).map(|k| k.1)
+    }
+
+    /// The first key at or above `lba`, or failing that the lowest.
+    fn next_from(&self, lba: u64) -> Option<(u64, u64)> {
+        let from = self.0.partition_point(|k| k.0 < lba);
+        self.0.get(from).or(self.0.first()).copied()
+    }
+}
 
 /// One lane's queue: requests go in, dispatchable (possibly merged)
 /// requests come out, and the barrier the lane owes rides out on the last
@@ -40,7 +90,26 @@ pub const MAX_MERGE_BLOCKS: u64 = 128;
 /// are unaffected.
 #[derive(Debug, Default)]
 pub struct EpochScheduler {
-    queue: VecDeque<MergedRequest>,
+    /// The queued requests under their arrival numbers: queue order. A
+    /// merge grows a request where it stands.
+    queue: SeqTable<MergedRequest>,
+    next_arrival: u64,
+    /// Arrival numbers of the queued reads and flushes, oldest first: the
+    /// sweep stops at the first, and they leave from the front only.
+    stops: VecDeque<u64>,
+    /// `(end of span, arrival)` of every queued write that may merge (no
+    /// FUA, no preflush).
+    by_end: ByLba,
+    /// `(first block, arrival)` of every queued write ahead of the first
+    /// stop — what the sweep may take now.
+    near: ByLba,
+    /// The same for the writes behind it, which only merging looks at;
+    /// they move to `near` when the stop ahead of them leaves.
+    far: ByLba,
+    /// Order-preserving requests held: queued ones and a bounced one.
+    ordered: usize,
+    /// A dispatched request the device bounced; it leaves again first.
+    bounced: Option<MergedRequest>,
     /// Position of the last dispatched write, for the sweep.
     head: u64,
     /// Set when the stripped barrier must be re-attached to the last
@@ -64,67 +133,168 @@ impl EpochScheduler {
             "the sequencer strips the barrier flag before a lane sees the request"
         );
         let incoming = MergedRequest::single(req);
-        for existing in self.queue.iter_mut() {
-            if existing.try_merge(&incoming, MAX_MERGE_BLOCKS) {
-                return;
-            }
+        if self.merge_into_queued(&incoming) {
+            return;
         }
-        self.queue.push_back(incoming);
+        let arrival = self.next_arrival;
+        self.next_arrival += 1;
+        match incoming.req.write_span() {
+            Some((start, end)) => {
+                if !(incoming.req.flags.fua || incoming.req.flags.preflush) {
+                    self.by_end.insert((end.0, arrival));
+                }
+                self.starts_of(arrival).insert((start.0, arrival));
+            }
+            None => self.stops.push_back(arrival),
+        }
+        self.ordered += usize::from(incoming.req.flags.is_order_preserving());
+        self.queue.insert(arrival, incoming);
     }
 
-    /// Removes the next request to dispatch, or `None` if the queue is
-    /// empty.
+    /// The start index a write that arrived as `arrival` belongs to.
+    fn starts_of(&mut self, arrival: u64) -> &mut ByLba {
+        match self.stops.front() {
+            Some(&stop) if stop < arrival => &mut self.far,
+            _ => &mut self.near,
+        }
+    }
+
+    /// Merges `incoming` into the first queued request, in queue order,
+    /// that [`MergedRequest::try_merge`] accepts it into. Only a write
+    /// ending where `incoming` starts or starting where it ends can, so
+    /// only those are asked.
+    fn merge_into_queued(&mut self, incoming: &MergedRequest) -> bool {
+        let Some((start, end)) = incoming.req.write_span() else {
+            return false;
+        };
+        let (arrival, old, new, turned_ordered) = {
+            let mut behind = self.by_end.at(start.0).peekable();
+            let mut ahead = self.near.at(end.0).chain(self.far.at(end.0)).peekable();
+            loop {
+                // Both run in queue order; take the earlier arrival.
+                let arrival = match (behind.peek(), ahead.peek()) {
+                    (Some(b), Some(a)) if a < b => ahead.next(),
+                    (Some(_), _) => behind.next(),
+                    (None, _) => ahead.next(),
+                };
+                let Some(arrival) = arrival else {
+                    return false;
+                };
+                let Some(queued) = self.queue.get_mut(arrival) else {
+                    continue;
+                };
+                let Some(old) = queued.req.write_span() else {
+                    continue;
+                };
+                let was_ordered = queued.req.flags.is_order_preserving();
+                if queued.try_merge(incoming, MAX_MERGE_BLOCKS) {
+                    let new = queued.req.write_span().unwrap_or(old);
+                    let turned = !was_ordered && queued.req.flags.is_order_preserving();
+                    break (arrival, old, new, turned);
+                }
+            }
+        };
+        // A back merge moved the request's end, a front merge its start.
+        if new.1 != old.1 {
+            self.by_end.remove((old.1 .0, arrival));
+            self.by_end.insert((new.1 .0, arrival));
+        }
+        if new.0 != old.0 {
+            let starts = self.starts_of(arrival);
+            starts.remove((old.0 .0, arrival));
+            starts.insert((new.0 .0, arrival));
+        }
+        self.ordered += usize::from(turned_ordered);
+        true
+    }
+
+    /// Removes the next request to dispatch — a bounced one first — or
+    /// `None` if the lane holds nothing.
     pub fn dequeue(&mut self) -> Option<MergedRequest> {
-        let mut m = self.sweep()?;
-        if self.barrier_owed && m.req.flags.is_order_preserving() && self.is_drained() {
-            // Last order-preserving request of the epoch: it becomes the
-            // barrier (Epoch-Based Barrier Reassignment).
-            m.req.flags.barrier = true;
-            self.barrier_owed = false;
-            self.reassignments += 1;
+        let mut m = match self.bounced.take() {
+            Some(m) => m,
+            None => self.sweep()?,
+        };
+        if m.req.flags.is_order_preserving() {
+            debug_assert!(self.ordered > 0, "an ordered request nobody counted");
+            self.ordered = self.ordered.saturating_sub(1);
+            if self.barrier_owed && self.ordered == 0 {
+                // Last order-preserving request of the epoch: it becomes
+                // the barrier (Epoch-Based Barrier Reassignment).
+                m.req.flags.barrier = true;
+                self.barrier_owed = false;
+                self.reassignments += 1;
+            }
         }
         Some(m)
+    }
+
+    /// Takes back a request [`EpochScheduler::dequeue`] handed out and the
+    /// device refused. It still belongs to its epoch: the lane is not
+    /// drained while it waits here, and a fence arriving meanwhile finds
+    /// it.
+    pub fn bounce(&mut self, m: MergedRequest) {
+        debug_assert!(self.bounced.is_none(), "one request is offered at a time");
+        self.ordered += usize::from(m.req.flags.is_order_preserving());
+        self.bounced = Some(m);
+    }
+
+    /// True while a bounced request waits to be offered again.
+    pub fn has_bounced(&self) -> bool {
+        self.bounced.is_some()
     }
 
     /// The one-way elevator: reads and flushes keep FIFO order relative
     /// to their arrival batch, writes leave in ascending-LBA sweeps.
     fn sweep(&mut self) -> Option<MergedRequest> {
+        let (front, _) = self.queue.iter().next()?;
         // Non-write requests (flush, read) dispatch FIFO-first if they are
         // at the head, preserving their arrival semantics.
-        if !matches!(self.queue.front()?.req.op, ReqOp::Write { .. }) {
-            return self.queue.pop_front();
+        if self.stops.front() == Some(&front) {
+            self.stops.pop_front();
+            let m = self.queue.remove(front);
+            self.promote();
+            return m;
         }
         // Pick the write with the smallest LBA >= head, else wrap to the
-        // smallest overall (one-way elevator), but never pass a non-write.
-        let mut best: Option<(usize, u64)> = None;
-        let mut wrap: Option<(usize, u64)> = None;
-        for (i, m) in self.queue.iter().enumerate() {
-            let ReqOp::Write { start, .. } = &m.req.op else {
-                break; // do not sweep past a flush/read
-            };
-            let lba = start.0;
-            if lba >= self.head {
-                if best.is_none_or(|(_, b)| lba < b) {
-                    best = Some((i, lba));
-                }
-            } else if wrap.is_none_or(|(_, b)| lba < b) {
-                wrap = Some((i, lba));
-            }
-        }
-        let (idx, lba) = best.or(wrap)?;
-        let m = self.queue.remove(idx)?;
+        // smallest overall (one-way elevator), the first in queue order
+        // among equals. `near` ends at the first flush/read, so the sweep
+        // cannot pass one.
+        let (lba, arrival) = self.near.next_from(self.head)?;
+        self.near.remove((lba, arrival));
+        let m = self.queue.remove(arrival)?;
+        self.by_end.remove((lba + m.req.blocks(), arrival));
         self.head = lba + m.req.blocks();
         Some(m)
     }
 
-    /// Queued (not yet dispatched) request count.
-    pub fn len(&self) -> usize {
-        self.queue.len()
+    /// The stop at the front has left (so `near` is empty): the writes
+    /// between it and the next stop are the sweep's now. Each write is
+    /// moved at most once in its life.
+    fn promote(&mut self) {
+        let Some(&stop) = self.stops.front() else {
+            std::mem::swap(&mut self.near, &mut self.far);
+            return;
+        };
+        for (arrival, m) in self.queue.iter() {
+            if arrival >= stop {
+                break;
+            }
+            if let Some((start, _)) = m.req.write_span() {
+                self.far.remove((start.0, arrival));
+                self.near.insert((start.0, arrival));
+            }
+        }
     }
 
-    /// True when no requests are queued.
+    /// Requests the lane holds (queued or bounced, not yet dispatched).
+    pub fn len(&self) -> usize {
+        self.queue.len() + usize::from(self.bounced.is_some())
+    }
+
+    /// True when the lane holds no request.
     pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+        self.len() == 0
     }
 
     /// Closes the current epoch on this lane: owe a barrier to the last
@@ -135,10 +305,10 @@ impl EpochScheduler {
     }
 
     /// True when this lane has dispatched its share of the fenced epoch
-    /// (no order-preserving request left in the queue; exact even after
-    /// merges, which inherit order preservation).
+    /// (it holds no order-preserving request, queued or bounced; exact
+    /// even after merges, which inherit order preservation).
     pub fn is_drained(&self) -> bool {
-        !self.queue.iter().any(|m| m.req.flags.is_order_preserving())
+        self.ordered == 0
     }
 
     /// Number of barrier reassignments performed.

@@ -73,5 +73,5 @@ pub use dispatch::{
     SchedulerKind, BUSY_RETRY_INTERVAL,
 };
 pub use epoch::{EpochScheduler, MAX_MERGE_BLOCKS};
-pub use request::{BlockRequest, MergedRequest, ReqFlags, ReqId, ReqOp};
+pub use request::{BlockRequest, MergedRequest, ReqFlags, ReqId, ReqIds, ReqOp};
 pub use topology::Topology;

@@ -151,6 +151,43 @@ impl BlockRequest {
     }
 }
 
+/// The bios one dispatched request answers for, in merge order. Nineteen
+/// requests in twenty are never merged, so one id sits inline and only a
+/// merge spills to the heap. Reads as a slice of ids.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ReqIds {
+    /// An unmerged request: its own id.
+    One(ReqId),
+    /// A merged request: two ids or more.
+    Many(Vec<ReqId>),
+}
+
+impl ReqIds {
+    /// Appends `more`, keeping order.
+    fn extend(&mut self, more: &[ReqId]) {
+        match self {
+            ReqIds::One(first) => {
+                let mut all = Vec::with_capacity(1 + more.len());
+                all.push(*first);
+                all.extend_from_slice(more);
+                *self = ReqIds::Many(all);
+            }
+            ReqIds::Many(all) => all.extend_from_slice(more),
+        }
+    }
+}
+
+impl core::ops::Deref for ReqIds {
+    type Target = [ReqId];
+
+    fn deref(&self) -> &[ReqId] {
+        match self {
+            ReqIds::One(id) => core::slice::from_ref(id),
+            ReqIds::Many(all) => all,
+        }
+    }
+}
+
 /// A request merged from one or more bios; remembers every constituent id
 /// so each original submitter gets its completion.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -158,13 +195,13 @@ pub struct MergedRequest {
     /// The representative request (contiguous union of constituents).
     pub req: BlockRequest,
     /// All constituent ids (includes `req.id`).
-    pub ids: Vec<ReqId>,
+    pub ids: ReqIds,
 }
 
 impl MergedRequest {
     /// Wraps a single request.
     pub fn single(req: BlockRequest) -> MergedRequest {
-        let ids = vec![req.id];
+        let ids = ReqIds::One(req.id);
         MergedRequest { req, ids }
     }
 
@@ -206,7 +243,7 @@ impl MergedRequest {
         }
         self.req.flags.ordered |= other.req.flags.ordered;
         self.req.flags.barrier |= other.req.flags.barrier;
-        self.ids.extend_from_slice(&other.ids);
+        self.ids.extend(&other.ids);
         true
     }
 }
@@ -250,7 +287,7 @@ mod tests {
         assert!(a.try_merge(&b, 64));
         assert_eq!(a.req.blocks(), 4);
         assert_eq!(a.req.write_span(), Some((Lba(10), Lba(14))));
-        assert_eq!(a.ids, vec![ReqId(1), ReqId(2)]);
+        assert_eq!(*a.ids, [ReqId(1), ReqId(2)]);
         let want = [100, 101, 200, 201].map(BlockTag).to_vec();
         assert_eq!(
             a.req.op,

@@ -3,6 +3,17 @@
 //! the source of the device's internal parallelism (§1 of the paper: the
 //! multi-channel/way controller is what transfer-and-flush fails to keep
 //! busy).
+//!
+//! A saturated device asks "is a die idle?" on every event and the answer
+//! is no. The array therefore keeps `all_busy_until`, an instant before
+//! which no die is idle. Starting or delaying work only moves a die's
+//! `busy_until` later, so the bound stays true until the clock reaches it,
+//! and until then [`ChipArray::find_idle`] and [`ChipArray::idle_count`]
+//! answer without visiting a die. The bound is set wherever the earliest
+//! `busy_until` is known for free: by a look that found every die busy,
+//! and by the [`ChipArray::start_op`] that takes the last of the dies
+//! `idle_count` just counted idle — the destage pump's count, start, start,
+//! … sequence ends with the array knowing it is full.
 
 use bio_sim::{SimDuration, SimRng, SimTime};
 
@@ -12,6 +23,15 @@ pub struct ChipArray {
     busy_until: Vec<SimTime>,
     /// Round-robin cursor for spreading work over idle dies.
     cursor: usize,
+    /// No die is idle before this instant (never later than the earliest
+    /// `busy_until`).
+    all_busy_until: SimTime,
+    /// Of the dies [`ChipArray::idle_count`] counted idle at `counted_at`,
+    /// those nothing has been started on since.
+    idle_left: usize,
+    counted_at: SimTime,
+    /// Earliest `busy_until` among all the other dies.
+    earliest_busy: SimTime,
 }
 
 impl ChipArray {
@@ -25,6 +45,10 @@ impl ChipArray {
         ChipArray {
             busy_until: vec![SimTime::ZERO; n],
             cursor: 0,
+            all_busy_until: SimTime::ZERO,
+            idle_left: 0,
+            counted_at: SimTime::ZERO,
+            earliest_busy: SimTime::MAX,
         }
     }
 
@@ -41,18 +65,46 @@ impl ChipArray {
     /// Finds an idle die at `now`, preferring round-robin fairness.
     /// Returns `None` when all dies are busy.
     pub fn find_idle(&mut self, now: SimTime) -> Option<usize> {
-        let n = self.busy_until.len();
-        let c = (0..n)
-            .map(|i| (self.cursor + i) % n)
-            .find(|&c| self.busy_until.get(c).is_some_and(|&t| t <= now))?;
-        self.cursor = (c + 1) % n;
-        Some(c)
+        if self.all_busy_until > now {
+            return None;
+        }
+        // From the cursor to the end, then from the start to the cursor.
+        let dies = self.busy_until.iter().enumerate();
+        let mut earliest = SimTime::MAX;
+        let mut idle = |&(_, t): &(usize, &SimTime)| {
+            earliest = earliest.min(*t);
+            *t <= now
+        };
+        let ahead = dies.clone().skip(self.cursor).find(&mut idle);
+        let found = ahead.or_else(|| dies.take(self.cursor).find(&mut idle));
+        match found {
+            Some((c, _)) if c + 1 == self.busy_until.len() => self.cursor = 0,
+            Some((c, _)) => self.cursor = c + 1,
+            // Every die was looked at and is busy: remember until when.
+            None => self.all_busy_until = earliest,
+        }
+        found.map(|(c, _)| c)
     }
 
     /// Number of dies idle at `now`: the most programs that can start at
     /// this instant.
-    pub fn idle_count(&self, now: SimTime) -> usize {
-        self.busy_until.iter().filter(|&&t| t <= now).count()
+    pub fn idle_count(&mut self, now: SimTime) -> usize {
+        if self.all_busy_until > now {
+            return 0;
+        }
+        let (mut idle, mut earliest_busy) = (0, SimTime::MAX);
+        for &t in &self.busy_until {
+            if t <= now {
+                idle += 1;
+            } else {
+                earliest_busy = earliest_busy.min(t);
+            }
+        }
+        (self.idle_left, self.counted_at, self.earliest_busy) = (idle, now, earliest_busy);
+        if idle == 0 {
+            self.all_busy_until = earliest_busy;
+        }
+        idle
     }
 
     /// Occupies die `chip` for `dur` starting at `now`, returning the
@@ -72,6 +124,17 @@ impl ChipArray {
         if let Some(t) = busy_until {
             *t = done;
         }
+        // A no-op on an idle die (`done` is not before `now`); it keeps the
+        // bound true if a release build is handed a busy one.
+        self.all_busy_until = self.all_busy_until.min(done);
+        if self.idle_left > 0 && now == self.counted_at {
+            self.earliest_busy = self.earliest_busy.min(done);
+            self.idle_left -= 1;
+            if self.idle_left == 0 {
+                // That was the last idle die: every `busy_until` is known.
+                self.all_busy_until = self.earliest_busy;
+            }
+        }
         done
     }
 
@@ -82,6 +145,9 @@ impl ChipArray {
             let start = (*b).max(now);
             *b = start + dur;
         }
+        // Every die moved by the same rule, and so does the bound.
+        self.all_busy_until = self.all_busy_until.max(now) + dur;
+        self.idle_left = 0;
     }
 
     /// Earliest time any die becomes idle.

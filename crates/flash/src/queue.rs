@@ -13,9 +13,16 @@
 //! Completion (not just service start) is what releases a fence, mirroring
 //! the SCSI ordered-tag definition.
 //!
-//! The in-service set is a small inline slab (a `Vec` sized at the queue
-//! depth), not a map: queue depths are 8–64, so linear scans beat hashing
-//! and the set never reallocates after construction.
+//! A pick attempt follows every device event, and most find nothing to
+//! pick, so what an attempt needs is kept as commands move instead of
+//! being derived by passes over them: `waiting` is in arrival order,
+//! `in_service` is sorted by arrival (oldest first), and the waiting
+//! head-of-queue commands and the in-service ordered ones are counted and
+//! listed. With those, only the command at the front of `waiting` ever has
+//! to be looked at: if it is fenced, everything behind it arrived later
+//! and is fenced too.
+
+use std::collections::VecDeque;
 
 use bio_sim::SimTime;
 
@@ -29,14 +36,30 @@ use crate::types::{CmdId, Command, Priority};
 /// through an unusual path nor go missing when service begins.
 #[derive(Debug, Clone, Default)]
 pub struct CommandQueue {
-    waiting: Vec<(u64, SimTime, Command)>,
-    /// `(arrival-seq, id, priority)` of commands picked but not yet
-    /// completed; a small slab bounded by the queue depth.
-    in_service: Vec<(u64, CmdId, Priority)>,
+    /// `(arrival-seq, admitted, command)`, in arrival order.
+    waiting: VecDeque<(u64, SimTime, Command)>,
+    /// How many of `waiting` are head-of-queue commands.
+    waiting_head_of_queue: usize,
+    /// `(arrival-seq, id)` of commands picked but not yet completed,
+    /// oldest arrival first; bounded by the queue depth.
+    in_service: Vec<(u64, CmdId)>,
+    /// Arrival-seqs of the in-service *ordered* commands, oldest first:
+    /// the fences a later simple command may not pass.
+    ordered_in_service: Vec<u64>,
     depth: usize,
     next_arrival: u64,
     /// Peak occupancy, for reporting.
     peak: usize,
+}
+
+/// Inserts `item` into `sorted` (ascending by `key`), from the back: a
+/// pick is nearly always the newest arrival in service.
+fn insert_sorted<T>(sorted: &mut Vec<T>, item: T, key: impl Fn(&T) -> u64) {
+    let at = sorted
+        .iter()
+        .rposition(|other| key(other) < key(&item))
+        .map_or(0, |i| i + 1);
+    sorted.insert(at, item);
 }
 
 impl CommandQueue {
@@ -45,8 +68,10 @@ impl CommandQueue {
     pub fn new(depth: usize) -> CommandQueue {
         let depth = depth.max(1);
         CommandQueue {
-            waiting: Vec::with_capacity(depth),
+            waiting: VecDeque::with_capacity(depth),
+            waiting_head_of_queue: 0,
             in_service: Vec::with_capacity(depth),
+            ordered_in_service: Vec::new(),
             depth,
             next_arrival: 0,
             peak: 0,
@@ -77,7 +102,8 @@ impl CommandQueue {
         }
         let seq = self.next_arrival;
         self.next_arrival += 1;
-        self.waiting.push((seq, now, cmd));
+        self.waiting_head_of_queue += usize::from(cmd.priority == Priority::HeadOfQueue);
+        self.waiting.push_back((seq, now, cmd));
         self.peak = self.peak.max(self.occupancy());
         Ok(())
     }
@@ -87,71 +113,67 @@ impl CommandQueue {
     /// admission time; `None` when nothing is eligible.
     pub fn pick(&mut self) -> Option<(Command, SimTime)> {
         let idx = self.pick_index()?;
-        let (seq, admitted, cmd) = self.waiting.remove(idx);
-        self.in_service.push((seq, cmd.id, cmd.priority));
+        let (seq, admitted, cmd) = self.waiting.remove(idx)?;
+        match cmd.priority {
+            Priority::HeadOfQueue => self.waiting_head_of_queue -= 1,
+            Priority::Ordered => insert_sorted(&mut self.ordered_in_service, seq, |&s| s),
+            Priority::Simple => {}
+        }
+        insert_sorted(&mut self.in_service, (seq, cmd.id), |&(s, _)| s);
         Some((cmd, admitted))
     }
 
     fn pick_index(&self) -> Option<usize> {
+        // Waiting list is naturally in arrival order (we only remove).
+        let (seq, _, first) = self.waiting.front()?;
         // Head-of-queue jumps every *waiting* command, but (like a
         // non-queued SATA FLUSH) waits for in-flight service to finish so
         // it covers everything transferred before it.
-        if let Some(i) = self
-            .waiting
-            .iter()
-            .position(|(_, _, c)| c.priority == Priority::HeadOfQueue)
-        {
-            if self.in_service.is_empty() {
-                return Some(i);
+        if self.waiting_head_of_queue > 0 {
+            if !self.in_service.is_empty() {
+                return None;
             }
-            return None;
+            return self
+                .waiting
+                .iter()
+                .position(|(_, _, c)| c.priority == Priority::HeadOfQueue);
         }
-        let min_in_service = self.in_service.iter().map(|&(s, _, _)| s).min();
-        let ordered_fence_in_service = self
-            .in_service
-            .iter()
-            .filter(|&&(_, _, p)| p == Priority::Ordered)
-            .map(|&(s, _, _)| s)
-            .min();
-        // Waiting list is naturally in arrival order (we only remove).
-        for (i, (seq, _, cmd)) in self.waiting.iter().enumerate() {
-            match cmd.priority {
-                // Handled above: none is waiting here.
-                Priority::HeadOfQueue => {}
-                Priority::Ordered => {
-                    // Every earlier arrival must have completed.
-                    let earlier_waiting = i > 0;
-                    let earlier_in_service = min_in_service.is_some_and(|m| m < *seq);
-                    if !earlier_waiting && !earlier_in_service {
-                        return Some(i);
-                    }
-                    // An unserviceable ordered command also fences
-                    // everything after it.
-                    return None;
-                }
-                Priority::Simple => {
-                    // Must not pass an incomplete earlier ordered command.
-                    let fenced = ordered_fence_in_service.is_some_and(|m| m < *seq);
-                    if !fenced {
-                        return Some(i);
-                    }
-                }
-            }
-        }
-        None
+        let serviceable = match first.priority {
+            // Counted above: none is waiting here.
+            Priority::HeadOfQueue => false,
+            // Every earlier arrival must have completed; nothing earlier
+            // waits, so that is the oldest command in service. An
+            // unserviceable ordered command also fences everything after
+            // it.
+            Priority::Ordered => self
+                .in_service
+                .first()
+                .is_none_or(|(oldest, _)| oldest > seq),
+            // Must not pass an incomplete earlier ordered command. If this
+            // one is fenced, so is every simple command behind it, and an
+            // ordered one behind it has an earlier arrival still waiting.
+            Priority::Simple => self
+                .ordered_in_service
+                .first()
+                .is_none_or(|fence| fence > seq),
+        };
+        serviceable.then_some(0)
     }
 
     /// Releases the queue slot of a completed command. Returns false (and
     /// changes nothing) when the command was not in service — e.g. a
     /// duplicate completion delivered by a replayed device event.
     pub fn complete(&mut self, id: CmdId) -> bool {
-        match self.in_service.iter().position(|&(_, cid, _)| cid == id) {
-            Some(i) => {
-                self.in_service.swap_remove(i);
-                true
-            }
-            None => false,
+        let Some(i) = self.in_service.iter().position(|&(_, cid)| cid == id) else {
+            return false;
+        };
+        let (seq, _) = self.in_service.remove(i);
+        // An ordered command fences every later one out of service, so it
+        // is nearly always alone here and found at once.
+        if let Some(i) = self.ordered_in_service.iter().position(|&s| s == seq) {
+            self.ordered_in_service.remove(i);
         }
+        true
     }
 }
 
