@@ -151,9 +151,16 @@ pub fn fig13(scale: u64) -> Figure {
 /// survive a multi-queue interface? A 256-thread DWSL commit storm on
 /// {1,2,4,8} hardware queues × {1,2,4} devices, EXT4-DR (Wait-on-Transfer)
 /// vs BFS-OD (barrier). EXT4 scales with device bandwidth because every
-/// fsync already serialises on transfer; BFS's cross-lane epoch sequencer
-/// drains every lane per epoch, so the slowest lane bounds it — the grid
-/// shows where that cost grows with queues and where devices buy it back.
+/// fsync already serialises on transfer. BFS-OD loses at two queues and
+/// more, and not to the cross-lane sequencer: requests are placed by
+/// `id % nr_hw_queues`, so the LBA-adjacent journal writes one lane would
+/// merge land on different lanes and dispatch one by one, each a barrier
+/// write closing an epoch of its own (the `epochs` column) and paying the
+/// device's barrier overhead. These rows issue 2 writes per thread and are
+/// mostly start-up, which is why they read "half"; with 24 writes per
+/// thread the loss is 5 % (`tests/full_stack.rs::
+/// two_queues_cost_bfs_od_merging_not_half_its_throughput`, and the
+/// numbers under "Known gaps" in docs/INVARIANTS.md).
 pub fn fig17(scale: u64) -> Figure {
     const THREADS: usize = 256;
     let writes = 2 * scale;

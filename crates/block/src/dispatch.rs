@@ -899,4 +899,49 @@ mod tests {
         assert_eq!(order, vec![2, 3, 4], "epoch n+1 overtook the barrier");
         assert_eq!(layer.stats().epochs_sequenced, 1);
     }
+
+    #[test]
+    fn a_barrier_fences_the_lane_whose_ordered_request_bounced() {
+        // 2 queues × 1 device. Epoch n is an ordered write A on lane 0 and
+        // the barrier write B on lane 1. A has been dequeued and bounced
+        // (planted, as above) when B arrives and fences every lane. Lane 0
+        // holds an ordered request of the closing epoch, so it owes the
+        // device a barrier like any other lane: A carries it when it is
+        // offered again. When `fence` looked at the queue only, lane 0 was
+        // fenced as if empty and A went out as a plain ordered write.
+        let cfg = BlockConfig::default().with_topology(Topology::new(2, 1, 8));
+        let mut layer = BlockLayer::new(vec![Device::new(DeviceProfile::ufs(), 1)], cfg);
+        let mut out = ActionSink::new();
+        let w = |id: u64, lba: u64, flags| {
+            BlockRequest::write(ReqId(id), Lba(lba), vec![BlockTag(id)], flags)
+        };
+        for i in 0..16 {
+            let filler = w(100 + i, 10_000 + i * 50, ReqFlags::NONE);
+            layer.submit(filler, SimTime::ZERO, &mut out);
+        }
+        layer.submit(w(2, 0, ReqFlags::ORDERED), SimTime::ZERO, &mut out);
+        let a = layer.lanes[0].sched.dequeue().expect("A is queued");
+        assert!(!a.req.flags.barrier, "no epoch has closed yet");
+        layer.lanes[0].sched.bounce(a);
+        layer.submit(w(3, 100, ReqFlags::BARRIER), SimTime::ZERO, &mut out);
+
+        let mut q = bio_sim::EventQueue::new();
+        loop {
+            for a in out.drain() {
+                if let BlockAction::After(d, ev) = a {
+                    q.push_after(d, ev);
+                }
+            }
+            let Some((now, ev)) = q.pop() else { break };
+            layer.handle(ev, now, &mut out);
+        }
+        let reassigned: Vec<u64> = layer.lane_stats().iter().map(|l| l.reassignments).collect();
+        assert_eq!(
+            reassigned,
+            vec![1, 1],
+            "each lane closes the epoch it took part in"
+        );
+        assert_eq!(layer.stats().epochs_sequenced, 1);
+        assert_eq!(layer.stats().completed, 18);
+    }
 }

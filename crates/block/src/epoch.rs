@@ -72,10 +72,11 @@ impl ByLba {
         rest.iter().take_while(move |k| k.0 == lba).map(|k| k.1)
     }
 
-    /// The first key at or above `lba`, or failing that the lowest.
-    fn next_from(&self, lba: u64) -> Option<(u64, u64)> {
+    /// Removes the first key at or above `lba`, or failing that the lowest.
+    fn take_next_from(&mut self, lba: u64) -> Option<(u64, u64)> {
         let from = self.0.partition_point(|k| k.0 < lba);
-        self.0.get(from).or(self.0.first()).copied()
+        let at = if from < self.0.len() { from } else { 0 };
+        (!self.0.is_empty()).then(|| self.0.remove(at))
     }
 }
 
@@ -167,6 +168,9 @@ impl EpochScheduler {
         let Some((start, end)) = incoming.req.write_span() else {
             return false;
         };
+        if incoming.req.flags.fua || incoming.req.flags.preflush || self.queue.is_empty() {
+            return false; // point semantics, or nobody to merge with
+        }
         let (arrival, old, new, turned_ordered) = {
             let mut behind = self.by_end.at(start.0).peekable();
             let mut ahead = self.near.at(end.0).chain(self.far.at(end.0)).peekable();
@@ -211,9 +215,10 @@ impl EpochScheduler {
     /// Removes the next request to dispatch — a bounced one first — or
     /// `None` if the lane holds nothing.
     pub fn dequeue(&mut self) -> Option<MergedRequest> {
-        let mut m = match self.bounced.take() {
-            Some(m) => m,
-            None => self.sweep()?,
+        let mut m = if self.bounced.is_some() {
+            self.bounced.take()?
+        } else {
+            self.sweep()?
         };
         if m.req.flags.is_order_preserving() {
             debug_assert!(self.ordered > 0, "an ordered request nobody counted");
@@ -247,7 +252,7 @@ impl EpochScheduler {
     /// The one-way elevator: reads and flushes keep FIFO order relative
     /// to their arrival batch, writes leave in ascending-LBA sweeps.
     fn sweep(&mut self) -> Option<MergedRequest> {
-        let (front, _) = self.queue.iter().next()?;
+        let (front, _) = self.queue.first()?;
         // Non-write requests (flush, read) dispatch FIFO-first if they are
         // at the head, preserving their arrival semantics.
         if self.stops.front() == Some(&front) {
@@ -260,8 +265,7 @@ impl EpochScheduler {
         // smallest overall (one-way elevator), the first in queue order
         // among equals. `near` ends at the first flush/read, so the sweep
         // cannot pass one.
-        let (lba, arrival) = self.near.next_from(self.head)?;
-        self.near.remove((lba, arrival));
+        let (lba, arrival) = self.near.take_next_from(self.head)?;
         let m = self.queue.remove(arrival)?;
         self.by_end.remove((lba + m.req.blocks(), arrival));
         self.head = lba + m.req.blocks();
@@ -429,5 +433,91 @@ mod tests {
         s.enqueue(w(2, 10, ReqFlags::ORDERED));
         assert_eq!(drain(&mut s), vec![(1, false), (2, false)]);
         assert_eq!(s.reassignments(), 0);
+    }
+
+    #[test]
+    fn a_fence_finds_the_bounced_request() {
+        // The lane's one ordered request was dispatched and bounced back
+        // by a full device. It has not left the host: the lane is not
+        // drained, a fence owes it the barrier, and the barrier rides out
+        // when it is offered again.
+        let mut s = EpochScheduler::new();
+        s.enqueue(w(1, 0, ReqFlags::ORDERED));
+        let m = s.dequeue().unwrap();
+        assert!(s.is_drained() && s.is_empty());
+        s.bounce(m);
+        assert!(!s.is_drained() && s.has_bounced());
+        assert_eq!(s.len(), 1);
+        s.fence();
+        assert_eq!(drain(&mut s), vec![(1, true)]);
+        assert!(s.is_drained() && !s.has_bounced());
+        assert_eq!(s.reassignments(), 1);
+    }
+
+    #[test]
+    fn a_bounced_request_leaves_first_and_the_barrier_still_goes_last() {
+        let mut s = EpochScheduler::new();
+        s.enqueue(w(1, 50, ReqFlags::ORDERED));
+        s.enqueue(w(2, 10, ReqFlags::ORDERED));
+        let first = s.dequeue().unwrap();
+        assert_eq!(first.req.id, ReqId(2));
+        s.bounce(first);
+        s.fence();
+        // Re-offered ahead of the sweep; request 1 is the last ordered
+        // leaver and takes the barrier. A barrier already attached
+        // survives a bounce without being counted twice.
+        assert_eq!(
+            s.dequeue().map(|m| (m.req.id.0, m.req.flags.barrier)),
+            Some((2, false))
+        );
+        let last = s.dequeue().unwrap();
+        assert!(last.req.flags.barrier);
+        s.bounce(last);
+        assert!(!s.is_drained());
+        assert_eq!(drain(&mut s), vec![(1, true)]);
+        assert_eq!(s.reassignments(), 1);
+    }
+
+    #[test]
+    fn a_merge_that_turns_a_request_ordered_is_counted() {
+        let mut s = EpochScheduler::new();
+        s.enqueue(w(1, 10, ReqFlags::NONE));
+        assert!(s.is_drained());
+        s.enqueue(w(2, 11, ReqFlags::ORDERED)); // back-merges into 1
+        assert_eq!(s.len(), 1);
+        assert!(!s.is_drained());
+        s.enqueue(w(3, 12, ReqFlags::ORDERED)); // already ordered: still one
+        s.fence();
+        assert_eq!(drain(&mut s), vec![(1, true)]);
+        assert!(s.is_drained());
+    }
+
+    #[test]
+    fn a_front_merged_request_is_swept_from_its_new_start() {
+        let mut s = EpochScheduler::new();
+        s.enqueue(wn(1, 40, 1));
+        s.enqueue(wn(2, 20, 2));
+        s.enqueue(wn(3, 18, 2)); // front-merges into 2: now 18..22
+        s.enqueue(wn(4, 19, 1)); // a twin inside the merged span
+        s.enqueue(wn(5, 16, 2)); // finds 2 by its new start: now 16..22
+        assert_eq!(s.len(), 3);
+        let order: Vec<(u64, u64)> =
+            std::iter::from_fn(|| s.dequeue().map(|m| (m.req.id.0, m.req.blocks()))).collect();
+        assert_eq!(order, vec![(2, 6), (1, 1), (4, 1)]);
+    }
+
+    #[test]
+    fn writes_behind_a_flush_wait_for_it_but_still_merge() {
+        let mut s = EpochScheduler::new();
+        s.enqueue(wn(1, 50, 1));
+        s.enqueue(BlockRequest::flush(ReqId(2)));
+        s.enqueue(wn(3, 10, 1));
+        s.enqueue(BlockRequest::read(ReqId(4), Lba(0), 1));
+        s.enqueue(wn(5, 5, 1));
+        s.enqueue(wn(6, 11, 1)); // merges into 3, across the read
+        s.enqueue(wn(7, 51, 1)); // merges into 1, across the flush
+        assert_eq!(s.len(), 5);
+        let order: Vec<u64> = std::iter::from_fn(|| s.dequeue().map(|m| m.req.id.0)).collect();
+        assert_eq!(order, vec![1, 2, 3, 4, 5]);
     }
 }

@@ -255,6 +255,15 @@ impl<T> SeqTable<T> {
         old
     }
 
+    /// The live entry with the smallest key, in O(1): removal reclaims the
+    /// dead prefix, so a non-empty table's first slot is live (`insert`
+    /// fills a gap with dead slots only *behind* a live one).
+    pub fn first(&self) -> Option<(u64, &T)> {
+        let front = self.slots.front()?.as_ref();
+        debug_assert!(front.is_some(), "dead slot at the front of the window");
+        front.map(|v| (self.base, v))
+    }
+
     /// Iterates over `(key, &entry)` pairs in key (= allocation) order.
     pub fn iter(&self) -> SeqTableIter<'_, T> {
         self.iter_from(self.base)
@@ -324,6 +333,24 @@ mod tests {
         assert_eq!(t.remove(1), None, "double remove is detected");
         assert_eq!(t.get(1), None);
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn first_is_the_smallest_live_key() {
+        let mut t = SeqTable::new();
+        assert_eq!(t.first(), None);
+        t.insert(5, 'a');
+        t.insert(9, 'c');
+        t.insert(7, 'b');
+        assert_eq!(t.first(), Some((5, &'a')));
+        t.remove(5);
+        assert_eq!(t.first(), Some((7, &'b')), "dead prefix reclaimed");
+        t.insert(3, 'z');
+        assert_eq!(t.first(), Some((3, &'z')), "window extended downwards");
+        for k in [3, 7, 9] {
+            t.remove(k);
+        }
+        assert_eq!(t.first(), None);
     }
 
     #[test]

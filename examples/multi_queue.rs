@@ -7,9 +7,13 @@
 //!
 //! * more **devices** add bandwidth (RAID-0 striping spreads the
 //!   journal);
-//! * more **queues per device** fragment each epoch across lanes, and the
-//!   cross-lane sequencer must wait for the slowest lane before releasing
-//!   the next epoch.
+//! * more **queues per device** scatter neighbours: requests are placed by
+//!   `id % nr_hw_queues`, so writes to adjacent blocks that one lane would
+//!   merge into a single command land on different lanes and go out one by
+//!   one, each closing an epoch of its own. That lost merging — not the
+//!   cross-lane sequencer's wait for every lane to drain — is what a
+//!   second queue costs BFS-OD (about 5 % at 256 threads × 24 appends; see
+//!   "Known gaps" in `docs/INVARIANTS.md`).
 //!
 //! Run with: `cargo run --release --example multi_queue`
 
