@@ -520,4 +520,17 @@ mod tests {
         let order: Vec<u64> = std::iter::from_fn(|| s.dequeue().map(|m| m.req.id.0)).collect();
         assert_eq!(order, vec![1, 2, 3, 4, 5]);
     }
+
+    #[test]
+    fn equal_starts_leave_in_queue_order_and_the_older_merge_target_wins() {
+        let mut s = EpochScheduler::new();
+        s.enqueue(wn(1, 30, 1));
+        s.enqueue(wn(2, 30, 1)); // a twin: same start, cannot merge
+        s.enqueue(wn(3, 30, 2));
+        s.enqueue(wn(4, 31, 1)); // 1 and 2 both end at 31: the older takes it
+        assert_eq!(s.len(), 3);
+        let order: Vec<(u64, u64)> =
+            std::iter::from_fn(|| s.dequeue().map(|m| (m.req.id.0, m.req.blocks()))).collect();
+        assert_eq!(order, vec![(1, 2), (2, 1), (3, 2)]);
+    }
 }

@@ -147,7 +147,6 @@ impl ChipArray {
         }
         // Every die moved by the same rule, and so does the bound.
         self.all_busy_until = self.all_busy_until.max(now) + dur;
-        self.idle_left = 0;
     }
 
     /// Earliest time any die becomes idle.
