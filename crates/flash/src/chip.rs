@@ -9,11 +9,11 @@
 //! which no die is idle. Starting or delaying work only moves a die's
 //! `busy_until` later, so the bound stays true until the clock reaches it,
 //! and until then [`ChipArray::find_idle`] and [`ChipArray::idle_count`]
-//! answer without visiting a die. The bound is set wherever the earliest
-//! `busy_until` is known for free: by a look that found every die busy,
-//! and by the [`ChipArray::start_op`] that takes the last of the dies
-//! `idle_count` just counted idle — the destage pump's count, start, start,
-//! … sequence ends with the array knowing it is full.
+//! answer without visiting a die. The bound is set to the earliest
+//! `busy_until` whenever the array is known to be full: by a look that
+//! found every die busy, and by the [`ChipArray::start_op`] that takes the
+//! last of the dies `idle_count` just counted idle — the destage pump's
+//! count, start, start, … sequence ends with the array knowing it.
 
 use bio_sim::{SimDuration, SimRng, SimTime};
 
@@ -30,8 +30,6 @@ pub struct ChipArray {
     /// those nothing has been started on since.
     idle_left: usize,
     counted_at: SimTime,
-    /// Earliest `busy_until` among all the other dies.
-    earliest_busy: SimTime,
 }
 
 impl ChipArray {
@@ -48,7 +46,6 @@ impl ChipArray {
             all_busy_until: SimTime::ZERO,
             idle_left: 0,
             counted_at: SimTime::ZERO,
-            earliest_busy: SimTime::MAX,
         }
     }
 
@@ -70,18 +67,14 @@ impl ChipArray {
         }
         // From the cursor to the end, then from the start to the cursor.
         let dies = self.busy_until.iter().enumerate();
-        let mut earliest = SimTime::MAX;
-        let mut idle = |&(_, t): &(usize, &SimTime)| {
-            earliest = earliest.min(*t);
-            *t <= now
-        };
-        let ahead = dies.clone().skip(self.cursor).find(&mut idle);
-        let found = ahead.or_else(|| dies.take(self.cursor).find(&mut idle));
+        let idle = |&(_, t): &(usize, &SimTime)| *t <= now;
+        let ahead = dies.clone().skip(self.cursor).find(idle);
+        let found = ahead.or_else(|| dies.take(self.cursor).find(idle));
         match found {
             Some((c, _)) if c + 1 == self.busy_until.len() => self.cursor = 0,
             Some((c, _)) => self.cursor = c + 1,
             // Every die was looked at and is busy: remember until when.
-            None => self.all_busy_until = earliest,
+            None => self.all_busy_until = self.next_idle_at(),
         }
         found.map(|(c, _)| c)
     }
@@ -92,17 +85,10 @@ impl ChipArray {
         if self.all_busy_until > now {
             return 0;
         }
-        let (mut idle, mut earliest_busy) = (0, SimTime::MAX);
-        for &t in &self.busy_until {
-            if t <= now {
-                idle += 1;
-            } else {
-                earliest_busy = earliest_busy.min(t);
-            }
-        }
-        (self.idle_left, self.counted_at, self.earliest_busy) = (idle, now, earliest_busy);
+        let idle = self.busy_until.iter().filter(|&&t| t <= now).count();
+        (self.idle_left, self.counted_at) = (idle, now);
         if idle == 0 {
-            self.all_busy_until = earliest_busy;
+            self.all_busy_until = self.next_idle_at();
         }
         idle
     }
@@ -128,11 +114,11 @@ impl ChipArray {
         // bound true if a release build is handed a busy one.
         self.all_busy_until = self.all_busy_until.min(done);
         if self.idle_left > 0 && now == self.counted_at {
-            self.earliest_busy = self.earliest_busy.min(done);
             self.idle_left -= 1;
             if self.idle_left == 0 {
-                // That was the last idle die: every `busy_until` is known.
-                self.all_busy_until = self.earliest_busy;
+                // That was the last idle die: the array is full until the
+                // earliest of them is done.
+                self.all_busy_until = self.next_idle_at();
             }
         }
         done
