@@ -212,6 +212,13 @@ impl<T> SeqTable<T> {
             self.base = key;
         }
         let idx = (key - self.base) as usize;
+        if idx == self.slots.len() {
+            // The next key in allocation order, as nearly every insert is:
+            // one write of the entry instead of a dead slot and then it.
+            self.slots.push_back(Some(value));
+            self.len += 1;
+            return None;
+        }
         while self.slots.len() <= idx {
             self.slots.push_back(None);
         }
