@@ -80,6 +80,13 @@ impl ByLba {
     }
 }
 
+/// FUA and preflush writes have point semantics: nothing merges with them
+/// ([`MergedRequest::try_merge`] refuses), so they are kept out of `by_end`
+/// and never look for a target.
+fn may_merge(m: &MergedRequest) -> bool {
+    !(m.req.flags.fua || m.req.flags.preflush)
+}
+
 /// One lane's queue: requests go in, dispatchable (possibly merged)
 /// requests come out, and the barrier the lane owes rides out on the last
 /// order-preserving one.
@@ -141,7 +148,7 @@ impl EpochScheduler {
         self.next_arrival += 1;
         match incoming.req.write_span() {
             Some((start, end)) => {
-                if !(incoming.req.flags.fua || incoming.req.flags.preflush) {
+                if may_merge(&incoming) {
                     self.by_end.insert((end.0, arrival));
                 }
                 self.starts_of(arrival).insert((start.0, arrival));
@@ -168,8 +175,8 @@ impl EpochScheduler {
         let Some((start, end)) = incoming.req.write_span() else {
             return false;
         };
-        if incoming.req.flags.fua || incoming.req.flags.preflush || self.queue.is_empty() {
-            return false; // point semantics, or nobody to merge with
+        if !may_merge(incoming) || self.queue.is_empty() {
+            return false;
         }
         let (arrival, old, new, turned_ordered) = {
             let mut behind = self.by_end.at(start.0).peekable();
