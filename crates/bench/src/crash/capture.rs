@@ -2,14 +2,14 @@
 //! each point from the previous one, and the trace driver that captures
 //! at every journal commit.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use barrier_io::{
     ConsistencyIndex, DeviceCaptureDelta, FileRef, IoStack, StackConfig, Topology, TxnRecord,
 };
 use bio_flash::{
-    AppendRec, BarrierMode, BlockTag, Device, EpochIndex, ImageView, Lba, TransferRec,
+    AppendRec, BarrierMode, BlockMap, BlockTag, Device, EpochIndex, ImageView, Lba, TransferRec,
 };
 use bio_sim::SimDuration;
 use bio_workloads::{RandWrite, SyncMode, WriteMode};
@@ -31,7 +31,7 @@ const STALE_STEP_LIMIT: u64 = 200_000;
 #[derive(Debug, Clone, PartialEq)]
 pub(super) struct DeviceState {
     /// Folded durable prefix of the append log (shared, immutable).
-    pub(super) base: Arc<BTreeMap<Lba, BlockTag>>,
+    pub(super) base: Arc<BlockMap>,
     /// Unfolded tail records, in append order.
     pub(super) tail: Vec<AppendRec>,
     /// Writeback-cache content in insertion order — captured under PLP
@@ -181,7 +181,7 @@ impl CrashPoint {
 /// being re-read.
 #[derive(Debug, Clone)]
 struct DeviceCursor {
-    base: Arc<BTreeMap<Lba, BlockTag>>,
+    base: Arc<BlockMap>,
     committed: Arc<BTreeSet<u64>>,
     history: Option<Arc<Vec<TransferRec>>>,
     audit: Option<Arc<EpochIndex>>,
@@ -190,7 +190,7 @@ struct DeviceCursor {
 impl DeviceCursor {
     fn new() -> DeviceCursor {
         DeviceCursor {
-            base: Arc::new(BTreeMap::new()),
+            base: Arc::new(BlockMap::new()),
             committed: Arc::new(BTreeSet::new()),
             history: None,
             audit: None,

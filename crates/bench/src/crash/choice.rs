@@ -3,6 +3,8 @@
 //! shared base ([`Overlay`]), and the set of distinct images seen so far
 //! ([`SeenImages`]).
 
+use std::collections::BTreeMap;
+
 use bio_flash::{BarrierMode, BlockTag, ImageView, Lba, PersistedImage};
 use bio_sim::SimRng;
 
@@ -132,17 +134,39 @@ impl<'a> Overlay<'a> {
         }
     }
 
+    /// The tags written to each entry by the tail and, under PLP, the
+    /// cache, as `(entry, tag)`.
+    fn written(&self) -> impl Iterator<Item = (usize, BlockTag)> + '_ {
+        let tail = self.dev.tail.iter().map(|r| r.tag);
+        let cache = self.dev.cache.iter().map(|c| c.1);
+        let slots = self.slots.iter().map(|&slot| slot as usize);
+        slots.zip(tail.chain(cache))
+    }
+
     /// Per entry, the least tag any choice can resolve it to: its base
     /// tag or any tail or cache tag written to it. (It bounds which
     /// ordered-data entries can read differently from the base.)
     pub(super) fn floors(&self) -> Vec<BlockTag> {
         let mut floors = self.base_tags.clone();
-        let tail = self.dev.tail.iter().map(|r| r.tag);
-        let cache = self.dev.cache.iter().map(|c| c.1);
-        for (&slot, tag) in self.slots.iter().zip(tail.chain(cache)) {
-            floors[slot as usize] = floors[slot as usize].min(tag);
+        for (slot, tag) in self.written() {
+            floors[slot] = floors[slot].min(tag);
         }
         floors
+    }
+
+    /// Every `(block, tag)` some choice can resolve an entry to — its
+    /// base tag and each tail or cache tag written to it — ascending: the
+    /// candidates an [`bio_flash::EpochIndex`] probe judges once per point.
+    pub(super) fn candidates(&self) -> Vec<(Lba, BlockTag)> {
+        let lba = |slot: usize| self.entries[slot].0;
+        let mut out: Vec<(Lba, BlockTag)> = (0..self.entries.len())
+            .map(lba)
+            .zip(self.base_tags.iter().copied())
+            .chain(self.written().map(|(slot, tag)| (lba(slot), tag)))
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 
     fn reset(&mut self) {
@@ -223,7 +247,7 @@ impl<'a> Overlay<'a> {
 
     /// Materializes the overlay into a standalone image.
     pub(super) fn materialize(&self) -> PersistedImage {
-        let mut map = (*self.dev.base).clone();
+        let mut map: BTreeMap<Lba, BlockTag> = self.dev.base.iter().collect();
         for &(lba, tag) in &self.entries {
             if tag == BlockTag::UNWRITTEN {
                 map.remove(&lba);

@@ -78,9 +78,8 @@ impl<'a> Judge<'a> {
             epoch_probes: overlays
                 .iter()
                 .map(|o| {
-                    let covered = |lba| o.entries.binary_search_by_key(&lba, |e| e.0).is_ok();
                     let index = o.dev.audit.as_deref().filter(|_| indexed)?;
-                    index.probe(covered)
+                    index.probe(o.candidates())
                 })
                 .collect(),
             checker: OnceCell::new(),

@@ -191,6 +191,10 @@ pub struct DeviceStats {
     pub cache_hit_reads: u64,
     /// Commands that bounced because the queue was full.
     pub queue_full_rejections: u64,
+    /// Writes refused because they reach past [`Lba::LIMIT`]: completed at
+    /// once with nothing written (the model has no error status), so no
+    /// table keyed by address ever sees them.
+    pub out_of_range_writes: u64,
 }
 
 /// The simulated storage device.
@@ -377,13 +381,26 @@ impl Device {
     }
 
     /// Submits a command. Returns the command back when the queue is full
-    /// (the host's dispatch layer must retry — Fig 6(b)).
+    /// (the host's dispatch layer must retry — Fig 6(b)). A write reaching
+    /// past [`Lba::LIMIT`] completes at once with nothing written, counted
+    /// in [`DeviceStats::out_of_range_writes`].
     pub fn submit(
         &mut self,
         cmd: Command,
         now: SimTime,
         out: &mut Vec<DevAction>,
     ) -> Result<(), Command> {
+        if let CmdKind::Write { start, tags, .. } = &cmd.kind {
+            let end = start.0.checked_add(tags.len() as u64);
+            if end.is_none_or(|end| end > Lba::LIMIT.0) {
+                self.stats.out_of_range_writes += 1;
+                out.push(DevAction::Complete(Completion {
+                    id: cmd.id,
+                    at: now,
+                }));
+                return Ok(());
+            }
+        }
         match self.queue.admit(cmd, now) {
             Ok(()) => {
                 self.sample_qd(now);

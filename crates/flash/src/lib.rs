@@ -72,7 +72,7 @@ pub use ftl::{Ftl, FtlStats, GcRun, PhysLoc};
 pub use profile::{BarrierMode, BarrierOverhead, DeviceProfile};
 pub use queue::CommandQueue;
 pub use recovery::{
-    audit_epoch_order, AppendLog, AppendRec, EpochAudit, EpochIndex, EpochProbe, EpochViolation,
-    ImageView, PersistedImage, TransferRec,
+    audit_epoch_order, AppendLog, AppendRec, BlockMap, EpochAudit, EpochIndex, EpochProbe,
+    EpochViolation, ImageView, PersistedImage, TransferRec,
 };
 pub use types::{BlockTag, CmdId, CmdKind, Command, Completion, Lba, Priority, WriteFlags};

@@ -9,7 +9,8 @@
 //! barrier-enforcement mode.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::ops::Bound;
+
+use bio_sim::{IntMap, PagedMap, SeqTable};
 
 use crate::types::{BlockTag, Lba};
 
@@ -29,13 +30,13 @@ pub struct AppendRec {
 /// The device's append history with a folded durable prefix.
 ///
 /// Records whose durability can never change again are folded into a base
-/// map so memory stays bounded on long runs. Ordered maps throughout:
-/// crash images flow into golden diffs and differential traces, so their
-/// iteration order must be reproducible across processes (the
-/// determinism invariant, docs/INVARIANTS.md §1).
+/// [`BlockMap`] so memory stays bounded on long runs: a fold is one store.
+/// Crash images flow into golden diffs and differential traces, so every
+/// iteration here is in append or address order, reproducible across
+/// processes (the determinism invariant, docs/INVARIANTS.md §1).
 #[derive(Debug, Clone, Default)]
 pub struct AppendLog {
-    base: BTreeMap<Lba, BlockTag>,
+    base: BlockMap,
     entries: VecDeque<AppendRec>,
     /// Append sequence number of `entries[0]`.
     start: u64,
@@ -53,6 +54,8 @@ impl AppendLog {
     }
 
     /// Records the start of a flash program, returning its append sequence.
+    /// `lba` must lie below [`Lba::LIMIT`] (the device refuses any write
+    /// that does not), or its fold will panic.
     pub fn begin(&mut self, lba: Lba, tag: BlockTag, group: Option<u64>) -> u64 {
         let seq = self.next;
         self.next += 1;
@@ -94,7 +97,7 @@ impl AppendLog {
     }
 
     /// The folded durable prefix: block address → newest folded version.
-    pub fn base(&self) -> &BTreeMap<Lba, BlockTag> {
+    pub fn base(&self) -> &BlockMap {
         &self.base
     }
 
@@ -140,7 +143,7 @@ impl AppendLog {
     /// in append order. `prefix_only` stops at the first rejected record
     /// (the LFS in-order recovery rule).
     pub fn image<F: Fn(&AppendRec) -> bool>(&self, keep: F, prefix_only: bool) -> PersistedImage {
-        let mut map = self.base.clone();
+        let mut map: BTreeMap<Lba, BlockTag> = self.base.iter().collect();
         for rec in &self.entries {
             if keep(rec) {
                 map.insert(rec.lba, rec.tag);
@@ -149,6 +152,90 @@ impl AppendLog {
             }
         }
         PersistedImage { map }
+    }
+}
+
+/// Blocks per [`BlockMap`] page: 8 KiB of slots. A crash-explorer trace
+/// writes three short runs (metadata, journal, data) and builds a fresh
+/// stack and capture cursor per trace; at the device tables' 4,096 a page
+/// the two bases zero-filled 384 KiB per trace device and held
+/// `crash_enum`'s peak RSS above what the B-tree had needed.
+const BLOCK_MAP_PAGE: usize = 512;
+
+/// Block address → content version, direct-indexed: a read or a store is
+/// two loads into a [`bio_sim::PagedMap`] (8 KiB per 512-block page an
+/// address touches), iteration is in ascending address order, and two
+/// maps are equal when they hold the same pairs. It is
+/// [`AppendLog::base`], the base every crash image of a capture point
+/// shares, and the base both check indexes read.
+///
+/// Addresses must lie below [`Lba::LIMIT`]: [`BlockMap::insert`] panics on
+/// any other, and the device refuses a write that reaches past it, so no
+/// such address is ever folded.
+#[derive(Debug, Clone, Default)]
+pub struct BlockMap {
+    map: PagedMap<BlockTag, BLOCK_MAP_PAGE>,
+}
+
+impl BlockMap {
+    /// An empty map.
+    pub fn new() -> BlockMap {
+        BlockMap::default()
+    }
+
+    /// The version stored at `lba`, if any.
+    #[inline]
+    pub fn get(&self, lba: Lba) -> Option<BlockTag> {
+        self.map.get(lba.0)
+    }
+
+    /// Stores `tag` at `lba`, returning the version it replaced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lba` is not below [`Lba::LIMIT`].
+    #[inline]
+    pub fn insert(&mut self, lba: Lba, tag: BlockTag) -> Option<BlockTag> {
+        self.map.insert(lba.0, tag)
+    }
+
+    /// Number of blocks stored.
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// True when nothing is stored.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+
+    /// `(lba, tag)` pairs in ascending address order.
+    pub fn iter(&self) -> impl Iterator<Item = (Lba, BlockTag)> + '_ {
+        self.map.iter().map(|(lba, tag)| (Lba(lba), tag))
+    }
+}
+
+impl PartialEq for BlockMap {
+    fn eq(&self, other: &BlockMap) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for BlockMap {}
+
+impl Extend<(Lba, BlockTag)> for BlockMap {
+    fn extend<I: IntoIterator<Item = (Lba, BlockTag)>>(&mut self, pairs: I) {
+        for (lba, tag) in pairs {
+            self.insert(lba, tag);
+        }
+    }
+}
+
+impl FromIterator<(Lba, BlockTag)> for BlockMap {
+    fn from_iter<I: IntoIterator<Item = (Lba, BlockTag)>>(pairs: I) -> BlockMap {
+        let mut map = BlockMap::new();
+        map.extend(pairs);
+        map
     }
 }
 
@@ -218,7 +305,15 @@ impl<V: ImageView + ?Sized> ImageView for &V {
     }
 }
 
-/// A bare block map (an [`AppendLog::base`] snapshot) read as an image.
+/// An [`AppendLog::base`] read as an image.
+impl ImageView for BlockMap {
+    #[inline]
+    fn tag(&self, lba: Lba) -> BlockTag {
+        self.get(lba).unwrap_or(BlockTag::UNWRITTEN)
+    }
+}
+
+/// A hand-made block map read as an image (what tests build bases from).
 impl ImageView for BTreeMap<Lba, BlockTag> {
     fn tag(&self, lba: Lba) -> BlockTag {
         self.get(&lba).copied().unwrap_or(BlockTag::UNWRITTEN)
@@ -341,6 +436,38 @@ fn move_entry(set: &mut BTreeSet<(u64, Lba)>, lba: Lba, old: Option<u64>, new: O
     }
 }
 
+/// Tags are bump-allocated per stack, so a device's tags are dense up to
+/// the share other devices and unwritten versions take. A tag that would
+/// stretch [`EpochIndex`]'s tag window past this many slots per tag held,
+/// plus [`TAG_SLACK`], is no such tag: the history is irregular.
+const TAG_SLOTS_PER_TAG: u64 = 16;
+
+/// Window slots any history may use whatever its density (512 KiB).
+const TAG_SLACK: u64 = 1 << 16;
+
+/// Tags at or past this bound are never indexed (the history is irregular).
+const TAG_LIMIT: u64 = 1 << 32;
+
+/// The transfer that carried one content tag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Carried {
+    /// Its block's position in [`EpochIndex`]'s block slots.
+    block: u32,
+    seq: u64,
+    epoch: u64,
+}
+
+/// Everything [`EpochIndex`] knows of one block.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct BlockSlot {
+    /// `(seq, epoch)` of the block's transfers, strictly ascending by
+    /// sequence: a same-epoch overwrite coalesced onto its predecessor's
+    /// sequence shares that entry (and its epoch).
+    transfers: Vec<(u64, u64)>,
+    /// The verdict of the block under the base.
+    verdict: LbaVerdict,
+}
+
 /// [`EpochAudit`] kept incrementally over a base image that changes by
 /// folds, for the crash enumerator: every image of a capture point is the
 /// base plus a small overlay, so a block the overlay does not touch
@@ -352,27 +479,35 @@ fn move_entry(set: &mut BTreeSet<(u64, Lba)>, lba: Lba, old: Option<u64>, new: O
 /// extremes *excluding* an overlay's blocks cost O(overlay), and the
 /// overlay's own blocks are judged from the tag each image gives them.
 ///
+/// Nothing here is a tree walk: a tag's transfer is found by the tag's
+/// bump number ([`SeqTable`], one slot per tag of the window it spans), a
+/// block's slot by its address ([`IntMap`]: one multiply and a probe, memory
+/// per block written), and the slot holds the block's transfers and its
+/// cached verdict together.
+///
 /// What can move a cached verdict: a fold of that block, or a new
 /// transfer of it — nothing else. [`EpochIndex::advance`] takes exactly
 /// those. It relies on two regularities of a real transfer history (per
 /// block, sequences and epochs never decrease; a content tag is
-/// transferred once); a history that breaks one marks the index
-/// irregular and it certifies nothing — callers then run [`EpochAudit`].
+/// transferred once) and on its keys being dense (tags and blocks below
+/// 2^32, a tag near the tags before it); a history that breaks one marks
+/// the index irregular, it drops its tables and certifies nothing —
+/// callers then run [`EpochAudit`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EpochIndex {
     /// The index covers `history[..ingested]`.
     ingested: usize,
-    /// Content tag → the transfer that carried it.
-    by_tag: BTreeMap<BlockTag, TransferRec>,
-    /// `(block, transfer seq)` → epoch, i.e. each block's transfers in
-    /// order.
-    by_lba: BTreeMap<(Lba, u64), u64>,
-    /// Verdict of every block under the base (absent = nothing visible,
-    /// nothing lost).
-    verdicts: BTreeMap<Lba, LbaVerdict>,
-    /// `(vis, block)` over `verdicts`.
+    /// Content tag → its position in `carried`.
+    by_tag: SeqTable<u32>,
+    /// The transfer behind each tag, in ingest order.
+    carried: Vec<Carried>,
+    /// Block address → its position in `blocks`.
+    slot_of: IntMap<Lba, u32>,
+    /// Every block some transfer wrote, in order of first transfer.
+    blocks: Vec<BlockSlot>,
+    /// `(vis, block)` over the base verdicts.
     vis: BTreeSet<(u64, Lba)>,
-    /// `(need, block)` over `verdicts`.
+    /// `(need, block)` over the base verdicts.
     need: BTreeSet<(u64, Lba)>,
     irregular: bool,
 }
@@ -395,88 +530,177 @@ impl EpochIndex {
     ) -> usize {
         let mut dirty: Vec<Lba> = folded.into_iter().collect();
         for t in history.iter().skip(self.ingested) {
-            let last = self
-                .by_lba
-                .range((t.lba, 0)..=(t.lba, u64::MAX))
-                .next_back();
-            self.irregular |= t.tag == BlockTag::UNWRITTEN
-                || last.is_some_and(|(&(_, seq), &epoch)| t.seq < seq || t.epoch < epoch)
-                || self.by_tag.insert(t.tag, *t).is_some();
-            // A same-epoch overwrite coalesces onto its predecessor's
-            // sequence; both transfers then share one entry.
-            self.by_lba.entry((t.lba, t.seq)).or_insert(t.epoch);
+            self.irregular = self.irregular || !self.ingest(t);
             dirty.push(t.lba);
         }
         self.ingested = history.len();
         dirty.sort_unstable();
         dirty.dedup();
+        if self.irregular {
+            let ingested = self.ingested;
+            *self = EpochIndex {
+                ingested,
+                irregular: true,
+                ..EpochIndex::default()
+            };
+            return dirty.len();
+        }
         for &lba in &dirty {
-            let new = self.verdict(lba, base.tag(lba));
-            let old = if new == LbaVerdict::default() {
-                self.verdicts.remove(&lba)
-            } else {
-                self.verdicts.insert(lba, new)
-            }
-            .unwrap_or_default();
+            // A block no transfer wrote holds the default verdict.
+            let Some(slot) = self.slot(lba) else {
+                continue;
+            };
+            let new = self.verdict_at(slot, base.tag(lba));
+            let Some(b) = self.blocks.get_mut(slot) else {
+                continue;
+            };
+            let old = std::mem::replace(&mut b.verdict, new);
             move_entry(&mut self.vis, lba, old.vis, new.vis);
             move_entry(&mut self.need, lba, old.need, new.need);
         }
         dirty.len()
     }
 
+    /// Takes one transfer into the tables; false when it makes the
+    /// history irregular.
+    fn ingest(&mut self, t: &TransferRec) -> bool {
+        if t.tag == BlockTag::UNWRITTEN || t.tag.0 >= TAG_LIMIT || t.lba >= Lba::LIMIT {
+            return false;
+        }
+        let window = self.by_tag.window();
+        if !window.is_empty() {
+            let span = window.end.max(t.tag.0 + 1) - window.start.min(t.tag.0);
+            if span > TAG_SLACK + TAG_SLOTS_PER_TAG * self.carried.len() as u64 {
+                return false;
+            }
+        }
+        if self.by_tag.contains(t.tag.0) {
+            return false;
+        }
+        let slot = match self.slot(t.lba) {
+            Some(slot) => slot,
+            None => {
+                self.slot_of.insert(t.lba, self.blocks.len() as u32);
+                self.blocks.push(BlockSlot {
+                    transfers: Vec::new(),
+                    verdict: LbaVerdict::default(),
+                });
+                self.blocks.len() - 1
+            }
+        };
+        let Some(b) = self.blocks.get_mut(slot) else {
+            return false;
+        };
+        match b.transfers.last() {
+            Some(&(seq, epoch)) if t.seq < seq || t.epoch < epoch => return false,
+            // A same-epoch overwrite coalesced onto its predecessor.
+            Some(&(seq, _)) if t.seq == seq => {}
+            _ => b.transfers.push((t.seq, t.epoch)),
+        }
+        self.by_tag.insert(t.tag.0, self.carried.len() as u32);
+        self.carried.push(Carried {
+            block: slot as u32,
+            seq: t.seq,
+            epoch: t.epoch,
+        });
+        true
+    }
+
+    /// The slot of `lba`, if a transfer wrote it.
+    fn slot(&self, lba: Lba) -> Option<usize> {
+        self.slot_of.get(&lba).map(|&s| s as usize)
+    }
+
     /// The verdict of `lba` when it holds `tag`.
     fn verdict(&self, lba: Lba, tag: BlockTag) -> LbaVerdict {
-        let held = self.by_tag.get(&tag);
-        let seq = held.map_or(0, |t| t.seq);
+        self.slot(lba)
+            .map_or_else(LbaVerdict::default, |slot| self.verdict_at(slot, tag))
+    }
+
+    /// The verdict of the block in `slot` when it holds `tag`.
+    fn verdict_at(&self, slot: usize, tag: BlockTag) -> LbaVerdict {
+        let held = self
+            .by_tag
+            .get(tag.0)
+            .and_then(|&c| self.carried.get(c as usize));
+        let seq = held.map_or(0, |c| c.seq);
+        let transfers = self.blocks.get(slot).map_or(&[][..], |b| &b.transfers);
+        let newer = transfers.partition_point(|&(s, _)| s <= seq);
         LbaVerdict {
-            vis: held.filter(|t| t.lba == lba).map(|t| t.epoch),
-            need: self
-                .by_lba
-                .range((
-                    Bound::Excluded((lba, seq)),
-                    Bound::Included((lba, u64::MAX)),
-                ))
-                .next()
-                .map(|(_, &epoch)| epoch),
+            vis: held.filter(|c| c.block as usize == slot).map(|c| c.epoch),
+            need: transfers.get(newer).map(|&(_, epoch)| epoch),
         }
     }
 
-    /// Prepares the per-point half of the check: the extremes over every
-    /// block *not* `in_overlay`. `None` when the history is irregular.
-    pub fn probe(&self, in_overlay: impl Fn(Lba) -> bool) -> Option<EpochProbe<'_>> {
+    /// Prepares the per-point half of the check. `candidates` names every
+    /// `(block, tag)` an image of the point may give an overlay block: the
+    /// probe computes those verdicts once, and the extremes over every
+    /// block it does not name. `None` when the history is irregular.
+    pub fn probe(
+        &self,
+        candidates: impl IntoIterator<Item = (Lba, BlockTag)>,
+    ) -> Option<EpochProbe<'_>> {
         if self.irregular {
             return None;
         }
-        let outside = |e: &&(u64, Lba)| !in_overlay(e.1);
+        let mut memo: Vec<(Lba, BlockTag, LbaVerdict)> = candidates
+            .into_iter()
+            .map(|(lba, tag)| (lba, tag, self.verdict(lba, tag)))
+            .collect();
+        memo.sort_unstable_by_key(|m| (m.0, m.1));
+        memo.dedup_by_key(|m| (m.0, m.1));
+        let outside = |e: &&(u64, Lba)| memo.binary_search_by_key(&e.1, |m| m.0).is_err();
+        let vis = self.vis.iter().rev().find(outside).map(|e| e.0);
+        let need = self.need.iter().find(outside).map(|e| e.0);
         Some(EpochProbe {
             index: self,
-            vis: self.vis.iter().rev().find(outside).map(|e| e.0),
-            need: self.need.iter().find(outside).map(|e| e.0),
+            vis,
+            need,
+            memo,
         })
     }
 }
 
 /// One capture point's view of an [`EpochIndex`]: the extremes outside
-/// the point's overlay, ready to be combined with each image's overlay.
-#[derive(Debug, Clone, Copy)]
+/// the point's overlay, and the verdict of every `(block, tag)` the
+/// overlay may hold, ready to be combined per image.
+#[derive(Debug, Clone)]
 pub struct EpochProbe<'a> {
     index: &'a EpochIndex,
     vis: Option<u64>,
     need: Option<u64>,
+    /// `(block, tag, verdict)` per candidate, ascending.
+    memo: Vec<(Lba, BlockTag, LbaVerdict)>,
 }
 
 impl EpochProbe<'_> {
     /// True when the image `base ⊕ overlay` provably has no
     /// [`EpochViolation`]; `overlay` must resolve exactly the blocks the
-    /// probe was built for. False means "run [`EpochAudit`]".
+    /// probe was built for, in ascending order. A `(block, tag)` among the
+    /// candidates costs a memo read; any other is judged by the index.
+    /// False means "run [`EpochAudit`]".
     pub fn certifies(&self, overlay: impl IntoIterator<Item = (Lba, BlockTag)>) -> bool {
         let (mut vis, mut need) = (self.vis, self.need);
+        let mut memo = self.memo.as_slice();
         for (lba, tag) in overlay {
-            let v = self.index.verdict(lba, tag);
+            while let Some((_, rest)) = memo.split_first().filter(|(m, _)| m.0 < lba) {
+                memo = rest;
+            }
+            let v = memo
+                .iter()
+                .take_while(|m| m.0 == lba)
+                .find(|m| m.1 == tag)
+                .map_or_else(|| self.index.verdict(lba, tag), |m| m.2);
             vis = vis.max(v.vis);
             need = min_epoch(need, v.need);
         }
         !matches!((vis, need), (Some(v), Some(n)) if n < v)
+    }
+
+    /// The newest visible and the oldest needed epoch over the blocks the
+    /// probe does not name, under the base.
+    pub fn extremes(&self) -> (Option<u64>, Option<u64>) {
+        (self.vis, self.need)
     }
 }
 
@@ -648,10 +872,9 @@ mod tests {
 
     /// Whether the index certifies `base ⊕ overlay`.
     fn certifies(index: &EpochIndex, overlay: &BTreeMap<Lba, BlockTag>) -> bool {
-        let probe = index
-            .probe(|lba| overlay.contains_key(&lba))
-            .expect("regular");
-        probe.certifies(overlay.iter().map(|(&l, &t)| (l, t)))
+        let pairs = || overlay.iter().map(|(&l, &t)| (l, t));
+        let probe = index.probe(pairs()).expect("regular");
+        probe.certifies(pairs())
     }
 
     #[test]
@@ -689,14 +912,164 @@ mod tests {
         let base = BTreeMap::new();
         // One tag carried by two transfers.
         let twice = [rec(1, 10, 100, 0), rec(2, 11, 100, 0)];
-        assert!(index_of(&twice, &base).probe(|_| false).is_none());
+        assert!(index_of(&twice, &base).probe([]).is_none());
         // A block's sequence going backwards.
         let backwards = [rec(5, 10, 100, 0), rec(4, 10, 101, 0)];
-        assert!(index_of(&backwards, &base).probe(|_| false).is_none());
+        assert!(index_of(&backwards, &base).probe([]).is_none());
         // A same-epoch overwrite coalesced onto its predecessor's sequence
         // is regular.
         let coalesced = [rec(5, 10, 100, 0), rec(6, 11, 101, 0), rec(5, 10, 102, 0)];
-        assert!(index_of(&coalesced, &base).probe(|_| false).is_some());
+        assert!(index_of(&coalesced, &base).probe([]).is_some());
+    }
+
+    #[test]
+    fn a_write_the_device_cannot_hold_never_reaches_the_log() {
+        use crate::{CmdId, Command, Completion, DevAction, Device, DeviceProfile, WriteFlags};
+        use bio_sim::SimTime;
+        let mut dev = Device::new(DeviceProfile::ufs(), 1);
+        let mut out = Vec::new();
+        let limit = Lba::LIMIT.0;
+        // At the limit, straddling it, and where the span overflows.
+        for (id, start, blocks) in [(1, limit, 1), (2, limit - 1, 2), (3, u64::MAX, 2)] {
+            let tags = (0..blocks).map(|i| BlockTag(10 * id + i)).collect();
+            let cmd = Command::write(CmdId(id), Lba(start), tags, WriteFlags::FLUSH_FUA);
+            assert!(dev.submit(cmd, SimTime::ZERO, &mut out).is_ok());
+        }
+        let done = |id| {
+            DevAction::Complete(Completion {
+                id: CmdId(id),
+                at: SimTime::ZERO,
+            })
+        };
+        assert_eq!(
+            out,
+            [done(1), done(2), done(3)],
+            "completed, nothing scheduled"
+        );
+        assert_eq!(dev.stats().out_of_range_writes, 3);
+        assert_eq!((dev.queue_depth(), dev.append_log().appends()), (0, 0));
+        assert!(dev.crash_image().is_empty() && dev.final_image().is_empty());
+        // The last block below the limit is admitted like any other.
+        out.clear();
+        let last = Command::write(
+            CmdId(4),
+            Lba(limit - 1),
+            vec![BlockTag(7)],
+            WriteFlags::NONE,
+        );
+        assert!(dev.submit(last, SimTime::ZERO, &mut out).is_ok());
+        assert_eq!(dev.queue_depth(), 1);
+        assert!(matches!(out.as_slice(), [DevAction::After(..)]));
+        assert_eq!(dev.stats().out_of_range_writes, 3);
+    }
+
+    #[test]
+    fn a_coalesced_overwrite_shares_its_predecessors_entry() {
+        // Three transfers of block 10 under one sequence: one entry, with
+        // the epoch the sequence was first transferred in — and that is
+        // the epoch a later transfer of the block is held to.
+        let history = [
+            rec(5, 10, 100, 0),
+            rec(6, 11, 101, 0),
+            rec(5, 10, 102, 0),
+            rec(5, 10, 103, 1),
+        ];
+        let index = index_of(&history, &BTreeMap::new());
+        let slot = index.slot(Lba(10)).expect("block 10 was written");
+        assert_eq!(index.blocks[slot].transfers, [(5, 0)]);
+        let later = [&history[..], &[rec(7, 10, 104, 0)]].concat();
+        assert!(index_of(&later, &BTreeMap::new()).probe([]).is_some());
+    }
+
+    /// An index that went irregular holds no table at all.
+    fn dropped_its_tables(index: &EpochIndex) -> bool {
+        index.probe([]).is_none()
+            && index.by_tag.window().is_empty()
+            && index.carried.is_empty()
+            && index.blocks.is_empty()
+            && index.slot_of.is_empty()
+    }
+
+    #[test]
+    fn a_tag_at_or_past_2_pow_32_is_irregular_not_a_panic() {
+        let base = BTreeMap::new();
+        for tag in [TAG_LIMIT, TAG_LIMIT + 5, u64::MAX] {
+            let history = [rec(1, 10, 100, 0), rec(2, 11, tag, 0)];
+            let index = index_of(&history, &base);
+            assert!(dropped_its_tables(&index), "tag {tag}");
+        }
+        // Just below the bound is a tag like any other.
+        let history = [rec(1, 10, TAG_LIMIT - 1, 0)];
+        assert!(index_of(&history, &base).probe([]).is_some());
+    }
+
+    #[test]
+    fn a_block_at_or_past_the_lba_limit_is_irregular_not_a_panic() {
+        let base = BTreeMap::new();
+        for lba in [Lba::LIMIT.0, u64::MAX] {
+            let history = [rec(1, 10, 100, 0), rec(2, lba, 101, 0)];
+            let mut index = EpochIndex::new();
+            // Folding the block in question is harmless too: the index
+            // never keys anything by it.
+            index.advance(&history, [Lba(lba)], &base);
+            assert!(dropped_its_tables(&index), "block {lba}");
+        }
+    }
+
+    #[test]
+    fn a_tag_far_outside_the_window_is_irregular_without_a_giant_table() {
+        let base = BTreeMap::new();
+        // Ahead of the window and, separately, behind it: each would
+        // stretch the tag table over about 2^31 slots.
+        for far in [1u64 << 31, 1] {
+            let near = 1u64 << 30;
+            let history = [
+                rec(1, 10, near, 0),
+                rec(2, 11, near + 1, 0),
+                rec(3, 12, far, 0),
+            ];
+            let index = index_of(&history, &base);
+            assert!(dropped_its_tables(&index), "tag {far}");
+        }
+        // The widest gap the density allows is regular, and the window
+        // spans it.
+        let gap = TAG_SLACK + 2 * TAG_SLOTS_PER_TAG - 1;
+        let history = [
+            rec(1, 10, 100, 0),
+            rec(2, 11, 101, 0),
+            rec(3, 12, 100 + gap, 0),
+        ];
+        let index = index_of(&history, &base);
+        assert!(index.probe([]).is_some());
+        assert_eq!(index.by_tag.window(), 100..101 + gap);
+        // A long history may spread its tags at the same density.
+        let sparse: Vec<TransferRec> = (0..10_000)
+            .map(|i| rec(i + 1, i % 64, 1 + i * TAG_SLOTS_PER_TAG, 0))
+            .collect();
+        assert!(index_of(&sparse, &base).probe([]).is_some());
+    }
+
+    #[test]
+    fn a_candidate_verdict_is_read_by_block_and_tag() {
+        // Block 10 was written in epochs 0 and 1; the memo holds a
+        // verdict for each version. An image holding the old version
+        // while block 12's epoch-1 write is visible loses an epoch-0
+        // block's newer version only if the memo tells the versions apart.
+        let history = [rec(1, 10, 100, 0), rec(2, 10, 200, 1), rec(3, 12, 300, 2)];
+        let index = index_of(&history, &BTreeMap::new());
+        let candidates = [
+            (Lba(10), BlockTag(100)),
+            (Lba(10), BlockTag(200)),
+            (Lba(12), BlockTag(300)),
+        ];
+        let probe = index.probe(candidates).expect("regular");
+        let old = [(Lba(10), BlockTag(100)), (Lba(12), BlockTag(300))];
+        let new = [(Lba(10), BlockTag(200)), (Lba(12), BlockTag(300))];
+        assert!(!probe.certifies(old), "epoch 1 lost under epoch 2");
+        assert!(probe.certifies(new));
+        // A tag the candidates did not name is judged all the same.
+        let gone = [(Lba(10), BlockTag::UNWRITTEN), (Lba(12), BlockTag(300))];
+        assert!(!probe.certifies(gone));
     }
 
     #[test]

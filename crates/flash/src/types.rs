@@ -14,6 +14,11 @@ use bio_sim::SimTime;
 pub struct Lba(pub u64);
 
 impl Lba {
+    /// One past the highest address a device holds: 2^32 blocks (16 TiB
+    /// at 4 KiB), the bound of every table the stack keys by address
+    /// ([`bio_sim::PagedMap`]). A device refuses a write that reaches it.
+    pub const LIMIT: Lba = Lba(1 << 32);
+
     /// The LBA `n` blocks after this one.
     #[inline]
     pub fn offset(self, n: u64) -> Lba {

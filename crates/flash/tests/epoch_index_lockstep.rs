@@ -1,10 +1,14 @@
-//! Lockstep suite for [`EpochIndex`]: the B-tree index of PR 15–24, kept
+//! Lockstep suite for [`EpochIndex`]: the B-tree index it replaced, kept
 //! verbatim below as the reference (tag → transfer, `(block, seq)` →
 //! epoch, block → verdict, and the two ordered extreme sets), is driven
 //! beside the real one through 256 generated histories. After every
-//! `advance` both must report the same work, both must agree on whether
-//! they can probe at all, and on random overlays both must give the same
-//! `certifies` answer — which the full [`EpochAudit`] must then confirm.
+//! `advance` both must report the same work and agree on whether they can
+//! probe at all; every probe must find the same extremes outside its
+//! overlay, and on random overlays both must give the same `certifies`
+//! answer — which the full [`EpochAudit`] must then confirm. The real
+//! probe is told each overlay block's possible versions and reads their
+//! verdicts from a memo; the overlays mostly pick among those versions
+//! and now and then hold one the probe was not told of.
 //!
 //! The histories mix what a real device produces (sequences and epochs
 //! that only grow per block, same-epoch overwrites coalesced onto their
@@ -19,7 +23,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 
-use bio_flash::{BlockTag, EpochAudit, EpochIndex, ImageView, Lba, TransferRec};
+use bio_flash::{BlockMap, BlockTag, EpochAudit, EpochIndex, ImageView, Lba, TransferRec};
 use bio_sim::SimRng;
 use proptest::prelude::*;
 
@@ -205,7 +209,7 @@ fn history(rng: &mut SimRng, len: u64, defect: Defect) -> Vec<TransferRec> {
         return out;
     }
     let i = n / 2 + rng.below((n - n / 2) as u64) as usize;
-    let earlier = out[rng.below(i as u64) as usize];
+    let (earlier, before) = (out[rng.below(i as u64) as usize], out[i - 1]);
     let t = &mut out[i];
     match defect {
         Defect::None => {}
@@ -221,9 +225,12 @@ fn history(rng: &mut SimRng, len: u64, defect: Defect) -> Vec<TransferRec> {
         }
         Defect::Unwritten => t.tag = BlockTag::UNWRITTEN,
         Defect::CoalescedUnderNewerEpoch => {
-            t.lba = earlier.lba;
-            t.seq = earlier.seq;
-            t.epoch = earlier.epoch + 1;
+            // Onto the transfer just before it, which is its block's
+            // newest: later transfers of that block in the same epoch are
+            // where the two epochs of one sequence would disagree.
+            t.lba = before.lba;
+            t.seq = before.seq;
+            t.epoch = before.epoch + 1;
         }
     }
     out
@@ -246,7 +253,7 @@ fn versions(
     rng: &mut SimRng,
     lba: Lba,
     ingested: &[TransferRec],
-    base: &BTreeMap<Lba, BlockTag>,
+    base: &BlockMap,
 ) -> Vec<BlockTag> {
     let mut tags: Vec<BlockTag> = ingested
         .iter()
@@ -284,7 +291,7 @@ fn lockstep(seed: u64) -> Result<Seen, String> {
     };
     let len = rng.range(2, 48);
     let history = history(&mut rng, len, defect);
-    let mut base: BTreeMap<Lba, BlockTag> = BTreeMap::new();
+    let mut base = BlockMap::new();
     let (mut live, mut reference) = (EpochIndex::new(), RefEpochIndex::default());
     let mut seen = Seen::default();
     let mut upto = 0;
@@ -307,11 +314,20 @@ fn lockstep(seed: u64) -> Result<Seen, String> {
         }
         seen.steps += 1;
         for _ in 0..4 {
+            // The blocks an overlay covers and every version each may
+            // hold: the live probe's candidates.
             let blocks: BTreeSet<Lba> = (0..rng.below(4))
                 .map(|_| Lba(rng.below(BLOCKS + 1)))
                 .collect();
+            let candidates: Vec<(Lba, Vec<BlockTag>)> = blocks
+                .iter()
+                .map(|&lba| (lba, versions(&mut rng, lba, ingested, &base)))
+                .collect();
+            let pairs = candidates
+                .iter()
+                .flat_map(|(lba, tags)| tags.iter().map(move |&tag| (*lba, tag)));
             let in_overlay = |lba| blocks.contains(&lba);
-            let (probe, ref_probe) = match (live.probe(in_overlay), reference.probe(in_overlay)) {
+            let (probe, ref_probe) = match (live.probe(pairs), reference.probe(in_overlay)) {
                 (Some(probe), Some(ref_probe)) => (probe, ref_probe),
                 (None, None) => {
                     seen.irregular += 1;
@@ -324,12 +340,24 @@ fn lockstep(seed: u64) -> Result<Seen, String> {
                     ));
                 }
             };
+            let extremes = (probe.extremes(), (ref_probe.vis, ref_probe.need));
+            if extremes.0 != extremes.1 {
+                return Err(format!(
+                    "{defect:?} at {upto}: extremes {extremes:?} outside {blocks:?}"
+                ));
+            }
             for _ in 0..4 {
-                let overlay: Vec<(Lba, BlockTag)> = blocks
+                // Mostly a candidate per block; now and then a version the
+                // probe was not told of.
+                let overlay: Vec<(Lba, BlockTag)> = candidates
                     .iter()
-                    .map(|&lba| {
-                        let tags = versions(&mut rng, lba, ingested, &base);
-                        (lba, tags[rng.below(tags.len() as u64) as usize])
+                    .map(|(lba, tags)| {
+                        let tag = if rng.chance(0.1) {
+                            BlockTag(1 + rng.below(5_000))
+                        } else {
+                            tags[rng.below(tags.len() as u64) as usize]
+                        };
+                        (*lba, tag)
                     })
                     .collect();
                 let said = (
@@ -337,6 +365,7 @@ fn lockstep(seed: u64) -> Result<Seen, String> {
                     ref_probe.certifies(overlay.iter().copied()),
                 );
                 if said.0 != said.1 {
+                    let base: Vec<_> = base.iter().collect();
                     return Err(format!(
                         "{defect:?} at {upto}: certifies {said:?} on {overlay:?} over {base:?}"
                     ));

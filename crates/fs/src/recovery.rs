@@ -26,10 +26,8 @@
 // event reaches it.
 #![allow(clippy::indexing_slicing, reason = "checker's own stored positions")]
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Bound;
-
 use bio_flash::{BlockTag, ImageView, Lba, PersistedImage};
+use bio_sim::IntMap;
 
 /// Ground truth of one committed journal transaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -247,9 +245,15 @@ fn rec_verdict<V: ImageView>(r: &TxnRecord, image: &V) -> RecVerdict {
 /// The four invariants reduce to: no checkable record is `bad` (see
 /// `RecVerdict`), and every checkable record older than the newest
 /// valid one is valid. The index keeps each checkable record's verdict
-/// under the base in three ordered sets (by record position, which is
-/// commit order) plus a block → records map, so a point needs only the
-/// records its overlay's blocks name and the sets' extremes without them.
+/// under the base in three position bitmaps (a position is commit order)
+/// plus, per block, the records that name it, so a point needs only the
+/// records its overlay's blocks name and the bitmaps' extremes without
+/// them.
+///
+/// Nothing here is a tree walk: a block's slot is found by its address
+/// (an [`IntMap`]: one multiply and a probe, memory per block named) and
+/// holds its last journal writer and the ordered data on it; a record is
+/// its position.
 ///
 /// What can move a cached verdict: a fold of one of the record's blocks,
 /// a newer record reusing one of its journal blocks (it stops being
@@ -260,19 +264,94 @@ pub struct ConsistencyIndex {
     /// Per record position: all of its journal blocks still name it as
     /// last writer ([`ConsistencyCheck`]'s table, kept up to date).
     checkable: Vec<bool>,
-    /// Journal block → position of its last writer.
-    journal_owner: BTreeMap<Lba, u32>,
-    /// `(block, tag, position)` for the ordered data of checkable records.
-    ordered: BTreeSet<(Lba, BlockTag, u32)>,
+    /// Block address → its position in `blocks`.
+    slot_of: IntMap<Lba, u32>,
+    /// Every block a record names, in order of first mention.
+    blocks: Vec<BlockRefs>,
     /// Checkable records valid under the base.
-    valid: BTreeSet<u32>,
+    valid: PosSet,
     /// Checkable records not valid under the base.
-    invalid: BTreeSet<u32>,
+    invalid: PosSet,
     /// Checkable records that are `bad` under the base.
-    bad: BTreeSet<u32>,
+    bad: PosSet,
     /// Record ids were not strictly ascending: positions are not commit
     /// order, and the index certifies nothing.
     irregular: bool,
+}
+
+/// What [`ConsistencyIndex`] knows of one block.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct BlockRefs {
+    /// Position of the block's last journal writer.
+    owner: Option<u32>,
+    /// `(tag, position)` of the checkable records' ordered data on the
+    /// block, ascending.
+    ordered: Vec<(BlockTag, u32)>,
+}
+
+impl BlockRefs {
+    /// Positions of the ordered data entries with a tag in `(lo, hi]`.
+    fn ordered_between(&self, lo: BlockTag, hi: BlockTag) -> impl Iterator<Item = u32> + '_ {
+        let from = self.ordered.partition_point(|e| e.0 <= lo);
+        let to = self.ordered.partition_point(|e| e.0 <= hi).max(from);
+        self.ordered[from..to].iter().map(|e| e.1)
+    }
+}
+
+/// A set of record positions, one bit each.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct PosSet {
+    words: Vec<u64>,
+}
+
+impl PosSet {
+    /// Makes room for positions below `n` (and for no more, so two sets
+    /// over the same records are equal whatever order they were set in).
+    fn grow(&mut self, n: usize) {
+        self.words.resize(n.div_ceil(64), 0);
+    }
+
+    fn set(&mut self, pos: u32, member: bool) {
+        let bit = 1u64 << (pos % 64);
+        if let Some(w) = self.words.get_mut(pos as usize / 64) {
+            if member {
+                *w |= bit;
+            } else {
+                *w &= !bit;
+            }
+        }
+    }
+
+    /// The smallest member not in `skip` (sorted ascending).
+    fn first_outside(&self, skip: &[u32]) -> Option<u32> {
+        for (i, &word) in self.words.iter().enumerate() {
+            let mut w = word;
+            while w != 0 {
+                let pos = i as u32 * 64 + w.trailing_zeros();
+                if skip.binary_search(&pos).is_err() {
+                    return Some(pos);
+                }
+                w &= w - 1;
+            }
+        }
+        None
+    }
+
+    /// The largest member not in `skip` (sorted ascending).
+    fn last_outside(&self, skip: &[u32]) -> Option<u32> {
+        for (i, &word) in self.words.iter().enumerate().rev() {
+            let mut w = word;
+            while w != 0 {
+                let bit = 63 - w.leading_zeros();
+                let pos = i as u32 * 64 + bit;
+                if skip.binary_search(&pos).is_err() {
+                    return Some(pos);
+                }
+                w &= !(1u64 << bit);
+            }
+        }
+        None
+    }
 }
 
 impl ConsistencyIndex {
@@ -300,15 +379,22 @@ impl ConsistencyIndex {
             let pos = pos as u32;
             self.checkable.push(true);
             for lba in journal_lbas(r) {
-                match self.journal_owner.insert(lba, pos) {
+                match self.block_mut(lba).owner.replace(pos) {
                     Some(prev) if prev != pos => self.retire(records, prev),
                     _ => {}
                 }
             }
             for &(lba, tag) in &r.ordered_data {
-                self.ordered.insert((lba, tag, pos));
+                let ordered = &mut self.block_mut(lba).ordered;
+                let at = ordered.partition_point(|&e| e < (tag, pos));
+                if ordered.get(at) != Some(&(tag, pos)) {
+                    ordered.insert(at, (tag, pos));
+                }
             }
             dirty.push(pos);
+        }
+        for set in [&mut self.valid, &mut self.invalid, &mut self.bad] {
+            set.grow(records.len());
         }
         for id in durable {
             if let Ok(pos) = records.binary_search_by_key(id, |r| r.id) {
@@ -316,29 +402,40 @@ impl ConsistencyIndex {
             }
         }
         for (lba, before, after) in folds {
-            dirty.extend(self.journal_owner.get(&lba));
+            let Some(b) = self.block(lba) else {
+                continue;
+            };
+            dirty.extend(b.owner);
             // Ordered data reads "at least this tag": only the entries
             // between the two versions change sides.
-            let (lo, hi) = (before.min(after), before.max(after));
-            dirty.extend(
-                self.ordered
-                    .range((
-                        Bound::Excluded((lba, lo, u32::MAX)),
-                        Bound::Included((lba, hi, u32::MAX)),
-                    ))
-                    .map(|e| e.2),
-            );
+            dirty.extend(b.ordered_between(before.min(after), before.max(after)));
         }
         dirty.sort_unstable();
         dirty.dedup();
         dirty.retain(|&pos| self.checkable[pos as usize]);
         for &pos in &dirty {
             let v = rec_verdict(&records[pos as usize], base);
-            set_member(&mut self.valid, pos, v.valid);
-            set_member(&mut self.invalid, pos, !v.valid);
-            set_member(&mut self.bad, pos, v.bad);
+            self.valid.set(pos, v.valid);
+            self.invalid.set(pos, !v.valid);
+            self.bad.set(pos, v.bad);
         }
         dirty.len()
+    }
+
+    /// The slot of `lba`, if a record names it.
+    fn block(&self, lba: Lba) -> Option<&BlockRefs> {
+        let slot = *self.slot_of.get(&lba)?;
+        self.blocks.get(slot as usize)
+    }
+
+    /// The slot of `lba`, made on first mention.
+    fn block_mut(&mut self, lba: Lba) -> &mut BlockRefs {
+        let blocks = &mut self.blocks;
+        let slot = *self.slot_of.entry(lba).or_insert_with(|| {
+            blocks.push(BlockRefs::default());
+            blocks.len() as u32 - 1
+        });
+        &mut self.blocks[slot as usize]
     }
 
     /// A newer record reused one of `pos`'s journal blocks: it takes no
@@ -348,11 +445,14 @@ impl ConsistencyIndex {
             return;
         }
         for &(lba, tag) in &records[pos as usize].ordered_data {
-            self.ordered.remove(&(lba, tag, pos));
+            let slot = self.slot_of.get(&lba).copied();
+            if let Some(b) = slot.and_then(|s| self.blocks.get_mut(s as usize)) {
+                b.ordered.retain(|&e| e != (tag, pos));
+            }
         }
-        self.valid.remove(&pos);
-        self.invalid.remove(&pos);
-        self.bad.remove(&pos);
+        self.valid.set(pos, false);
+        self.invalid.set(pos, false);
+        self.bad.set(pos, false);
     }
 
     /// Prepares the per-point half of the check. `overlay` names every
@@ -369,41 +469,23 @@ impl ConsistencyIndex {
         }
         let mut touched: Vec<u32> = Vec::new();
         for (lba, floor) in overlay {
-            touched.extend(
-                self.journal_owner
-                    .get(&lba)
-                    .filter(|&&pos| self.checkable[pos as usize]),
-            );
+            let Some(b) = self.block(lba) else {
+                continue;
+            };
+            touched.extend(b.owner.filter(|&pos| self.checkable[pos as usize]));
             // Ordered data at or below the floor is present in the base
             // and in every image alike.
-            touched.extend(
-                self.ordered
-                    .range((
-                        Bound::Excluded((lba, floor, u32::MAX)),
-                        Bound::Included((lba, BlockTag(u64::MAX), u32::MAX)),
-                    ))
-                    .map(|e| e.2),
-            );
+            touched.extend(b.ordered_between(floor, BlockTag(u64::MAX)));
         }
         touched.sort_unstable();
         touched.dedup();
-        let outside = |pos: &&u32| touched.binary_search(pos).is_err();
         Some(ConsistencyProbe {
             records,
-            newest_valid: self.valid.iter().rev().find(outside).copied(),
-            oldest_invalid: self.invalid.iter().find(outside).copied(),
-            bad: self.bad.iter().any(|pos| outside(&pos)),
+            newest_valid: self.valid.last_outside(&touched),
+            oldest_invalid: self.invalid.first_outside(&touched),
+            bad: self.bad.first_outside(&touched).is_some(),
             touched,
         })
-    }
-}
-
-/// Puts `pos` in or out of `set`.
-fn set_member(set: &mut BTreeSet<u32>, pos: u32, member: bool) {
-    if member {
-        set.insert(pos);
-    } else {
-        set.remove(&pos);
     }
 }
 
@@ -444,6 +526,12 @@ impl ConsistencyProbe<'_> {
         // Commit order: nothing checkable and lost below the newest
         // survivor.
         !matches!((oldest_invalid, newest_valid), (Some(o), Some(n)) if o < n)
+    }
+
+    /// Over the records the overlay does not touch, under the base: the
+    /// newest valid, the oldest invalid, and whether any is bad.
+    pub fn extremes(&self) -> (Option<u32>, Option<u32>, bool) {
+        (self.newest_valid, self.oldest_invalid, self.bad)
     }
 }
 

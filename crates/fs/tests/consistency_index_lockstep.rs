@@ -1,11 +1,11 @@
-//! Lockstep suite for [`ConsistencyIndex`]: the B-tree index of PR 15–24,
+//! Lockstep suite for [`ConsistencyIndex`]: the B-tree index it replaced,
 //! kept verbatim below as the reference (journal block → last writer,
 //! `(block, tag, position)` for ordered data, and three ordered position
 //! sets), is driven beside the real one through 256 generated record
-//! sets. After every `advance` both must report the same work, both must
-//! agree on whether they can probe, and on random overlays both must give
-//! the same `certifies` answer — which the full [`ConsistencyCheck`] must
-//! then confirm.
+//! sets. After every `advance` both must report the same work and agree on
+//! whether they can probe; every probe must find the same extremes outside
+//! its overlay, and on random overlays both must give the same `certifies`
+//! answer — which the full [`ConsistencyCheck`] must then confirm.
 //!
 //! The record sets wrap a journal of 4–16 blocks (so journal blocks are
 //! reused and records leave the checkable set), carry ordered data over
@@ -16,7 +16,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 
-use bio_flash::{BlockTag, ImageView, Lba};
+use bio_flash::{BlockMap, BlockTag, ImageView, Lba};
 use bio_fs::{ConsistencyCheck, ConsistencyIndex, TxnRecord};
 use bio_sim::SimRng;
 use proptest::prelude::*;
@@ -292,7 +292,7 @@ fn lockstep(seed: u64) -> Result<Seen, String> {
     let disorder = rng.chance(0.15);
     let mut records = records(&mut rng, n, journal, disorder);
     let writes = writes(&records);
-    let mut base: BTreeMap<Lba, BlockTag> = BTreeMap::new();
+    let mut base = BlockMap::new();
     let (mut live, mut reference) = (ConsistencyIndex::new(), RefConsistencyIndex::default());
     let mut seen = Seen::default();
     let mut upto = 0;
@@ -353,6 +353,19 @@ fn lockstep(seed: u64) -> Result<Seen, String> {
             );
             let said = match probes {
                 (Some(probe), Some(ref_probe)) => {
+                    let extremes = (
+                        probe.extremes(),
+                        (
+                            ref_probe.newest_valid,
+                            ref_probe.oldest_invalid,
+                            ref_probe.bad,
+                        ),
+                    );
+                    if extremes.0 != extremes.1 {
+                        return Err(format!(
+                            "at {upto}: extremes {extremes:?} outside {floors:?}"
+                        ));
+                    }
                     (probe.certifies(&image), ref_probe.certifies(&image))
                 }
                 (None, None) => {
@@ -365,6 +378,7 @@ fn lockstep(seed: u64) -> Result<Seen, String> {
                 }
             };
             if said.0 != said.1 {
+                let base: Vec<_> = base.iter().collect();
                 return Err(format!(
                     "at {upto}: certifies {said:?} on {overlay:?} over {base:?}"
                 ));

@@ -22,6 +22,8 @@
 //!   keys (request ids, destage sequences) that detects stale keys,
 //! * [`PagedMap`] — a direct-indexed map for small keys (LBAs) whose
 //!   memory scales with touched key pages, not the largest key,
+//! * [`IntMap`] — a hash map for integer keys too scattered for either,
+//!   hashed with one multiply,
 //! * [`LatencyHistogram`] / [`LatencySummary`] — percentile statistics
 //!   (the paper's Table 1 shape),
 //! * [`TimeSeries`] — step-function recording for queue-depth plots
@@ -72,5 +74,5 @@ pub use rng::SimRng;
 pub use series::TimeSeries;
 pub use sink::ActionSink;
 pub use stats::{LatencyHistogram, LatencySummary};
-pub use table::{PagedMap, SeqTable, SeqTableIter};
+pub use table::{IntHasher, IntMap, PagedMap, SeqTable, SeqTableIter};
 pub use time::{SimDuration, SimTime};

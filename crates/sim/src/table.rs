@@ -26,10 +26,8 @@
 //! the newest, not to the largest key ever allocated: completed prefixes
 //! are reclaimed as the window's front advances.
 
-use std::collections::VecDeque;
-
-/// Entries per [`PagedMap`] page (a 4096-entry directory leaf).
-const PAGE_SIZE: usize = 4096;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A dense, direct-indexed map from small `u64` keys to `T`, backed by a
 /// page directory: `map[key]` is two loads (page pointer, slot), and
@@ -38,9 +36,14 @@ const PAGE_SIZE: usize = 4096;
 /// space is locally dense (metadata region, journal, data extents) but can
 /// have large untouched gaps between regions, which a flat `Vec` would pay
 /// to zero on first touch past the gap.
+///
+/// `PAGE` entries make a page (4,096 unless the map says otherwise): a map
+/// whose keys cluster in short runs — a crash-trace stack's few hundred
+/// blocks over three regions — pays less for smaller pages, at the price
+/// of a longer directory (one pointer per page up to the largest key).
 #[derive(Debug, Clone, Default)]
-pub struct PagedMap<T> {
-    pages: Vec<Option<Box<[Option<T>]>>>,
+pub struct PagedMap<T, const PAGE: usize = 4096> {
+    pages: Vec<Option<Box<[Option<T>; PAGE]>>>,
     live: usize,
 }
 
@@ -50,13 +53,16 @@ pub struct PagedMap<T> {
 /// call pay stack-probe costs.
 #[cold]
 #[inline(never)]
-fn new_page<T: Copy>() -> Box<[Option<T>]> {
-    vec![None; PAGE_SIZE].into_boxed_slice()
+fn new_page<T: Copy, const PAGE: usize>() -> Box<[Option<T>; PAGE]> {
+    match vec![None; PAGE].into_boxed_slice().try_into() {
+        Ok(page) => page,
+        Err(_) => unreachable!("a vector of PAGE entries is a PAGE-entry page"),
+    }
 }
 
-impl<T: Copy> PagedMap<T> {
+impl<T: Copy, const PAGE: usize> PagedMap<T, PAGE> {
     /// An empty map with no directory reserved.
-    pub fn new() -> PagedMap<T> {
+    pub fn new() -> PagedMap<T, PAGE> {
         PagedMap {
             pages: Vec::new(),
             live: 0,
@@ -66,9 +72,9 @@ impl<T: Copy> PagedMap<T> {
     /// An empty map whose page directory is pre-sized for keys below
     /// `keys` (the directory itself is just pointers; no leaf pages are
     /// allocated until written).
-    pub fn with_key_capacity(keys: usize) -> PagedMap<T> {
+    pub fn with_key_capacity(keys: usize) -> PagedMap<T, PAGE> {
         PagedMap {
-            pages: Vec::with_capacity(keys.div_ceil(PAGE_SIZE)),
+            pages: Vec::with_capacity(keys.div_ceil(PAGE)),
             live: 0,
         }
     }
@@ -88,8 +94,8 @@ impl<T: Copy> PagedMap<T> {
     /// targets) read as absent instead of aliasing a wrapped index.
     #[inline]
     fn split(key: u64) -> Option<(usize, usize)> {
-        let pi = usize::try_from(key / PAGE_SIZE as u64).ok()?;
-        Some((pi, (key % PAGE_SIZE as u64) as usize))
+        let pi = usize::try_from(key / PAGE as u64).ok()?;
+        Some((pi, (key % PAGE as u64) as usize))
     }
 
     /// The entry at `key`, if present.
@@ -101,7 +107,7 @@ impl<T: Copy> PagedMap<T> {
     }
 
     /// Inserts `value` at `key`, returning any previous entry. Allocates
-    /// (and zero-fills) only the 4096-entry page containing `key`.
+    /// (and zero-fills) only the page containing `key`.
     ///
     /// # Panics
     ///
@@ -109,7 +115,8 @@ impl<T: Copy> PagedMap<T> {
     /// addresses, bump-allocated ids); the directory grows linearly with
     /// the largest key's page, so an absurd key must fail loudly rather
     /// than attempt a multi-gigabyte directory allocation. 2^32 keys
-    /// (a 16 TiB device at 4 KiB blocks) caps the directory at 8 MiB.
+    /// (a 16 TiB device at 4 KiB blocks) cap the directory at 2^32 /
+    /// `PAGE` pointers: 8 MiB at 4,096 entries a page.
     pub fn insert(&mut self, key: u64, value: T) -> Option<T> {
         assert!(
             key < 1 << 32,
@@ -143,14 +150,50 @@ impl<T: Copy> PagedMap<T> {
             page.iter().flat_map(move |p| {
                 p.iter()
                     .enumerate()
-                    .filter_map(move |(si, s)| s.map(|v| ((pi * PAGE_SIZE + si) as u64, v)))
+                    .filter_map(move |(si, s)| s.map(|v| ((pi * PAGE + si) as u64, v)))
             })
         })
     }
 }
 
+/// A hash map for integer keys (block addresses, positions) whose memory
+/// must follow its entries: keys too scattered for a [`PagedMap`] page to
+/// pay for itself and not bump-allocated like a [`SeqTable`]'s. Hashed with
+/// one multiply ([`IntHasher`]) — SipHash's flooding resistance buys
+/// nothing for keys the simulation makes itself. Keyed access only: the
+/// determinism lints forbid iterating it.
+pub type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+
+/// The hasher behind [`IntMap`]: each word is folded in with a rotate, an
+/// xor and a multiply by 2^64/φ, and the well-mixed high half is rotated
+/// down, because the table picks a bucket by the low bits.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IntHasher(u64);
+
+impl IntHasher {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+}
+
+impl Hasher for IntHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(Self::K);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 /// Dense sliding-window map from monotonically allocated `u64` keys to `T`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeqTable<T> {
     /// `slots[i]` holds the entry for key `base + i`.
     slots: VecDeque<Option<T>>,
@@ -260,6 +303,12 @@ impl<T> SeqTable<T> {
             }
         }
         old
+    }
+
+    /// The keys the window spans, dead slots included: what the table's
+    /// memory is proportional to. Empty before the first insert.
+    pub fn window(&self) -> std::ops::Range<u64> {
+        self.base..self.base + self.slots.len() as u64
     }
 
     /// The live entry with the smallest key, in O(1): removal reclaims the
@@ -421,6 +470,10 @@ mod tests {
         assert_eq!(keys(16), Vec::<u64>::new(), "past the end");
         assert_eq!(keys(u64::MAX), Vec::<u64>::new());
         assert_eq!(t.keys().collect::<Vec<_>>(), keys(0));
+        assert_eq!(t.window(), 10..16);
+        t.insert(20, 20);
+        t.insert(8, 8);
+        assert_eq!(t.window(), 8..21, "both ends stretch, holes included");
     }
 
     #[test]
@@ -446,6 +499,25 @@ mod tests {
             m.insert(1 << 32, 2);
         }));
         assert!(huge.is_err(), "out-of-range insert must panic, not OOM");
+    }
+
+    #[test]
+    fn int_hasher_spreads_strided_keys_over_the_low_bits() {
+        // Block addresses a page apart, as one device's metadata, journal
+        // and data regions are: the bucket bits must still tell them apart.
+        let hash = |n: u64| {
+            let mut h = IntHasher::default();
+            h.write_u64(n);
+            h.finish()
+        };
+        let mut buckets: Vec<u64> = (0..1024u64).map(|k| hash(k << 12) & 1023).collect();
+        buckets.sort_unstable();
+        buckets.dedup();
+        assert!(buckets.len() > 600, "{} of 1024 buckets", buckets.len());
+        assert_eq!(hash(77), hash(77), "no per-process seed");
+        let mut m: IntMap<u64, u32> = IntMap::default();
+        m.insert(1 << 40, 1);
+        assert_eq!(m.get(&(1 << 40)), Some(&1));
     }
 
     #[test]
