@@ -13,8 +13,6 @@
 //! in `bio-flash`. Deleted files keep their slot (marked dead) so ids are
 //! never reused and stale references cannot alias a new file.
 
-use std::collections::BTreeSet;
-
 use bio_flash::{BlockTag, Lba};
 
 use crate::layout::Layout;
@@ -109,6 +107,61 @@ impl DirtyTracker {
     }
 }
 
+/// A set of file blocks as sorted, disjoint, non-touching runs
+/// `[start, end)`. What it holds — the blocks a file ever wrote back — is
+/// appends and overwrites of a small region, so the runs collapse into a
+/// handful and `insert` and `contains` are one binary search each; nothing
+/// allocates once the run list has reached its working size.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BlockRuns {
+    runs: Vec<(u64, u64)>,
+}
+
+impl BlockRuns {
+    /// An empty set.
+    pub fn new() -> BlockRuns {
+        BlockRuns::default()
+    }
+
+    /// True when `block` is in the set.
+    pub fn contains(&self, block: u64) -> bool {
+        let i = self.runs.partition_point(|r| r.1 <= block);
+        self.runs.get(i).is_some_and(|r| r.0 <= block)
+    }
+
+    /// Adds `block`, growing or joining the runs it touches. Returns true
+    /// when it was not in the set. (`u64::MAX` ends no run: it is never
+    /// added.)
+    pub fn insert(&mut self, block: u64) -> bool {
+        let Some(end) = block.checked_add(1) else {
+            return false;
+        };
+        // The first run ending at or after `block`: it holds it, ends
+        // right below it, or lies wholly above it.
+        let i = self.runs.partition_point(|r| r.1 < block);
+        let next = self.runs.get(i + 1).copied();
+        let Some(run) = self.runs.get_mut(i) else {
+            self.runs.push((block, end));
+            return true;
+        };
+        if run.0 <= block && block < run.1 {
+            return false;
+        }
+        if run.1 == block {
+            run.1 = end;
+            if let Some((start, next_end)) = next.filter(|n| n.0 == end) {
+                run.1 = next_end;
+                self.runs.retain(|r| r.0 != start);
+            }
+        } else if run.0 == end {
+            run.0 = block;
+        } else {
+            self.runs.insert(i, (block, end));
+        }
+        true
+    }
+}
+
 /// One file.
 #[derive(Debug, Clone)]
 pub struct File {
@@ -123,7 +176,7 @@ pub struct File {
     /// Blocks ever written back (used by OptFS selective data journaling:
     /// an overwrite of committed content is journaled, not written in
     /// place).
-    pub committed_blocks: BTreeSet<u64>,
+    pub committed_blocks: BlockRuns,
     /// Inode content version (bumped on any metadata change).
     pub meta_tag: BlockTag,
     /// Size/allocation changed since last journal commit (`fdatasync`
@@ -204,7 +257,7 @@ impl FileTable {
             size_blocks: 0,
             extents: Vec::new(),
             dirty_data: DirtyTracker::new(),
-            committed_blocks: BTreeSet::new(),
+            committed_blocks: BlockRuns::new(),
             meta_tag: layout.next_tag(),
             alloc_dirty: true, // a fresh inode must be journaled
             mtime_dirty: true,
@@ -457,6 +510,59 @@ mod tests {
         d.insert(3, BlockTag(4));
         assert_eq!(d.clear(), 1);
         assert!(d.is_empty() && d.tag_at(3).is_none());
+    }
+
+    #[test]
+    fn block_runs_agree_with_a_btree_set() {
+        let mut rng = bio_sim::SimRng::new(0xB10C);
+        for _ in 0..200 {
+            let (mut runs, mut set) = (BlockRuns::new(), std::collections::BTreeSet::new());
+            // Appends, overwrites of a small region, and strays.
+            let mut next = rng.below(8);
+            for _ in 0..rng.range(1, 80) {
+                let block = match rng.below(4) {
+                    0 => {
+                        next += 1;
+                        next
+                    }
+                    1 => rng.below(16),
+                    2 => next.saturating_sub(rng.below(4)),
+                    _ => rng.below(1_000),
+                };
+                assert_eq!(runs.insert(block), set.insert(block), "insert {block}");
+                for probe in [block.saturating_sub(1), block, block + 1, rng.below(1_000)] {
+                    assert_eq!(
+                        runs.contains(probe),
+                        set.contains(&probe),
+                        "contains {probe}"
+                    );
+                }
+            }
+            // Disjoint, non-touching, ascending: exactly the set's runs.
+            let mut expected: Vec<(u64, u64)> = Vec::new();
+            for &b in &set {
+                match expected.last_mut() {
+                    Some(run) if run.1 == b => run.1 = b + 1,
+                    _ => expected.push((b, b + 1)),
+                }
+            }
+            assert_eq!(runs.runs, expected);
+        }
+    }
+
+    #[test]
+    fn block_runs_join_across_a_filled_gap() {
+        let mut runs = BlockRuns::new();
+        for b in [0, 1, 3, 4] {
+            runs.insert(b);
+        }
+        assert_eq!(runs.runs.len(), 2);
+        assert!(runs.insert(2));
+        assert_eq!(runs.runs.len(), 1);
+        assert!(!runs.insert(2));
+        assert!(runs.contains(4) && !runs.contains(5));
+        assert!(!runs.insert(u64::MAX), "no overflow, no empty run");
+        assert_eq!(runs.runs.len(), 1);
     }
 
     #[test]

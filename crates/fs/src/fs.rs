@@ -935,7 +935,7 @@ impl Filesystem {
         }
         let f = self.files.get(file);
         let cached = (offset..offset + blocks)
-            .all(|b| f.dirty_data.contains(b) || f.committed_blocks.contains(&b));
+            .all(|b| f.dirty_data.contains(b) || f.committed_blocks.contains(b));
         if cached {
             return SyscallOutcome::Done;
         }

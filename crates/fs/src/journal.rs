@@ -642,7 +642,7 @@ impl Filesystem {
             let all: Vec<(u64, bio_flash::BlockTag)> = f.dirty_data.iter().collect();
             f.dirty_data.clear();
             all.into_iter()
-                .partition(|(b, _)| !f.committed_blocks.contains(b))
+                .partition(|&(b, _)| !f.committed_blocks.contains(b))
         };
         self.note_dirty_drop((in_place.len() + journaled.len()) as u64);
         // Journaled data joins the running transaction.

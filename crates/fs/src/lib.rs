@@ -66,7 +66,7 @@ mod txn;
 
 pub use bio_sim::ActionSink;
 pub use config::{FsConfig, FsMode};
-pub use file::{DirtyTracker, File, FileId, FileTable};
+pub use file::{BlockRuns, DirtyTracker, File, FileId, FileTable};
 pub use fs::{Filesystem, FsAction, FsEvent, FsStats, SyscallOutcome};
 pub use journal::JournalError;
 pub use layout::Layout;
