@@ -428,10 +428,7 @@ impl BlockLayer {
         // independently). Do what md does: broadcast a flush to every
         // device first, and only admit the write — preflush satisfied,
         // FUA and ordering flags intact — once all of them have drained.
-        // The argument needs several devices; several queues on one
-        // device get the fan-out too because of a bio-flash gap — see
-        // "Known gaps" in docs/INVARIANTS.md.
-        if req.flags.preflush && matches!(req.op, ReqOp::Write { .. }) && self.lanes.len() > 1 {
+        if req.flags.preflush && matches!(req.op, ReqOp::Write { .. }) && t.nr_devices > 1 {
             req.flags.preflush = false;
             self.stats.preflush_fanouts += 1;
             let parked = SplitDone::Admit(Box::new(req));

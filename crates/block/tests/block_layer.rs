@@ -543,7 +543,7 @@ fn zero_length_request_completes_on_multi_device() {
             let ids: Vec<ReqId> = h.done.iter().map(|(id, _)| *id).collect();
             assert_eq!(ids, vec![ReqId(1)], "{topology:?} {req:?}");
             let stats = h.layer.stats();
-            // Several lanes turn a preflush into a flush of every device.
+            // Several devices turn a preflush into a flush of every device.
             let flushes = stats.preflush_fanouts * topology.nr_devices as u64;
             assert_eq!(
                 (stats.dispatched, stats.completed, stats.split_parts),

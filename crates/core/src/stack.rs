@@ -570,22 +570,12 @@ impl IoStack {
         let secs = now.saturating_since(self.measure_start).as_secs_f64();
         let per_device: Vec<DeviceStats> = self.block.devices().iter().map(|d| d.stats()).collect();
         let mut dev = DeviceStats::default();
-        for s in &per_device {
-            dev.write_cmds += s.write_cmds;
-            dev.read_cmds += s.read_cmds;
-            dev.flush_cmds += s.flush_cmds;
-            dev.blocks_written += s.blocks_written;
-            dev.programs += s.programs;
-            dev.cache_hit_reads += s.cache_hit_reads;
-            dev.queue_full_rejections += s.queue_full_rejections;
+        for &s in &per_device {
+            dev += s;
         }
         let mut ftl = FtlStats::default();
         for d in self.block.devices() {
-            let f = d.ftl_stats();
-            ftl.host_appends += f.host_appends;
-            ftl.gc_appends += f.gc_appends;
-            ftl.gc_runs += f.gc_runs;
-            ftl.erases += f.erases;
+            ftl += d.ftl_stats();
         }
         let blocks = dev.blocks_written - self.dev_blocks_at_start;
         let mut mean_qd = 0.0;

@@ -17,14 +17,17 @@
 //! ```
 //!
 //! A flush drains the cache entries present at its service start; a FUA
-//! write completes only when its own program finishes; a barrier write
-//! closes the current epoch. How epochs constrain destaging is decided by
-//! the profile's [`BarrierMode`].
+//! write drains every entry up to the newest one its own blocks took; a
+//! barrier write closes the current epoch. How epochs constrain destaging
+//! is decided by the profile's [`BarrierMode`].
 //!
 //! Cache sequences only grow and an entry leaves the cache only by being
 //! programmed, so "resident when the flush entered service" is exactly "a
 //! program of a sequence at or below the newest one then is still to
-//! come": a flush waits on that watermark and a count, not on a set.
+//! come": every wait for programs is that watermark and a count, not a
+//! set. Under [`BarrierMode::LfsInOrderRecovery`] programs start in cache
+//! order, so a FUA write acknowledged this way is in the recoverable prefix
+//! of the append log; under the other modes the wait is conservative.
 
 use std::collections::VecDeque;
 
@@ -85,16 +88,15 @@ enum DrainKind {
     /// The preflush half of a `FLUSH|FUA` write: move the write to the
     /// link when drained.
     Preflush,
-    /// A FUA write: complete the command once its own blocks are
-    /// programmed.
+    /// A FUA write: complete the command when drained.
     Fua,
 }
 
-/// A wait for `left` more flash programs. A flush or preflush counts the
-/// programs of cache sequences `<= upto` (everything resident when it
-/// entered service); a FUA write counts the programs of its own blocks,
-/// which [`Device::fua_waits`] lists under its id (`upto` is 0 there:
-/// sequences start at 1).
+/// A wait for `left` more flash programs, each of a cache sequence
+/// `<= upto`. For a flush or preflush `upto` is the newest sequence when it
+/// entered service; for a FUA write it is the newest sequence its own
+/// blocks took (the maximum: a block can coalesce into an older entry).
+/// `left` is the entries resident at or below `upto` at that moment.
 #[derive(Debug, Clone, Copy)]
 struct Drain {
     id: CmdId,
@@ -114,7 +116,7 @@ enum Stage {
     Dma,
     /// DMA done but the cache is full; waiting for space.
     WaitCache,
-    /// FUA write waiting for its own program.
+    /// FUA write draining.
     WaitFua,
     /// Flush command draining.
     Draining,
@@ -175,7 +177,7 @@ pub struct DeviceCaptureDelta {
 }
 
 /// Aggregate device statistics.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeviceStats {
     /// Write commands completed.
     pub write_cmds: u64,
@@ -195,6 +197,37 @@ pub struct DeviceStats {
     /// once with nothing written (the model has no error status), so no
     /// table keyed by address ever sees them.
     pub out_of_range_writes: u64,
+    /// Programs the FTL had no page for (every segment full of live data;
+    /// see [`crate::FtlFull`]). The block still reaches the append log,
+    /// which is the crash model and has no capacity; only the FTL, the
+    /// space and GC cost model, misses it.
+    pub ftl_full_programs: u64,
+}
+
+impl std::ops::AddAssign for DeviceStats {
+    fn add_assign(&mut self, rhs: DeviceStats) {
+        // Destructured without `..`: a new field cannot be left out.
+        let DeviceStats {
+            write_cmds,
+            read_cmds,
+            flush_cmds,
+            blocks_written,
+            programs,
+            cache_hit_reads,
+            queue_full_rejections,
+            out_of_range_writes,
+            ftl_full_programs,
+        } = rhs;
+        self.write_cmds += write_cmds;
+        self.read_cmds += read_cmds;
+        self.flush_cmds += flush_cmds;
+        self.blocks_written += blocks_written;
+        self.programs += programs;
+        self.cache_hit_reads += cache_hit_reads;
+        self.queue_full_rejections += queue_full_rejections;
+        self.out_of_range_writes += out_of_range_writes;
+        self.ftl_full_programs += ftl_full_programs;
+    }
 }
 
 /// The simulated storage device.
@@ -236,10 +269,6 @@ pub struct Device {
     qd_series: TimeSeries,
     stats: DeviceStats,
     next_pump_at: Option<SimTime>,
-    /// `(cache sequence, command)` for every block a FUA write in
-    /// [`Stage::WaitFua`] still waits to see programmed. A block can
-    /// coalesce into an older entry, so one write's sequences are no range.
-    fua_waits: Vec<(u64, CmdId)>,
     /// Scratch for one destage pump's candidates (always left empty).
     candidates: Vec<u64>,
     /// Scratch for the drains one program completion finishes (ditto).
@@ -283,7 +312,6 @@ impl Device {
             qd_series: TimeSeries::new(),
             stats: DeviceStats::default(),
             next_pump_at: None,
-            fua_waits: Vec::new(),
             candidates: Vec::new(),
             finished: Vec::new(),
             // An integer dirty count exceeds the (real) threshold exactly
@@ -491,7 +519,7 @@ impl Device {
                         arrived,
                     },
                 );
-                match self.drain_snapshot(id, DrainKind::Flush) {
+                match self.drain_upto(id, DrainKind::Flush, self.cache.newest_seq()) {
                     Some(drain) => self.drains.push(drain),
                     None => out.push(DevAction::After(
                         self.profile.flush_overhead,
@@ -510,7 +538,7 @@ impl Device {
                             arrived,
                         },
                     );
-                    match self.drain_snapshot(id, DrainKind::Preflush) {
+                    match self.drain_upto(id, DrainKind::Preflush, self.cache.newest_seq()) {
                         Some(drain) => self.drains.push(drain),
                         // Nothing to drain (an empty cache, or PLP), but
                         // the controller round trip is still paid, like an
@@ -546,18 +574,16 @@ impl Device {
         }
     }
 
-    /// What a flush or preflush entering service must wait for: every
-    /// cache entry resident now. `None` when that is nothing — always so
-    /// under PLP, where cache contents are already durable.
-    fn drain_snapshot(&self, id: CmdId, kind: DrainKind) -> Option<Drain> {
-        if self.profile.plp || self.cache.is_empty() {
-            return None;
-        }
-        Some(Drain {
+    /// A wait for every cache entry resident now at or below sequence
+    /// `upto`. `None` when that is nothing — always so under PLP, where
+    /// cache contents are already durable.
+    fn drain_upto(&self, id: CmdId, kind: DrainKind, upto: u64) -> Option<Drain> {
+        let left = self.cache.resident_upto(upto);
+        (!self.profile.plp && left > 0).then_some(Drain {
             id,
             kind,
-            upto: self.cache.newest_seq(),
-            left: self.cache.len(),
+            upto,
+            left,
         })
     }
 
@@ -678,38 +704,43 @@ impl Device {
                 break; // wait for programs to free space
             }
             self.pending_inserts.pop_front();
-            self.insert_blocks(id, fua);
-            // A FUA write without blocks has no program to wait for: it
-            // completes here, or nothing ever would complete it.
-            if fua && blocks > 0 {
-                if let Some(a) = self.active.get_mut(id.0) {
-                    a.stage = Stage::WaitFua;
-                }
-                self.drains.push(Drain {
-                    id,
-                    kind: DrainKind::Fua,
-                    upto: 0,
-                    left: blocks,
-                });
+            let newest = self.insert_blocks(id);
+            // A FUA write drains like a flush. Without blocks it has no
+            // program to wait for: it completes here, or nothing ever would
+            // complete it.
+            let drain = if fua {
+                self.drain_upto(id, DrainKind::Fua, newest)
             } else {
-                self.stats.write_cmds += 1;
-                self.complete_cmd(id, now, out);
+                None
+            };
+            match drain {
+                Some(drain) => {
+                    if let Some(a) = self.active.get_mut(id.0) {
+                        a.stage = Stage::WaitFua;
+                    }
+                    self.drains.push(drain);
+                }
+                None => {
+                    self.stats.write_cmds += 1;
+                    self.complete_cmd(id, now, out);
+                }
             }
         }
     }
 
     /// Inserts a write command's blocks into the cache in transfer order,
-    /// honouring the barrier flag on the final block. With `fua` each
-    /// block's cache sequence joins [`Device::fua_waits`].
-    fn insert_blocks(&mut self, id: CmdId, fua: bool) {
+    /// honouring the barrier flag on the final block. Returns the newest
+    /// cache sequence the blocks took (0 for none).
+    fn insert_blocks(&mut self, id: CmdId) -> u64 {
         // The command's own payload is read in place: `active`, `cache`,
         // `stats` and `history` are disjoint fields.
         let Some(CmdKind::Write { start, tags, flags }) =
             self.active.get(id.0).map(|a| &a.cmd.kind)
         else {
-            return;
+            return 0;
         };
         let n = tags.len();
+        let mut newest = 0;
         for (i, &tag) in tags.iter().enumerate() {
             let lba = start.offset(i as u64);
             let barrier = flags.barrier && i + 1 == n;
@@ -717,9 +748,7 @@ impl Device {
             // the epoch only after its own insert.
             let epoch = self.cache.current_epoch();
             let seq = self.cache.insert(lba, tag, barrier);
-            if fua {
-                self.fua_waits.push((seq, id));
-            }
+            newest = newest.max(seq);
             self.stats.blocks_written += 1;
             if let Some(h) = self.history.as_mut() {
                 h.push(TransferRec {
@@ -730,6 +759,7 @@ impl Device {
                 });
             }
         }
+        newest
     }
 
     // ------------------------------------------------------------------
@@ -797,7 +827,9 @@ impl Device {
         }
         for seq in candidates.drain(..) {
             // Roll/GC first so the time cost lands before chip selection.
-            if let Some(gc) = self.ftl.prepare_append() {
+            // A full FTL surfaces again at the append below, and is
+            // counted there.
+            if let Ok(Some(gc)) = self.ftl.prepare_append() {
                 let per_page = self.profile.page_read + self.profile.page_program;
                 let pause = per_page * (gc.moved_pages as u64)
                     / (self.profile.parallelism() as u64)
@@ -814,7 +846,9 @@ impl Device {
             let Ok(entry) = marked else {
                 continue;
             };
-            self.ftl.append(entry.lba, entry.tag);
+            if self.ftl.append(entry.lba, entry.tag).is_err() {
+                self.stats.ftl_full_programs += 1;
+            }
             let append_seq = self.log.begin(entry.lba, entry.tag, self.trans.open);
             self.destage_info.insert(seq, DestageInfo { append_seq });
             let dur = ChipArray::jittered(
@@ -867,18 +901,13 @@ impl Device {
 
         // Drain accounting (flushes, preflushes, FUA writes).
         let mut finished = std::mem::take(&mut self.finished);
-        let fua_waits = &mut self.fua_waits;
         self.drains.retain_mut(|d| {
-            d.left -= match d.kind {
-                DrainKind::Fua => fua_waits.iter().filter(|&&w| w == (seq, d.id)).count(),
-                DrainKind::Flush | DrainKind::Preflush => usize::from(seq <= d.upto),
-            };
+            d.left -= usize::from(seq <= d.upto);
             if d.left == 0 {
                 finished.push((d.id, d.kind));
             }
             d.left > 0
         });
-        fua_waits.retain(|&(s, _)| s != seq);
         for (id, kind) in finished.drain(..) {
             match kind {
                 DrainKind::Flush => {

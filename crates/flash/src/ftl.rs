@@ -9,6 +9,13 @@
 //! number; crash recovery (see [`crate::recovery`]) can therefore truncate
 //! the log at the first hole.
 //!
+//! There is one write path. Greedy GC relocates a victim's live pages as
+//! appends to the same active segment, opening the next free segment when
+//! that one fills, so a victim with live pages still frees a segment. One
+//! victim is collected per roll, when free segments run below the low
+//! watermark. An FTL whose victims have nowhere to put their live pages is
+//! full: an append returns [`FtlFull`] and maps nothing.
+//!
 //! ## The forward map
 //!
 //! The LBA → physical-location map is a dense, directly indexed table
@@ -100,6 +107,11 @@ pub struct GcRun {
     pub moved_pages: usize,
 }
 
+/// An append found no page: the active segment is full, no segment is
+/// free, and no victim's live pages fit in the space left to move them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FtlFull;
+
 /// Aggregate FTL statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FtlStats {
@@ -111,6 +123,22 @@ pub struct FtlStats {
     pub gc_runs: u64,
     /// Segments erased.
     pub erases: u64,
+}
+
+impl std::ops::AddAssign for FtlStats {
+    fn add_assign(&mut self, rhs: FtlStats) {
+        // Destructured without `..`: a new field cannot be left out.
+        let FtlStats {
+            host_appends,
+            gc_appends,
+            gc_runs,
+            erases,
+        } = rhs;
+        self.host_appends += host_appends;
+        self.gc_appends += gc_appends;
+        self.gc_runs += gc_runs;
+        self.erases += erases;
+    }
 }
 
 impl FtlStats {
@@ -175,31 +203,70 @@ impl Ftl {
         (self.free_list.len() as f64) < (self.segments.len() as f64 * self.gc_low_watermark)
     }
 
-    /// Ensures the active segment has room for the next append, rolling to
-    /// a fresh segment (and garbage collecting) when necessary. Returns the
-    /// GC run, if one happened, so the caller can charge its time cost to
-    /// the chip array *before* scheduling the next program.
-    pub fn prepare_append(&mut self) -> Option<GcRun> {
-        if self.segments[self.active].fill >= self.pages_per_segment {
-            self.roll_active()
+    /// Ensures the active segment has room for the next append: when it is
+    /// full, seals it, garbage collects one victim if space is low, and
+    /// opens the next free segment unless relocation already did. Returns
+    /// the GC run, if one happened, so the caller can charge its time cost
+    /// to the chip array *before* scheduling the next program.
+    ///
+    /// # Errors
+    ///
+    /// [`FtlFull`] when no segment could be opened.
+    pub fn prepare_append(&mut self) -> Result<Option<GcRun>, FtlFull> {
+        if self.room() > 0 {
+            return Ok(None);
+        }
+        self.segments[self.active].state = SegState::Sealed;
+        let gc = if self.gc_needed() {
+            self.collect()
         } else {
             None
+        };
+        if self.room() == 0 {
+            self.open_next()?;
         }
+        Ok(gc)
     }
 
     /// Appends one host block, invalidating any prior version. Returns the
-    /// physical location and, when segment allocation had to garbage
-    /// collect, the GC run description so the caller can charge its cost.
-    /// Callers that need to charge GC before committing to the append
-    /// should call [`Ftl::prepare_append`] first, which makes this cheap.
-    pub fn append(&mut self, lba: Lba, tag: BlockTag) -> (PhysLoc, Option<GcRun>) {
+    /// GC run that segment allocation needed, if any, so the caller can
+    /// charge its cost. Callers that need to charge GC before committing to
+    /// the append should call [`Ftl::prepare_append`] first, which makes
+    /// this cheap.
+    ///
+    /// # Errors
+    ///
+    /// [`FtlFull`] when the FTL has no page for it; the block is not
+    /// mapped and the previous version stays.
+    pub fn append(&mut self, lba: Lba, tag: BlockTag) -> Result<Option<GcRun>, FtlFull> {
+        let gc = self.prepare_append()?;
+        self.place(lba, tag)?;
         self.stats.host_appends += 1;
-        self.append_inner(lba, tag)
+        Ok(gc)
     }
 
-    fn append_inner(&mut self, lba: Lba, tag: BlockTag) -> (PhysLoc, Option<GcRun>) {
-        let gc = self.prepare_append();
-        // Invalidate the previous version.
+    /// Free slots left in the active segment.
+    fn room(&self) -> usize {
+        self.pages_per_segment - self.segments[self.active].fill
+    }
+
+    /// Seals the active segment and opens the next free one.
+    fn open_next(&mut self) -> Result<(), FtlFull> {
+        let next = self.free_list.pop().ok_or(FtlFull)?;
+        self.segments[self.active].state = SegState::Sealed;
+        self.segments[next].open(SegState::Active, self.pages_per_segment);
+        self.active = next;
+        Ok(())
+    }
+
+    /// The one write path, for host appends and GC relocation alike:
+    /// writes the page into the active segment, opening the next free one
+    /// first (without GC) if it is full, and invalidates the previous
+    /// version.
+    fn place(&mut self, lba: Lba, tag: BlockTag) -> Result<(), FtlFull> {
+        if self.room() == 0 {
+            self.open_next()?;
+        }
         if let Some(old) = self.mapping.get(lba.0) {
             let seg = &mut self.segments[old.segment];
             if seg.slots[old.slot].map(|(l, _)| l) == Some(lba) {
@@ -207,43 +274,19 @@ impl Ftl {
                 seg.valid -= 1;
             }
         }
-        let seg_idx = self.active;
-        let seg = &mut self.segments[seg_idx];
+        let seg = &mut self.segments[self.active];
         let slot = seg.fill;
         seg.slots[slot] = Some((lba, tag));
         seg.valid += 1;
         seg.fill += 1;
-        let loc = PhysLoc {
-            segment: seg_idx,
-            slot,
-        };
-        self.mapping.insert(lba.0, loc);
-        (loc, gc)
-    }
-
-    /// Seals the active segment and activates a fresh one, garbage
-    /// collecting first when space is low.
-    fn roll_active(&mut self) -> Option<GcRun> {
-        self.segments[self.active].state = SegState::Sealed;
-        let mut gc = None;
-        if self.gc_needed() {
-            gc = self.collect();
-        }
-        // Greedy GC cannot free a segment on an aged device. The GC
-        // redesign returns a typed error here; until then a loud failure
-        // beats a silent drop that would falsify every number after it.
-        #[expect(clippy::expect_used, reason = "ROADMAP 2(c): FTL out of space")]
-        let next = self
-            .free_list
-            .pop()
-            .expect("FTL out of space: GC could not free a segment");
-        self.segments[next].open(SegState::Active, self.pages_per_segment);
-        self.active = next;
-        gc
+        let segment = self.active;
+        self.mapping.insert(lba.0, PhysLoc { segment, slot });
+        Ok(())
     }
 
     /// Greedy GC: picks the sealed segment with the fewest valid pages,
-    /// relocates its live data into a fresh segment, erases the victim.
+    /// appends its live pages, erases it. A victim whose live pages do not
+    /// fit in the active segment and the free ones is left alone.
     fn collect(&mut self) -> Option<GcRun> {
         let victim = self
             .segments
@@ -252,40 +295,25 @@ impl Ftl {
             .filter(|(_, s)| s.state == SegState::Sealed)
             .min_by_key(|(_, s)| s.valid)
             .map(|(i, _)| i)?;
-        let moved: Vec<(Lba, BlockTag)> = self.segments[victim]
-            .slots
-            .iter()
-            .flatten()
-            .copied()
-            .collect();
-        // Relocate into a dedicated fresh segment so GC cannot recurse.
-        if !moved.is_empty() {
-            let dest = self.free_list.pop()?;
-            self.segments[dest].open(SegState::Sealed, self.pages_per_segment);
-            for (i, &(lba, tag)) in moved.iter().enumerate() {
-                // A victim segment holds at most pages_per_segment pages, so
-                // `dest` always has room.
-                let seg = &mut self.segments[dest];
-                seg.slots[i] = Some((lba, tag));
-                seg.valid += 1;
-                seg.fill = i + 1;
-                self.mapping.insert(
-                    lba.0,
-                    PhysLoc {
-                        segment: dest,
-                        slot: i,
-                    },
-                );
-            }
-            self.stats.gc_appends += moved.len() as u64;
+        let moved_pages = self.segments[victim].valid;
+        if moved_pages > self.room() + self.free_list.len() * self.pages_per_segment {
+            return None;
         }
+        for slot in 0..self.segments[victim].slots.len() {
+            if let Some((lba, tag)) = self.segments[victim].slots[slot] {
+                let placed = self.place(lba, tag);
+                debug_assert!(placed.is_ok(), "relocation room was checked");
+            }
+        }
+        debug_assert_eq!(self.segments[victim].valid, 0, "a moved page stayed valid");
         self.segments[victim].reset();
         self.free_list.push(victim);
+        self.stats.gc_appends += moved_pages as u64;
         self.stats.gc_runs += 1;
         self.stats.erases += 1;
         Some(GcRun {
             victim,
-            moved_pages: moved.len(),
+            moved_pages,
         })
     }
 
@@ -326,12 +354,22 @@ mod tests {
         Ftl::new(4, 4, 0.3)
     }
 
+    /// Appends `tag` at `lba` on an FTL that must have room.
+    fn put(f: &mut Ftl, lba: u64, tag: u64) -> Option<GcRun> {
+        f.append(Lba(lba), BlockTag(tag)).expect("the FTL has room")
+    }
+
     #[test]
     fn append_then_lookup() {
         let mut f = small_ftl();
-        let (loc, gc) = f.append(Lba(7), BlockTag(1));
-        assert!(gc.is_none());
-        assert_eq!(f.lookup(Lba(7)), Some(loc));
+        assert_eq!(f.append(Lba(7), BlockTag(1)), Ok(None));
+        assert_eq!(
+            f.lookup(Lba(7)),
+            Some(PhysLoc {
+                segment: 0,
+                slot: 0
+            })
+        );
         assert_eq!(f.tag_at(Lba(7)), Some(BlockTag(1)));
         assert_eq!(f.live_pages(), 1);
     }
@@ -339,8 +377,8 @@ mod tests {
     #[test]
     fn overwrite_invalidates_old_version() {
         let mut f = small_ftl();
-        f.append(Lba(7), BlockTag(1));
-        f.append(Lba(7), BlockTag(2));
+        put(&mut f, 7, 1);
+        put(&mut f, 7, 2);
         assert_eq!(f.tag_at(Lba(7)), Some(BlockTag(2)));
         assert_eq!(f.live_pages(), 1);
         let live: Vec<_> = f.mapped().collect();
@@ -351,7 +389,7 @@ mod tests {
     fn segments_roll_when_full() {
         let mut f = small_ftl();
         for i in 0..5 {
-            f.append(Lba(i), BlockTag(i + 1));
+            put(&mut f, i, i + 1);
         }
         // First segment (4 pages) sealed, fifth append went to a new one.
         assert_eq!(f.live_pages(), 5);
@@ -367,7 +405,7 @@ mod tests {
         let mut f = small_ftl();
         for round in 0u64..20 {
             for i in 0..4u64 {
-                f.append(Lba(i), BlockTag(round * 4 + i + 1));
+                put(&mut f, i, round * 4 + i + 1);
             }
         }
         assert_eq!(f.live_pages(), 4);
@@ -383,7 +421,7 @@ mod tests {
         // the greedy victim is forced to carry live pages.
         let mut f = Ftl::new(8, 8, 0.4);
         for i in 0..52u64 {
-            f.append(Lba(i), BlockTag(i + 1));
+            put(&mut f, i, i + 1);
         }
         // Every LBA must still be readable after GC moved segments around.
         for i in 0..52u64 {
@@ -398,23 +436,25 @@ mod tests {
     fn prepare_append_reports_gc() {
         let mut f = Ftl::new(4, 4, 0.6);
         // No roll needed while the active segment has room.
-        f.append(Lba(0), BlockTag(1));
-        assert!(f.prepare_append().is_none());
+        put(&mut f, 0, 1);
+        assert_eq!(f.prepare_append(), Ok(None));
         for i in 1..8u64 {
-            f.append(Lba(i), BlockTag(i + 1));
+            put(&mut f, i, i + 1);
         }
         // Two segments sealed/full, free = 2 < 0.6 * 4: the next roll must
         // garbage collect, relocating live pages from the min-valid victim.
-        let gc = f.prepare_append();
-        assert!(gc.is_some(), "roll with low free space must GC");
-        assert_eq!(gc.unwrap().moved_pages, 4);
+        let gc = f
+            .prepare_append()
+            .expect("room")
+            .expect("roll with low free space must GC");
+        assert_eq!(gc.moved_pages, 4);
     }
 
     #[test]
     fn stats_count_appends() {
         let mut f = small_ftl();
-        f.append(Lba(1), BlockTag(1));
-        f.append(Lba(2), BlockTag(2));
+        put(&mut f, 1, 1);
+        put(&mut f, 2, 2);
         assert_eq!(f.stats().host_appends, 2);
         assert_eq!(f.stats().write_amplification(), 1.0);
     }
@@ -425,14 +465,14 @@ mod tests {
         let mut f = Ftl::new(8, 4, 0.3);
         assert_eq!(backed(&f), 1, "only the active segment at construction");
         for i in 0..9u64 {
-            f.append(Lba(i), BlockTag(i + 1));
+            put(&mut f, i, i + 1);
         }
         assert_eq!(backed(&f), 3, "9 appends of 4 pages open ceil(9/4)");
         // Overwrite until GC erases a segment. The roll that ran GC
         // reopens the victim at once, on the array it already had.
         for tag in 100u64.. {
             let before: Vec<_> = f.segments.iter().map(|s| s.slots.as_ptr()).collect();
-            if let (_, Some(gc)) = f.append(Lba(tag % 4), BlockTag(tag)) {
+            if let Some(gc) = put(&mut f, tag % 4, tag) {
                 let reopened = &f.segments[gc.victim];
                 assert_eq!(reopened.state, SegState::Active);
                 assert_eq!(reopened.slots.as_ptr(), before[gc.victim]);
@@ -470,21 +510,21 @@ mod tests {
         assert_eq!(f.free_segments(), 3);
         assert!(!f.gc_needed());
         for i in 0..2u64 {
-            f.append(Lba(i), BlockTag(i + 1)); // fill segment 0
+            put(&mut f, i, i + 1); // fill segment 0
         }
-        f.append(Lba(2), BlockTag(3)); // rolls at free == 3: no GC
-        f.append(Lba(3), BlockTag(4)); // fills the second segment
+        put(&mut f, 2, 3); // rolls at free == 3: no GC
+        put(&mut f, 3, 4); // fills the second segment
         assert_eq!(f.free_segments(), 2, "boundary state");
         assert!(!f.gc_needed(), "free == segments * watermark is not 'low'");
         // This roll checks GC at exactly the boundary (free == 2.0): the
         // strict comparison must NOT collect.
-        assert!(f.prepare_append().is_none(), "exact boundary must not GC");
+        assert_eq!(f.prepare_append(), Ok(None), "exact boundary must not GC");
         assert_eq!(f.free_segments(), 1);
         assert!(f.gc_needed(), "one below the boundary is 'low'");
-        f.append(Lba(4), BlockTag(5));
-        f.append(Lba(5), BlockTag(6)); // fills the third segment
-                                       // Now the roll happens below the watermark and must collect.
-        let gc = f.prepare_append();
+        put(&mut f, 4, 5);
+        put(&mut f, 5, 6); // fills the third segment
+                           // Now the roll happens below the watermark and must collect.
+        let gc = f.prepare_append().expect("room");
         assert!(gc.is_some(), "roll below the watermark runs GC");
         assert_eq!(f.stats().gc_runs, 1);
         // All six LBAs survive the relocation.
@@ -500,7 +540,7 @@ mod tests {
         // victims. Mapping integrity must hold throughout.
         let mut f = Ftl::new(2, 1, 0.3);
         for round in 1..=12u64 {
-            f.append(Lba(0), BlockTag(round));
+            put(&mut f, 0, round);
             assert_eq!(f.tag_at(Lba(0)), Some(BlockTag(round)));
             assert_eq!(f.live_pages(), 1);
         }
@@ -517,11 +557,11 @@ mod tests {
         // resolves, resolves to its newest tag, and dead versions are gone.
         let mut f = Ftl::new(4, 4, 0.6);
         for i in 0..8u64 {
-            f.append(Lba(i), BlockTag(i + 1));
+            put(&mut f, i, i + 1);
         }
         // Two sealed segments, free == 1 < 0.6 * 4: next roll must GC and
         // relocate 4 live pages.
-        let gc = f.prepare_append().expect("forced GC");
+        let gc = f.prepare_append().expect("room").expect("forced GC");
         assert_eq!(gc.moved_pages, 4);
         for i in 0..8u64 {
             assert_eq!(f.tag_at(Lba(i)), Some(BlockTag(i + 1)), "lba {i} lost");
@@ -537,5 +577,26 @@ mod tests {
                 .map(|i| (Lba(i), BlockTag(i + 1)))
                 .collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn a_full_ftl_refuses_an_append_and_keeps_what_it_maps() {
+        // 3 segments × 2 pages and only distinct blocks: every victim is
+        // all live, so once no segment is free nothing can move.
+        let mut f = Ftl::new(3, 2, 0.5);
+        for i in 0..6u64 {
+            put(&mut f, i, i + 1);
+        }
+        assert_eq!(f.append(Lba(6), BlockTag(7)), Err(FtlFull));
+        assert_eq!(
+            f.append(Lba(0), BlockTag(100)),
+            Err(FtlFull),
+            "an overwrite too"
+        );
+        assert_eq!(f.tag_at(Lba(6)), None);
+        for i in 0..6u64 {
+            assert_eq!(f.tag_at(Lba(i)), Some(BlockTag(i + 1)));
+        }
+        assert_eq!(f.stats().host_appends, 6);
     }
 }

@@ -290,16 +290,15 @@ proptest! {
         appends in prop::collection::vec((0u64..10, proptest::bool::ANY), 1..200)
     ) {
         // 32 segments x 8 pages, high GC watermark: the tail of a 200-append
-        // run garbage-collects constantly (free < 12.8 after ~19 rolls), yet
-        // even an adversarial pattern that makes every victim carry live
-        // pages (net -1 free per roll, <= 25 rolls) cannot run out of space.
+        // run garbage-collects constantly (free < 12.8 after ~19 rolls), and
+        // 20 live blocks never fill it.
         let mut ftl = Ftl::new(32, 8, 0.4);
         let mut model: HashMap<Lba, BlockTag> = HashMap::new();
         for (tag, (lba, wide)) in (1u64..).zip(appends) {
             // `wide` widens the address range so the map also sees LBAs
             // beyond the dense low region.
             let lba = Lba(if wide { 1_000 + lba } else { lba });
-            ftl.append(lba, BlockTag(tag));
+            prop_assert!(ftl.append(lba, BlockTag(tag)).is_ok());
             model.insert(lba, BlockTag(tag));
 
             prop_assert_eq!(ftl.live_pages(), model.len());

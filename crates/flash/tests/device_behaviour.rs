@@ -3,7 +3,7 @@
 
 use bio_flash::{
     audit_epoch_order, BarrierMode, BlockTag, CmdId, Command, Completion, DevAction, DevEvent,
-    Device, DeviceProfile, Lba, Priority, WriteFlags,
+    Device, DeviceProfile, FtlStats, Lba, Priority, WriteFlags,
 };
 use bio_sim::{EventQueue, SimTime};
 
@@ -47,6 +47,22 @@ impl Harness {
         let ok = self.dev.submit(cmd, now, &mut out).is_ok();
         self.apply(out);
         ok
+    }
+
+    /// Submits `cmd`, letting the device make progress while its queue is
+    /// full.
+    fn submit_when_room(&mut self, cmd: Command) {
+        while !self.submit_may_bounce(cmd.clone()) {
+            self.step();
+        }
+    }
+
+    /// Handles the next device event.
+    fn step(&mut self) {
+        let (now, ev) = self.q.pop().expect("device stuck");
+        let mut out = Vec::new();
+        self.dev.handle(ev, now, &mut out);
+        self.apply(out);
     }
 
     /// Runs the event loop to quiescence.
@@ -536,6 +552,71 @@ fn fua_write_coalesced_into_an_older_entry_waits_for_that_entry() {
 }
 
 #[test]
+fn a_fua_write_is_recoverable_the_moment_it_completes() {
+    // Sixteen chips with program jitter and in-order recovery: programs
+    // start in cache order and finish in any. Each round writes one block,
+    // eight more in descending order and one after them, then a FUA write
+    // over the eight, which coalesces into their entries while they are
+    // dirty: its newest sequence is its first block's, not its last. The
+    // entry before the eight is one its durability depends on, the one
+    // after is not. At the event that completes a FUA write, the
+    // recoverable prefix of the log must hold every tag it wrote.
+    for seed in 0..32u64 {
+        let mut h = Harness::new(DeviceProfile::ufs(), seed);
+        let mut id = 0;
+        for round in 0..16u64 {
+            let base = round * 16;
+            let order = [base + 8].into_iter().chain((base..base + 8).rev());
+            for lba in order.chain([base + 9]) {
+                id += 1;
+                h.submit(wcmd(id, lba, id, WriteFlags::NONE));
+            }
+            id += 1;
+            let fua = CmdId(id);
+            let wrote: Vec<BlockTag> = (0..8).map(|i| BlockTag(id * 100 + i)).collect();
+            h.submit(Command::write(fua, Lba(base), wrote.clone(), FUA));
+            while !h.completions.iter().any(|c| c.id == fua) {
+                h.step();
+            }
+            let img = h.dev.crash_image();
+            for (lba, &tag) in (base..).zip(&wrote) {
+                assert_eq!(
+                    img.tag(Lba(lba)),
+                    tag,
+                    "seed {seed} round {round}: acknowledged before recoverable"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_device_filled_past_its_flash_counts_what_the_ftl_could_not_place() {
+    // Four segments of four pages and 40 distinct blocks: once every
+    // segment is full of live data GC frees nothing, and each further
+    // program is counted — no panic, no wedged command. The append log,
+    // the crash model, has no capacity and keeps every block.
+    let mut profile = DeviceProfile::ufs();
+    profile.segments = 4;
+    profile.pages_per_segment = 4;
+    profile.cache_blocks = 8;
+    let mut h = Harness::new(profile, 28);
+    for i in 1..=40u64 {
+        h.submit_when_room(wcmd(i, i, i, WriteFlags::NONE));
+    }
+    h.submit_when_room(Command::flush(CmdId(41)));
+    h.run();
+    assert_eq!(h.completions.len(), 41);
+    assert_eq!(h.dev.queue_depth(), 0);
+    let placed = h.dev.ftl_stats().host_appends;
+    assert_eq!((placed, h.dev.stats().ftl_full_programs), (16, 24));
+    let img = h.dev.crash_image();
+    for i in 1..=40u64 {
+        assert_eq!(img.tag(Lba(i)), BlockTag(i));
+    }
+}
+
+#[test]
 fn flush_waits_only_for_what_was_resident() {
     // One chip and no ordering promise: programs run one at a time, each
     // picked at random from the two oldest entries, so writes arriving
@@ -626,9 +707,9 @@ fn transactional_group_commits_at_its_last_member() {
 
 /// FNV-1a over the `Debug` rendering of every `(time, action)` the device
 /// emits while a closed loop of `GOLDEN_CMDS` mixed commands keeps its
-/// queue full. Returns the hash and the number of loop iterations that
-/// found the writeback cache at capacity.
-fn golden_action_stream(profile: DeviceProfile) -> (u64, usize) {
+/// queue full. Returns the hash, the number of loop iterations that found
+/// the writeback cache at capacity, and the FTL's counters.
+fn golden_action_stream(profile: DeviceProfile) -> (u64, usize, FtlStats) {
     use std::fmt::Write as _;
 
     const GOLDEN_CMDS: u64 = 20_000;
@@ -690,15 +771,17 @@ fn golden_action_stream(profile: DeviceProfile) -> (u64, usize) {
     }
     assert_eq!(dev.queue_depth(), 0, "every command completed");
     assert!(dev.ftl_stats().gc_runs > 0, "GC never ran");
-    (hash, saturated)
+    assert_eq!(dev.stats().ftl_full_programs, 0);
+    (hash, saturated, dev.ftl_stats())
 }
 
 #[test]
 fn action_stream_matches_golden_hashes() {
-    // Recorded at the commit before the incremental destage frontier
-    // (c4edb07), whose pump rescanned the whole cache. The stream covers
-    // every completion and every scheduled event with its delay, so it
-    // pins RNG draw order (program jitter, the orderless shuffle) and GC
+    // First recorded at the commit before the incremental destage frontier
+    // (c4edb07), whose pump rescanned the whole cache; re-recorded when a
+    // FUA write became a drain and GC relocation an append. The stream
+    // covers every completion and every scheduled event with its delay, so
+    // it pins RNG draw order (program jitter, the orderless shuffle) and GC
     // timing, not just end-of-run totals.
     const MODES: [BarrierMode; 4] = [
         BarrierMode::Unsupported,
@@ -706,45 +789,59 @@ fn action_stream_matches_golden_hashes() {
         BarrierMode::Transactional,
         BarrierMode::LfsInOrderRecovery,
     ];
-    let golden: [(DeviceProfile, [u64; 4]); 2] = [
+    // ~50k blocks over a 1,024-block region of a 16k-page device: GC
+    // runs, and its victims are empty by the time it picks them.
+    let fresh = |base: DeviceProfile, mode| DeviceProfile {
+        segments: 64,
+        pages_per_segment: 256,
+        ..base.with_barrier_mode(mode)
+    };
+    let mut cells: Vec<(String, DeviceProfile, u64)> = Vec::new();
+    for (base, want) in [
         (
             DeviceProfile::ufs(),
             [
-                0xc4c4_85e7_fd29_533f,
-                0xd97f_4164_db4d_e9c3,
-                0x74dc_97c9_5dd5_f0a1,
-                0x1038_9823_8877_3af8,
+                0x0298_3c94_05ce_c345,
+                0x46de_0091_7384_6d1c,
+                0xab9c_d781_0840_20b5,
+                0x01f6_58ba_63a5_3734,
             ],
         ),
         (
             DeviceProfile::plain_ssd(),
             [
-                0x642d_f0dd_0977_941c,
-                0x8bdc_3f31_1f01_8dcb,
-                0x712f_1323_ba47_960c,
-                0x9c35_0f2b_456e_429d,
+                0xec11_8b00_32ae_fba7,
+                0xc4eb_6652_cf87_aa8c,
+                0xc44a_2b29_68ec_69da,
+                0x2131_9f4c_ffa3_d475,
             ],
         ),
-    ];
-    for (base, want) in golden {
-        let got = MODES.map(|mode| {
-            let mut profile = base.clone().with_barrier_mode(mode);
-            // ~50k blocks over a 1,024-block region of a 16k-page device:
-            // GC runs, and its victims are empty by the time it picks them.
-            profile.segments = 64;
-            profile.pages_per_segment = 256;
-            let (hash, saturated) = golden_action_stream(profile);
-            assert!(
-                saturated > 1_000,
-                "{} {mode:?}: cache at capacity on only {saturated} steps",
-                base.name
-            );
-            hash
-        });
-        assert!(
-            got == want,
-            "{} action streams drifted (modes {MODES:?}): now {got:#018x?}",
-            base.name
-        );
+    ] {
+        for (mode, want) in MODES.into_iter().zip(want) {
+            let label = format!("{} {mode:?}", base.name);
+            cells.push((label, fresh(base.clone(), mode), want));
+        }
     }
+    // The aged cell: the same region on a 1,408-page device is 73 % live,
+    // so GC victims carry live pages and relocation timing is pinned too.
+    let aged = DeviceProfile {
+        segments: 22,
+        pages_per_segment: 64,
+        ..DeviceProfile::ufs()
+    };
+    cells.push(("aged UFS".to_string(), aged, 0x1f0e_c58b_ce95_0f81));
+    let mut drifted = Vec::new();
+    for (label, profile, want) in cells {
+        let aged = profile.segments * profile.pages_per_segment < 2 * 1024;
+        let (hash, saturated, ftl) = golden_action_stream(profile);
+        assert!(
+            saturated > 1_000,
+            "{label}: cache at capacity on only {saturated} steps"
+        );
+        assert_eq!(ftl.gc_appends > 0, aged, "{label}: {ftl:?}");
+        if hash != want {
+            drifted.push(format!("{label}: now {hash:#018x}"));
+        }
+    }
+    assert!(drifted.is_empty(), "action streams drifted: {drifted:#?}");
 }

@@ -2,8 +2,13 @@
 //! layer (workload generator → filesystem → block layer → device), with
 //! shape assertions matching the paper's headline claims.
 
-use barrier_io::{DeviceProfile, FileRef, IoStack, SimDuration, StackConfig, Topology};
+use std::collections::BTreeSet;
+
+use barrier_io::{
+    DeviceProfile, FileRef, FsViolation, IoStack, SimDuration, StackConfig, Topology,
+};
 use bio_bench::crash::{differential_cells, DiffCell};
+use bio_flash::{DeviceStats, FtlStats};
 use bio_workloads::{
     Dwsl, OltpInsert, RandWrite, Sqlite, SqliteJournalMode, SyncMode, Varmail, WriteMode,
 };
@@ -93,6 +98,74 @@ fn striped_dwsl_survives_a_crash_after_a_clean_run() {
             assert!(violations.is_empty(), "{label}: {violations:?}");
         }
     }
+}
+
+#[test]
+fn a_returned_fsync_survives_a_crash_at_every_claim_on_several_queues() {
+    // EXT4-DR commits with a FLUSH|FUA JC. On plain-SSD, an in-order-
+    // recovery device, a FUA write is acknowledged only once the log
+    // prefix up to it is durable, so with several queues feeding one
+    // device — where no md-style flush fan-out runs — a transaction whose
+    // fsync returned is in every later crash image. The crash is taken at
+    // every step where a record's `durability_claimed` flips: the image
+    // only grows in between, so this sees every exposure a crash after
+    // every step would.
+    let dev = DeviceProfile::plain_ssd();
+    for (queues, devices) in [(2, 1), (4, 1), (2, 2)] {
+        let cfg =
+            StackConfig::ext4_dr(dev.clone()).with_topology(Topology::new(queues, devices, 8));
+        let label = cfg.label();
+        let mut stack = IoStack::new(cfg);
+        for _ in 0..256 {
+            stack.add_thread(Box::new(Dwsl::new(SyncMode::Fsync, 24)));
+        }
+        let (mut claimed, mut exposed) = (0, BTreeSet::new());
+        while !stack.workloads_finished() && stack.step() {
+            let now = stack.fs().records().iter().filter(|r| r.durability_claimed);
+            let now = now.count();
+            if now != claimed {
+                claimed = now;
+                for v in stack.crash().fs_violations {
+                    if let FsViolation::DurabilityLoss { txn } = v {
+                        exposed.insert(txn);
+                    }
+                }
+            }
+        }
+        assert!(stack.workloads_finished(), "{label}");
+        assert!(claimed > 0, "{label}: no fsync returned");
+        assert!(
+            exposed.is_empty(),
+            "{label}: {} transactions lost after their fsync returned: {exposed:?}",
+            exposed.len()
+        );
+    }
+}
+
+#[test]
+fn a_two_device_report_sums_every_device_counter() {
+    // 64 pages of flash per device: past the first transactions the FTL
+    // has no page left, so the rarely non-zero `ftl_full_programs` is
+    // non-zero on both devices and has to reach the total.
+    let mut dev = DeviceProfile::plain_ssd();
+    dev.segments = 4;
+    dev.pages_per_segment = 16;
+    let cfg = StackConfig::ext4_dr(dev).with_topology(Topology::new(1, 2, 8));
+    let mut stack = IoStack::new(cfg);
+    for _ in 0..8 {
+        stack.add_thread(Box::new(Dwsl::new(SyncMode::Fsync, 24)));
+    }
+    assert!(stack.run_until_done(SimDuration::from_secs(600)));
+    let report = stack.report();
+    assert_eq!(report.per_device.len(), 2);
+    assert!(report.per_device.iter().all(|d| d.ftl_full_programs > 0));
+    let (mut device, mut ftl) = (DeviceStats::default(), FtlStats::default());
+    for (&d, dev) in report.per_device.iter().zip(stack.devices()) {
+        device += d;
+        ftl += dev.ftl_stats();
+    }
+    assert_eq!(report.device, device);
+    assert_eq!(report.ftl, ftl);
 }
 
 #[test]
