@@ -708,22 +708,17 @@ impl Device {
             // A FUA write drains like a flush. Without blocks it has no
             // program to wait for: it completes here, or nothing ever would
             // complete it.
-            let drain = if fua {
-                self.drain_upto(id, DrainKind::Fua, newest)
+            if let Some(drain) = fua
+                .then(|| self.drain_upto(id, DrainKind::Fua, newest))
+                .flatten()
+            {
+                if let Some(a) = self.active.get_mut(id.0) {
+                    a.stage = Stage::WaitFua;
+                }
+                self.drains.push(drain);
             } else {
-                None
-            };
-            match drain {
-                Some(drain) => {
-                    if let Some(a) = self.active.get_mut(id.0) {
-                        a.stage = Stage::WaitFua;
-                    }
-                    self.drains.push(drain);
-                }
-                None => {
-                    self.stats.write_cmds += 1;
-                    self.complete_cmd(id, now, out);
-                }
+                self.stats.write_cmds += 1;
+                self.complete_cmd(id, now, out);
             }
         }
     }
@@ -827,9 +822,7 @@ impl Device {
         }
         for seq in candidates.drain(..) {
             // Roll/GC first so the time cost lands before chip selection.
-            // A full FTL surfaces again at the append below, and is
-            // counted there.
-            if let Ok(Some(gc)) = self.ftl.prepare_append() {
+            if let Some(gc) = self.ftl.prepare_append() {
                 let per_page = self.profile.page_read + self.profile.page_program;
                 let pause = per_page * (gc.moved_pages as u64)
                     / (self.profile.parallelism() as u64)

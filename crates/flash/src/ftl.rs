@@ -203,69 +203,46 @@ impl Ftl {
         (self.free_list.len() as f64) < (self.segments.len() as f64 * self.gc_low_watermark)
     }
 
-    /// Ensures the active segment has room for the next append: when it is
-    /// full, seals it, garbage collects one victim if space is low, and
-    /// opens the next free segment unless relocation already did. Returns
-    /// the GC run, if one happened, so the caller can charge its time cost
-    /// to the chip array *before* scheduling the next program.
-    ///
-    /// # Errors
-    ///
-    /// [`FtlFull`] when no segment could be opened.
-    pub fn prepare_append(&mut self) -> Result<Option<GcRun>, FtlFull> {
-        if self.room() > 0 {
-            return Ok(None);
+    /// Readies the next append: when the active segment is full, seals it
+    /// and, if free space is low, garbage collects one victim. Returns the
+    /// GC run, if one happened, so the caller can charge its time cost to
+    /// the chip array *before* scheduling the next program. Until that
+    /// append, calling it again does nothing.
+    pub fn prepare_append(&mut self) -> Option<GcRun> {
+        let active = &mut self.segments[self.active];
+        if active.fill < self.pages_per_segment || active.state == SegState::Sealed {
+            return None;
         }
-        self.segments[self.active].state = SegState::Sealed;
-        let gc = if self.gc_needed() {
-            self.collect()
-        } else {
-            None
-        };
-        if self.room() == 0 {
-            self.open_next()?;
-        }
-        Ok(gc)
+        active.state = SegState::Sealed;
+        self.gc_needed().then(|| self.collect()).flatten()
     }
 
     /// Appends one host block, invalidating any prior version. Returns the
     /// GC run that segment allocation needed, if any, so the caller can
     /// charge its cost. Callers that need to charge GC before committing to
-    /// the append should call [`Ftl::prepare_append`] first, which makes
-    /// this cheap.
+    /// the append should call [`Ftl::prepare_append`] first.
     ///
     /// # Errors
     ///
     /// [`FtlFull`] when the FTL has no page for it; the block is not
     /// mapped and the previous version stays.
     pub fn append(&mut self, lba: Lba, tag: BlockTag) -> Result<Option<GcRun>, FtlFull> {
-        let gc = self.prepare_append()?;
+        let gc = self.prepare_append();
         self.place(lba, tag)?;
         self.stats.host_appends += 1;
         Ok(gc)
     }
 
-    /// Free slots left in the active segment.
-    fn room(&self) -> usize {
-        self.pages_per_segment - self.segments[self.active].fill
-    }
-
-    /// Seals the active segment and opens the next free one.
-    fn open_next(&mut self) -> Result<(), FtlFull> {
-        let next = self.free_list.pop().ok_or(FtlFull)?;
-        self.segments[self.active].state = SegState::Sealed;
-        self.segments[next].open(SegState::Active, self.pages_per_segment);
-        self.active = next;
-        Ok(())
-    }
-
     /// The one write path, for host appends and GC relocation alike:
-    /// writes the page into the active segment, opening the next free one
-    /// first (without GC) if it is full, and invalidates the previous
+    /// writes the page into the active segment, first opening the next
+    /// free one (without GC) if it is full, and invalidates the previous
     /// version.
     fn place(&mut self, lba: Lba, tag: BlockTag) -> Result<(), FtlFull> {
-        if self.room() == 0 {
-            self.open_next()?;
+        if self.segments[self.active].fill == self.pages_per_segment {
+            let next = self.free_list.pop().ok_or(FtlFull)?;
+            self.segments[self.active].state = SegState::Sealed;
+            self.segments[next].open(SegState::Active, self.pages_per_segment);
+            self.active = next;
         }
         if let Some(old) = self.mapping.get(lba.0) {
             let seg = &mut self.segments[old.segment];
@@ -285,8 +262,9 @@ impl Ftl {
     }
 
     /// Greedy GC: picks the sealed segment with the fewest valid pages,
-    /// appends its live pages, erases it. A victim whose live pages do not
-    /// fit in the active segment and the free ones is left alone.
+    /// appends its live pages, erases it. It runs when the active segment
+    /// is full, so live pages need a free segment to move to; without one
+    /// the victim is left alone.
     fn collect(&mut self) -> Option<GcRun> {
         let victim = self
             .segments
@@ -296,13 +274,13 @@ impl Ftl {
             .min_by_key(|(_, s)| s.valid)
             .map(|(i, _)| i)?;
         let moved_pages = self.segments[victim].valid;
-        if moved_pages > self.room() + self.free_list.len() * self.pages_per_segment {
+        if moved_pages > 0 && self.free_list.is_empty() {
             return None;
         }
         for slot in 0..self.segments[victim].slots.len() {
             if let Some((lba, tag)) = self.segments[victim].slots[slot] {
                 let placed = self.place(lba, tag);
-                debug_assert!(placed.is_ok(), "relocation room was checked");
+                debug_assert!(placed.is_ok(), "a free segment was checked");
             }
         }
         debug_assert_eq!(self.segments[victim].valid, 0, "a moved page stayed valid");
@@ -437,7 +415,7 @@ mod tests {
         let mut f = Ftl::new(4, 4, 0.6);
         // No roll needed while the active segment has room.
         put(&mut f, 0, 1);
-        assert_eq!(f.prepare_append(), Ok(None));
+        assert_eq!(f.prepare_append(), None);
         for i in 1..8u64 {
             put(&mut f, i, i + 1);
         }
@@ -445,7 +423,6 @@ mod tests {
         // garbage collect, relocating live pages from the min-valid victim.
         let gc = f
             .prepare_append()
-            .expect("room")
             .expect("roll with low free space must GC");
         assert_eq!(gc.moved_pages, 4);
     }
@@ -518,13 +495,13 @@ mod tests {
         assert!(!f.gc_needed(), "free == segments * watermark is not 'low'");
         // This roll checks GC at exactly the boundary (free == 2.0): the
         // strict comparison must NOT collect.
-        assert_eq!(f.prepare_append(), Ok(None), "exact boundary must not GC");
+        assert_eq!(f.prepare_append(), None, "exact boundary must not GC");
+        put(&mut f, 4, 5); // opens the third segment
         assert_eq!(f.free_segments(), 1);
         assert!(f.gc_needed(), "one below the boundary is 'low'");
-        put(&mut f, 4, 5);
-        put(&mut f, 5, 6); // fills the third segment
+        put(&mut f, 5, 6); // fills it
                            // Now the roll happens below the watermark and must collect.
-        let gc = f.prepare_append().expect("room");
+        let gc = f.prepare_append();
         assert!(gc.is_some(), "roll below the watermark runs GC");
         assert_eq!(f.stats().gc_runs, 1);
         // All six LBAs survive the relocation.
@@ -561,7 +538,7 @@ mod tests {
         }
         // Two sealed segments, free == 1 < 0.6 * 4: next roll must GC and
         // relocate 4 live pages.
-        let gc = f.prepare_append().expect("room").expect("forced GC");
+        let gc = f.prepare_append().expect("forced GC");
         assert_eq!(gc.moved_pages, 4);
         for i in 0..8u64 {
             assert_eq!(f.tag_at(Lba(i)), Some(BlockTag(i + 1)), "lba {i} lost");
