@@ -310,7 +310,7 @@ impl WritebackCache {
     /// Resident entries with a sequence at or below `seq`: the programs a
     /// wait for everything up to `seq` still counts down. Walks only the
     /// entries above `seq`, none when `seq` is [`WritebackCache::newest_seq`].
-    pub fn resident_upto(&self, seq: u64) -> usize {
+    pub(crate) fn resident_upto(&self, seq: u64) -> usize {
         self.slots.len() - self.slots.iter_from(seq.saturating_add(1)).count()
     }
 

@@ -9,9 +9,11 @@
 //! | HDD (Fig 1 reference points) | [`DeviceProfile::hdd`] | rotational flush penalty |
 //! | 32-channel flash array (Fig 1 device G) | [`DeviceProfile::flash_array`] | parametric channel count |
 //!
-//! Latency constants are calibrated so the *baseline* (EXT4, full flush)
-//! fsync latencies land near Table 1 of the paper (UFS ≈ 1.3 ms, plain-SSD
-//! ≈ 6 ms, supercap ≈ 0.15 ms); `figures --table 1` prints them.
+//! The latency constants are not calibrated to the paper yet. Table 1 of
+//! the paper puts the *baseline* (EXT4, full flush) mean fsync latency at
+//! UFS ≈ 1.3 ms, plain-SSD ≈ 6 ms and supercap ≈ 0.15 ms; `figures
+//! --table 1` prints 0.91, 0.93 and 0.10 ms from these constants. ROADMAP
+//! item 1 is the calibration that closes the gap.
 
 use bio_sim::SimDuration;
 
