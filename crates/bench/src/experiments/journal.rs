@@ -160,7 +160,7 @@ pub fn fig13(scale: u64) -> Figure {
 /// mostly start-up, which is why they read "half"; with 24 writes per
 /// thread the loss is 5 % (`tests/full_stack.rs::
 /// two_queues_cost_bfs_od_merging_not_half_its_throughput`, and the
-/// numbers under "Known gaps" in docs/INVARIANTS.md).
+/// numbers under "Known costs" in docs/INVARIANTS.md).
 pub fn fig17(scale: u64) -> Figure {
     const THREADS: usize = 256;
     let writes = 2 * scale;

@@ -13,7 +13,7 @@
 //!   one, each closing an epoch of its own. That lost merging — not the
 //!   cross-lane sequencer's wait for every lane to drain — is what a
 //!   second queue costs BFS-OD (about 5 % at 256 threads × 24 appends; see
-//!   "Known gaps" in `docs/INVARIANTS.md`).
+//!   "Known costs" in `docs/INVARIANTS.md`).
 //!
 //! Run with: `cargo run --release --example multi_queue`
 

@@ -178,7 +178,7 @@ fn two_queues_cost_bfs_od_merging_not_half_its_throughput() {
     // dispatches as over ten times the commands, every one a barrier write
     // closing an epoch of its own — and costs about 5 % of the throughput,
     // not half: the cross-lane sequencer is not the bottleneck, lost
-    // merging is (`docs/INVARIANTS.md`, "Known gaps").
+    // merging is (`docs/INVARIANTS.md`, "Known costs").
     let run = |queues: usize| {
         let cfg = StackConfig::bfs(DeviceProfile::plain_ssd())
             .ordering_only()
