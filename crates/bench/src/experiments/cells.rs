@@ -171,4 +171,39 @@ mod tests {
         });
         run_cell(sleeper, Span::UntilDone);
     }
+
+    #[test]
+    fn an_overfilled_device_fails_its_cell_instead_of_printing_a_row() {
+        // Two segments of flash under 256-block writes and their journal:
+        // the FTL runs out of space, and the grid names the cell rather
+        // than return a report with the missing programs left out.
+        let mut dev = DeviceProfile::plain_ssd();
+        dev.segments = 2;
+        let cfg = StackConfig::ext4_dr(dev);
+        let mut grid = crate::ExperimentGrid::new();
+        grid.push("fig0/overfilled", move || {
+            let file = FileRef::Global(0);
+            let script = vec![
+                Op::Write {
+                    file,
+                    offset: 0,
+                    blocks: 256,
+                },
+                Op::Fsync { file },
+            ];
+            let stack = threads_of(cfg, 1, || {
+                Box::new(ScriptWorkload::repeat(script.clone(), 50))
+            });
+            run_cell(stack, Span::UntilDone).1
+        });
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| grid.run_with(1)))
+            .expect_err("an overfilled cell printed a row");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert!(
+            msg.starts_with("grid cell `fig0/overfilled` panicked: FTL out of space"),
+            "{msg}"
+        );
+    }
 }

@@ -114,10 +114,8 @@ enum Stage {
     WaitLink,
     /// DMA in flight.
     Dma,
-    /// DMA done but the cache is full; waiting for space.
+    /// DMA done: waiting for cache space or, for a FUA write, its drain.
     WaitCache,
-    /// FUA write draining.
-    WaitFua,
     /// Flush command draining.
     Draining,
 }
@@ -197,11 +195,6 @@ pub struct DeviceStats {
     /// once with nothing written (the model has no error status), so no
     /// table keyed by address ever sees them.
     pub out_of_range_writes: u64,
-    /// Programs the FTL had no page for (every segment full of live data;
-    /// see [`crate::FtlFull`]). The block still reaches the append log,
-    /// which is the crash model and has no capacity; only the FTL, the
-    /// space and GC cost model, misses it.
-    pub ftl_full_programs: u64,
 }
 
 impl std::ops::AddAssign for DeviceStats {
@@ -216,7 +209,6 @@ impl std::ops::AddAssign for DeviceStats {
             cache_hit_reads,
             queue_full_rejections,
             out_of_range_writes,
-            ftl_full_programs,
         } = rhs;
         self.write_cmds += write_cmds;
         self.read_cmds += read_cmds;
@@ -226,7 +218,6 @@ impl std::ops::AddAssign for DeviceStats {
         self.cache_hit_reads += cache_hit_reads;
         self.queue_full_rejections += queue_full_rejections;
         self.out_of_range_writes += out_of_range_writes;
-        self.ftl_full_programs += ftl_full_programs;
     }
 }
 
@@ -507,70 +498,38 @@ impl Device {
         self.destage_pump(now, out);
     }
 
+    /// Starts a picked command: a flush, or a write's preflush, drains what
+    /// is resident now; everything else queues for the link.
     fn begin_service(&mut self, cmd: Command, arrived: SimTime, out: &mut Vec<DevAction>) {
         let id = cmd.id;
-        match &cmd.kind {
-            CmdKind::Flush => {
-                self.active.insert(
-                    id.0,
-                    ActiveCmd {
-                        cmd,
-                        stage: Stage::Draining,
-                        arrived,
-                    },
-                );
-                match self.drain_upto(id, DrainKind::Flush, self.cache.newest_seq()) {
-                    Some(drain) => self.drains.push(drain),
-                    None => out.push(DevAction::After(
-                        self.profile.flush_overhead,
-                        DevEvent::Finish { id },
-                    )),
-                }
-            }
-            CmdKind::Write { flags, .. } => {
-                let needs_preflush = flags.flush_before;
-                if needs_preflush {
-                    self.active.insert(
-                        id.0,
-                        ActiveCmd {
-                            cmd,
-                            stage: Stage::Preflush,
-                            arrived,
-                        },
-                    );
-                    match self.drain_upto(id, DrainKind::Preflush, self.cache.newest_seq()) {
-                        Some(drain) => self.drains.push(drain),
-                        // Nothing to drain (an empty cache, or PLP), but
-                        // the controller round trip is still paid, like an
-                        // explicit flush (t_eps of the paper's quick-flush).
-                        None => out.push(DevAction::After(
-                            self.profile.flush_overhead,
-                            DevEvent::PreflushDone { id },
-                        )),
-                    }
-                } else {
-                    self.active.insert(
-                        id.0,
-                        ActiveCmd {
-                            cmd,
-                            stage: Stage::WaitLink,
-                            arrived,
-                        },
-                    );
-                    self.ready_for_link.push_back(id);
-                }
-            }
-            CmdKind::Read { .. } => {
-                self.active.insert(
-                    id.0,
-                    ActiveCmd {
-                        cmd,
-                        stage: Stage::WaitLink,
-                        arrived,
-                    },
-                );
-                self.ready_for_link.push_back(id);
-            }
+        let (stage, drain) = match &cmd.kind {
+            CmdKind::Flush => (
+                Stage::Draining,
+                Some((DrainKind::Flush, DevEvent::Finish { id })),
+            ),
+            CmdKind::Write { flags, .. } if flags.flush_before => (
+                Stage::Preflush,
+                Some((DrainKind::Preflush, DevEvent::PreflushDone { id })),
+            ),
+            CmdKind::Write { .. } | CmdKind::Read { .. } => (Stage::WaitLink, None),
+        };
+        self.active.insert(
+            id.0,
+            ActiveCmd {
+                cmd,
+                stage,
+                arrived,
+            },
+        );
+        let Some((kind, drained)) = drain else {
+            self.ready_for_link.push_back(id);
+            return;
+        };
+        match self.drain_upto(id, kind, self.cache.newest_seq()) {
+            Some(drain) => self.drains.push(drain),
+            // Nothing to drain (an empty cache, or PLP), but the controller
+            // round trip is still paid (t_eps of the paper's quick-flush).
+            None => out.push(DevAction::After(self.profile.flush_overhead, drained)),
         }
     }
 
@@ -712,9 +671,6 @@ impl Device {
                 .then(|| self.drain_upto(id, DrainKind::Fua, newest))
                 .flatten()
             {
-                if let Some(a) = self.active.get_mut(id.0) {
-                    a.stage = Stage::WaitFua;
-                }
                 self.drains.push(drain);
             } else {
                 self.stats.write_cmds += 1;
@@ -839,9 +795,7 @@ impl Device {
             let Ok(entry) = marked else {
                 continue;
             };
-            if self.ftl.append(entry.lba, entry.tag).is_err() {
-                self.stats.ftl_full_programs += 1;
-            }
+            self.ftl.append(entry.lba, entry.tag);
             let append_seq = self.log.begin(entry.lba, entry.tag, self.trans.open);
             self.destage_info.insert(seq, DestageInfo { append_seq });
             let dur = ChipArray::jittered(

