@@ -13,6 +13,10 @@
 //! holds both to `tests/golden/figures_all.txt`. A run summary
 //! (`[grid] cells=.. jobs=.. elapsed_ms=..`) goes to stderr to keep
 //! stdout clean for that comparison.
+//!
+//! Exit status: 2 for a usage error; 3 when the crash enumeration found a
+//! cross-stack divergence; otherwise 4 when any stack dropped an event
+//! (a warning block on stderr names each counter and cell); else 0.
 
 use bio_bench::{cli, experiments};
 
@@ -62,9 +66,16 @@ fn main() {
         bio_bench::default_jobs(),
         started.elapsed().as_millis()
     );
+    let dropped = bio_bench::drop_warning();
+    if let Some(block) = &dropped {
+        eprint!("{block}");
+    }
     if divergent {
         eprintln!("crash-enum: cross-stack divergence detected");
         std::process::exit(3);
+    }
+    if dropped.is_some() {
+        std::process::exit(4);
     }
 }
 
@@ -76,7 +87,8 @@ fn print_help() {
          --scale multiplies run length (1 = quick, at most {}); --jobs bounds the\n\
          experiment-grid worker pool (>= 1; 1 = serial, default: all cores)\n\
          --crash-enum runs the exhaustive differential crash enumeration\n\
-         (--seeds traces per stack, at most {}; exits 3 on cross-stack divergence)",
+         (--seeds traces per stack, at most {}; exits 3 on cross-stack divergence)\n\
+         exits 4 when a stack dropped an event (a warning block on stderr names it)",
         cli::MAX_SCALE,
         cli::MAX_SEEDS
     );

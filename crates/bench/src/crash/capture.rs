@@ -1,18 +1,22 @@
-//! Capture: the plain-data [`CrashPoint`], the delta cursor that builds
-//! each point from the previous one, and the trace driver that captures
-//! at every journal commit.
+//! Capture: the plain-data [`CrashPoint`], the delta cursor that advances
+//! one point in place from each epoch's delta, and the trace driver that
+//! captures at every journal commit.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use barrier_io::{
-    ConsistencyIndex, DeviceCaptureDelta, FileRef, IoStack, StackConfig, Topology, TxnRecord,
+    ConsistencyIndex, DeviceCaptureDelta, FileRef, IoStack, StackCaptureDelta, StackConfig,
+    Topology, TxnRecord,
 };
 use bio_flash::{
     AppendRec, BarrierMode, BlockMap, BlockTag, Device, EpochIndex, ImageView, Lba, TransferRec,
 };
 use bio_sim::SimDuration;
 use bio_workloads::{RandWrite, SyncMode, WriteMode};
+
+use super::choice::Overlay;
 
 /// Syncs per differential trace; each write+sync pair forces one journal
 /// commit, i.e. one capture point.
@@ -25,12 +29,11 @@ const STALE_STEP_LIMIT: u64 = 200_000;
 
 /// Snapshot of one device at a capture point. The folded base image, the
 /// committed-group set, the transfer history and the epoch-audit index
-/// are `Arc`-shared with the capture cursor (and through it with
-/// neighbouring points): only the unfolded tail, the cache and the
-/// scalars are per-point.
+/// sit behind `Arc`s, so a point kept by a caller shares them with the
+/// capture cursor until the cursor next writes one of them.
 #[derive(Debug, Clone, PartialEq)]
 pub(super) struct DeviceState {
-    /// Folded durable prefix of the append log (shared, immutable).
+    /// Folded durable prefix of the append log.
     pub(super) base: Arc<BlockMap>,
     /// Unfolded tail records, in append order.
     pub(super) tail: Vec<AppendRec>,
@@ -39,309 +42,283 @@ pub(super) struct DeviceState {
     pub(super) cache: Vec<(Lba, BlockTag)>,
     pub(super) plp: bool,
     pub(super) mode: BarrierMode,
-    /// Committed transactional-writeback groups (shared, immutable).
+    /// Committed transactional-writeback groups.
     pub(super) committed: Arc<BTreeSet<u64>>,
-    /// Transfer history prefix at the capture (shared, immutable).
+    /// Transfer history prefix at the capture.
     pub(super) history: Option<Arc<Vec<TransferRec>>>,
     /// [`bio_flash::EpochAudit`] over `history`, indexed under `base`
-    /// (shared, immutable; present exactly when `history` is).
+    /// (present exactly when `history` is).
     pub(super) audit: Option<Arc<EpochIndex>>,
 }
 
 impl DeviceState {
-    /// Captures one device through borrowed accessors. With a cursor the
-    /// shared parts are `Arc`-clones of the cursor's delta-maintained
-    /// copies (O(1)); without one they are materialized from the device
-    /// (O(state)) and `audit` is left to [`CrashPoint::reindex`].
-    fn capture(dev: &Device, cursor: Option<&DeviceCursor>) -> DeviceState {
-        let log = dev.append_log();
-        let plp = dev.profile().plp;
-        DeviceState {
-            base: match cursor {
-                Some(c) => Arc::clone(&c.base),
-                None => Arc::new(log.base().clone()),
-            },
-            tail: log.tail().copied().collect(),
-            cache: if plp {
-                dev.cache()
-                    .entries_in_order()
-                    .map(|(_, e)| (e.lba, e.tag))
-                    .collect()
-            } else {
-                Vec::new()
-            },
-            plp,
+    /// The device as it stands, read through borrowed accessors and
+    /// materialized (O(state)); `audit` is left to [`CrashPoint::reindex`].
+    fn capture(dev: &Device) -> DeviceState {
+        let mut d = DeviceState {
+            base: Arc::new(dev.append_log().base().clone()),
+            tail: Vec::new(),
+            cache: Vec::new(),
+            plp: dev.profile().plp,
             mode: dev.profile().barrier_mode,
-            committed: match cursor {
-                Some(c) => Arc::clone(&c.committed),
-                None => Arc::new(dev.committed_groups().collect()),
-            },
-            history: match cursor {
-                Some(c) => c.history.clone(),
-                None => dev.history().map(|h| Arc::new(h.to_vec())),
-            },
-            audit: cursor.and_then(|c| c.audit.clone()),
-        }
-    }
-}
-
-/// Device-local views stitched into the global address space by the
-/// stripe layout (the identity on one device).
-pub(super) struct Striped<'a, V> {
-    pub(super) topology: Topology,
-    pub(super) locals: &'a [V],
-}
-
-impl<V: ImageView> ImageView for Striped<'_, V> {
-    fn tag(&self, lba: Lba) -> BlockTag {
-        match self.locals {
-            [only] => only.tag(lba),
-            locals => {
-                let (di, local) = self.topology.locate(lba);
-                locals[di].tag(local)
-            }
-        }
-    }
-}
-
-/// Everything needed to enumerate and check one capture point: the ground
-/// truth transaction records plus per-device append-log state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CrashPoint {
-    /// Commit count at the capture (the cross-stack alignment key).
-    pub commit_idx: usize,
-    /// Ground-truth transaction records at the capture (shared with the
-    /// cursor; copy-on-write across durability flips).
-    pub records: Arc<Vec<TxnRecord>>,
-    /// [`barrier_io::ConsistencyCheck`] over `records`, indexed under the
-    /// devices' bases (shared with the cursor, copy-on-write).
-    pub(super) check: Arc<ConsistencyIndex>,
-    pub(super) devices: Vec<DeviceState>,
-    pub(super) topology: Topology,
-}
-
-impl CrashPoint {
-    /// Captures the live stack into a plain-data crash point, reading
-    /// through borrowed accessors only. With a cursor the records, the
-    /// check index and the per-device shared parts are `Arc`-clones of
-    /// the cursor's delta-maintained state; without one they are built
-    /// from the stack and share nothing with any cursor.
-    fn capture(stack: &IoStack, cursor: Option<&CaptureCursor>) -> CrashPoint {
-        let records = match cursor {
-            Some(c) => Arc::clone(&c.records),
-            None => Arc::new(stack.fs().records().to_vec()),
-        };
-        let devices = stack
-            .devices()
-            .iter()
-            .enumerate()
-            .map(|(i, d)| DeviceState::capture(d, cursor.map(|c| &c.devices[i])))
-            .collect();
-        let mut point = CrashPoint {
-            commit_idx: records.len(),
-            records,
-            check: cursor.map(|c| Arc::clone(&c.check)).unwrap_or_default(),
-            devices,
-            topology: stack.config().topology,
-        };
-        if cursor.is_none() {
-            point.reindex();
-        }
-        point
-    }
-
-    /// Builds both check indexes from nothing: the records under the
-    /// devices' bases, each transfer history under its device's base.
-    pub(super) fn reindex(&mut self) {
-        for d in &mut self.devices {
-            d.audit = d.history.as_deref().map(|history| {
-                let mut index = EpochIndex::new();
-                index.advance(history, [], &*d.base);
-                Arc::new(index)
-            });
-        }
-        let bases: Vec<_> = self.devices.iter().map(|d| &*d.base).collect();
-        let mut check = ConsistencyIndex::new();
-        check.advance(
-            &self.records,
-            [],
-            &[],
-            &Striped {
-                topology: self.topology,
-                locals: &bases,
-            },
-        );
-        self.check = Arc::new(check);
-    }
-}
-
-/// Per-device half of the capture cursor: `Arc`-backed copies of the
-/// folded base image, committed groups, transfer history and epoch-audit
-/// index, advanced by each epoch's [`DeviceCaptureDelta`] instead of
-/// being re-read.
-#[derive(Debug, Clone)]
-struct DeviceCursor {
-    base: Arc<BlockMap>,
-    committed: Arc<BTreeSet<u64>>,
-    history: Option<Arc<Vec<TransferRec>>>,
-    audit: Option<Arc<EpochIndex>>,
-}
-
-impl DeviceCursor {
-    fn new() -> DeviceCursor {
-        DeviceCursor {
-            base: Arc::new(BlockMap::new()),
-            committed: Arc::new(BTreeSet::new()),
-            history: None,
+            committed: Arc::new(dev.committed_groups().collect()),
+            history: dev.history().map(|h| Arc::new(h.to_vec())),
             audit: None,
+        };
+        d.read_tail(dev);
+        d
+    }
+
+    /// The device before its first write: where a delta cursor starts.
+    fn empty(dev: &Device) -> DeviceState {
+        let history = dev.history().map(|_| Arc::new(Vec::new()));
+        DeviceState {
+            base: Arc::new(BlockMap::new()),
+            tail: Vec::new(),
+            cache: Vec::new(),
+            plp: dev.profile().plp,
+            mode: dev.profile().barrier_mode,
+            committed: Arc::new(BTreeSet::new()),
+            audit: history.as_ref().map(|_| Arc::new(EpochIndex::new())),
+            history,
         }
     }
 
-    /// Advances the cursor by one epoch's delta and returns the folds as
-    /// `(block, tag before, tag after)` plus the index work done.
-    /// `Arc::make_mut` keeps this O(delta) when the previous point has
-    /// been dropped (the enumerate-and-drop hot path) and silently
-    /// degrades to a copy-on-write clone when it is retained.
-    fn delta_apply(
+    /// Rewrites the per-point parts — the unfolded tail and, under PLP,
+    /// the cache — in place from the live device.
+    fn read_tail(&mut self, dev: &Device) {
+        self.tail.clear();
+        self.tail.extend(dev.append_log().tail().copied());
+        self.cache.clear();
+        if self.plp {
+            let cache = dev.cache().entries_in_order();
+            self.cache.extend(cache.map(|(_, e)| (e.lba, e.tag)));
+        }
+    }
+
+    /// Advances the device by one epoch's `delta` and re-reads its tail.
+    /// Each fold is pushed onto `folds` as `(global block, tag before, tag
+    /// after)`, `global` mapping this device's blocks into the stripe.
+    /// Returns the epoch-audit index work done. `Arc::make_mut` writes in
+    /// place while no kept point shares a part and copies it once when
+    /// one does; a part the delta leaves alone is not touched.
+    fn advance(
         &mut self,
         dev: &Device,
-        delta: DeviceCaptureDelta,
-    ) -> (Vec<(Lba, BlockTag, BlockTag)>, usize) {
-        let mut base = std::mem::take(&mut self.base);
-        let folds: Vec<(Lba, BlockTag, BlockTag)> = {
-            let map = Arc::make_mut(&mut base);
-            delta
-                .folds
-                .into_iter()
-                .map(|(lba, tag)| {
-                    let before = map.insert(lba, tag).unwrap_or(BlockTag::UNWRITTEN);
-                    (lba, before, tag)
-                })
-                .collect()
-        };
-        let mut committed = std::mem::take(&mut self.committed);
-        {
-            let set = Arc::make_mut(&mut committed);
-            for g in delta.committed_groups {
-                set.insert(g);
-            }
+        delta: &DeviceCaptureDelta,
+        global: impl Fn(Lba) -> Lba,
+        folds: &mut Vec<(Lba, BlockTag, BlockTag)>,
+    ) -> usize {
+        if !delta.folds.is_empty() {
+            let base = Arc::make_mut(&mut self.base);
+            folds.extend(delta.folds.iter().map(|&(lba, tag)| {
+                let before = base.insert(lba, tag).unwrap_or(BlockTag::UNWRITTEN);
+                (global(lba), before, tag)
+            }));
+        }
+        if !delta.committed_groups.is_empty() {
+            Arc::make_mut(&mut self.committed).extend(delta.committed_groups.iter().copied());
         }
         // History is append-only: copy just the new suffix, and let the
         // audit index read the same suffix plus this epoch's folds.
         let mut work = 0;
-        let (history, audit) = match dev.history() {
-            Some(live) => {
-                let mut arc = self.history.take().unwrap_or_default();
-                let h = Arc::make_mut(&mut arc);
+        if let (Some(live), Some(history), Some(audit)) =
+            (dev.history(), &mut self.history, &mut self.audit)
+        {
+            if live.len() > history.len() || !delta.folds.is_empty() {
+                let h = Arc::make_mut(history);
                 h.extend_from_slice(&live[h.len()..]);
-                let mut audit = self.audit.take().unwrap_or_default();
-                work = Arc::make_mut(&mut audit).advance(live, folds.iter().map(|f| f.0), &*base);
-                (Some(arc), Some(audit))
+                let folded = delta.folds.iter().map(|f| f.0);
+                work = Arc::make_mut(audit).advance(live, folded, &*self.base);
             }
-            None => (None, None),
-        };
-        *self = DeviceCursor {
-            base,
-            committed,
-            history,
-            audit,
-        };
+        }
+        self.read_tail(dev);
         debug_assert!(
             self.base.as_ref() == dev.append_log().base(),
             "capture cursor base diverged from the live log — was \
              capture tracking enabled before the run started?"
         );
         debug_assert_eq!(self.committed.len(), dev.committed_groups().count());
-        (folds, work)
+        work
     }
 }
 
-/// Incremental capture state across one trace: holds the previous point's
-/// shared (`Arc`-backed) parts and advances them by each epoch's delta,
-/// so a capture costs O(writes since the previous capture).
-#[derive(Debug, Clone)]
+/// A crash image of a point across its devices, stitched into the global
+/// address space by the stripe layout (the identity on one device): device
+/// `d` reads `overlays[d]` over its base, or its base alone when no
+/// overlay is given (`overlays` empty).
+pub(super) struct PointImage<'a> {
+    pub(super) topology: Topology,
+    pub(super) devices: &'a [DeviceState],
+    pub(super) overlays: &'a [Overlay],
+}
+
+impl ImageView for PointImage<'_> {
+    fn tag(&self, lba: Lba) -> BlockTag {
+        let (di, local) = match self.devices {
+            [_] => (0, lba),
+            _ => self.topology.locate(lba),
+        };
+        let dev = &self.devices[di];
+        match self.overlays.get(di) {
+            Some(o) => o.tag(dev, local),
+            None => dev.base.tag(local),
+        }
+    }
+}
+
+/// Everything needed to enumerate and check one capture point: the ground
+/// truth transaction records plus per-device append-log state. A point the
+/// delta cursor hands out borrows: its records are the running
+/// filesystem's own, and its devices and consistency index are the
+/// cursor's, rewritten in place at the next commit. [`CrashPoint::owned`]
+/// is the copy a caller keeps.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CrashPoint<'a> {
+    /// Commit count at the capture (the cross-stack alignment key).
+    pub commit_idx: usize,
+    /// Ground-truth transaction records at the capture.
+    pub records: Cow<'a, [TxnRecord]>,
+    /// [`barrier_io::ConsistencyCheck`] over `records`, indexed under the
+    /// devices' bases.
+    pub(super) check: Cow<'a, ConsistencyIndex>,
+    pub(super) devices: Cow<'a, [DeviceState]>,
+    pub(super) topology: Topology,
+}
+
+impl CrashPoint<'_> {
+    /// This point owning all of its parts: what a caller that keeps points
+    /// stores. The devices' `Arc` parts are shared with the cursor until
+    /// its next capture writes them.
+    pub fn owned(&self) -> CrashPoint<'static> {
+        CrashPoint {
+            commit_idx: self.commit_idx,
+            records: Cow::Owned(self.records.to_vec()),
+            check: Cow::Owned(self.check.as_ref().clone()),
+            devices: Cow::Owned(self.devices.to_vec()),
+            topology: self.topology,
+        }
+    }
+
+    /// The point's base image across its devices.
+    fn bases(&self) -> PointImage<'_> {
+        PointImage {
+            topology: self.topology,
+            devices: &self.devices,
+            overlays: &[],
+        }
+    }
+
+    /// Builds both check indexes from nothing: the records under the
+    /// devices' bases, each transfer history under its device's base.
+    pub(super) fn reindex(&mut self) {
+        for d in self.devices.to_mut() {
+            d.audit = d.history.as_deref().map(|history| {
+                let mut index = EpochIndex::new();
+                index.advance(history, [], &*d.base);
+                Arc::new(index)
+            });
+        }
+        let mut check = ConsistencyIndex::new();
+        check.advance(&self.records, [], &[], &self.bases());
+        self.check = Cow::Owned(check);
+    }
+}
+
+impl CrashPoint<'static> {
+    /// The live stack as a plain-data crash point built from nothing: every
+    /// part read through borrowed accessors and materialized, both check
+    /// indexes built from scratch. Shares nothing with any cursor.
+    fn capture(stack: &IoStack) -> CrashPoint<'static> {
+        let records = stack.fs().records();
+        let mut point = CrashPoint {
+            commit_idx: records.len(),
+            records: Cow::Owned(records.to_vec()),
+            check: Cow::Owned(ConsistencyIndex::new()),
+            devices: stack.devices().iter().map(DeviceState::capture).collect(),
+            topology: stack.config().topology,
+        };
+        point.reindex();
+        point
+    }
+}
+
+/// Incremental capture across one trace: the parts of the trace's crash
+/// point that are not the filesystem's records — per device state and the
+/// consistency index — advanced in place by each epoch's delta, so a
+/// capture costs O(writes since the previous capture) and, once its
+/// buffers have met the largest epoch, allocates nothing.
+#[derive(Debug)]
 struct CaptureCursor {
-    records: Arc<Vec<TxnRecord>>,
-    check: Arc<ConsistencyIndex>,
-    devices: Vec<DeviceCursor>,
+    devices: Vec<DeviceState>,
+    /// [`ConsistencyIndex`] over the filesystem's records.
+    check: ConsistencyIndex,
+    topology: Topology,
+    /// What the stack's delta drains into, kept across captures.
+    delta: StackCaptureDelta,
+    /// The capture's folds as `(global block, tag before, tag after)`, for
+    /// the consistency index (a buffer kept across captures).
+    folds: Vec<(Lba, BlockTag, BlockTag)>,
     /// Verdicts the two indexes recomputed during the last capture.
     last_index_work: usize,
 }
 
 impl CaptureCursor {
-    /// An empty cursor; the first capture initializes per-device state.
-    fn new() -> CaptureCursor {
+    /// A cursor at the empty stack. Arm [`IoStack::enable_capture_tracking`]
+    /// before the run starts.
+    fn new(stack: &IoStack) -> CaptureCursor {
         CaptureCursor {
-            records: Arc::new(Vec::new()),
-            check: Arc::new(ConsistencyIndex::new()),
-            devices: Vec::new(),
+            devices: stack.devices().iter().map(DeviceState::empty).collect(),
+            check: ConsistencyIndex::new(),
+            topology: stack.config().topology,
+            delta: StackCaptureDelta::default(),
+            folds: Vec::new(),
             last_index_work: 0,
         }
     }
 
-    /// Drains the stack's capture delta and builds the next crash point
-    /// incrementally. Requires [`IoStack::enable_capture_tracking`] to
-    /// have been called before the run started.
-    fn capture(&mut self, stack: &mut IoStack) -> CrashPoint {
-        let delta = stack.take_capture_delta();
-        {
-            let recs = Arc::make_mut(&mut self.records);
-            let live = stack.fs().records();
-            recs.extend_from_slice(&live[recs.len()..]);
-            // Durability flips are the only in-place record mutation;
-            // records just copied from the live slice already carry them.
-            for id in &delta.records_marked_durable {
-                let i = recs
-                    .binary_search_by_key(id, |r| r.id)
-                    .expect("durable mark names a recorded txn");
-                recs[i].durability_claimed = true;
-            }
-            debug_assert_eq!(recs.len(), live.len());
-        }
-        if self.devices.is_empty() {
-            self.devices = stack
-                .devices()
-                .iter()
-                .map(|_| DeviceCursor::new())
-                .collect();
-        }
-        let topology = stack.config().topology;
-        let mut folds = Vec::new();
+    /// Drains the stack's capture delta, advances the cursor by it, and
+    /// hands out the point: the filesystem's records and the cursor's
+    /// state, by reference.
+    fn capture<'a>(&'a mut self, stack: &'a mut IoStack) -> CrashPoint<'a> {
+        stack.drain_capture_delta(&mut self.delta);
+        let stack: &'a IoStack = stack;
+        let topology = self.topology;
         self.last_index_work = 0;
-        for (di, ((cur, dev), d)) in self
-            .devices
-            .iter_mut()
-            .zip(stack.devices())
-            .zip(delta.devices)
-            .enumerate()
-        {
-            let (local, work) = cur.delta_apply(dev, d);
-            folds.extend(
-                local
-                    .into_iter()
-                    .map(|(lba, before, after)| (topology.global(di, lba), before, after)),
-            );
-            self.last_index_work += work;
+        let devices = self.devices.iter_mut().zip(stack.devices());
+        for (di, ((d, dev), delta)) in devices.zip(&self.delta.devices).enumerate() {
+            let global = |lba| topology.global(di, lba);
+            self.last_index_work += d.advance(dev, delta, global, &mut self.folds);
         }
-        let bases: Vec<_> = self.devices.iter().map(|d| &*d.base).collect();
-        self.last_index_work += Arc::make_mut(&mut self.check).advance(
-            &self.records,
-            folds,
-            &delta.records_marked_durable,
-            &Striped {
-                topology,
-                locals: &bases,
-            },
+        // The live records already carry every durability flip; the index
+        // is told of the flips to recompute those records' verdicts.
+        let records = stack.fs().records();
+        let bases = PointImage {
+            topology,
+            devices: &self.devices,
+            overlays: &[],
+        };
+        self.last_index_work += self.check.advance(
+            records,
+            self.folds.drain(..),
+            &self.delta.records_marked_durable,
+            &bases,
         );
-        CrashPoint::capture(stack, Some(self))
+        CrashPoint {
+            commit_idx: records.len(),
+            records: Cow::Borrowed(records),
+            check: Cow::Borrowed(&self.check),
+            devices: Cow::Borrowed(&self.devices),
+            topology,
+        }
     }
 }
 
 /// How crash points are captured from the running trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CaptureMode {
-    /// Each point built from the previous one plus the epoch's delta
-    /// (what [`super::run`] uses).
+    /// One point per trace, advanced in place by each epoch's delta (what
+    /// [`super::run`] uses).
     Delta,
     /// Each point built from nothing by reading the running stack; no
     /// capture tracking is armed.
@@ -366,8 +343,11 @@ pub(crate) fn trace_stack(mut cfg: StackConfig, sync: SyncMode, seed: u64, ops: 
 
 /// Runs one trace, calling `on_point` with the crash point captured at
 /// every journal commit. Ends at journal quiescence once all workloads
-/// finished (with [`STALE_STEP_LIMIT`] as a backstop).
-pub(super) fn drive<F: FnMut(CrashPoint)>(
+/// finished (with [`STALE_STEP_LIMIT`] as a backstop), and hands the
+/// stack's drop counters to [`crate::note_drops`]. Under
+/// [`CaptureMode::Delta`] the point handed over borrows the stack and the
+/// cursor: [`CrashPoint::owned`] keeps it.
+pub(super) fn drive<F: FnMut(&CrashPoint<'_>)>(
     cfg: StackConfig,
     sync: SyncMode,
     seed: u64,
@@ -379,7 +359,7 @@ pub(super) fn drive<F: FnMut(CrashPoint)>(
     let mut cursor = match mode {
         CaptureMode::Delta => {
             stack.enable_capture_tracking();
-            Some(CaptureCursor::new())
+            Some(CaptureCursor::new(&stack))
         }
         CaptureMode::Scratch => None,
     };
@@ -390,10 +370,10 @@ pub(super) fn drive<F: FnMut(CrashPoint)>(
         if n > commits {
             commits = n;
             stale = 0;
-            on_point(match &mut cursor {
-                Some(cursor) => cursor.capture(&mut stack),
-                None => CrashPoint::capture(&stack, None),
-            });
+            match &mut cursor {
+                Some(cursor) => on_point(&cursor.capture(&mut stack)),
+                None => on_point(&CrashPoint::capture(&stack)),
+            }
         } else {
             stale += 1;
             if stale > STALE_STEP_LIMIT {
@@ -407,6 +387,8 @@ pub(super) fn drive<F: FnMut(CrashPoint)>(
             }
         }
     }
+    let label = format!("{} trace seed {seed}", stack.config().label());
+    crate::note_drops(&label, &stack.report());
 }
 
 /// Captures (without enumerating) every crash point of one trace.
@@ -415,9 +397,9 @@ pub fn capture_points(
     sync: SyncMode,
     seed: u64,
     mode: CaptureMode,
-) -> Vec<CrashPoint> {
+) -> Vec<CrashPoint<'static>> {
     let mut points = Vec::new();
-    drive(cfg, sync, seed, TRACE_OPS, mode, |p| points.push(p));
+    drive(cfg, sync, seed, TRACE_OPS, mode, |p| points.push(p.owned()));
     points
 }
 
@@ -440,18 +422,18 @@ impl DeviceState {
 }
 
 #[cfg(test)]
-impl CrashPoint {
+impl CrashPoint<'static> {
     /// A one-device point, indexed from nothing.
     pub(super) fn of_device(
         commit_idx: usize,
         records: Vec<TxnRecord>,
         dev: DeviceState,
-    ) -> CrashPoint {
+    ) -> CrashPoint<'static> {
         let mut p = CrashPoint {
             commit_idx,
-            records: Arc::new(records),
-            check: Arc::default(),
-            devices: vec![dev],
+            records: Cow::Owned(records),
+            check: Cow::Owned(ConsistencyIndex::new()),
+            devices: Cow::Owned(vec![dev]),
             topology: Topology::single(),
         };
         p.reindex();
@@ -483,7 +465,7 @@ mod tests {
         {
             let mut stack = trace_stack(cfg, sync, 11, 400);
             stack.enable_capture_tracking();
-            let mut cursor = CaptureCursor::new();
+            let mut cursor = CaptureCursor::new(&stack);
             let (mut commits, mut before) = (0, progress(&stack));
             while stack.step() && !stack.workloads_finished() {
                 if stack.fs().records().len() > commits {

@@ -1,16 +1,14 @@
 //! Enumerate: every admissible image of a capture point, deduplicated and
 //! judged — by the point's check indexes where they can certify an image
 //! clean, by the full checkers otherwise ([`Judge`]) — and the trace-level
-//! loop that does so at every commit.
-
-use std::cell::OnceCell;
+//! loop that does so at every commit with one [`Enumerator`].
 
 use barrier_io::{ConsistencyCheck, ConsistencyProbe, FsViolation, StackConfig};
 use bio_flash::{EpochAudit, EpochProbe, EpochViolation, ImageView};
 use bio_sim::SimRng;
 use bio_workloads::SyncMode;
 
-use super::capture::{drive, CaptureMode, CrashPoint, Striped, TRACE_OPS};
+use super::capture::{drive, CaptureMode, CrashPoint, PointImage, TRACE_OPS};
 use super::choice::{ChoiceSpace, Overlay, SeenImages};
 
 /// Hard cap on exhaustively enumerated images per capture point
@@ -43,104 +41,98 @@ type Verdict = (Vec<FsViolation>, Vec<EpochViolation>);
 /// check indexes know every record's and block's verdict under the base,
 /// so an image is first put to the probes — which look only at what its
 /// overlay touches, and can certify it clean — and, whenever a probe
-/// cannot, to the full [`ConsistencyCheck`] / [`EpochAudit`], whose
-/// tables are built on first use. Every reported violation therefore
-/// comes from the full checkers.
-struct Judge<'a> {
-    p: &'a CrashPoint,
-    spaces: &'a [ChoiceSpace],
-    fs_probe: Option<ConsistencyProbe<'a>>,
-    epoch_probes: Vec<Option<EpochProbe<'a>>>,
-    checker: OnceCell<ConsistencyCheck<'a>>,
-    audits: Vec<OnceCell<EpochAudit<'a>>>,
+/// cannot, to the full [`ConsistencyCheck`] / [`EpochAudit`], built on
+/// first use. Every reported violation therefore comes from the full
+/// checkers. The probes are the enumerator's, aimed at this point.
+struct Judge<'p, 'e> {
+    p: &'p CrashPoint<'p>,
+    spaces: &'e [ChoiceSpace],
+    /// Off: no probe is asked, every image takes the full checkers.
+    indexed: bool,
+    fs_probe: &'e ConsistencyProbe,
+    epoch_probes: &'e [EpochProbe],
+    checker: Option<ConsistencyCheck<'p>>,
+    /// Per device once one is needed, its auditor once built.
+    audits: Vec<Option<EpochAudit<'p>>>,
 }
 
-impl<'a> Judge<'a> {
-    /// `overlays` are the point's overlays in any resolution: the probes
-    /// depend on the blocks they cover, not on the tags. With `indexed`
-    /// off there are no probes and every image takes the full checkers.
+impl<'p, 'e> Judge<'p, 'e> {
     fn new(
-        p: &'a CrashPoint,
-        spaces: &'a [ChoiceSpace],
-        overlays: &[Overlay<'a>],
+        p: &'p CrashPoint<'p>,
+        spaces: &'e [ChoiceSpace],
         indexed: bool,
-    ) -> Judge<'a> {
-        let touched = overlays.iter().enumerate().flat_map(|(di, o)| {
-            let lbas = o.entries.iter().map(move |e| p.topology.global(di, e.0));
-            lbas.zip(o.floors())
-        });
+        fs_probe: &'e ConsistencyProbe,
+        epoch_probes: &'e [EpochProbe],
+    ) -> Judge<'p, 'e> {
         Judge {
             p,
             spaces,
-            fs_probe: indexed
-                .then(|| p.check.probe(&p.records, touched))
-                .flatten(),
-            epoch_probes: overlays
-                .iter()
-                .map(|o| {
-                    let index = o.dev.audit.as_deref().filter(|_| indexed)?;
-                    index.probe(o.candidates())
-                })
-                .collect(),
-            checker: OnceCell::new(),
-            audits: p.devices.iter().map(|_| OnceCell::new()).collect(),
+            indexed,
+            fs_probe,
+            epoch_probes,
+            checker: None,
+            audits: Vec::new(),
         }
     }
 
     /// Fresh overlays resolved to one choice combination.
-    fn views(&self, choices: &[u64]) -> Vec<Overlay<'a>> {
-        self.p
-            .devices
-            .iter()
-            .zip(self.spaces)
+    fn views(&self, choices: &[u64]) -> Vec<Overlay> {
+        let devices = self.p.devices.iter().zip(self.spaces);
+        devices
             .zip(choices)
             .map(|((d, s), &c)| {
-                let mut o = Overlay::new(d);
-                o.resolve(s, c);
+                let mut o = Overlay::default();
+                o.rebuild(d);
+                o.resolve(d, s, c);
                 o
             })
             .collect()
     }
 
-    /// Both verdicts on the image `views` resolve to.
-    fn verdict(&self, views: &[Overlay<'a>]) -> Verdict {
-        let global = Striped {
-            topology: self.p.topology,
-            locals: views,
+    /// Both verdicts on the image `overlays` resolve to.
+    fn verdict(&mut self, overlays: &[Overlay]) -> Verdict {
+        let p = self.p;
+        let global = PointImage {
+            topology: p.topology,
+            devices: &p.devices,
+            overlays,
         };
-        self.verdict_on(&global, views)
+        self.verdict_on(&global, overlays)
     }
 
     /// [`Judge::verdict`] with the cross-device image passed in, so a test
     /// can interpose on its reads.
-    fn verdict_on<V: ImageView>(&self, global: &V, views: &[Overlay<'a>]) -> Verdict {
-        let fsv = match &self.fs_probe {
-            Some(probe) if probe.certifies(global) => Vec::new(),
-            _ => self
+    fn verdict_on<V: ImageView>(&mut self, global: &V, overlays: &[Overlay]) -> Verdict {
+        let p = self.p;
+        let fsv = if self.indexed && self.fs_probe.certifies(&p.records, global) {
+            Vec::new()
+        } else {
+            let checker = self
                 .checker
-                .get_or_init(|| ConsistencyCheck::new(&self.p.records))
-                .violations(global),
+                .get_or_insert_with(|| ConsistencyCheck::new(&p.records));
+            checker.violations(global)
         };
         let mut epv = Vec::new();
-        for (di, v) in views.iter().enumerate() {
-            let Some(history) = v.dev.history.as_deref() else {
+        for (di, (d, o)) in p.devices.iter().zip(overlays).enumerate() {
+            let Some(history) = d.history.as_deref() else {
                 continue;
             };
-            match &self.epoch_probes[di] {
-                Some(probe) if probe.certifies(v.entries.iter().copied()) => {}
-                _ => epv.extend(
-                    self.audits[di]
-                        .get_or_init(|| EpochAudit::new(history))
-                        .violations(v),
-                ),
+            let probe = &self.epoch_probes[di];
+            let entries = o.entries.iter().copied();
+            let certify = |index| probe.certifies(index, entries);
+            if self.indexed && d.audit.as_deref().is_some_and(certify) {
+                continue;
             }
+            self.audits.resize_with(p.devices.len(), || None);
+            let audit = self.audits[di].get_or_insert_with(|| EpochAudit::new(history));
+            epv.extend(audit.violations(&o.on(d)));
         }
         (fsv, epv)
     }
 
     /// Runs both checkers over one choice combination: returns
     /// `(fs violations, epoch violations, first violation rendered)`.
-    fn check_choice(&self, choices: &[u64]) -> (usize, usize, String) {
+    fn check_choice(&mut self, choices: &[u64]) -> (usize, usize, String) {
         let (fsv, epv) = self.verdict(&self.views(choices));
         let detail = match (epv.first(), fsv.first()) {
             (Some(first), _) => format!("{first:?}"),
@@ -153,37 +145,33 @@ impl<'a> Judge<'a> {
     /// Greedily shrinks a violating choice combination: clears
     /// subset/group bits and lowers prefix cuts while the combination
     /// still violates.
-    fn minimize(&self, mut choices: Vec<u64>) -> Vec<u64> {
-        let violates = |c: &[u64]| {
-            let (f, e, _) = self.check_choice(c);
+    fn minimize(&mut self, mut choices: Vec<u64>) -> Vec<u64> {
+        let violates = |judge: &mut Self, c: &[u64]| {
+            let (f, e, _) = judge.check_choice(c);
             f + e > 0
         };
         for _ in 0..4 {
             let mut changed = false;
             for (di, space) in self.spaces.iter().enumerate() {
-                match space {
-                    ChoiceSpace::Single => {}
-                    ChoiceSpace::Prefix(_) => {
-                        for c in 0..choices[di] {
+                if space.is_mask() {
+                    for bit in 0..space.sample_bits() {
+                        if choices[di] & (1u64 << bit) != 0 {
                             let mut t = choices.clone();
-                            t[di] = c;
-                            if violates(&t) {
+                            t[di] &= !(1u64 << bit);
+                            if violates(self, &t) {
                                 choices = t;
                                 changed = true;
-                                break;
                             }
                         }
                     }
-                    ChoiceSpace::Subset(_) | ChoiceSpace::Groups(_) => {
-                        for bit in 0..space.sample_bits() {
-                            if choices[di] & (1u64 << bit) != 0 {
-                                let mut t = choices.clone();
-                                t[di] &= !(1u64 << bit);
-                                if violates(&t) {
-                                    choices = t;
-                                    changed = true;
-                                }
-                            }
+                } else {
+                    for c in 0..choices[di] {
+                        let mut t = choices.clone();
+                        t[di] = c;
+                        if violates(self, &t) {
+                            choices = t;
+                            changed = true;
+                            break;
                         }
                     }
                 }
@@ -219,127 +207,195 @@ pub struct PointOutcome {
     pub worst: Option<ViolationCase>,
 }
 
+/// What enumerating a point needs besides the point: per device its
+/// choice space, overlay and epoch probe; the consistency probe; the
+/// distinct images seen; the choice vector and the sampler's scratch.
+/// None of it borrows a point, so one enumerator serves every point of a
+/// trace and rebuilds all of it in place at each — once its buffers have
+/// met the trace's largest point it allocates nothing.
+#[derive(Default)]
+pub(super) struct Enumerator {
+    spaces: Vec<ChoiceSpace>,
+    overlays: Vec<Overlay>,
+    epoch_probes: Vec<EpochProbe>,
+    fs_probe: ConsistencyProbe,
+    seen: SeenImages,
+    choices: Vec<u64>,
+    draws: Vec<u64>,
+    shuffle: Vec<usize>,
+}
+
+impl Enumerator {
+    /// Rebuilds the choice spaces and overlays for `p` and, when
+    /// `indexed`, aims the probes at it. Returns whether the point's
+    /// choice space is clamped.
+    fn aim(&mut self, p: &CrashPoint<'_>, indexed: bool) -> bool {
+        let n = p.devices.len();
+        self.spaces.resize_with(n, ChoiceSpace::default);
+        self.overlays.resize_with(n, Overlay::default);
+        self.epoch_probes.resize_with(n, EpochProbe::default);
+        let mut clamped = false;
+        for ((d, space), overlay) in p
+            .devices
+            .iter()
+            .zip(&mut self.spaces)
+            .zip(&mut self.overlays)
+        {
+            clamped |= space.rebuild(d);
+            overlay.rebuild(d);
+        }
+        let product: u128 = self
+            .spaces
+            .iter()
+            .map(|s| s.exhaustive_choices() as u128)
+            .product();
+        clamped |= product > MAX_IMAGES_PER_POINT as u128;
+        if indexed {
+            // The probes depend on the blocks the overlays cover, not on
+            // the tags any one choice resolves them to.
+            let touched = p.devices.iter().zip(&self.overlays).enumerate();
+            let touched = touched.flat_map(|(di, (_, o))| {
+                let lbas = o.entries.iter().map(move |e| p.topology.global(di, e.0));
+                lbas.zip(o.floors.iter().copied())
+            });
+            p.check.reprobe(&mut self.fs_probe, touched);
+            let devices = p.devices.iter().zip(&self.overlays);
+            for ((d, o), probe) in devices.zip(&mut self.epoch_probes) {
+                if let Some(index) = d.audit.as_deref() {
+                    index.reprobe(probe, o.candidates(d));
+                }
+            }
+        }
+        clamped
+    }
+
+    /// Enumerates every admissible image at `p` (exhaustively up to the
+    /// clamps, then by seeded stratified sampling over the full choice
+    /// space when clamped), deduplicates, and checks each image against
+    /// the journal ground truth and the epoch contract. With `indexed`
+    /// off every image takes the full checkers. `on_image` sees every
+    /// distinct image checked: its choices, both violation lists as
+    /// reached, and the overlays resolved to it.
+    pub(super) fn point(
+        &mut self,
+        p: &CrashPoint<'_>,
+        sample_seed: u64,
+        indexed: bool,
+        mut on_image: impl FnMut(&[u64], &[FsViolation], &[EpochViolation], &[Overlay]),
+    ) -> PointOutcome {
+        let clamped = self.aim(p, indexed);
+        let Enumerator {
+            spaces,
+            overlays,
+            epoch_probes,
+            fs_probe,
+            seen,
+            choices,
+            draws,
+            shuffle,
+        } = self;
+        let mut judge = Judge::new(p, spaces, indexed, fs_probe, epoch_probes);
+        seen.clear();
+        let mut out = PointOutcome {
+            commit_idx: p.commit_idx,
+            images: 0,
+            duplicates: 0,
+            sampled_images: 0,
+            sampled_duplicates: 0,
+            clamped,
+            fs_violations: 0,
+            epoch_violations: 0,
+            worst: None,
+        };
+        // Dedups, checks and records one choice combination.
+        let mut visit = |choices: &[u64], sampled: bool, out: &mut PointOutcome| {
+            let devices = p.devices.iter().zip(judge.spaces);
+            for ((o, (d, s)), &c) in overlays.iter_mut().zip(devices).zip(choices) {
+                o.resolve(d, s, c);
+            }
+            let fresh = seen.insert(overlays);
+            *match (fresh, sampled) {
+                (true, false) => &mut out.images,
+                (true, true) => &mut out.sampled_images,
+                (false, false) => &mut out.duplicates,
+                (false, true) => &mut out.sampled_duplicates,
+            } += 1;
+            if !fresh {
+                return;
+            }
+            let (fsv, epv) = judge.verdict(overlays);
+            out.fs_violations += fsv.len() as u64;
+            out.epoch_violations += epv.len() as u64;
+            if (!fsv.is_empty() || !epv.is_empty()) && out.worst.is_none() {
+                let min = judge.minimize(choices.to_vec());
+                let (f, e, detail) = judge.check_choice(&min);
+                out.worst = Some(ViolationCase {
+                    choices: min,
+                    fs_violations: f,
+                    epoch_violations: e,
+                    detail,
+                });
+            }
+            on_image(choices, &fsv, &epv, overlays);
+        };
+
+        // Exhaustive window: odometer over the per-device choice counts.
+        choices.clear();
+        choices.resize(p.devices.len(), 0);
+        let mut visited = 0u64;
+        'exhaustive: loop {
+            visited += 1;
+            visit(choices, false, &mut out);
+            if visited >= MAX_IMAGES_PER_POINT {
+                break;
+            }
+            let mut di = 0;
+            loop {
+                if di == choices.len() {
+                    break 'exhaustive;
+                }
+                choices[di] += 1;
+                if choices[di] < spaces[di].exhaustive_choices() {
+                    break;
+                }
+                choices[di] = 0;
+                di += 1;
+            }
+        }
+
+        // Stratified sampling past the clamp: for each survival-cardinality
+        // stratum, draw reorderings from the *full* free lists. Shares the
+        // dedup set, so only genuinely new images are counted and checked.
+        if clamped {
+            let max_k = spaces
+                .iter()
+                .map(ChoiceSpace::sample_bits)
+                .max()
+                .unwrap_or(0);
+            let mut rng = SimRng::new(sample_seed);
+            for k in 0..=max_k {
+                for _ in 0..SAMPLES_PER_STRATUM {
+                    draws.clear();
+                    let draw = |s: &ChoiceSpace| s.sample_choice(k, &mut rng, shuffle);
+                    draws.extend(spaces.iter().map(draw));
+                    visit(draws, true, &mut out);
+                }
+            }
+        }
+        out
+    }
+}
+
 /// Enumerates every admissible image at one capture point (exhaustively
 /// up to the clamps, then by seeded stratified sampling over the full
 /// choice space when clamped), deduplicates, and checks each image
-/// against the journal ground truth and the epoch contract.
+/// against the journal ground truth and the epoch contract. A fresh
+/// enumerator runs it; a trace keeps one across its points.
 ///
 /// `sample_seed` seeds the sampling draws only; the exhaustive window is
 /// deterministic and unaffected.
-pub fn enumerate_point(p: &CrashPoint, sample_seed: u64) -> PointOutcome {
-    enumerate(p, sample_seed, true, |_, _, _, _| {})
-}
-
-/// The enumeration behind [`enumerate_point`]. With `indexed` off every
-/// image takes the full checkers; `on_image` sees every distinct image
-/// checked: its choices, both violation lists as reached, and the
-/// overlays resolved to it.
-pub(super) fn enumerate(
-    p: &CrashPoint,
-    sample_seed: u64,
-    indexed: bool,
-    mut on_image: impl FnMut(&[u64], &[FsViolation], &[EpochViolation], &[Overlay<'_>]),
-) -> PointOutcome {
-    let mut spaces = Vec::with_capacity(p.devices.len());
-    let mut clamped = false;
-    for d in &p.devices {
-        let (s, c) = d.choice_space();
-        clamped |= c;
-        spaces.push(s);
-    }
-    let counts: Vec<u64> = spaces.iter().map(ChoiceSpace::exhaustive_choices).collect();
-    let product: u128 = counts.iter().map(|&c| c as u128).product();
-    clamped |= product > MAX_IMAGES_PER_POINT as u128;
-
-    let mut views: Vec<Overlay<'_>> = p.devices.iter().map(Overlay::new).collect();
-    let judge = Judge::new(p, &spaces, &views, indexed);
-    let mut seen = SeenImages::default();
-    let mut out = PointOutcome {
-        commit_idx: p.commit_idx,
-        images: 0,
-        duplicates: 0,
-        sampled_images: 0,
-        sampled_duplicates: 0,
-        clamped,
-        fs_violations: 0,
-        epoch_violations: 0,
-        worst: None,
-    };
-    // Dedups, checks and records one choice combination.
-    let mut visit = |choices: &[u64], sampled: bool, out: &mut PointOutcome| {
-        for ((v, s), &c) in views.iter_mut().zip(&spaces).zip(choices) {
-            v.resolve(s, c);
-        }
-        let fresh = seen.insert(&views);
-        *match (fresh, sampled) {
-            (true, false) => &mut out.images,
-            (true, true) => &mut out.sampled_images,
-            (false, false) => &mut out.duplicates,
-            (false, true) => &mut out.sampled_duplicates,
-        } += 1;
-        if !fresh {
-            return;
-        }
-        let (fsv, epv) = judge.verdict(&views);
-        out.fs_violations += fsv.len() as u64;
-        out.epoch_violations += epv.len() as u64;
-        if (!fsv.is_empty() || !epv.is_empty()) && out.worst.is_none() {
-            let min = judge.minimize(choices.to_vec());
-            let (f, e, detail) = judge.check_choice(&min);
-            out.worst = Some(ViolationCase {
-                choices: min,
-                fs_violations: f,
-                epoch_violations: e,
-                detail,
-            });
-        }
-        on_image(choices, &fsv, &epv, &views);
-    };
-
-    // Exhaustive window: odometer over the per-device choice counts.
-    let mut choices = vec![0u64; spaces.len()];
-    let mut visited = 0u64;
-    'exhaustive: loop {
-        visited += 1;
-        visit(&choices, false, &mut out);
-        if visited >= MAX_IMAGES_PER_POINT {
-            break;
-        }
-        let mut di = 0;
-        loop {
-            if di == choices.len() {
-                break 'exhaustive;
-            }
-            choices[di] += 1;
-            if choices[di] < counts[di] {
-                break;
-            }
-            choices[di] = 0;
-            di += 1;
-        }
-    }
-
-    // Stratified sampling past the clamp: for each survival-cardinality
-    // stratum, draw reorderings from the *full* free lists. Shares the
-    // dedup set, so only genuinely new images are counted and checked.
-    if clamped {
-        let max_k = spaces
-            .iter()
-            .map(ChoiceSpace::sample_bits)
-            .max()
-            .unwrap_or(0);
-        let mut rng = SimRng::new(sample_seed);
-        for k in 0..=max_k {
-            for _ in 0..SAMPLES_PER_STRATUM {
-                let draws: Vec<u64> = spaces
-                    .iter()
-                    .map(|s| s.sample_choice(k, &mut rng))
-                    .collect();
-                visit(&draws, true, &mut out);
-            }
-        }
-    }
-    out
+pub fn enumerate_point(p: &CrashPoint<'_>, sample_seed: u64) -> PointOutcome {
+    Enumerator::default().point(p, sample_seed, true, |_, _, _, _| {})
 }
 
 /// Result of one (stack, trace) cell.
@@ -350,16 +406,22 @@ pub struct CellOutcome {
 }
 
 /// Runs one trace to completion, capturing the stack at every journal
-/// commit and enumerating the capture point's admissible crash images.
+/// commit and enumerating the capture point's admissible crash images,
+/// with one enumerator for the whole trace.
 pub fn enumerate_trace_with(
     cfg: StackConfig,
     sync: SyncMode,
     seed: u64,
     mode: CaptureMode,
 ) -> CellOutcome {
-    let mut points = Vec::new();
+    let mut enumerator = Enumerator::default();
+    // About one point per write+sync pair. Sized once: regrown through the
+    // trace, the list lands between the trace's own buffers and raised
+    // `crash_enum`'s peak RSS by half a MiB.
+    let mut points = Vec::with_capacity(TRACE_OPS as usize);
     drive(cfg, sync, seed, TRACE_OPS, mode, |p| {
-        points.push(enumerate_point(&p, sample_seed(seed, p.commit_idx)));
+        let sample_seed = sample_seed(seed, p.commit_idx);
+        points.push(enumerator.point(p, sample_seed, true, |_, _, _, _| {}));
     });
     CellOutcome { points }
 }
@@ -480,27 +542,29 @@ mod tests {
     fn most_reads_per_image(label: &str, cfg: StackConfig, sync: SyncMode, ops: u64) -> u64 {
         let mut points = std::collections::VecDeque::new();
         drive(cfg, sync, 11, ops, CaptureMode::Delta, |p| {
-            points.push_back(p);
+            points.push_back(p.owned());
             if points.len() > 10 {
                 points.pop_front();
             }
         });
         let mut most = 0;
+        let mut e = Enumerator::default();
         for p in &points {
-            let spaces: Vec<ChoiceSpace> = p.devices.iter().map(|d| d.choice_space().0).collect();
-            let mut views: Vec<Overlay<'_>> = p.devices.iter().map(Overlay::new).collect();
-            let judge = Judge::new(p, &spaces, &views, true);
-            let size = (p.devices[0].tail.len() + views[0].entries.len()) as u64;
+            e.aim(p, true);
+            let (spaces, overlays) = (&e.spaces, &mut e.overlays);
+            let mut judge = Judge::new(p, spaces, true, &e.fs_probe, &e.epoch_probes);
+            let size = (p.devices[0].tail.len() + overlays[0].entries.len()) as u64;
             for choice in 0..spaces[0].exhaustive_choices() {
-                views[0].resolve(&spaces[0], choice);
+                overlays[0].resolve(&p.devices[0], &spaces[0], choice);
                 let counting = CountingImage {
-                    image: &Striped {
+                    image: &PointImage {
                         topology: p.topology,
-                        locals: &views,
+                        devices: &p.devices,
+                        overlays,
                     },
                     reads: std::cell::Cell::new(0),
                 };
-                let (fsv, epv) = judge.verdict_on(&counting, &views);
+                let (fsv, epv) = judge.verdict_on(&counting, overlays);
                 assert!(fsv.is_empty() && epv.is_empty());
                 let reads = counting.reads.get();
                 assert!(
@@ -511,8 +575,8 @@ mod tests {
                 most = most.max(reads);
             }
             // The full checkers' tables were never built.
-            assert!(judge.checker.get().is_none());
-            assert!(judge.audits.iter().all(|a| a.get().is_none()));
+            assert!(judge.checker.is_none());
+            assert!(judge.audits.iter().all(Option::is_none));
         }
         most
     }
@@ -537,6 +601,59 @@ mod tests {
         }
         // (BFS-DR captures with nothing in flight; the other two do not.)
         assert!(busiest > 0, "no stack had a write in flight at a capture");
+    }
+
+    /// Every distinct image `e` checks at `p`: its choices and each
+    /// device's overlay entries, with the point's outcome.
+    fn images_of(e: &mut Enumerator, p: &CrashPoint<'_>) -> (PointOutcome, Vec<Vec<u64>>) {
+        let mut images = Vec::new();
+        let outcome = e.point(p, 0, true, |choices, _, _, overlays| {
+            let mut image = choices.to_vec();
+            let tags = overlays.iter().flat_map(|o| &o.entries);
+            image.extend(tags.flat_map(|&(lba, tag)| [lba.0, tag.0]));
+            images.push(image);
+        });
+        (outcome, images)
+    }
+
+    #[test]
+    fn a_reused_enumerator_sees_what_a_fresh_one_sees() {
+        // Hand-made: a point whose tail is all done, then one whose first
+        // hole lies past the first point's whole tail — the prefix cut the
+        // overlay left behind must not survive the rebuild.
+        let mut log = AppendLog::new();
+        for i in 0..2 {
+            let seq = log.begin(Lba(i), BlockTag(10 + i), None);
+            log.mark_done(seq);
+        }
+        let lfs = BarrierMode::LfsInOrderRecovery;
+        let done = CrashPoint::of_device(0, Vec::new(), DeviceState::of_log(lfs, false, &log));
+        for i in 2..4 {
+            let seq = log.begin(Lba(i), BlockTag(10 + i), None);
+            if i == 2 {
+                log.mark_done(seq);
+            }
+        }
+        let holed = CrashPoint::of_device(1, Vec::new(), DeviceState::of_log(lfs, false, &log));
+        let mut reused = Enumerator::default();
+        images_of(&mut reused, &done);
+        let fresh = images_of(&mut Enumerator::default(), &holed);
+        assert_eq!(images_of(&mut reused, &holed), fresh);
+        // And point by point along real traces, one enumerator per trace.
+        for DiffCell {
+            label, cfg, sync, ..
+        } in differential_cells()
+        {
+            let mut reused = Enumerator::default();
+            drive(cfg, sync, 2, TRACE_OPS, CaptureMode::Delta, |p| {
+                let fresh = images_of(&mut Enumerator::default(), p);
+                assert!(
+                    images_of(&mut reused, p) == fresh,
+                    "{label}: commit {}",
+                    p.commit_idx
+                );
+            });
+        }
     }
 
     #[test]

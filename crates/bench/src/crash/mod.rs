@@ -20,13 +20,14 @@
 //! # Module map
 //!
 //! * `capture` — [`CrashPoint`], the plain-data snapshot of a stack at a
-//!   commit; the delta cursor that builds each point from the previous
-//!   one; the trace driver ([`capture_points`], [`CaptureMode`]).
+//!   commit; the delta cursor that advances one point in place from
+//!   commit to commit; the trace driver ([`capture_points`],
+//!   [`CaptureMode`]).
 //! * `choice` — the choice space a barrier mode admits at a point, one
 //!   image of it as an overlay on the shared base, and image dedup.
 //! * `enumerate` — [`enumerate_point`] / [`enumerate_trace_with`]: walk
 //!   the choice space, judge every distinct image, minimize the first
-//!   violating one.
+//!   violating one; one enumerator per trace, its buffers reused.
 //! * `differential` — [`differential_cells`], the table of stacks under
 //!   comparison (one [`DiffCell`] per row); [`run`], which enqueues it
 //!   over many seeds on the grid; `fold`, which sums each row's counters
@@ -39,20 +40,23 @@
 //! The items re-exported here are the product API; everything else is
 //! private to the module tree.
 //!
-//! # Capture architecture: zero-clone + delta snapshots
+//! # Capture architecture: one point, advanced in place
 //!
 //! Capture and checking share three tiers:
 //!
 //! 1. **Zero-clone capture** — a point is read off the live stack through
 //!    borrowed accessors (`&AppendLog` tail, cache snapshot, committed
 //!    groups, txn records); nothing outside the point itself is cloned.
-//! 2. **Delta snapshots** — a capture cursor holds the previous point's
-//!    `Arc`-backed base image, committed-group set and record history;
-//!    the stack journals its per-epoch dirty sets (blocks folded, groups
-//!    committed, records marked durable) and the next point is built from
-//!    the previous one plus that delta — O(writes-this-epoch), not
-//!    O(log length). The shared parts are immutable behind `Arc`;
-//!    copy-on-write (`Arc::make_mut`) keeps retained points intact.
+//! 2. **Delta capture, in place** — the capture cursor holds the trace's
+//!    one point. The stack journals its per-epoch dirty sets (blocks
+//!    folded, groups committed, records marked durable) and drains them
+//!    into buffers the cursor keeps; the point is advanced by that delta —
+//!    O(writes-this-epoch), not O(log length) — and its tail re-read into
+//!    its own buffers, so a capture allocates nothing in steady state. The
+//!    point borrows its records from the filesystem and the rest from the
+//!    cursor; a caller that keeps a point takes [`CrashPoint::owned`],
+//!    whose slow-moving parts sit behind `Arc`, and copy-on-write
+//!    (`Arc::make_mut`) keeps the kept point intact.
 //! 3. **Incremental checkers** — every image of a point is the shared
 //!    base plus an overlay over the blocks of the unfolded tail, so a
 //!    transaction record or transfer the overlay does not touch reads the

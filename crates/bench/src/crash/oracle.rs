@@ -19,9 +19,9 @@ use barrier_io::{FsViolation, StackConfig, Topology};
 use bio_flash::{BlockTag, EpochViolation, ImageView, PersistedImage, TransferRec};
 use bio_workloads::SyncMode;
 
-use super::capture::{drive, CaptureMode, CrashPoint, Striped};
+use super::capture::{drive, CaptureMode, CrashPoint, DeviceState, PointImage};
 use super::choice::Overlay;
-use super::enumerate::{enumerate, PointOutcome};
+use super::enumerate::{Enumerator, PointOutcome};
 
 /// A defect written into a captured point by hand: the violating input
 /// the checker differential test feeds both tiers of the judge. Indices
@@ -63,7 +63,7 @@ pub enum Forgery {
     },
 }
 
-impl CrashPoint {
+impl CrashPoint<'_> {
     /// The transfer history of each device (`None` where recording is
     /// off) — what [`bio_flash::EpochAudit`] judges a device image
     /// against.
@@ -75,38 +75,39 @@ impl CrashPoint {
 
     /// This point with `forgery` written into it and both check indexes
     /// rebuilt from nothing, as if captured from a stack in that state.
-    pub fn forged(&self, forgery: Forgery) -> CrashPoint {
-        let mut p = self.clone();
+    pub fn forged(&self, forgery: Forgery) -> CrashPoint<'static> {
+        let mut p = self.owned();
         let nr_devices = p.devices.len();
         let nr_records = p.records.len().max(1);
+        let devices = p.devices.to_mut();
         match forgery {
             Forgery::DropTail { device, index } => {
-                let tail = &mut p.devices[device % nr_devices].tail;
+                let tail = &mut devices[device % nr_devices].tail;
                 if !tail.is_empty() {
                     tail.remove(index % tail.len());
                 }
             }
             Forgery::FlipDone { device, index } => {
-                let tail = &mut p.devices[device % nr_devices].tail;
+                let tail = &mut devices[device % nr_devices].tail;
                 let index = index % tail.len().max(1);
                 if let Some(r) = tail.get_mut(index) {
                     r.done = !r.done;
                 }
             }
             Forgery::Refold { device, transfer } => {
-                let d = &mut p.devices[device % nr_devices];
+                let d = &mut devices[device % nr_devices];
                 let history = d.history.as_deref().map_or(&[][..], Vec::as_slice);
                 if let Some(t) = history.get(transfer % history.len().max(1)) {
                     Arc::make_mut(&mut d.base).insert(t.lba, t.tag);
                 }
             }
             Forgery::AlterJcTag { record } => {
-                if let Some(r) = Arc::make_mut(&mut p.records).get_mut(record % nr_records) {
+                if let Some(r) = p.records.to_mut().get_mut(record % nr_records) {
                     r.jc_tag = BlockTag(r.jc_tag.0 ^ (1 << 40));
                 }
             }
             Forgery::ClaimDurable { record } => {
-                if let Some(r) = Arc::make_mut(&mut p.records).get_mut(record % nr_records) {
+                if let Some(r) = p.records.to_mut().get_mut(record % nr_records) {
                     r.durability_claimed = true;
                 }
             }
@@ -121,8 +122,8 @@ impl CrashPoint {
 /// indexed path to.
 ///
 /// [`enumerate_point`]: super::enumerate_point
-pub fn enumerate_point_unindexed(p: &CrashPoint, sample_seed: u64) -> PointOutcome {
-    enumerate(p, sample_seed, false, |_, _, _, _| {})
+pub fn enumerate_point_unindexed(p: &CrashPoint<'_>, sample_seed: u64) -> PointOutcome {
+    Enumerator::default().point(p, sample_seed, false, |_, _, _, _| {})
 }
 
 /// One distinct image of a capture point with the verdict
@@ -138,29 +139,31 @@ pub struct ImageCase<'a> {
     /// Epoch violations of all devices in device order, as enumerated.
     pub epoch_violations: &'a [EpochViolation],
     topology: Topology,
-    views: &'a [Overlay<'a>],
+    devices: &'a [DeviceState],
+    views: &'a [Overlay],
 }
 
 impl ImageCase<'_> {
     /// The cross-device image (what [`barrier_io::ConsistencyCheck`] reads).
     pub fn image(&self) -> impl ImageView + '_ {
-        Striped {
+        PointImage {
             topology: self.topology,
-            locals: self.views,
+            devices: self.devices,
+            overlays: self.views,
         }
     }
 
     /// One device's own image (what its [`bio_flash::EpochAudit`] reads).
     pub fn device_image(&self, device: usize) -> impl ImageView + '_ {
-        &self.views[device]
+        self.views[device].on(&self.devices[device])
     }
 
     /// [`ImageCase::image`] as a standalone map, sharing nothing with the
     /// point.
     pub fn materialized(&self) -> PersistedImage {
         let mut map = BTreeMap::new();
-        for (di, v) in self.views.iter().enumerate() {
-            for (lba, tag) in v.materialize().iter() {
+        for (di, (v, d)) in self.views.iter().zip(self.devices).enumerate() {
+            for (lba, tag) in v.materialize(d).iter() {
                 map.insert(self.topology.global(di, lba), tag);
             }
         }
@@ -173,11 +176,11 @@ impl ImageCase<'_> {
 ///
 /// [`enumerate_point`]: super::enumerate_point
 pub fn enumerate_point_with(
-    p: &CrashPoint,
+    p: &CrashPoint<'_>,
     sample_seed: u64,
     mut on_image: impl FnMut(&ImageCase<'_>),
 ) -> PointOutcome {
-    enumerate(
+    Enumerator::default().point(
         p,
         sample_seed,
         true,
@@ -187,6 +190,7 @@ pub fn enumerate_point_with(
                 fs_violations,
                 epoch_violations,
                 topology: p.topology,
+                devices: &p.devices,
                 views,
             })
         },
@@ -203,8 +207,8 @@ pub fn capture_points_of(
     seed: u64,
     mode: CaptureMode,
     ops: u64,
-) -> Vec<CrashPoint> {
+) -> Vec<CrashPoint<'static>> {
     let mut points = Vec::new();
-    drive(cfg, sync, seed, ops, mode, |p| points.push(p));
+    drive(cfg, sync, seed, ops, mode, |p| points.push(p.owned()));
     points
 }

@@ -36,6 +36,7 @@ fn sampled_crash_violations(cfg: StackConfig, sync: SyncMode, dur: SimDuration) 
     let seed = cfg.seed;
     let mut stack = crate::crash::trace_stack(cfg, sync, seed, crate::crash::TRACE_OPS);
     stack.run_for(dur);
+    crate::note_drops(&stack.config().label(), &stack.report());
     let crash = stack.crash();
     (crash.fs_violations.len() + crash.epoch_violations.len()) as u64
 }

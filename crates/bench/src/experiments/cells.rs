@@ -126,7 +126,7 @@ const DONE_CAP: SimDuration = SimDuration::from_secs(3600);
 
 /// Runs one cell: `stack`, its files and threads in place, measured over
 /// `span`. Hands the stack back (queue-depth series, filesystem counters)
-/// with its report.
+/// with its report, whose drop counters go to [`crate::note_drops`].
 ///
 /// # Panics
 ///
@@ -150,6 +150,7 @@ pub fn run_cell(mut stack: IoStack, span: Span) -> (IoStack, StackReport) {
         }
     }
     let report = stack.report();
+    crate::note_drops(&stack.config().label(), &report);
     (stack, report)
 }
 

@@ -13,10 +13,18 @@
 //! therefore produce byte-identical output — `tests/grid_determinism.rs`
 //! locks that in, and the root `tests/golden_figures.rs` holds
 //! `figures --all` to one fixture at a serial and a wide pool.
+//!
+//! Beside the cell count the process keeps one more total: the events the
+//! stacks it ran dropped and counted instead of acting on ([`note_drops`],
+//! [`dropped_events`]). A clean run drops none, so `figures` turns any
+//! into a warning block and a failing exit ([`drop_warning`]).
 
+use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+use barrier_io::StackReport;
 
 /// Worker count override set by `figures --jobs N` (0 = auto).
 static DEFAULT_JOBS: AtomicUsize = AtomicUsize::new(0);
@@ -43,6 +51,75 @@ pub fn cells_run() -> usize {
     CELLS_RUN.load(Ordering::Relaxed)
 }
 
+/// Events dropped in this process: the sum of [`note_drops`]' counters.
+static DROPPED: AtomicU64 = AtomicU64::new(0);
+
+/// One line per non-zero counter [`note_drops`] was handed: where, which
+/// counter, how many.
+static DROP_LINES: Mutex<Vec<String>> = Mutex::new(Vec::new());
+
+thread_local! {
+    /// Label of the grid cell running on this thread (empty outside one).
+    static CURRENT_CELL: RefCell<String> = const { RefCell::new(String::new()) };
+}
+
+/// Events every stack [`note_drops`] was handed so far dropped and
+/// counted instead of acting on: zero in a clean run.
+pub fn dropped_events() -> u64 {
+    DROPPED.load(Ordering::Relaxed)
+}
+
+/// Adds the drop counters of one finished stack to the process total:
+/// `FsStats::dropped_journal_events` and `dropped_data_pages`,
+/// `BlockStats::dropped_events`, `RunReport::dropped_wakeups` and
+/// `DeviceStats::out_of_range_writes`. `stack` names it (its label, and
+/// the trace seed for a crash trace); a non-zero counter is remembered
+/// with that name and the grid cell that ran it, for [`drop_warning`].
+/// The experiments' cell driver and the crash trace driver call this.
+pub fn note_drops(stack: &str, report: &StackReport) {
+    let counters = [
+        (
+            "FsStats::dropped_journal_events",
+            report.fs.dropped_journal_events,
+        ),
+        ("FsStats::dropped_data_pages", report.fs.dropped_data_pages),
+        ("BlockStats::dropped_events", report.block.dropped_events),
+        ("RunReport::dropped_wakeups", report.run.dropped_wakeups),
+        (
+            "DeviceStats::out_of_range_writes",
+            report.device.out_of_range_writes,
+        ),
+    ];
+    if counters.iter().all(|c| c.1 == 0) {
+        return;
+    }
+    let cell = CURRENT_CELL.with(|c| c.borrow().clone());
+    let mut lines = DROP_LINES.lock().expect("drop lines poisoned");
+    for (counter, n) in counters.into_iter().filter(|c| c.1 > 0) {
+        DROPPED.fetch_add(n, Ordering::Relaxed);
+        lines.push(format!("  {counter} = {n} in {stack} (cell `{cell}`)"));
+    }
+}
+
+/// The warning block `figures` prints on stderr when any stack dropped an
+/// event: every non-zero counter with its stack and cell, in the order
+/// they were noted. `None` when nothing was dropped.
+pub fn drop_warning() -> Option<String> {
+    let lines = DROP_LINES.lock().expect("drop lines poisoned");
+    if lines.is_empty() {
+        return None;
+    }
+    let mut out = format!(
+        "warning: {} events dropped and counted instead of acted on (a clean run drops none):\n",
+        dropped_events()
+    );
+    for line in lines.iter() {
+        out.push_str(line);
+        out.push('\n');
+    }
+    Some(out)
+}
+
 struct Cell<R> {
     label: String,
     run: Box<dyn FnOnce() -> R + Send>,
@@ -52,9 +129,12 @@ impl<R> Cell<R> {
     /// Runs the cell. A panic comes back as the message to raise in the
     /// caller: the cell's label, then the original message.
     fn run(self) -> Result<R, String> {
+        CURRENT_CELL.with(|c| c.borrow_mut().clone_from(&self.label));
         // The cell owns everything it touches and is consumed here, so no
         // broken state outlives the unwind.
-        catch_unwind(AssertUnwindSafe(self.run)).map_err(|payload| {
+        let result = catch_unwind(AssertUnwindSafe(self.run));
+        CURRENT_CELL.with(|c| c.borrow_mut().clear());
+        result.map_err(|payload| {
             let msg = match (
                 payload.downcast_ref::<&str>(),
                 payload.downcast_ref::<String>(),

@@ -19,7 +19,10 @@ pub mod crash;
 pub mod experiments;
 mod grid;
 
-pub use grid::{cells_run, default_jobs, set_default_jobs, ExperimentGrid};
+pub use grid::{
+    cells_run, default_jobs, drop_warning, dropped_events, note_drops, set_default_jobs,
+    ExperimentGrid,
+};
 
 /// A results table as text: a blank line, the title line, the header and
 /// one line per row, every column right-aligned to its widest cell.

@@ -115,6 +115,7 @@ impl Metrics {
             ops,
             txns: self.txns,
             sync_latency: self.sync_latency(),
+            dropped_wakeups: self.dropped_wakeups,
         }
     }
 }
@@ -145,6 +146,10 @@ pub struct RunReport {
     /// completion), the tail-latency metric of the fig16 server
     /// workloads; zeroed when the run performed no sync calls.
     pub sync_latency: LatencySummary,
+    /// Completions and wake-ups naming a thread the stack never created,
+    /// dropped and counted ([`Metrics::dropped_wakeups`]; over the whole
+    /// run, not only the measured window).
+    pub dropped_wakeups: u64,
 }
 
 impl RunReport {

@@ -96,10 +96,11 @@ impl CrashReport {
 }
 
 /// Everything that changed since the previous capture epoch, drained by
-/// [`IoStack::take_capture_delta`]: the record-history mutations from the
+/// [`IoStack::drain_capture_delta`]: the record-history mutations from the
 /// filesystem plus one [`DeviceCaptureDelta`] per device. Empty vectors
 /// mean "nothing happened since last drain" — a capture built on top of
-/// the previous one needs no further reconciliation.
+/// the previous one needs no further reconciliation. A capture engine
+/// keeps one and drains into it at every capture, reusing its buffers.
 #[derive(Debug, Clone, Default)]
 pub struct StackCaptureDelta {
     /// Transaction ids whose records flipped `durability_claimed` since
@@ -225,7 +226,7 @@ impl IoStack {
 
     /// Arms per-epoch delta tracking in the filesystem and every device:
     /// from this call on, durable-mark, fold and group-commit events are
-    /// journaled so [`IoStack::take_capture_delta`] can report exactly
+    /// journaled so [`IoStack::drain_capture_delta`] can report exactly
     /// what changed since the previous capture. Idempotent; costs one
     /// `Vec::push` per tracked event while armed.
     pub fn enable_capture_tracking(&mut self) {
@@ -235,18 +236,20 @@ impl IoStack {
         }
     }
 
-    /// Drains the per-epoch capture deltas accumulated since the last
-    /// drain (or since [`IoStack::enable_capture_tracking`]). Devices are
-    /// reported in device-index order.
-    pub fn take_capture_delta(&mut self) -> StackCaptureDelta {
-        StackCaptureDelta {
-            records_marked_durable: self.fs.take_durable_marks(),
-            devices: self
-                .block
-                .devices_mut()
-                .iter_mut()
-                .map(Device::take_capture_delta)
-                .collect(),
+    /// Replaces `into` with the per-epoch capture deltas accumulated since
+    /// the last drain (or since [`IoStack::enable_capture_tracking`]),
+    /// devices in device-index order. `into` keeps its buffers, so a
+    /// caller that drains into the same delta every time allocates nothing
+    /// once the buffers have met the largest epoch.
+    pub fn drain_capture_delta(&mut self, into: &mut StackCaptureDelta) {
+        into.records_marked_durable.clear();
+        into.records_marked_durable
+            .extend(self.fs.drain_durable_marks());
+        let devices = self.block.devices_mut();
+        into.devices
+            .resize_with(devices.len(), DeviceCaptureDelta::default);
+        for (dev, delta) in devices.iter_mut().zip(&mut into.devices) {
+            dev.drain_capture_delta(delta);
         }
     }
 

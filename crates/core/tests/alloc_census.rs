@@ -11,66 +11,17 @@
 //! 316.0 / 436.7), rounded up. Lower a ceiling when a change earns it;
 //! never raise one without saying why.
 //!
-//! The counting allocator is the one from `alloc_steady_state.rs`, repeated
-//! here because an integration test is its own crate and the library crates
-//! `#![forbid(unsafe_code)]`. It counts per thread and only while armed,
-//! i.e. only inside `step()`.
+//! The counting allocator is `counting_alloc/mod.rs`, shared with the
+//! crash-point census in `bio-bench`. It counts per thread and only while
+//! armed, i.e. only inside `step()`.
 //!
 //! Run with `--nocapture` to print the five census lines.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
 use barrier_io::{
     DeviceProfile, FileRef, IoStack, Op, ScriptWorkload, SimDuration, StackConfig, Topology,
 };
 
-thread_local! {
-    static ARMED: Cell<bool> = const { Cell::new(false) };
-    /// Fresh blocks requested while armed.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    /// Existing blocks regrown while armed.
-    static REALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-fn count(counter: &'static std::thread::LocalKey<Cell<u64>>) {
-    if ARMED.with(Cell::get) {
-        counter.with(|c| c.set(c.get() + 1));
-    }
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counters are const-initialised thread-locals
-// without destructors, so touching them never allocates or re-enters.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(&ALLOCS);
-        // SAFETY: the caller's obligations are passed straight through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(&ALLOCS);
-        // SAFETY: as above.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(&REALLOCS);
-        // SAFETY: as above.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+mod counting_alloc;
 
 /// Simulated warm-up before counting: caches, tables and scratch buffers
 /// reach their working size.
@@ -97,12 +48,12 @@ fn census(cfg: StackConfig, threads: usize, sync: fn(FileRef) -> Op) -> (u64, u6
         ])));
     }
     stack.run_for(WARM_UP);
-    ARMED.with(|a| a.set(true));
-    for _ in 0..EVENTS {
-        assert!(stack.step(), "a `forever` workload never runs dry");
-    }
-    ARMED.with(|a| a.set(false));
-    (ALLOCS.with(Cell::take), REALLOCS.with(Cell::take))
+    let ((), counts) = counting_alloc::counted(|| {
+        for _ in 0..EVENTS {
+            assert!(stack.step(), "a `forever` workload never runs dry");
+        }
+    });
+    counts
 }
 
 /// Runs one cell, prints its census line and holds it to `ceiling`

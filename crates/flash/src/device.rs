@@ -152,7 +152,7 @@ struct TransState {
     left: usize,
     next_gid: u64,
     /// When capture tracking is armed, groups committed since the last
-    /// [`Device::take_capture_delta`], in commit order.
+    /// [`Device::drain_capture_delta`], in commit order.
     committed_log: Option<Vec<u64>>,
 }
 
@@ -163,9 +163,11 @@ impl TransState {
 }
 
 /// What changed in a device's capture-relevant state since the previous
-/// [`Device::take_capture_delta`] call: the crash engine replays this onto
+/// [`Device::drain_capture_delta`] call: the crash engine replays this onto
 /// its shared snapshot instead of re-reading the whole append log, making
 /// a crash-point capture O(writes this epoch) rather than O(log length).
+/// The engine keeps one per device and drains into it at every capture,
+/// so neither side allocates in steady state.
 #[derive(Debug, Clone, Default)]
 pub struct DeviceCaptureDelta {
     /// Blocks folded into the durable base, in fold order.
@@ -375,7 +377,7 @@ impl Device {
     }
 
     /// Arms capture-delta tracking: fold and group-commit streams are
-    /// recorded from now on for [`Device::take_capture_delta`]. Off by
+    /// recorded from now on for [`Device::drain_capture_delta`]. Off by
     /// default — figure runs pay nothing; the crash engine drains the
     /// streams at every capture, keeping them bounded by one epoch.
     pub fn enable_capture_tracking(&mut self) {
@@ -385,17 +387,15 @@ impl Device {
         }
     }
 
-    /// Drains the capture-relevant changes since the previous take (all
-    /// empty when tracking was never armed).
-    pub fn take_capture_delta(&mut self) -> DeviceCaptureDelta {
-        DeviceCaptureDelta {
-            folds: self.log.take_fold_log(),
-            committed_groups: self
-                .trans
-                .committed_log
-                .as_mut()
-                .map(std::mem::take)
-                .unwrap_or_default(),
+    /// Replaces `into` with the capture-relevant changes since the
+    /// previous drain (all empty when tracking was never armed). Both the
+    /// device's logs and `into` keep their buffers.
+    pub fn drain_capture_delta(&mut self, into: &mut DeviceCaptureDelta) {
+        into.folds.clear();
+        into.folds.extend(self.log.drain_fold_log());
+        into.committed_groups.clear();
+        if let Some(log) = &mut self.trans.committed_log {
+            into.committed_groups.append(log);
         }
     }
 

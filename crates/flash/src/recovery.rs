@@ -102,7 +102,7 @@ impl AppendLog {
     }
 
     /// Arms fold tracking: from now on every fold is also recorded for
-    /// [`AppendLog::take_fold_log`]. Off by default so figure runs pay
+    /// [`AppendLog::drain_fold_log`]. Off by default so figure runs pay
     /// nothing; the crash engine drains the log at every capture, keeping
     /// it bounded by the writes of one epoch.
     pub fn track_folds(&mut self) {
@@ -111,14 +111,12 @@ impl AppendLog {
         }
     }
 
-    /// Drains the folds recorded since the previous take (empty when
-    /// tracking was never armed). Replaying them in order onto a base
-    /// snapshot taken at the previous capture reproduces [`AppendLog::base`].
-    pub fn take_fold_log(&mut self) -> Vec<(Lba, BlockTag)> {
-        self.fold_log
-            .as_mut()
-            .map(std::mem::take)
-            .unwrap_or_default()
+    /// Drains the folds recorded since the previous drain (nothing when
+    /// tracking was never armed); the log keeps its buffer. Replaying them
+    /// in order onto a base snapshot taken at the previous capture
+    /// reproduces [`AppendLog::base`].
+    pub fn drain_fold_log(&mut self) -> impl Iterator<Item = (Lba, BlockTag)> + '_ {
+        self.fold_log.iter_mut().flat_map(|log| log.drain(..))
     }
 
     /// Number of unfolded records.
@@ -460,12 +458,31 @@ struct Carried {
 /// Everything [`EpochIndex`] knows of one block.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct BlockSlot {
-    /// `(seq, epoch)` of the block's transfers, strictly ascending by
-    /// sequence: a same-epoch overwrite coalesced onto its predecessor's
-    /// sequence shares that entry (and its epoch).
-    transfers: Vec<(u64, u64)>,
+    /// `(seq, epoch)` of the block's first transfer, held inline: most
+    /// blocks are written once, and a slot for one costs no allocation.
+    first: (u64, u64),
+    /// `(seq, epoch)` of its later transfers. With `first`, strictly
+    /// ascending by sequence: a same-epoch overwrite coalesced onto its
+    /// predecessor's sequence shares that entry (and its epoch).
+    later: Vec<(u64, u64)>,
     /// The verdict of the block under the base.
     verdict: LbaVerdict,
+}
+
+impl BlockSlot {
+    /// The newest transfer.
+    fn last(&self) -> (u64, u64) {
+        self.later.last().copied().unwrap_or(self.first)
+    }
+
+    /// The oldest transfer with a sequence above `seq`.
+    fn newer_than(&self, seq: u64) -> Option<(u64, u64)> {
+        if self.first.0 > seq {
+            return Some(self.first);
+        }
+        let at = self.later.partition_point(|&(s, _)| s <= seq);
+        self.later.get(at).copied()
+    }
 }
 
 /// [`EpochAudit`] kept incrementally over a base image that changes by
@@ -510,6 +527,9 @@ pub struct EpochIndex {
     /// `(need, block)` over the base verdicts.
     need: BTreeSet<(u64, Lba)>,
     irregular: bool,
+    /// [`EpochIndex::advance`]'s blocks to recompute: a buffer kept across
+    /// calls, empty between them.
+    dirty: Vec<Lba>,
 }
 
 impl EpochIndex {
@@ -528,7 +548,8 @@ impl EpochIndex {
         folded: impl IntoIterator<Item = Lba>,
         base: &B,
     ) -> usize {
-        let mut dirty: Vec<Lba> = folded.into_iter().collect();
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.extend(folded);
         for t in history.iter().skip(self.ingested) {
             self.irregular = self.irregular || !self.ingest(t);
             dirty.push(t.lba);
@@ -536,6 +557,7 @@ impl EpochIndex {
         self.ingested = history.len();
         dirty.sort_unstable();
         dirty.dedup();
+        let work = dirty.len();
         if self.irregular {
             let ingested = self.ingested;
             *self = EpochIndex {
@@ -543,7 +565,7 @@ impl EpochIndex {
                 irregular: true,
                 ..EpochIndex::default()
             };
-            return dirty.len();
+            return work;
         }
         for &lba in &dirty {
             // A block no transfer wrote holds the default verdict.
@@ -558,7 +580,9 @@ impl EpochIndex {
             move_entry(&mut self.vis, lba, old.vis, new.vis);
             move_entry(&mut self.need, lba, old.need, new.need);
         }
-        dirty.len()
+        dirty.clear();
+        self.dirty = dirty;
+        work
     }
 
     /// Takes one transfer into the tables; false when it makes the
@@ -578,25 +602,28 @@ impl EpochIndex {
             return false;
         }
         let slot = match self.slot(t.lba) {
-            Some(slot) => slot,
+            Some(slot) => {
+                let Some(b) = self.blocks.get_mut(slot) else {
+                    return false;
+                };
+                match b.last() {
+                    (seq, epoch) if t.seq < seq || t.epoch < epoch => return false,
+                    // A same-epoch overwrite coalesced onto its predecessor.
+                    (seq, _) if t.seq == seq => {}
+                    _ => b.later.push((t.seq, t.epoch)),
+                }
+                slot
+            }
             None => {
                 self.slot_of.insert(t.lba, self.blocks.len() as u32);
                 self.blocks.push(BlockSlot {
-                    transfers: Vec::new(),
+                    first: (t.seq, t.epoch),
+                    later: Vec::new(),
                     verdict: LbaVerdict::default(),
                 });
                 self.blocks.len() - 1
             }
         };
-        let Some(b) = self.blocks.get_mut(slot) else {
-            return false;
-        };
-        match b.transfers.last() {
-            Some(&(seq, epoch)) if t.seq < seq || t.epoch < epoch => return false,
-            // A same-epoch overwrite coalesced onto its predecessor.
-            Some(&(seq, _)) if t.seq == seq => {}
-            _ => b.transfers.push((t.seq, t.epoch)),
-        }
         self.by_tag.insert(t.tag.0, self.carried.len() as u32);
         self.carried.push(Carried {
             block: slot as u32,
@@ -624,11 +651,10 @@ impl EpochIndex {
             .get(tag.0)
             .and_then(|&c| self.carried.get(c as usize));
         let seq = held.map_or(0, |c| c.seq);
-        let transfers = self.blocks.get(slot).map_or(&[][..], |b| &b.transfers);
-        let newer = transfers.partition_point(|&(s, _)| s <= seq);
+        let newer = self.blocks.get(slot).and_then(|b| b.newer_than(seq));
         LbaVerdict {
             vis: held.filter(|c| c.block as usize == slot).map(|c| c.epoch),
-            need: transfers.get(newer).map(|&(_, epoch)| epoch),
+            need: newer.map(|(_, epoch)| epoch),
         }
     }
 
@@ -639,47 +665,73 @@ impl EpochIndex {
     pub fn probe(
         &self,
         candidates: impl IntoIterator<Item = (Lba, BlockTag)>,
-    ) -> Option<EpochProbe<'_>> {
+    ) -> Option<EpochProbe> {
+        let mut probe = EpochProbe::default();
+        self.reprobe(&mut probe, candidates).then_some(probe)
+    }
+
+    /// [`EpochIndex::probe`] into an existing probe, reusing its buffer: a
+    /// crash explorer keeps one probe per device across the points of a
+    /// trace. False when the history is irregular: the probe then
+    /// certifies nothing.
+    pub fn reprobe(
+        &self,
+        probe: &mut EpochProbe,
+        candidates: impl IntoIterator<Item = (Lba, BlockTag)>,
+    ) -> bool {
+        let memo = &mut probe.memo;
+        memo.clear();
+        probe.regular = !self.irregular;
         if self.irregular {
-            return None;
+            return false;
         }
-        let mut memo: Vec<(Lba, BlockTag, LbaVerdict)> = candidates
-            .into_iter()
-            .map(|(lba, tag)| (lba, tag, self.verdict(lba, tag)))
-            .collect();
+        memo.extend(
+            candidates
+                .into_iter()
+                .map(|(lba, tag)| (lba, tag, LbaVerdict::default())),
+        );
         memo.sort_unstable_by_key(|m| (m.0, m.1));
         memo.dedup_by_key(|m| (m.0, m.1));
+        for m in memo.iter_mut() {
+            m.2 = self.verdict(m.0, m.1);
+        }
         let outside = |e: &&(u64, Lba)| memo.binary_search_by_key(&e.1, |m| m.0).is_err();
-        let vis = self.vis.iter().rev().find(outside).map(|e| e.0);
-        let need = self.need.iter().find(outside).map(|e| e.0);
-        Some(EpochProbe {
-            index: self,
-            vis,
-            need,
-            memo,
-        })
+        probe.vis = self.vis.iter().rev().find(outside).map(|e| e.0);
+        probe.need = self.need.iter().find(outside).map(|e| e.0);
+        true
     }
 }
 
 /// One capture point's view of an [`EpochIndex`]: the extremes outside
 /// the point's overlay, and the verdict of every `(block, tag)` the
-/// overlay may hold, ready to be combined per image.
-#[derive(Debug, Clone)]
-pub struct EpochProbe<'a> {
-    index: &'a EpochIndex,
+/// overlay may hold, ready to be combined per image. It borrows nothing,
+/// so one probe can be re-aimed point after point
+/// ([`EpochIndex::reprobe`]).
+#[derive(Debug, Clone, Default)]
+pub struct EpochProbe {
+    /// Aimed at a regular index; a probe that is not certifies nothing.
+    regular: bool,
     vis: Option<u64>,
     need: Option<u64>,
     /// `(block, tag, verdict)` per candidate, ascending.
     memo: Vec<(Lba, BlockTag, LbaVerdict)>,
 }
 
-impl EpochProbe<'_> {
+impl EpochProbe {
     /// True when the image `base ⊕ overlay` provably has no
-    /// [`EpochViolation`]; `overlay` must resolve exactly the blocks the
-    /// probe was built for, in ascending order. A `(block, tag)` among the
-    /// candidates costs a memo read; any other is judged by the index.
-    /// False means "run [`EpochAudit`]".
-    pub fn certifies(&self, overlay: impl IntoIterator<Item = (Lba, BlockTag)>) -> bool {
+    /// [`EpochViolation`]; `index` is the one the probe was built from,
+    /// and `overlay` must resolve exactly the blocks the probe was built
+    /// for, in ascending order. A `(block, tag)` among the candidates
+    /// costs a memo read; any other is judged by the index. False means
+    /// "run [`EpochAudit`]".
+    pub fn certifies(
+        &self,
+        index: &EpochIndex,
+        overlay: impl IntoIterator<Item = (Lba, BlockTag)>,
+    ) -> bool {
+        if !self.regular {
+            return false;
+        }
         let (mut vis, mut need) = (self.vis, self.need);
         let mut memo = self.memo.as_slice();
         for (lba, tag) in overlay {
@@ -690,7 +742,7 @@ impl EpochProbe<'_> {
                 .iter()
                 .take_while(|m| m.0 == lba)
                 .find(|m| m.1 == tag)
-                .map_or_else(|| self.index.verdict(lba, tag), |m| m.2);
+                .map_or_else(|| index.verdict(lba, tag), |m| m.2);
             vis = vis.max(v.vis);
             need = min_epoch(need, v.need);
         }
@@ -874,7 +926,7 @@ mod tests {
     fn certifies(index: &EpochIndex, overlay: &BTreeMap<Lba, BlockTag>) -> bool {
         let pairs = || overlay.iter().map(|(&l, &t)| (l, t));
         let probe = index.probe(pairs()).expect("regular");
-        probe.certifies(pairs())
+        probe.certifies(index, pairs())
     }
 
     #[test]
@@ -976,7 +1028,8 @@ mod tests {
         ];
         let index = index_of(&history, &BTreeMap::new());
         let slot = index.slot(Lba(10)).expect("block 10 was written");
-        assert_eq!(index.blocks[slot].transfers, [(5, 0)]);
+        let b = &index.blocks[slot];
+        assert_eq!((b.first, b.later.as_slice()), ((5, 0), &[][..]));
         let later = [&history[..], &[rec(7, 10, 104, 0)]].concat();
         assert!(index_of(&later, &BTreeMap::new()).probe([]).is_some());
     }
@@ -1065,11 +1118,11 @@ mod tests {
         let probe = index.probe(candidates).expect("regular");
         let old = [(Lba(10), BlockTag(100)), (Lba(12), BlockTag(300))];
         let new = [(Lba(10), BlockTag(200)), (Lba(12), BlockTag(300))];
-        assert!(!probe.certifies(old), "epoch 1 lost under epoch 2");
-        assert!(probe.certifies(new));
+        assert!(!probe.certifies(&index, old), "epoch 1 lost under epoch 2");
+        assert!(probe.certifies(&index, new));
         // A tag the candidates did not name is judged all the same.
         let gone = [(Lba(10), BlockTag::UNWRITTEN), (Lba(12), BlockTag(300))];
-        assert!(!probe.certifies(gone));
+        assert!(!probe.certifies(&index, gone));
     }
 
     #[test]

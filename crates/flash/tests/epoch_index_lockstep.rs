@@ -361,7 +361,7 @@ fn lockstep(seed: u64) -> Result<Seen, String> {
                     })
                     .collect();
                 let said = (
-                    probe.certifies(overlay.iter().copied()),
+                    probe.certifies(&live, overlay.iter().copied()),
                     ref_probe.certifies(overlay.iter().copied()),
                 );
                 if said.0 != said.1 {

@@ -246,7 +246,7 @@ pub struct Filesystem {
     /// Scratch for checkpoint write lists (same lifecycle).
     pub(crate) scratch_writes: Vec<(Lba, BlockTag)>,
     /// When capture tracking is armed, ids of records whose
-    /// `durability_claimed` flag flipped since the last take — the only
+    /// `durability_claimed` flag flipped since the last drain — the only
     /// in-place mutation the otherwise append-only record history sees,
     /// so it is the only part a delta capture cannot read from the tail.
     pub(crate) durable_mark_log: Option<Vec<u64>>,
@@ -348,7 +348,7 @@ impl Filesystem {
     }
 
     /// Arms capture tracking: durable-mark flips on the record history are
-    /// recorded from now on for [`Filesystem::take_durable_marks`]. Off by
+    /// recorded from now on for [`Filesystem::drain_durable_marks`]. Off by
     /// default; the crash engine drains the log at every capture.
     pub fn enable_capture_tracking(&mut self) {
         if self.durable_mark_log.is_none() {
@@ -357,12 +357,12 @@ impl Filesystem {
     }
 
     /// Drains the ids of records whose `durability_claimed` flag flipped
-    /// since the previous take (empty when tracking was never armed).
-    pub fn take_durable_marks(&mut self) -> Vec<u64> {
+    /// since the previous drain (nothing when tracking was never armed).
+    /// The log keeps its buffer.
+    pub fn drain_durable_marks(&mut self) -> impl Iterator<Item = u64> + '_ {
         self.durable_mark_log
-            .as_mut()
-            .map(std::mem::take)
-            .unwrap_or_default()
+            .iter_mut()
+            .flat_map(|log| log.drain(..))
     }
 
     /// Creates a file.

@@ -277,6 +277,9 @@ pub struct ConsistencyIndex {
     /// Record ids were not strictly ascending: positions are not commit
     /// order, and the index certifies nothing.
     irregular: bool,
+    /// [`ConsistencyIndex::advance`]'s record positions to recompute: a
+    /// buffer kept across calls, empty between them.
+    dirty: Vec<u32>,
 }
 
 /// What [`ConsistencyIndex`] knows of one block.
@@ -373,7 +376,7 @@ impl ConsistencyIndex {
         durable: &[u64],
         base: &B,
     ) -> usize {
-        let mut dirty: Vec<u32> = Vec::new();
+        let mut dirty = std::mem::take(&mut self.dirty);
         for (pos, r) in records.iter().enumerate().skip(self.checkable.len()) {
             self.irregular |= pos > 0 && records[pos - 1].id >= r.id;
             let pos = pos as u32;
@@ -419,7 +422,10 @@ impl ConsistencyIndex {
             self.invalid.set(pos, !v.valid);
             self.bad.set(pos, v.bad);
         }
-        dirty.len()
+        let work = dirty.len();
+        dirty.clear();
+        self.dirty = dirty;
+        work
     }
 
     /// The slot of `lba`, if a record names it.
@@ -459,15 +465,29 @@ impl ConsistencyIndex {
     /// block the point's images may resolve differently from the base,
     /// each with a lower bound on the tags it may resolve to (the base
     /// tag included). `None` when the records are irregular.
-    pub fn probe<'a>(
-        &'a self,
-        records: &'a [TxnRecord],
+    pub fn probe(
+        &self,
         overlay: impl IntoIterator<Item = (Lba, BlockTag)>,
-    ) -> Option<ConsistencyProbe<'a>> {
+    ) -> Option<ConsistencyProbe> {
+        let mut probe = ConsistencyProbe::default();
+        self.reprobe(&mut probe, overlay).then_some(probe)
+    }
+
+    /// [`ConsistencyIndex::probe`] into an existing probe, reusing its
+    /// buffer: a crash explorer keeps one probe across the points of a
+    /// trace. False when the records are irregular: the probe then
+    /// certifies nothing.
+    pub fn reprobe(
+        &self,
+        probe: &mut ConsistencyProbe,
+        overlay: impl IntoIterator<Item = (Lba, BlockTag)>,
+    ) -> bool {
+        let touched = &mut probe.touched;
+        touched.clear();
+        probe.regular = !self.irregular;
         if self.irregular {
-            return None;
+            return false;
         }
-        let mut touched: Vec<u32> = Vec::new();
         for (lba, floor) in overlay {
             let Some(b) = self.block(lba) else {
                 continue;
@@ -479,22 +499,21 @@ impl ConsistencyIndex {
         }
         touched.sort_unstable();
         touched.dedup();
-        Some(ConsistencyProbe {
-            records,
-            newest_valid: self.valid.last_outside(&touched),
-            oldest_invalid: self.invalid.first_outside(&touched),
-            bad: self.bad.first_outside(&touched).is_some(),
-            touched,
-        })
+        probe.newest_valid = self.valid.last_outside(touched);
+        probe.oldest_invalid = self.invalid.first_outside(touched);
+        probe.bad = self.bad.first_outside(touched).is_some();
+        true
     }
 }
 
 /// One capture point's view of a [`ConsistencyIndex`]: the records the
 /// point's overlay touches, and the base verdicts of all the others
-/// reduced to what the invariants need.
-#[derive(Debug, Clone)]
-pub struct ConsistencyProbe<'a> {
-    records: &'a [TxnRecord],
+/// reduced to what the invariants need. It borrows nothing, so one probe
+/// can be re-aimed point after point ([`ConsistencyIndex::reprobe`]).
+#[derive(Debug, Clone, Default)]
+pub struct ConsistencyProbe {
+    /// Aimed at a regular index; a probe that is not certifies nothing.
+    regular: bool,
     /// Checkable records the overlay touches, ascending.
     touched: Vec<u32>,
     /// Over the untouched records, under the base:
@@ -503,17 +522,18 @@ pub struct ConsistencyProbe<'a> {
     bad: bool,
 }
 
-impl ConsistencyProbe<'_> {
+impl ConsistencyProbe {
     /// True when `image` — the base plus an overlay over the blocks the
-    /// probe was built for — provably has no [`FsViolation`]. False means
-    /// "run [`ConsistencyCheck`]".
-    pub fn certifies<V: ImageView>(&self, image: &V) -> bool {
-        if self.bad {
+    /// probe was built for — provably has no [`FsViolation`]. `records`
+    /// are the ones the index was advanced over. False means "run
+    /// [`ConsistencyCheck`]".
+    pub fn certifies<V: ImageView>(&self, records: &[TxnRecord], image: &V) -> bool {
+        if !self.regular || self.bad {
             return false;
         }
         let (mut newest_valid, mut oldest_invalid) = (self.newest_valid, self.oldest_invalid);
         for &pos in &self.touched {
-            let v = rec_verdict(&self.records[pos as usize], image);
+            let v = rec_verdict(&records[pos as usize], image);
             if v.bad {
                 return false;
             }
@@ -655,10 +675,10 @@ mod tests {
         overlay: &BTreeMap<Lba, BlockTag>,
     ) -> bool {
         let floors = overlay.iter().map(|(&l, &t)| (l, t.min(base.tag(l))));
-        let probe = index.probe(records, floors).expect("regular");
+        let probe = index.probe(floors).expect("regular");
         let mut image = base.clone();
         image.extend(overlay.iter().map(|(&l, &t)| (l, t)));
-        probe.certifies(&image)
+        probe.certifies(records, &image)
     }
 
     #[test]
@@ -690,7 +710,7 @@ mod tests {
     fn out_of_order_ids_are_never_certified() {
         let records = vec![rec(2, 100, &[10], 101, 11), rec(1, 102, &[20], 103, 21)];
         let index = index_of(&records, &BTreeMap::new());
-        assert!(index.probe(&records, []).is_none());
+        assert!(index.probe([]).is_none());
     }
 
     #[test]

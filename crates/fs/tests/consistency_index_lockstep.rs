@@ -348,7 +348,7 @@ fn lockstep(seed: u64) -> Result<Seen, String> {
             let mut image = base.clone();
             image.extend(overlay.iter().map(|(&l, &t)| (l, t)));
             let probes = (
-                live.probe(recs, floors.iter().copied()),
+                live.probe(floors.iter().copied()),
                 reference.probe(recs, floors.iter().copied()),
             );
             let said = match probes {
@@ -366,7 +366,7 @@ fn lockstep(seed: u64) -> Result<Seen, String> {
                             "at {upto}: extremes {extremes:?} outside {floors:?}"
                         ));
                     }
-                    (probe.certifies(&image), ref_probe.certifies(&image))
+                    (probe.certifies(recs, &image), ref_probe.certifies(&image))
                 }
                 (None, None) => {
                     seen.irregular += 1;

@@ -7,7 +7,8 @@
 //! — or adds a row to `bio_bench::crash::differential_cells` —
 //! regenerates it with
 //! `cargo run -p bio-bench --release -q --bin figures -- --crash-enum --seeds 12 --jobs 1 > tests/golden/crash_enum.txt`
-//! in a commit of its own, so the diff shows which cells moved.
+//! in a commit of its own, so the diff shows which cells moved. No trace
+//! behind the fixture may drop an event: the binary would exit 4.
 
 use bio_bench::crash::run;
 use bio_bench::experiments::render;
@@ -27,6 +28,8 @@ fn crash_enum_matches_the_fixture_at_both_widths() {
         }
         assert_eq!(got, FIXTURE, "the output and the fixture end differently");
     }
+    let warning = bio_bench::drop_warning().unwrap_or_default();
+    assert_eq!(bio_bench::dropped_events(), 0, "{warning}");
 }
 
 #[test]

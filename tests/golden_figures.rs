@@ -6,7 +6,8 @@
 //! through the function the binary prints from. A PR that means to move a
 //! number regenerates it with
 //! `cargo run -p bio-bench --release -q --bin figures -- --all --scale 1 --seeds 5 --jobs 1 > tests/golden/figures_all.txt`
-//! in a commit of its own, so the diff shows which rows moved.
+//! in a commit of its own, so the diff shows which rows moved. No stack
+//! behind the fixture may drop an event: the binary would exit 4.
 
 use bio_bench::experiments::{render, run, Figure, SELECTORS};
 
@@ -47,6 +48,8 @@ fn figures_all_matches_the_fixture_at_both_widths_and_selector_by_selector() {
         rest = expect_next(rest, render(&wanted, SCALE, SEEDS).skip(1), "alone");
     }
     assert_eq!(rest, "");
+    let warning = bio_bench::drop_warning().unwrap_or_default();
+    assert_eq!(bio_bench::dropped_events(), 0, "{warning}");
 }
 
 fn table(selector: &str) -> Figure {
