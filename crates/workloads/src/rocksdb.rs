@@ -171,16 +171,32 @@ mod tests {
         std::iter::from_fn(|| w.next_op(&mut rng)).collect()
     }
 
+    /// Puts per memtable flush, and so per L0 SST.
+    const FLUSH_EVERY: u64 = 24;
+
+    fn wal_offsets(ops: &[Op]) -> Vec<u64> {
+        ops.iter()
+            .filter_map(|o| match o {
+                Op::Write {
+                    file: FileRef::Slot(WAL_SLOT),
+                    offset,
+                    ..
+                } => Some(*offset),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn every_put_syncs_the_wal() {
-        let ops = drain(RocksDbWal::new(SyncMode::Fdatasync, 10).with_flush_every(100));
+        let ops = drain(RocksDbWal::new(SyncMode::Fdatasync, 10));
         let wal_syncs = ops
             .iter()
             .filter(|o| {
                 matches!(
                     o,
                     Op::Fdatasync {
-                        file: FileRef::Slot(0)
+                        file: FileRef::Slot(WAL_SLOT)
                     }
                 )
             })
@@ -193,20 +209,10 @@ mod tests {
 
     #[test]
     fn memtable_flush_writes_an_l0_sst_and_recycles_the_wal() {
-        let ops = drain(RocksDbWal::new(SyncMode::Fdatasync, 4).with_flush_every(2));
-        // After the flush at put 2, the WAL head restarts at offset 0.
-        let wal_offsets: Vec<u64> = ops
-            .iter()
-            .filter_map(|o| match o {
-                Op::Write {
-                    file: FileRef::Slot(0),
-                    offset,
-                    ..
-                } => Some(*offset),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(wal_offsets, vec![0, 1, 0, 1], "WAL recycled in place");
+        let ops = drain(RocksDbWal::new(SyncMode::Fdatasync, 2 * FLUSH_EVERY));
+        // After the flush at put 24, the WAL head restarts at offset 0.
+        let lap: Vec<u64> = (0..FLUSH_EVERY).collect();
+        assert_eq!(wal_offsets(&ops), [&lap[..], &lap[..]].concat());
         // Each flush creates one L0 SST (16 blocks) in slots 1, 2.
         let sst_creates: Vec<usize> = ops
             .iter()
@@ -220,8 +226,8 @@ mod tests {
 
     #[test]
     fn compaction_merges_l0_files_and_unlinks_them() {
-        // 4 flushes trigger one compaction: flush_every=1, 4 puts.
-        let ops = drain(RocksDbWal::new(SyncMode::Fbarrier, 4).with_flush_every(1));
+        // The fourth flush, at put 96, triggers one compaction.
+        let ops = drain(RocksDbWal::new(SyncMode::Fbarrier, 4 * FLUSH_EVERY));
         let reads = ops.iter().filter(|o| matches!(o, Op::Read { .. })).count();
         assert_eq!(reads, L0_FANOUT, "compaction reads every L0 input");
         let merged_writes: Vec<u64> = ops
@@ -241,11 +247,14 @@ mod tests {
             .filter(|o| matches!(o, Op::Unlink { .. }))
             .count();
         assert_eq!(unlinks, L0_FANOUT, "every L0 input retired");
+        // Three flushes (two in the run, one at shutdown) compact nothing.
+        let ops = drain(RocksDbWal::new(SyncMode::Fbarrier, 3 * FLUSH_EVERY - 1));
+        assert!(!ops.iter().any(|o| matches!(o, Op::Read { .. })));
     }
 
     #[test]
     fn shutdown_flushes_the_partial_memtable() {
-        let ops = drain(RocksDbWal::new(SyncMode::Fdatasync, 3).with_flush_every(100));
+        let ops = drain(RocksDbWal::new(SyncMode::Fdatasync, 3));
         // No flush during the run, so shutdown must write the L0 SST.
         let sst_writes = ops
             .iter()
@@ -260,6 +269,28 @@ mod tests {
             })
             .count();
         assert_eq!(sst_writes, 1);
+    }
+
+    #[test]
+    fn shutdown_with_an_empty_memtable_emits_nothing_and_the_stream_ends() {
+        // The flush at put 24 empties the memtable, so shutdown emits
+        // nothing: the stream ends on that flush's SST sync, and stays
+        // ended.
+        let mut w = RocksDbWal::new(SyncMode::Fsync, FLUSH_EVERY);
+        let mut rng = SimRng::new(1);
+        let ops: Vec<Op> = std::iter::from_fn(|| w.next_op(&mut rng)).collect();
+        assert_eq!(
+            ops.last(),
+            Some(&Op::Fsync {
+                file: FileRef::Slot(L0_BASE)
+            })
+        );
+        assert_eq!(ops.iter().filter(|o| **o == Op::TxnMark).count(), 24);
+        assert_eq!(w.next_op(&mut rng), None);
+        assert_eq!(w.next_op(&mut rng), None);
+        // No put at all: the WAL is opened and nothing else happens.
+        let ops = drain(RocksDbWal::new(SyncMode::Fsync, 0));
+        assert_eq!(ops, vec![Op::Create { slot: WAL_SLOT }]);
     }
 
     #[test]

@@ -1,18 +1,23 @@
-//! Golden op traces: the five paper workloads must emit the op streams
-//! they emitted when their phase-engine rewrites were locked, draw for
-//! draw, to the bespoke generators they replaced.
+//! Golden op traces: every workload model must emit the op streams it
+//! emitted when its hash was recorded, draw for draw.
 //!
-//! Those generators lived in this file as the oracle until PR 24; the
-//! hashes below were recorded while they still agreed with the rewrites on
-//! every stream (same seeds, sync modes and configurations, commit
-//! bdf1c8d). Each test folds its streams — length first, then every op
-//! field by field — into one FNV-1a hash, so a change in op order, an
+//! The five paper workloads were locked to the bespoke generators they
+//! replaced, which lived in this file as the oracle until commit 90cb55d;
+//! those hashes were recorded while the two still agreed on every stream (same
+//! seeds, sync modes and configurations, commit bdf1c8d). The mail-queue
+//! and RocksDB-WAL streams, the rate-bounded shapes the benchmark runs
+//! (`Dwsl::with_think`, `OltpInsert::with_binlog_blocks` +
+//! `with_think`) and the OLTP hash without its 4-block redo log were
+//! recorded at commit da829a0, before the models stopped being built on a
+//! phase framework. Each test folds its streams — length first, then every
+//! op field by field — into one FNV-1a hash, so a change in op order, an
 //! offset, RNG draw order or stream length moves it.
 
 use barrier_io::{FileRef, Op, Workload};
-use bio_sim::SimRng;
+use bio_sim::{SimDuration, SimRng};
 use bio_workloads::{
-    Dwsl, OltpInsert, RandWrite, Sqlite, SqliteJournalMode, SyncMode, Varmail, WriteMode,
+    Dwsl, MailQueue, OltpInsert, RandWrite, RocksDbWal, Sqlite, SqliteJournalMode, SyncMode,
+    Varmail, WriteMode,
 };
 
 /// Drains up to `cap` ops from a workload under a fresh RNG with `seed`.
@@ -200,12 +205,86 @@ fn oltp_streams_match_golden_hash() {
     let (t, r, b) = (FileRef::Global(0), FileRef::Global(1), FileRef::Global(2));
     for seed in SEEDS {
         for sync in SYNCS {
+            // The 256-block redo log wraps at transaction 257.
             let w = OltpInsert::new(sync, t, r, b, 300);
-            hash.ops(&trace(w, seed, usize::MAX));
-            // Small circular log: the wrap path.
-            let w = OltpInsert::new(sync, t, r, b, 300).with_redo_blocks(4);
             hash.ops(&trace(w, seed, usize::MAX));
         }
     }
-    assert_golden("oltp", hash, 0xc3ec_00cc_a815_e0f1);
+    assert_golden("oltp", hash, 0xb591_8cb7_32a6_8d4b);
+}
+
+#[test]
+fn oltp_rate_bounded_streams_match_golden_hash() {
+    let mut hash = Fnv::new();
+    let (t, r, b) = (FileRef::Global(0), FileRef::Global(1), FileRef::Global(2));
+    let think = SimDuration::from_micros(250);
+    for seed in SEEDS {
+        for sync in SYNCS {
+            // A binlog bound of 64 blocks wraps within the run; the one
+            // the benchmark sets (2^20) never does.
+            for binlog in [64, 1 << 20] {
+                let w = OltpInsert::new(sync, t, r, b, 300)
+                    .with_binlog_blocks(binlog)
+                    .with_think(think);
+                hash.ops(&trace(w, seed, usize::MAX));
+            }
+            // The benchmark's endless client, over a long prefix.
+            let w = OltpInsert::new(sync, t, r, b, u64::MAX)
+                .with_binlog_blocks(1 << 20)
+                .with_think(think);
+            hash.ops(&trace(w, seed, 4_000));
+        }
+    }
+    assert_golden("oltp rate-bounded", hash, 0xefe7_a02c_5f1e_b0dc);
+}
+
+#[test]
+fn dwsl_rate_bounded_streams_match_golden_hash() {
+    let mut hash = Fnv::new();
+    let think = SimDuration::from_micros(250);
+    for seed in SEEDS {
+        for sync in SYNCS {
+            let w = Dwsl::new(sync, 300).with_think(think);
+            hash.ops(&trace(w, seed, usize::MAX));
+            // The benchmark's endless appender, over a long prefix.
+            let w = Dwsl::new(sync, u64::MAX).with_think(think);
+            hash.ops(&trace(w, seed, 4_000));
+        }
+    }
+    assert_golden("dwsl rate-bounded", hash, 0x680c_ca57_c909_def5);
+}
+
+#[test]
+fn mailqueue_streams_match_golden_hash() {
+    let mut hash = Fnv::new();
+    for seed in SEEDS {
+        for sync in SYNCS {
+            for pool in [2usize, 3, 8] {
+                // Fewer messages than slots, just enough to prime the
+                // ring, and many laps of it.
+                for messages in [1, 3, 9, 200] {
+                    let w = MailQueue::new(sync, messages, pool);
+                    hash.ops(&trace(w, seed, usize::MAX));
+                }
+            }
+        }
+    }
+    assert_golden("mail-queue", hash, 0x55bd_7378_f531_46d4);
+}
+
+#[test]
+fn rocksdb_streams_match_golden_hash() {
+    let mut hash = Fnv::new();
+    for seed in SEEDS {
+        for sync in SYNCS {
+            // A memtable flush every 24 puts and a compaction every fourth
+            // flush (96 puts): no put, an empty and a partial memtable at
+            // shutdown, one put short of, at and past the first
+            // compaction, and several compactions.
+            for puts in [0, 1, 23, 24, 95, 96, 97, 300] {
+                hash.ops(&trace(RocksDbWal::new(sync, puts), seed, usize::MAX));
+            }
+        }
+    }
+    assert_golden("rocksdb-wal", hash, 0xa608_633c_3b1c_1c8d);
 }
