@@ -81,7 +81,7 @@ fn cells() -> Vec<Cell> {
         ("sqlite", |cfg, sync, n| {
             let mode = SqliteJournalMode::Persist;
             sqlite(cfg, |db, journal| {
-                Sqlite::new(mode, sync, sync, db, journal, n, 2048)
+                Sqlite::new(mode, sync, sync, db, journal, n)
             })
         }),
         ("varmail", |cfg, sync, n| {

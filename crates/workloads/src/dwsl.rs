@@ -6,62 +6,30 @@
 use barrier_io::{FileRef, Op, Workload};
 use bio_sim::{SimDuration, SimRng};
 
-use crate::engine::{AppModel, OpScript, PhaseEngine, PhaseSpec};
+use crate::script::OpScript;
 use crate::SyncMode;
 
 /// Per-thread allocating-write + sync loop.
 ///
-/// Two phases: `create` (the private file) and `append` (`writes`
-/// iterations of write + sync + transaction mark, each write extending
-/// the file by one block).
+/// Iteration 0 creates the private file; each of the `writes` iterations
+/// after it is a write + sync + transaction mark, each write extending the
+/// file by one block.
 #[derive(Debug, Clone)]
 pub struct Dwsl {
-    engine: PhaseEngine<DwslModel>,
-}
-
-#[derive(Debug, Clone)]
-struct DwslModel {
     sync: SyncMode,
+    writes: u64,
     think: Option<SimDuration>,
-    phases: [PhaseSpec; 2],
-}
-
-impl AppModel for DwslModel {
-    fn phases(&self) -> &[PhaseSpec] {
-        &self.phases
-    }
-
-    fn build(&mut self, phase: usize, iter: u64, s: &mut OpScript, _rng: &mut SimRng) {
-        let file = FileRef::Slot(0);
-        match phase {
-            0 => s.create(0),
-            _ => {
-                // Appending at `iter` extends the file: an allocating
-                // write, so the sync cannot degenerate to a data-only
-                // flush.
-                s.write(file, iter, 1);
-                s.sync(self.sync, file);
-                s.txn_mark();
-                if let Some(d) = self.think {
-                    s.think(d);
-                }
-            }
-        }
-    }
+    script: OpScript,
 }
 
 impl Dwsl {
     /// `writes` append+sync operations on a fresh private file.
     pub fn new(sync: SyncMode, writes: u64) -> Dwsl {
         Dwsl {
-            engine: PhaseEngine::new(DwslModel {
-                sync,
-                think: None,
-                phases: [
-                    PhaseSpec::once("create"),
-                    PhaseSpec::iterations("append", writes),
-                ],
-            }),
+            sync,
+            writes,
+            think: None,
+            script: OpScript::default(),
         }
     }
 
@@ -70,14 +38,31 @@ impl Dwsl {
     /// simulated horizons need this: an unthrottled appender would outrun
     /// any finite device's capacity within minutes of simulated time.
     pub fn with_think(mut self, think: SimDuration) -> Dwsl {
-        self.engine.model_mut().think = Some(think);
+        self.think = Some(think);
         self
     }
 }
 
 impl Workload for Dwsl {
-    fn next_op(&mut self, rng: &mut SimRng) -> Option<Op> {
-        self.engine.next_op(rng)
+    fn next_op(&mut self, _rng: &mut SimRng) -> Option<Op> {
+        let file = FileRef::Slot(0);
+        // The create, then the appends (saturating: an endless appender
+        // never reaches its last write).
+        let iterations = self.writes.saturating_add(1);
+        self.script.next_op(iterations, |iter, s| {
+            if iter == 0 {
+                s.create(0);
+                return;
+            }
+            // Appending at `iter - 1` extends the file: an allocating
+            // write, so the sync cannot degenerate to a data-only flush.
+            s.write(file, iter - 1, 1);
+            s.sync(self.sync, file);
+            s.txn_mark();
+            if let Some(d) = self.think {
+                s.think(d);
+            }
+        })
     }
 }
 

@@ -24,10 +24,13 @@
 //! * [`MailQueue`] — postfix-style fsync storm: spool-file + queue-directory
 //!   sync per message over a ring of small files.
 //!
-//! Every workload is built on the [`engine`] phase framework: a model
-//! declares its phases ([`PhaseSpec`]) and builds one iteration's ops at a
-//! time into an [`OpScript`]; [`PhaseEngine`] drives it as a
-//! [`barrier_io::Workload`]. The sync flavour is a parameter
+//! Each model is a [`barrier_io::Workload`] of its own: it holds its state
+//! and a script of ops, and builds one iteration's ops at a time into the
+//! script as it is played out. A set-up or shut-down step is an iteration
+//! of its own at either end. Builds run once per iteration, in order, and
+//! are the only place a model draws from the thread RNG, so a stream is a
+//! function of its seed (`tests/golden_op_trace.rs` holds every model's
+//! streams to recorded hashes). The sync flavour is a parameter
 //! ([`SyncMode`]) so one generator covers the EXT4-DR / EXT4-OD / BFS-DR /
 //! BFS-OD / OptFS experiment columns.
 
@@ -44,18 +47,16 @@
     )
 )]
 
-pub mod engine;
-
 mod dwsl;
 mod mailqueue;
 mod oltp;
 mod randwrite;
 mod rocksdb;
+mod script;
 mod sqlite;
 mod varmail;
 
 pub use dwsl::Dwsl;
-pub use engine::{AppModel, FilePool, OpScript, PhaseEngine, PhaseLen, PhaseSpec};
 pub use mailqueue::MailQueue;
 pub use oltp::OltpInsert;
 pub use randwrite::{RandWrite, WriteMode};

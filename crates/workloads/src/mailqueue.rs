@@ -14,64 +14,31 @@
 //! turns both into non-blocking barriers — the p99 gap is the `fig16`
 //! story.
 //!
-//! Two phases: `mkdir` (create the queue directory file) and `storm` (one
-//! iteration per message) over a [`FilePool`] ring of spool slots.
+//! Iteration 0 creates the queue directory file; each iteration after it
+//! is one message, over a ring of spool-file slots.
 
 use barrier_io::{FileRef, Op, Workload};
 use bio_sim::SimRng;
 
-use crate::engine::{AppModel, FilePool, OpScript, PhaseEngine, PhaseSpec};
+use crate::script::{FilePool, OpScript};
 use crate::SyncMode;
 
 /// Queue-directory slot index; spool files occupy the following slots.
 const DIR_SLOT: usize = 0;
 /// First spool-file slot.
 const SPOOL_BASE: usize = 1;
+/// Largest message, in blocks.
+const MAX_MSG_BLOCKS: u64 = 4;
 
 /// Mail-queue workload: create + write + fsync(file) + fsync(dir) per
 /// message, delivery (read + unlink + fsync(dir)) of the oldest once the
 /// pool is primed.
 #[derive(Debug, Clone)]
 pub struct MailQueue {
-    engine: PhaseEngine<MailQueueModel>,
-}
-
-#[derive(Debug, Clone)]
-struct MailQueueModel {
     sync: SyncMode,
+    messages: u64,
     pool: FilePool,
-    max_msg_blocks: u64,
-    phases: [PhaseSpec; 2],
-}
-
-impl AppModel for MailQueueModel {
-    fn phases(&self) -> &[PhaseSpec] {
-        &self.phases
-    }
-
-    fn build(&mut self, phase: usize, _iter: u64, s: &mut OpScript, rng: &mut SimRng) {
-        if phase == 0 {
-            s.create(DIR_SLOT);
-            return;
-        }
-        let dir = FileRef::Slot(DIR_SLOT);
-        let (ring_slot, _) = self.pool.advance();
-        let slot = SPOOL_BASE + ring_slot;
-        // Deliver the oldest message before its slot is reused: read it
-        // out, unlink the spool file, sync the directory for the removal.
-        if self.pool.primed() {
-            s.read(FileRef::Slot(slot), 0, 1);
-            s.unlink(FileRef::Slot(slot));
-            s.sync(self.sync, dir);
-        }
-        // Accept a new message: spool file + data sync + directory sync.
-        s.create(slot);
-        self.pool.note_created();
-        s.write(FileRef::Slot(slot), 0, rng.range(1, self.max_msg_blocks));
-        s.sync(self.sync, FileRef::Slot(slot));
-        s.sync(self.sync, dir);
-        s.txn_mark();
-    }
+    script: OpScript,
 }
 
 impl MailQueue {
@@ -79,22 +46,43 @@ impl MailQueue {
     /// files; `sync` selects the experiment column.
     pub fn new(sync: SyncMode, messages: u64, pool: usize) -> MailQueue {
         MailQueue {
-            engine: PhaseEngine::new(MailQueueModel {
-                sync,
-                pool: FilePool::new(pool.max(2)),
-                max_msg_blocks: 4,
-                phases: [
-                    PhaseSpec::once("mkdir"),
-                    PhaseSpec::iterations("storm", messages),
-                ],
-            }),
+            sync,
+            messages,
+            pool: FilePool::new(pool.max(2)),
+            script: OpScript::default(),
         }
     }
 }
 
 impl Workload for MailQueue {
     fn next_op(&mut self, rng: &mut SimRng) -> Option<Op> {
-        self.engine.next_op(rng)
+        let dir = FileRef::Slot(DIR_SLOT);
+        // The directory, then the messages (saturating: an endless storm
+        // never reaches its last message).
+        let iterations = self.messages.saturating_add(1);
+        self.script.next_op(iterations, |iter, s| {
+            if iter == 0 {
+                s.create(DIR_SLOT);
+                return;
+            }
+            let (ring_slot, _) = self.pool.advance();
+            let slot = SPOOL_BASE + ring_slot;
+            let spool = FileRef::Slot(slot);
+            // Deliver the oldest message before its slot is reused: read it
+            // out, unlink the spool file, sync the directory for the removal.
+            if self.pool.primed() {
+                s.read(spool, 0, 1);
+                s.unlink(spool);
+                s.sync(self.sync, dir);
+            }
+            // Accept a new message: spool file + data sync + directory sync.
+            s.create(slot);
+            self.pool.note_created();
+            s.write(spool, 0, rng.range(1, MAX_MSG_BLOCKS));
+            s.sync(self.sync, spool);
+            s.sync(self.sync, dir);
+            s.txn_mark();
+        })
     }
 }
 

@@ -11,70 +11,32 @@
 use barrier_io::{FileRef, Op, Workload};
 use bio_sim::{SimDuration, SimRng};
 
-use crate::engine::{AppModel, OpScript, PhaseEngine, PhaseSpec};
+use crate::script::OpScript;
 use crate::SyncMode;
+
+/// Circular redo-log size in blocks.
+const REDO_BLOCKS: u64 = 256;
+/// Table size for background dirty-page writes.
+const TABLE_BLOCKS: u64 = 4096;
 
 /// OLTP insert transactions against a shared table/redo/binlog trio.
 ///
-/// One phase (`txn`), one iteration per transaction: redo-log record +
-/// sync, binlog append + sync, and a burst of buffered dirty-page writes
-/// every eighth transaction (background buffer-pool flushing).
+/// One iteration per transaction: redo-log record + sync, binlog append +
+/// sync, and a burst of buffered dirty-page writes every eighth
+/// transaction (background buffer-pool flushing).
 #[derive(Debug, Clone)]
 pub struct OltpInsert {
-    engine: PhaseEngine<OltpModel>,
-}
-
-#[derive(Debug, Clone)]
-struct OltpModel {
     sync: SyncMode,
     table: FileRef,
     redo: FileRef,
     binlog: FileRef,
-    /// Circular redo-log size in blocks.
-    redo_blocks: u64,
+    txns: u64,
     redo_head: u64,
     binlog_head: u64,
     /// Circular binlog size in blocks (0 = append without bound).
     binlog_blocks: u64,
-    /// Table size for background dirty-page writes.
-    table_blocks: u64,
     think: Option<SimDuration>,
-    phases: [PhaseSpec; 1],
-}
-
-impl AppModel for OltpModel {
-    fn phases(&self) -> &[PhaseSpec] {
-        &self.phases
-    }
-
-    fn build(&mut self, _phase: usize, iter: u64, s: &mut OpScript, rng: &mut SimRng) {
-        // Redo log record: circular overwrite once warm.
-        let redo_off = self.redo_head % self.redo_blocks;
-        self.redo_head += 1;
-        s.write(self.redo, redo_off, 1);
-        s.sync(self.sync, self.redo);
-        // Binlog append + sync (sync_binlog=1). With a rotation bound the
-        // binlog becomes circular — modelling `expire_logs_days` purging
-        // old logs so an arbitrarily long run stays inside the device.
-        let off = match self.binlog_blocks {
-            0 => self.binlog_head,
-            n => self.binlog_head % n,
-        };
-        self.binlog_head += 1;
-        s.write(self.binlog, off, 1);
-        s.sync(self.sync, self.binlog);
-        // Background buffer-pool flushing: a few dirty table pages every
-        // eighth transaction, buffered (no sync).
-        if (iter + 1) % 8 == 0 {
-            for _ in 0..4 {
-                s.write(self.table, rng.below(self.table_blocks), 1);
-            }
-        }
-        s.txn_mark();
-        if let Some(d) = self.think {
-            s.think(d);
-        }
-    }
+    script: OpScript,
 }
 
 impl OltpInsert {
@@ -88,27 +50,17 @@ impl OltpInsert {
         txns: u64,
     ) -> OltpInsert {
         OltpInsert {
-            engine: PhaseEngine::new(OltpModel {
-                sync,
-                table,
-                redo,
-                binlog,
-                redo_blocks: 256,
-                redo_head: 0,
-                binlog_head: 0,
-                binlog_blocks: 0,
-                table_blocks: 4096,
-                think: None,
-                phases: [PhaseSpec::iterations("txn", txns)],
-            }),
+            sync,
+            table,
+            redo,
+            binlog,
+            txns,
+            redo_head: 0,
+            binlog_head: 0,
+            binlog_blocks: 0,
+            think: None,
+            script: OpScript::default(),
         }
-    }
-
-    /// Overrides the circular redo-log size (blocks). Smaller logs wrap —
-    /// and overwrite committed content — sooner.
-    pub fn with_redo_blocks(mut self, blocks: u64) -> OltpInsert {
-        self.engine.model_mut().redo_blocks = blocks.max(1);
-        self
     }
 
     /// Bounds the binlog to `blocks`, wrapping circularly — the effect of
@@ -116,21 +68,48 @@ impl OltpInsert {
     /// long simulated horizons, where an unbounded binlog would outgrow
     /// the device.
     pub fn with_binlog_blocks(mut self, blocks: u64) -> OltpInsert {
-        self.engine.model_mut().binlog_blocks = blocks.max(1);
+        self.binlog_blocks = blocks.max(1);
         self
     }
 
     /// Inserts a fixed think time after every transaction (a rate-bounded
     /// client pool instead of a zero-latency commit loop).
     pub fn with_think(mut self, think: SimDuration) -> OltpInsert {
-        self.engine.model_mut().think = Some(think);
+        self.think = Some(think);
         self
     }
 }
 
 impl Workload for OltpInsert {
     fn next_op(&mut self, rng: &mut SimRng) -> Option<Op> {
-        self.engine.next_op(rng)
+        self.script.next_op(self.txns, |iter, s| {
+            // Redo log record: circular overwrite once warm.
+            let redo_off = self.redo_head % REDO_BLOCKS;
+            self.redo_head += 1;
+            s.write(self.redo, redo_off, 1);
+            s.sync(self.sync, self.redo);
+            // Binlog append + sync (sync_binlog=1). With a rotation bound the
+            // binlog becomes circular — modelling `expire_logs_days` purging
+            // old logs so an arbitrarily long run stays inside the device.
+            let off = match self.binlog_blocks {
+                0 => self.binlog_head,
+                n => self.binlog_head % n,
+            };
+            self.binlog_head += 1;
+            s.write(self.binlog, off, 1);
+            s.sync(self.sync, self.binlog);
+            // Background buffer-pool flushing: a few dirty table pages every
+            // eighth transaction, buffered (no sync).
+            if (iter + 1) % 8 == 0 {
+                for _ in 0..4 {
+                    s.write(self.table, rng.below(TABLE_BLOCKS), 1);
+                }
+            }
+            s.txn_mark();
+            if let Some(d) = self.think {
+                s.think(d);
+            }
+        })
     }
 }
 
@@ -159,15 +138,13 @@ mod tests {
 
     #[test]
     fn redo_log_wraps_circularly() {
-        let w = OltpInsert::new(
+        let ops = drain(OltpInsert::new(
             SyncMode::None,
             FileRef::Global(0),
             FileRef::Global(1),
             FileRef::Global(2),
             600,
-        )
-        .with_redo_blocks(4);
-        let ops = drain(w);
+        ));
         let redo_offsets: Vec<u64> = ops
             .iter()
             .filter_map(|o| match o {
@@ -179,9 +156,9 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert!(redo_offsets.iter().all(|&o| o < 4));
+        assert!(redo_offsets.iter().all(|&o| o < REDO_BLOCKS));
         assert_eq!(redo_offsets[0], 0);
-        assert_eq!(redo_offsets[4], 0, "wrapped");
+        assert_eq!(redo_offsets[REDO_BLOCKS as usize], 0, "wrapped");
     }
 
     #[test]

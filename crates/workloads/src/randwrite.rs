@@ -14,7 +14,7 @@
 use barrier_io::{FileRef, Op, Workload};
 use bio_sim::SimRng;
 
-use crate::engine::{AppModel, OpScript, PhaseEngine, PhaseSpec};
+use crate::script::OpScript;
 use crate::SyncMode;
 
 /// How each write is followed up.
@@ -28,32 +28,15 @@ pub enum WriteMode {
 
 /// Uniform random single-block writes over a file region.
 ///
-/// One phase (`write`), one iteration per write: a random-offset write,
-/// optionally followed by the mode's sync call.
+/// One iteration per write: a random-offset write, optionally followed by
+/// the mode's sync call.
 #[derive(Debug, Clone)]
 pub struct RandWrite {
-    engine: PhaseEngine<RandWriteModel>,
-}
-
-#[derive(Debug, Clone)]
-struct RandWriteModel {
     file: FileRef,
     region_blocks: u64,
     mode: WriteMode,
-    phases: [PhaseSpec; 1],
-}
-
-impl AppModel for RandWriteModel {
-    fn phases(&self) -> &[PhaseSpec] {
-        &self.phases
-    }
-
-    fn build(&mut self, _phase: usize, _iter: u64, s: &mut OpScript, rng: &mut SimRng) {
-        s.write(self.file, rng.below(self.region_blocks), 1);
-        if let WriteMode::SyncEach(sync) = self.mode {
-            s.sync(sync, self.file);
-        }
-    }
+    count: u64,
+    script: OpScript,
 }
 
 impl RandWrite {
@@ -62,19 +45,23 @@ impl RandWrite {
     pub fn new(file: FileRef, region_blocks: u64, mode: WriteMode, count: u64) -> RandWrite {
         assert!(region_blocks > 0, "empty region");
         RandWrite {
-            engine: PhaseEngine::new(RandWriteModel {
-                file,
-                region_blocks,
-                mode,
-                phases: [PhaseSpec::iterations("write", count)],
-            }),
+            file,
+            region_blocks,
+            mode,
+            count,
+            script: OpScript::default(),
         }
     }
 }
 
 impl Workload for RandWrite {
     fn next_op(&mut self, rng: &mut SimRng) -> Option<Op> {
-        self.engine.next_op(rng)
+        self.script.next_op(self.count, |_, s| {
+            s.write(self.file, rng.below(self.region_blocks), 1);
+            if let WriteMode::SyncEach(sync) = self.mode {
+                s.sync(sync, self.file);
+            }
+        })
     }
 }
 

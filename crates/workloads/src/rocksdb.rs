@@ -16,14 +16,15 @@
 //! journaling — the same effect that hurts OptFS on the paper's OLTP
 //! workload (§6.5).
 //!
-//! Three phases: `open` (create the WAL), `put` (one iteration per put),
-//! `shutdown` (flush the remaining memtable). All files are
-//! thread-private slots, so each thread is an independent DB instance.
+//! Iteration 0 opens (creates) the WAL, each of the next `puts` is one
+//! put, and the last shuts down (flushes what is left in the memtable).
+//! All files are thread-private slots, so each thread is an independent
+//! DB instance.
 
 use barrier_io::{FileRef, Op, Workload};
 use bio_sim::SimRng;
 
-use crate::engine::{AppModel, OpScript, PhaseEngine, PhaseSpec};
+use crate::script::OpScript;
 use crate::SyncMode;
 
 /// WAL slot index.
@@ -34,34 +35,51 @@ const L0_BASE: usize = 1;
 const L0_FANOUT: usize = 4;
 /// Merged (L1) SST slot.
 const L1_SLOT: usize = L0_BASE + L0_FANOUT;
+/// Puts per memtable flush.
+const FLUSH_EVERY: u64 = 24;
+/// Blocks per L0 SST file.
+const SST_BLOCKS: u64 = 16;
 
 /// RocksDB-style put stream: WAL append + sync per put, memtable flushes
 /// and L0→L1 compactions interleaved.
 #[derive(Debug, Clone)]
 pub struct RocksDbWal {
-    engine: PhaseEngine<RocksModel>,
+    puts: u64,
+    lsm: Lsm,
+    script: OpScript,
 }
 
+/// The engine's files: where the next WAL record goes, and what the
+/// memtable and the levels hold.
 #[derive(Debug, Clone)]
-struct RocksModel {
+struct Lsm {
     sync: SyncMode,
-    /// Puts per memtable flush.
-    flush_every: u64,
-    /// Blocks per L0 SST file.
-    sst_blocks: u64,
     wal_head: u64,
     puts_since_flush: u64,
     flushes: u64,
     compactions: u64,
-    phases: [PhaseSpec; 3],
 }
 
-impl RocksModel {
+impl Lsm {
+    /// One put: WAL record append + commit sync, and a memtable flush
+    /// every [`FLUSH_EVERY`] puts.
+    fn put(&mut self, s: &mut OpScript) {
+        let off = self.wal_head;
+        self.wal_head += 1;
+        s.write(FileRef::Slot(WAL_SLOT), off, 1);
+        s.sync(self.sync, FileRef::Slot(WAL_SLOT));
+        s.txn_mark();
+        self.puts_since_flush += 1;
+        if self.puts_since_flush == FLUSH_EVERY {
+            self.flush_memtable(s);
+        }
+    }
+
     /// Memtable flush: write one L0 SST, sync it, recycle the WAL.
     fn flush_memtable(&mut self, s: &mut OpScript) {
         let slot = L0_BASE + (self.flushes as usize % L0_FANOUT);
         s.create(slot);
-        s.write(FileRef::Slot(slot), 0, self.sst_blocks);
+        s.write(FileRef::Slot(slot), 0, SST_BLOCKS);
         s.sync(self.sync, FileRef::Slot(slot));
         // Log rotation with file reuse: the next WAL record overwrites
         // the head of the recycled log file.
@@ -77,52 +95,19 @@ impl RocksModel {
     /// the inputs.
     fn compact(&mut self, s: &mut OpScript) {
         for i in 0..L0_FANOUT {
-            s.read(FileRef::Slot(L0_BASE + i), 0, self.sst_blocks);
+            s.read(FileRef::Slot(L0_BASE + i), 0, SST_BLOCKS);
         }
         if self.compactions > 0 {
             // The merged level is rewritten whole; retire the old file.
             s.unlink(FileRef::Slot(L1_SLOT));
         }
         s.create(L1_SLOT);
-        s.write(
-            FileRef::Slot(L1_SLOT),
-            0,
-            self.sst_blocks * L0_FANOUT as u64,
-        );
+        s.write(FileRef::Slot(L1_SLOT), 0, SST_BLOCKS * L0_FANOUT as u64);
         s.sync(self.sync, FileRef::Slot(L1_SLOT));
         for i in 0..L0_FANOUT {
             s.unlink(FileRef::Slot(L0_BASE + i));
         }
         self.compactions += 1;
-    }
-}
-
-impl AppModel for RocksModel {
-    fn phases(&self) -> &[PhaseSpec] {
-        &self.phases
-    }
-
-    fn build(&mut self, phase: usize, iter: u64, s: &mut OpScript, _rng: &mut SimRng) {
-        match phase {
-            0 => s.create(WAL_SLOT),
-            1 => {
-                // One put: WAL record append + commit sync.
-                let off = self.wal_head;
-                self.wal_head += 1;
-                s.write(FileRef::Slot(WAL_SLOT), off, 1);
-                s.sync(self.sync, FileRef::Slot(WAL_SLOT));
-                s.txn_mark();
-                self.puts_since_flush += 1;
-                if (iter + 1) % self.flush_every == 0 {
-                    self.flush_memtable(s);
-                }
-            }
-            _ => {
-                if self.puts_since_flush > 0 {
-                    self.flush_memtable(s);
-                }
-            }
-        }
     }
 }
 
@@ -132,33 +117,34 @@ impl RocksDbWal {
     /// rows).
     pub fn new(sync: SyncMode, puts: u64) -> RocksDbWal {
         RocksDbWal {
-            engine: PhaseEngine::new(RocksModel {
+            puts,
+            lsm: Lsm {
                 sync,
-                flush_every: 24,
-                sst_blocks: 16,
                 wal_head: 0,
                 puts_since_flush: 0,
                 flushes: 0,
                 compactions: 0,
-                phases: [
-                    PhaseSpec::once("open"),
-                    PhaseSpec::iterations("put", puts),
-                    PhaseSpec::once("shutdown"),
-                ],
-            }),
+            },
+            script: OpScript::default(),
         }
-    }
-
-    /// Overrides the memtable flush interval (puts per L0 flush).
-    pub fn with_flush_every(mut self, puts: u64) -> RocksDbWal {
-        self.engine.model_mut().flush_every = puts.max(1);
-        self
     }
 }
 
 impl Workload for RocksDbWal {
-    fn next_op(&mut self, rng: &mut SimRng) -> Option<Op> {
-        self.engine.next_op(rng)
+    fn next_op(&mut self, _rng: &mut SimRng) -> Option<Op> {
+        let puts = self.puts;
+        // Open, the puts, shutdown (saturating: an endless run never shuts
+        // down).
+        let iterations = puts.saturating_add(2);
+        self.script.next_op(iterations, |iter, s| {
+            if iter == 0 {
+                s.create(WAL_SLOT);
+            } else if iter <= puts {
+                self.lsm.put(s);
+            } else if self.lsm.puts_since_flush > 0 {
+                self.lsm.flush_memtable(s);
+            }
+        })
     }
 }
 
@@ -170,9 +156,6 @@ mod tests {
         let mut rng = SimRng::new(1);
         std::iter::from_fn(|| w.next_op(&mut rng)).collect()
     }
-
-    /// Puts per memtable flush, and so per L0 SST.
-    const FLUSH_EVERY: u64 = 24;
 
     fn wal_offsets(ops: &[Op]) -> Vec<u64> {
         ops.iter()

@@ -23,8 +23,11 @@
 use barrier_io::{FileRef, Op, Workload};
 use bio_sim::SimRng;
 
-use crate::engine::{AppModel, OpScript, PhaseEngine, PhaseSpec};
+use crate::script::OpScript;
 use crate::SyncMode;
+
+/// Database pages an insert's updated node is drawn from.
+const DB_BLOCKS: u64 = 2048;
 
 /// SQLite journal modes used in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,15 +40,10 @@ pub enum SqliteJournalMode {
 
 /// SQLite insert workload over a shared database file.
 ///
-/// One phase (`insert`), one iteration per transaction: the four
-/// write+sync points of PERSIST mode, or one WAL frame append + sync.
+/// One iteration per transaction: the four write+sync points of PERSIST
+/// mode, or one WAL frame append + sync.
 #[derive(Debug, Clone)]
 pub struct Sqlite {
-    engine: PhaseEngine<SqliteModel>,
-}
-
-#[derive(Debug, Clone)]
-struct SqliteModel {
     mode: SqliteJournalMode,
     /// Sync used for the three ordering points.
     order_sync: SyncMode,
@@ -53,46 +51,9 @@ struct SqliteModel {
     commit_sync: SyncMode,
     db: FileRef,
     journal: FileRef,
-    db_blocks: u64,
+    inserts: u64,
     wal_head: u64,
-    phases: [PhaseSpec; 1],
-}
-
-impl AppModel for SqliteModel {
-    fn phases(&self) -> &[PhaseSpec] {
-        &self.phases
-    }
-
-    fn build(&mut self, _phase: usize, _iter: u64, s: &mut OpScript, rng: &mut SimRng) {
-        // The target page is drawn before the mode split so PERSIST and
-        // WAL runs consume the thread RNG identically per transaction.
-        let db_page = rng.below(self.db_blocks);
-        match self.mode {
-            SqliteJournalMode::Persist => {
-                // Undo log: two pages at the start of the journal file
-                // (overwritten every transaction — PERSIST keeps the file).
-                s.write(self.journal, 1, 2);
-                s.sync(self.order_sync, self.journal);
-                // Journal header.
-                s.write(self.journal, 0, 1);
-                s.sync(self.order_sync, self.journal);
-                // Updated database node.
-                s.write(self.db, 1 + db_page, 1);
-                s.sync(self.order_sync, self.db);
-                // Database header / commit point: durability.
-                s.write(self.db, 0, 1);
-                s.sync(self.commit_sync, self.db);
-            }
-            SqliteJournalMode::Wal => {
-                // Append the frame (page + header) to the WAL and sync once.
-                let off = self.wal_head;
-                self.wal_head += 2;
-                s.write(self.journal, off, 2);
-                s.sync(self.commit_sync, self.journal);
-            }
-        }
-        s.txn_mark();
-    }
+    script: OpScript,
 }
 
 impl Sqlite {
@@ -109,19 +70,16 @@ impl Sqlite {
         db: FileRef,
         journal: FileRef,
         inserts: u64,
-        db_blocks: u64,
     ) -> Sqlite {
         Sqlite {
-            engine: PhaseEngine::new(SqliteModel {
-                mode,
-                order_sync,
-                commit_sync,
-                db,
-                journal,
-                db_blocks: db_blocks.max(4),
-                wal_head: 0,
-                phases: [PhaseSpec::iterations("insert", inserts)],
-            }),
+            mode,
+            order_sync,
+            commit_sync,
+            db,
+            journal,
+            inserts,
+            wal_head: 0,
+            script: OpScript::default(),
         }
     }
 
@@ -132,15 +90,8 @@ impl Sqlite {
         journal: FileRef,
         inserts: u64,
     ) -> Sqlite {
-        Sqlite::new(
-            mode,
-            SyncMode::Fdatasync,
-            SyncMode::Fdatasync,
-            db,
-            journal,
-            inserts,
-            2048,
-        )
+        let sync = SyncMode::Fdatasync;
+        Sqlite::new(mode, sync, sync, db, journal, inserts)
     }
 
     /// BFS-DR: ordering points become `fdatabarrier`, commit stays
@@ -152,15 +103,8 @@ impl Sqlite {
         journal: FileRef,
         inserts: u64,
     ) -> Sqlite {
-        Sqlite::new(
-            mode,
-            SyncMode::Fdatabarrier,
-            SyncMode::Fdatasync,
-            db,
-            journal,
-            inserts,
-            2048,
-        )
+        let (order, commit) = (SyncMode::Fdatabarrier, SyncMode::Fdatasync);
+        Sqlite::new(mode, order, commit, db, journal, inserts)
     }
 
     /// Ordering-guarantee row (BFS-OD / OptFS): every call ordering-only.
@@ -170,21 +114,43 @@ impl Sqlite {
         journal: FileRef,
         inserts: u64,
     ) -> Sqlite {
-        Sqlite::new(
-            mode,
-            SyncMode::Fdatabarrier,
-            SyncMode::Fdatabarrier,
-            db,
-            journal,
-            inserts,
-            2048,
-        )
+        let sync = SyncMode::Fdatabarrier;
+        Sqlite::new(mode, sync, sync, db, journal, inserts)
     }
 }
 
 impl Workload for Sqlite {
     fn next_op(&mut self, rng: &mut SimRng) -> Option<Op> {
-        self.engine.next_op(rng)
+        self.script.next_op(self.inserts, |_, s| {
+            // The target page is drawn before the mode split so PERSIST and
+            // WAL runs consume the thread RNG identically per transaction.
+            let db_page = rng.below(DB_BLOCKS);
+            match self.mode {
+                SqliteJournalMode::Persist => {
+                    // Undo log: two pages at the start of the journal file
+                    // (overwritten every transaction — PERSIST keeps the file).
+                    s.write(self.journal, 1, 2);
+                    s.sync(self.order_sync, self.journal);
+                    // Journal header.
+                    s.write(self.journal, 0, 1);
+                    s.sync(self.order_sync, self.journal);
+                    // Updated database node.
+                    s.write(self.db, 1 + db_page, 1);
+                    s.sync(self.order_sync, self.db);
+                    // Database header / commit point: durability.
+                    s.write(self.db, 0, 1);
+                    s.sync(self.commit_sync, self.db);
+                }
+                SqliteJournalMode::Wal => {
+                    // Append the frame (page + header) to the WAL and sync once.
+                    let off = self.wal_head;
+                    self.wal_head += 2;
+                    s.write(self.journal, off, 2);
+                    s.sync(self.commit_sync, self.journal);
+                }
+            }
+            s.txn_mark();
+        })
     }
 }
 

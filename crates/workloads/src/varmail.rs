@@ -9,74 +9,62 @@
 use barrier_io::{FileRef, Op, Workload};
 use bio_sim::SimRng;
 
-use crate::engine::{AppModel, FilePool, OpScript, PhaseEngine, PhaseSpec};
+use crate::script::{FilePool, OpScript};
 use crate::SyncMode;
+
+/// Largest mail, in blocks.
+const MAX_MAIL_BLOCKS: u64 = 4;
 
 /// Mail-server workload over a pool of per-thread files.
 ///
-/// One phase (`mail`), one iteration per message, over a [`FilePool`]
-/// working set: once the pool is primed, the slot being recreated holds
-/// the oldest mail, which is deleted first.
+/// One iteration per message, over a ring of `pool` file slots: once the
+/// pool is primed, the slot being recreated holds the oldest mail, which
+/// is deleted first.
 #[derive(Debug, Clone)]
 pub struct Varmail {
-    engine: PhaseEngine<VarmailModel>,
-}
-
-#[derive(Debug, Clone)]
-struct VarmailModel {
     sync: SyncMode,
+    iterations: u64,
     pool: FilePool,
-    max_mail_blocks: u64,
-    phases: [PhaseSpec; 1],
-}
-
-impl AppModel for VarmailModel {
-    fn phases(&self) -> &[PhaseSpec] {
-        &self.phases
-    }
-
-    fn build(&mut self, _phase: usize, _iter: u64, s: &mut OpScript, rng: &mut SimRng) {
-        let (slot_new, slot_old) = self.pool.advance();
-        let blocks = rng.range(1, self.max_mail_blocks);
-
-        // deletefile: drop the oldest mail (only once the pool is primed).
-        if self.pool.primed() {
-            s.unlink(FileRef::Slot(slot_new));
-        }
-        // createfile + appendfilerand + fsync.
-        s.create(slot_new);
-        self.pool.note_created();
-        s.write(FileRef::Slot(slot_new), 0, blocks);
-        s.sync(self.sync, FileRef::Slot(slot_new));
-        // openfile + appendfilerand + fsync on an existing mail.
-        if self.pool.created() > 1 {
-            let target = FileRef::Slot(slot_old.min(self.pool.created() - 1));
-            s.write(target, self.max_mail_blocks, rng.range(1, 2));
-            s.sync(self.sync, target);
-            // readfile.
-            s.read(target, 0, 1);
-        }
-        s.txn_mark();
-    }
+    script: OpScript,
 }
 
 impl Varmail {
     /// `iterations` mail loops with a pool of `pool` files per thread.
     pub fn new(sync: SyncMode, iterations: u64, pool: usize) -> Varmail {
         Varmail {
-            engine: PhaseEngine::new(VarmailModel {
-                sync,
-                pool: FilePool::new(pool.max(2)),
-                max_mail_blocks: 4,
-                phases: [PhaseSpec::iterations("mail", iterations)],
-            }),
+            sync,
+            iterations,
+            pool: FilePool::new(pool.max(2)),
+            script: OpScript::default(),
         }
     }
 }
 
 impl Workload for Varmail {
     fn next_op(&mut self, rng: &mut SimRng) -> Option<Op> {
-        self.engine.next_op(rng)
+        self.script.next_op(self.iterations, |_, s| {
+            let (slot_new, slot_old) = self.pool.advance();
+            let blocks = rng.range(1, MAX_MAIL_BLOCKS);
+
+            // deletefile: drop the oldest mail (only once the pool is primed).
+            if self.pool.primed() {
+                s.unlink(FileRef::Slot(slot_new));
+            }
+            // createfile + appendfilerand + fsync.
+            s.create(slot_new);
+            self.pool.note_created();
+            s.write(FileRef::Slot(slot_new), 0, blocks);
+            s.sync(self.sync, FileRef::Slot(slot_new));
+            // openfile + appendfilerand + fsync on an existing mail.
+            if self.pool.created() > 1 {
+                let target = FileRef::Slot(slot_old.min(self.pool.created() - 1));
+                s.write(target, MAX_MAIL_BLOCKS, rng.range(1, 2));
+                s.sync(self.sync, target);
+                // readfile.
+                s.read(target, 0, 1);
+            }
+            s.txn_mark();
+        })
     }
 }
 

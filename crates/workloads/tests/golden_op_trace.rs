@@ -3,8 +3,8 @@
 //!
 //! The five paper workloads were locked to the bespoke generators they
 //! replaced, which lived in this file as the oracle until commit 90cb55d;
-//! those hashes were recorded while the two still agreed on every stream (same
-//! seeds, sync modes and configurations, commit bdf1c8d). The mail-queue
+//! those hashes were recorded while the two still agreed on every stream
+//! (same seeds, sync modes and configurations, commit bdf1c8d). The mail-queue
 //! and RocksDB-WAL streams, the rate-bounded shapes the benchmark runs
 //! (`Dwsl::with_think`, `OltpInsert::with_binlog_blocks` +
 //! `with_think`) and the OLTP hash without its 4-block redo log were
@@ -178,7 +178,7 @@ fn sqlite_streams_match_golden_hash() {
     for seed in SEEDS {
         for mode in [SqliteJournalMode::Persist, SqliteJournalMode::Wal] {
             for (order, commit) in columns {
-                let w = Sqlite::new(mode, order, commit, db, journal, 200, 2048);
+                let w = Sqlite::new(mode, order, commit, db, journal, 200);
                 hash.ops(&trace(w, seed, usize::MAX));
             }
         }
