@@ -23,7 +23,6 @@
 //!   thread, and each syscall costs `CPU_PER_OP`.
 
 use barrier_io::{DeviceProfile, FsConfig, FsMode, SimDuration, CPU_PER_OP};
-use bio_bench::experiments::cells::{figure_window, WARMUP};
 use bio_bench::experiments::run;
 
 /// How far a printed value may sit from its closed form.
@@ -112,24 +111,20 @@ fn fig08_commit_intervals_follow_their_labels() {
     // drains the commit's programs, and the FUA waits for JC's own.
     let t_eps = us(ssd.flush_overhead);
     let t_f = us(ssd.page_program) + us(ssd.flush_overhead) + us(ssd.page_program);
-    // The figure divides the commits of the whole run, warm-up included,
-    // by the measured window alone: it prints this share of the interval.
-    let window = figure_window(SCALE);
-    let printed_share = window.as_secs_f64() / (WARMUP + window).as_secs_f64();
     let claim = |key, interval: f64, verdict| Claim {
         selector: "fig8",
         key,
         column: "mean interval (us)",
         precision: 0.5,
-        closed_form: interval * printed_share,
+        closed_form: interval,
         verdict,
     };
     check(&[
         claim(
             &["BarrierFS (tD)"],
             t_d,
-            // The link is not kept quite busy: 13 % above the closed form.
-            Verdict::ExpectedMiss(104.0),
+            // The link is not kept quite busy: 17 % above the closed form.
+            Verdict::ExpectedMiss(134.0),
         ),
         claim(&["EXT4 no flush (tD+tC)"], t_dc, Verdict::Within),
         claim(
