@@ -18,16 +18,22 @@ pub fn fig14(scale: u64) -> Figure {
     let inserts = 500 * scale;
     type MkSqlite = fn(SqliteJournalMode, FileRef, FileRef, u64) -> Sqlite;
     let (ufs, ssd) = (DeviceProfile::ufs, DeviceProfile::plain_ssd);
-    // (a) mobile storage: durability rows.
-    // (b) plain-SSD: ordering rows + the EXT4-DR baseline for the 73x claim.
-    let stacks: [(DeviceProfile, Preset, MkSqlite); 7] = [
+    let supercap = DeviceProfile::supercap_ssd;
+    // (a) mobile storage: durability rows (the +75 % claim).
+    // (b) plain-SSD: the EXT4-DR baseline, BFS-DR (the +270 % claim) and
+    //     the ordering rows (the 73x claim).
+    // (c) supercap-SSD: the two durability rows.
+    let stacks: [(DeviceProfile, Preset, MkSqlite); 10] = [
         (ufs(), StackConfig::ext4_dr, Sqlite::durability),
         (ufs(), StackConfig::bfs, Sqlite::barrier_durability),
         (ufs(), bfs_od, Sqlite::ordering),
         (ssd(), StackConfig::ext4_dr, Sqlite::durability),
+        (ssd(), StackConfig::bfs, Sqlite::barrier_durability),
         (ssd(), StackConfig::ext4_od, Sqlite::durability),
         (ssd(), StackConfig::optfs, Sqlite::ordering),
         (ssd(), bfs_od, Sqlite::ordering),
+        (supercap(), StackConfig::ext4_dr, Sqlite::durability),
+        (supercap(), StackConfig::bfs, Sqlite::barrier_durability),
     ];
     let modes = [
         ("PERSIST", SqliteJournalMode::Persist),
