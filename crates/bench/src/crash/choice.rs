@@ -5,9 +5,7 @@
 //! for each point, so an enumerator that keeps them across a trace
 //! allocates nothing once they have met its largest point.
 
-use std::collections::BTreeMap;
-
-use bio_flash::{BarrierMode, BlockTag, ImageView, Lba, PersistedImage};
+use bio_flash::{BarrierMode, BlockMap, BlockTag, ImageView, Lba, PersistedImage};
 use bio_sim::SimRng;
 
 use super::capture::DeviceState;
@@ -330,17 +328,18 @@ impl Overlay {
         }
     }
 
-    /// Materializes the overlay over `dev`'s base into a standalone image.
+    /// Materializes the overlay over `dev`'s base into a standalone image:
+    /// the base's pages copied, the overlay stored over them.
     pub(super) fn materialize(&self, dev: &DeviceState) -> PersistedImage {
-        let mut map: BTreeMap<Lba, BlockTag> = dev.base.iter().collect();
+        let mut map = BlockMap::clone(&dev.base);
         for &(lba, tag) in &self.entries {
             if tag == BlockTag::UNWRITTEN {
-                map.remove(&lba);
+                map.remove(lba);
             } else {
                 map.insert(lba, tag);
             }
         }
-        PersistedImage::from_map(map)
+        PersistedImage::from(map)
     }
 }
 

@@ -12,11 +12,10 @@
 //! [`CrashPoint::forged`] makes violating input and [`capture_points_of`]
 //! traces long enough to wrap a small journal.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use barrier_io::{FsViolation, StackConfig, Topology};
-use bio_flash::{BlockTag, EpochViolation, ImageView, PersistedImage, TransferRec};
+use bio_flash::{BlockMap, BlockTag, EpochViolation, ImageView, PersistedImage, TransferRec};
 use bio_workloads::SyncMode;
 
 use super::capture::{drive, CaptureMode, CrashPoint, DeviceState, PointImage};
@@ -159,15 +158,16 @@ impl ImageCase<'_> {
     }
 
     /// [`ImageCase::image`] as a standalone map, sharing nothing with the
-    /// point.
+    /// point. A trace's volume is small, so every global address lies
+    /// below [`bio_flash::Lba::LIMIT`].
     pub fn materialized(&self) -> PersistedImage {
-        let mut map = BTreeMap::new();
+        let mut map = BlockMap::new();
         for (di, (v, d)) in self.views.iter().zip(self.devices).enumerate() {
             for (lba, tag) in v.materialize(d).iter() {
                 map.insert(self.topology.global(di, lba), tag);
             }
         }
-        PersistedImage::from_map(map)
+        PersistedImage::from(map)
     }
 }
 

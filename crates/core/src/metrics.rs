@@ -1,7 +1,5 @@
 //! Run metrics: per-operation latency, context switches, throughput.
 
-use std::collections::HashMap;
-
 use bio_sim::{LatencyHistogram, LatencySummary, SimDuration, SimTime};
 
 use crate::ops::OpKind;
@@ -31,7 +29,11 @@ impl OpMetrics {
 /// Live metrics collector.
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
-    ops: HashMap<OpKind, OpMetrics>,
+    /// Per kind in [`OpKind::ALL`] order, made at the kind's first
+    /// operation or context switch: every completed op, think and switch
+    /// is one indexed store, not a hash. Boxed: held inline, its ~800
+    /// bytes spread the stack's hot fields and slowed the event loop.
+    ops: Box<[Option<OpMetrics>; OpKind::ALL.len()]>,
     /// Application transactions completed (TxnMark ops).
     pub txns: u64,
     started: SimTime,
@@ -48,16 +50,23 @@ impl Metrics {
 
     /// Marks the measurement start (ops before this are warm-up).
     pub fn reset(&mut self, now: SimTime) {
-        self.ops.clear();
+        *self.ops = Default::default();
         self.txns = 0;
         self.started = now;
     }
 
+    /// The metrics of `kind`, made on first use.
+    fn entry(&mut self, kind: OpKind) -> Option<&mut OpMetrics> {
+        let slot = self.ops.get_mut(kind as usize)?;
+        Some(slot.get_or_insert_with(OpMetrics::default))
+    }
+
     /// Records a completed operation.
     pub fn record_op(&mut self, kind: OpKind, latency: SimDuration) {
-        let m = self.ops.entry(kind).or_default();
-        m.count += 1;
-        m.latency.record(latency);
+        if let Some(m) = self.entry(kind) {
+            m.count += 1;
+            m.latency.record(latency);
+        }
         if kind == OpKind::TxnMark {
             self.txns += 1;
         }
@@ -65,7 +74,9 @@ impl Metrics {
 
     /// Attributes one context switch to an in-flight operation.
     pub fn record_ctx_switch(&mut self, kind: OpKind) {
-        self.ops.entry(kind).or_default().ctx_switches += 1;
+        if let Some(m) = self.entry(kind) {
+            m.ctx_switches += 1;
+        }
     }
 
     /// Counts a completion that referenced an unknown thread id — the
@@ -77,7 +88,7 @@ impl Metrics {
 
     /// Metrics for one kind (zeros if never seen).
     pub fn op(&self, kind: OpKind) -> Option<&OpMetrics> {
-        self.ops.get(&kind)
+        self.ops.get(kind as usize)?.as_ref()
     }
 
     /// Merged latency distribution across all four sync kinds
@@ -87,7 +98,7 @@ impl Metrics {
     pub fn sync_latency(&self) -> LatencySummary {
         let mut merged = LatencyHistogram::new();
         for kind in OpKind::SYNC {
-            if let Some(m) = self.ops.get(&kind) {
+            if let Some(m) = self.op(kind) {
                 merged.merge(&m.latency);
             }
         }
@@ -99,7 +110,7 @@ impl Metrics {
         let elapsed = now.saturating_since(self.started);
         let mut ops = Vec::new();
         for kind in OpKind::ALL {
-            if let Some(m) = self.ops.get(&kind) {
+            if let Some(m) = self.op(kind) {
                 if m.count > 0 {
                     ops.push(OpReport {
                         kind,
@@ -201,6 +212,13 @@ mod tests {
         assert_eq!(f.count, 2);
         assert!((f.switches_per_op - 1.5).abs() < 1e-9);
         assert_eq!(r.ops_per_sec(OpKind::Fsync), 2.0);
+    }
+
+    #[test]
+    fn every_kind_has_its_own_slot_in_report_order() {
+        for (i, kind) in OpKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind:?}");
+        }
     }
 
     #[test]

@@ -2,18 +2,16 @@
 //! deterministic event loop, with simulated application threads driving
 //! workloads.
 
-use std::collections::BTreeMap;
-
 use bio_block::{
-    BlockAction, BlockConfig, BlockEvent, BlockLayer, BlockStats, DispatchMode, LaneStats,
+    BlockAction, BlockConfig, BlockEvent, BlockLayer, BlockStats, DispatchMode, LaneStats, Topology,
 };
 use bio_flash::{
-    audit_epoch_order, Device, DeviceCaptureDelta, DeviceStats, EpochViolation, FtlStats,
-    PersistedImage,
+    BlockTag, Device, DeviceCaptureDelta, DeviceStats, EpochAudit, EpochViolation, FtlStats,
+    ImageView, Lba, PersistedImage,
 };
 use bio_fs::{
-    check_crash_consistency, FileId, Filesystem, FsAction, FsEvent, FsStats, FsViolation,
-    SyscallOutcome, ThreadId,
+    ConsistencyCheck, FileId, Filesystem, FsAction, FsEvent, FsStats, FsViolation, SyscallOutcome,
+    ThreadId,
 };
 use bio_sim::{ActionSink, EventQueue, SimDuration, SimRng, SimTime};
 
@@ -75,11 +73,12 @@ pub struct StackReport {
     pub block: BlockStats,
 }
 
-/// Crash-injection result: the persisted image plus both audits.
+/// Crash-injection result: the persisted images plus both audits.
 #[derive(Debug)]
 pub struct CrashReport {
-    /// Surviving block versions.
-    pub image: PersistedImage,
+    /// Surviving block versions of each device, at its own local
+    /// addresses, in device-index order (one image on the 1×1 topology).
+    pub images: Vec<PersistedImage>,
     /// Filesystem-level violations (commit order, torn transactions,
     /// ordered data, durability claims).
     pub fs_violations: Vec<FsViolation>,
@@ -108,6 +107,27 @@ pub struct StackCaptureDelta {
     pub records_marked_durable: Vec<u64>,
     /// Per-device fold/group-commit deltas, in device-index order.
     pub devices: Vec<DeviceCaptureDelta>,
+}
+
+/// The volume a filesystem sees after a crash: every global address read
+/// through [`Topology::locate`] from its device's image (the identity on
+/// one device). Nothing is remapped or copied, and an address no device
+/// holds reads as never written.
+struct StripedImage<'a> {
+    topology: Topology,
+    images: &'a [PersistedImage],
+}
+
+impl ImageView for StripedImage<'_> {
+    fn tag(&self, lba: Lba) -> BlockTag {
+        let (device, local) = match self.images {
+            [_] => (0, lba),
+            _ => self.topology.locate(lba),
+        };
+        self.images
+            .get(device)
+            .map_or(BlockTag::UNWRITTEN, |image| image.tag(local))
+    }
 }
 
 /// CPU cost charged per issued syscall (keeps zero-time loops honest).
@@ -609,31 +629,27 @@ impl IoStack {
 
     /// Injects a power failure right now and audits the survivors.
     ///
-    /// On a multi-device topology the per-device images are remapped
-    /// through the stripe layout into one global image for the
-    /// filesystem-level audit; the device-level epoch audit runs per
-    /// device against that device's own local image and history.
+    /// Each device's image is computed once. The filesystem-level audit
+    /// reads them through the stripe layout ([`Topology::locate`]), so a
+    /// multi-device volume is never remapped into one global image; the
+    /// device-level epoch audit runs per device against that device's own
+    /// image and history.
     pub fn crash(&self) -> CrashReport {
-        let image = if self.cfg.topology.nr_devices == 1 {
-            self.block.device_at(0).crash_image()
-        } else {
-            let mut map = BTreeMap::new();
-            for (di, d) in self.block.devices().iter().enumerate() {
-                for (local, tag) in d.crash_image().iter() {
-                    map.insert(self.cfg.topology.global(di, local), tag);
-                }
-            }
-            PersistedImage::from_map(map)
+        let devices = self.block.devices();
+        let images: Vec<PersistedImage> = devices.iter().map(Device::crash_image).collect();
+        let volume = StripedImage {
+            topology: self.cfg.topology,
+            images: &images,
         };
-        let fs_violations = check_crash_consistency(self.fs.records(), &image);
+        let fs_violations = ConsistencyCheck::new(self.fs.records()).violations(&volume);
         let mut epoch_violations = Vec::new();
-        for d in self.block.devices() {
+        for (d, image) in devices.iter().zip(&images) {
             if let Some(h) = d.history() {
-                epoch_violations.extend(audit_epoch_order(h, &d.crash_image()));
+                epoch_violations.extend(EpochAudit::new(h).violations(image));
             }
         }
         CrashReport {
-            image,
+            images,
             fs_violations,
             epoch_violations,
         }

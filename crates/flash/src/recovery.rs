@@ -8,7 +8,8 @@
 //! crash image is a replay of the records that survive under the device's
 //! barrier-enforcement mode.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::fmt;
 
 use bio_sim::{IntMap, PagedMap, SeqTable};
 
@@ -139,9 +140,10 @@ impl AppendLog {
 
     /// Replay of the base plus every unfolded record matching `keep`,
     /// in append order. `prefix_only` stops at the first rejected record
-    /// (the LFS in-order recovery rule).
+    /// (the LFS in-order recovery rule). The base's pages are copied
+    /// whole and the tail is stored over them: no sort, no tree.
     pub fn image<F: Fn(&AppendRec) -> bool>(&self, keep: F, prefix_only: bool) -> PersistedImage {
-        let mut map: BTreeMap<Lba, BlockTag> = self.base.iter().collect();
+        let mut map = self.base.clone();
         for rec in &self.entries {
             if keep(rec) {
                 map.insert(rec.lba, rec.tag);
@@ -165,12 +167,13 @@ const BLOCK_MAP_PAGE: usize = 512;
 /// address touches), iteration is in ascending address order, and two
 /// maps are equal when they hold the same pairs. It is
 /// [`AppendLog::base`], the base every crash image of a capture point
-/// shares, and the base both check indexes read.
+/// shares, the base both check indexes read, and what every
+/// [`PersistedImage`] stores.
 ///
 /// Addresses must lie below [`Lba::LIMIT`]: [`BlockMap::insert`] panics on
 /// any other, and the device refuses a write that reaches past it, so no
-/// such address is ever folded.
-#[derive(Debug, Clone, Default)]
+/// such address is ever folded. A read of any address is total.
+#[derive(Clone, Default)]
 pub struct BlockMap {
     map: PagedMap<BlockTag, BLOCK_MAP_PAGE>,
 }
@@ -197,6 +200,12 @@ impl BlockMap {
         self.map.insert(lba.0, tag)
     }
 
+    /// Forgets the version stored at `lba`, returning it.
+    #[inline]
+    pub fn remove(&mut self, lba: Lba) -> Option<BlockTag> {
+        self.map.remove(lba.0)
+    }
+
     /// Number of blocks stored.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -210,6 +219,13 @@ impl BlockMap {
     /// `(lba, tag)` pairs in ascending address order.
     pub fn iter(&self) -> impl Iterator<Item = (Lba, BlockTag)> + '_ {
         self.map.iter().map(|(lba, tag)| (Lba(lba), tag))
+    }
+}
+
+/// The stored pairs, as a map: the pages are a representation.
+impl fmt::Debug for BlockMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -237,25 +253,33 @@ impl FromIterator<(Lba, BlockTag)> for BlockMap {
     }
 }
 
-/// The storage surface content after a crash: block address → surviving
-/// content version. Backed by an ordered map so [`PersistedImage::iter`]
-/// is reproducible across processes (callers fold it into recovery
-/// checks and differential traces).
+/// The storage surface content of one device after a crash: block
+/// address → surviving content version, a [`BlockMap`], so a read is two
+/// loads and [`PersistedImage::iter`] is in ascending address order,
+/// reproducible across processes (callers fold it into recovery checks
+/// and differential traces).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PersistedImage {
-    map: BTreeMap<Lba, BlockTag>,
+    map: BlockMap,
 }
 
 impl PersistedImage {
-    /// Creates an image from raw contents (used in tests).
+    /// Creates an image from raw contents (a test constructor).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an address is not below [`Lba::LIMIT`].
     pub fn from_map(map: BTreeMap<Lba, BlockTag>) -> PersistedImage {
-        PersistedImage { map }
+        PersistedImage {
+            map: map.into_iter().collect(),
+        }
     }
 
     /// Content at `lba`, [`BlockTag::UNWRITTEN`] if the block never
     /// persisted.
+    #[inline]
     pub fn tag(&self, lba: Lba) -> BlockTag {
-        self.map.get(&lba).copied().unwrap_or(BlockTag::UNWRITTEN)
+        self.map.get(lba).unwrap_or(BlockTag::UNWRITTEN)
     }
 
     /// Number of blocks with persisted content.
@@ -270,15 +294,20 @@ impl PersistedImage {
 
     /// Iterates over `(lba, tag)` pairs in ascending LBA order.
     pub fn iter(&self) -> impl Iterator<Item = (Lba, BlockTag)> + '_ {
-        self.map.iter().map(|(&l, &t)| (l, t))
+        self.map.iter()
     }
 
     /// Overlays another set of surviving blocks (e.g. a PLP-protected
     /// cache) on top of this image, in the order given.
     pub fn overlay<I: IntoIterator<Item = (Lba, BlockTag)>>(&mut self, blocks: I) {
-        for (lba, tag) in blocks {
-            self.map.insert(lba, tag);
-        }
+        self.map.extend(blocks);
+    }
+}
+
+/// A block map read as a standalone image.
+impl From<BlockMap> for PersistedImage {
+    fn from(map: BlockMap) -> PersistedImage {
+        PersistedImage { map }
     }
 }
 
@@ -311,7 +340,9 @@ impl ImageView for BlockMap {
     }
 }
 
-/// A hand-made block map read as an image (what tests build bases from).
+/// A hand-made block map read as an image (what this module's tests build
+/// bases from).
+#[cfg(test)]
 impl ImageView for BTreeMap<Lba, BlockTag> {
     fn tag(&self, lba: Lba) -> BlockTag {
         self.get(&lba).copied().unwrap_or(BlockTag::UNWRITTEN)
@@ -350,7 +381,7 @@ pub struct EpochViolation {
 pub struct EpochAudit<'a> {
     history: &'a [TransferRec],
     /// Map each tag to its transfer seq so "at least as new" is decidable.
-    seq_of_tag: HashMap<BlockTag, u64>,
+    seq_of_tag: IntMap<BlockTag, u64>,
 }
 
 impl<'a> EpochAudit<'a> {

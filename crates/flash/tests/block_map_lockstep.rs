@@ -1,10 +1,10 @@
 //! Lockstep suite for [`BlockMap`], the direct-indexed block map behind
 //! [`bio_flash::AppendLog::base`] and every crash image's base: driven
 //! beside a `BTreeMap<Lba, BlockTag>` (what the base was before it)
-//! through 256 generated operation sequences. Every `insert` must return
-//! the version it replaced, every read agree — `get` and the image read
-//! `tag` — and after every step `len`, the ascending iteration and
-//! equality with a second map must agree too.
+//! through 256 generated operation sequences. Every `insert` and `remove`
+//! must return the version it replaced, every read agree — `get` and the
+//! image read `tag` — and after every step `len`, the ascending iteration
+//! and equality with a second map must agree too.
 //!
 //! Addresses cluster the way a filesystem's do (metadata, journal, data
 //! extents far apart), straddle page boundaries and skip whole pages.
@@ -35,9 +35,19 @@ fn lockstep(seed: u64) -> Result<(), String> {
         if replaced.0 != replaced.1 {
             return Err(format!("step {step}: insert {at:?} replaced {replaced:?}"));
         }
+        // A crash image materialized over a base forgets the blocks its
+        // overlay leaves unwritten: remove one, held or not.
+        if rng.chance(0.2) {
+            let gone = if rng.chance(0.5) { at } else { lba(&mut rng) };
+            let removed = (map.remove(gone), reference.remove(&gone));
+            if removed.0 != removed.1 {
+                return Err(format!("step {step}: remove {gone:?} gave {removed:?}"));
+            }
+        }
         let probe = if rng.chance(0.5) { at } else { lba(&mut rng) };
         let read = (map.get(probe), reference.get(&probe).copied());
-        let image = (map.tag(probe), reference.tag(probe));
+        let unwritten = read.1.unwrap_or(BlockTag::UNWRITTEN);
+        let image = (map.tag(probe), unwritten);
         if read.0 != read.1 || image.0 != image.1 {
             return Err(format!("step {step}: {probe:?} reads {read:?} / {image:?}"));
         }

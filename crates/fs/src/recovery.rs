@@ -2,7 +2,8 @@
 //! the storage-order invariants of §2.3.
 //!
 //! The filesystem records every committed transaction as a [`TxnRecord`]
-//! (ground truth). Given a crash [`PersistedImage`] from the device, the
+//! (ground truth). Given a crash image ([`ImageView`]: a device's
+//! [`PersistedImage`], or several read through the stripe), the
 //! checker verifies:
 //!
 //! 1. **Commit order** — transactions become durable in commit order: a
@@ -123,27 +124,20 @@ pub struct ConsistencyCheck<'a> {
 }
 
 impl<'a> ConsistencyCheck<'a> {
-    /// Precomputes the record-only tables.
+    /// Precomputes the record-only tables: one newest-to-oldest scan, in
+    /// which the first record to name a journal block is its last writer,
+    /// and a record is checkable when it is the last writer of all of its
+    /// journal blocks.
     pub fn new(records: &'a [TxnRecord]) -> ConsistencyCheck<'a> {
-        // Last writer per journal lba (for checkability).
-        use std::collections::HashMap;
-        let mut last_writer: HashMap<Lba, u64> = HashMap::new();
-        for r in records {
-            for (i, _) in r.jd_tags.iter().enumerate() {
-                last_writer.insert(Lba(r.jd_lba.0 + i as u64), r.id);
+        let mut last_writer = LastWriters::over(records);
+        let mut checkable = vec![false; records.len()];
+        for (r, c) in records.iter().zip(&mut checkable).rev() {
+            let mut own = true;
+            for lba in journal_lbas(r) {
+                own &= last_writer.claim(lba, r.id) == r.id;
             }
-            last_writer.insert(r.jc_lba, r.id);
+            *c = own;
         }
-        let checkable = records
-            .iter()
-            .map(|r| {
-                r.jd_tags
-                    .iter()
-                    .enumerate()
-                    .all(|(i, _)| last_writer[&Lba(r.jd_lba.0 + i as u64)] == r.id)
-                    && last_writer[&r.jc_lba] == r.id
-            })
-            .collect();
         ConsistencyCheck { records, checkable }
     }
 
@@ -211,6 +205,46 @@ impl<'a> ConsistencyCheck<'a> {
         }
 
         violations
+    }
+}
+
+/// Journal block → the id of the newest record naming it, for
+/// [`ConsistencyCheck::new`]'s newest-to-oldest scan.
+enum LastWriters {
+    /// A slot per block of the records' journal span, from `lo`: the
+    /// journal is one dense circular region, so a block is one index.
+    Dense { lo: u64, ids: Vec<Option<u64>> },
+    /// Hashed, for records whose blocks are too scattered for a table over
+    /// their span to pay (records made by hand).
+    Sparse(IntMap<Lba, u64>),
+}
+
+impl LastWriters {
+    /// An empty table for the journal blocks `records` name.
+    fn over(records: &[TxnRecord]) -> LastWriters {
+        let (mut lo, mut hi, mut named) = (u64::MAX, 0, 0);
+        for r in records {
+            let jd_end = r.jd_lba.0.saturating_add(r.jd_tags.len() as u64);
+            lo = lo.min(r.jd_lba.0).min(r.jc_lba.0);
+            hi = hi.max(jd_end).max(r.jc_lba.0.saturating_add(1));
+            named += r.jd_tags.len() + 1;
+        }
+        match usize::try_from(hi.saturating_sub(lo)) {
+            Ok(span) if span <= 2 * named + 4096 => LastWriters::Dense {
+                lo,
+                ids: vec![None; span],
+            },
+            _ => LastWriters::Sparse(IntMap::default()),
+        }
+    }
+
+    /// The newest record naming `lba`: `id` if no newer one did.
+    fn claim(&mut self, lba: Lba, id: u64) -> u64 {
+        match self {
+            // `over` spanned every block a record names.
+            LastWriters::Dense { lo, ids } => *ids[(lba.0 - *lo) as usize].get_or_insert(id),
+            LastWriters::Sparse(map) => *map.entry(lba).or_insert(id),
+        }
     }
 }
 
@@ -565,7 +599,7 @@ pub fn check_crash_consistency(records: &[TxnRecord], image: &PersistedImage) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
+    use bio_flash::BlockMap;
 
     fn rec(id: u64, jd_lba: u64, jd_tags: &[u64], jc_lba: u64, jc_tag: u64) -> TxnRecord {
         TxnRecord {
@@ -582,9 +616,8 @@ mod tests {
     }
 
     fn image(pairs: &[(u64, u64)]) -> PersistedImage {
-        let map: BTreeMap<Lba, BlockTag> =
-            pairs.iter().map(|&(l, t)| (Lba(l), BlockTag(t))).collect();
-        PersistedImage::from_map(map)
+        let map: BlockMap = pairs.iter().map(|&(l, t)| (Lba(l), BlockTag(t))).collect();
+        PersistedImage::from(map)
     }
 
     #[test]
@@ -660,7 +693,7 @@ mod tests {
     }
 
     /// The index of `records` under `base`, from nothing.
-    fn index_of(records: &[TxnRecord], base: &BTreeMap<Lba, BlockTag>) -> ConsistencyIndex {
+    fn index_of(records: &[TxnRecord], base: &BlockMap) -> ConsistencyIndex {
         let mut index = ConsistencyIndex::new();
         index.advance(records, [], &[], base);
         index
@@ -671,13 +704,13 @@ mod tests {
     fn certifies(
         index: &ConsistencyIndex,
         records: &[TxnRecord],
-        base: &BTreeMap<Lba, BlockTag>,
-        overlay: &BTreeMap<Lba, BlockTag>,
+        base: &BlockMap,
+        overlay: &BlockMap,
     ) -> bool {
-        let floors = overlay.iter().map(|(&l, &t)| (l, t.min(base.tag(l))));
+        let floors = overlay.iter().map(|(l, t)| (l, t.min(base.tag(l))));
         let probe = index.probe(floors).expect("regular");
         let mut image = base.clone();
-        image.extend(overlay.iter().map(|(&l, &t)| (l, t)));
+        image.extend(overlay.iter());
         probe.certifies(records, &image)
     }
 
@@ -686,11 +719,12 @@ mod tests {
         let mut records = vec![rec(1, 100, &[10, 11], 102, 12), rec(2, 103, &[20], 104, 21)];
         records[1].ordered_data.push((Lba(500), BlockTag(19)));
         // Txn 1 folded, txn 2 in flight.
-        let base: BTreeMap<Lba, BlockTag> = [(100, 10), (101, 11), (102, 12)]
+        let base: BlockMap = [(100, 10), (101, 11), (102, 12)]
             .map(|(l, t)| (Lba(l), BlockTag(t)))
-            .into();
+            .into_iter()
+            .collect();
         let index = index_of(&records, &base);
-        let over = |pairs: &[(u64, u64)]| -> BTreeMap<Lba, BlockTag> {
+        let over = |pairs: &[(u64, u64)]| -> BlockMap {
             pairs.iter().map(|&(l, t)| (Lba(l), BlockTag(t))).collect()
         };
         let certified = |pairs| certifies(&index, &records, &base, &over(pairs));
@@ -709,7 +743,7 @@ mod tests {
     #[test]
     fn out_of_order_ids_are_never_certified() {
         let records = vec![rec(2, 100, &[10], 101, 11), rec(1, 102, &[20], 103, 21)];
-        let index = index_of(&records, &BTreeMap::new());
+        let index = index_of(&records, &BlockMap::new());
         assert!(index.probe([]).is_none());
     }
 
@@ -750,7 +784,7 @@ mod tests {
             // Take the records in steps; after each, fold a few writes in
             // any order, flip a durability flag, and hold the advanced
             // index to a rebuilt one.
-            let mut base = BTreeMap::new();
+            let mut base = BlockMap::new();
             let mut index = ConsistencyIndex::new();
             let mut upto = 0;
             while upto < records.len() {
@@ -771,7 +805,7 @@ mod tests {
                 assert_eq!(index, index_of(&records[..upto], &base));
                 // Any overlay: each block unwritten, or at any version ever
                 // written to it.
-                let overlay: BTreeMap<Lba, BlockTag> = (0..rng.below(5))
+                let overlay: BlockMap = (0..rng.below(5))
                     .map(|_| {
                         let lba = rng.choose(&writes).expect("non-empty").0;
                         let versions: Vec<BlockTag> = writes
@@ -784,7 +818,7 @@ mod tests {
                     })
                     .collect();
                 let mut image = base.clone();
-                image.extend(overlay.iter().map(|(&l, &t)| (l, t)));
+                image.extend(overlay.iter());
                 let full = ConsistencyCheck::new(&records[..upto]).violations(&image);
                 assert_eq!(
                     certifies(&index, &records[..upto], &base, &overlay),
@@ -802,6 +836,24 @@ mod tests {
             clean > 100 && dirty > 100,
             "{clean} clean, {dirty} violating"
         );
+    }
+
+    #[test]
+    fn last_writers_are_found_however_far_apart_journal_blocks_lie() {
+        // Txn 2 reuses txn 1's commit block, so txn 1 is not checkable.
+        // With txns 2 and 3 far out the table is hashed; next door, it is
+        // a slot per block of the span. The answer is the same.
+        for (far, dense) in [(1u64 << 40, false), (200, true)] {
+            let records = vec![
+                rec(1, 100, &[10], 101, 11),
+                rec(2, far, &[20], 101, 21),
+                rec(3, far + 1, &[30, 31], far + 3, 32),
+            ];
+            let table = LastWriters::over(&records);
+            assert_eq!(matches!(table, LastWriters::Dense { .. }), dense);
+            let check = ConsistencyCheck::new(&records);
+            assert_eq!(check.checkable, [false, true, true], "far {far}");
+        }
     }
 
     #[test]

@@ -202,16 +202,23 @@ fn fig08_commit_intervals_follow_their_labels() {
     ]);
 }
 
+/// KIOPS of a one-thread `write()` + `fdatasync()` loop on `dev` under
+/// EXT4 when every write is one transfer and one flush: the write's
+/// transfer on an idle link, the writer's wake-up, the flush of its one
+/// program, and the write and fdatasync calls. One block per write, so
+/// thousands of writes per second.
+fn xnf_kiops(dev: &DeviceProfile) -> f64 {
+    let fs = FsConfig::new(FsMode::Ext4);
+    let transfer = us(dev.cmd_overhead) + us(dev.dma_per_block);
+    let program = if dev.plp { 0.0 } else { us(dev.page_program) };
+    let flush = program + us(dev.flush_overhead);
+    let per_write = transfer + us(fs.ctx_switch) + flush + 2.0 * us(CPU_PER_OP);
+    1e3 / per_write
+}
+
 #[test]
 fn fig09_xnf_is_one_transfer_and_one_flush_per_write() {
-    let fs = FsConfig::new(FsMode::Ext4);
     let claim = |dev: &DeviceProfile, device, pinned: f64| {
-        // The write's transfer on an idle link, the writer's wake-up, the
-        // flush of its one program, and the write and fdatasync calls.
-        let transfer = us(dev.cmd_overhead) + us(dev.dma_per_block);
-        let program = if dev.plp { 0.0 } else { us(dev.page_program) };
-        let flush = program + us(dev.flush_overhead);
-        let per_write = transfer + us(fs.ctx_switch) + flush + 2.0 * us(CPU_PER_OP);
         Claim {
             claim: "an XnF write is one transfer and one flush",
             source: "paper Fig 9 (XnF: transfer-and-flush)",
@@ -220,8 +227,7 @@ fn fig09_xnf_is_one_transfer_and_one_flush_per_write() {
             over: None,
             column: "KIOPS",
             precision: 0.005,
-            // One block per write: thousands of writes per second.
-            expected: 1e3 / per_write,
+            expected: xnf_kiops(dev),
             // Every row misses by 2–3×: the writes land on blocks of the
             // 8,192-block region not allocated yet, so an fdatasync commits
             // the journal (about 1.2 commits and 6 blocks written per call)
@@ -311,5 +317,94 @@ fn the_abstracts_headline_claims() {
             43.0,
             23.10,
         ),
+    ]);
+}
+
+#[test]
+fn fig01_buffered_and_ordered_kiops_follow_the_link_and_xnf() {
+    use Verdict::{ExpectedMiss, Within};
+    let array = |channels, name: &str| {
+        let mut p = DeviceProfile::flash_array(channels);
+        p.name = name.into();
+        p
+    };
+    // fig01's rows: the device, and what each column reads.
+    let devices = [
+        (
+            "A:mobile/eMMC",
+            DeviceProfile::emmc(),
+            ExpectedMiss(5.00),
+            1.88,
+        ),
+        ("B:mobile/UFS", DeviceProfile::ufs(), Within, 3.41),
+        ("C:server/SATA", DeviceProfile::plain_ssd(), Within, 3.87),
+        ("D:server/NVMe", array(16, "NVMe"), Within, 3.87),
+        (
+            "E:SATA-supercap",
+            DeviceProfile::supercap_ssd(),
+            Within,
+            25.51,
+        ),
+        ("F:server/PCIe", array(24, "PCIe"), Within, 3.87),
+        (
+            "G:flash-array",
+            DeviceProfile::flash_array(32),
+            Within,
+            3.87,
+        ),
+        ("HDD", DeviceProfile::hdd(), ExpectedMiss(3.85), 0.20),
+    ];
+    let mut claims = Vec::new();
+    for (device, dev, buffered, ordered) in devices {
+        // A buffered writer is bound by the link: the page cache writes
+        // back in large merged requests, so a block costs its DMA alone.
+        claims.push(Claim {
+            claim: "buffered random writes run at the link's block rate",
+            source: "paper Fig 1 (buffered write())",
+            selector: "fig1",
+            key: vec![device],
+            over: None,
+            column: "buffered KIOPS",
+            precision: 0.005,
+            expected: 1e3 / us(dev.dma_per_block),
+            verdict: buffered,
+        });
+        // An ordered write is fig09's XnF: EXT4 write() + fdatasync().
+        // Every row misses as XnF does, for XnF's reason (see above).
+        claims.push(Claim {
+            claim: "an ordered write is one transfer and one flush",
+            source: "paper Fig 1 (ordered write(): write() + fdatasync())",
+            selector: "fig1",
+            key: vec![device],
+            over: None,
+            column: "ordered KIOPS",
+            precision: 0.005,
+            expected: xnf_kiops(&dev),
+            verdict: ExpectedMiss(ordered),
+        });
+    }
+    check(&claims);
+}
+
+#[test]
+fn table1_baseline_fsync_latency_is_the_papers() {
+    // `profile.rs` cites the paper's Table 1 for EXT4's full-flush mean
+    // fsync latency. Every device misses: plain-SSD by 6×. Item 1(4) of
+    // the ROADMAP is the calibration that would close them.
+    let claim = |device, paper_ms, pinned| Claim {
+        claim: "EXT4 (full flush) mean fsync latency, paper Table 1",
+        source: "crates/flash/src/profile.rs:12-14",
+        selector: "table1",
+        key: vec![device, "EXT4"],
+        over: None,
+        column: "mean",
+        precision: 0.005,
+        expected: paper_ms,
+        verdict: Verdict::ExpectedMiss(pinned),
+    };
+    check(&[
+        claim("UFS", 1.3, 0.91),
+        claim("plain-SSD", 6.0, 0.93),
+        claim("supercap-SSD", 0.15, 0.10),
     ]);
 }
