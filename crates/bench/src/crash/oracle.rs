@@ -14,8 +14,8 @@
 
 use std::sync::Arc;
 
-use barrier_io::{FsViolation, StackConfig, Topology};
-use bio_flash::{BlockMap, BlockTag, EpochViolation, ImageView, PersistedImage, TransferRec};
+use barrier_io::{FsViolation, StackConfig, StripedImage, Topology};
+use bio_flash::{BlockTag, EpochViolation, ImageView, TransferRec};
 use bio_workloads::SyncMode;
 
 use super::capture::{drive, CaptureMode, CrashPoint, DeviceState, PointImage};
@@ -157,17 +157,15 @@ impl ImageCase<'_> {
         self.views[device].on(&self.devices[device])
     }
 
-    /// [`ImageCase::image`] as a standalone map, sharing nothing with the
-    /// point. A trace's volume is small, so every global address lies
-    /// below [`bio_flash::Lba::LIMIT`].
-    pub fn materialized(&self) -> PersistedImage {
-        let mut map = BlockMap::new();
-        for (di, (v, d)) in self.views.iter().zip(self.devices).enumerate() {
-            for (lba, tag) in v.materialize(d).iter() {
-                map.insert(self.topology.global(di, lba), tag);
-            }
-        }
-        PersistedImage::from(map)
+    /// [`ImageCase::image`] built from standalone maps, one per device,
+    /// sharing nothing with the point and read the way
+    /// [`IoStack::crash`](barrier_io::IoStack::crash) reads its images.
+    pub fn materialized(&self) -> StripedImage {
+        let images = self.views.iter().zip(self.devices);
+        StripedImage::new(
+            self.topology,
+            images.map(|(v, d)| v.materialize(d)).collect(),
+        )
     }
 }
 

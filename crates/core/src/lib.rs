@@ -74,7 +74,8 @@ pub use config::{StackConfig, SyncDiscipline};
 pub use metrics::{Metrics, OpMetrics, OpReport, RunReport};
 pub use ops::{FileRef, FnWorkload, Op, OpKind, ScriptWorkload, Workload};
 pub use stack::{
-    CrashReport, IoStack, StackCaptureDelta, StackReport, CONGESTION_LIMIT, CPU_PER_OP,
+    CrashReport, IoStack, StackCaptureDelta, StackReport, StripedImage, CONGESTION_LIMIT,
+    CPU_PER_OP,
 };
 
 // Re-export the vocabulary types callers need alongside the stack.

@@ -56,17 +56,18 @@ impl Metrics {
     }
 
     /// The metrics of `kind`, made on first use.
-    fn entry(&mut self, kind: OpKind) -> Option<&mut OpMetrics> {
-        let slot = self.ops.get_mut(kind as usize)?;
-        Some(slot.get_or_insert_with(OpMetrics::default))
+    // `ops` has a slot per `OpKind::ALL` entry, and a kind's discriminant
+    // is its position there (`every_kind_has_its_own_slot_in_report_order`).
+    #[allow(clippy::indexing_slicing, reason = "a slot per OpKind")]
+    fn entry(&mut self, kind: OpKind) -> &mut OpMetrics {
+        self.ops[kind as usize].get_or_insert_with(OpMetrics::default)
     }
 
     /// Records a completed operation.
     pub fn record_op(&mut self, kind: OpKind, latency: SimDuration) {
-        if let Some(m) = self.entry(kind) {
-            m.count += 1;
-            m.latency.record(latency);
-        }
+        let m = self.entry(kind);
+        m.count += 1;
+        m.latency.record(latency);
         if kind == OpKind::TxnMark {
             self.txns += 1;
         }
@@ -74,9 +75,7 @@ impl Metrics {
 
     /// Attributes one context switch to an in-flight operation.
     pub fn record_ctx_switch(&mut self, kind: OpKind) {
-        if let Some(m) = self.entry(kind) {
-            m.ctx_switches += 1;
-        }
+        self.entry(kind).ctx_switches += 1;
     }
 
     /// Counts a completion that referenced an unknown thread id — the
@@ -86,9 +85,11 @@ impl Metrics {
         self.dropped_wakeups += 1;
     }
 
-    /// Metrics for one kind (zeros if never seen).
+    /// Metrics for one kind (`None` if never seen).
+    // The slot per kind of `entry`.
+    #[allow(clippy::indexing_slicing, reason = "a slot per OpKind")]
     pub fn op(&self, kind: OpKind) -> Option<&OpMetrics> {
-        self.ops.get(kind as usize)?.as_ref()
+        self.ops[kind as usize].as_ref()
     }
 
     /// Merged latency distribution across all four sync kinds

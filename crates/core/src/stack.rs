@@ -113,14 +113,22 @@ pub struct StackCaptureDelta {
 /// through [`Topology::locate`] from its device's image (the identity on
 /// one device). Nothing is remapped or copied, and an address no device
 /// holds reads as never written.
-struct StripedImage<'a> {
+pub struct StripedImage {
     topology: Topology,
-    images: &'a [PersistedImage],
+    images: Vec<PersistedImage>,
 }
 
-impl ImageView for StripedImage<'_> {
+impl StripedImage {
+    /// The volume `topology` stripes over `images`, one per device in
+    /// device order, each at the device's own addresses.
+    pub fn new(topology: Topology, images: Vec<PersistedImage>) -> StripedImage {
+        StripedImage { topology, images }
+    }
+}
+
+impl ImageView for StripedImage {
     fn tag(&self, lba: Lba) -> BlockTag {
-        let (device, local) = match self.images {
+        let (device, local) = match self.images.as_slice() {
             [_] => (0, lba),
             _ => self.topology.locate(lba),
         };
@@ -636,20 +644,19 @@ impl IoStack {
     /// image and history.
     pub fn crash(&self) -> CrashReport {
         let devices = self.block.devices();
-        let images: Vec<PersistedImage> = devices.iter().map(Device::crash_image).collect();
-        let volume = StripedImage {
-            topology: self.cfg.topology,
-            images: &images,
-        };
+        let volume = StripedImage::new(
+            self.cfg.topology,
+            devices.iter().map(Device::crash_image).collect(),
+        );
         let fs_violations = ConsistencyCheck::new(self.fs.records()).violations(&volume);
         let mut epoch_violations = Vec::new();
-        for (d, image) in devices.iter().zip(&images) {
+        for (d, image) in devices.iter().zip(&volume.images) {
             if let Some(h) = d.history() {
                 epoch_violations.extend(EpochAudit::new(h).violations(image));
             }
         }
         CrashReport {
-            images,
+            images: volume.images,
             fs_violations,
             epoch_violations,
         }

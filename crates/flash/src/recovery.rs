@@ -8,7 +8,7 @@
 //! crash image is a replay of the records that survive under the device's
 //! barrier-enforcement mode.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 
 use bio_sim::{IntMap, PagedMap, SeqTable};
@@ -264,17 +264,6 @@ pub struct PersistedImage {
 }
 
 impl PersistedImage {
-    /// Creates an image from raw contents (a test constructor).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an address is not below [`Lba::LIMIT`].
-    pub fn from_map(map: BTreeMap<Lba, BlockTag>) -> PersistedImage {
-        PersistedImage {
-            map: map.into_iter().collect(),
-        }
-    }
-
     /// Content at `lba`, [`BlockTag::UNWRITTEN`] if the block never
     /// persisted.
     #[inline]
@@ -343,7 +332,7 @@ impl ImageView for BlockMap {
 /// A hand-made block map read as an image (what this module's tests build
 /// bases from).
 #[cfg(test)]
-impl ImageView for BTreeMap<Lba, BlockTag> {
+impl ImageView for std::collections::BTreeMap<Lba, BlockTag> {
     fn tag(&self, lba: Lba) -> BlockTag {
         self.get(&lba).copied().unwrap_or(BlockTag::UNWRITTEN)
     }
@@ -796,6 +785,8 @@ pub fn audit_epoch_order(history: &[TransferRec], image: &PersistedImage) -> Vec
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     fn rec(seq: u64, lba: u64, tag: u64, epoch: u64) -> TransferRec {
@@ -805,6 +796,12 @@ mod tests {
             tag: BlockTag(tag),
             epoch,
         }
+    }
+
+    /// An image holding `(lba, tag)` pairs.
+    fn image(pairs: &[(u64, u64)]) -> PersistedImage {
+        let map: BlockMap = pairs.iter().map(|&(l, t)| (Lba(l), BlockTag(t))).collect();
+        PersistedImage::from(map)
     }
 
     #[test]
@@ -903,8 +900,7 @@ mod tests {
     fn audit_passes_on_prefix_image() {
         let history = vec![rec(1, 10, 100, 0), rec(2, 11, 101, 0), rec(3, 12, 102, 1)];
         // Epoch 0 fully persisted, epoch 1 lost: fine.
-        let img =
-            PersistedImage::from_map([(Lba(10), BlockTag(100)), (Lba(11), BlockTag(101))].into());
+        let img = image(&[(10, 100), (11, 101)]);
         assert!(audit_epoch_order(&history, &img).is_empty());
         // Nothing persisted: fine.
         assert!(audit_epoch_order(&history, &PersistedImage::default()).is_empty());
@@ -914,7 +910,7 @@ mod tests {
     fn audit_detects_lost_earlier_epoch() {
         let history = vec![rec(1, 10, 100, 0), rec(2, 12, 102, 1)];
         // Epoch 1 visible but epoch 0's block missing: violation.
-        let img = PersistedImage::from_map([(Lba(12), BlockTag(102))].into());
+        let img = image(&[(12, 102)]);
         let v = audit_epoch_order(&history, &img);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].lost.lba, Lba(10));
@@ -927,8 +923,7 @@ mod tests {
         // and also writes lba 11. Image holds the *newer* version of 10 and
         // the epoch-1 block: no violation (the old version is superseded).
         let history = vec![rec(1, 10, 100, 0), rec(2, 10, 200, 1), rec(3, 11, 201, 1)];
-        let img =
-            PersistedImage::from_map([(Lba(10), BlockTag(200)), (Lba(11), BlockTag(201))].into());
+        let img = image(&[(10, 200), (11, 201)]);
         assert!(audit_epoch_order(&history, &img).is_empty());
     }
 
@@ -939,8 +934,7 @@ mod tests {
         // allowed only for the newest visible epoch. Here epoch 2 is also
         // visible, so the epoch-1 overwrite must have persisted.
         let history = vec![rec(1, 10, 100, 0), rec(2, 10, 200, 1), rec(3, 11, 300, 2)];
-        let img =
-            PersistedImage::from_map([(Lba(10), BlockTag(100)), (Lba(11), BlockTag(300))].into());
+        let img = image(&[(10, 100), (11, 300)]);
         let v = audit_epoch_order(&history, &img);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].lost.tag, BlockTag(200));
@@ -1227,8 +1221,7 @@ mod tests {
         let history = vec![rec(1, 10, 100, 0), rec(2, 11, 101, 1), rec(3, 12, 102, 1)];
         // Epoch 1 partially persisted (one of two blocks): allowed, because
         // nothing *newer* than epoch 1 is visible.
-        let img =
-            PersistedImage::from_map([(Lba(10), BlockTag(100)), (Lba(12), BlockTag(102))].into());
+        let img = image(&[(10, 100), (12, 102)]);
         assert!(audit_epoch_order(&history, &img).is_empty());
     }
 }

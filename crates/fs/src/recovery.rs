@@ -3,8 +3,8 @@
 //!
 //! The filesystem records every committed transaction as a [`TxnRecord`]
 //! (ground truth). Given a crash image ([`ImageView`]: a device's
-//! [`PersistedImage`], or several read through the stripe), the
-//! checker verifies:
+//! [`PersistedImage`](bio_flash::PersistedImage), or several read through
+//! the stripe), the checker verifies:
 //!
 //! 1. **Commit order** — transactions become durable in commit order: a
 //!    later transaction must never survive a crash that destroyed an
@@ -27,7 +27,7 @@
 // event reaches it.
 #![allow(clippy::indexing_slicing, reason = "checker's own stored positions")]
 
-use bio_flash::{BlockTag, ImageView, Lba, PersistedImage};
+use bio_flash::{BlockTag, ImageView, Lba};
 use bio_sim::IntMap;
 
 /// Ground truth of one committed journal transaction.
@@ -129,12 +129,12 @@ impl<'a> ConsistencyCheck<'a> {
     /// and a record is checkable when it is the last writer of all of its
     /// journal blocks.
     pub fn new(records: &'a [TxnRecord]) -> ConsistencyCheck<'a> {
-        let mut last_writer = LastWriters::over(records);
+        let mut last_writer: IntMap<Lba, u64> = IntMap::default();
         let mut checkable = vec![false; records.len()];
         for (r, c) in records.iter().zip(&mut checkable).rev() {
             let mut own = true;
             for lba in journal_lbas(r) {
-                own &= last_writer.claim(lba, r.id) == r.id;
+                own &= *last_writer.entry(lba).or_insert(r.id) == r.id;
             }
             *c = own;
         }
@@ -205,46 +205,6 @@ impl<'a> ConsistencyCheck<'a> {
         }
 
         violations
-    }
-}
-
-/// Journal block → the id of the newest record naming it, for
-/// [`ConsistencyCheck::new`]'s newest-to-oldest scan.
-enum LastWriters {
-    /// A slot per block of the records' journal span, from `lo`: the
-    /// journal is one dense circular region, so a block is one index.
-    Dense { lo: u64, ids: Vec<Option<u64>> },
-    /// Hashed, for records whose blocks are too scattered for a table over
-    /// their span to pay (records made by hand).
-    Sparse(IntMap<Lba, u64>),
-}
-
-impl LastWriters {
-    /// An empty table for the journal blocks `records` name.
-    fn over(records: &[TxnRecord]) -> LastWriters {
-        let (mut lo, mut hi, mut named) = (u64::MAX, 0, 0);
-        for r in records {
-            let jd_end = r.jd_lba.0.saturating_add(r.jd_tags.len() as u64);
-            lo = lo.min(r.jd_lba.0).min(r.jc_lba.0);
-            hi = hi.max(jd_end).max(r.jc_lba.0.saturating_add(1));
-            named += r.jd_tags.len() + 1;
-        }
-        match usize::try_from(hi.saturating_sub(lo)) {
-            Ok(span) if span <= 2 * named + 4096 => LastWriters::Dense {
-                lo,
-                ids: vec![None; span],
-            },
-            _ => LastWriters::Sparse(IntMap::default()),
-        }
-    }
-
-    /// The newest record naming `lba`: `id` if no newer one did.
-    fn claim(&mut self, lba: Lba, id: u64) -> u64 {
-        match self {
-            // `over` spanned every block a record names.
-            LastWriters::Dense { lo, ids } => *ids[(lba.0 - *lo) as usize].get_or_insert(id),
-            LastWriters::Sparse(map) => *map.entry(lba).or_insert(id),
-        }
     }
 }
 
@@ -592,14 +552,14 @@ impl ConsistencyProbe {
 /// One-shot form of [`ConsistencyCheck`]: builds the checker and replays a
 /// single image (the original API; callers with many images per record set
 /// should hold a checker instead).
-pub fn check_crash_consistency(records: &[TxnRecord], image: &PersistedImage) -> Vec<FsViolation> {
+pub fn check_crash_consistency<V: ImageView>(records: &[TxnRecord], image: &V) -> Vec<FsViolation> {
     ConsistencyCheck::new(records).violations(image)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bio_flash::BlockMap;
+    use bio_flash::{BlockMap, PersistedImage};
 
     fn rec(id: u64, jd_lba: u64, jd_tags: &[u64], jc_lba: u64, jc_tag: u64) -> TxnRecord {
         TxnRecord {
@@ -836,24 +796,6 @@ mod tests {
             clean > 100 && dirty > 100,
             "{clean} clean, {dirty} violating"
         );
-    }
-
-    #[test]
-    fn last_writers_are_found_however_far_apart_journal_blocks_lie() {
-        // Txn 2 reuses txn 1's commit block, so txn 1 is not checkable.
-        // With txns 2 and 3 far out the table is hashed; next door, it is
-        // a slot per block of the span. The answer is the same.
-        for (far, dense) in [(1u64 << 40, false), (200, true)] {
-            let records = vec![
-                rec(1, 100, &[10], 101, 11),
-                rec(2, far, &[20], 101, 21),
-                rec(3, far + 1, &[30, 31], far + 3, 32),
-            ];
-            let table = LastWriters::over(&records);
-            assert_eq!(matches!(table, LastWriters::Dense { .. }), dense);
-            let check = ConsistencyCheck::new(&records);
-            assert_eq!(check.checkable, [false, true, true], "far {far}");
-        }
     }
 
     #[test]
