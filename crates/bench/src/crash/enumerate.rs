@@ -439,7 +439,7 @@ mod tests {
     use super::*;
     use crate::crash::capture::DeviceState;
     use crate::crash::{differential_cells, DiffCell};
-    use barrier_io::TxnRecord;
+    use barrier_io::{TagRun, TxnRecord};
     use bio_flash::{AppendLog, BarrierMode, BlockTag, Lba};
 
     #[test]
@@ -472,17 +472,12 @@ mod tests {
         log.mark_done(a);
         log.begin(Lba(101), BlockTag(2), None); // jc in flight
         log.begin(Lba(50), BlockTag(3), None); // unrelated data in flight
-        let rec = TxnRecord {
-            id: 1,
-            jd_lba: Lba(100),
-            jd_tags: vec![BlockTag(1)],
-            jc_lba: Lba(101),
-            jc_tag: BlockTag(2),
-            meta_home: Vec::new(),
-            data_home: Vec::new(),
-            ordered_data: Vec::new(),
-            durability_claimed: true,
+        let jd_tags = TagRun {
+            first: BlockTag(1),
+            len: 1,
         };
+        let mut rec = TxnRecord::new(1, Lba(100), jd_tags, Lba(101), BlockTag(2));
+        rec.durability_claimed = true;
         let p = CrashPoint::of_device(
             1,
             vec![rec],

@@ -125,7 +125,7 @@ pub fn figure_window(scale: u64) -> SimDuration {
 const DONE_CAP: SimDuration = SimDuration::from_secs(3600);
 
 /// Runs one cell: `stack`, its files and threads in place, measured over
-/// `span`. Hands the stack back (queue-depth series, filesystem counters)
+/// `span`. Hands the stack back (its filesystem and devices)
 /// with its report, whose drop counters go to [`crate::note_drops`].
 ///
 /// # Panics
@@ -152,6 +152,27 @@ pub fn run_cell(mut stack: IoStack, span: Span) -> (IoStack, StackReport) {
     let report = stack.report();
     crate::note_drops(&stack.config().label(), &report);
     (stack, report)
+}
+
+/// Runs a windowed cell as `slices` equal slices of `window` after the
+/// [`WARMUP`], each measured on its own: the slices' reports in time
+/// order, a down-sampled trace of the window (Fig 10's queue depth). The
+/// last report's drop counters, which count the whole run, go to
+/// [`crate::note_drops`].
+pub fn run_sliced(mut stack: IoStack, window: SimDuration, slices: u64) -> Vec<StackReport> {
+    stack.run_for(WARMUP);
+    let slice = SimDuration::from_nanos((window.as_nanos() / slices).max(1));
+    let reports: Vec<StackReport> = (0..slices)
+        .map(|_| {
+            stack.start_measuring();
+            stack.run_for(slice);
+            stack.report()
+        })
+        .collect();
+    if let Some(last) = reports.last() {
+        crate::note_drops(&stack.config().label(), last);
+    }
+    reports
 }
 
 #[cfg(test)]

@@ -99,13 +99,11 @@ pub fn fig10(scale: u64) -> Figure {
         for (label, preset, sync) in scenarios {
             let cfg = preset(dev.clone());
             fig.row(&[&dev.name, label], move || {
-                let window = figure_window(scale);
                 let writer = randwrite(cfg, 1, REGION, SyncEach(sync), ENDLESS);
-                let (stack, _) = run_cell(writer, Span::Window(window));
-                let now = stack.now();
-                let series = stack.device_at(0).qd_series();
-                let points = series.resample(now - window, now, 24);
-                points.into_iter().map(|(_, qd)| qd).collect()
+                run_sliced(writer, figure_window(scale), 24)
+                    .iter()
+                    .map(|slice| slice.mean_qd)
+                    .collect()
             });
         }
     }
@@ -153,11 +151,8 @@ pub fn fig12(scale: u64) -> Figure {
             } else {
                 randwrite(cfg, 1, 64, SyncEach(sync), ENDLESS)
             };
-            let (stack, _) = run_cell(stack, Span::Window(window));
-            let now = stack.now();
-            let from = now - window;
-            let qd = stack.device_at(0).qd_series();
-            vec![qd.weighted_mean(from, now), qd.max_in(from, now)]
+            let report = run_cell(stack, Span::Window(window)).1;
+            vec![report.mean_qd, report.peak_qd]
         });
     }
     fig

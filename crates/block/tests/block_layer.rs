@@ -202,11 +202,7 @@ fn non_blocking_barrier_dispatch_fills_the_queue() {
     for i in 0..16u64 {
         h.submit(w(i, i * 5, ReqFlags::BARRIER));
     }
-    let peak = h
-        .layer
-        .device_at(0)
-        .qd_series()
-        .max_in(SimTime::ZERO, SimTime::from_secs(1));
+    let peak = h.layer.device_at(0).qd_window().peak(SimTime::from_secs(1));
     assert!(peak >= 8.0, "barrier writes queued without waiting: {peak}");
     h.run();
     assert_eq!(h.done.len(), 16);

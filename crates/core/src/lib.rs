@@ -83,6 +83,6 @@ pub use bio_block::{BlockConfig, DispatchMode, LaneStats, Topology};
 pub use bio_flash::{BarrierMode, DeviceCaptureDelta, DeviceProfile};
 pub use bio_fs::{
     check_crash_consistency, ConsistencyCheck, ConsistencyIndex, ConsistencyProbe, FsConfig,
-    FsMode, FsViolation, ThreadId, TxnRecord,
+    FsMode, FsViolation, TagRun, ThreadId, TxnRecord,
 };
 pub use bio_sim::{SimDuration, SimTime};

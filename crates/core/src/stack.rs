@@ -402,10 +402,12 @@ impl IoStack {
             return;
         }
         // Congestion control (the kernel's nr_requests): stall issuing
-        // while the block layer is backed up.
+        // while the block layer is backed up. A thread is listed exactly
+        // while it is `Congested`, so a re-stall (a duplicated
+        // `ThreadNext`) does not list it twice.
         if self.block.queued() >= CONGESTION_LIMIT {
-            th.state = ThreadState::Congested;
-            if !self.congested.contains(&tid) {
+            if th.state != ThreadState::Congested {
+                th.state = ThreadState::Congested;
                 self.congested.push(tid);
             }
             return;
@@ -582,8 +584,12 @@ impl IoStack {
 
     /// Discards warm-up measurements and starts the measured window now.
     pub fn start_measuring(&mut self) {
-        self.measure_start = self.q.now();
-        self.metrics.reset(self.q.now());
+        let now = self.q.now();
+        self.measure_start = now;
+        self.metrics.reset(now);
+        for d in self.block.devices_mut() {
+            d.restart_qd_window(now);
+        }
         self.dev_blocks_at_start = self
             .block
             .devices()
@@ -612,9 +618,9 @@ impl IoStack {
         let mut mean_qd = 0.0;
         let mut peak_qd = 0.0f64;
         for d in self.block.devices() {
-            let qd = d.qd_series();
-            mean_qd += qd.weighted_mean(self.measure_start, now);
-            peak_qd = peak_qd.max(qd.max_in(self.measure_start, now));
+            let qd = d.qd_window();
+            mean_qd += qd.mean(now);
+            peak_qd = peak_qd.max(qd.peak(now));
         }
         mean_qd /= self.block.devices().len() as f64;
         StackReport {
@@ -696,6 +702,31 @@ mod tests {
         assert!(stack.run_until_done(SimDuration::from_secs(60)));
         assert_eq!(stack.metrics.dropped_wakeups, 3);
         assert_eq!(stack.report().run.txns, 10, "the run continues");
+    }
+
+    #[test]
+    fn a_duplicated_thread_next_leaves_a_congested_thread_listed_once() {
+        let mut stack = IoStack::new(StackConfig::bfs(DeviceProfile::ufs()).ordering_only());
+        for _ in 0..256 {
+            let file = FileRef::Global(stack.create_global_file());
+            let write = Op::Write {
+                file,
+                offset: 0,
+                blocks: 1,
+            };
+            let script = vec![write, Op::Fdatabarrier { file }];
+            stack.add_thread(Box::new(ScriptWorkload::forever(script)));
+        }
+        while stack.congested.is_empty() {
+            assert!(stack.step(), "256 barrier writers back the block layer up");
+        }
+        let tid = stack.congested[0];
+        let now = stack.now();
+        stack.thread_issue(tid, now);
+        stack.thread_issue(tid, now);
+        let listed = stack.congested.iter().filter(|&&t| t == tid).count();
+        assert_eq!(listed, 1);
+        assert!(stack.threads[tid.0 as usize].state == ThreadState::Congested);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! A counting global allocator for the allocation censuses: it forwards
 //! every call to `System` and, on the calling thread and only while armed,
 //! counts fresh blocks (`alloc`, `alloc_zeroed`) and regrown ones
-//! (`realloc`). Frees are not counted.
+//! (`realloc`), and nets the bytes requested against the bytes freed
+//! (a `realloc` counts its change in size). Frees are not counted as
+//! calls.
 //!
 //! It lives in a test crate because the library crates
 //! `#![forbid(unsafe_code)]`. `alloc_census.rs` declares it as a module;
@@ -18,13 +20,20 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     /// Existing blocks regrown while armed.
     static REALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed while armed.
+    static NET_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
-fn count(counter: &'static std::thread::LocalKey<Cell<u64>>) {
+/// Books one call on `calls` (a free books none) and `bytes` of net
+/// growth, when armed.
+fn book(calls: Option<&'static std::thread::LocalKey<Cell<u64>>>, bytes: i64) {
     if ARMED.with(Cell::get) {
-        counter.with(|c| c.set(c.get() + 1));
+        if let Some(calls) = calls {
+            calls.with(|c| c.set(c.get() + 1));
+        }
+        NET_BYTES.with(|c| c.set(c.get() + bytes));
     }
 }
 
@@ -33,24 +42,25 @@ fn count(counter: &'static std::thread::LocalKey<Cell<u64>>) {
 // without destructors, so touching them never allocates or re-enters.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(&ALLOCS);
+        book(Some(&ALLOCS), layout.size() as i64);
         // SAFETY: the caller's obligations are passed straight through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        book(None, -(layout.size() as i64));
         // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(&ALLOCS);
+        book(Some(&ALLOCS), layout.size() as i64);
         // SAFETY: as above.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(&REALLOCS);
+        book(Some(&REALLOCS), new_size as i64 - layout.size() as i64);
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -59,13 +69,30 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// What [`counted`] saw on its thread.
+#[derive(Debug, Clone, Copy)]
+pub struct Counts {
+    /// Fresh blocks allocated.
+    pub allocs: u64,
+    /// Existing blocks regrown.
+    pub reallocs: u64,
+    /// Bytes allocated minus bytes freed: what the run left live.
+    pub net_bytes: i64,
+}
+
 /// Runs `f` with the counters armed on this thread and returns its result
-/// with `(allocations, reallocations)` made inside it.
-pub fn counted<R>(f: impl FnOnce() -> R) -> (R, (u64, u64)) {
+/// with what was allocated inside it.
+pub fn counted<R>(f: impl FnOnce() -> R) -> (R, Counts) {
     ALLOCS.with(|c| c.set(0));
     REALLOCS.with(|c| c.set(0));
+    NET_BYTES.with(|c| c.set(0));
     ARMED.with(|a| a.set(true));
     let r = f();
     ARMED.with(|a| a.set(false));
-    (r, (ALLOCS.with(Cell::take), REALLOCS.with(Cell::take)))
+    let counts = Counts {
+        allocs: ALLOCS.with(Cell::take),
+        reallocs: REALLOCS.with(Cell::take),
+        net_bytes: NET_BYTES.with(Cell::take),
+    };
+    (r, counts)
 }

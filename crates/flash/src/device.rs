@@ -31,7 +31,7 @@
 
 use std::collections::VecDeque;
 
-use bio_sim::{SeqTable, SimDuration, SimRng, SimTime, TimeSeries};
+use bio_sim::{SeqTable, SimDuration, SimRng, SimTime, StepWindow};
 
 use crate::cache::WritebackCache;
 use crate::chip::ChipArray;
@@ -259,7 +259,8 @@ pub struct Device {
     trans: TransState,
 
     history: Option<Vec<TransferRec>>,
-    qd_series: TimeSeries,
+    /// Queue occupancy over the measured window.
+    qd: StepWindow,
     stats: DeviceStats,
     next_pump_at: Option<SimTime>,
     /// Scratch for one destage pump's candidates (always left empty).
@@ -302,7 +303,7 @@ impl Device {
             in_flight_programs: 0,
             trans: TransState::default(),
             history: None,
-            qd_series: TimeSeries::new(),
+            qd: StepWindow::new(),
             stats: DeviceStats::default(),
             next_pump_at: None,
             candidates: Vec::new(),
@@ -335,9 +336,16 @@ impl Device {
         self.queue.has_room()
     }
 
-    /// Queue-depth time series (Fig 10 / Fig 12 instrumentation).
-    pub fn qd_series(&self) -> &TimeSeries {
-        &self.qd_series
+    /// Queue occupancy's time-weighted mean and peak since the last
+    /// [`Device::restart_qd_window`] (Fig 10 / Fig 12 instrumentation).
+    pub fn qd_window(&self) -> &StepWindow {
+        &self.qd
+    }
+
+    /// Starts a new queue-depth window at `now`, the instant of the
+    /// newest event.
+    pub fn restart_qd_window(&mut self, now: SimTime) {
+        self.qd.reset(now);
     }
 
     /// Aggregate statistics.
@@ -903,7 +911,7 @@ impl Device {
     }
 
     fn sample_qd(&mut self, now: SimTime) {
-        self.qd_series.record(now, self.queue.occupancy() as f64);
+        self.qd.record(now, self.queue.occupancy() as f64);
     }
 
     // ------------------------------------------------------------------

@@ -46,6 +46,28 @@ pub struct PhysLoc {
     pub slot: usize,
 }
 
+/// One page's reverse mapping: the block it holds and its content tag, or
+/// [`Slot::VACANT`]. 16 bytes; an `Option` of the pair would be 24.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    lba: Lba,
+    tag: BlockTag,
+}
+
+impl Slot {
+    /// An unused or invalidated page. Its address lies past
+    /// [`Lba::LIMIT`], which no device write reaches.
+    const VACANT: Slot = Slot {
+        lba: Lba(u64::MAX),
+        tag: BlockTag::UNWRITTEN,
+    };
+
+    /// The page's `(block, tag)`, unless it is vacant.
+    fn live(self) -> Option<(Lba, BlockTag)> {
+        (self.lba != Slot::VACANT.lba).then_some((self.lba, self.tag))
+    }
+}
+
 /// Lifecycle state of a segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SegState {
@@ -57,11 +79,11 @@ enum SegState {
 #[derive(Debug, Clone)]
 struct Segment {
     state: SegState,
-    /// Per-slot reverse mapping; `None` = slot unused. Empty until the
-    /// segment is first opened: a stack pays for the segments it writes,
-    /// not for the device's capacity (16,384 segments × 512 slots × 24 B is
-    /// 201 MB on the 32 GiB profile, of which a run programs under 2 %).
-    slots: Vec<Option<(Lba, BlockTag)>>,
+    /// Per-page reverse mapping. Empty until the segment is first
+    /// opened: a stack pays for the segments it writes, not for the
+    /// device's capacity (16,384 segments × 512 slots × 16 B is 134 MB on
+    /// the 32 GiB profile, of which a run programs under 2 %).
+    slots: Vec<Slot>,
     /// Slots still referenced by the forward mapping.
     valid: usize,
     /// Next free slot in the active segment.
@@ -81,7 +103,7 @@ impl Segment {
     /// Makes the segment the active one, with `pages` unused slots. An
     /// erased segment kept its storage, so reopening allocates nothing.
     fn open(&mut self, pages: usize) {
-        self.slots.resize(pages, None);
+        self.slots.resize(pages, Slot::VACANT);
         self.fill = 0;
         self.state = SegState::Active;
     }
@@ -249,14 +271,14 @@ impl Ftl {
         }
         if let Some(old) = self.mapping.get(lba.0) {
             let seg = &mut self.segments[old.segment];
-            if seg.slots[old.slot].map(|(l, _)| l) == Some(lba) {
-                seg.slots[old.slot] = None;
+            if seg.slots[old.slot].lba == lba {
+                seg.slots[old.slot] = Slot::VACANT;
                 seg.valid -= 1;
             }
         }
         let seg = &mut self.segments[self.active];
         let slot = seg.fill;
-        seg.slots[slot] = Some((lba, tag));
+        seg.slots[slot] = Slot { lba, tag };
         seg.valid += 1;
         seg.fill += 1;
         let segment = self.active;
@@ -282,7 +304,7 @@ impl Ftl {
             return None;
         }
         for slot in 0..self.segments[victim].slots.len() {
-            if let Some((lba, tag)) = self.segments[victim].slots[slot] {
+            if let Some((lba, tag)) = self.segments[victim].slots[slot].live() {
                 self.place(lba, tag);
             }
         }
@@ -306,13 +328,16 @@ impl Ftl {
     /// The content tag currently mapped at `lba`, if any.
     pub fn tag_at(&self, lba: Lba) -> Option<BlockTag> {
         let loc = self.lookup(lba)?;
-        self.segments[loc.segment].slots[loc.slot].map(|(_, t)| t)
+        self.segments[loc.segment].slots[loc.slot]
+            .live()
+            .map(|(_, t)| t)
     }
 
     /// Iterates over all mapped `(lba, tag)` pairs (the durable state).
     pub fn mapped(&self) -> impl Iterator<Item = (Lba, BlockTag)> + '_ {
         self.mapping.iter().filter_map(move |(lba, loc)| {
-            self.segments[loc.segment].slots[loc.slot].map(|(_, t)| (Lba(lba), t))
+            let (_, t) = self.segments[loc.segment].slots[loc.slot].live()?;
+            Some((Lba(lba), t))
         })
     }
 
@@ -337,6 +362,12 @@ mod tests {
 
     fn put(f: &mut Ftl, lba: u64, tag: u64) -> Option<GcRun> {
         f.append(Lba(lba), BlockTag(tag))
+    }
+
+    #[test]
+    fn a_reverse_map_slot_is_an_lba_and_a_tag() {
+        assert_eq!(std::mem::size_of::<Slot>(), 16);
+        assert!(Slot::VACANT.lba >= Lba::LIMIT);
     }
 
     #[test]

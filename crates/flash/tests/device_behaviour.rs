@@ -492,15 +492,12 @@ fn waiting_commands_keep_their_admit_time_across_a_fence() {
 }
 
 #[test]
-fn qd_series_tracks_occupancy() {
+fn qd_window_tracks_occupancy() {
     let mut h = Harness::new(DeviceProfile::plain_ssd(), 12);
     for i in 0..4u64 {
         h.submit(wcmd(i + 1, i, i + 1, WriteFlags::NONE));
     }
-    let peak = h
-        .dev
-        .qd_series()
-        .max_in(SimTime::ZERO, SimTime::from_secs(1));
+    let peak = h.dev.qd_window().peak(SimTime::from_secs(1));
     assert!(peak >= 4.0, "peak {peak}");
     h.run();
     assert_eq!(h.dev.queue_depth(), 0);

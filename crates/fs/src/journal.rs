@@ -218,14 +218,12 @@ impl Filesystem {
         };
         let jd_blocks = 1 + n_logs + data_journal;
         let lba = self.layout.alloc_journal(jd_blocks + 1); // + commit block
-        let tags = self.layout.next_tags(jd_blocks as usize);
+        let run = self.layout.next_tags(jd_blocks as usize);
+        let tags = run.iter().collect();
         let jc_lba = bio_flash::Lba(lba.0 + jd_blocks);
         if let Some(t) = self.txns.get_mut(txn.0) {
             t.jd_lba = Some(lba);
-            // Copy into the recycled transaction's tag buffer: `tags`
-            // itself is moved into the request payload below.
-            t.jd_tags.clear();
-            t.jd_tags.extend_from_slice(&tags);
+            t.jd_tags = run;
             t.jc_lba = Some(jc_lba);
         }
         let rid = self.alloc_req(Purpose::Jd(txn));
@@ -293,17 +291,13 @@ impl Filesystem {
         // Ascending-id order is what lets `mark_durable` binary-search
         // this ever-growing history.
         debug_assert!(self.records.last().is_none_or(|r| r.id < txn.0));
-        self.records.push(TxnRecord {
-            id: txn.0,
-            jd_lba,
-            jd_tags: t.jd_tags.clone(),
-            jc_lba,
-            jc_tag,
-            meta_home: t.buffers.iter().map(|(l, _, tag)| (*l, *tag)).collect(),
-            data_home: t.data_journal.clone(),
-            ordered_data: t.ordered_data.clone(),
-            durability_claimed: false,
-        });
+        self.records.push(
+            TxnRecord::new(txn.0, jd_lba, t.jd_tags, jc_lba, jc_tag).with_blocks(
+                t.buffers.iter().map(|(l, _, tag)| (*l, *tag)),
+                &t.data_journal,
+                &t.ordered_data,
+            ),
+        );
     }
 
     /// JD transfer completed (legacy modes only — BarrierFS needs no

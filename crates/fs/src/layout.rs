@@ -97,9 +97,31 @@ impl Layout {
         t
     }
 
-    /// Hands out `n` fresh tags.
-    pub fn next_tags(&mut self, n: usize) -> Vec<BlockTag> {
-        (0..n).map(|_| self.next_tag()).collect()
+    /// Hands out `n` fresh tags, which are consecutive.
+    pub fn next_tags(&mut self, n: usize) -> TagRun {
+        let run = TagRun {
+            first: BlockTag(self.next_tag),
+            len: n as u64,
+        };
+        self.next_tag += run.len;
+        run
+    }
+}
+
+/// Consecutive content tags, as [`Layout::next_tags`] hands them out: a
+/// transaction's descriptor and log blocks, in block order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TagRun {
+    /// The first tag.
+    pub first: BlockTag,
+    /// How many tags.
+    pub len: u64,
+}
+
+impl TagRun {
+    /// The tags, first to last.
+    pub fn iter(self) -> impl Iterator<Item = BlockTag> {
+        (0..self.len).map(move |i| BlockTag(self.first.0 + i))
     }
 }
 
@@ -137,9 +159,12 @@ mod tests {
         let a = l.next_tag();
         let b = l.next_tag();
         assert!(b > a);
-        let batch = l.next_tags(3);
-        assert_eq!(batch.len(), 3);
-        assert!(batch[0] > b && batch[2] > batch[0]);
+        let batch: Vec<BlockTag> = l.next_tags(3).iter().collect();
+        assert_eq!(
+            batch,
+            [BlockTag(b.0 + 1), BlockTag(b.0 + 2), BlockTag(b.0 + 3)]
+        );
+        assert_eq!(l.next_tag(), BlockTag(b.0 + 4));
     }
 
     #[test]

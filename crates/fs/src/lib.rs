@@ -69,7 +69,7 @@ pub use config::{FsConfig, FsMode};
 pub use file::{BlockRuns, DirtyTracker, File, FileId, FileTable};
 pub use fs::{Filesystem, FsAction, FsEvent, FsStats, SyscallOutcome};
 pub use journal::JournalError;
-pub use layout::Layout;
+pub use layout::{Layout, TagRun};
 pub use recovery::{
     check_crash_consistency, ConsistencyCheck, ConsistencyIndex, ConsistencyProbe, FsViolation,
     TxnRecord,

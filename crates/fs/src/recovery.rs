@@ -30,7 +30,15 @@
 use bio_flash::{BlockTag, ImageView, Lba};
 use bio_sim::IntMap;
 
+use crate::layout::TagRun;
+
 /// Ground truth of one committed journal transaction.
+///
+/// The filesystem keeps one per commit for as long as it runs, so a
+/// record is laid out to cost at most one allocation: the descriptor and
+/// log tags are a run, and the three block lists share one boxed slice
+/// behind [`TxnRecord::meta_home`], [`TxnRecord::data_home`] and
+/// [`TxnRecord::ordered_data`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TxnRecord {
     /// Transaction id (commit order).
@@ -38,19 +46,81 @@ pub struct TxnRecord {
     /// First journal block of the descriptor+logs chunk.
     pub jd_lba: Lba,
     /// Tags of the descriptor and log blocks (contiguous from `jd_lba`).
-    pub jd_tags: Vec<BlockTag>,
+    pub jd_tags: TagRun,
     /// Commit block location.
     pub jc_lba: Lba,
     /// Commit block tag.
     pub jc_tag: BlockTag,
-    /// In-place metadata homes (checkpoint writes).
-    pub meta_home: Vec<(Lba, BlockTag)>,
-    /// OptFS journaled data homes (checkpoint writes).
-    pub data_home: Vec<(Lba, BlockTag)>,
-    /// Data pages ordered before this commit.
-    pub ordered_data: Vec<(Lba, BlockTag)>,
+    /// The metadata homes, then the data homes, then the ordered data.
+    blocks: Box<[(Lba, BlockTag)]>,
+    /// Where the data homes start in `blocks`.
+    data_at: u32,
+    /// Where the ordered data starts in `blocks`.
+    ordered_at: u32,
     /// An fsync returned success for this transaction.
     pub durability_claimed: bool,
+}
+
+impl TxnRecord {
+    /// A record with no metadata home, data home or ordered data, and no
+    /// durability claim.
+    pub fn new(id: u64, jd_lba: Lba, jd_tags: TagRun, jc_lba: Lba, jc_tag: BlockTag) -> TxnRecord {
+        TxnRecord {
+            id,
+            jd_lba,
+            jd_tags,
+            jc_lba,
+            jc_tag,
+            blocks: Box::default(),
+            data_at: 0,
+            ordered_at: 0,
+            durability_claimed: false,
+        }
+    }
+
+    /// The record with these block lists, in one allocation (none when
+    /// all three are empty).
+    pub fn with_blocks<M>(
+        mut self,
+        meta_home: M,
+        data_home: &[(Lba, BlockTag)],
+        ordered_data: &[(Lba, BlockTag)],
+    ) -> TxnRecord
+    where
+        M: IntoIterator<Item = (Lba, BlockTag)>,
+        M::IntoIter: ExactSizeIterator,
+    {
+        let meta_home = meta_home.into_iter();
+        let data_at = meta_home.len();
+        let ordered_at = data_at + data_home.len();
+        let mut blocks = Vec::with_capacity(ordered_at + ordered_data.len());
+        blocks.extend(meta_home);
+        blocks.extend_from_slice(data_home);
+        blocks.extend_from_slice(ordered_data);
+        self.blocks = blocks.into_boxed_slice();
+        // A transaction's lists are bounded by the journal's size.
+        self.data_at = data_at as u32;
+        self.ordered_at = ordered_at as u32;
+        self
+    }
+
+    /// In-place metadata homes (checkpoint writes).
+    pub fn meta_home(&self) -> &[(Lba, BlockTag)] {
+        self.blocks.get(..self.data_at as usize).unwrap_or_default()
+    }
+
+    /// OptFS journaled data homes (checkpoint writes).
+    pub fn data_home(&self) -> &[(Lba, BlockTag)] {
+        let range = self.data_at as usize..self.ordered_at as usize;
+        self.blocks.get(range).unwrap_or_default()
+    }
+
+    /// Data pages ordered before this commit.
+    pub fn ordered_data(&self) -> &[(Lba, BlockTag)] {
+        self.blocks
+            .get(self.ordered_at as usize..)
+            .unwrap_or_default()
+    }
 }
 
 /// A detected crash-consistency violation.
@@ -85,7 +155,7 @@ pub enum FsViolation {
 /// The journal blocks of a record: descriptor and logs, then the commit
 /// block.
 fn journal_lbas(r: &TxnRecord) -> impl Iterator<Item = Lba> + '_ {
-    (0..r.jd_tags.len() as u64)
+    (0..r.jd_tags.len)
         .map(|i| Lba(r.jd_lba.0 + i))
         .chain([r.jc_lba])
 }
@@ -94,7 +164,7 @@ fn jd_intact<V: ImageView>(r: &TxnRecord, image: &V) -> bool {
     r.jd_tags
         .iter()
         .enumerate()
-        .all(|(i, &t)| image.tag(Lba(r.jd_lba.0 + i as u64)) == t)
+        .all(|(i, t)| image.tag(Lba(r.jd_lba.0 + i as u64)) == t)
 }
 
 fn jc_intact<V: ImageView>(r: &TxnRecord, image: &V) -> bool {
@@ -189,7 +259,7 @@ impl<'a> ConsistencyCheck<'a> {
         // Invariant 3: ordered data of surviving transactions.
         for (r, v) in records.iter().zip(&valid) {
             if *v {
-                for &(lba, tag) in &r.ordered_data {
+                for &(lba, tag) in r.ordered_data() {
                     if !present_or_superseded(lba, tag) {
                         violations.push(FsViolation::OrderedData { txn: r.id, lba });
                     }
@@ -222,7 +292,7 @@ fn rec_verdict<V: ImageView>(r: &TxnRecord, image: &V) -> RecVerdict {
     let (jd, jc) = (jd_intact(r, image), jc_intact(r, image));
     let valid = jd && jc;
     let od_lost = valid
-        && r.ordered_data
+        && r.ordered_data()
             .iter()
             .any(|&(lba, tag)| !present_or_superseded(image, lba, tag));
     RecVerdict {
@@ -381,7 +451,7 @@ impl ConsistencyIndex {
                     _ => {}
                 }
             }
-            for &(lba, tag) in &r.ordered_data {
+            for &(lba, tag) in r.ordered_data() {
                 let ordered = &mut self.block_mut(lba).ordered;
                 let at = ordered.partition_point(|&e| e < (tag, pos));
                 if ordered.get(at) != Some(&(tag, pos)) {
@@ -444,7 +514,7 @@ impl ConsistencyIndex {
         if !std::mem::take(&mut self.checkable[pos as usize]) {
             return;
         }
-        for &(lba, tag) in &records[pos as usize].ordered_data {
+        for &(lba, tag) in records[pos as usize].ordered_data() {
             let slot = self.slot_of.get(&lba).copied();
             if let Some(b) = slot.and_then(|s| self.blocks.get_mut(s as usize)) {
                 b.ordered.retain(|&e| e != (tag, pos));
@@ -561,23 +631,44 @@ mod tests {
     use super::*;
     use bio_flash::{BlockMap, PersistedImage};
 
+    /// A record whose descriptor and log blocks carry `jd_tags`, which
+    /// must be consecutive.
     fn rec(id: u64, jd_lba: u64, jd_tags: &[u64], jc_lba: u64, jc_tag: u64) -> TxnRecord {
-        TxnRecord {
-            id,
-            jd_lba: Lba(jd_lba),
-            jd_tags: jd_tags.iter().map(|&t| BlockTag(t)).collect(),
-            jc_lba: Lba(jc_lba),
-            jc_tag: BlockTag(jc_tag),
-            meta_home: Vec::new(),
-            data_home: Vec::new(),
-            ordered_data: Vec::new(),
-            durability_claimed: false,
-        }
+        let first = jd_tags.first().copied().unwrap_or(0);
+        assert!(jd_tags.iter().zip(first..).all(|(&t, n)| t == n));
+        let jd_tags = TagRun {
+            first: BlockTag(first),
+            len: jd_tags.len() as u64,
+        };
+        TxnRecord::new(id, Lba(jd_lba), jd_tags, Lba(jc_lba), BlockTag(jc_tag))
+    }
+
+    /// `r` with `ordered_data` and no homes.
+    fn ordering(r: TxnRecord, ordered_data: &[(Lba, BlockTag)]) -> TxnRecord {
+        r.with_blocks([], &[], ordered_data)
     }
 
     fn image(pairs: &[(u64, u64)]) -> PersistedImage {
         let map: BlockMap = pairs.iter().map(|&(l, t)| (Lba(l), BlockTag(t))).collect();
         PersistedImage::from(map)
+    }
+
+    #[test]
+    fn a_record_is_80_bytes_and_its_lists_one_slice() {
+        assert_eq!(std::mem::size_of::<TxnRecord>(), 80);
+        let (m, d, o) = (
+            (Lba(1), BlockTag(2)),
+            (Lba(3), BlockTag(4)),
+            (Lba(5), BlockTag(6)),
+        );
+        let r = rec(1, 100, &[10], 101, 11).with_blocks([m], &[d], &[o]);
+        assert_eq!(
+            (r.meta_home(), r.data_home(), r.ordered_data()),
+            (&[m][..], &[d][..], &[o][..])
+        );
+        let r = rec(1, 100, &[10], 101, 11).with_blocks([], &[d, d], &[]);
+        assert_eq!(r.data_home(), [d, d]);
+        assert!(r.meta_home().is_empty() && r.ordered_data().is_empty());
     }
 
     #[test]
@@ -622,8 +713,7 @@ mod tests {
 
     #[test]
     fn ordered_data_violation_detected() {
-        let mut r = rec(1, 100, &[10], 101, 11);
-        r.ordered_data.push((Lba(500), BlockTag(5)));
+        let r = ordering(rec(1, 100, &[10], 101, 11), &[(Lba(500), BlockTag(5))]);
         // Txn survived but its data page did not.
         let img = image(&[(100, 10), (101, 11)]);
         let v = check_crash_consistency(&[r], &img);
@@ -634,8 +724,7 @@ mod tests {
 
     #[test]
     fn superseded_ordered_data_passes() {
-        let mut r = rec(1, 100, &[10], 101, 11);
-        r.ordered_data.push((Lba(500), BlockTag(5)));
+        let r = ordering(rec(1, 100, &[10], 101, 11), &[(Lba(500), BlockTag(5))]);
         // A newer version (tag 9 > 5) of the data block is fine.
         let img = image(&[(100, 10), (101, 11), (500, 9)]);
         assert!(check_crash_consistency(&[r], &img).is_empty());
@@ -676,8 +765,10 @@ mod tests {
 
     #[test]
     fn index_reads_an_overlay_like_the_checker_reads_the_image() {
-        let mut records = vec![rec(1, 100, &[10, 11], 102, 12), rec(2, 103, &[20], 104, 21)];
-        records[1].ordered_data.push((Lba(500), BlockTag(19)));
+        let records = vec![
+            rec(1, 100, &[10, 11], 102, 12),
+            ordering(rec(2, 103, &[20], 104, 21), &[(Lba(500), BlockTag(19))]),
+        ];
         // Txn 1 folded, txn 2 in flight.
         let base: BlockMap = [(100, 10), (101, 11), (102, 12)]
             .map(|(l, t)| (Lba(l), BlockTag(t)))
@@ -717,18 +808,21 @@ mod tests {
             let mut records: Vec<TxnRecord> = Vec::new();
             let (mut head, mut tag) = (0u64, 1u64);
             for id in 1..=rng.range(2, 14) {
-                let mut r = rec(id, 0, &[], 0, 0);
+                let mut ordered_data = Vec::new();
                 for _ in 0..rng.below(3) {
-                    r.ordered_data
-                        .push((Lba(500 + rng.below(4)), BlockTag(tag)));
+                    ordered_data.push((Lba(500 + rng.below(4)), BlockTag(tag)));
                     tag += 1;
                 }
+                let mut r = ordering(rec(id, 0, &[], 0, 0), &ordered_data);
                 let logs = 1 + rng.below(2);
                 if head + logs + 1 > 12 {
                     head = 0;
                 }
                 r.jd_lba = Lba(100 + head);
-                r.jd_tags = (0..logs).map(|i| BlockTag(tag + i)).collect();
+                r.jd_tags = TagRun {
+                    first: BlockTag(tag),
+                    len: logs,
+                };
                 r.jc_lba = Lba(100 + head + logs);
                 r.jc_tag = BlockTag(tag + logs);
                 head += logs + 1;
@@ -738,8 +832,8 @@ mod tests {
             // Every write the records imply, in tag order.
             let mut writes: Vec<(Lba, BlockTag)> = Vec::new();
             for r in &records {
-                writes.extend(&r.ordered_data);
-                writes.extend(journal_lbas(r).zip(r.jd_tags.iter().copied().chain([r.jc_tag])));
+                writes.extend(r.ordered_data());
+                writes.extend(journal_lbas(r).zip(r.jd_tags.iter().chain([r.jc_tag])));
             }
             // Take the records in steps; after each, fold a few writes in
             // any order, flip a durability flag, and hold the advanced

@@ -14,6 +14,7 @@
 use bio_flash::{BlockTag, Lba};
 
 use crate::file::FileId;
+use crate::layout::TagRun;
 
 /// Transaction identifier; ordering equals commit order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -71,7 +72,7 @@ pub struct Txn {
     /// Journal placement (set when the commit is dispatched).
     pub jd_lba: Option<Lba>,
     /// Descriptor + log block tags.
-    pub jd_tags: Vec<BlockTag>,
+    pub jd_tags: TagRun,
     /// Commit block placement.
     pub jc_lba: Option<Lba>,
     /// Commit block tag.
@@ -107,7 +108,7 @@ impl Txn {
             data_journal: Vec::new(),
             ordered_data: Vec::new(),
             jd_lba: None,
-            jd_tags: Vec::new(),
+            jd_tags: TagRun::default(),
             jc_lba: None,
             jc_tag: None,
             durable_waiters: Vec::new(),
@@ -133,7 +134,7 @@ impl Txn {
         self.data_journal.clear();
         self.ordered_data.clear();
         self.jd_lba = None;
-        self.jd_tags.clear();
+        self.jd_tags = TagRun::default();
         self.jc_lba = None;
         self.jc_tag = None;
         self.durable_waiters.clear();
@@ -276,7 +277,10 @@ mod tests {
         t.data_journal.push((Lba(9), BlockTag(2)));
         t.ordered_data.push((Lba(10), BlockTag(3)));
         t.jd_lba = Some(Lba(20));
-        t.jd_tags.push(BlockTag(4));
+        t.jd_tags = TagRun {
+            first: BlockTag(4),
+            len: 1,
+        };
         t.jc_lba = Some(Lba(21));
         t.jc_tag = Some(BlockTag(5));
         t.durable_waiters.push(ThreadId(1));

@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 
 use bio_flash::{BlockMap, BlockTag, ImageView, Lba};
-use bio_fs::{ConsistencyCheck, ConsistencyIndex, TxnRecord};
+use bio_fs::{ConsistencyCheck, ConsistencyIndex, TagRun, TxnRecord};
 use bio_sim::SimRng;
 use proptest::prelude::*;
 
@@ -26,7 +26,7 @@ use proptest::prelude::*;
 // ---------------------------------------------------------------------
 
 fn journal_lbas(r: &TxnRecord) -> impl Iterator<Item = Lba> + '_ {
-    (0..r.jd_tags.len() as u64)
+    (0..r.jd_tags.len)
         .map(|i| Lba(r.jd_lba.0 + i))
         .chain([r.jc_lba])
 }
@@ -35,7 +35,7 @@ fn jd_intact<V: ImageView>(r: &TxnRecord, image: &V) -> bool {
     r.jd_tags
         .iter()
         .enumerate()
-        .all(|(i, &t)| image.tag(Lba(r.jd_lba.0 + i as u64)) == t)
+        .all(|(i, t)| image.tag(Lba(r.jd_lba.0 + i as u64)) == t)
 }
 
 fn jc_intact<V: ImageView>(r: &TxnRecord, image: &V) -> bool {
@@ -55,7 +55,7 @@ fn rec_verdict<V: ImageView>(r: &TxnRecord, image: &V) -> RecVerdict {
     let (jd, jc) = (jd_intact(r, image), jc_intact(r, image));
     let valid = jd && jc;
     let od_lost = valid
-        && r.ordered_data
+        && r.ordered_data()
             .iter()
             .any(|&(lba, tag)| !present_or_superseded(image, lba, tag));
     RecVerdict {
@@ -94,7 +94,7 @@ impl RefConsistencyIndex {
                     _ => {}
                 }
             }
-            for &(lba, tag) in &r.ordered_data {
+            for &(lba, tag) in r.ordered_data() {
                 self.ordered.insert((lba, tag, pos));
             }
             dirty.push(pos);
@@ -132,7 +132,7 @@ impl RefConsistencyIndex {
         if !std::mem::take(&mut self.checkable[pos as usize]) {
             return;
         }
-        for &(lba, tag) in &records[pos as usize].ordered_data {
+        for &(lba, tag) in records[pos as usize].ordered_data() {
             self.ordered.remove(&(lba, tag, pos));
         }
         self.valid.remove(&pos);
@@ -244,17 +244,18 @@ fn records(rng: &mut SimRng, n: u64, journal: u64, disorder: bool) -> Vec<TxnRec
         if head + logs + 1 > journal {
             head = 0;
         }
-        out.push(TxnRecord {
-            id,
-            jd_lba: Lba(JOURNAL + head),
-            jd_tags: (0..logs).map(|i| BlockTag(tag + i)).collect(),
-            jc_lba: Lba(JOURNAL + head + logs),
-            jc_tag: BlockTag(tag + logs),
-            meta_home: Vec::new(),
-            data_home: Vec::new(),
-            ordered_data,
-            durability_claimed: false,
-        });
+        let jd_tags = TagRun {
+            first: BlockTag(tag),
+            len: logs,
+        };
+        let (jd_lba, jc_lba) = (Lba(JOURNAL + head), Lba(JOURNAL + head + logs));
+        out.push(
+            TxnRecord::new(id, jd_lba, jd_tags, jc_lba, BlockTag(tag + logs)).with_blocks(
+                [],
+                &[],
+                &ordered_data,
+            ),
+        );
         head += logs + 1;
         tag += logs + 1;
     }
@@ -269,8 +270,8 @@ fn records(rng: &mut SimRng, n: u64, journal: u64, disorder: bool) -> Vec<TxnRec
 fn writes(records: &[TxnRecord]) -> Vec<(Lba, BlockTag)> {
     let mut out: Vec<(Lba, BlockTag)> = Vec::new();
     for r in records {
-        out.extend(&r.ordered_data);
-        out.extend(journal_lbas(r).zip(r.jd_tags.iter().copied().chain([r.jc_tag])));
+        out.extend(r.ordered_data());
+        out.extend(journal_lbas(r).zip(r.jd_tags.iter().chain([r.jc_tag])));
     }
     out
 }

@@ -144,25 +144,24 @@ impl Fnv {
     }
 
     fn record(&mut self, r: &TxnRecord) {
+        // The block lists are private, read through their accessors.
         let TxnRecord {
             id,
             jd_lba,
             jd_tags,
             jc_lba,
             jc_tag,
-            meta_home,
-            data_home,
-            ordered_data,
             durability_claimed,
+            ..
         } = r;
         self.word(*id);
         self.word(jd_lba.0);
-        self.tags(jd_tags);
+        self.tags(&jd_tags.iter().collect::<Vec<_>>());
         self.word(jc_lba.0);
         self.word(jc_tag.0);
-        self.blocks(meta_home);
-        self.blocks(data_home);
-        self.blocks(ordered_data);
+        self.blocks(r.meta_home());
+        self.blocks(r.data_home());
+        self.blocks(r.ordered_data());
         self.word(u64::from(*durability_claimed));
     }
 }

@@ -26,8 +26,9 @@
 //!   hashed with one multiply,
 //! * [`LatencyHistogram`] / [`LatencySummary`] — percentile statistics
 //!   (the paper's Table 1 shape),
-//! * [`TimeSeries`] — step-function recording for queue-depth plots
-//!   (Figs 10 and 12).
+//! * [`StepWindow`] — a step function's time-weighted mean and peak over
+//!   one window in constant memory (the device queue depth of Figs 10
+//!   and 12).
 //!
 //! The simulation is single-threaded on purpose: simulated concurrency
 //! (application threads, the JBD commit thread, the flush thread, the device
@@ -63,16 +64,16 @@
 
 mod event;
 mod rng;
-mod series;
 mod sink;
 mod stats;
 mod table;
 mod time;
+mod window;
 
 pub use event::EventQueue;
 pub use rng::SimRng;
-pub use series::TimeSeries;
 pub use sink::ActionSink;
 pub use stats::{LatencyHistogram, LatencySummary};
 pub use table::{IntHasher, IntMap, PagedMap, SeqTable, SeqTableIter};
 pub use time::{SimDuration, SimTime};
+pub use window::StepWindow;

@@ -114,7 +114,7 @@ fn jd_intact<V: ImageView>(r: &TxnRecord, image: &V) -> bool {
     r.jd_tags
         .iter()
         .enumerate()
-        .all(|(i, &t)| image.tag(Lba(r.jd_lba.0 + i as u64)) == t)
+        .all(|(i, t)| image.tag(Lba(r.jd_lba.0 + i as u64)) == t)
 }
 
 fn jc_intact<V: ImageView>(r: &TxnRecord, image: &V) -> bool {
@@ -204,7 +204,7 @@ impl<'a> RefConsistencyCheck<'a> {
         // Invariant 3: ordered data of surviving transactions.
         for (r, v) in records.iter().zip(&valid) {
             if *v {
-                for &(lba, tag) in &r.ordered_data {
+                for &(lba, tag) in r.ordered_data() {
                     if !present_or_superseded(lba, tag) {
                         violations.push(FsViolation::OrderedData { txn: r.id, lba });
                     }
