@@ -47,17 +47,9 @@ pub fn fig08(scale: u64) -> Figure {
     for (label, mut cfg, sync) in configurations {
         cfg.fs.timer_tick = SimDuration::from_micros(1); // every sync commits
         fig.row(&[label], move || {
-            // `run_cell`'s window, spelled out: `FsStats` counts from the
-            // start, so the warm-up's commits are taken off.
-            let mut storm = threads_of(cfg, 4, || Box::new(Dwsl::new(sync, ENDLESS)));
-            storm.run_for(WARMUP);
-            let warm_up = storm.fs().stats().commits;
-            storm.start_measuring();
-            storm.run_for(figure_window(scale));
-            let report = storm.report();
-            crate::note_drops(&storm.config().label(), &report);
-            let commits = report.fs.commits - warm_up;
-            let per_sec = commits as f64 / report.run.elapsed.as_secs_f64();
+            let storm = threads_of(cfg, 4, || Box::new(Dwsl::new(sync, ENDLESS)));
+            let report = run_cell(storm, Span::Window(figure_window(scale))).1;
+            let per_sec = report.fs.commits as f64 / report.run.elapsed.as_secs_f64();
             let interval_us = if per_sec > 0.0 {
                 1e6 / per_sec
             } else {

@@ -332,6 +332,22 @@ impl BlockLayer {
         }
     }
 
+    /// Starts a measured window at `now`: zeroes the layer's, the lanes'
+    /// and the devices' counters but [`BlockStats::dropped_events`].
+    pub fn start_window(&mut self, now: SimTime) {
+        self.stats = BlockStats {
+            dropped_events: self.stats.dropped_events,
+            ..BlockStats::default()
+        };
+        for l in &mut self.lanes {
+            l.sched.start_window();
+            (l.dispatched, l.busy_retries, l.routed) = (0, 0, 0);
+        }
+        for d in &mut self.devs {
+            d.start_window(now);
+        }
+    }
+
     /// Per-lane statistics, in lane-index order.
     pub fn lane_stats(&self) -> Vec<LaneStats> {
         self.lanes

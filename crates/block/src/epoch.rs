@@ -326,6 +326,11 @@ impl EpochScheduler {
     pub fn reassignments(&self) -> u64 {
         self.reassignments
     }
+
+    /// Starts a measured window: zeroes the reassignment count.
+    pub(crate) fn start_window(&mut self) {
+        self.reassignments = 0;
+    }
 }
 
 #[cfg(test)]

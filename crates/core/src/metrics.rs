@@ -170,15 +170,6 @@ impl RunReport {
         self.ops.iter().find(|o| o.kind == kind)
     }
 
-    /// Completed operations of a kind per second of simulated time.
-    pub fn ops_per_sec(&self, kind: OpKind) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.op(kind).map_or(0.0, |o| o.count as f64 / secs)
-    }
-
     /// Application transactions per second.
     pub fn txns_per_sec(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
@@ -186,12 +177,6 @@ impl RunReport {
             return 0.0;
         }
         self.txns as f64 / secs
-    }
-
-    /// Total synchronisation calls (fsync+fdatasync+fbarrier+fdatabarrier)
-    /// per second — the journaling-throughput metric of Fig 13.
-    pub fn syncs_per_sec(&self) -> f64 {
-        OpKind::SYNC.iter().map(|k| self.ops_per_sec(*k)).sum()
     }
 }
 
@@ -212,7 +197,6 @@ mod tests {
         let f = r.op(OpKind::Fsync).unwrap();
         assert_eq!(f.count, 2);
         assert!((f.switches_per_op - 1.5).abs() < 1e-9);
-        assert_eq!(r.ops_per_sec(OpKind::Fsync), 2.0);
     }
 
     #[test]
@@ -241,16 +225,6 @@ mod tests {
         let r = m.report(SimTime::from_secs(2));
         assert!(r.op(OpKind::Write).is_none());
         assert_eq!(r.elapsed, SimDuration::from_secs(1));
-    }
-
-    #[test]
-    fn syncs_per_sec_sums_kinds() {
-        let mut m = Metrics::new();
-        m.reset(SimTime::ZERO);
-        m.record_op(OpKind::Fsync, SimDuration::ZERO);
-        m.record_op(OpKind::Fdatabarrier, SimDuration::ZERO);
-        let r = m.report(SimTime::from_secs(1));
-        assert_eq!(r.syncs_per_sec(), 2.0);
     }
 
     #[test]
@@ -283,6 +257,5 @@ mod tests {
         let r = m.report(SimTime::ZERO);
         assert!(r.ops.is_empty());
         assert_eq!(r.txns_per_sec(), 0.0);
-        assert_eq!(r.ops_per_sec(OpKind::Write), 0.0);
     }
 }

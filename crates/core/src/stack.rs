@@ -45,7 +45,9 @@ struct WThread {
     op_started: SimTime,
 }
 
-/// Full report of one run: per-op metrics plus device/fs/block counters.
+/// Full report of one measured window: per-op metrics plus device/fs/block
+/// counters, each since [`IoStack::start_measuring`] except the drop
+/// counters (the whole run) and the gauges (the present).
 #[derive(Debug, Clone)]
 pub struct StackReport {
     /// Per-operation metrics.
@@ -53,16 +55,12 @@ pub struct StackReport {
     /// 4 KiB blocks written to the device per second (the paper's IOPS
     /// axis for Figs 1 and 9).
     pub write_kiops: f64,
-    /// Time-weighted mean device queue depth over the measured window.
+    /// Time-weighted mean device queue depth.
     pub mean_qd: f64,
-    /// Peak device queue depth over the measured window.
+    /// Peak device queue depth.
     pub peak_qd: f64,
-    /// Device counters summed over every device (deltas over the measured
-    /// window are up to the caller; these are totals).
+    /// Device counters summed over every device.
     pub device: DeviceStats,
-    /// Per-device counters, in device-index order (one entry on the
-    /// classical 1×1 topology).
-    pub per_device: Vec<DeviceStats>,
     /// Per-lane dispatch counters, in lane-index order.
     pub lanes: Vec<LaneStats>,
     /// FTL counters summed over every device.
@@ -156,8 +154,6 @@ pub struct IoStack {
     metrics: Metrics,
     congested: Vec<ThreadId>,
     global_files: Vec<FileId>,
-    measure_start: SimTime,
-    dev_blocks_at_start: u64,
     /// Reusable scratch the filesystem writes its actions into; drained by
     /// the routing work loop after every syscall/event, so routing itself
     /// allocates nothing (the layers do: `tests/alloc_census.rs` counts it).
@@ -207,8 +203,6 @@ impl IoStack {
             metrics: Metrics::new(),
             congested: Vec::new(),
             global_files: Vec::new(),
-            measure_start: SimTime::ZERO,
-            dev_blocks_at_start: 0,
             fs_sink: ActionSink::new(),
             block_sink: ActionSink::new(),
             finished_threads: 0,
@@ -582,20 +576,15 @@ impl IoStack {
         self.drive(deadline, true)
     }
 
-    /// Discards warm-up measurements and starts the measured window now.
+    /// Starts the measured window now: every layer zeroes its counters, so
+    /// a report counts this window only, except the five `dropped_*` /
+    /// `out_of_range_writes` counters (the whole run) and the gauges
+    /// `gated` and `queued` (the present). No state or time moves.
     pub fn start_measuring(&mut self) {
         let now = self.q.now();
-        self.measure_start = now;
         self.metrics.reset(now);
-        for d in self.block.devices_mut() {
-            d.restart_qd_window(now);
-        }
-        self.dev_blocks_at_start = self
-            .block
-            .devices()
-            .iter()
-            .map(|d| d.stats().blocks_written)
-            .sum();
+        self.fs.start_window();
+        self.block.start_window(now);
     }
 
     /// Builds the report for the measured window. Device and FTL counters
@@ -604,20 +593,14 @@ impl IoStack {
     pub fn report(&self) -> StackReport {
         let now = self.q.now();
         let run = self.metrics.report(now);
-        let secs = now.saturating_since(self.measure_start).as_secs_f64();
-        let per_device: Vec<DeviceStats> = self.block.devices().iter().map(|d| d.stats()).collect();
-        let mut dev = DeviceStats::default();
-        for &s in &per_device {
-            dev += s;
-        }
+        let secs = run.elapsed.as_secs_f64();
+        let mut device = DeviceStats::default();
         let mut ftl = FtlStats::default();
-        for d in self.block.devices() {
-            ftl += d.ftl_stats();
-        }
-        let blocks = dev.blocks_written - self.dev_blocks_at_start;
         let mut mean_qd = 0.0;
         let mut peak_qd = 0.0f64;
         for d in self.block.devices() {
+            device += d.stats();
+            ftl += d.ftl_stats();
             let qd = d.qd_window();
             mean_qd += qd.mean(now);
             peak_qd = peak_qd.max(qd.peak(now));
@@ -626,14 +609,13 @@ impl IoStack {
         StackReport {
             run,
             write_kiops: if secs > 0.0 {
-                blocks as f64 / secs / 1000.0
+                device.blocks_written as f64 / secs / 1000.0
             } else {
                 0.0
             },
             mean_qd,
             peak_qd,
-            device: dev,
-            per_device,
+            device,
             lanes: self.block.lane_stats(),
             ftl,
             fs: self.fs.stats(),

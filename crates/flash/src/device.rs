@@ -337,14 +337,19 @@ impl Device {
     }
 
     /// Queue occupancy's time-weighted mean and peak since the last
-    /// [`Device::restart_qd_window`] (Fig 10 / Fig 12 instrumentation).
+    /// [`Device::start_window`] (Fig 10 / Fig 12 instrumentation).
     pub fn qd_window(&self) -> &StepWindow {
         &self.qd
     }
 
-    /// Starts a new queue-depth window at `now`, the instant of the
-    /// newest event.
-    pub fn restart_qd_window(&mut self, now: SimTime) {
+    /// Starts a measured window at `now`: zeroes the device's and the FTL's
+    /// counters but `out_of_range_writes`, and restarts the QD window.
+    pub fn start_window(&mut self, now: SimTime) {
+        self.stats = DeviceStats {
+            out_of_range_writes: self.stats.out_of_range_writes,
+            ..DeviceStats::default()
+        };
+        self.ftl.start_window();
         self.qd.reset(now);
     }
 

@@ -350,6 +350,11 @@ impl Ftl {
     pub fn stats(&self) -> FtlStats {
         self.stats
     }
+
+    /// Starts a measured window: zeroes every counter.
+    pub(crate) fn start_window(&mut self) {
+        self.stats = FtlStats::default();
+    }
 }
 
 #[cfg(test)]

@@ -317,6 +317,15 @@ impl Filesystem {
         self.stats
     }
 
+    /// Starts a measured window: zeroes every counter but the drop counters.
+    pub fn start_window(&mut self) {
+        self.stats = FsStats {
+            dropped_journal_events: self.stats.dropped_journal_events,
+            dropped_data_pages: self.stats.dropped_data_pages,
+            ..FsStats::default()
+        };
+    }
+
     /// Ground-truth transaction records for the crash checker.
     pub fn records(&self) -> &[TxnRecord] {
         &self.records

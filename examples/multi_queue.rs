@@ -62,7 +62,7 @@ fn main() {
         stack.run_until_done(SimDuration::from_secs(600));
         let report = stack.report();
         // Per-device work really is striped: every device dispatched.
-        assert!(report.per_device.iter().all(|d| d.write_cmds > 0));
+        assert!(stack.devices().iter().all(|d| d.stats().write_cmds > 0));
         println!(
             "{label:<28} {:>10.0} {:>10.0} {:>8}",
             report.run.txns_per_sec(),

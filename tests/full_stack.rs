@@ -159,11 +159,11 @@ fn a_two_device_report_sums_every_device_counter() {
     }
     assert!(stack.run_until_done(SimDuration::from_secs(600)));
     let report = stack.report();
-    assert_eq!(report.per_device.len(), 2);
+    assert_eq!(stack.devices().len(), 2);
     assert!(stack.devices().iter().all(|d| d.ftl_stats().gc_appends > 0));
     let (mut device, mut ftl) = (DeviceStats::default(), FtlStats::default());
-    for (&d, dev) in report.per_device.iter().zip(stack.devices()) {
-        device += d;
+    for dev in stack.devices() {
+        device += dev.stats();
         ftl += dev.ftl_stats();
     }
     assert_eq!(report.device, device);
