@@ -3,20 +3,15 @@
 //! captures at every journal commit.
 
 use std::borrow::Cow;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use barrier_io::{
-    ConsistencyIndex, DeviceCaptureDelta, FileRef, IoStack, StackCaptureDelta, StackConfig,
-    Topology, TxnRecord,
+    ConsistencyIndex, FileRef, IoStack, StackCaptureDelta, StackConfig, StripedImage, Topology,
+    TxnRecord,
 };
-use bio_flash::{
-    AppendRec, BarrierMode, BlockMap, BlockTag, Device, EpochIndex, ImageView, Lba, TransferRec,
-};
+use bio_flash::{BlockTag, CrashState, EpochIndex, ImageView, Lba, Overlay};
 use bio_sim::SimDuration;
 use bio_workloads::{RandWrite, SyncMode, WriteMode};
-
-use super::choice::Overlay;
 
 /// Syncs per differential trace; each write+sync pair forces one journal
 /// commit, i.e. one capture point.
@@ -27,144 +22,20 @@ pub(crate) const TRACE_OPS: u64 = 100;
 /// trace as soon as the journal settles).
 const STALE_STEP_LIMIT: u64 = 200_000;
 
-/// Snapshot of one device at a capture point. The folded base image, the
-/// committed-group set, the transfer history and the epoch-audit index
-/// sit behind `Arc`s, so a point kept by a caller shares them with the
-/// capture cursor until the cursor next writes one of them.
-#[derive(Debug, Clone, PartialEq)]
-pub(super) struct DeviceState {
-    /// Folded durable prefix of the append log.
-    pub(super) base: Arc<BlockMap>,
-    /// Unfolded tail records, in append order.
-    pub(super) tail: Vec<AppendRec>,
-    /// Writeback-cache content in insertion order — captured under PLP
-    /// only, the one case where the cache survives a crash.
-    pub(super) cache: Vec<(Lba, BlockTag)>,
-    pub(super) plp: bool,
-    pub(super) mode: BarrierMode,
-    /// Committed transactional-writeback groups.
-    pub(super) committed: Arc<BTreeSet<u64>>,
-    /// Transfer history prefix at the capture.
-    pub(super) history: Option<Arc<Vec<TransferRec>>>,
-    /// [`bio_flash::EpochAudit`] over `history`, indexed under `base`
-    /// (present exactly when `history` is).
-    pub(super) audit: Option<Arc<EpochIndex>>,
-}
-
-impl DeviceState {
-    /// The device as it stands, read through borrowed accessors and
-    /// materialized (O(state)); `audit` is left to [`CrashPoint::reindex`].
-    fn capture(dev: &Device) -> DeviceState {
-        let mut d = DeviceState {
-            base: Arc::new(dev.append_log().base().clone()),
-            tail: Vec::new(),
-            cache: Vec::new(),
-            plp: dev.profile().plp,
-            mode: dev.profile().barrier_mode,
-            committed: Arc::new(dev.committed_groups().collect()),
-            history: dev.history().map(|h| Arc::new(h.to_vec())),
-            audit: None,
-        };
-        d.read_tail(dev);
-        d
-    }
-
-    /// The device before its first write: where a delta cursor starts.
-    fn empty(dev: &Device) -> DeviceState {
-        let history = dev.history().map(|_| Arc::new(Vec::new()));
-        DeviceState {
-            base: Arc::new(BlockMap::new()),
-            tail: Vec::new(),
-            cache: Vec::new(),
-            plp: dev.profile().plp,
-            mode: dev.profile().barrier_mode,
-            committed: Arc::new(BTreeSet::new()),
-            audit: history.as_ref().map(|_| Arc::new(EpochIndex::new())),
-            history,
-        }
-    }
-
-    /// Rewrites the per-point parts — the unfolded tail and, under PLP,
-    /// the cache — in place from the live device.
-    fn read_tail(&mut self, dev: &Device) {
-        self.tail.clear();
-        self.tail.extend(dev.append_log().tail().copied());
-        self.cache.clear();
-        if self.plp {
-            let cache = dev.cache().entries_in_order();
-            self.cache.extend(cache.map(|(_, e)| (e.lba, e.tag)));
-        }
-    }
-
-    /// Advances the device by one epoch's `delta` and re-reads its tail.
-    /// Each fold is pushed onto `folds` as `(global block, tag before, tag
-    /// after)`, `global` mapping this device's blocks into the stripe.
-    /// Returns the epoch-audit index work done. `Arc::make_mut` writes in
-    /// place while no kept point shares a part and copies it once when
-    /// one does; a part the delta leaves alone is not touched.
-    fn advance(
-        &mut self,
-        dev: &Device,
-        delta: &DeviceCaptureDelta,
-        global: impl Fn(Lba) -> Lba,
-        folds: &mut Vec<(Lba, BlockTag, BlockTag)>,
-    ) -> usize {
-        if !delta.folds.is_empty() {
-            let base = Arc::make_mut(&mut self.base);
-            folds.extend(delta.folds.iter().map(|&(lba, tag)| {
-                let before = base.insert(lba, tag).unwrap_or(BlockTag::UNWRITTEN);
-                (global(lba), before, tag)
-            }));
-        }
-        if !delta.committed_groups.is_empty() {
-            Arc::make_mut(&mut self.committed).extend(delta.committed_groups.iter().copied());
-        }
-        // History is append-only: copy just the new suffix, and let the
-        // audit index read the same suffix plus this epoch's folds.
-        let mut work = 0;
-        if let (Some(live), Some(history), Some(audit)) =
-            (dev.history(), &mut self.history, &mut self.audit)
-        {
-            if live.len() > history.len() || !delta.folds.is_empty() {
-                let h = Arc::make_mut(history);
-                h.extend_from_slice(&live[h.len()..]);
-                let folded = delta.folds.iter().map(|f| f.0);
-                work = Arc::make_mut(audit).advance(live, folded, &*self.base);
-            }
-        }
-        self.read_tail(dev);
-        debug_assert!(
-            self.base.as_ref() == dev.append_log().base(),
-            "capture cursor base diverged from the live log — was \
-             capture tracking enabled before the run started?"
-        );
-        debug_assert_eq!(self.committed.len(), dev.committed_groups().count());
-        work
-    }
-}
-
 /// A crash image of a point across its devices, stitched into the global
-/// address space by the stripe layout (the identity on one device): device
-/// `d` reads `overlays[d]` over its base, or its base alone when no
-/// overlay is given (`overlays` empty).
-pub(super) struct PointImage<'a> {
-    pub(super) topology: Topology,
-    pub(super) devices: &'a [DeviceState],
-    pub(super) overlays: &'a [Overlay],
-}
-
-impl ImageView for PointImage<'_> {
-    fn tag(&self, lba: Lba) -> BlockTag {
-        let (di, local) = match self.devices {
-            [_] => (0, lba),
-            _ => self.topology.locate(lba),
-        };
-        let dev = &self.devices[di];
-        match self.overlays.get(di) {
-            Some(o) => o.tag(dev, local),
-            None => dev.base.tag(local),
-        }
-    }
+/// address space by the stripe layout: device `d` reads `overlays[d]` over
+/// its base, or its base alone when no overlay is given (`overlays`
+/// empty).
+pub(super) fn point_image<'a>(
+    topology: Topology,
+    devices: &'a [CrashState],
+    overlays: &'a [Overlay],
+) -> impl ImageView + 'a {
+    StripedImage::new(topology, |d, lba| match (devices.get(d), overlays.get(d)) {
+        (Some(dev), Some(o)) => o.tag(dev, lba),
+        (Some(dev), None) => dev.base.tag(lba),
+        (None, _) => BlockTag::UNWRITTEN,
+    })
 }
 
 /// Everything needed to enumerate and check one capture point: the ground
@@ -182,7 +53,7 @@ pub struct CrashPoint<'a> {
     /// [`barrier_io::ConsistencyCheck`] over `records`, indexed under the
     /// devices' bases.
     pub(super) check: Cow<'a, ConsistencyIndex>,
-    pub(super) devices: Cow<'a, [DeviceState]>,
+    pub(super) devices: Cow<'a, [CrashState]>,
     pub(super) topology: Topology,
 }
 
@@ -200,15 +71,6 @@ impl CrashPoint<'_> {
         }
     }
 
-    /// The point's base image across its devices.
-    fn bases(&self) -> PointImage<'_> {
-        PointImage {
-            topology: self.topology,
-            devices: &self.devices,
-            overlays: &[],
-        }
-    }
-
     /// Builds both check indexes from nothing: the records under the
     /// devices' bases, each transfer history under its device's base.
     pub(super) fn reindex(&mut self) {
@@ -220,7 +82,12 @@ impl CrashPoint<'_> {
             });
         }
         let mut check = ConsistencyIndex::new();
-        check.advance(&self.records, [], &[], &self.bases());
+        check.advance(
+            &self.records,
+            [],
+            &[],
+            &point_image(self.topology, &self.devices, &[]),
+        );
         self.check = Cow::Owned(check);
     }
 }
@@ -235,7 +102,7 @@ impl CrashPoint<'static> {
             commit_idx: records.len(),
             records: Cow::Owned(records.to_vec()),
             check: Cow::Owned(ConsistencyIndex::new()),
-            devices: stack.devices().iter().map(DeviceState::capture).collect(),
+            devices: stack.devices().iter().map(CrashState::capture).collect(),
             topology: stack.config().topology,
         };
         point.reindex();
@@ -250,7 +117,7 @@ impl CrashPoint<'static> {
 /// buffers have met the largest epoch, allocates nothing.
 #[derive(Debug)]
 struct CaptureCursor {
-    devices: Vec<DeviceState>,
+    devices: Vec<CrashState>,
     /// [`ConsistencyIndex`] over the filesystem's records.
     check: ConsistencyIndex,
     topology: Topology,
@@ -268,7 +135,7 @@ impl CaptureCursor {
     /// before the run starts.
     fn new(stack: &IoStack) -> CaptureCursor {
         CaptureCursor {
-            devices: stack.devices().iter().map(DeviceState::empty).collect(),
+            devices: stack.devices().iter().map(CrashState::empty).collect(),
             check: ConsistencyIndex::new(),
             topology: stack.config().topology,
             delta: StackCaptureDelta::default(),
@@ -293,11 +160,7 @@ impl CaptureCursor {
         // The live records already carry every durability flip; the index
         // is told of the flips to recompute those records' verdicts.
         let records = stack.fs().records();
-        let bases = PointImage {
-            topology,
-            devices: &self.devices,
-            overlays: &[],
-        };
+        let bases = point_image(topology, &self.devices, &[]);
         self.last_index_work += self.check.advance(
             records,
             self.folds.drain(..),
@@ -403,21 +266,23 @@ pub fn capture_points(
     points
 }
 
-/// Hand-made state for the unit tests of this module tree.
+/// Hand-made state for the unit tests of this module tree: a device
+/// holding `log` and nothing else.
 #[cfg(test)]
-impl DeviceState {
-    /// A device holding `log` and nothing else.
-    pub(super) fn of_log(mode: BarrierMode, plp: bool, log: &bio_flash::AppendLog) -> DeviceState {
-        DeviceState {
-            base: Arc::new(log.base().clone()),
-            tail: log.tail().copied().collect(),
-            cache: Vec::new(),
-            plp,
-            mode,
-            committed: Arc::new(BTreeSet::new()),
-            history: None,
-            audit: None,
-        }
+pub(super) fn state_of_log(
+    mode: bio_flash::BarrierMode,
+    plp: bool,
+    log: &bio_flash::AppendLog,
+) -> CrashState {
+    CrashState {
+        base: Arc::new(log.base().clone()),
+        tail: log.tail().copied().collect(),
+        cache: Vec::new(),
+        plp,
+        mode,
+        open_group: None,
+        history: None,
+        audit: None,
     }
 }
 
@@ -427,7 +292,7 @@ impl CrashPoint<'static> {
     pub(super) fn of_device(
         commit_idx: usize,
         records: Vec<TxnRecord>,
-        dev: DeviceState,
+        dev: CrashState,
     ) -> CrashPoint<'static> {
         let mut p = CrashPoint {
             commit_idx,

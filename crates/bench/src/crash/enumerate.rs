@@ -4,12 +4,12 @@
 //! loop that does so at every commit with one [`Enumerator`].
 
 use barrier_io::{ConsistencyCheck, ConsistencyProbe, FsViolation, StackConfig};
-use bio_flash::{EpochAudit, EpochProbe, EpochViolation, ImageView};
+use bio_flash::{ChoiceSpace, EpochAudit, EpochProbe, EpochViolation, ImageView, Overlay};
 use bio_sim::SimRng;
 use bio_workloads::SyncMode;
 
-use super::capture::{drive, CaptureMode, CrashPoint, PointImage, TRACE_OPS};
-use super::choice::{ChoiceSpace, Overlay, SeenImages};
+use super::capture::{drive, point_image, CaptureMode, CrashPoint, TRACE_OPS};
+use super::choice::{clamps, exhaustive_choices, sample_choice, SeenImages};
 
 /// Hard cap on exhaustively enumerated images per capture point
 /// (cross-device product).
@@ -92,12 +92,7 @@ impl<'p, 'e> Judge<'p, 'e> {
     /// Both verdicts on the image `overlays` resolve to.
     fn verdict(&mut self, overlays: &[Overlay]) -> Verdict {
         let p = self.p;
-        let global = PointImage {
-            topology: p.topology,
-            devices: &p.devices,
-            overlays,
-        };
-        self.verdict_on(&global, overlays)
+        self.verdict_on(&point_image(p.topology, &p.devices, overlays), overlays)
     }
 
     /// [`Judge::verdict`] with the cross-device image passed in, so a test
@@ -118,7 +113,7 @@ impl<'p, 'e> Judge<'p, 'e> {
                 continue;
             };
             let probe = &self.epoch_probes[di];
-            let entries = o.entries.iter().copied();
+            let entries = o.entries().iter().copied();
             let certify = |index| probe.certifies(index, entries);
             if self.indexed && d.audit.as_deref().is_some_and(certify) {
                 continue;
@@ -154,7 +149,7 @@ impl<'p, 'e> Judge<'p, 'e> {
             let mut changed = false;
             for (di, space) in self.spaces.iter().enumerate() {
                 if space.is_mask() {
-                    for bit in 0..space.sample_bits() {
+                    for bit in 0..space.width() {
                         if choices[di] & (1u64 << bit) != 0 {
                             let mut t = choices.clone();
                             t[di] &= !(1u64 << bit);
@@ -241,13 +236,14 @@ impl Enumerator {
             .zip(&mut self.spaces)
             .zip(&mut self.overlays)
         {
-            clamped |= space.rebuild(d);
+            space.rebuild(d);
+            clamped |= clamps(space);
             overlay.rebuild(d);
         }
         let product: u128 = self
             .spaces
             .iter()
-            .map(|s| s.exhaustive_choices() as u128)
+            .map(|s| exhaustive_choices(s) as u128)
             .product();
         clamped |= product > MAX_IMAGES_PER_POINT as u128;
         if indexed {
@@ -255,8 +251,8 @@ impl Enumerator {
             // the tags any one choice resolves them to.
             let touched = p.devices.iter().zip(&self.overlays).enumerate();
             let touched = touched.flat_map(|(di, (_, o))| {
-                let lbas = o.entries.iter().map(move |e| p.topology.global(di, e.0));
-                lbas.zip(o.floors.iter().copied())
+                let lbas = o.entries().iter().map(move |e| p.topology.global(di, e.0));
+                lbas.zip(o.floors().iter().copied())
             });
             p.check.reprobe(&mut self.fs_probe, touched);
             let devices = p.devices.iter().zip(&self.overlays);
@@ -355,7 +351,7 @@ impl Enumerator {
                     break 'exhaustive;
                 }
                 choices[di] += 1;
-                if choices[di] < spaces[di].exhaustive_choices() {
+                if choices[di] < exhaustive_choices(&spaces[di]) {
                     break;
                 }
                 choices[di] = 0;
@@ -367,16 +363,12 @@ impl Enumerator {
         // stratum, draw reorderings from the *full* free lists. Shares the
         // dedup set, so only genuinely new images are counted and checked.
         if clamped {
-            let max_k = spaces
-                .iter()
-                .map(ChoiceSpace::sample_bits)
-                .max()
-                .unwrap_or(0);
+            let max_k = spaces.iter().map(ChoiceSpace::width).max().unwrap_or(0);
             let mut rng = SimRng::new(sample_seed);
             for k in 0..=max_k {
                 for _ in 0..SAMPLES_PER_STRATUM {
                     draws.clear();
-                    let draw = |s: &ChoiceSpace| s.sample_choice(k, &mut rng, shuffle);
+                    let draw = |s| sample_choice(s, k, &mut rng, shuffle);
                     draws.extend(spaces.iter().map(draw));
                     visit(draws, true, &mut out);
                 }
@@ -437,7 +429,7 @@ fn sample_seed(trace_seed: u64, commit_idx: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crash::capture::DeviceState;
+    use crate::crash::capture::state_of_log;
     use crate::crash::{differential_cells, DiffCell};
     use barrier_io::{TagRun, TxnRecord};
     use bio_flash::{AppendLog, BarrierMode, BlockTag, Lba};
@@ -454,7 +446,7 @@ mod tests {
         let p = CrashPoint::of_device(
             0,
             Vec::new(),
-            DeviceState::of_log(BarrierMode::Unsupported, false, &log),
+            state_of_log(BarrierMode::Unsupported, false, &log),
         );
         let out = enumerate_point(&p, 0);
         // {}, {20}, {21}, {20,21}→21 : the last dedups onto {21}.
@@ -481,7 +473,7 @@ mod tests {
         let p = CrashPoint::of_device(
             1,
             vec![rec],
-            DeviceState::of_log(BarrierMode::Unsupported, false, &log),
+            state_of_log(BarrierMode::Unsupported, false, &log),
         );
         let out = enumerate_point(&p, 0);
         assert!(out.fs_violations > 0);
@@ -502,7 +494,7 @@ mod tests {
         let p = CrashPoint::of_device(
             0,
             Vec::new(),
-            DeviceState::of_log(BarrierMode::Unsupported, false, &log),
+            state_of_log(BarrierMode::Unsupported, false, &log),
         );
         let out = enumerate_point(&p, 42);
         assert!(out.clamped);
@@ -548,15 +540,11 @@ mod tests {
             e.aim(p, true);
             let (spaces, overlays) = (&e.spaces, &mut e.overlays);
             let mut judge = Judge::new(p, spaces, true, &e.fs_probe, &e.epoch_probes);
-            let size = (p.devices[0].tail.len() + overlays[0].entries.len()) as u64;
-            for choice in 0..spaces[0].exhaustive_choices() {
+            let size = (p.devices[0].tail.len() + overlays[0].entries().len()) as u64;
+            for choice in 0..exhaustive_choices(&spaces[0]) {
                 overlays[0].resolve(&p.devices[0], &spaces[0], choice);
                 let counting = CountingImage {
-                    image: &PointImage {
-                        topology: p.topology,
-                        devices: &p.devices,
-                        overlays,
-                    },
+                    image: &point_image(p.topology, &p.devices, overlays),
                     reads: std::cell::Cell::new(0),
                 };
                 let (fsv, epv) = judge.verdict_on(&counting, overlays);
@@ -604,7 +592,7 @@ mod tests {
         let mut images = Vec::new();
         let outcome = e.point(p, 0, true, |choices, _, _, overlays| {
             let mut image = choices.to_vec();
-            let tags = overlays.iter().flat_map(|o| &o.entries);
+            let tags = overlays.iter().flat_map(Overlay::entries);
             image.extend(tags.flat_map(|&(lba, tag)| [lba.0, tag.0]));
             images.push(image);
         });
@@ -622,14 +610,14 @@ mod tests {
             log.mark_done(seq);
         }
         let lfs = BarrierMode::LfsInOrderRecovery;
-        let done = CrashPoint::of_device(0, Vec::new(), DeviceState::of_log(lfs, false, &log));
+        let done = CrashPoint::of_device(0, Vec::new(), state_of_log(lfs, false, &log));
         for i in 2..4 {
             let seq = log.begin(Lba(i), BlockTag(10 + i), None);
             if i == 2 {
                 log.mark_done(seq);
             }
         }
-        let holed = CrashPoint::of_device(1, Vec::new(), DeviceState::of_log(lfs, false, &log));
+        let holed = CrashPoint::of_device(1, Vec::new(), state_of_log(lfs, false, &log));
         let mut reused = Enumerator::default();
         images_of(&mut reused, &done);
         let fresh = images_of(&mut Enumerator::default(), &holed);

@@ -6,25 +6,28 @@
 //! trace runs **once**, the live stack is captured at every barrier-epoch
 //! boundary (journal commit), and for every capture point the enumerator
 //! walks *all* persisted images the device's barrier mode admits for the
-//! in-flight flash programs:
+//! in-flight flash programs. Which images those are is `bio_flash`'s to
+//! say ([`bio_flash::ChoiceSpace`], whose choice 0 is
+//! [`bio_flash::Device::crash_image`]); this module asks it:
 //!
 //! * [`BarrierMode::LfsInOrderRecovery`] — firmware recovery truncates at
 //!   the first unprogrammed page (§3.2), so the admissible images are the
 //!   n+1 tail prefixes cut at each in-flight program ("first hole").
 //! * [`BarrierMode::InOrderWriteback`] / [`BarrierMode::Unsupported`] — any
 //!   subset of in-flight programs may have retired: 2^n images.
-//! * [`BarrierMode::Transactional`] — uncommitted groups land
-//!   all-or-nothing: one bit per open group.
+//! * [`BarrierMode::Transactional`] — the open group lands all-or-nothing.
 //! * PLP (supercap) devices yield a single image: everything survives.
 //!
 //! # Module map
 //!
 //! * `capture` — [`CrashPoint`], the plain-data snapshot of a stack at a
-//!   commit; the delta cursor that advances one point in place from
-//!   commit to commit; the trace driver ([`capture_points`],
-//!   [`CaptureMode`]).
-//! * `choice` — the choice space a barrier mode admits at a point, one
-//!   image of it as an overlay on the shared base, and image dedup.
+//!   commit (one [`bio_flash::CrashState`] per device); the delta cursor
+//!   that advances one point in place from commit to commit; the striped
+//!   reader an image of a point is judged through; the trace driver
+//!   ([`capture_points`], [`CaptureMode`]).
+//! * `choice` — the explorer's budget over a device's choice space: the
+//!   exhaustive window and its clamp, one stratified draw past it, and
+//!   image dedup.
 //! * `enumerate` — [`enumerate_point`] / [`enumerate_trace_with`]: walk
 //!   the choice space, judge every distinct image, minimize the first
 //!   violating one; one enumerator per trace, its buffers reused.
@@ -45,11 +48,11 @@
 //! Capture and checking share three tiers:
 //!
 //! 1. **Zero-clone capture** — a point is read off the live stack through
-//!    borrowed accessors (`&AppendLog` tail, cache snapshot, committed
-//!    groups, txn records); nothing outside the point itself is cloned.
+//!    borrowed accessors (`&AppendLog` tail, cache snapshot, open group,
+//!    txn records); nothing outside the point itself is cloned.
 //! 2. **Delta capture, in place** — the capture cursor holds the trace's
 //!    one point. The stack journals its per-epoch dirty sets (blocks
-//!    folded, groups committed, records marked durable) and drains them
+//!    folded, records marked durable) and drains them
 //!    into buffers the cursor keeps; the point is advanced by that delta —
 //!    O(writes-this-epoch), not O(log length) — and its tail re-read into
 //!    its own buffers, so a capture allocates nothing in steady state. The

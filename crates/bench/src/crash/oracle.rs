@@ -15,11 +15,10 @@
 use std::sync::Arc;
 
 use barrier_io::{FsViolation, StackConfig, StripedImage, Topology};
-use bio_flash::{BlockTag, EpochViolation, ImageView, TransferRec};
+use bio_flash::{BlockTag, CrashState, EpochViolation, ImageView, Overlay, TransferRec};
 use bio_workloads::SyncMode;
 
-use super::capture::{drive, CaptureMode, CrashPoint, DeviceState, PointImage};
-use super::choice::Overlay;
+use super::capture::{drive, point_image, CaptureMode, CrashPoint};
 use super::enumerate::{Enumerator, PointOutcome};
 
 /// A defect written into a captured point by hand: the violating input
@@ -63,6 +62,11 @@ pub enum Forgery {
 }
 
 impl CrashPoint<'_> {
+    /// Each device's state at the point, in device order.
+    pub fn devices(&self) -> &[CrashState] {
+        &self.devices
+    }
+
     /// The transfer history of each device (`None` where recording is
     /// off) — what [`bio_flash::EpochAudit`] judges a device image
     /// against.
@@ -138,18 +142,14 @@ pub struct ImageCase<'a> {
     /// Epoch violations of all devices in device order, as enumerated.
     pub epoch_violations: &'a [EpochViolation],
     topology: Topology,
-    devices: &'a [DeviceState],
+    devices: &'a [CrashState],
     views: &'a [Overlay],
 }
 
 impl ImageCase<'_> {
     /// The cross-device image (what [`barrier_io::ConsistencyCheck`] reads).
     pub fn image(&self) -> impl ImageView + '_ {
-        PointImage {
-            topology: self.topology,
-            devices: self.devices,
-            overlays: self.views,
-        }
+        point_image(self.topology, self.devices, self.views)
     }
 
     /// One device's own image (what its [`bio_flash::EpochAudit`] reads).
@@ -160,12 +160,14 @@ impl ImageCase<'_> {
     /// [`ImageCase::image`] built from standalone maps, one per device,
     /// sharing nothing with the point and read the way
     /// [`IoStack::crash`](barrier_io::IoStack::crash) reads its images.
-    pub fn materialized(&self) -> StripedImage {
+    pub fn materialized(&self) -> impl ImageView {
         let images = self.views.iter().zip(self.devices);
-        StripedImage::new(
-            self.topology,
-            images.map(|(v, d)| v.materialize(d)).collect(),
-        )
+        let images: Vec<_> = images.map(|(v, d)| v.materialize(d)).collect();
+        StripedImage::new(self.topology, move |d, lba| {
+            images
+                .get(d)
+                .map_or(BlockTag::UNWRITTEN, |image| image.tag(lba))
+        })
     }
 }
 

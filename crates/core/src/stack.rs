@@ -103,36 +103,34 @@ pub struct StackCaptureDelta {
     /// Transaction ids whose records flipped `durability_claimed` since
     /// the last drain (the only in-place mutation of the record history).
     pub records_marked_durable: Vec<u64>,
-    /// Per-device fold/group-commit deltas, in device-index order.
+    /// Per-device fold deltas, in device-index order.
     pub devices: Vec<DeviceCaptureDelta>,
 }
 
 /// The volume a filesystem sees after a crash: every global address read
-/// through [`Topology::locate`] from its device's image (the identity on
-/// one device). Nothing is remapped or copied, and an address no device
-/// holds reads as never written.
-pub struct StripedImage {
+/// through [`Topology::locate`] from its device (the identity on one
+/// device), device `d` at local address `lba` read as `read(d, lba)`.
+/// Nothing is remapped or copied, so one costs nothing to build per image.
+pub struct StripedImage<F> {
     topology: Topology,
-    images: Vec<PersistedImage>,
+    read: F,
 }
 
-impl StripedImage {
-    /// The volume `topology` stripes over `images`, one per device in
-    /// device order, each at the device's own addresses.
-    pub fn new(topology: Topology, images: Vec<PersistedImage>) -> StripedImage {
-        StripedImage { topology, images }
+impl<F: Fn(usize, Lba) -> BlockTag> StripedImage<F> {
+    /// The volume `topology` stripes over devices read by `read`.
+    pub fn new(topology: Topology, read: F) -> StripedImage<F> {
+        StripedImage { topology, read }
     }
 }
 
-impl ImageView for StripedImage {
+impl<F: Fn(usize, Lba) -> BlockTag> ImageView for StripedImage<F> {
+    #[inline]
     fn tag(&self, lba: Lba) -> BlockTag {
-        let (device, local) = match self.images.as_slice() {
-            [_] => (0, lba),
+        let (device, local) = match self.topology.nr_devices {
+            1 => (0, lba),
             _ => self.topology.locate(lba),
         };
-        self.images
-            .get(device)
-            .map_or(BlockTag::UNWRITTEN, |image| image.tag(local))
+        (self.read)(device, local)
     }
 }
 
@@ -247,10 +245,10 @@ impl IoStack {
     }
 
     /// Arms per-epoch delta tracking in the filesystem and every device:
-    /// from this call on, durable-mark, fold and group-commit events are
-    /// journaled so [`IoStack::drain_capture_delta`] can report exactly
-    /// what changed since the previous capture. Idempotent; costs one
-    /// `Vec::push` per tracked event while armed.
+    /// from this call on, durable-mark and fold events are journaled so
+    /// [`IoStack::drain_capture_delta`] can report exactly what changed
+    /// since the previous capture. Idempotent; costs one `Vec::push` per
+    /// tracked event while armed.
     pub fn enable_capture_tracking(&mut self) {
         self.fs.enable_capture_tracking();
         for dev in self.block.devices_mut() {
@@ -632,19 +630,21 @@ impl IoStack {
     /// image and history.
     pub fn crash(&self) -> CrashReport {
         let devices = self.block.devices();
-        let volume = StripedImage::new(
-            self.cfg.topology,
-            devices.iter().map(Device::crash_image).collect(),
-        );
+        let images: Vec<PersistedImage> = devices.iter().map(Device::crash_image).collect();
+        let volume = StripedImage::new(self.cfg.topology, |d, lba| {
+            images
+                .get(d)
+                .map_or(BlockTag::UNWRITTEN, |image| image.tag(lba))
+        });
         let fs_violations = ConsistencyCheck::new(self.fs.records()).violations(&volume);
         let mut epoch_violations = Vec::new();
-        for (d, image) in devices.iter().zip(&volume.images) {
+        for (d, image) in devices.iter().zip(&images) {
             if let Some(h) = d.history() {
                 epoch_violations.extend(EpochAudit::new(h).violations(image));
             }
         }
         CrashReport {
-            images: volume.images,
+            images,
             fs_violations,
             epoch_violations,
         }

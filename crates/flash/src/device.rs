@@ -35,6 +35,7 @@ use bio_sim::{SeqTable, SimDuration, SimRng, SimTime, StepWindow};
 
 use crate::cache::WritebackCache;
 use crate::chip::ChipArray;
+use crate::crash::{CrashState, OpenGroup};
 use crate::ftl::Ftl;
 use crate::profile::{BarrierMode, DeviceProfile};
 use crate::queue::CommandQueue;
@@ -151,9 +152,6 @@ struct TransState {
     upto: u64,
     left: usize,
     next_gid: u64,
-    /// When capture tracking is armed, groups committed since the last
-    /// [`Device::drain_capture_delta`], in commit order.
-    committed_log: Option<Vec<u64>>,
 }
 
 impl TransState {
@@ -163,17 +161,15 @@ impl TransState {
 }
 
 /// What changed in a device's capture-relevant state since the previous
-/// [`Device::drain_capture_delta`] call: the crash engine replays this onto
-/// its shared snapshot instead of re-reading the whole append log, making
+/// [`Device::drain_capture_delta`] call: [`CrashState::advance`] replays
+/// this onto its base instead of re-reading the whole append log, making
 /// a crash-point capture O(writes this epoch) rather than O(log length).
-/// The engine keeps one per device and drains into it at every capture,
-/// so neither side allocates in steady state.
+/// The crash engine keeps one per device and drains into it at every
+/// capture, so neither side allocates in steady state.
 #[derive(Debug, Clone, Default)]
 pub struct DeviceCaptureDelta {
     /// Blocks folded into the durable base, in fold order.
     pub folds: Vec<(Lba, BlockTag)>,
-    /// Transactional-writeback groups committed, in commit order.
-    pub committed_groups: Vec<u64>,
 }
 
 /// Aggregate device statistics.
@@ -382,34 +378,32 @@ impl Device {
     }
 
     /// Transactional-writeback groups committed so far (meaningful only
-    /// under [`BarrierMode::Transactional`]; empty in other modes). The
-    /// crash enumerator needs this to tell all-or-nothing groups that are
-    /// already pinned durable from those still free to vanish.
+    /// under [`BarrierMode::Transactional`]; empty in other modes).
     pub fn committed_groups(&self) -> impl Iterator<Item = u64> + '_ {
         (0..self.trans.next_gid).filter(|&gid| self.trans.is_committed(gid))
     }
 
-    /// Arms capture-delta tracking: fold and group-commit streams are
-    /// recorded from now on for [`Device::drain_capture_delta`]. Off by
-    /// default — figure runs pay nothing; the crash engine drains the
-    /// streams at every capture, keeping them bounded by one epoch.
+    /// The open transactional-writeback group, if any. Every unfolded
+    /// record of another group belongs to a committed one.
+    pub fn open_group(&self) -> Option<OpenGroup> {
+        let left = self.trans.left;
+        self.trans.open.map(|id| OpenGroup { id, left })
+    }
+
+    /// Arms capture-delta tracking: the fold stream is recorded from now
+    /// on for [`Device::drain_capture_delta`]. Off by default — figure
+    /// runs pay nothing; the crash engine drains the stream at every
+    /// capture, keeping it bounded by one epoch.
     pub fn enable_capture_tracking(&mut self) {
         self.log.track_folds();
-        if self.trans.committed_log.is_none() {
-            self.trans.committed_log = Some(Vec::new());
-        }
     }
 
     /// Replaces `into` with the capture-relevant changes since the
-    /// previous drain (all empty when tracking was never armed). Both the
-    /// device's logs and `into` keep their buffers.
+    /// previous drain (empty when tracking was never armed). Both the
+    /// device's log and `into` keep their buffers.
     pub fn drain_capture_delta(&mut self, into: &mut DeviceCaptureDelta) {
         into.folds.clear();
         into.folds.extend(self.log.drain_fold_log());
-        into.committed_groups.clear();
-        if let Some(log) = &mut self.trans.committed_log {
-            into.committed_groups.append(log);
-        }
     }
 
     /// Submits a command. Returns the command back when the queue is full
@@ -847,12 +841,9 @@ impl Device {
         debug_assert!(logged, "destage record without append record");
 
         // Transactional group accounting.
-        if let Some(gid) = self.trans.open {
+        if self.trans.open.is_some() {
             self.trans.left -= usize::from(seq <= self.trans.upto);
             if self.trans.left == 0 {
-                if let Some(log) = &mut self.trans.committed_log {
-                    log.push(gid);
-                }
                 self.trans.open = None;
             }
         }
@@ -920,35 +911,21 @@ impl Device {
     }
 
     // ------------------------------------------------------------------
-    // Crash semantics.
+    // Crash semantics: which images a power loss can leave is
+    // `crate::crash`'s to say.
     // ------------------------------------------------------------------
 
-    /// Computes the storage-surface contents if power were lost right now,
-    /// under the profile's barrier mode (§3.2's enforcement options).
+    /// The storage-surface contents if power were lost right now: choice 0
+    /// of the [`crate::ChoiceSpace`] the profile admits (§3.2's enforcement
+    /// options).
     pub fn crash_image(&self) -> PersistedImage {
-        if self.profile.plp {
-            // Supercap: everything transferred is durable.
-            let mut img = self.log.image(|_| true, false);
-            img.overlay(self.cache.entries_in_order().map(|(_, e)| (e.lba, e.tag)));
-            return img;
-        }
-        match self.profile.barrier_mode {
-            BarrierMode::LfsInOrderRecovery => self.log.image(|r| r.done, true),
-            BarrierMode::Transactional => self.log.image(
-                |r| r.done && r.group.is_none_or(|g| self.trans.is_committed(g)),
-                false,
-            ),
-            BarrierMode::InOrderWriteback | BarrierMode::Unsupported => {
-                self.log.image(|r| r.done, false)
-            }
-        }
+        CrashState::of_device(self, self.profile.plp).into_image(0)
     }
 
-    /// The durable state with *no* crash: cache fully drained (used to
-    /// validate end-of-run content).
+    /// The durable state with *no* crash: everything transferred, the
+    /// cache included — the PLP image (used to validate end-of-run
+    /// content).
     pub fn final_image(&self) -> PersistedImage {
-        let mut img = self.log.image(|_| true, false);
-        img.overlay(self.cache.entries_in_order().map(|(_, e)| (e.lba, e.tag)));
-        img
+        CrashState::of_device(self, true).into_image(0)
     }
 }

@@ -16,9 +16,10 @@
 //! * four barrier-enforcement engines ([`BarrierMode`]): none (orderless
 //!   baseline), in-order writeback, transactional writeback, and the
 //!   paper's LFS-style in-order crash recovery,
-//! * power-loss injection: [`Device::crash_image`] computes exactly which
-//!   block versions survive, and [`audit_epoch_order`] checks the result
-//!   against the barrier contract.
+//! * power-loss injection: [`ChoiceSpace`] says which images a power loss
+//!   can leave a device in, [`Device::crash_image`] is the first of them,
+//!   and [`audit_epoch_order`] checks an image against the barrier
+//!   contract.
 //!
 //! ```
 //! use bio_flash::{Command, CmdId, Device, DeviceProfile, Lba, BlockTag, WriteFlags};
@@ -58,6 +59,7 @@
 
 mod cache;
 mod chip;
+mod crash;
 mod device;
 mod ftl;
 mod profile;
@@ -67,6 +69,7 @@ mod types;
 
 pub use cache::{CacheEntry, CacheError, EntryState, WritebackCache};
 pub use chip::ChipArray;
+pub use crash::{ChoiceSpace, CrashState, OpenGroup, Overlay, OverlayImage};
 pub use device::{DevAction, DevEvent, Device, DeviceCaptureDelta, DeviceStats};
 pub use ftl::{Ftl, FtlStats, GcRun, PhysLoc};
 pub use profile::{BarrierMode, BarrierOverhead, DeviceProfile};

@@ -1,12 +1,13 @@
-//! Crash persistence: the FTL append log, persisted-image computation, and
-//! the epoch-ordering audit used by the correctness tests.
+//! Crash persistence: the FTL append log, the block map every crash image
+//! is stored in, and the epoch-ordering audit used by the correctness
+//! tests.
 //!
 //! The paper's UFS firmware recovers by scanning the log-structured segment
 //! "from the beginning till it first encounters the page which has not been
 //! programmed properly" and discarding the rest (§3.2). [`AppendLog`]
-//! reproduces exactly that: every flash program is an append record; a
-//! crash image is a replay of the records that survive under the device's
-//! barrier-enforcement mode.
+//! records what that scan reads: every flash program is an append record.
+//! Which records survive a crash under the device's barrier-enforcement
+//! mode is [`crate::ChoiceSpace`]'s to say.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
@@ -136,22 +137,6 @@ impl AppendLog {
     /// explores.
     pub fn tail(&self) -> impl Iterator<Item = &AppendRec> + '_ {
         self.entries.iter()
-    }
-
-    /// Replay of the base plus every unfolded record matching `keep`,
-    /// in append order. `prefix_only` stops at the first rejected record
-    /// (the LFS in-order recovery rule). The base's pages are copied
-    /// whole and the tail is stored over them: no sort, no tree.
-    pub fn image<F: Fn(&AppendRec) -> bool>(&self, keep: F, prefix_only: bool) -> PersistedImage {
-        let mut map = self.base.clone();
-        for rec in &self.entries {
-            if keep(rec) {
-                map.insert(rec.lba, rec.tag);
-            } else if prefix_only {
-                break;
-            }
-        }
-        PersistedImage { map }
     }
 }
 
@@ -284,12 +269,6 @@ impl PersistedImage {
     /// Iterates over `(lba, tag)` pairs in ascending LBA order.
     pub fn iter(&self) -> impl Iterator<Item = (Lba, BlockTag)> + '_ {
         self.map.iter()
-    }
-
-    /// Overlays another set of surviving blocks (e.g. a PLP-protected
-    /// cache) on top of this image, in the order given.
-    pub fn overlay<I: IntoIterator<Item = (Lba, BlockTag)>>(&mut self, blocks: I) {
-        self.map.extend(blocks);
     }
 }
 
@@ -805,37 +784,6 @@ mod tests {
     }
 
     #[test]
-    fn log_replay_done_only() {
-        let mut log = AppendLog::new();
-        let a = log.begin(Lba(1), BlockTag(10), None);
-        let b = log.begin(Lba(2), BlockTag(20), None);
-        let _c = log.begin(Lba(3), BlockTag(30), None);
-        log.mark_done(a);
-        log.mark_done(b);
-        let img = log.image(|r| r.done, false);
-        assert_eq!(img.tag(Lba(1)), BlockTag(10));
-        assert_eq!(img.tag(Lba(2)), BlockTag(20));
-        assert_eq!(img.tag(Lba(3)), BlockTag::UNWRITTEN);
-        assert_eq!(img.len(), 2);
-    }
-
-    #[test]
-    fn prefix_rule_truncates_at_hole() {
-        let mut log = AppendLog::new();
-        let a = log.begin(Lba(1), BlockTag(10), None);
-        let b = log.begin(Lba(2), BlockTag(20), None);
-        let c = log.begin(Lba(3), BlockTag(30), None);
-        log.mark_done(a);
-        // b not programmed, c done: LFS recovery must discard c too.
-        log.mark_done(c);
-        let _ = b;
-        let img = log.image(|r| r.done, true);
-        assert_eq!(img.tag(Lba(1)), BlockTag(10));
-        assert_eq!(img.tag(Lba(2)), BlockTag::UNWRITTEN);
-        assert_eq!(img.tag(Lba(3)), BlockTag::UNWRITTEN, "after-hole discarded");
-    }
-
-    #[test]
     fn fold_moves_prefix_to_base() {
         let mut log = AppendLog::new();
         let a = log.begin(Lba(1), BlockTag(10), None);
@@ -846,9 +794,8 @@ mod tests {
         log.mark_done(b);
         log.fold(|_| true);
         assert_eq!(log.tail_len(), 0);
-        let img = log.image(|_| false, false);
-        assert_eq!(img.tag(Lba(1)), BlockTag(10));
-        assert_eq!(img.tag(Lba(2)), BlockTag(20));
+        assert_eq!(log.base().get(Lba(1)), Some(BlockTag(10)));
+        assert_eq!(log.base().get(Lba(2)), Some(BlockTag(20)));
     }
 
     #[test]
@@ -860,29 +807,6 @@ mod tests {
         assert_eq!(log.tail_len(), 1);
         log.fold(|g| g == 5);
         assert_eq!(log.tail_len(), 0);
-    }
-
-    #[test]
-    fn group_filter_in_image() {
-        let mut log = AppendLog::new();
-        let a = log.begin(Lba(1), BlockTag(10), Some(1));
-        let b = log.begin(Lba(2), BlockTag(20), Some(2));
-        log.mark_done(a);
-        log.mark_done(b);
-        let img = log.image(|r| r.done && r.group == Some(1), false);
-        assert_eq!(img.tag(Lba(1)), BlockTag(10));
-        assert_eq!(img.tag(Lba(2)), BlockTag::UNWRITTEN);
-    }
-
-    #[test]
-    fn overlay_wins() {
-        let mut log = AppendLog::new();
-        let a = log.begin(Lba(1), BlockTag(10), None);
-        log.mark_done(a);
-        let mut img = log.image(|r| r.done, false);
-        img.overlay([(Lba(1), BlockTag(99)), (Lba(7), BlockTag(70))]);
-        assert_eq!(img.tag(Lba(1)), BlockTag(99));
-        assert_eq!(img.tag(Lba(7)), BlockTag(70));
     }
 
     #[test]
