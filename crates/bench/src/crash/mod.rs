@@ -15,7 +15,8 @@
 //!   n+1 tail prefixes cut at each in-flight program ("first hole").
 //! * [`BarrierMode::InOrderWriteback`] / [`BarrierMode::Unsupported`] — any
 //!   subset of in-flight programs may have retired: 2^n images.
-//! * [`BarrierMode::Transactional`] — the open group lands all-or-nothing.
+//! * [`BarrierMode::Transactional`] — the open group lands whole or not at
+//!   all, and only when every member it still waits for is in flight.
 //! * PLP (supercap) devices yield a single image: everything survives.
 //!
 //! # Module map

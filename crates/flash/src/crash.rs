@@ -13,8 +13,11 @@
 //! * [`BarrierMode::InOrderWriteback`] / [`BarrierMode::Unsupported`]: any
 //!   subset of the in-flight programs may have retired; bit `i` of a choice
 //!   is the `i`-th of them.
-//! * [`BarrierMode::Transactional`]: the open group lands all-or-nothing:
-//!   bit 0 keeps its programmed members.
+//! * [`BarrierMode::Transactional`]: a group lands whole or not at all. The
+//!   open group can land only when every member it still waits for is an
+//!   in-flight program (a member still in the cache cannot be programmed
+//!   before the power goes); bit 0 then lands it, done and in-flight
+//!   members together. Otherwise the space is choice 0 alone.
 //!
 //! With PLP everything transferred survives, the cache included: one image.
 
@@ -205,7 +208,8 @@ enum Kind {
     /// Orderless / in-order writeback: one bit per in-flight program (bit
     /// set = that program retired before power loss).
     Subset,
-    /// Transactional writeback: bit 0 lands the open group.
+    /// Transactional writeback: bit 0 lands the open group whole, when it
+    /// can land at all.
     Group,
 }
 
@@ -243,9 +247,13 @@ impl ChoiceSpace {
                 Kind::Subset
             }
             BarrierMode::Transactional => {
-                self.lands = state
-                    .open_group
-                    .is_some_and(|g| state.tail.iter().any(|r| r.group == Some(g.id)));
+                // The group commits at its last member's program: it can
+                // land only if that program may have completed, i.e. every
+                // member still to come is in flight.
+                self.lands = state.open_group.is_some_and(|g| {
+                    let member = |r: &&AppendRec| !r.done && r.group == Some(g.id);
+                    g.left == state.tail.iter().filter(member).count()
+                });
                 Kind::Group
             }
         };
@@ -299,7 +307,7 @@ impl ChoiceSpace {
                 let lands = self.lands && choice & 1 != 0;
                 for (i, r) in tail {
                     let member = r.group.is_some() && r.group == open;
-                    if r.done && (!member || lands) {
+                    if (member && lands) || (!member && r.done) {
                         land(i);
                     }
                 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use bio_flash::{
     AppendLog, BarrierMode, BlockTag, ChoiceSpace, CmdId, Command, CrashState, DevAction, DevEvent,
-    Device, DeviceProfile, Lba, Overlay, WriteFlags,
+    Device, DeviceProfile, Lba, OpenGroup, Overlay, WriteFlags,
 };
 use bio_sim::{EventQueue, SimRng};
 
@@ -105,6 +105,56 @@ fn a_subset_space_holds_up_to_64_free_bits() {
     let all = view(&d, &space, u64::MAX);
     assert_eq!(all.tag(&d, Lba(63)), BlockTag(163));
     assert_eq!(all.tag(&d, Lba(64)), BlockTag::UNWRITTEN);
+}
+
+/// A transactional state: group 1 committed, group 2 open with one member
+/// programmed and one in flight, and `left` members still to come.
+fn group_state(left: usize) -> CrashState {
+    let mut log = AppendLog::new();
+    let a = log.begin(Lba(1), BlockTag(10), Some(1));
+    let b = log.begin(Lba(2), BlockTag(20), Some(2));
+    log.begin(Lba(3), BlockTag(30), Some(2));
+    log.mark_done(a);
+    log.mark_done(b);
+    let mut d = state_of(BarrierMode::Transactional, false, &log);
+    d.open_group = Some(OpenGroup { id: 2, left });
+    d
+}
+
+#[test]
+fn an_open_group_lands_whole_or_not_at_all() {
+    // Only the in-flight member is left: its program may complete, and
+    // with it the group commits.
+    let d = group_state(1);
+    let space = space_of(&d);
+    assert_eq!((space.is_mask(), space.width()), (true, 1));
+    let lost = view(&d, &space, 0);
+    assert_eq!(
+        lost.tag(&d, Lba(1)),
+        BlockTag(10),
+        "a committed group stays"
+    );
+    assert_eq!(lost.tag(&d, Lba(2)), BlockTag::UNWRITTEN);
+    assert_eq!(lost.tag(&d, Lba(3)), BlockTag::UNWRITTEN);
+    let landed = view(&d, &space, 1);
+    assert_eq!(landed.tag(&d, Lba(2)), BlockTag(20));
+    assert_eq!(
+        landed.tag(&d, Lba(3)),
+        BlockTag(30),
+        "the in-flight member too"
+    );
+}
+
+#[test]
+fn an_open_group_with_a_member_in_the_cache_cannot_land() {
+    // A second member still sits in the cache: no program of it has
+    // started, so the group cannot commit before the power goes.
+    let d = group_state(2);
+    let space = space_of(&d);
+    assert_eq!((space.is_mask(), space.width()), (true, 0));
+    let only = view(&d, &space, 0);
+    assert_eq!(only.materialize(&d), view(&d, &space, 1).materialize(&d));
+    assert_eq!(only.tag(&d, Lba(2)), BlockTag::UNWRITTEN);
 }
 
 #[test]
