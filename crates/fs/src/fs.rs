@@ -966,7 +966,7 @@ impl Filesystem {
     pub fn handle(&mut self, ev: FsEvent, now: SimTime, out: &mut ActionSink<FsAction>) {
         match ev {
             FsEvent::ReqDone(rid) => self.on_req_done(rid, now, out),
-            FsEvent::Step(tid) => self.on_step(tid, now, out),
+            FsEvent::Step(tid) => self.on_step(tid, out),
             FsEvent::CommitRun => self.on_commit_run(out),
             FsEvent::Pdflush => {
                 self.pdflush(out);
@@ -1004,7 +1004,7 @@ impl Filesystem {
                 out.push(FsAction::CtxSwitch(tid));
                 out.push(FsAction::Wake(tid));
             }
-            Purpose::TxnFlush { upto } => self.on_txn_flush_done(upto, out),
+            Purpose::TxnFlush { upto } => self.on_txn_flush_done(upto, now, out),
             Purpose::Checkpoint(txn) => self.on_checkpoint_done(txn, out),
             Purpose::Writeback => {}
             Purpose::Read(tid) => {
@@ -1046,7 +1046,7 @@ impl Filesystem {
         out.push(FsAction::After(self.cfg.ctx_switch, FsEvent::Step(tid)));
     }
 
-    fn on_step(&mut self, tid: ThreadId, now: SimTime, out: &mut ActionSink<FsAction>) {
+    fn on_step(&mut self, tid: ThreadId, out: &mut ActionSink<FsAction>) {
         let Some(SyscallState::Stepping { file, then }) = self.syscalls.get(tid).cloned() else {
             return;
         };
@@ -1064,8 +1064,6 @@ impl Filesystem {
                 self.syscalls.set(tid, SyscallState::AwaitFlush);
             }
             AfterData::OptfsScan { durable } => {
-                let _ = file;
-                let _ = now;
                 let _ = self.optfs_commit_and_wait(tid, durable, out);
             }
         }

@@ -403,7 +403,12 @@ impl Filesystem {
         out.push(FsAction::Submit(BlockRequest::flush(rid)));
     }
 
-    pub(crate) fn on_txn_flush_done(&mut self, upto: TxnId, out: &mut ActionSink<FsAction>) {
+    pub(crate) fn on_txn_flush_done(
+        &mut self,
+        upto: TxnId,
+        now: SimTime,
+        out: &mut ActionSink<FsAction>,
+    ) {
         self.flush_inflight = false;
         // Every transaction transferred before the flush is now durable,
         // in commit order (the table iterates in id order).
@@ -413,7 +418,6 @@ impl Filesystem {
             .filter(|(id, t)| *id <= upto.0 && t.state == TxnState::Transferred)
             .map(|(id, _)| TxnId(id))
             .collect();
-        let now = SimTime::ZERO; // release paths do not use wall time
         for t in ready {
             self.mark_durable(t, true, out);
             if self.committing.contains(&t) {
@@ -915,7 +919,7 @@ mod tests {
         assert_eq!(fs.stats().dropped_journal_events, 1);
         // Flush completion naming a retired txn: nothing is transferred,
         // so nothing happens.
-        fs.on_txn_flush_done(retired, &mut out);
+        fs.on_txn_flush_done(retired, SimTime::ZERO, &mut out);
         // Release / durability of a retired txn: inert.
         fs.mark_durable(retired, true, &mut out);
         fs.release_txn(retired, SimTime::ZERO, true, &mut out);
@@ -997,7 +1001,7 @@ mod tests {
             fs.on_jd_done(id, &mut out);
             fs.on_jc_done(id, SimTime::from_millis(41), &mut out);
             fs.on_checkpoint_done(id, &mut out);
-            fs.on_txn_flush_done(id, &mut out);
+            fs.on_txn_flush_done(id, SimTime::from_millis(41), &mut out);
             out.clear();
         }
         // Still functional: a fresh write+sync completes.
