@@ -6,18 +6,9 @@
 //! trace runs **once**, the live stack is captured at every barrier-epoch
 //! boundary (journal commit), and for every capture point the enumerator
 //! walks *all* persisted images the device's barrier mode admits for the
-//! in-flight flash programs. Which images those are is `bio_flash`'s to
-//! say ([`bio_flash::ChoiceSpace`], whose choice 0 is
-//! [`bio_flash::Device::crash_image`]); this module asks it:
-//!
-//! * [`BarrierMode::LfsInOrderRecovery`] — firmware recovery truncates at
-//!   the first unprogrammed page (§3.2), so the admissible images are the
-//!   n+1 tail prefixes cut at each in-flight program ("first hole").
-//! * [`BarrierMode::InOrderWriteback`] / [`BarrierMode::Unsupported`] — any
-//!   subset of in-flight programs may have retired: 2^n images.
-//! * [`BarrierMode::Transactional`] — the open group lands whole or not at
-//!   all, and only when every member it still waits for is in flight.
-//! * PLP (supercap) devices yield a single image: everything survives.
+//! in-flight flash programs. Which images those are, per barrier mode, is
+//! `bio_flash`'s to say ([`bio_flash::ChoiceSpace`], whose choice 0 is
+//! [`bio_flash::Device::crash_image`]); this module asks it.
 //!
 //! # Module map
 //!
@@ -92,10 +83,6 @@
 //! cross-stack divergence, reported as a minimized
 //! `(trace seed, capture point, reordering choice)` triple.
 //!
-//! [`BarrierMode::LfsInOrderRecovery`]: bio_flash::BarrierMode::LfsInOrderRecovery
-//! [`BarrierMode::InOrderWriteback`]: bio_flash::BarrierMode::InOrderWriteback
-//! [`BarrierMode::Unsupported`]: bio_flash::BarrierMode::Unsupported
-//! [`BarrierMode::Transactional`]: bio_flash::BarrierMode::Transactional
 //! [`ConsistencyIndex`]: barrier_io::ConsistencyIndex
 //! [`ConsistencyCheck`]: barrier_io::ConsistencyCheck
 //! [`EpochIndex`]: bio_flash::EpochIndex

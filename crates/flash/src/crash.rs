@@ -195,21 +195,17 @@ impl CrashState {
     }
 }
 
-/// The shape of a space.
+/// The shape of a space, one per rule of the module header.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum Kind {
-    /// PLP: one image, everything transferred survives, cache included.
+    /// PLP: one image.
     #[default]
     Whole,
-    /// LFS in-order recovery: choice `c` cuts the tail at the `c`-th hole
-    /// (the tail index of an in-flight program); the choice one past the
-    /// last hole keeps the full tail.
+    /// LFS in-order recovery: a choice is a cut.
     Prefix,
-    /// Orderless / in-order writeback: one bit per in-flight program (bit
-    /// set = that program retired before power loss).
+    /// Orderless / in-order writeback: a bit per in-flight program.
     Subset,
-    /// Transactional writeback: bit 0 lands the open group whole, when it
-    /// can land at all.
+    /// Transactional writeback: bit 0 lands the open group.
     Group,
 }
 
