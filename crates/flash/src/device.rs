@@ -385,7 +385,7 @@ impl Device {
 
     /// The open transactional-writeback group, if any. Every unfolded
     /// record of another group belongs to a committed one.
-    pub fn open_group(&self) -> Option<OpenGroup> {
+    pub(crate) fn open_group(&self) -> Option<OpenGroup> {
         let left = self.trans.left;
         self.trans.open.map(|id| OpenGroup { id, left })
     }
