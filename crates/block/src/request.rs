@@ -234,10 +234,9 @@ impl MergedRequest {
             // Back merge (the common one): other follows self.
             t1.extend_from_slice(t2);
         } else if e2 == s1 {
-            // Front merge: other precedes self.
-            let mut tags = t2.clone();
-            tags.extend_from_slice(t1);
-            (*start, *t1) = (s2, tags);
+            // Front merge: other precedes self, prepended in place.
+            t1.splice(0..0, t2.iter().copied());
+            *start = s2;
         } else {
             return false;
         }

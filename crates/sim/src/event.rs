@@ -5,11 +5,25 @@
 //! min-priority queue ordered by `(time, sequence)`: events scheduled for
 //! the same instant pop in FIFO order, so every run is reproducible.
 //!
-//! It is a plain [`BinaryHeap`] because the traffic is small: the stack
+//! It is a [`BinaryHeap`] for future events plus a FIFO lane (a
+//! [`VecDeque`]) for events scheduled at the current instant, because
+//! the traffic is small and a large share of it is "now": the stack
 //! holds threads + devices × (queue depth + chips) + a few timers — per
-//! benchmark cell a measured mean of 2–36 pending events, 97–163 with 256
+//! benchmark cell a measured mean of 1–35 pending events, 96–155 with 256
 //! DWSL threads, at most 386 over all six workloads, delays 0–500 ms (the
-//! sizing against the calendar queue it replaced is in the crate docs).
+//! sizing against the calendar queue it replaced is in the crate docs) —
+//! and 20–31 % of all pushes per cell (32–52 % on `mq_dwsl`'s DWSL cells)
+//! are for the current instant: block completions routed as `push_now`, a
+//! thread's next op after a transaction mark, congestion wake-ups. Such a
+//! push appends to the lane, with no sequence number and no sift through
+//! the heap.
+//!
+//! The lane keeps the `(time, seq)` order exactly. Every lane event is at
+//! `now` and was pushed after the clock reached `now`; a heap entry at
+//! `now` was pushed before that, so it has the lower sequence number.
+//! A pop therefore serves a heap entry at `now` first, then the lane, and
+//! only then advances the clock to the heap's earliest entry.
+//!
 //! The contract is this module's unit tests plus the differential
 //! properties in `tests/event_queue_props.rs`, whose oracle is a
 //! linear-scan `Vec`, not a heap.
@@ -25,7 +39,7 @@
 //! ```
 
 use core::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::{SimDuration, SimTime};
 
@@ -60,7 +74,11 @@ impl<E> Ord for Scheduled<E> {
 /// A deterministic min-priority queue of timed events; events at equal
 /// timestamps are delivered in insertion order.
 pub struct EventQueue<E> {
+    /// Events scheduled after `now` (and those at `now` pushed before the
+    /// clock reached it).
     heap: BinaryHeap<Scheduled<E>>,
+    /// Events pushed at `now` since the clock reached it, in push order.
+    lane: VecDeque<E>,
     next_seq: u64,
     now: SimTime,
 }
@@ -76,6 +94,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            lane: VecDeque::new(),
             next_seq: 0,
             now: SimTime::ZERO,
         }
@@ -96,7 +115,11 @@ impl<E> EventQueue<E> {
             "event scheduled in the past: at={at} now={}",
             self.now
         );
-        let key = (at.max(self.now), self.next_seq);
+        if at <= self.now {
+            self.lane.push_back(event);
+            return;
+        }
+        let key = (at, self.next_seq);
         self.next_seq += 1;
         self.heap.push(Scheduled { key, event });
     }
@@ -114,15 +137,29 @@ impl<E> EventQueue<E> {
 
     /// Pops the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        if !self.lane.is_empty() && !self.heap_due_now() {
+            return self.lane.pop_front().map(|event| (self.now, event));
+        }
         let entry = self.heap.pop()?;
         self.now = entry.key.0;
         Some((self.now, entry.event))
     }
 
+    /// True when the heap's earliest entry is at `now`: it was pushed
+    /// before the clock got here, so it pops ahead of the whole lane.
+    fn heap_due_now(&self) -> bool {
+        self.heap.peek().is_some_and(|s| s.key.0 == self.now)
+    }
+
     /// Pops the earliest event only if it is scheduled at or before
     /// `deadline`; on a miss the queue and the clock are untouched.
     pub fn pop_at_or_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        if self.heap.peek()?.key.0 <= deadline {
+        let next = if self.lane.is_empty() {
+            self.heap.peek()?.key.0
+        } else {
+            self.now
+        };
+        if next <= deadline {
             self.pop()
         } else {
             None
@@ -174,17 +211,18 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lane.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.lane.is_empty()
     }
 
     /// Drops all pending events without advancing the clock.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.lane.clear();
     }
 }
 
@@ -250,6 +288,39 @@ mod tests {
         q.push_now("third");
         assert_eq!(q.pop().unwrap().1, "second");
         assert_eq!(q.pop().unwrap().1, "third");
+    }
+
+    #[test]
+    fn an_event_scheduled_before_the_clock_arrived_pops_before_push_now() {
+        // Both fire at T = 5 µs; "early-bird" was pushed while the clock
+        // stood at 1 µs, so it holds the lower sequence number and pops
+        // ahead of everything `push_now` adds once the clock reaches T.
+        let mut q = EventQueue::new();
+        let t = SimTime::from_micros(5);
+        q.push(SimTime::from_micros(1), "tick");
+        q.push(t, "arrive");
+        q.push(t, "early-bird");
+        assert_eq!(q.pop().unwrap().1, "tick");
+        assert_eq!(q.pop().unwrap(), (t, "arrive"));
+        q.push_now("now-1");
+        q.push_after(SimDuration::ZERO, "now-2");
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.pop().unwrap(), (t, "early-bird"));
+        assert_eq!(q.pop().unwrap(), (t, "now-1"));
+        assert_eq!(q.pop_at_or_before(t).unwrap(), (t, "now-2"));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn a_pending_same_instant_event_misses_an_earlier_deadline() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_micros(5), "a");
+        q.pop();
+        q.push_now("b");
+        assert_eq!(q.pop_at_or_before(SimTime::from_micros(4)), None);
+        assert_eq!(q.len(), 1);
+        q.clear();
+        assert!(q.is_empty() && q.pop().is_none());
     }
 
     #[test]

@@ -6,14 +6,20 @@
 //! supplies the primitives they share:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond virtual time,
-//! * [`EventQueue`] — the deterministic event queue: a binary heap with a
-//!   `(time, seq)` FIFO contract. A plain heap because the stack never
+//! * [`EventQueue`] — the deterministic event queue with a `(time, seq)`
+//!   FIFO contract: a binary heap for future events plus a FIFO lane for
+//!   events pushed at the current instant. A heap because the stack never
 //!   holds more than a few hundred pending events (measured: ≤ 386 over
-//!   all six benchmark workloads); measured against the calendar queue
-//!   it replaced (with the payload pools, PR 18), the stack read
-//!   1.05–1.17× `ops_per_ref_s` on four workloads, 1.00–1.04× on the
-//!   other two and ~2 MiB less RSS (CHANGES.md has every run). The oracle
-//!   it is held to is the linear-scan model in
+//!   all six benchmark workloads, a mean of 96–155 with 256 DWSL
+//!   threads); measured against the calendar queue it replaced (with the
+//!   payload pools), the stack read 1.05–1.17× `ops_per_ref_s` on four
+//!   workloads, 1.00–1.04× on the other two and ~2 MiB less RSS. A lane
+//!   because 20–31 % of all pushes on five workloads, and 32–52 % on
+//!   `mq_dwsl`, are for the current instant (block completions, a
+//!   thread's next op after a transaction mark, congestion wake-ups);
+//!   skipping the heap's sifts for them read `mq_dwsl` 1.07× and 1.06×
+//!   `ops_per_ref_s` at two seeds (CHANGES.md has every run).
+//!   The oracle it is held to is the linear-scan model in
 //!   `tests/event_queue_props.rs`,
 //! * [`ActionSink`] — the reusable output buffer the layer state machines
 //!   write their actions into (event routing without a `Vec` per event),

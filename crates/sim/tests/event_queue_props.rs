@@ -1,7 +1,7 @@
 //! Property tests for [`EventQueue`]: the `(time, seq)` ordering contract
 //! on arbitrary schedules, checked against an oracle that shares nothing
-//! with the implementation — `EventQueue` is a binary heap, the oracle a
-//! `Vec` scanned linearly.
+//! with the implementation — `EventQueue` is a binary heap plus a FIFO lane
+//! for the current instant, the oracle a `Vec` scanned linearly.
 
 use bio_sim::{EventQueue, SimDuration, SimTime};
 use proptest::prelude::*;
@@ -24,6 +24,10 @@ impl RefQueue {
         self.pop_at_or_before(u64::MAX)
     }
 
+    fn clear(&mut self) {
+        self.pending.clear();
+    }
+
     fn pop_at_or_before(&mut self, deadline: u64) -> Option<(u64, u64)> {
         let earliest = self.pending.iter().map(|&(at, _)| at).min()?;
         if earliest > deadline {
@@ -34,6 +38,14 @@ impl RefQueue {
         Some(self.pending.remove(first))
     }
 }
+
+/// Opcodes of `matches_linear_scan_reference`. A release build adds one
+/// that pushes into the past: there such an event fires "now", through the
+/// same-instant lane (a debug build panics on it instead).
+#[cfg(debug_assertions)]
+const OPCODES: u8 = 8;
+#[cfg(not(debug_assertions))]
+const OPCODES: u8 = 9;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
@@ -78,38 +90,69 @@ proptest! {
         prop_assert!(q.is_empty());
     }
 
-    /// Interleaved pushes, pops and bounded pops match the linear-scan
-    /// reference exactly. Opcode 2 snaps its timestamp down to an 8 µs
+    /// Interleaved pushes, pops, bounded pops and clears match the
+    /// linear-scan reference exactly, and so do `len()` and `is_empty()`
+    /// after every step. Opcode 2 snaps its timestamp down to an 8 µs
     /// grid, and opcode 4 its deadline, so several events share an instant
     /// (FIFO among them is compared too) and deadlines land exactly on
     /// event times (the bound is inclusive). Opcode 3 stretches delays
     /// ~1000x so schedules mix DMA-scale and timer-scale delays (up to
     /// 200 ms); opcode 4 interleaves `pop_at_or_before` (both hits and
     /// deadline misses) with later pushes, which may land before the event
-    /// that missed.
+    /// that missed. Opcodes 5 and 6 schedule at the current instant
+    /// (`push_now`, `push_after(ZERO)`), behind any heap entry already
+    /// due then. Opcode 7 clears the queue on one draw in 16 and pops
+    /// otherwise, so schedules still build up. Opcode 8 (release only)
+    /// pushes up to 200 µs into the past.
     #[test]
     fn matches_linear_scan_reference(
-        script in prop::collection::vec((0u8..5, 0u64..200_000, 0u64..1000), 1..400),
+        script in prop::collection::vec((0u8..OPCODES, 0u64..200_000, 0u64..1000), 1..400),
     ) {
         let mut q = EventQueue::new();
         let mut r = RefQueue::default();
         // `t` snapped down to the grid, but never into the past.
         let snap = |t: SimTime, now: SimTime| SimTime::from_nanos(t.as_nanos() & !0x1fff).max(now);
         for &(op, dt, v) in &script {
-            if op == 0 {
-                let got = q.pop().map(|(t, ev)| (t.as_nanos(), ev));
-                prop_assert_eq!(got, r.pop());
-            } else if op == 4 {
-                let deadline = snap(q.now() + SimDuration::from_nanos(dt), q.now());
-                let got = q.pop_at_or_before(deadline).map(|(t, ev)| (t.as_nanos(), ev));
-                prop_assert_eq!(got, r.pop_at_or_before(deadline.as_nanos()));
-            } else {
-                let dt = if op == 3 { dt * 1000 } else { dt };
-                let at = q.now() + SimDuration::from_nanos(dt);
-                let at = if op == 2 { snap(at, q.now()) } else { at };
-                q.push(at, v);
-                r.push(at.as_nanos(), v);
+            let now = q.now().as_nanos();
+            let op = if op == 7 && v % 16 != 0 { 0 } else { op };
+            match op {
+                0 => {
+                    let got = q.pop().map(|(t, ev)| (t.as_nanos(), ev));
+                    prop_assert_eq!(got, r.pop());
+                }
+                7 => {
+                    q.clear();
+                    r.clear();
+                    prop_assert_eq!(q.now().as_nanos(), now, "clear keeps the clock");
+                }
+                4 => {
+                    let deadline = snap(q.now() + SimDuration::from_nanos(dt), q.now());
+                    let got = q.pop_at_or_before(deadline).map(|(t, ev)| (t.as_nanos(), ev));
+                    prop_assert_eq!(got, r.pop_at_or_before(deadline.as_nanos()));
+                }
+                5 => {
+                    q.push_now(v);
+                    r.push(now, v);
+                }
+                6 => {
+                    q.push_after(SimDuration::ZERO, v);
+                    r.push(now, v);
+                }
+                8 => {
+                    let at = now.saturating_sub(dt);
+                    q.push(SimTime::from_nanos(at), v);
+                    r.push(at, v);
+                }
+                _ => {
+                    let dt = if op == 3 { dt * 1000 } else { dt };
+                    let at = q.now() + SimDuration::from_nanos(dt);
+                    let at = if op == 2 { snap(at, q.now()) } else { at };
+                    q.push(at, v);
+                    r.push(at.as_nanos(), v);
+                }
             }
+            prop_assert_eq!(q.len(), r.pending.len());
+            prop_assert_eq!(q.is_empty(), r.pending.is_empty());
         }
         loop {
             let got = q.pop().map(|(t, ev)| (t.as_nanos(), ev));
