@@ -15,7 +15,6 @@
 use bio_block::Topology;
 use bio_flash::DeviceProfile;
 use bio_fs::{FsConfig, FsMode};
-use bio_sim::SimDuration;
 
 /// What a "sync" means in the workload driving this stack: full
 /// durability (`fsync`-style, the DR rows of the paper's tables) or
@@ -50,9 +49,6 @@ pub struct StackConfig {
     pub seed: u64,
     /// Record device transfer history for crash audits (memory-heavy).
     pub record_history: bool,
-    /// Host CPU charged per issued syscall, before the thread's next op
-    /// (keeps zero-time loops honest). Every preset sets 2 µs.
-    pub cpu_per_op: SimDuration,
 }
 
 impl StackConfig {
@@ -88,7 +84,6 @@ impl StackConfig {
             discipline: SyncDiscipline::Durability,
             seed: 42,
             record_history: false,
-            cpu_per_op: SimDuration::from_micros(2),
         }
     }
 

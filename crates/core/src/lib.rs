@@ -75,6 +75,7 @@ pub use metrics::{Metrics, OpMetrics, OpReport, RunReport};
 pub use ops::{FileRef, FnWorkload, Op, OpKind, ScriptWorkload, Workload};
 pub use stack::{
     CrashReport, IoStack, StackCaptureDelta, StackReport, StripedImage, CONGESTION_LIMIT,
+    CPU_PER_OP,
 };
 
 // Re-export the vocabulary types callers need alongside the stack.

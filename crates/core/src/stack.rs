@@ -134,6 +134,9 @@ impl<F: Fn(usize, Lba) -> BlockTag> ImageView for StripedImage<F> {
     }
 }
 
+/// CPU cost charged per issued syscall (keeps zero-time loops honest).
+pub const CPU_PER_OP: SimDuration = SimDuration::from_micros(2);
+
 /// Block-layer congestion threshold (the kernel's `nr_requests`): threads
 /// stall while this many requests or more are queued, and resume below
 /// half of it.
@@ -365,8 +368,7 @@ impl IoStack {
         th.state = ThreadState::Ready;
         let latency = now.saturating_since(th.op_started);
         self.metrics.record_op(th.current_kind, latency);
-        self.q
-            .push_after(self.cfg.cpu_per_op, Event::ThreadNext(tid));
+        self.q.push_after(CPU_PER_OP, Event::ThreadNext(tid));
     }
 
     /// The file `r` names for a thread with these `slots`. A reference to
@@ -477,8 +479,7 @@ impl IoStack {
         match outcome {
             SyscallOutcome::Done => {
                 self.metrics.record_op(kind, SimDuration::ZERO);
-                self.q
-                    .push_after(self.cfg.cpu_per_op, Event::ThreadNext(tid));
+                self.q.push_after(CPU_PER_OP, Event::ThreadNext(tid));
             }
             SyscallOutcome::Blocked => {
                 if let Some(th) = self.threads.get_mut(tid.0 as usize) {

@@ -95,10 +95,6 @@ pub struct Txn {
     /// Outstanding checkpoint (in-place metadata) writes; 0 when no
     /// checkpoint is in flight.
     pub checkpoints_left: usize,
-    /// Position of this transaction's ground-truth record in the
-    /// filesystem's record history, once its commit is recorded: the
-    /// O(1) lookup `mark_durable` uses instead of searching the history.
-    pub(crate) record: Option<usize>,
 }
 
 impl Txn {
@@ -122,7 +118,6 @@ impl Txn {
             commit_requested: false,
             durability_claimed: false,
             checkpoints_left: 0,
-            record: None,
         }
     }
 
@@ -149,7 +144,6 @@ impl Txn {
         self.commit_requested = false;
         self.durability_claimed = false;
         self.checkpoints_left = 0;
-        self.record = None;
     }
 
     /// Adds or refreshes a metadata buffer. Dedup is a binary search on
@@ -297,7 +291,6 @@ mod tests {
         t.commit_requested = true;
         t.durability_claimed = true;
         t.checkpoints_left = 3;
-        t.record = Some(11);
         t.reset(TxnId(7));
         // Every observable field matches a freshly constructed txn.
         let fresh = Txn::new(TxnId(7));

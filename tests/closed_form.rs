@@ -5,7 +5,7 @@
 //! A row names a claim, where it is stated, the cell that reproduces it —
 //! one figure cell, or the ratio of two cells of one column — and the
 //! number the cell should read: a closed form computed again from the
-//! `DeviceProfile` and `StackConfig` constants alone (`fig08`, `fig09` XnF),
+//! `DeviceProfile` and `FsConfig` constants alone (`fig08`, `fig09` XnF),
 //! or the number the paper states (the abstract's headline ratios).
 //!
 //! A row within [`TOLERANCE`] of that number passes. A row outside it is
@@ -28,11 +28,11 @@
 //!   its own program.
 //! - A thread woken from a transfer wait pays `ctx_switch`, a commit
 //!   requested by a thread waits `commit_thread_wake` for the commit
-//!   thread, and each syscall costs `StackConfig::cpu_per_op`.
+//!   thread, and each syscall costs `CPU_PER_OP`.
 
 use std::collections::BTreeMap;
 
-use barrier_io::{DeviceProfile, SimDuration, StackConfig};
+use barrier_io::{DeviceProfile, FsConfig, FsMode, SimDuration, CPU_PER_OP};
 use bio_bench::experiments::{run, Figure};
 
 /// How far a value may sit from the number it should read.
@@ -142,8 +142,7 @@ fn check(claims: &[Claim]) {
 #[test]
 fn fig08_commit_intervals_follow_their_labels() {
     let ssd = DeviceProfile::plain_ssd();
-    let stack = StackConfig::ext4_dr(ssd.clone());
-    let fs = &stack.fs;
+    let fs = FsConfig::new(FsMode::Ext4);
     let (dma, overhead) = (us(ssd.dma_per_block), us(ssd.cmd_overhead));
     let barrier = ssd.barrier_overhead.factor();
     // One commit of the storm: four DWSL threads append one block each, so
@@ -157,7 +156,7 @@ fn fig08_commit_intervals_follow_their_labels() {
     // Wait-on-Transfer: D, then JD, then JC, each on an idle link; the
     // data writer's wake-up, the commit thread's, and the next round's
     // write and fsync calls in between.
-    let host = us(fs.ctx_switch) + us(fs.commit_thread_wake) + 2.0 * us(stack.cpu_per_op);
+    let host = us(fs.ctx_switch) + us(fs.commit_thread_wake) + 2.0 * us(CPU_PER_OP);
     let t_dc = waited(data) + waited(jd) + waited(jc) + host;
     // JC's FLUSH|FUA: on PLP only the round trip; otherwise the preflush
     // drains the commit's programs, and the FUA waits for JC's own.
@@ -209,12 +208,11 @@ fn fig08_commit_intervals_follow_their_labels() {
 /// program, and the write and fdatasync calls. One block per write, so
 /// thousands of writes per second.
 fn xnf_kiops(dev: &DeviceProfile) -> f64 {
-    let stack = StackConfig::ext4_dr(dev.clone());
-    let fs = &stack.fs;
+    let fs = FsConfig::new(FsMode::Ext4);
     let transfer = us(dev.cmd_overhead) + us(dev.dma_per_block);
     let program = if dev.plp { 0.0 } else { us(dev.page_program) };
     let flush = program + us(dev.flush_overhead);
-    let per_write = transfer + us(fs.ctx_switch) + flush + 2.0 * us(stack.cpu_per_op);
+    let per_write = transfer + us(fs.ctx_switch) + flush + 2.0 * us(CPU_PER_OP);
     1e3 / per_write
 }
 
@@ -293,7 +291,7 @@ fn the_abstracts_headline_claims() {
         barrier_durability(server, "WAL", "supercap-SSD", 270.0, ExpectedMiss(75.0)),
         // A stack that never waits on the device runs at a rate no device
         // constant bounds, because a syscall costs the host nothing but
-        // `cpu_per_op` (ROADMAP item 9): the SQLite rows read high. Why
+        // `CPU_PER_OP` (ROADMAP item 9): the SQLite rows read high. Why
         // the MySQL row reads low is open.
         relaxed(
             sqlite_73x,
