@@ -87,7 +87,7 @@ pub fn fig09(scale: u64) -> Figure {
 }
 
 /// Fig 10: queue-depth traces (down-sampled) for X vs B on two devices.
-/// A row's numbers are its 24 trace points, drawn by [`sparklines`].
+/// A row's numbers are its 24 trace points, drawn by `sparklines`.
 pub fn fig10(scale: u64) -> Figure {
     let scenarios: [(&str, Preset, SyncMode); 2] = [
         ("Wait-on-Transfer", StackConfig::ext4_od, Fdatasync),

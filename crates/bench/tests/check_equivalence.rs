@@ -17,9 +17,7 @@
 //! — each across the Prefix, Subset, Groups and PLP choice spaces — and
 //! asserts that violations were in fact seen.
 
-use barrier_io::{
-    check_crash_consistency, BarrierMode, ConsistencyCheck, DeviceProfile, StackConfig,
-};
+use barrier_io::{BarrierMode, ConsistencyCheck, DeviceProfile, StackConfig};
 use bio_bench::crash::oracle::{
     capture_points_of, enumerate_point_unindexed, enumerate_point_with, Forgery,
 };
@@ -86,10 +84,10 @@ fn check_point(p: &CrashPoint, sample_seed: u64, seen: &mut Seen) -> Result<(), 
                 epoch.extend(a.violations(&case.device_image(di)));
             }
         }
-        // Every 16th image also goes to the one-shot checker as a
+        // Every 16th image also goes to a freshly built checker as a
         // standalone map, which shares nothing with the enumerator.
         let standalone = seen.images % 16 != 0
-            || check_crash_consistency(&p.records, &case.materialized()) == fs;
+            || ConsistencyCheck::new(&p.records).violations(&case.materialized()) == fs;
         if !standalone || fs != case.fs_violations || epoch != case.epoch_violations {
             mismatch.get_or_insert_with(|| {
                 format!(

@@ -708,7 +708,7 @@ impl BlockLayer {
 mod tests {
     use super::*;
     use crate::request::ReqFlags;
-    use bio_flash::{BlockTag, DeviceProfile, Lba};
+    use bio_flash::{BlockTag, DeviceProfile, ImageView, Lba};
 
     #[test]
     fn single_lane_flags_on_flush_parts() {

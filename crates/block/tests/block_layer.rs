@@ -4,7 +4,7 @@ use bio_block::{
     ActionSink, BlockAction, BlockConfig, BlockEvent, BlockLayer, BlockRequest, DispatchMode,
     ReqFlags, ReqId, SchedulerKind, Topology,
 };
-use bio_flash::{audit_epoch_order, BlockTag, Device, DeviceProfile, Lba};
+use bio_flash::{BlockTag, Device, DeviceProfile, EpochAudit, ImageView, Lba};
 use bio_sim::{EventQueue, SimTime};
 
 struct Harness {
@@ -141,7 +141,7 @@ fn barrier_epochs_survive_crash_in_order_preserving_mode() {
         h.run_steps(5 + seed_steps * 3);
         let img = h.layer.device_at(0).crash_image();
         let hist = h.layer.device_at(0).history().unwrap();
-        let violations = audit_epoch_order(hist, &img);
+        let violations = EpochAudit::new(hist).violations(&img);
         assert!(
             violations.is_empty(),
             "steps {seed_steps}: violations {violations:?}"
@@ -416,7 +416,7 @@ fn multi_lane_barrier_epochs_survive_crash_on_every_device() {
         for (di, dev) in h.layer.devices().iter().enumerate() {
             let img = dev.crash_image();
             let hist = dev.history().unwrap();
-            let violations = audit_epoch_order(hist, &img);
+            let violations = EpochAudit::new(hist).violations(&img);
             assert!(
                 violations.is_empty(),
                 "steps {seed_steps} device {di}: violations {violations:?}"

@@ -1,9 +1,9 @@
 //! Vendored minimal stand-in for the `proptest` property-testing harness.
 //!
 //! Implements only the API surface this workspace's tests use (see
-//! `crates/compat/README.md`): the [`proptest!`] macro, [`Strategy`] for
-//! integer ranges, [`collection::vec`], [`ProptestConfig`], and the
-//! `prop_assert*` macros. Inputs are generated from a fixed per-case seed,
+//! `crates/compat/README.md`): [`proptest!`], [`strategy::Strategy`] for
+//! integer ranges, [`collection::vec`], [`test_runner::ProptestConfig`]
+//! and the `prop_assert*` macros. Inputs come from a fixed per-case seed,
 //! so every run — local or CI — exercises the same deterministic cases and
 //! any failure message pinpoints a reproducible case index. No shrinking.
 
@@ -120,7 +120,7 @@ pub mod collection {
 }
 
 pub mod test_runner {
-    //! The deterministic case runner behind the [`proptest!`] macro.
+    //! The deterministic case runner behind [`crate::proptest!`].
 
     /// Per-test configuration; only `cases` is supported.
     #[derive(Clone, Debug)]

@@ -80,9 +80,9 @@ pub use stack::{
 
 // Re-export the vocabulary types callers need alongside the stack.
 pub use bio_block::{BlockConfig, DispatchMode, LaneStats, Topology};
-pub use bio_flash::{BarrierMode, DeviceCaptureDelta, DeviceProfile};
+pub use bio_flash::{BarrierMode, DeviceProfile};
 pub use bio_fs::{
-    check_crash_consistency, ConsistencyCheck, ConsistencyIndex, ConsistencyProbe, FsConfig,
-    FsMode, FsViolation, TagRun, ThreadId, TxnRecord,
+    ConsistencyCheck, ConsistencyIndex, ConsistencyProbe, FsConfig, FsMode, FsViolation, TagRun,
+    ThreadId, TxnRecord,
 };
 pub use bio_sim::{SimDuration, SimTime};

@@ -6,8 +6,7 @@ use bio_block::{
     BlockAction, BlockConfig, BlockEvent, BlockLayer, BlockStats, DispatchMode, LaneStats, Topology,
 };
 use bio_flash::{
-    BlockTag, Device, DeviceCaptureDelta, DeviceStats, EpochAudit, EpochViolation, FtlStats,
-    ImageView, Lba, PersistedImage,
+    BlockMap, BlockTag, Device, DeviceStats, EpochAudit, EpochViolation, FtlStats, ImageView, Lba,
 };
 use bio_fs::{
     ConsistencyCheck, FileId, Filesystem, FsAction, FsEvent, FsStats, FsViolation, SyscallOutcome,
@@ -76,7 +75,7 @@ pub struct StackReport {
 pub struct CrashReport {
     /// Surviving block versions of each device, at its own local
     /// addresses, in device-index order (one image on the 1×1 topology).
-    pub images: Vec<PersistedImage>,
+    pub images: Vec<BlockMap>,
     /// Filesystem-level violations (commit order, torn transactions,
     /// ordered data, durability claims).
     pub fs_violations: Vec<FsViolation>,
@@ -94,7 +93,8 @@ impl CrashReport {
 
 /// Everything that changed since the previous capture epoch, drained by
 /// [`IoStack::drain_capture_delta`]: the record-history mutations from the
-/// filesystem plus one [`DeviceCaptureDelta`] per device. Empty vectors
+/// filesystem plus, per device, the blocks it folded into its durable
+/// base ([`Device::drain_capture_delta`]). Empty vectors
 /// mean "nothing happened since last drain" — a capture built on top of
 /// the previous one needs no further reconciliation. A capture engine
 /// keeps one and drains into it at every capture, reusing its buffers.
@@ -103,8 +103,9 @@ pub struct StackCaptureDelta {
     /// Transaction ids whose records flipped `durability_claimed` since
     /// the last drain (the only in-place mutation of the record history).
     pub records_marked_durable: Vec<u64>,
-    /// Per-device fold deltas, in device-index order.
-    pub devices: Vec<DeviceCaptureDelta>,
+    /// Per-device folds `(block, tag)`, in fold order, devices in
+    /// device-index order.
+    pub devices: Vec<Vec<(Lba, BlockTag)>>,
 }
 
 /// The volume a filesystem sees after a crash: every global address read
@@ -266,8 +267,7 @@ impl IoStack {
         into.records_marked_durable
             .extend(self.fs.drain_durable_marks());
         let devices = self.block.devices_mut();
-        into.devices
-            .resize_with(devices.len(), DeviceCaptureDelta::default);
+        into.devices.resize_with(devices.len(), Vec::new);
         for (dev, delta) in devices.iter_mut().zip(&mut into.devices) {
             dev.drain_capture_delta(delta);
         }
@@ -630,7 +630,7 @@ impl IoStack {
     /// image and history.
     pub fn crash(&self) -> CrashReport {
         let devices = self.block.devices();
-        let images: Vec<PersistedImage> = devices.iter().map(Device::crash_image).collect();
+        let images: Vec<BlockMap> = devices.iter().map(Device::crash_image).collect();
         let volume = StripedImage::new(self.cfg.topology, |d, lba| {
             images
                 .get(d)

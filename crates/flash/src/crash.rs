@@ -23,9 +23,9 @@
 
 use std::sync::Arc;
 
-use crate::device::{Device, DeviceCaptureDelta};
+use crate::device::Device;
 use crate::profile::BarrierMode;
-use crate::recovery::{AppendRec, BlockMap, EpochIndex, ImageView, PersistedImage, TransferRec};
+use crate::recovery::{AppendRec, BlockMap, EpochIndex, ImageView, TransferRec};
 use crate::types::{BlockTag, Lba};
 
 /// Widest mask a choice holds: a choice is a `u64`.
@@ -122,7 +122,8 @@ impl CrashState {
         self.open_group = dev.open_group();
     }
 
-    /// Advances the state by one epoch's `delta` and re-reads its tail.
+    /// Advances the state by one epoch's `delta` (the folds
+    /// [`Device::drain_capture_delta`] drained) and re-reads its tail.
     /// Each fold is pushed onto `folds` as `(global block, tag before, tag
     /// after)`, `global` mapping this device's blocks into the stripe.
     /// Returns the epoch-audit index work done. `Arc::make_mut` writes in
@@ -131,13 +132,13 @@ impl CrashState {
     pub fn advance(
         &mut self,
         dev: &Device,
-        delta: &DeviceCaptureDelta,
+        delta: &[(Lba, BlockTag)],
         global: impl Fn(Lba) -> Lba,
         folds: &mut Vec<(Lba, BlockTag, BlockTag)>,
     ) -> usize {
-        if !delta.folds.is_empty() {
+        if !delta.is_empty() {
             let base = Arc::make_mut(&mut self.base);
-            folds.extend(delta.folds.iter().map(|&(lba, tag)| {
+            folds.extend(delta.iter().map(|&(lba, tag)| {
                 let before = base.insert(lba, tag).unwrap_or(BlockTag::UNWRITTEN);
                 (global(lba), before, tag)
             }));
@@ -148,10 +149,10 @@ impl CrashState {
         if let (Some(live), Some(history), Some(audit)) =
             (dev.history(), &mut self.history, &mut self.audit)
         {
-            if live.len() > history.len() || !delta.folds.is_empty() {
+            if live.len() > history.len() || !delta.is_empty() {
                 let h = Arc::make_mut(history);
                 h.extend_from_slice(live.get(h.len()..).unwrap_or_default());
-                let folded = delta.folds.iter().map(|f| f.0);
+                let folded = delta.iter().map(|f| f.0);
                 work = Arc::make_mut(audit).advance(live, folded, &*self.base);
             }
         }
@@ -182,7 +183,7 @@ impl CrashState {
     /// The image `choice` of this state's space leaves, as a standalone
     /// map: the base (copied only if shared) with the survivors stored over
     /// it in append order.
-    pub(crate) fn into_image(mut self, choice: u64) -> PersistedImage {
+    pub(crate) fn into_image(mut self, choice: u64) -> BlockMap {
         let mut space = ChoiceSpace::default();
         space.rebuild(&self);
         let mut map = Arc::unwrap_or_clone(std::mem::take(&mut self.base));
@@ -191,7 +192,7 @@ impl CrashState {
                 map.insert(lba, tag);
             }
         });
-        PersistedImage::from(map)
+        map
     }
 }
 
@@ -460,7 +461,7 @@ impl Overlay {
 
     /// Materializes the overlay over `state`'s base into a standalone
     /// image: the base's pages copied, the overlay stored over them.
-    pub fn materialize(&self, state: &CrashState) -> PersistedImage {
+    pub fn materialize(&self, state: &CrashState) -> BlockMap {
         let mut map = BlockMap::clone(&state.base);
         for &(lba, tag) in &self.entries {
             if tag == BlockTag::UNWRITTEN {
@@ -469,6 +470,6 @@ impl Overlay {
                 map.insert(lba, tag);
             }
         }
-        PersistedImage::from(map)
+        map
     }
 }

@@ -39,7 +39,7 @@ use crate::crash::{CrashState, OpenGroup};
 use crate::ftl::Ftl;
 use crate::profile::{BarrierMode, DeviceProfile};
 use crate::queue::CommandQueue;
-use crate::recovery::{AppendLog, PersistedImage, TransferRec};
+use crate::recovery::{AppendLog, BlockMap, TransferRec};
 use crate::types::{BlockTag, CmdId, CmdKind, Command, Completion, Lba};
 
 /// Internal device events; the host event loop schedules these back via
@@ -158,18 +158,6 @@ impl TransState {
     fn is_committed(&self, gid: u64) -> bool {
         gid < self.next_gid && self.open != Some(gid)
     }
-}
-
-/// What changed in a device's capture-relevant state since the previous
-/// [`Device::drain_capture_delta`] call: [`CrashState::advance`] replays
-/// this onto its base instead of re-reading the whole append log, making
-/// a crash-point capture O(writes this epoch) rather than O(log length).
-/// The crash engine keeps one per device and drains into it at every
-/// capture, so neither side allocates in steady state.
-#[derive(Debug, Clone, Default)]
-pub struct DeviceCaptureDelta {
-    /// Blocks folded into the durable base, in fold order.
-    pub folds: Vec<(Lba, BlockTag)>,
 }
 
 /// Aggregate device statistics.
@@ -398,12 +386,17 @@ impl Device {
         self.log.track_folds();
     }
 
-    /// Replaces `into` with the capture-relevant changes since the
-    /// previous drain (empty when tracking was never armed). Both the
-    /// device's log and `into` keep their buffers.
-    pub fn drain_capture_delta(&mut self, into: &mut DeviceCaptureDelta) {
-        into.folds.clear();
-        into.folds.extend(self.log.drain_fold_log());
+    /// Replaces `into` with the device's capture delta: the blocks folded
+    /// into the durable base since the previous drain, in fold order
+    /// (empty when tracking was never armed). [`CrashState::advance`]
+    /// replays them onto its base instead of re-reading the whole append
+    /// log, making a crash-point capture O(writes this epoch) rather than
+    /// O(log length). The crash engine keeps one buffer per device and
+    /// drains into it at every capture; both the device's log and `into`
+    /// keep their buffers, so neither side allocates in steady state.
+    pub fn drain_capture_delta(&mut self, into: &mut Vec<(Lba, BlockTag)>) {
+        into.clear();
+        into.extend(self.log.drain_fold_log());
     }
 
     /// Submits a command. Returns the command back when the queue is full
@@ -918,14 +911,14 @@ impl Device {
     /// The storage-surface contents if power were lost right now: choice 0
     /// of the [`crate::ChoiceSpace`] the profile admits (§3.2's enforcement
     /// options).
-    pub fn crash_image(&self) -> PersistedImage {
+    pub fn crash_image(&self) -> BlockMap {
         CrashState::of_device(self, self.profile.plp).into_image(0)
     }
 
     /// The durable state with *no* crash: everything transferred, the
     /// cache included — the PLP image (used to validate end-of-run
     /// content).
-    pub fn final_image(&self) -> PersistedImage {
+    pub fn final_image(&self) -> BlockMap {
         CrashState::of_device(self, true).into_image(0)
     }
 }

@@ -17,9 +17,9 @@
 //!   baseline), in-order writeback, transactional writeback, and the
 //!   paper's LFS-style in-order crash recovery,
 //! * power-loss injection: [`ChoiceSpace`] says which images a power loss
-//!   can leave a device in, [`Device::crash_image`] is the first of them,
-//!   and [`audit_epoch_order`] checks an image against the barrier
-//!   contract.
+//!   can leave a device in, [`Device::crash_image`] is the first of them
+//!   (a [`BlockMap`], the one image type), and [`EpochAudit`] checks an
+//!   image against the barrier contract.
 //!
 //! ```
 //! use bio_flash::{Command, CmdId, Device, DeviceProfile, Lba, BlockTag, WriteFlags};
@@ -70,12 +70,12 @@ mod types;
 pub use cache::{CacheEntry, CacheError, EntryState, WritebackCache};
 pub use chip::ChipArray;
 pub use crash::{ChoiceSpace, CrashState, OpenGroup, Overlay, OverlayImage};
-pub use device::{DevAction, DevEvent, Device, DeviceCaptureDelta, DeviceStats};
+pub use device::{DevAction, DevEvent, Device, DeviceStats};
 pub use ftl::{Ftl, FtlStats, GcRun, PhysLoc};
 pub use profile::{BarrierMode, BarrierOverhead, DeviceProfile};
 pub use queue::CommandQueue;
 pub use recovery::{
-    audit_epoch_order, AppendLog, AppendRec, BlockMap, EpochAudit, EpochIndex, EpochProbe,
-    EpochViolation, ImageView, PersistedImage, TransferRec,
+    AppendLog, AppendRec, BlockMap, EpochAudit, EpochIndex, EpochProbe, EpochViolation, ImageView,
+    TransferRec,
 };
 pub use types::{BlockTag, CmdId, CmdKind, Command, Completion, Lba, Priority, WriteFlags};

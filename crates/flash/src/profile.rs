@@ -280,12 +280,6 @@ impl DeviceProfile {
         self
     }
 
-    /// Builder-style override of the queue depth.
-    pub fn with_queue_depth(mut self, qd: usize) -> DeviceProfile {
-        self.queue_depth = qd.max(1);
-        self
-    }
-
     /// Validates internal consistency; called by `Device::new`.
     ///
     /// # Panics
@@ -367,11 +361,8 @@ mod tests {
 
     #[test]
     fn builders_override() {
-        let p = DeviceProfile::ufs()
-            .with_barrier_mode(BarrierMode::Unsupported)
-            .with_queue_depth(4);
+        let p = DeviceProfile::ufs().with_barrier_mode(BarrierMode::Unsupported);
         assert_eq!(p.barrier_mode, BarrierMode::Unsupported);
-        assert_eq!(p.queue_depth, 4);
         assert!(!p.barrier_mode.supports_barrier());
     }
 

@@ -152,8 +152,8 @@ const BLOCK_MAP_PAGE: usize = 512;
 /// address touches), iteration is in ascending address order, and two
 /// maps are equal when they hold the same pairs. It is
 /// [`AppendLog::base`], the base every crash image of a capture point
-/// shares, the base both check indexes read, and what every
-/// [`PersistedImage`] stores.
+/// shares, the base both check indexes read, and every crash image a
+/// device materializes ([`crate::Device::crash_image`]).
 ///
 /// Addresses must lie below [`Lba::LIMIT`]: [`BlockMap::insert`] panics on
 /// any other, and the device refuses a write that reaches past it, so no
@@ -238,60 +238,13 @@ impl FromIterator<(Lba, BlockTag)> for BlockMap {
     }
 }
 
-/// The storage surface content of one device after a crash: block
-/// address → surviving content version, a [`BlockMap`], so a read is two
-/// loads and [`PersistedImage::iter`] is in ascending address order,
-/// reproducible across processes (callers fold it into recovery checks
-/// and differential traces).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PersistedImage {
-    map: BlockMap,
-}
-
-impl PersistedImage {
-    /// Content at `lba`, [`BlockTag::UNWRITTEN`] if the block never
-    /// persisted.
-    #[inline]
-    pub fn tag(&self, lba: Lba) -> BlockTag {
-        self.map.get(lba).unwrap_or(BlockTag::UNWRITTEN)
-    }
-
-    /// Number of blocks with persisted content.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing persisted.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Iterates over `(lba, tag)` pairs in ascending LBA order.
-    pub fn iter(&self) -> impl Iterator<Item = (Lba, BlockTag)> + '_ {
-        self.map.iter()
-    }
-}
-
-/// A block map read as a standalone image.
-impl From<BlockMap> for PersistedImage {
-    fn from(map: BlockMap) -> PersistedImage {
-        PersistedImage { map }
-    }
-}
-
 /// Read access to a crash image: what content (if any) survived at a
-/// block. [`PersistedImage`] is the materialized implementation; the
-/// crash enumerator provides overlay-backed views that answer the same
-/// question without cloning the base map per image.
+/// block. [`BlockMap`] is the materialized implementation; the crash
+/// enumerator provides overlay-backed views that answer the same question
+/// without cloning the base map per image.
 pub trait ImageView {
     /// Content at `lba`, [`BlockTag::UNWRITTEN`] if nothing survived.
     fn tag(&self, lba: Lba) -> BlockTag;
-}
-
-impl ImageView for PersistedImage {
-    fn tag(&self, lba: Lba) -> BlockTag {
-        PersistedImage::tag(self, lba)
-    }
 }
 
 impl<V: ImageView + ?Sized> ImageView for &V {
@@ -300,20 +253,12 @@ impl<V: ImageView + ?Sized> ImageView for &V {
     }
 }
 
-/// An [`AppendLog::base`] read as an image.
+/// A block map read as an image: an [`AppendLog::base`], or a whole crash
+/// image.
 impl ImageView for BlockMap {
     #[inline]
     fn tag(&self, lba: Lba) -> BlockTag {
         self.get(lba).unwrap_or(BlockTag::UNWRITTEN)
-    }
-}
-
-/// A hand-made block map read as an image (what this module's tests build
-/// bases from).
-#[cfg(test)]
-impl ImageView for std::collections::BTreeMap<Lba, BlockTag> {
-    fn tag(&self, lba: Lba) -> BlockTag {
-        self.get(&lba).copied().unwrap_or(BlockTag::UNWRITTEN)
     }
 }
 
@@ -755,13 +700,6 @@ impl EpochProbe {
     }
 }
 
-/// One-shot form of [`EpochAudit`]: builds the auditor and runs a single
-/// image through it (the original API; callers with many images per
-/// history should hold an auditor instead).
-pub fn audit_epoch_order(history: &[TransferRec], image: &PersistedImage) -> Vec<EpochViolation> {
-    EpochAudit::new(history).violations(image)
-}
-
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeMap;
@@ -778,9 +716,8 @@ mod tests {
     }
 
     /// An image holding `(lba, tag)` pairs.
-    fn image(pairs: &[(u64, u64)]) -> PersistedImage {
-        let map: BlockMap = pairs.iter().map(|&(l, t)| (Lba(l), BlockTag(t))).collect();
-        PersistedImage::from(map)
+    fn image(pairs: &[(u64, u64)]) -> BlockMap {
+        pairs.iter().map(|&(l, t)| (Lba(l), BlockTag(t))).collect()
     }
 
     #[test]
@@ -824,10 +761,10 @@ mod tests {
     fn audit_passes_on_prefix_image() {
         let history = vec![rec(1, 10, 100, 0), rec(2, 11, 101, 0), rec(3, 12, 102, 1)];
         // Epoch 0 fully persisted, epoch 1 lost: fine.
-        let img = image(&[(10, 100), (11, 101)]);
-        assert!(audit_epoch_order(&history, &img).is_empty());
+        let audit = EpochAudit::new(&history);
+        assert!(audit.violations(&image(&[(10, 100), (11, 101)])).is_empty());
         // Nothing persisted: fine.
-        assert!(audit_epoch_order(&history, &PersistedImage::default()).is_empty());
+        assert!(audit.violations(&BlockMap::new()).is_empty());
     }
 
     #[test]
@@ -835,7 +772,7 @@ mod tests {
         let history = vec![rec(1, 10, 100, 0), rec(2, 12, 102, 1)];
         // Epoch 1 visible but epoch 0's block missing: violation.
         let img = image(&[(12, 102)]);
-        let v = audit_epoch_order(&history, &img);
+        let v = EpochAudit::new(&history).violations(&img);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].lost.lba, Lba(10));
         assert_eq!(v[0].visible_epoch, 1);
@@ -848,7 +785,7 @@ mod tests {
         // the epoch-1 block: no violation (the old version is superseded).
         let history = vec![rec(1, 10, 100, 0), rec(2, 10, 200, 1), rec(3, 11, 201, 1)];
         let img = image(&[(10, 200), (11, 201)]);
-        assert!(audit_epoch_order(&history, &img).is_empty());
+        assert!(EpochAudit::new(&history).violations(&img).is_empty());
     }
 
     #[test]
@@ -859,13 +796,13 @@ mod tests {
         // visible, so the epoch-1 overwrite must have persisted.
         let history = vec![rec(1, 10, 100, 0), rec(2, 10, 200, 1), rec(3, 11, 300, 2)];
         let img = image(&[(10, 100), (11, 300)]);
-        let v = audit_epoch_order(&history, &img);
+        let v = EpochAudit::new(&history).violations(&img);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].lost.tag, BlockTag(200));
     }
 
     /// The index of `history` under `base`, from nothing.
-    fn index_of(history: &[TransferRec], base: &BTreeMap<Lba, BlockTag>) -> EpochIndex {
+    fn index_of(history: &[TransferRec], base: &BlockMap) -> EpochIndex {
         let mut index = EpochIndex::new();
         index.advance(history, [], base);
         index
@@ -888,8 +825,9 @@ mod tests {
             rec(3, 10, 200, 1),
             rec(4, 12, 201, 1),
         ];
-        let base: BTreeMap<Lba, BlockTag> =
-            [(Lba(10), BlockTag(100)), (Lba(11), BlockTag(101))].into();
+        let base: BlockMap = [(Lba(10), BlockTag(100)), (Lba(11), BlockTag(101))]
+            .into_iter()
+            .collect();
         let index = index_of(&history, &base);
         // Nothing of epoch 1 landed, or all of it, or part of it: ordered.
         assert!(certifies(&index, &[].into()));
@@ -910,7 +848,7 @@ mod tests {
 
     #[test]
     fn irregular_history_is_never_certified() {
-        let base = BTreeMap::new();
+        let base = BlockMap::new();
         // One tag carried by two transfers.
         let twice = [rec(1, 10, 100, 0), rec(2, 11, 100, 0)];
         assert!(index_of(&twice, &base).probe([]).is_none());
@@ -975,12 +913,12 @@ mod tests {
             rec(5, 10, 102, 0),
             rec(5, 10, 103, 1),
         ];
-        let index = index_of(&history, &BTreeMap::new());
+        let index = index_of(&history, &BlockMap::new());
         let slot = index.slot(Lba(10)).expect("block 10 was written");
         let b = &index.blocks[slot];
         assert_eq!((b.first, b.later.as_slice()), ((5, 0), &[][..]));
         let later = [&history[..], &[rec(7, 10, 104, 0)]].concat();
-        assert!(index_of(&later, &BTreeMap::new()).probe([]).is_some());
+        assert!(index_of(&later, &BlockMap::new()).probe([]).is_some());
     }
 
     /// An index that went irregular holds no table at all.
@@ -994,7 +932,7 @@ mod tests {
 
     #[test]
     fn a_tag_at_or_past_2_pow_32_is_irregular_not_a_panic() {
-        let base = BTreeMap::new();
+        let base = BlockMap::new();
         for tag in [TAG_LIMIT, TAG_LIMIT + 5, u64::MAX] {
             let history = [rec(1, 10, 100, 0), rec(2, 11, tag, 0)];
             let index = index_of(&history, &base);
@@ -1007,7 +945,7 @@ mod tests {
 
     #[test]
     fn a_block_at_or_past_the_lba_limit_is_irregular_not_a_panic() {
-        let base = BTreeMap::new();
+        let base = BlockMap::new();
         for lba in [Lba::LIMIT.0, u64::MAX] {
             let history = [rec(1, 10, 100, 0), rec(2, lba, 101, 0)];
             let mut index = EpochIndex::new();
@@ -1020,7 +958,7 @@ mod tests {
 
     #[test]
     fn a_tag_far_outside_the_window_is_irregular_without_a_giant_table() {
-        let base = BTreeMap::new();
+        let base = BlockMap::new();
         // Ahead of the window and, separately, behind it: each would
         // stretch the tag table over about 2^31 slots.
         for far in [1u64 << 31, 1] {
@@ -1058,7 +996,7 @@ mod tests {
         // while block 12's epoch-1 write is visible loses an epoch-0
         // block's newer version only if the memo tells the versions apart.
         let history = [rec(1, 10, 100, 0), rec(2, 10, 200, 1), rec(3, 12, 300, 2)];
-        let index = index_of(&history, &BTreeMap::new());
+        let index = index_of(&history, &BlockMap::new());
         let candidates = [
             (Lba(10), BlockTag(100)),
             (Lba(10), BlockTag(200)),
@@ -1095,7 +1033,7 @@ mod tests {
             }
             // Ingest it in steps; after each, fold a few ingested transfers
             // in any order and hold the advanced index to a rebuilt one.
-            let mut base = BTreeMap::new();
+            let mut base = BlockMap::new();
             let mut index = EpochIndex::new();
             let mut upto = 0;
             while upto < history.len() {
@@ -1146,6 +1084,6 @@ mod tests {
         // Epoch 1 partially persisted (one of two blocks): allowed, because
         // nothing *newer* than epoch 1 is visible.
         let img = image(&[(10, 100), (12, 102)]);
-        assert!(audit_epoch_order(&history, &img).is_empty());
+        assert!(EpochAudit::new(&history).violations(&img).is_empty());
     }
 }

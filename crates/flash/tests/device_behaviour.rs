@@ -2,8 +2,8 @@
 //! miniature event loop and checks timing, durability and crash semantics.
 
 use bio_flash::{
-    audit_epoch_order, BarrierMode, BlockTag, CmdId, Command, Completion, DevAction, DevEvent,
-    Device, DeviceProfile, FtlStats, Lba, Priority, WriteFlags,
+    BarrierMode, BlockTag, CmdId, Command, Completion, DevAction, DevEvent, Device, DeviceProfile,
+    EpochAudit, FtlStats, ImageView, Lba, Priority, WriteFlags,
 };
 use bio_sim::{EventQueue, SimTime};
 
@@ -279,7 +279,7 @@ fn lfs_device_preserves_epoch_order_across_crashes() {
             }
         }
         let img = h.dev.crash_image();
-        let violations = audit_epoch_order(h.dev.history().unwrap(), &img);
+        let violations = EpochAudit::new(h.dev.history().unwrap()).violations(&img);
         assert!(
             violations.is_empty(),
             "seed {seed}: LFS device violated epoch order: {violations:?}"
@@ -319,8 +319,8 @@ fn orderless_device_can_violate_epoch_order() {
                 h.apply(out);
             }
         }
-        let img = h.dev.crash_image();
-        if !audit_epoch_order(h.dev.history().unwrap(), &img).is_empty() {
+        let audit = EpochAudit::new(h.dev.history().unwrap());
+        if !audit.violations(&h.dev.crash_image()).is_empty() {
             violated = true;
             break;
         }

@@ -207,7 +207,7 @@ impl File {
     /// Resolves a file block offset to its LBA, if allocated.
     ///
     /// The extent list is kept sorted by file offset and non-overlapping
-    /// (see [`File::insert_extent`]), so at most one extent can contain
+    /// (`File::insert_extent` keeps it so), so at most one extent can contain
     /// `block`: the last one starting at or before it.
     pub fn lba_of(&self, block: u64) -> Option<Lba> {
         let idx = self.extents.partition_point(|&(off, _, _)| off <= block);

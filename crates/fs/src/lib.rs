@@ -12,9 +12,9 @@
 //!   the conflict-page list (§4.3);
 //! * **OptFS** — `osync` semantics with selective data journaling and
 //!   delayed durability, as the closest prior work;
-//! * a **crash-consistency checker** ([`check_crash_consistency`]) that
-//!   replays ground-truth transaction records against a device crash
-//!   image and reports commit-order, torn-transaction, ordered-data and
+//! * a **crash-consistency checker** ([`ConsistencyCheck`]) that replays
+//!   ground-truth transaction records against a device crash image (a
+//!   [`bio_flash::BlockMap`], or any [`bio_flash::ImageView`]) and reports commit-order, torn-transaction, ordered-data and
 //!   durability violations.
 //!
 //! ```
@@ -70,8 +70,5 @@ pub use file::{BlockRuns, DirtyTracker, File, FileId, FileTable};
 pub use fs::{Filesystem, FsAction, FsEvent, FsStats, SyscallOutcome};
 pub use journal::JournalError;
 pub use layout::{Layout, TagRun};
-pub use recovery::{
-    check_crash_consistency, ConsistencyCheck, ConsistencyIndex, ConsistencyProbe, FsViolation,
-    TxnRecord,
-};
+pub use recovery::{ConsistencyCheck, ConsistencyIndex, ConsistencyProbe, FsViolation, TxnRecord};
 pub use txn::{ConflictEntry, ConflictList, ThreadId, Txn, TxnId, TxnState};

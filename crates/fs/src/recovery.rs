@@ -3,8 +3,8 @@
 //!
 //! The filesystem records every committed transaction as a [`TxnRecord`]
 //! (ground truth). Given a crash image ([`ImageView`]: a device's
-//! [`PersistedImage`](bio_flash::PersistedImage), or several read through
-//! the stripe), the checker verifies:
+//! [`BlockMap`](bio_flash::BlockMap), or several read through the
+//! stripe), [`ConsistencyCheck`] verifies:
 //!
 //! 1. **Commit order** — transactions become durable in commit order: a
 //!    later transaction must never survive a crash that destroyed an
@@ -619,17 +619,10 @@ impl ConsistencyProbe {
     }
 }
 
-/// One-shot form of [`ConsistencyCheck`]: builds the checker and replays a
-/// single image (the original API; callers with many images per record set
-/// should hold a checker instead).
-pub fn check_crash_consistency<V: ImageView>(records: &[TxnRecord], image: &V) -> Vec<FsViolation> {
-    ConsistencyCheck::new(records).violations(image)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bio_flash::{BlockMap, PersistedImage};
+    use bio_flash::BlockMap;
 
     /// A record whose descriptor and log blocks carry `jd_tags`, which
     /// must be consecutive.
@@ -648,9 +641,8 @@ mod tests {
         r.with_blocks([], &[], ordered_data)
     }
 
-    fn image(pairs: &[(u64, u64)]) -> PersistedImage {
-        let map: BlockMap = pairs.iter().map(|&(l, t)| (Lba(l), BlockTag(t))).collect();
-        PersistedImage::from(map)
+    fn image(pairs: &[(u64, u64)]) -> BlockMap {
+        pairs.iter().map(|&(l, t)| (Lba(l), BlockTag(t))).collect()
     }
 
     #[test]
@@ -676,13 +668,14 @@ mod tests {
         let records = vec![rec(1, 100, &[10, 11], 102, 12), rec(2, 103, &[20], 104, 21)];
         // Txn 1 fully persisted, txn 2 lost entirely: consistent.
         let img = image(&[(100, 10), (101, 11), (102, 12)]);
-        assert!(check_crash_consistency(&records, &img).is_empty());
+        assert!(ConsistencyCheck::new(&records).violations(&img).is_empty());
     }
 
     #[test]
     fn empty_image_passes() {
         let records = vec![rec(1, 100, &[10], 101, 11)];
-        assert!(check_crash_consistency(&records, &image(&[])).is_empty());
+        let checker = ConsistencyCheck::new(&records);
+        assert!(checker.violations(&image(&[])).is_empty());
     }
 
     #[test]
@@ -690,7 +683,7 @@ mod tests {
         let records = vec![rec(1, 100, &[10], 101, 11), rec(2, 102, &[20], 103, 21)];
         // Txn 2 survived, txn 1 lost.
         let img = image(&[(102, 20), (103, 21)]);
-        let v = check_crash_consistency(&records, &img);
+        let v = ConsistencyCheck::new(&records).violations(&img);
         assert!(v.iter().any(|x| matches!(
             x,
             FsViolation::CommitOrder {
@@ -705,7 +698,7 @@ mod tests {
         let records = vec![rec(1, 100, &[10, 11], 102, 12)];
         // JC persisted, one log block missing.
         let img = image(&[(100, 10), (102, 12)]);
-        let v = check_crash_consistency(&records, &img);
+        let v = ConsistencyCheck::new(&records).violations(&img);
         assert!(v
             .iter()
             .any(|x| matches!(x, FsViolation::TornTransaction { txn: 1 })));
@@ -716,7 +709,7 @@ mod tests {
         let r = ordering(rec(1, 100, &[10], 101, 11), &[(Lba(500), BlockTag(5))]);
         // Txn survived but its data page did not.
         let img = image(&[(100, 10), (101, 11)]);
-        let v = check_crash_consistency(&[r], &img);
+        let v = ConsistencyCheck::new(&[r]).violations(&img);
         assert!(v
             .iter()
             .any(|x| matches!(x, FsViolation::OrderedData { txn: 1, .. })));
@@ -727,7 +720,7 @@ mod tests {
         let r = ordering(rec(1, 100, &[10], 101, 11), &[(Lba(500), BlockTag(5))]);
         // A newer version (tag 9 > 5) of the data block is fine.
         let img = image(&[(100, 10), (101, 11), (500, 9)]);
-        assert!(check_crash_consistency(&[r], &img).is_empty());
+        assert!(ConsistencyCheck::new(&[r]).violations(&img).is_empty());
     }
 
     #[test]
@@ -735,7 +728,7 @@ mod tests {
         let mut r = rec(1, 100, &[10], 101, 11);
         r.durability_claimed = true;
         let img = image(&[]);
-        let v = check_crash_consistency(&[r], &img);
+        let v = ConsistencyCheck::new(&[r]).violations(&img);
         assert!(v
             .iter()
             .any(|x| matches!(x, FsViolation::DurabilityLoss { txn: 1 })));
@@ -902,6 +895,6 @@ mod tests {
             rec(3, 100, &[30], 101, 31), // reuses txn 1's blocks
         ];
         let img = image(&[(100, 30), (101, 31), (102, 20), (103, 21)]);
-        assert!(check_crash_consistency(&records, &img).is_empty());
+        assert!(ConsistencyCheck::new(&records).violations(&img).is_empty());
     }
 }

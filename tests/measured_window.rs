@@ -8,7 +8,9 @@ use barrier_io::{
     DeviceProfile, FileRef, IoStack, Op, OpKind, ScriptWorkload, SimDuration, StackConfig,
     StackReport, Topology,
 };
-use bio_bench::experiments::cells::{bfs_od, figure_window, run_cell, threads_of, Preset, Span};
+use bio_bench::experiments::cells::{
+    bfs_od, figure_window, randwrite, run_cell, threads_of, ufs_and_ssd, Preset, Span, PRESETS,
+};
 use bio_block::{BlockStats, LaneStats};
 use bio_flash::{DeviceStats, FtlStats};
 use bio_fs::FsStats;
@@ -213,6 +215,32 @@ fn warm_up_plus_window_is_the_whole_run_for_every_counter() {
         }
         let dropped = |c: &Counters| c.whole_run.iter().map(|c| c.1).sum::<u64>();
         assert_eq!(dropped(&m), 2, "{label}: the forged write and fsync");
+    }
+}
+
+/// Flow balance over a whole idle run (no `start_measuring`): every block
+/// the filesystem wrote reached a device, and every request the block
+/// layer took in completed.
+#[test]
+fn every_block_written_reaches_a_device_and_every_request_completes() {
+    let topologies = [Topology::single(), Topology::new(2, 2, 16)];
+    for (preset, sync) in PRESETS {
+        for dev in ufs_and_ssd() {
+            for topology in topologies {
+                let cfg = preset(dev.clone()).with_topology(topology);
+                let label = cfg.label();
+                let mut stack = randwrite(cfg, 4, 256, WriteMode::SyncEach(sync), 300);
+                assert!(stack.run_until_done(SimDuration::from_secs(60)), "{label}");
+                stack.run_for(SimDuration::from_secs(5));
+                let r = stack.report();
+                let fs = r.fs.data_blocks
+                    + r.fs.journal_blocks
+                    + r.fs.checkpoint_blocks
+                    + r.fs.writeback_blocks;
+                assert_eq!(fs, r.device.blocks_written, "{label}: blocks");
+                assert_eq!(r.block.submitted, r.block.completed, "{label}: requests");
+            }
+        }
     }
 }
 
