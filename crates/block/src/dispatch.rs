@@ -401,8 +401,14 @@ impl BlockLayer {
                 };
                 let mut scratch = std::mem::take(&mut self.dev_scratch);
                 d.handle(ev, now, &mut scratch);
-                self.apply_dev_actions(di, &mut scratch, out);
+                let completed = self.apply_dev_actions(di, &mut scratch, out);
                 self.dev_scratch = scratch;
+                // Only a completion frees a queue slot or releases a
+                // parked split: without one, every lane is as blocked as
+                // the last sweep left it.
+                if !completed {
+                    return;
+                }
             }
             BlockEvent::Retry { lane } => {
                 let Some(l) = self.lanes.get_mut(lane as usize) else {
@@ -412,7 +418,6 @@ impl BlockLayer {
                 l.retry_pending = false;
             }
         }
-        // Completions free device queue slots: keep dispatching.
         self.run(now, out);
     }
 
@@ -542,6 +547,16 @@ impl BlockLayer {
                 break;
             }
         }
+        // What lets `handle` skip the sweep after a device event that
+        // completed nothing: no lane is left holding work its device has
+        // room for.
+        debug_assert!(
+            self.lanes.iter().enumerate().all(|(li, l)| {
+                let dev = self.devs.get(self.topology.lane_device(li));
+                l.sched.is_empty() || dev.is_some_and(|d| !d.can_accept())
+            }),
+            "a sweep left work a device has room for"
+        );
     }
 
     /// Reopens the gate and re-admits buffered requests; a buffered
@@ -647,16 +662,19 @@ impl BlockLayer {
         }
     }
 
-    /// Drains `actions` (the reusable device scratch) into block actions.
+    /// Drains `actions` (the reusable device scratch) into block actions;
+    /// true when one of them was a completion.
     fn apply_dev_actions(
         &mut self,
         di: usize,
         actions: &mut Vec<DevAction>,
         out: &mut ActionSink<BlockAction>,
-    ) {
+    ) -> bool {
+        let mut completed = false;
         for a in actions.drain(..) {
             match a {
                 DevAction::Complete(c) => {
+                    completed = true;
                     // The sliding window makes a retired id read as
                     // absent, so a duplicated or forged completion is
                     // dropped instead of double-completing its bios.
@@ -677,6 +695,7 @@ impl BlockLayer {
                 }
             }
         }
+        completed
     }
 
     /// Completes one lane-level id: a bio completes upward; a part counts

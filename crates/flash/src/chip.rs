@@ -4,32 +4,21 @@
 //! multi-channel/way controller is what transfer-and-flush fails to keep
 //! busy).
 //!
-//! A saturated device asks "is a die idle?" on every event and the answer
-//! is no. The array therefore keeps `all_busy_until`, an instant before
-//! which no die is idle. Starting or delaying work only moves a die's
-//! `busy_until` later, so the bound stays true until the clock reaches it,
-//! and until then [`ChipArray::find_idle`] and [`ChipArray::idle_count`]
-//! answer without visiting a die. The bound is set to the earliest
-//! `busy_until` whenever the array is known to be full: by a look that
-//! found every die busy, and by the [`ChipArray::start_op`] that takes the
-//! last of the dies `idle_count` just counted idle — the destage pump's
-//! count, start, start, … sequence ends with the array knowing it.
+//! Nothing reads which die ran a program, only when one is free, so the
+//! array is the instants its dies are free, kept sorted. A saturated
+//! device asks "is a die idle?" on every event and the answer is no:
+//! [`ChipArray::has_idle`] reads the first entry, and
+//! [`ChipArray::idle_count`] is a binary search. A start takes the die
+//! free earliest and moves its new instant to its sorted place; a GC
+//! sweep ([`ChipArray::delay_all`]) moves every die by one monotone rule,
+//! which keeps the order.
 
 use bio_sim::{SimDuration, SimRng, SimTime};
 
-/// The array of flash dies. Index = `channel * ways + way`.
+/// The array of flash dies: when each is free, earliest first.
 #[derive(Debug, Clone)]
 pub struct ChipArray {
-    busy_until: Vec<SimTime>,
-    /// Round-robin cursor for spreading work over idle dies.
-    cursor: usize,
-    /// No die is idle before this instant (never later than the earliest
-    /// `busy_until`).
-    all_busy_until: SimTime,
-    /// Of the dies [`ChipArray::idle_count`] counted idle at `counted_at`,
-    /// those nothing has been started on since.
-    idle_left: usize,
-    counted_at: SimTime,
+    free_at: Vec<SimTime>,
 }
 
 impl ChipArray {
@@ -41,17 +30,13 @@ impl ChipArray {
     pub fn new(n: usize) -> ChipArray {
         assert!(n > 0, "chip array needs at least one die");
         ChipArray {
-            busy_until: vec![SimTime::ZERO; n],
-            cursor: 0,
-            all_busy_until: SimTime::ZERO,
-            idle_left: 0,
-            counted_at: SimTime::ZERO,
+            free_at: vec![SimTime::ZERO; n],
         }
     }
 
     /// Number of dies.
     pub fn len(&self) -> usize {
-        self.busy_until.len()
+        self.free_at.len()
     }
 
     /// Always false; the constructor enforces at least one die.
@@ -59,66 +44,35 @@ impl ChipArray {
         false
     }
 
-    /// Finds an idle die at `now`, preferring round-robin fairness.
-    /// Returns `None` when all dies are busy.
-    pub fn find_idle(&mut self, now: SimTime) -> Option<usize> {
-        if self.all_busy_until > now {
-            return None;
-        }
-        // From the cursor to the end, then from the start to the cursor.
-        let dies = self.busy_until.iter().enumerate();
-        let idle = |&(_, t): &(usize, &SimTime)| *t <= now;
-        let ahead = dies.clone().skip(self.cursor).find(idle);
-        let found = ahead.or_else(|| dies.take(self.cursor).find(idle));
-        match found {
-            Some((c, _)) if c + 1 == self.busy_until.len() => self.cursor = 0,
-            Some((c, _)) => self.cursor = c + 1,
-            // Every die was looked at and is busy: remember until when.
-            None => self.all_busy_until = self.next_idle_at(),
-        }
-        found.map(|(c, _)| c)
+    /// True when some die is idle at `now`.
+    pub fn has_idle(&self, now: SimTime) -> bool {
+        self.next_idle_at() <= now
     }
 
     /// Number of dies idle at `now`: the most programs that can start at
     /// this instant.
-    pub fn idle_count(&mut self, now: SimTime) -> usize {
-        if self.all_busy_until > now {
-            return 0;
-        }
-        let idle = self.busy_until.iter().filter(|&&t| t <= now).count();
-        (self.idle_left, self.counted_at) = (idle, now);
-        if idle == 0 {
-            self.all_busy_until = self.next_idle_at();
-        }
-        idle
+    pub fn idle_count(&self, now: SimTime) -> usize {
+        self.free_at.partition_point(|&t| t <= now)
     }
 
-    /// Occupies die `chip` for `dur` starting at `now`, returning the
-    /// completion time.
+    /// Occupies the die free earliest for `dur` starting at `now`,
+    /// returning the completion time.
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if the die is still busy at `now` or is not
-    /// in the array (a release build leaves the array as it is).
-    pub fn start_op(&mut self, chip: usize, now: SimTime, dur: SimDuration) -> SimTime {
+    /// Panics in debug builds if no die is idle at `now` (a release build
+    /// starts the program at `now` all the same).
+    pub fn start_op(&mut self, now: SimTime, dur: SimDuration) -> SimTime {
+        debug_assert!(self.has_idle(now), "every die is busy at {now}");
         let done = now + dur;
-        let busy_until = self.busy_until.get_mut(chip);
-        debug_assert!(
-            busy_until.as_ref().is_some_and(|t| **t <= now),
-            "die {chip} is busy at {now} or outside the array"
-        );
-        if let Some(t) = busy_until {
-            *t = done;
-        }
-        // A no-op on an idle die (`done` is not before `now`); it keeps the
-        // bound true if a release build is handed a busy one.
-        self.all_busy_until = self.all_busy_until.min(done);
-        if self.idle_left > 0 && now == self.counted_at {
-            self.idle_left -= 1;
-            if self.idle_left == 0 {
-                // That was the last idle die: the array is full until the
-                // earliest of them is done.
-                self.all_busy_until = self.next_idle_at();
+        // `done` is not before the first entry (that die is idle at `now`),
+        // so it belongs after every later entry earlier than it.
+        let later = self.free_at.get(1..).unwrap_or_default();
+        let at = later.partition_point(|&t| t < done);
+        if let Some(moved) = self.free_at.get_mut(..=at) {
+            moved.rotate_left(1);
+            if let Some(last) = moved.last_mut() {
+                *last = done;
             }
         }
         done
@@ -127,20 +81,16 @@ impl ChipArray {
     /// Adds `dur` of busy time to *every* die (used to model a synchronous
     /// GC sweep stealing the whole array).
     pub fn delay_all(&mut self, now: SimTime, dur: SimDuration) {
-        for b in &mut self.busy_until {
-            let start = (*b).max(now);
-            *b = start + dur;
+        // Monotone in the old instant: the order holds.
+        for t in &mut self.free_at {
+            *t = (*t).max(now) + dur;
         }
-        // Every die moved by the same rule, and so does the bound.
-        self.all_busy_until = self.all_busy_until.max(now) + dur;
     }
 
     /// Earliest time any die becomes idle.
     pub fn next_idle_at(&self) -> SimTime {
-        // `new` rejects an empty array, so the fold always meets a die.
-        self.busy_until
-            .iter()
-            .fold(SimTime::MAX, |first, &t| first.min(t))
+        // `new` rejects an empty array, so there is a first die.
+        self.free_at.first().copied().unwrap_or(SimTime::MAX)
     }
 
     /// Jittered duration for one operation: normal noise around `base` with
@@ -166,46 +116,55 @@ mod tests {
     }
 
     #[test]
-    fn finds_idle_round_robin() {
+    fn every_die_takes_one_program() {
         let mut a = ChipArray::new(3);
         let t = SimTime::ZERO;
-        assert_eq!(a.find_idle(t), Some(0));
-        a.start_op(0, t, SimDuration::from_micros(100));
-        assert_eq!(a.find_idle(t), Some(1));
-        a.start_op(1, t, SimDuration::from_micros(100));
-        assert_eq!(a.find_idle(t), Some(2));
-        a.start_op(2, t, SimDuration::from_micros(100));
-        assert_eq!(a.find_idle(t), None);
-        assert_eq!(a.idle_count(t), 0);
+        for left in (0..3).rev() {
+            assert!(a.has_idle(t));
+            a.start_op(t, SimDuration::from_micros(100));
+            assert_eq!(a.idle_count(t), left);
+        }
+        assert!(!a.has_idle(t));
+        assert!(a.has_idle(us(100)));
     }
 
     #[test]
     fn ops_complete_and_free_die() {
         let mut a = ChipArray::new(1);
-        let done = a.start_op(0, us(10), SimDuration::from_micros(5));
+        let done = a.start_op(us(10), SimDuration::from_micros(5));
         assert_eq!(done, us(15));
-        assert_eq!(a.find_idle(us(14)), None);
-        assert_eq!(a.find_idle(us(15)), Some(0));
+        assert!(!a.has_idle(us(14)));
+        assert!(a.has_idle(us(15)));
     }
 
     #[test]
     fn delay_all_pushes_busy_time() {
         let mut a = ChipArray::new(2);
-        a.start_op(0, us(0), SimDuration::from_micros(10));
+        a.start_op(us(0), SimDuration::from_micros(10));
         a.delay_all(us(0), SimDuration::from_micros(20));
-        // die 0: busy till 10, +20 = 30. die 1: idle, 0+20 = 20.
-        assert_eq!(a.find_idle(us(19)), None);
-        assert_eq!(a.find_idle(us(20)), Some(1));
-        assert_eq!(a.find_idle(us(29)), Some(1));
-        assert!(a.idle_count(us(30)) == 2);
+        // Busy die: free at 10, +20 = 30. Idle die: 0+20 = 20.
+        assert!(!a.has_idle(us(19)));
+        assert_eq!(a.idle_count(us(20)), 1);
+        assert_eq!(a.idle_count(us(29)), 1);
+        assert_eq!(a.idle_count(us(30)), 2);
     }
 
     #[test]
     fn next_idle_is_min() {
         let mut a = ChipArray::new(2);
-        a.start_op(0, us(0), SimDuration::from_micros(30));
-        a.start_op(1, us(0), SimDuration::from_micros(10));
+        a.start_op(us(0), SimDuration::from_micros(30));
+        a.start_op(us(0), SimDuration::from_micros(10));
         assert_eq!(a.next_idle_at(), us(10));
+    }
+
+    #[test]
+    fn a_start_takes_the_die_free_earliest() {
+        let mut a = ChipArray::new(3);
+        a.start_op(us(0), SimDuration::from_micros(30));
+        a.start_op(us(0), SimDuration::from_micros(10));
+        // At 20 the dies are free at 0, 10 and 30: the start replaces 0.
+        a.start_op(us(20), SimDuration::from_micros(5));
+        assert_eq!(a.free_at, vec![us(10), us(25), us(30)]);
     }
 
     #[test]

@@ -55,8 +55,6 @@ pub enum DevEvent {
     ProgramDone {
         /// Cache sequence of the destaged entry.
         seq: u64,
-        /// Chip that ran the program.
-        chip: usize,
     },
     /// Delayed completion (flush round-trip overhead).
     Finish {
@@ -181,6 +179,10 @@ pub struct DeviceStats {
     /// once with nothing written (the model has no error status), so no
     /// table keyed by address ever sees them.
     pub out_of_range_writes: u64,
+    /// Nanoseconds completed commands spent in the queue, admission to
+    /// completion, summed: over a run that drains, the integral of the
+    /// queue depth (Little's law).
+    pub residence_ns: u64,
 }
 
 impl std::ops::AddAssign for DeviceStats {
@@ -195,6 +197,7 @@ impl std::ops::AddAssign for DeviceStats {
             cache_hit_reads,
             queue_full_rejections,
             out_of_range_writes,
+            residence_ns,
         } = rhs;
         self.write_cmds += write_cmds;
         self.read_cmds += read_cmds;
@@ -204,6 +207,7 @@ impl std::ops::AddAssign for DeviceStats {
         self.cache_hit_reads += cache_hit_reads;
         self.queue_full_rejections += queue_full_rejections;
         self.out_of_range_writes += out_of_range_writes;
+        self.residence_ns += residence_ns;
     }
 }
 
@@ -438,7 +442,7 @@ impl Device {
     pub fn handle(&mut self, ev: DevEvent, now: SimTime, out: &mut Vec<DevAction>) {
         match ev {
             DevEvent::DmaDone { id } => self.on_dma_done(id, now, out),
-            DevEvent::ProgramDone { seq, .. } => self.on_program_done(seq, now, out),
+            DevEvent::ProgramDone { seq } => self.on_program_done(seq, now, out),
             DevEvent::Finish { id } => {
                 // Finish events are only ever scheduled for flush commands
                 // (the delayed-completion path); any other target — a
@@ -785,9 +789,9 @@ impl Device {
                     + self.profile.segment_erase;
                 self.chips.delay_all(now, pause);
             }
-            let Some(chip) = self.chips.find_idle(now) else {
+            if !self.chips.has_idle(now) {
                 break;
-            };
+            }
             // Candidates come from the cache pull above with no
             // intervening completions, so marking cannot fail.
             let marked = self.cache.mark_destaging(seq);
@@ -803,10 +807,10 @@ impl Device {
                 self.profile.program_jitter,
                 &mut self.rng,
             );
-            self.chips.start_op(chip, now, dur);
+            self.chips.start_op(now, dur);
             self.in_flight_programs += 1;
             self.stats.programs += 1;
-            out.push(DevAction::After(dur, DevEvent::ProgramDone { seq, chip }));
+            out.push(DevAction::After(dur, DevEvent::ProgramDone { seq }));
         }
         self.candidates = candidates;
         // If work remains but every chip is busy and nothing is in flight
@@ -893,6 +897,7 @@ impl Device {
         if active.cmd.kind == CmdKind::Flush {
             self.stats.flush_cmds += 1;
         }
+        self.stats.residence_ns += now.saturating_since(active.arrived).as_nanos();
         let released = self.queue.complete(id);
         debug_assert!(released, "active command missing from queue");
         self.sample_qd(now);

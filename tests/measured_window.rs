@@ -109,7 +109,8 @@ fn counters(r: &StackReport) -> Counters {
                 blocks_written,
                 programs,
                 cache_hit_reads,
-                queue_full_rejections
+                queue_full_rejections,
+                residence_ns
             ],
             whole_run: [out_of_range_writes],
             neither: [],
@@ -219,8 +220,9 @@ fn warm_up_plus_window_is_the_whole_run_for_every_counter() {
 }
 
 /// Flow balance over a whole idle run (no `start_measuring`): every block
-/// the filesystem wrote reached a device, and every request the block
-/// layer took in completed.
+/// the filesystem wrote reached a device, every request the block layer
+/// took in completed, and the device queues obey Little's law — the
+/// time-weighted queue depth is the commands' summed residence.
 #[test]
 fn every_block_written_reaches_a_device_and_every_request_completes() {
     let topologies = [Topology::single(), Topology::new(2, 2, 16)];
@@ -239,6 +241,13 @@ fn every_block_written_reaches_a_device_and_every_request_completes() {
                     + r.fs.writeback_blocks;
                 assert_eq!(fs, r.device.blocks_written, "{label}: blocks");
                 assert_eq!(r.block.submitted, r.block.completed, "{label}: requests");
+                let depth_ns =
+                    r.mean_qd * topology.nr_devices as f64 * stack.now().as_nanos() as f64;
+                let residence_ns = r.device.residence_ns as f64;
+                assert!(
+                    (depth_ns - residence_ns).abs() <= 1e-9 * residence_ns,
+                    "{label}: queue-depth integral {depth_ns} != residence {residence_ns}"
+                );
             }
         }
     }
