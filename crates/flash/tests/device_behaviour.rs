@@ -804,7 +804,9 @@ fn action_stream_matches_golden_hashes() {
     // FUA write became a drain and GC relocation an append. The stream
     // covers every completion and every scheduled event with its delay, so
     // it pins RNG draw order (program jitter, the orderless shuffle) and GC
-    // timing, not just end-of-run totals.
+    // timing, not just end-of-run totals. Re-recorded when `ProgramDone`
+    // lost its unread die index: each new hash equals the previous
+    // commit's stream hashed with every `, chip: N` stripped.
     const MODES: [BarrierMode; 4] = [
         BarrierMode::Unsupported,
         BarrierMode::InOrderWriteback,
@@ -823,19 +825,19 @@ fn action_stream_matches_golden_hashes() {
         (
             DeviceProfile::ufs(),
             [
-                0x0298_3c94_05ce_c345,
-                0x46de_0091_7384_6d1c,
-                0xab9c_d781_0840_20b5,
-                0x01f6_58ba_63a5_3734,
+                0x00ed_a7dd_85d4_618c,
+                0x0cf7_6940_bde3_fdbf,
+                0xb789_75a3_be89_aed2,
+                0x2d98_0f22_32c9_553a,
             ],
         ),
         (
             DeviceProfile::plain_ssd(),
             [
-                0xec11_8b00_32ae_fba7,
-                0xc4eb_6652_cf87_aa8c,
-                0xc44a_2b29_68ec_69da,
-                0x2131_9f4c_ffa3_d475,
+                0xdddd_8477_bb2c_9098,
+                0x62c5_9e71_faf8_6f92,
+                0x1ce6_f8b8_6ae8_8bcd,
+                0x7266_483c_9036_4e1d,
             ],
         ),
     ] {
@@ -851,7 +853,7 @@ fn action_stream_matches_golden_hashes() {
         pages_per_segment: 64,
         ..DeviceProfile::ufs()
     };
-    cells.push(("aged UFS".to_string(), aged, 0x1f0e_c58b_ce95_0f81));
+    cells.push(("aged UFS".to_string(), aged, 0xc168_a763_8338_fcd4));
     let mut drifted = Vec::new();
     for (label, profile, want) in cells {
         let aged = profile.segments * profile.pages_per_segment < 2 * 1024;
