@@ -669,6 +669,13 @@ mod tests {
     }
 
     #[test]
+    fn an_event_is_three_words() {
+        // Every event is moved through the kernel's heap or FIFO lane: a
+        // field added to a device event grows all of them.
+        assert_eq!(std::mem::size_of::<Event>(), 24);
+    }
+
+    #[test]
     fn forged_thread_ids_are_dropped_and_counted_on_every_path() {
         let mut stack = IoStack::new(StackConfig::bfs(DeviceProfile::ufs()));
         let f = FileRef::Global(stack.create_global_file());

@@ -34,16 +34,6 @@ impl ChipArray {
         }
     }
 
-    /// Number of dies.
-    pub fn len(&self) -> usize {
-        self.free_at.len()
-    }
-
-    /// Always false; the constructor enforces at least one die.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// True when some die is idle at `now`.
     pub fn has_idle(&self, now: SimTime) -> bool {
         self.next_idle_at() <= now
