@@ -55,11 +55,10 @@ impl ChipArray {
     pub fn start_op(&mut self, now: SimTime, dur: SimDuration) -> SimTime {
         debug_assert!(self.has_idle(now), "every die is busy at {now}");
         let done = now + dur;
-        // `done` is not before the first entry (that die is idle at `now`),
-        // so it belongs after every later entry earlier than it.
-        let later = self.free_at.get(1..).unwrap_or_default();
-        let at = later.partition_point(|&t| t < done);
-        if let Some(moved) = self.free_at.get_mut(..=at) {
+        // The first entry leaves, and `done` goes after every entry earlier
+        // than it: the ones up to there shift down by one.
+        let end = self.free_at.partition_point(|&t| t < done).max(1);
+        if let Some(moved) = self.free_at.get_mut(..end) {
             moved.rotate_left(1);
             if let Some(last) = moved.last_mut() {
                 *last = done;
