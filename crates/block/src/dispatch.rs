@@ -17,13 +17,15 @@
 //!   requests wait in `front`, and the gate reopens with the dispatch that
 //!   leaves every lane drained of the closed epoch — "the queue unblocks
 //!   when the last order-preserving request of the epoch leaves it";
-//! * dispatchable requests are converted to device commands. In
-//!   [`DispatchMode::OrderPreserving`] a barrier write is tagged with the
-//!   SCSI **ordered** priority, which is "the only thing the host block
-//!   device driver does" to guarantee transfer order without blocking the
-//!   caller;
-//! * when a device queue is full the request is held back on its lane and
-//!   redispatch is retried after the SCSI-style retry interval (Fig 6(b));
+//! * dispatchable requests are converted to device commands, and the
+//!   request's flags alone decide the command: a barrier write is tagged
+//!   with the SCSI **ordered** priority and `REQ_BARRIER`, which is "the
+//!   only thing the host block device driver does" to guarantee transfer
+//!   order without blocking the caller. A legacy filesystem issues no
+//!   barrier, so its commands go out `simple`;
+//! * a lane dispatches only while its device has room. A request the
+//!   device refuses anyway waits at the head of its lane and is offered
+//!   first by the next sweep after a completion;
 //! * device completions are translated back into per-request completions
 //!   (a merged request completes every constituent bio).
 
@@ -38,13 +40,12 @@ use crate::epoch::EpochScheduler;
 use crate::request::{BlockRequest, MergedRequest, ReqFlags, ReqId, ReqIds, ReqOp};
 use crate::topology::Topology;
 
-/// How the dispatch module enforces transfer order.
+/// The dispatch discipline's name, from when there was a choice. A
+/// request's flags alone decide its command; the enum and
+/// [`BlockConfig::dispatch`] are read by nothing and stay only because
+/// `benchmark/src/probes.rs` names them (ROADMAP item 7(2)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchMode {
-    /// Legacy stack: every command dispatches with `simple` priority;
-    /// ordering is whatever the caller enforces by waiting
-    /// (Wait-on-Transfer).
-    Legacy,
     /// Order-preserving dispatch: barrier writes carry the `ordered`
     /// priority and the `REQ_BARRIER` device flag.
     #[default]
@@ -63,8 +64,8 @@ pub enum SchedulerKind {
     Elevator,
 }
 
-/// Everything the block layer needs to know, in one place: the dispatch
-/// discipline and the lane [`Topology`].
+/// Everything the block layer needs to know, in one place: the lane
+/// [`Topology`].
 ///
 /// Replaces the old `BlockLayer::new(dev, scheduler, dispatch)` positional
 /// constructor so new knobs extend this struct instead of churning every
@@ -73,7 +74,7 @@ pub enum SchedulerKind {
 pub struct BlockConfig {
     /// Read by nothing (see [`SchedulerKind`]).
     pub scheduler: SchedulerKind,
-    /// Dispatch discipline.
+    /// Read by nothing (see [`DispatchMode`]).
     pub dispatch: DispatchMode,
     /// Lane topology (queues × devices, stripe unit).
     pub topology: Topology,
@@ -90,8 +91,8 @@ impl Default for BlockConfig {
 }
 
 impl BlockConfig {
-    /// Config with the given dispatch mode on the classical 1 queue ×
-    /// 1 device topology.
+    /// Config on the classical 1 queue × 1 device topology; both
+    /// parameters are read by nothing.
     pub fn new(scheduler: SchedulerKind, dispatch: DispatchMode) -> BlockConfig {
         BlockConfig {
             scheduler,
@@ -107,10 +108,6 @@ impl BlockConfig {
     }
 }
 
-/// SCSI-style retry delay when the device queue is full (the paper quotes
-/// 3 ms for SCSI devices).
-pub const BUSY_RETRY_INTERVAL: SimDuration = SimDuration::from_millis(3);
-
 /// Events the block layer schedules for itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockEvent {
@@ -120,11 +117,6 @@ pub enum BlockEvent {
         dev: u32,
         /// The device event to forward.
         ev: DevEvent,
-    },
-    /// Retry dispatching on lane `lane` after a device-busy bounce.
-    Retry {
-        /// Lane index (`device * nr_hw_queues + hw_queue`).
-        lane: u32,
     },
 }
 
@@ -146,7 +138,8 @@ pub struct BlockStats {
     pub dispatched: u64,
     /// Completions delivered upward.
     pub completed: u64,
-    /// Device-busy bounces (each costs a retry interval).
+    /// Requests the device refused (each waits at the head of its lane
+    /// for the next completion).
     pub busy_retries: u64,
     /// Extra per-device parts created by stripe splitting (a request whose
     /// blocks land on one device passes through whole and adds none).
@@ -197,9 +190,8 @@ pub struct LaneStats {
 #[derive(Debug)]
 struct Lane {
     /// Everything the lane holds between admission and the device,
-    /// including a request the device bounced (retried on `Retry`).
+    /// including a request the device bounced.
     sched: EpochScheduler,
-    retry_pending: bool,
     dispatched: u64,
     busy_retries: u64,
     /// Requests routed to this lane at admission.
@@ -233,7 +225,6 @@ enum SplitDone {
 #[derive(Debug)]
 pub struct BlockLayer {
     topology: Topology,
-    mode: DispatchMode,
     lanes: Vec<Lane>,
     devs: Vec<Device>,
     /// The bio ids each in-flight command answers for, per device, keyed
@@ -276,7 +267,6 @@ impl BlockLayer {
         let lanes = (0..cfg.topology.nr_lanes())
             .map(|_| Lane {
                 sched: EpochScheduler::new(),
-                retry_pending: false,
                 dispatched: 0,
                 busy_retries: 0,
                 routed: 0,
@@ -285,7 +275,6 @@ impl BlockLayer {
         let n = devices.len();
         BlockLayer {
             topology: cfg.topology,
-            mode: cfg.dispatch,
             lanes,
             inflight: (0..n).map(|_| SeqTable::new()).collect(),
             next_cmd: vec![1; n],
@@ -390,35 +379,23 @@ impl BlockLayer {
 
     /// Handles a previously scheduled [`BlockEvent`].
     pub fn handle(&mut self, ev: BlockEvent, now: SimTime, out: &mut ActionSink<BlockAction>) {
-        match ev {
-            BlockEvent::Dev { dev, ev } => {
-                let di = dev as usize;
-                // Device events carry their target index; a forged or
-                // stale index reads as absent and the event drops.
-                let Some(d) = self.devs.get_mut(di) else {
-                    self.stats.dropped_events += 1;
-                    return;
-                };
-                let mut scratch = std::mem::take(&mut self.dev_scratch);
-                d.handle(ev, now, &mut scratch);
-                let completed = self.apply_dev_actions(di, &mut scratch, out);
-                self.dev_scratch = scratch;
-                // Only a completion frees a queue slot or releases a
-                // parked split: without one, every lane is as blocked as
-                // the last sweep left it.
-                if !completed {
-                    return;
-                }
-            }
-            BlockEvent::Retry { lane } => {
-                let Some(l) = self.lanes.get_mut(lane as usize) else {
-                    self.stats.dropped_events += 1;
-                    return;
-                };
-                l.retry_pending = false;
-            }
+        let BlockEvent::Dev { dev, ev } = ev;
+        let di = dev as usize;
+        // Device events carry their target index; a forged or stale index
+        // reads as absent and the event drops.
+        let Some(d) = self.devs.get_mut(di) else {
+            self.stats.dropped_events += 1;
+            return;
+        };
+        let mut scratch = std::mem::take(&mut self.dev_scratch);
+        d.handle(ev, now, &mut scratch);
+        let completed = self.apply_dev_actions(di, &mut scratch, out);
+        self.dev_scratch = scratch;
+        // Only a completion frees a queue slot or releases a parked split:
+        // without one, every lane is as blocked as the last sweep left it.
+        if completed {
+            self.run(now, out);
         }
-        self.run(now, out);
     }
 
     // ------------------------------------------------------------------
@@ -580,18 +557,15 @@ impl BlockLayer {
     fn pump_lane(&mut self, li: usize, now: SimTime, out: &mut ActionSink<BlockAction>) {
         let di = self.topology.lane_device(li);
         let mut scratch = std::mem::take(&mut self.dev_scratch);
-        loop {
-            // A bounced request is re-offered first, to preserve order,
-            // and whatever the device says; anything else waits for room.
-            if !self.lanes[li].sched.has_bounced() && !self.devs[di].can_accept() {
-                break;
-            }
+        // A bounced request is the first `dequeue` hands out, so it is
+        // re-offered ahead of anything queued behind it.
+        while self.devs[di].can_accept() {
             let Some(mut m) = self.lanes[li].sched.dequeue() else {
                 break;
             };
             let cmd_id = CmdId(self.next_cmd[di]);
             self.next_cmd[di] += 1;
-            let cmd = self.build_command(cmd_id, &mut m);
+            let cmd = BlockLayer::build_command(cmd_id, &mut m);
             match self.devs[di].submit(cmd, now, &mut scratch) {
                 Ok(()) => {
                     self.stats.dispatched += 1;
@@ -615,8 +589,8 @@ impl BlockLayer {
                 }
                 Err(cmd) => {
                     // Device busy: take the payload back out of the bounced
-                    // command, hold the request and retry later (Fig 6(b)
-                    // — the kernel daemon inherits the retry).
+                    // command and hold the request at the head of its lane
+                    // until a completion makes room.
                     if let (ReqOp::Write { tags, .. }, CmdKind::Write { tags: bounced, .. }) =
                         (&mut m.req.op, cmd.kind)
                     {
@@ -625,13 +599,6 @@ impl BlockLayer {
                     self.stats.busy_retries += 1;
                     self.lanes[li].busy_retries += 1;
                     self.lanes[li].sched.bounce(m);
-                    if !self.lanes[li].retry_pending {
-                        self.lanes[li].retry_pending = true;
-                        out.push(BlockAction::After(
-                            BUSY_RETRY_INTERVAL,
-                            BlockEvent::Retry { lane: li as u32 },
-                        ));
-                    }
                     break;
                 }
             }
@@ -641,16 +608,16 @@ impl BlockLayer {
 
     /// Builds the device command for `m`, moving a write's payload out of
     /// the request into it (the request keeps its flags and ids).
-    fn build_command(&self, id: CmdId, m: &mut MergedRequest) -> Command {
+    fn build_command(id: CmdId, m: &mut MergedRequest) -> Command {
         let flags = m.req.flags;
         match &mut m.req.op {
             ReqOp::Write { start, tags } => {
                 let wf = WriteFlags {
                     fua: flags.fua,
                     flush_before: flags.preflush,
-                    barrier: flags.barrier && self.mode == DispatchMode::OrderPreserving,
+                    barrier: flags.barrier,
                 };
-                let prio = if flags.barrier && self.mode == DispatchMode::OrderPreserving {
+                let prio = if flags.barrier {
                     Priority::Ordered
                 } else {
                     Priority::Simple
@@ -741,7 +708,7 @@ mod tests {
     fn config_builder_defaults_to_single_lane() {
         let c = BlockConfig::default();
         assert_eq!(c.topology.nr_lanes(), 1);
-        let c = BlockConfig::new(SchedulerKind::Elevator, DispatchMode::Legacy)
+        let c = BlockConfig::new(SchedulerKind::Elevator, DispatchMode::OrderPreserving)
             .with_topology(Topology::new(2, 2, 8));
         assert_eq!(c.topology.nr_lanes(), 4);
     }

@@ -251,11 +251,6 @@ impl EpochScheduler {
         self.bounced = Some(m);
     }
 
-    /// True while a bounced request waits to be offered again.
-    pub fn has_bounced(&self) -> bool {
-        self.bounced.is_some()
-    }
-
     /// The one-way elevator: reads and flushes keep FIFO order relative
     /// to their arrival batch, writes leave in ascending-LBA sweeps.
     fn sweep(&mut self) -> Option<MergedRequest> {
@@ -458,11 +453,11 @@ mod tests {
         let m = s.dequeue().unwrap();
         assert!(s.is_drained() && s.is_empty());
         s.bounce(m);
-        assert!(!s.is_drained() && s.has_bounced());
+        assert!(!s.is_drained() && !s.is_empty());
         assert_eq!(s.len(), 1);
         s.fence();
         assert_eq!(drain(&mut s), vec![(1, true)]);
-        assert!(s.is_drained() && !s.has_bounced());
+        assert!(s.is_drained() && s.is_empty());
         assert_eq!(s.reassignments(), 1);
     }
 

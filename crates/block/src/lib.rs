@@ -14,8 +14,9 @@
 //! * [`BlockLayer`] implements the epoch sequencer — the queue blocks at a
 //!   barrier and unblocks when that last request leaves — and
 //!   Order-Preserving Dispatch: barrier writes go out with the SCSI
-//!   `ordered` priority, device-busy bounces retry on a timer, and merged
-//!   requests fan completions back out to every constituent bio;
+//!   `ordered` priority, a lane dispatches only while its device has room,
+//!   and merged requests fan completions back out to every constituent
+//!   bio;
 //! * [`Topology`] shapes the layer as N hardware queues × M devices
 //!   (blk-mq style lanes with RAID-0 LBA striping). One path serves every
 //!   shape; the default 1×1 topology — the classical single-queue stack —
@@ -70,7 +71,7 @@ mod topology;
 pub use bio_sim::ActionSink;
 pub use dispatch::{
     BlockAction, BlockConfig, BlockEvent, BlockLayer, BlockStats, DispatchMode, LaneStats,
-    SchedulerKind, BUSY_RETRY_INTERVAL,
+    SchedulerKind,
 };
 pub use epoch::{EpochScheduler, MAX_MERGE_BLOCKS};
 pub use request::{BlockRequest, MergedRequest, ReqFlags, ReqId, ReqIds, ReqOp};

@@ -1,8 +1,8 @@
 //! End-to-end block layer behaviour over the simulated device.
 
 use bio_block::{
-    ActionSink, BlockAction, BlockConfig, BlockEvent, BlockLayer, BlockRequest, DispatchMode,
-    ReqFlags, ReqId, SchedulerKind, Topology,
+    ActionSink, BlockAction, BlockConfig, BlockEvent, BlockLayer, BlockRequest, ReqFlags, ReqId,
+    Topology,
 };
 use bio_flash::{BlockTag, Device, DeviceProfile, EpochAudit, ImageView, Lba};
 use bio_sim::{EventQueue, SimTime};
@@ -17,15 +17,15 @@ struct Harness {
 }
 
 impl Harness {
-    fn new(profile: DeviceProfile, mode: DispatchMode) -> Harness {
-        Harness::with_topology(profile, mode, Topology::single())
+    fn new(profile: DeviceProfile) -> Harness {
+        Harness::with_topology(profile, Topology::single())
     }
 
-    fn with_topology(profile: DeviceProfile, mode: DispatchMode, topology: Topology) -> Harness {
+    fn with_topology(profile: DeviceProfile, topology: Topology) -> Harness {
         let devices = (0..topology.nr_devices)
             .map(|i| Device::new(profile.clone(), 99 + i as u64))
             .collect();
-        let cfg = BlockConfig::new(SchedulerKind::Elevator, mode).with_topology(topology);
+        let cfg = BlockConfig::default().with_topology(topology);
         Harness {
             layer: BlockLayer::new(devices, cfg),
             q: EventQueue::new(),
@@ -73,7 +73,7 @@ fn w(id: u64, lba: u64, flags: ReqFlags) -> BlockRequest {
 
 #[test]
 fn requests_complete_through_the_stack() {
-    let mut h = Harness::new(DeviceProfile::ufs(), DispatchMode::OrderPreserving);
+    let mut h = Harness::new(DeviceProfile::ufs());
     for i in 0..4 {
         h.submit(w(i, i * 10, ReqFlags::NONE));
     }
@@ -89,7 +89,7 @@ fn requests_complete_through_the_stack() {
 
 #[test]
 fn merged_requests_complete_every_bio() {
-    let mut h = Harness::new(DeviceProfile::ufs(), DispatchMode::OrderPreserving);
+    let mut h = Harness::new(DeviceProfile::ufs());
     // Fill the device queue (UFS QD = 16) so later requests pool in the
     // scheduler, where merging happens.
     for i in 0..16 {
@@ -111,7 +111,7 @@ fn merged_requests_complete_every_bio() {
 #[test]
 fn busy_device_retries_and_completes_everything() {
     // UFS QD is 16; submit far more and let the retry path drain them.
-    let mut h = Harness::new(DeviceProfile::ufs(), DispatchMode::OrderPreserving);
+    let mut h = Harness::new(DeviceProfile::ufs());
     for i in 0..120u64 {
         // Spread LBAs so nothing merges.
         h.submit(w(i, i * 7, ReqFlags::NONE));
@@ -123,7 +123,7 @@ fn busy_device_retries_and_completes_everything() {
 #[test]
 fn barrier_epochs_survive_crash_in_order_preserving_mode() {
     for seed_steps in 0..12usize {
-        let mut h = Harness::new(DeviceProfile::ufs(), DispatchMode::OrderPreserving);
+        let mut h = Harness::new(DeviceProfile::ufs());
         h.layer.devices_mut()[0].record_history(true);
         let mut id = 0;
         for epoch in 0..5u64 {
@@ -150,24 +150,8 @@ fn barrier_epochs_survive_crash_in_order_preserving_mode() {
 }
 
 #[test]
-fn legacy_mode_strips_barrier_semantics() {
-    // In legacy dispatch the barrier flag must not reach the device: the
-    // device cache sees a single epoch.
-    let mut h = Harness::new(DeviceProfile::ufs(), DispatchMode::Legacy);
-    h.layer.devices_mut()[0].record_history(true);
-    h.submit(w(1, 0, ReqFlags::BARRIER));
-    h.submit(w(2, 10, ReqFlags::BARRIER));
-    h.run();
-    let hist = h.layer.device_at(0).history().unwrap();
-    assert!(
-        hist.iter().all(|t| t.epoch == 0),
-        "legacy mode must not advance device epochs: {hist:?}"
-    );
-}
-
-#[test]
 fn order_preserving_mode_advances_device_epochs() {
-    let mut h = Harness::new(DeviceProfile::ufs(), DispatchMode::OrderPreserving);
+    let mut h = Harness::new(DeviceProfile::ufs());
     h.layer.devices_mut()[0].record_history(true);
     h.submit(w(1, 0, ReqFlags::BARRIER));
     h.submit(w(2, 10, ReqFlags::BARRIER));
@@ -179,7 +163,7 @@ fn order_preserving_mode_advances_device_epochs() {
 
 #[test]
 fn flush_completes_after_drain() {
-    let mut h = Harness::new(DeviceProfile::ufs(), DispatchMode::OrderPreserving);
+    let mut h = Harness::new(DeviceProfile::ufs());
     h.submit(w(1, 0, ReqFlags::NONE));
     h.submit(BlockRequest::flush(ReqId(2)));
     h.run();
@@ -198,7 +182,7 @@ fn non_blocking_barrier_dispatch_fills_the_queue() {
     // With order-preserving dispatch, barrier writes do not wait for each
     // other at the host: the device queue depth should exceed 1 even though
     // every write is a barrier (this is Fig 9 scenario B's mechanism).
-    let mut h = Harness::new(DeviceProfile::plain_ssd(), DispatchMode::OrderPreserving);
+    let mut h = Harness::new(DeviceProfile::plain_ssd());
     for i in 0..16u64 {
         h.submit(w(i, i * 5, ReqFlags::BARRIER));
     }
@@ -217,7 +201,7 @@ fn non_blocking_barrier_dispatch_fills_the_queue() {
 /// far-away orderless writes, so the requests a test submits pool in the
 /// scheduler — where epochs are formed — instead of dispatching at once.
 fn congested() -> Harness {
-    let mut h = Harness::new(DeviceProfile::ufs(), DispatchMode::OrderPreserving);
+    let mut h = Harness::new(DeviceProfile::ufs());
     h.layer.devices_mut()[0].record_history(true);
     fill_device_zero(&mut h);
     h
@@ -325,11 +309,7 @@ fn merged_ordered_requests_share_one_barrier() {
 
 #[test]
 fn multi_lane_requests_complete_through_the_stack() {
-    let mut h = Harness::with_topology(
-        DeviceProfile::ufs(),
-        DispatchMode::OrderPreserving,
-        Topology::new(2, 2, 4),
-    );
+    let mut h = Harness::with_topology(DeviceProfile::ufs(), Topology::new(2, 2, 4));
     for i in 0..40u64 {
         h.submit(w(i, i * 6, ReqFlags::NONE));
     }
@@ -348,11 +328,7 @@ fn multi_lane_requests_complete_through_the_stack() {
 fn sequencer_counts_global_epochs() {
     // One epoch per barrier, whatever the lane count.
     for topology in [Topology::single(), Topology::new(2, 2, 1)] {
-        let mut h = Harness::with_topology(
-            DeviceProfile::ufs(),
-            DispatchMode::OrderPreserving,
-            topology,
-        );
+        let mut h = Harness::with_topology(DeviceProfile::ufs(), topology);
         let mut id = 0;
         for epoch in 0..5u64 {
             for i in 0..4u64 {
@@ -383,11 +359,7 @@ fn multi_lane_barrier_epochs_survive_crash_on_every_device() {
     // consistent: crash at an arbitrary point and audit every device
     // against its own transfer history.
     for seed_steps in 0..12usize {
-        let mut h = Harness::with_topology(
-            DeviceProfile::ufs(),
-            DispatchMode::OrderPreserving,
-            Topology::new(2, 2, 1),
-        );
+        let mut h = Harness::with_topology(DeviceProfile::ufs(), Topology::new(2, 2, 1));
         for dev in h.layer.devices_mut() {
             dev.record_history(true);
         }
@@ -431,11 +403,7 @@ fn striped_final_state_matches_single_device() {
     // remap each device-local image through the topology and compare with
     // the 1×1 run.
     let run = |topology: Topology| {
-        let mut h = Harness::with_topology(
-            DeviceProfile::ufs(),
-            DispatchMode::OrderPreserving,
-            topology,
-        );
+        let mut h = Harness::with_topology(DeviceProfile::ufs(), topology);
         for i in 0..30u64 {
             let flags = if i % 5 == 4 {
                 ReqFlags::BARRIER
@@ -488,11 +456,7 @@ fn split_part_merged_with_a_whole_bio_completes_both() {
     // part of split write A and the single-target write B are adjacent
     // on device 0 and merge into one command, which then answers for a
     // part id and a bio id at once.
-    let mut h = Harness::with_topology(
-        DeviceProfile::ufs(),
-        DispatchMode::OrderPreserving,
-        Topology::new(1, 2, 1),
-    );
+    let mut h = Harness::with_topology(DeviceProfile::ufs(), Topology::new(1, 2, 1));
     fill_device_zero(&mut h);
     h.submit(BlockRequest::write(
         ReqId(1),
@@ -532,8 +496,7 @@ fn zero_length_request_completes_on_multi_device() {
             BlockRequest::write(ReqId(1), Lba(3), Vec::new(), ReqFlags::NONE),
             BlockRequest::write(ReqId(1), Lba(3), Vec::new(), ReqFlags::FLUSH_FUA),
         ] {
-            let mut h =
-                Harness::with_topology(DeviceProfile::ufs(), DispatchMode::Legacy, topology);
+            let mut h = Harness::with_topology(DeviceProfile::ufs(), topology);
             h.submit(req.clone());
             h.run();
             let ids: Vec<ReqId> = h.done.iter().map(|(id, _)| *id).collect();

@@ -1,6 +1,8 @@
 //! Stack configuration: which filesystem, topology and device make up one
-//! experiment cell. The block layer's scheduler and dispatch discipline are
-//! not configured: [`crate::IoStack::new`] derives them from the filesystem.
+//! experiment cell. The block layer has no discipline to configure: every
+//! lane runs the one elevator, and a request's flags alone decide the
+//! command it becomes, so barriers reach a device exactly when the
+//! filesystem issues them.
 //!
 //! The paper's experiment matrix is spanned by presets:
 //!

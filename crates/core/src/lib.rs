@@ -79,7 +79,7 @@ pub use stack::{
 };
 
 // Re-export the vocabulary types callers need alongside the stack.
-pub use bio_block::{BlockConfig, DispatchMode, LaneStats, Topology};
+pub use bio_block::{BlockConfig, LaneStats, Topology};
 pub use bio_flash::{BarrierMode, DeviceProfile};
 pub use bio_fs::{
     ConsistencyCheck, ConsistencyIndex, ConsistencyProbe, FsConfig, FsMode, FsViolation, TagRun,

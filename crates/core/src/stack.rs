@@ -3,7 +3,7 @@
 //! workloads.
 
 use bio_block::{
-    BlockAction, BlockConfig, BlockEvent, BlockLayer, BlockStats, DispatchMode, LaneStats, Topology,
+    BlockAction, BlockConfig, BlockEvent, BlockLayer, BlockStats, LaneStats, Topology,
 };
 use bio_flash::{
     BlockMap, BlockTag, Device, DeviceStats, EpochAudit, EpochViolation, FtlStats, ImageView, Lba,
@@ -178,21 +178,7 @@ impl IoStack {
                 device
             })
             .collect();
-        // Barrier flags reach the device exactly when the filesystem
-        // issues them.
-        let dispatch = if cfg.fs.mode.uses_barriers() {
-            DispatchMode::OrderPreserving
-        } else {
-            DispatchMode::Legacy
-        };
-        let block = BlockLayer::new(
-            devices,
-            BlockConfig {
-                dispatch,
-                topology: cfg.topology,
-                ..BlockConfig::default()
-            },
-        );
+        let block = BlockLayer::new(devices, BlockConfig::default().with_topology(cfg.topology));
         let fs = Filesystem::new(cfg.fs.clone());
         let mut stack = IoStack {
             q: EventQueue::new(),
