@@ -36,13 +36,6 @@ pub enum BarrierMode {
     LfsInOrderRecovery,
 }
 
-impl BarrierMode {
-    /// True if this mode can honour `REQ_BARRIER` semantics.
-    pub fn supports_barrier(self) -> bool {
-        !matches!(self, BarrierMode::Unsupported)
-    }
-}
-
 /// Extra cost applied to barrier-flagged writes, mirroring the paper's
 /// "5% performance penalty to simulate the barrier overhead" on plain SSD.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -337,7 +330,6 @@ mod tests {
         let p = DeviceProfile::supercap_ssd();
         assert!(p.plp);
         assert_eq!(p.barrier_overhead.factor(), 1.0);
-        assert!(p.barrier_mode.supports_barrier());
     }
 
     #[test]
@@ -363,7 +355,6 @@ mod tests {
     fn builders_override() {
         let p = DeviceProfile::ufs().with_barrier_mode(BarrierMode::Unsupported);
         assert_eq!(p.barrier_mode, BarrierMode::Unsupported);
-        assert!(!p.barrier_mode.supports_barrier());
     }
 
     #[test]

@@ -145,11 +145,6 @@ impl CmdKind {
             CmdKind::Flush => 0,
         }
     }
-
-    /// True for write commands carrying the barrier flag.
-    pub fn is_barrier(&self) -> bool {
-        matches!(self, CmdKind::Write { flags, .. } if flags.barrier)
-    }
 }
 
 /// A command submitted to the device.
@@ -234,15 +229,6 @@ mod tests {
             .blocks(),
             7
         );
-    }
-
-    #[test]
-    fn barrier_flag_detection() {
-        let b = Command::write(CmdId(1), Lba(0), vec![BlockTag(1)], WriteFlags::BARRIER);
-        assert!(b.kind.is_barrier());
-        let p = Command::write(CmdId(2), Lba(0), vec![BlockTag(2)], WriteFlags::NONE);
-        assert!(!p.kind.is_barrier());
-        assert!(!CmdKind::Flush.is_barrier());
     }
 
     #[test]

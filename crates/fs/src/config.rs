@@ -22,20 +22,6 @@ pub enum FsMode {
     OptFs,
 }
 
-impl FsMode {
-    /// True when the mode needs the order-preserving block layer
-    /// (REQ_ORDERED/REQ_BARRIER reach the device).
-    pub fn uses_barriers(self) -> bool {
-        matches!(self, FsMode::BarrierFs)
-    }
-
-    /// True when journal commit waits for each DMA transfer
-    /// (Wait-on-Transfer; Eq. 2 of the paper).
-    pub fn wait_on_transfer(self) -> bool {
-        !matches!(self, FsMode::BarrierFs)
-    }
-}
-
 /// Host-side timing and journaling parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FsConfig {
@@ -113,15 +99,6 @@ impl FsConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mode_properties() {
-        assert!(FsMode::BarrierFs.uses_barriers());
-        assert!(!FsMode::Ext4.uses_barriers());
-        assert!(FsMode::Ext4.wait_on_transfer());
-        assert!(FsMode::OptFs.wait_on_transfer());
-        assert!(!FsMode::BarrierFs.wait_on_transfer());
-    }
 
     #[test]
     fn defaults_validate() {

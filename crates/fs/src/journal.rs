@@ -1,22 +1,26 @@
-//! Journal commit machinery: the legacy JBD thread (EXT4 / EXT4-nobarrier
-//! / OptFS) and BarrierFS Dual-Mode Journaling (§4.2).
+//! Journal commit machinery: one commit thread for every mode, whose
+//! [`crate::FsMode`] decides what it issues and what it waits for — the
+//! legacy JBD of EXT4 / EXT4-nobarrier / OptFS, or BarrierFS Dual-Mode
+//! Journaling (§4.2).
 //!
-//! Legacy commit (Eq. 2 of the paper):
+//! Legacy commit (Eq. 2 of the paper), one committing transaction; JC
+//! goes out when JD's transfer completes, and releasing the transaction
+//! wakes the commit thread for the next one:
 //!
 //! ```text
 //! D → xfer → JD → xfer → JC(FLUSH|FUA)            one committing txn
 //! ```
 //!
-//! Dual-mode commit (Eq. 3):
+//! Dual-mode commit (Eq. 3), JD and JC back to back as barrier writes:
 //!
 //! ```text
 //! commit thread:  D(ordered) → JD(ordered|barrier) → JC(ordered|barrier)
 //! flush thread:   ... JC transferred → [flush if durability wanted]
 //! ```
 //!
-//! The commit thread never waits for a transfer, so the interval between
-//! journal commits shrinks from `tD + tC + tF` to `tD` (Fig 8), and many
-//! transactions can be in the committing list at once.
+//! The BarrierFS commit thread never waits for a transfer, so the interval
+//! between journal commits shrinks from `tD + tC + tF` to `tD` (Fig 8),
+//! and many transactions can be in the committing list at once.
 //!
 //! ## Totality
 //!
@@ -106,60 +110,35 @@ impl Filesystem {
         ));
     }
 
-    /// The commit thread body.
+    /// The commit thread body: commits the running transaction while it
+    /// has a pending request. Legacy JBD commits one transaction at a time
+    /// and sends JD alone — its JC follows JD's transfer (`on_jd_done`,
+    /// Wait-on-Transfer), and releasing it reschedules this thread
+    /// (`release_txn`). BarrierFS sends JD and JC back to back as barrier
+    /// writes and takes the next transaction at once, so its committing
+    /// list grows. No BarrierFS commit waits for a transfer.
     pub(crate) fn on_commit_run(&mut self, out: &mut ActionSink<FsAction>) {
         self.commit_scheduled = false;
-        match self.cfg.mode {
-            FsMode::BarrierFs => self.dual_mode_commit(out),
-            _ => self.jbd_commit(out),
-        }
-    }
-
-    /// True when the running transaction exists and has a pending commit
-    /// request.
-    fn running_commit_requested(&self, rt: TxnId) -> bool {
-        self.txns.get(rt.0).is_some_and(|t| t.commit_requested)
-    }
-
-    /// Legacy JBD: at most one committing transaction; JD then JC with
-    /// Wait-on-Transfer between them (the JC submit happens in
-    /// `on_jd_done`).
-    fn jbd_commit(&mut self, out: &mut ActionSink<FsAction>) {
-        // A commit is already in flight: it will reschedule us when done.
-        if !self.committing.is_empty() {
-            return;
-        }
-        let Some(rt) = self.running else { return };
-        if !self.running_commit_requested(rt) {
-            return;
-        }
-        if !self.freeze_running(rt) {
-            return; // journal space stall; retried on checkpoint completion
-        }
-        // Submit JD (descriptor + logs) as one plain write; JC follows its
-        // completion (Wait-on-Transfer).
-        self.submit_jd(rt, ReqFlags::NONE, out);
-    }
-
-    /// BarrierFS commit thread: commits the running transaction with
-    /// order-preserving requests and immediately becomes available for the
-    /// next one. No transfer waits anywhere.
-    fn dual_mode_commit(&mut self, out: &mut ActionSink<FsAction>) {
+        let dual_mode = self.cfg.mode == FsMode::BarrierFs;
         loop {
-            let Some(rt) = self.running else { return };
-            if !self.running_commit_requested(rt) {
+            // Legacy JBD has one committing slot.
+            if !dual_mode && !self.committing.is_empty() {
                 return;
             }
+            let Some(rt) = self.running else { return };
             // §4.3: the running transaction commits only once the
-            // conflict-page list is empty.
-            if !self.conflicts.is_empty() {
+            // conflict-page list (filled only under BarrierFS) is empty.
+            if !self.running_commit_requested(rt) || !self.conflicts.is_empty() {
                 return;
             }
             if !self.freeze_running(rt) {
-                return; // journal space stall
+                return; // journal space stall; retried on checkpoint completion
             }
-            self.submit_jd(rt, ReqFlags::BARRIER, out);
-            if self.submit_jc(rt, ReqFlags::BARRIER, out).is_err() {
+            self.submit_jd(rt, out);
+            if !dual_mode {
+                continue; // JC follows JD's transfer; the slot is taken
+            }
+            if self.submit_jc(rt, out).is_err() {
                 // submit_jd just placed the journal addresses, so this is
                 // only reachable if the transaction vanished mid-commit.
                 self.note_dropped_journal_event();
@@ -170,9 +149,13 @@ impl Filesystem {
             if let Some(t) = self.txns.get_mut(rt.0) {
                 wake_all(&mut t.dispatch_waiters, out);
             }
-            // Loop: if another running transaction with a pending request
-            // appeared, commit it too (committing list grows).
         }
+    }
+
+    /// True when the running transaction exists and has a pending commit
+    /// request.
+    fn running_commit_requested(&self, rt: TxnId) -> bool {
+        self.txns.get(rt.0).is_some_and(|t| t.commit_requested)
     }
 
     /// Freezes the running transaction into the committing list. Returns
@@ -208,7 +191,9 @@ impl Filesystem {
         true
     }
 
-    fn submit_jd(&mut self, txn: TxnId, extra: ReqFlags, out: &mut ActionSink<FsAction>) {
+    /// Submits the descriptor and log blocks of `txn`, placing its JD and
+    /// JC in the journal.
+    fn submit_jd(&mut self, txn: TxnId, out: &mut ActionSink<FsAction>) {
         let Some((n_logs, data_journal)) = self
             .txns
             .get(txn.0)
@@ -228,11 +213,9 @@ impl Filesystem {
         }
         let rid = self.alloc_req(Purpose::Jd(txn));
         self.stats.journal_blocks += jd_blocks;
-        let flags = ReqFlags {
-            ordered: extra.ordered || extra.barrier,
-            barrier: extra.barrier,
-            fua: false,
-            preflush: false,
+        let flags = match self.cfg.mode {
+            FsMode::BarrierFs => ReqFlags::BARRIER,
+            FsMode::Ext4 | FsMode::Ext4NoBarrier | FsMode::OptFs => ReqFlags::NONE,
         };
         out.push(FsAction::Submit(BlockRequest::write(rid, lba, tags, flags)));
     }
@@ -244,7 +227,6 @@ impl Filesystem {
     pub(crate) fn submit_jc(
         &mut self,
         txn: TxnId,
-        extra: ReqFlags,
         out: &mut ActionSink<FsAction>,
     ) -> Result<(), JournalError> {
         let Some(t) = self.txns.get(txn.0) else {
@@ -262,12 +244,7 @@ impl Filesystem {
         let flags = match self.cfg.mode {
             FsMode::Ext4 => ReqFlags::FLUSH_FUA,
             FsMode::Ext4NoBarrier | FsMode::OptFs => ReqFlags::NONE,
-            FsMode::BarrierFs => ReqFlags {
-                ordered: true,
-                barrier: extra.barrier,
-                fua: false,
-                preflush: false,
-            },
+            FsMode::BarrierFs => ReqFlags::BARRIER,
         };
         out.push(FsAction::Submit(BlockRequest::write(
             rid,
@@ -314,7 +291,7 @@ impl Filesystem {
             self.note_dropped_journal_event();
             return;
         }
-        if self.submit_jc(txn, ReqFlags::NONE, out).is_err() {
+        if self.submit_jc(txn, out).is_err() {
             self.note_dropped_journal_event();
         }
     }
@@ -336,20 +313,14 @@ impl Filesystem {
         // OptFS osync waiters are satisfied by the transfer.
         wake_all(&mut t.transfer_waiters, out);
         match self.cfg.mode {
-            FsMode::Ext4 => {
-                // JC carried FLUSH|FUA: everything up to here is durable.
-                self.mark_durable(txn, true, out);
+            FsMode::Ext4 | FsMode::Ext4NoBarrier => {
+                // EXT4's JC carried FLUSH|FUA: everything up to here is
+                // durable. Under nobarrier no flush went anywhere: the
+                // transaction is *treated* as complete at transfer, and
+                // the crash checker is told no durability was promised —
+                // exactly the nobarrier trade-off.
+                self.mark_durable(txn, self.cfg.mode == FsMode::Ext4, out);
                 self.release_txn(txn, now, true, out);
-                self.after_commit_slot_freed(out);
-            }
-            FsMode::Ext4NoBarrier => {
-                // No flush anywhere: the transaction is *treated* as
-                // complete at transfer. Durability is not actually
-                // guaranteed — exactly the nobarrier trade-off; the crash
-                // checker is told no durability was promised.
-                self.mark_durable(txn, false, out);
-                self.release_txn(txn, now, true, out);
-                self.after_commit_slot_freed(out);
             }
             FsMode::OptFs => {
                 // Delayed durability: the periodic flusher upgrades the
@@ -364,7 +335,6 @@ impl Filesystem {
                 if urgent {
                     self.request_txn_flush(out);
                 }
-                self.after_commit_slot_freed(out);
             }
             FsMode::BarrierFs => {
                 // Flush thread: flush if anyone wants durability of this
@@ -505,7 +475,9 @@ impl Filesystem {
             self.dirty_inode(e.file, e.lba, tag);
         }
         if self.conflicts.is_empty() {
-            // The running transaction may have been waiting on conflicts.
+            // The running transaction may have been waiting on conflicts,
+            // or, under legacy JBD, on the committing slot this release
+            // frees.
             if let Some(rt) = self.running {
                 if self.running_commit_requested(rt) {
                     self.schedule_commit_run(out);
@@ -530,16 +502,6 @@ impl Filesystem {
         }
         if checkpoint {
             self.start_checkpoint(txn, out);
-        }
-    }
-
-    /// Called when a legacy (single-slot) commit finishes, to start the
-    /// next requested commit.
-    fn after_commit_slot_freed(&mut self, out: &mut ActionSink<FsAction>) {
-        if let Some(rt) = self.running {
-            if self.running_commit_requested(rt) {
-                self.schedule_commit_run(out);
-            }
         }
     }
 
@@ -897,11 +859,11 @@ mod tests {
         // Txn 1 is running; its JD was never submitted, so a JC submission
         // must fail with the typed error instead of panicking.
         assert_eq!(
-            fs.submit_jc(TxnId(1), bio_block::ReqFlags::NONE, &mut out),
+            fs.submit_jc(TxnId(1), &mut out),
             Err(JournalError::JcBeforeJd(TxnId(1)))
         );
         assert_eq!(
-            fs.submit_jc(TxnId(77), bio_block::ReqFlags::NONE, &mut out),
+            fs.submit_jc(TxnId(77), &mut out),
             Err(JournalError::RetiredTxn(TxnId(77)))
         );
         assert_eq!(out.iter().count(), 0, "failed submits emit nothing");

@@ -160,28 +160,67 @@ fn barrierfs_commit_dispatches_jd_and_jc_back_to_back() {
 }
 
 #[test]
-fn barrierfs_overlapping_commits_grow_the_list() {
-    let (mut fs, f) = setup(FsMode::BarrierFs);
-    let mut out = ActionSink::new();
-    fs.write(T0, f, 0, 1, SimTime::ZERO, &mut out);
-    out.clear();
-    fs.fsync(T0, f, SimTime::ZERO, &mut out);
-    let mut out = ActionSink::new();
-    fs.handle(FsEvent::CommitRun, SimTime::from_micros(50), &mut out);
-    assert_eq!(fs.committing_count(), 1);
-    // A second transaction (a fresh file, so no page conflict with the
-    // committing one) commits while the first is still in flight.
-    let mut out = ActionSink::new();
-    let g = fs.create(ThreadId(1), &mut out);
-    fs.write(ThreadId(1), g, 0, 1, SimTime::from_micros(60), &mut out);
-    fs.fsync(ThreadId(1), g, SimTime::from_micros(60), &mut out);
-    let mut out = ActionSink::new();
-    fs.handle(FsEvent::CommitRun, SimTime::from_micros(100), &mut out);
-    assert_eq!(
-        fs.committing_count(),
-        2,
-        "dual-mode journaling keeps several committing transactions"
-    );
+fn only_barrierfs_overlapping_commits_grow_the_list() {
+    let t = SimTime::from_micros;
+    for mode in [
+        FsMode::Ext4,
+        FsMode::Ext4NoBarrier,
+        FsMode::OptFs,
+        FsMode::BarrierFs,
+    ] {
+        // The file's creation is the first transaction's metadata.
+        let (mut fs, f) = setup(mode);
+        let mut out = ActionSink::new();
+        fs.fsync(T0, f, SimTime::ZERO, &mut out);
+        let mut out = ActionSink::new();
+        fs.handle(FsEvent::CommitRun, t(50), &mut out);
+        assert_eq!(fs.committing_count(), 1, "{mode:?}");
+        let first = submits(&out);
+        // A second transaction (a fresh file, so no page conflict with the
+        // committing one) requests a commit while the first is in flight.
+        let mut out = ActionSink::new();
+        let g = fs.create(ThreadId(1), &mut out);
+        fs.fsync(ThreadId(1), g, t(60), &mut out);
+        let mut out = ActionSink::new();
+        fs.handle(FsEvent::CommitRun, t(100), &mut out);
+        if mode == FsMode::BarrierFs {
+            assert_eq!(
+                fs.committing_count(),
+                2,
+                "dual-mode journaling keeps several committing transactions"
+            );
+            continue;
+        }
+        // Legacy JBD has one committing slot: the second commit waits.
+        assert_eq!(fs.committing_count(), 1, "{mode:?}: one committing slot");
+        assert!(
+            submits(&out).is_empty(),
+            "{mode:?}: the second commit waits"
+        );
+        // JD's transfer sends the first JC, and still nothing of the second.
+        let [(jd, _, _)] = first[..] else {
+            panic!("{mode:?}: JD goes out alone: {first:?}")
+        };
+        let mut out = ActionSink::new();
+        fs.handle(FsEvent::ReqDone(jd), t(200), &mut out);
+        let jc = submits(&out);
+        assert_eq!(jc.len(), 1, "{mode:?}: only the first JC");
+        assert_eq!(fs.committing_count(), 1, "{mode:?}");
+        // The first JC's completion frees the slot and reschedules the
+        // commit thread, which now takes the second transaction.
+        let mut out = ActionSink::new();
+        fs.handle(FsEvent::ReqDone(jc[0].0), t(300), &mut out);
+        assert_eq!(fs.committing_count(), 0, "{mode:?}");
+        assert!(
+            out.iter()
+                .any(|a| matches!(a, FsAction::After(_, FsEvent::CommitRun))),
+            "{mode:?}: releasing the first commit reschedules the thread"
+        );
+        let mut out = ActionSink::new();
+        fs.handle(FsEvent::CommitRun, t(400), &mut out);
+        assert_eq!(fs.committing_count(), 1, "{mode:?}");
+        assert_eq!(submits(&out).len(), 1, "{mode:?}: the second JD");
+    }
 }
 
 #[test]
