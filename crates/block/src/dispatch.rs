@@ -17,12 +17,12 @@
 //!   requests wait in `front`, and the gate reopens with the dispatch that
 //!   leaves every lane drained of the closed epoch — "the queue unblocks
 //!   when the last order-preserving request of the epoch leaves it";
-//! * dispatchable requests are converted to device commands, and the
-//!   request's flags alone decide the command: a barrier write is tagged
-//!   with the SCSI **ordered** priority and `REQ_BARRIER`, which is "the
-//!   only thing the host block device driver does" to guarantee transfer
-//!   order without blocking the caller. A legacy filesystem issues no
-//!   barrier, so its commands go out `simple`;
+//! * dispatchable requests are converted to device commands by their
+//!   flags alone (a legacy filesystem issues no barrier, so its commands
+//!   go out `simple`). A barrier write carries `REQ_BARRIER` and the
+//!   SCSI **ordered** priority, which is "the only thing the host block
+//!   device driver does" to guarantee transfer order without blocking the
+//!   caller;
 //! * a lane dispatches only while its device has room. A request the
 //!   device refuses anyway waits at the head of its lane and is offered
 //!   first by the next sweep after a completion;

@@ -13,7 +13,7 @@ use bio_bench::experiments::cells::{
 };
 use bio_block::{BlockStats, LaneStats};
 use bio_flash::{DeviceStats, FtlStats};
-use bio_fs::FsStats;
+use bio_fs::{FsMode, FsStats};
 use bio_workloads::{Dwsl, RandWrite, SyncMode, WriteMode};
 
 const WARM: SimDuration = SimDuration::from_millis(20);
@@ -222,7 +222,10 @@ fn warm_up_plus_window_is_the_whole_run_for_every_counter() {
 /// Flow balance over a whole idle run (no `start_measuring`): every block
 /// the filesystem wrote reached a device, every request the block layer
 /// took in completed, and the device queues obey Little's law — the
-/// time-weighted queue depth is the commands' summed residence.
+/// time-weighted queue depth is the commands' summed residence. No device
+/// ever refuses a command (a lane dispatches only while its device has
+/// room), and a legacy filesystem issues no barrier, so its block layer
+/// sequences no epoch and reassigns no barrier.
 #[test]
 fn every_block_written_reaches_a_device_and_every_request_completes() {
     let topologies = [Topology::single(), Topology::new(2, 2, 16)];
@@ -231,6 +234,7 @@ fn every_block_written_reaches_a_device_and_every_request_completes() {
             for topology in topologies {
                 let cfg = preset(dev.clone()).with_topology(topology);
                 let label = cfg.label();
+                let legacy = cfg.fs.mode != FsMode::BarrierFs;
                 let mut stack = randwrite(cfg, 4, 256, WriteMode::SyncEach(sync), 300);
                 assert!(stack.run_until_done(SimDuration::from_secs(60)), "{label}");
                 stack.run_for(SimDuration::from_secs(5));
@@ -241,6 +245,13 @@ fn every_block_written_reaches_a_device_and_every_request_completes() {
                     + r.fs.writeback_blocks;
                 assert_eq!(fs, r.device.blocks_written, "{label}: blocks");
                 assert_eq!(r.block.submitted, r.block.completed, "{label}: requests");
+                assert_eq!(r.block.busy_retries, 0, "{label}: bounces");
+                assert_eq!(r.device.queue_full_rejections, 0, "{label}: refusals");
+                if legacy {
+                    let reassigned: u64 = r.lanes.iter().map(|l| l.reassignments).sum();
+                    assert_eq!(r.block.epochs_sequenced, 0, "{label}: epochs");
+                    assert_eq!(reassigned, 0, "{label}: reassignments");
+                }
                 let depth_ns =
                     r.mean_qd * topology.nr_devices as f64 * stack.now().as_nanos() as f64;
                 let residence_ns = r.device.residence_ns as f64;
