@@ -2,7 +2,9 @@
 //! 1q×1dev and 2q×2dev, enumerated at every commit, with capture points
 //! aligned across the stacks of one topology and any disagreement reported
 //! as a minimized divergence. [`differential_cells`] is the table, [`run`]
-//! enqueues it, `fold` makes the [`CrashEnumReport`]; nothing here prints.
+//! enqueues it, `fold_seed` folds one group's traces of one seed as they
+//! finish and `report` sums those folds into the [`CrashEnumReport`];
+//! nothing here prints.
 
 use barrier_io::{DeviceProfile, StackConfig, Topology};
 use bio_workloads::SyncMode;
@@ -53,11 +55,14 @@ pub struct StackRow {
 }
 
 impl StackRow {
-    /// The row of `label`: the sums over every capture point of `traces`.
-    fn of(label: &'static str, traces: &[CellOutcome]) -> StackRow {
-        let mut row = StackRow::default();
-        (row.label, row.traces) = (label, traces.len() as u64);
-        for p in traces.iter().flat_map(|t| &t.points) {
+    /// The row of `label`: the sums over every capture point of `trace`.
+    fn of(label: &'static str, trace: &CellOutcome) -> StackRow {
+        let mut row = StackRow {
+            label,
+            traces: 1,
+            ..StackRow::default()
+        };
+        for p in &trace.points {
             row.capture_points += 1;
             row.images += p.images;
             row.duplicates += p.duplicates;
@@ -68,6 +73,32 @@ impl StackRow {
             row.epoch_violations += p.epoch_violations;
         }
         row
+    }
+
+    /// Adds `other`'s counters to this row's.
+    fn absorb(&mut self, other: &StackRow) {
+        // Destructured without `..`: a new counter cannot be left out.
+        let StackRow {
+            label: _,
+            traces,
+            capture_points,
+            images,
+            duplicates,
+            sampled_images,
+            sampled_duplicates,
+            clamped_points,
+            fs_violations,
+            epoch_violations,
+        } = *other;
+        self.traces += traces;
+        self.capture_points += capture_points;
+        self.images += images;
+        self.duplicates += duplicates;
+        self.sampled_images += sampled_images;
+        self.sampled_duplicates += sampled_duplicates;
+        self.clamped_points += clamped_points;
+        self.fs_violations += fs_violations;
+        self.epoch_violations += epoch_violations;
     }
 
     /// The row's counters under their headers in the per-stack table.
@@ -213,59 +244,89 @@ pub fn differential_cells() -> Vec<DiffCell> {
 
 /// Runs the differential crash enumeration: every row of
 /// [`differential_cells`] over trace seeds `0..traces`, sharded across the
-/// grid pool, folded into the report.
+/// grid pool one group and seed per cell. A cell runs the seed's trace
+/// through each stack of its group and folds the traces before it
+/// returns, so what the run holds grows with seeds × stacks, not with
+/// capture points.
 pub fn run(traces: u64) -> CrashEnumReport {
     let cells = differential_cells();
-    let seeds: Vec<u64> = (0..traces).collect();
     let mut grid = ExperimentGrid::new();
-    for cell in &cells {
-        for &seed in &seeds {
-            let (cfg, sync) = (cell.cfg.clone(), cell.sync);
-            grid.push(format!("crashenum/{}/seed{seed}", cell.label), move || {
-                enumerate_trace_with(cfg, sync, seed, CaptureMode::Delta)
+    for group in cells.chunk_by(|a, b| a.group == b.group) {
+        for seed in 0..traces {
+            let group = group.to_vec();
+            let label = format!("crashenum/{}/seed{seed}", group[0].group);
+            grid.push(label, move || {
+                let traces: Vec<CellOutcome> = group
+                    .iter()
+                    .map(|c| enumerate_trace_with(c.cfg.clone(), c.sync, seed, CaptureMode::Delta))
+                    .collect();
+                fold_seed(&group, seed, &traces)
             });
         }
     }
-    // Outcomes come back in enqueue order: one run of `seeds` per row.
-    let mut outcomes = grid.run().into_iter();
-    let per_row = |_| outcomes.by_ref().take(seeds.len()).collect();
-    let outcomes: Vec<Vec<CellOutcome>> = cells.iter().map(per_row).collect();
-    fold(&cells, &seeds, &outcomes)
+    report(&cells, grid.run())
 }
 
-/// The report of `outcomes`: `outcomes[i][j]` is what row `cells[i]` made
-/// of the trace of `seeds[j]`. A row's counters are the sums over its
-/// points. Within each group, the stacks' capture points of one trace are
-/// aligned by commit count; an aligned point where some stack violates
-/// while another stays clean is a divergence for each violating stack.
-fn fold(cells: &[DiffCell], seeds: &[u64], outcomes: &[Vec<CellOutcome>]) -> CrashEnumReport {
-    assert_eq!(cells.len(), outcomes.len(), "one outcome list per row");
-    let stacks: Vec<(&DiffCell, &Vec<CellOutcome>)> = cells.iter().zip(outcomes).collect();
+/// What one group's traces of one seed add to the report: each stack's
+/// row over its trace, and the divergences among them.
+#[derive(Debug)]
+struct SeedFold {
+    rows: Vec<StackRow>,
+    divergences: Vec<DivergenceTriple>,
+}
+
+/// Folds `traces`, the trace of `seed` through each stack of `group` in
+/// order. A row's counters are the sums over its points. The stacks'
+/// capture points are aligned by commit count; an aligned point where some
+/// stack violates while another stays clean is a divergence for each
+/// violating stack.
+fn fold_seed(group: &[DiffCell], seed: u64, traces: &[CellOutcome]) -> SeedFold {
+    assert_eq!(group.len(), traces.len(), "one trace per stack");
+    let points: Vec<&[PointOutcome]> = traces.iter().map(|t| &*t.points).collect();
     let mut divergences = Vec::new();
-    for group in stacks.chunk_by(|a, b| a.0.group == b.0.group) {
-        for (j, &seed) in seeds.iter().enumerate() {
-            let points: Vec<&[PointOutcome]> = group.iter().map(|(_, t)| &*t[j].points).collect();
-            for point in aligned(&points) {
-                // Nobody disagrees unless some stack stayed clean here.
-                if point.iter().all(|p| p.worst.is_some()) {
-                    continue;
-                }
-                for ((cell, _), p) in group.iter().zip(point) {
-                    if let Some(case) = &p.worst {
-                        divergences.push(DivergenceTriple {
-                            seed,
-                            commit_idx: p.commit_idx,
-                            stack: cell.label,
-                            choices: case.choices.clone(),
-                            detail: case.detail.clone(),
-                        });
-                    }
-                }
+    for point in aligned(&points) {
+        // Nobody disagrees unless some stack stayed clean here.
+        if point.iter().all(|p| p.worst.is_some()) {
+            continue;
+        }
+        for (cell, p) in group.iter().zip(point) {
+            if let Some(case) = &p.worst {
+                divergences.push(DivergenceTriple {
+                    seed,
+                    commit_idx: p.commit_idx,
+                    stack: cell.label,
+                    choices: case.choices.clone(),
+                    detail: case.detail.clone(),
+                });
             }
         }
     }
-    let row = |(cell, traces): &(&DiffCell, &Vec<CellOutcome>)| StackRow::of(cell.label, traces);
-    let rows = stacks.iter().map(row).collect();
+    let rows = group
+        .iter()
+        .zip(traces)
+        .map(|(cell, trace)| StackRow::of(cell.label, trace))
+        .collect();
+    SeedFold { rows, divergences }
+}
+
+/// The report over `cells` from `folds`, which come group by group in
+/// table order and seed by seed within a group: each row sums its stack's
+/// folds, and the divergences keep that order.
+fn report(cells: &[DiffCell], folds: impl IntoIterator<Item = SeedFold>) -> CrashEnumReport {
+    let empty = |c: &DiffCell| StackRow {
+        label: c.label,
+        ..StackRow::default()
+    };
+    let mut rows: Vec<StackRow> = cells.iter().map(empty).collect();
+    let mut divergences = Vec::new();
+    for fold in folds {
+        for part in &fold.rows {
+            if let Some(row) = rows.iter_mut().find(|r| r.label == part.label) {
+                row.absorb(part);
+            }
+        }
+        divergences.extend(fold.divergences);
+    }
     CrashEnumReport { rows, divergences }
 }
 
@@ -321,6 +382,23 @@ mod tests {
                 detail: "forged".into(),
             }),
         }
+    }
+
+    /// The report of `outcomes`: `outcomes[i][j]` is what row `cells[i]`
+    /// made of the trace of `seeds[j]`, folded as `run` folds them.
+    fn fold(cells: &[DiffCell], seeds: &[u64], outcomes: &[Vec<CellOutcome>]) -> CrashEnumReport {
+        assert_eq!(cells.len(), outcomes.len(), "one outcome list per row");
+        let mut folds = Vec::new();
+        let mut first = 0;
+        for group in cells.chunk_by(|a, b| a.group == b.group) {
+            let rows = &outcomes[first..first + group.len()];
+            for (j, &seed) in seeds.iter().enumerate() {
+                let traces: Vec<CellOutcome> = rows.iter().map(|t| t[j].clone()).collect();
+                folds.push(fold_seed(group, seed, &traces));
+            }
+            first += group.len();
+        }
+        report(cells, folds)
     }
 
     /// One trace (seed 7) per stack of the 1q1d group, from per-stack

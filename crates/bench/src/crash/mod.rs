@@ -25,8 +25,10 @@
 //!   violating one; one enumerator per trace, its buffers reused.
 //! * `differential` — [`differential_cells`], the table of stacks under
 //!   comparison (one [`DiffCell`] per row); [`run`], which enqueues it
-//!   over many seeds on the grid; `fold`, which sums each row's counters
-//!   and aligns a group's capture points by commit count; and
+//!   over many seeds on the grid, one cell per group and seed; `fold_seed`,
+//!   which sums each row's counters over a seed's trace and aligns the
+//!   group's capture points by commit count, as the cell finishes;
+//!   `report`, which sums those folds; and
 //!   [`CrashEnumReport::render`], the text `figures --crash-enum` prints.
 //!   Nothing in this module prints.
 //! * [`oracle`] — what only tests call: the reference the capture engine

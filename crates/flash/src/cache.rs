@@ -60,6 +60,8 @@
 //!   it, a same-epoch coalesce rewrites a tag in place, and marking only
 //!   turns an entry ineligible, which keeps the guarantee.
 
+use std::num::NonZeroU64;
+
 use bio_sim::{PagedMap, SeqTable};
 
 use crate::types::{BlockTag, Lba};
@@ -134,15 +136,20 @@ impl Slot {
 /// sequences start at 1).
 const NO_SEQ: u64 = 0;
 
+/// A side-table entry: a sequence, which is never [`NO_SEQ`]. One word,
+/// so a table page of `Option<SideSeq>` is 32 KiB from the
+/// zeroed-allocation path rather than 4,096 16-byte `None`s.
+type SideSeq = NonZeroU64;
+
 /// Transfer-ordered writeback cache with epoch accounting.
 #[derive(Debug, Clone)]
 pub struct WritebackCache {
     /// Entries in transfer order, keyed by transfer sequence number.
     slots: SeqTable<Slot>,
     /// Read-hit index: newest inserted version per LBA (dense, LBA-indexed).
-    latest: PagedMap<u64>,
+    latest: PagedMap<SideSeq>,
     /// Newest *resident* version per LBA (heads the intrusive chain).
-    chain_head: PagedMap<u64>,
+    chain_head: PagedMap<SideSeq>,
     /// Resident entries still in [`EntryState::Dirty`].
     dirty: usize,
     capacity: usize,
@@ -207,17 +214,16 @@ impl WritebackCache {
     }
 
     #[inline]
-    fn side(table: &PagedMap<u64>, lba: Lba) -> u64 {
-        table.get(lba.0).unwrap_or(NO_SEQ)
+    fn side(table: &PagedMap<SideSeq>, lba: Lba) -> u64 {
+        table.get(lba.0).map_or(NO_SEQ, SideSeq::get)
     }
 
     #[inline]
-    fn set_side(table: &mut PagedMap<u64>, lba: Lba, seq: u64) {
-        if seq == NO_SEQ {
-            table.remove(lba.0);
-        } else {
-            table.insert(lba.0, seq);
-        }
+    fn set_side(table: &mut PagedMap<SideSeq>, lba: Lba, seq: u64) {
+        match SideSeq::new(seq) {
+            Some(seq) => table.insert(lba.0, seq),
+            None => table.remove(lba.0),
+        };
     }
 
     /// Inserts one transferred block. If `barrier` is set the epoch counter
@@ -425,6 +431,11 @@ impl WritebackCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_side_table_entry_is_one_word() {
+        assert_eq!(std::mem::size_of::<Option<SideSeq>>(), 8);
+    }
 
     #[test]
     fn insert_and_lookup() {

@@ -26,12 +26,18 @@
 //! geometry (`segments × pages_per_segment`, the physical capacity);
 //! out-of-range LBAs (the host address space can be sparser than physical
 //! capacity — over-provisioning, layout gaps) extend the directory, and
-//! only the 4 KiB-entry key pages a workload actually touches are ever
-//! allocated. Invariants the map relies on:
+//! only the 4,096-entry key pages a workload actually touches are ever
+//! allocated. An entry is a [`PhysLoc`] packed into one `NonZeroU64`
+//! (segment + 1 below bit 32, the slot above), so an absent entry is the
+//! all-zero word: a page is 32 KiB from the zeroed-allocation path, not
+//! 4,096 `Option<PhysLoc>`s of 24 B written one by one. Invariants the map
+//! relies on:
 //!
 //! * each live LBA has exactly one forward entry, and that entry's segment
 //!   slot holds the same LBA (checked on invalidation);
 //! * the map's length counts exactly the live (mapped) LBAs.
+
+use std::num::{NonZeroU32, NonZeroU64};
 
 use bio_sim::PagedMap;
 
@@ -44,6 +50,26 @@ pub struct PhysLoc {
     pub segment: usize,
     /// Page slot within the segment.
     pub slot: usize,
+}
+
+/// A forward-map entry: a [`PhysLoc`] as segment + 1 in the low 32 bits
+/// and the slot in the high 32, so never zero ([`Ftl::new`] bounds the
+/// geometry to fit).
+type PackedLoc = NonZeroU64;
+
+impl PhysLoc {
+    fn pack(self) -> PackedLoc {
+        let segment = NonZeroU32::MIN.saturating_add(self.segment as u32);
+        NonZeroU64::from(segment) | (self.slot as u64) << 32
+    }
+
+    fn unpack(packed: PackedLoc) -> PhysLoc {
+        let raw = packed.get();
+        PhysLoc {
+            segment: (raw as u32 - 1) as usize,
+            slot: (raw >> 32) as usize,
+        }
+    }
 }
 
 /// One page's reverse mapping: the block it holds and its content tag, or
@@ -172,7 +198,7 @@ impl FtlStats {
 #[derive(Debug, Clone)]
 pub struct Ftl {
     segments: Vec<Segment>,
-    mapping: PagedMap<PhysLoc>,
+    mapping: PagedMap<PackedLoc>,
     free_list: Vec<usize>,
     active: usize,
     pages_per_segment: usize,
@@ -189,10 +215,16 @@ impl Ftl {
     ///
     /// # Panics
     ///
-    /// Panics if fewer than two segments or zero pages per segment.
+    /// Panics if fewer than two segments or zero pages per segment, or if
+    /// a location does not pack into one word: fewer than 2^32 - 1
+    /// segments, of 2^32 pages at most.
     pub fn new(segments: usize, pages_per_segment: usize, gc_low_watermark: f64) -> Ftl {
         assert!(segments >= 2, "need >= 2 segments");
         assert!(pages_per_segment > 0, "need >= 1 page per segment");
+        assert!(
+            (segments as u64) < u64::from(u32::MAX) && pages_per_segment as u64 <= 1 << 32,
+            "FTL geometry {segments} x {pages_per_segment} does not pack into 64 bits"
+        );
         let mut segs = vec![Segment::new(); segments];
         // Segment 0 starts active; the rest are free.
         segs[0].open(pages_per_segment);
@@ -269,7 +301,7 @@ impl Ftl {
             self.segments[next].open(self.pages_per_segment);
             self.active = next;
         }
-        if let Some(old) = self.mapping.get(lba.0) {
+        if let Some(old) = self.lookup(lba) {
             let seg = &mut self.segments[old.segment];
             if seg.slots[old.slot].lba == lba {
                 seg.slots[old.slot] = Slot::VACANT;
@@ -282,7 +314,7 @@ impl Ftl {
         seg.valid += 1;
         seg.fill += 1;
         let segment = self.active;
-        self.mapping.insert(lba.0, PhysLoc { segment, slot });
+        self.mapping.insert(lba.0, PhysLoc { segment, slot }.pack());
     }
 
     /// Greedy GC: picks the sealed segment with the fewest valid pages,
@@ -322,7 +354,7 @@ impl Ftl {
 
     /// Looks up the current physical location of `lba`.
     pub fn lookup(&self, lba: Lba) -> Option<PhysLoc> {
-        self.mapping.get(lba.0)
+        self.mapping.get(lba.0).map(PhysLoc::unpack)
     }
 
     /// The content tag currently mapped at `lba`, if any.
@@ -336,6 +368,7 @@ impl Ftl {
     /// Iterates over all mapped `(lba, tag)` pairs (the durable state).
     pub fn mapped(&self) -> impl Iterator<Item = (Lba, BlockTag)> + '_ {
         self.mapping.iter().filter_map(move |(lba, loc)| {
+            let loc = PhysLoc::unpack(loc);
             let (_, t) = self.segments[loc.segment].slots[loc.slot].live()?;
             Some((Lba(lba), t))
         })
@@ -373,6 +406,51 @@ mod tests {
     fn a_reverse_map_slot_is_an_lba_and_a_tag() {
         assert_eq!(std::mem::size_of::<Slot>(), 16);
         assert!(Slot::VACANT.lba >= Lba::LIMIT);
+    }
+
+    #[test]
+    fn a_forward_map_entry_is_one_word() {
+        assert_eq!(std::mem::size_of::<Option<PackedLoc>>(), 8);
+    }
+
+    #[test]
+    fn a_location_round_trips_through_its_packed_word() {
+        // Segment 0, a segment's last slot, and the largest segment count
+        // a preset builds: 16 Ki segments of the plain SSD's 512 pages,
+        // the 32 GiB device of the benchmark's `oltp_hour`.
+        let (segments, pages) = (
+            16 * 1024,
+            crate::DeviceProfile::plain_ssd().pages_per_segment,
+        );
+        assert_eq!(pages, 512);
+        for (segment, slot) in [
+            (0, 0),
+            (0, pages - 1),
+            (1, 0),
+            (segments - 1, 0),
+            (segments - 1, pages - 1),
+            (u32::MAX as usize - 2, u32::MAX as usize),
+        ] {
+            let loc = PhysLoc { segment, slot };
+            assert_eq!(PhysLoc::unpack(loc.pack()), loc, "{loc:?}");
+        }
+        assert_eq!(
+            PhysLoc {
+                segment: 0,
+                slot: 0
+            }
+            .pack()
+            .get(),
+            1
+        );
+        let f = Ftl::new(segments, pages, 0.1);
+        assert_eq!(f.lookup(Lba(0)), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not pack into 64 bits")]
+    fn a_geometry_past_one_word_is_refused() {
+        Ftl::new(u32::MAX as usize, 4, 0.1);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! Which records survive a crash under the device's barrier-enforcement
 //! mode is [`crate::ChoiceSpace`]'s to say.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use bio_sim::{IntMap, PagedMap, SeqTable};
@@ -140,17 +140,19 @@ impl AppendLog {
     }
 }
 
-/// Blocks per [`BlockMap`] page: 8 KiB of slots. A crash-explorer trace
-/// writes three short runs (metadata, journal, data) and builds a fresh
-/// stack and capture cursor per trace; at the device tables' 4,096 a page
-/// the two bases zero-filled 384 KiB per trace device and held
+/// Blocks per [`BlockMap`] page: 8 KiB of 16-byte slots. A crash-explorer
+/// trace writes three short runs (metadata, journal, data) and builds a
+/// fresh stack and capture cursor per trace; at the device tables' 4,096 a
+/// page the two bases zero-filled 384 KiB per trace device and held
 /// `crash_enum`'s peak RSS above what the B-tree had needed.
 const BLOCK_MAP_PAGE: usize = 512;
 
 /// Block address → content version, direct-indexed: a read or a store is
-/// two loads into a [`bio_sim::PagedMap`] (8 KiB per 512-block page an
-/// address touches), iteration is in ascending address order, and two
-/// maps are equal when they hold the same pairs. It is
+/// two loads into a [`bio_sim::PagedMap`], iteration is in ascending
+/// address order, and two maps are equal when they hold the same pairs. An
+/// entry is an `Option<BlockTag>` of 16 bytes, so a 512-block page an
+/// address touches is 8 KiB, filled one `None` at a time (the device's
+/// one-word tables take theirs zeroed from the allocator). It is
 /// [`AppendLog::base`], the base every crash image of a capture point
 /// shares, the base both check indexes read, and every crash image a
 /// device materializes ([`crate::Device::crash_image`]).
@@ -365,16 +367,217 @@ fn min_epoch(a: Option<u64>, b: Option<u64>) -> Option<u64> {
     }
 }
 
-/// Re-keys `lba` in one of [`EpochIndex`]'s ordered sets.
-fn move_entry(set: &mut BTreeSet<(u64, Lba)>, lba: Lba, old: Option<u64>, new: Option<u64>) {
+/// How many blocks' base verdicts name each epoch, on one side of
+/// [`EpochIndex`] (`vis` or `need`), counted from the index's first epoch,
+/// with cursors at the lowest and the highest epoch any block names.
+///
+/// The non-empty epochs are also marked in a bitmap of 64-epoch words,
+/// whose non-zero words are marked in the same way one level up, until a
+/// level is one word. The non-empty epoch next to any epoch is therefore
+/// one word scan per level away, however many empty epochs lie between:
+/// five levels hold 2^30 epochs.
+#[derive(Debug, Clone, Default)]
+struct EpochCounts {
+    /// Blocks per epoch. May run past `highest` with zeroes.
+    counts: Vec<u32>,
+    /// Bit `e` of `marks[0]` is set when `counts[e]` is not zero, bit `w`
+    /// of `marks[l + 1]` when word `w` of `marks[l]` is not.
+    marks: Vec<Vec<u64>>,
+    /// The lowest non-empty epoch.
+    lowest: Option<usize>,
+    /// The highest non-empty epoch.
+    highest: Option<usize>,
+}
+
+/// Two tallies are equal when they count the same blocks at the same
+/// epochs, however far either has grown.
+impl PartialEq for EpochCounts {
+    fn eq(&self, other: &EpochCounts) -> bool {
+        self.live() == other.live()
+    }
+}
+
+impl Eq for EpochCounts {}
+
+// Every level, word and count index below is bounded by `counts.len()`,
+// which `grow` keeps every level sized to.
+#[allow(clippy::indexing_slicing, reason = "levels sized by `grow`")]
+impl EpochCounts {
+    /// The counts up to the highest non-empty epoch.
+    fn live(&self) -> &[u32] {
+        let len = self.highest.map_or(0, |h| h + 1);
+        self.counts.get(..len).unwrap_or_default()
+    }
+
+    fn count(&self, epoch: usize) -> u32 {
+        self.counts.get(epoch).copied().unwrap_or(0)
+    }
+
+    /// Counts one more block at `epoch`.
+    fn add(&mut self, epoch: usize) {
+        if epoch >= self.counts.len() {
+            self.grow(epoch + 1);
+        }
+        self.counts[epoch] += 1;
+        if self.counts[epoch] == 1 {
+            self.mark(epoch, true);
+        }
+        self.lowest = Some(self.lowest.map_or(epoch, |l| l.min(epoch)));
+        self.highest = Some(self.highest.map_or(epoch, |h| h.max(epoch)));
+    }
+
+    /// Counts one block fewer at `epoch`, where [`EpochCounts::add`]
+    /// counted it.
+    fn remove(&mut self, epoch: usize) {
+        self.counts[epoch] -= 1;
+        if self.counts[epoch] > 0 {
+            return;
+        }
+        self.mark(epoch, false);
+        if self.lowest == Some(epoch) {
+            self.lowest = self.above(epoch);
+        }
+        if self.highest == Some(epoch) {
+            self.highest = self.below(epoch);
+        }
+    }
+
+    /// Sizes the counts and every level of marks to `len` epochs, adding
+    /// a level (marked from the one under it) while the top has more than
+    /// one word.
+    fn grow(&mut self, len: usize) {
+        self.counts.resize(len, 0);
+        let (mut bits, mut level) = (len, 0);
+        loop {
+            let words = bits.div_ceil(64);
+            if level == self.marks.len() {
+                let mut top = vec![0u64; words];
+                if let Some(under) = level.checked_sub(1).map(|l| &self.marks[l]) {
+                    for (w, _) in under.iter().enumerate().filter(|(_, &x)| x != 0) {
+                        top[w / 64] |= 1 << (w % 64);
+                    }
+                }
+                self.marks.push(top);
+            } else {
+                self.marks[level].resize(words, 0);
+            }
+            if words == 1 {
+                return;
+            }
+            (bits, level) = (words, level + 1);
+        }
+    }
+
+    /// Sets or clears the mark of `epoch`, and up the levels each word's
+    /// mark that this turns on or off.
+    fn mark(&mut self, epoch: usize, on: bool) {
+        let mut pos = epoch;
+        for level in &mut self.marks {
+            let word = &mut level[pos / 64];
+            let was = *word != 0;
+            if on {
+                *word |= 1 << (pos % 64);
+            } else {
+                *word &= !(1 << (pos % 64));
+            }
+            if was == (*word != 0) {
+                return;
+            }
+            pos /= 64;
+        }
+    }
+
+    /// The highest non-empty epoch at or below `epoch`: up the levels to
+    /// the first word with a mark at or below the position, then down
+    /// along each level's highest mark.
+    fn below(&self, epoch: usize) -> Option<usize> {
+        let mut pos = epoch.min(self.counts.len().checked_sub(1)?);
+        let mut level = 0;
+        let mut at = loop {
+            let word = self.marks.get(level)?[pos / 64] & (u64::MAX >> (63 - pos % 64));
+            if word != 0 {
+                break pos / 64 * 64 + 63 - word.leading_zeros() as usize;
+            }
+            pos = (pos / 64).checked_sub(1)?;
+            level += 1;
+        };
+        for l in (0..level).rev() {
+            at = at * 64 + 63 - self.marks[l][at].leading_zeros() as usize;
+        }
+        Some(at)
+    }
+
+    /// The lowest non-empty epoch at or above `epoch`, the mirror of
+    /// [`EpochCounts::below`].
+    fn above(&self, epoch: usize) -> Option<usize> {
+        let (mut pos, mut level) = (epoch, 0);
+        let mut at = loop {
+            let word = self.marks.get(level)?.get(pos / 64)? & (u64::MAX << (pos % 64));
+            if word != 0 {
+                break pos / 64 * 64 + word.trailing_zeros() as usize;
+            }
+            pos = pos / 64 + 1;
+            level += 1;
+        };
+        for l in (0..level).rev() {
+            at = at * 64 + self.marks[l][at].trailing_zeros() as usize;
+        }
+        Some(at)
+    }
+
+    /// The highest epoch some block counts at once the `named` blocks are
+    /// taken out, and the count slots read to find it. `named` holds the
+    /// epochs those blocks are counted at, descending: the walk goes down
+    /// the non-empty epochs from the cursor, and only an epoch whose every
+    /// block is named sends it further.
+    fn highest_outside(&self, named: &[usize]) -> (Option<usize>, usize) {
+        let (mut at, mut read) = (self.highest, 0);
+        let mut named = named.iter().peekable();
+        while let Some(epoch) = at {
+            read += 1;
+            let mut here = 0;
+            while named.next_if(|&&e| e >= epoch).is_some() {
+                here += 1;
+            }
+            if self.count(epoch) > here {
+                return (Some(epoch), read);
+            }
+            at = epoch.checked_sub(1).and_then(|e| self.below(e));
+        }
+        (None, read)
+    }
+
+    /// [`EpochCounts::highest_outside`] upwards: the lowest epoch some
+    /// block counts at outside `named`, given ascending.
+    fn lowest_outside(&self, named: &[usize]) -> (Option<usize>, usize) {
+        let (mut at, mut read) = (self.lowest, 0);
+        let mut named = named.iter().peekable();
+        while let Some(epoch) = at {
+            read += 1;
+            let mut here = 0;
+            while named.next_if(|&&e| e <= epoch).is_some() {
+                here += 1;
+            }
+            if self.count(epoch) > here {
+                return (Some(epoch), read);
+            }
+            at = self.above(epoch + 1);
+        }
+        (None, read)
+    }
+}
+
+/// Moves one block's count from epoch `old` to epoch `new` (epochs from
+/// `first` on).
+fn move_count(counts: &mut EpochCounts, first: u64, old: Option<u64>, new: Option<u64>) {
     if old == new {
         return;
     }
     if let Some(e) = old {
-        set.remove(&(e, lba));
+        counts.remove((e - first) as usize);
     }
     if let Some(e) = new {
-        set.insert((e, lba));
+        counts.add((e - first) as usize);
     }
 }
 
@@ -389,6 +592,12 @@ const TAG_SLACK: u64 = 1 << 16;
 
 /// Tags at or past this bound are never indexed (the history is irregular).
 const TAG_LIMIT: u64 = 1 << 32;
+
+/// A barrier write closes its epoch, so a real history's epochs run at
+/// most one past the first transfer's per transfer. An epoch further out
+/// than that plus this slack, or below the first transfer's, would stretch
+/// [`EpochIndex`]'s epoch counts: the history is irregular.
+const EPOCH_SLACK: u64 = 1 << 16;
 
 /// The transfer that carried one content tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -436,24 +645,31 @@ impl BlockSlot {
 ///
 /// The audit's rule reduces to two extremes: an image violates iff the
 /// smallest `need` over all blocks is below the largest `vis`. The index
-/// holds every block's verdict under the base in two ordered sets, so the
-/// extremes *excluding* an overlay's blocks cost O(overlay), and the
-/// overlay's own blocks are judged from the tag each image gives them.
+/// counts the blocks whose verdict under the base names each epoch, per
+/// side, with a cursor at the highest `vis` and the lowest `need` epoch.
+/// The extremes *excluding* an overlay's blocks start at the cursor and
+/// take out the base verdicts of the overlay's own blocks: an epoch whose
+/// every block the overlay names moves the walk to the next non-empty one,
+/// which a bitmap of the non-empty epochs finds without visiting the empty
+/// ones between. A probe therefore reads, per side, at most one count per
+/// block it names plus one, whatever the number of epochs; the overlay's
+/// own blocks are judged from the tag each image gives them.
 ///
 /// Nothing here is a tree walk: a tag's transfer is found by the tag's
 /// bump number ([`SeqTable`], one slot per tag of the window it spans), a
 /// block's slot by its address ([`IntMap`]: one multiply and a probe, memory
-/// per block written), and the slot holds the block's transfers and its
-/// cached verdict together.
+/// per block written), the slot holds the block's transfers and its cached
+/// verdict together, and an epoch's count is indexed by the epoch.
 ///
 /// What can move a cached verdict: a fold of that block, or a new
 /// transfer of it — nothing else. [`EpochIndex::advance`] takes exactly
 /// those. It relies on two regularities of a real transfer history (per
 /// block, sequences and epochs never decrease; a content tag is
 /// transferred once) and on its keys being dense (tags and blocks below
-/// 2^32, a tag near the tags before it); a history that breaks one marks
-/// the index irregular, it drops its tables and certifies nothing —
-/// callers then run [`EpochAudit`].
+/// 2^32, a tag near the tags before it, an epoch no lower than the first
+/// transfer's and at most 2^16 past one per transfer above it); a history
+/// that breaks one marks the index irregular, it drops its tables and
+/// certifies nothing — callers then run [`EpochAudit`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EpochIndex {
     /// The index covers `history[..ingested]`.
@@ -466,10 +682,12 @@ pub struct EpochIndex {
     slot_of: IntMap<Lba, u32>,
     /// Every block some transfer wrote, in order of first transfer.
     blocks: Vec<BlockSlot>,
-    /// `(vis, block)` over the base verdicts.
-    vis: BTreeSet<(u64, Lba)>,
-    /// `(need, block)` over the base verdicts.
-    need: BTreeSet<(u64, Lba)>,
+    /// The epoch of the first transfer: epoch 0 of `vis` and `need`.
+    first_epoch: u64,
+    /// Blocks per `vis` epoch of the base verdicts.
+    vis: EpochCounts,
+    /// Blocks per `need` epoch of the base verdicts.
+    need: EpochCounts,
     irregular: bool,
     /// [`EpochIndex::advance`]'s blocks to recompute: a buffer kept across
     /// calls, empty between them.
@@ -521,8 +739,9 @@ impl EpochIndex {
                 continue;
             };
             let old = std::mem::replace(&mut b.verdict, new);
-            move_entry(&mut self.vis, lba, old.vis, new.vis);
-            move_entry(&mut self.need, lba, old.need, new.need);
+            let first = self.first_epoch;
+            move_count(&mut self.vis, first, old.vis, new.vis);
+            move_count(&mut self.need, first, old.need, new.need);
         }
         dirty.clear();
         self.dirty = dirty;
@@ -543,6 +762,13 @@ impl EpochIndex {
             }
         }
         if self.by_tag.contains(t.tag.0) {
+            return false;
+        }
+        if self.carried.is_empty() {
+            self.first_epoch = t.epoch;
+        }
+        let past = self.carried.len() as u64 + EPOCH_SLACK;
+        if t.epoch < self.first_epoch || t.epoch - self.first_epoch > past {
             return false;
         }
         let slot = match self.slot(t.lba) {
@@ -636,12 +862,34 @@ impl EpochIndex {
         );
         memo.sort_unstable_by_key(|m| (m.0, m.1));
         memo.dedup_by_key(|m| (m.0, m.1));
-        for m in memo.iter_mut() {
-            m.2 = self.verdict(m.0, m.1);
+        // One slot lookup per named block gives its candidates' verdicts
+        // and its base verdict, whose epochs the walks below take out. A
+        // block no transfer wrote keeps the default verdict and counts
+        // nowhere.
+        let first = self.first_epoch;
+        let at = |epoch: u64| (epoch - first) as usize;
+        let (named_vis, named_need) = (&mut probe.named_vis, &mut probe.named_need);
+        named_vis.clear();
+        named_need.clear();
+        for block in memo.chunk_by_mut(|a, b| a.0 == b.0) {
+            let Some(slot) = block.first().and_then(|m| self.slot(m.0)) else {
+                continue;
+            };
+            for m in block.iter_mut() {
+                m.2 = self.verdict_at(slot, m.1);
+            }
+            if let Some(base) = self.blocks.get(slot).map(|b| b.verdict) {
+                named_vis.extend(base.vis.map(at));
+                named_need.extend(base.need.map(at));
+            }
         }
-        let outside = |e: &&(u64, Lba)| memo.binary_search_by_key(&e.1, |m| m.0).is_err();
-        probe.vis = self.vis.iter().rev().find(outside).map(|e| e.0);
-        probe.need = self.need.iter().find(outside).map(|e| e.0);
+        named_vis.sort_unstable_by(|a, b| b.cmp(a));
+        named_need.sort_unstable();
+        let (vis, read_vis) = self.vis.highest_outside(named_vis);
+        let (need, read_need) = self.need.lowest_outside(named_need);
+        probe.vis = vis.map(|e| first + e as u64);
+        probe.need = need.map(|e| first + e as u64);
+        probe.read = read_vis + read_need;
         true
     }
 }
@@ -659,6 +907,12 @@ pub struct EpochProbe {
     need: Option<u64>,
     /// `(block, tag, verdict)` per candidate, ascending.
     memo: Vec<(Lba, BlockTag, LbaVerdict)>,
+    /// The epochs the named blocks' base verdicts are counted at, `vis`
+    /// descending and `need` ascending: buffers kept across re-aims.
+    named_vis: Vec<usize>,
+    named_need: Vec<usize>,
+    /// Epoch counts the last re-aim read.
+    read: usize,
 }
 
 impl EpochProbe {
@@ -928,6 +1182,8 @@ mod tests {
             && index.carried.is_empty()
             && index.blocks.is_empty()
             && index.slot_of.is_empty()
+            && index.vis.counts.is_empty()
+            && index.need.counts.is_empty()
     }
 
     #[test]
@@ -990,6 +1246,29 @@ mod tests {
     }
 
     #[test]
+    fn an_epoch_far_outside_the_transfers_is_irregular_without_a_giant_table() {
+        let base = BlockMap::new();
+        // Below the first transfer's epoch, or past it by more than one a
+        // transfer plus the slack: either would stretch the epoch counts.
+        for far in [4, 8 + EPOCH_SLACK, 1 << 40] {
+            let history = [rec(1, 10, 100, 5), rec(2, 11, 101, 6), rec(3, 12, 102, far)];
+            assert!(
+                dropped_its_tables(&index_of(&history, &base)),
+                "epoch {far}"
+            );
+        }
+        // The widest step the slack allows is regular.
+        let history = [
+            rec(1, 10, 100, 5),
+            rec(2, 11, 101, 6),
+            rec(3, 12, 102, 7 + EPOCH_SLACK),
+        ];
+        let index = index_of(&history, &base);
+        assert_eq!(index.probe([]).map(|p| p.extremes()), Some((None, Some(5))));
+        assert_eq!(index.need.highest, Some(2 + EPOCH_SLACK as usize));
+    }
+
+    #[test]
     fn a_candidate_verdict_is_read_by_block_and_tag() {
         // Block 10 was written in epochs 0 and 1; the memo holds a
         // verdict for each version. An image holding the old version
@@ -1012,18 +1291,43 @@ mod tests {
         assert!(!probe.certifies(&index, gone));
     }
 
+    /// The newest `vis` and oldest `need` epoch over the blocks below
+    /// `blocks` that `overlay` leaves out, read block by block.
+    fn extremes_by_scan(
+        index: &EpochIndex,
+        blocks: u64,
+        overlay: &BTreeMap<Lba, BlockTag>,
+    ) -> (Option<u64>, Option<u64>) {
+        let verdicts = (0..blocks)
+            .map(Lba)
+            .filter(|lba| !overlay.contains_key(lba))
+            .filter_map(|lba| index.slot(lba).map(|slot| index.blocks[slot].verdict));
+        let vis = verdicts.clone().filter_map(|v| v.vis).max();
+        (vis, verdicts.filter_map(|v| v.need).min())
+    }
+
     #[test]
     fn index_matches_the_audit_on_random_histories() {
         let mut rng = bio_sim::SimRng::new(0xE90C);
-        let (mut clean, mut dirty) = (0, 0);
-        for _ in 0..300 {
-            // A regular history over six blocks: sequences and epochs grow,
-            // every tag is new, some overwrites coalesce.
+        let (mut clean, mut dirty, mut long) = (0, 0, 0);
+        for case in 0..300 {
+            // A regular history: sequences and epochs grow, every tag is
+            // new, some overwrites coalesce. Two cases in three are six
+            // blocks under slow epochs; the third are two or three blocks
+            // under an epoch per transfer, most folds the newest version
+            // of a block (emptying every epoch it held before) and some an
+            // old one (moving `vis` and `need` back down past empty runs).
+            let long_runs = case % 3 == 2;
+            let (blocks, len) = if long_runs {
+                (rng.range(2, 4), rng.range(100, 400))
+            } else {
+                (6, rng.range(4, 40))
+            };
             let mut history: Vec<TransferRec> = Vec::new();
             let (mut epoch, mut last_seq) = (0, BTreeMap::new());
-            for i in 0..rng.range(4, 40) {
-                epoch += rng.below(3) / 2;
-                let lba = Lba(rng.below(6));
+            for i in 0..len {
+                epoch += if long_runs { 1 } else { rng.below(3) / 2 };
+                let lba = Lba(rng.below(blocks));
                 let seq = match last_seq.get(&lba) {
                     Some(&(s, e)) if e == epoch && rng.chance(0.3) => s,
                     _ => i + 1,
@@ -1037,21 +1341,34 @@ mod tests {
             let mut index = EpochIndex::new();
             let mut upto = 0;
             while upto < history.len() {
-                upto = (upto + 1 + rng.below(6) as usize).min(history.len());
+                let step = if long_runs { 40 } else { 6 };
+                upto = (upto + 1 + rng.below(step) as usize).min(history.len());
+                let pick = |rng: &mut bio_sim::SimRng| {
+                    let any = history[rng.below(upto as u64) as usize];
+                    let newest = history[..upto].iter().rev().find(|t| t.lba == any.lba);
+                    match newest {
+                        Some(&t) if long_runs && rng.chance(0.7) => t,
+                        _ => any,
+                    }
+                };
                 let folded: Vec<Lba> = (0..rng.below(4))
                     .map(|_| {
-                        let t = history[rng.below(upto as u64) as usize];
+                        let t = pick(&mut rng);
                         base.insert(t.lba, t.tag);
                         t.lba
                     })
                     .collect();
                 index.advance(&history[..upto], folded, &base);
                 assert_eq!(index, index_of(&history[..upto], &base));
+                let (vis, need) = (index.vis.highest, index.need.lowest);
+                if long_runs && vis.zip(need).is_some_and(|(v, n)| v.abs_diff(n) > 64) {
+                    long += 1;
+                }
                 // Any overlay: each block unwritten, or at any version ever
                 // transferred to it.
                 let overlay: BTreeMap<Lba, BlockTag> = (0..rng.below(4))
                     .map(|_| {
-                        let lba = Lba(rng.below(6));
+                        let lba = Lba(rng.below(blocks));
                         let versions: Vec<BlockTag> = history[..upto]
                             .iter()
                             .filter(|t| t.lba == lba)
@@ -1061,6 +1378,9 @@ mod tests {
                         (lba, *rng.choose(&versions).expect("non-empty"))
                     })
                     .collect();
+                let pairs = overlay.iter().map(|(&l, &t)| (l, t));
+                let probe = index.probe(pairs).expect("regular");
+                assert_eq!(probe.extremes(), extremes_by_scan(&index, blocks, &overlay));
                 let mut image = base.clone();
                 image.extend(overlay.iter().map(|(&l, &t)| (l, t)));
                 let audit = EpochAudit::new(&history[..upto]).violations(&image);
@@ -1073,9 +1393,97 @@ mod tests {
             }
         }
         assert!(
-            clean > 100 && dirty > 100,
-            "{clean} clean, {dirty} violating"
+            clean > 100 && dirty > 100 && long > 100,
+            "{clean} clean, {dirty} violating, {long} with extremes 64 epochs apart"
         );
+    }
+
+    #[test]
+    fn epoch_counts_find_the_nearest_non_empty_epoch_across_levels() {
+        // Counts over 300,000 epochs (four levels of marks) against a
+        // sorted set, with gaps from one epoch to the whole range.
+        let mut rng = bio_sim::SimRng::new(0xC0DE);
+        let mut counts = EpochCounts::default();
+        let mut reference: BTreeMap<usize, u32> = BTreeMap::new();
+        let span = 300_000u64;
+        for round in 0..4_000 {
+            let epoch = match rng.below(3) {
+                0 => rng.below(64),
+                1 => rng.below(span),
+                _ => span - 1 - rng.below(5_000),
+            } as usize;
+            let held = reference.get(&epoch).copied().unwrap_or(0);
+            if held > 0 && (round > 3_000 || rng.chance(0.4)) {
+                counts.remove(epoch);
+                if held == 1 {
+                    reference.remove(&epoch);
+                } else {
+                    reference.insert(epoch, held - 1);
+                }
+            } else {
+                counts.add(epoch);
+                reference.insert(epoch, held + 1);
+            }
+            assert_eq!(counts.marks.last().map(Vec::len), Some(1));
+            assert_eq!(counts.lowest, reference.keys().next().copied());
+            assert_eq!(counts.highest, reference.keys().next_back().copied());
+            for _ in 0..4 {
+                let at = rng.below(span + 100) as usize;
+                assert_eq!(
+                    counts.below(at),
+                    reference.range(..=at).next_back().map(|e| *e.0)
+                );
+                assert_eq!(counts.above(at), reference.range(at..).next().map(|e| *e.0));
+            }
+        }
+        assert_eq!(counts.marks.len(), 4, "300,000 epochs take four levels");
+    }
+
+    #[test]
+    fn a_probe_reads_no_more_counts_than_it_names_blocks() {
+        // Block 0 is written once, in epoch 0. Blocks 1..=4 are rewritten
+        // in every later epoch, and each round is folded one round later:
+        // thousands of epochs go empty under the cursors. A probe naming
+        // blocks 1..=4 takes out every block of the top `vis` epoch and of
+        // the bottom `need` epoch; the walk on to block 0 and past the end
+        // must not visit the empty epochs between.
+        let mut history = vec![rec(1, 0, 1, 0)];
+        let mut base = BlockMap::new();
+        let mut index = EpochIndex::new();
+        let mut probe = EpochProbe::default();
+        let mut tag = 1;
+        for epoch in 1..=3_000u64 {
+            let round = history.len();
+            for lba in 1..=4 {
+                tag += 1;
+                history.push(rec(tag, lba, tag, epoch));
+            }
+            let folded: Vec<Lba> = history[..round]
+                .iter()
+                .rev()
+                .take(4)
+                .map(|t| t.lba)
+                .collect();
+            for t in &history[..round] {
+                base.insert(t.lba, t.tag);
+            }
+            index.advance(&history, folded, &base);
+            let named: Vec<(Lba, BlockTag)> =
+                history[round..].iter().map(|t| (t.lba, t.tag)).collect();
+            assert!(index.reprobe(&mut probe, named.iter().copied()));
+            assert_eq!(probe.extremes(), (Some(0), None), "epoch {epoch}");
+            assert!(
+                probe.read <= named.len() + 2,
+                "epoch {epoch}: {} counts read for {} candidates",
+                probe.read,
+                named.len()
+            );
+            // Naming fewer blocks than the top epoch holds stops there.
+            assert!(index.reprobe(&mut probe, named.iter().copied().take(2)));
+            let top = (epoch > 1).then(|| epoch - 1);
+            assert_eq!(probe.extremes(), (top.or(Some(0)), Some(epoch)));
+            assert!(probe.read <= 2, "epoch {epoch}: {} counts read", probe.read);
+        }
     }
 
     #[test]

@@ -258,17 +258,19 @@ impl Filesystem {
     }
 
     fn record_txn(&mut self, txn: TxnId) {
-        let Some(t) = self.txns.get(txn.0) else {
+        let Some(t) = self.txns.get_mut(txn.0) else {
             return;
         };
         let (Some(jd_lba), Some(jc_lba), Some(jc_tag)) = (t.jd_lba, t.jc_lba, t.jc_tag) else {
             debug_assert!(false, "record_txn before journal placement");
             return;
         };
-        // Ascending-id order is what lets `mark_durable` and
-        // `ConsistencyIndex::advance` binary-search this ever-growing
-        // history; records out of order make the index certify nothing.
+        // Ascending-id order is what lets `ConsistencyIndex::advance`
+        // binary-search this ever-growing history; records out of order
+        // make the index certify nothing. `mark_durable` finds the record
+        // by the position noted here.
         debug_assert!(self.records.last().is_none_or(|r| r.id < txn.0));
+        t.record = Some(self.records.len());
         self.records.push(
             TxnRecord::new(txn.0, jd_lba, t.jd_tags, jc_lba, jc_tag).with_blocks(
                 t.buffers.iter().map(|(l, _, tag)| (*l, *tag)),
@@ -425,12 +427,7 @@ impl Filesystem {
         t.state = TxnState::Durable;
         if real_durability && !t.durable_waiters.is_empty() {
             t.durability_claimed = true;
-            // Records are pushed in ascending txn-id order (`record_txn`
-            // runs once per commit, ids are allocated monotonically), so
-            // the ground-truth entry is found by binary search — a linear
-            // scan here turns long runs quadratic in committed txns.
-            let hit = self.records.binary_search_by_key(&txn.0, |r| r.id);
-            if let Some(rec) = hit.ok().and_then(|i| self.records.get_mut(i)) {
+            if let Some(rec) = t.record.and_then(|i| self.records.get_mut(i)) {
                 rec.durability_claimed = true;
                 if let Some(log) = &mut self.durable_mark_log {
                     log.push(txn.0);

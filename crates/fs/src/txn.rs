@@ -95,6 +95,9 @@ pub struct Txn {
     /// Outstanding checkpoint (in-place metadata) writes; 0 when no
     /// checkpoint is in flight.
     pub checkpoints_left: usize,
+    /// Position of the transaction's ground-truth record in the
+    /// filesystem's records, once its commit is recorded.
+    pub record: Option<usize>,
 }
 
 impl Txn {
@@ -118,6 +121,7 @@ impl Txn {
             commit_requested: false,
             durability_claimed: false,
             checkpoints_left: 0,
+            record: None,
         }
     }
 
@@ -144,6 +148,7 @@ impl Txn {
         self.commit_requested = false;
         self.durability_claimed = false;
         self.checkpoints_left = 0;
+        self.record = None;
     }
 
     /// Adds or refreshes a metadata buffer. Dedup is a binary search on

@@ -41,16 +41,24 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// whose keys cluster in short runs — a crash-trace stack's few hundred
 /// blocks over three regions — pays less for smaller pages, at the price
 /// of a longer directory (one pointer per page up to the largest key).
+///
+/// A page is `PAGE` × `size_of::<Option<T>>()` bytes, allocated whole on
+/// the key's first insert. When `T` is `NonZeroU64` (or another type whose
+/// `None` the standard library knows is all zeroes) an entry is 8 bytes
+/// and the page comes from the zeroed-allocation path, 32 KiB at 4,096 a
+/// page; for any other `T` the page is filled one `None` at a time (24
+/// bytes an entry for a pair of `usize`s, 16 for a `u64`).
 #[derive(Debug, Clone, Default)]
 pub struct PagedMap<T, const PAGE: usize = 4096> {
     pages: Vec<Option<Box<[Option<T>; PAGE]>>>,
     live: usize,
 }
 
-/// Allocates one zeroed leaf page directly on the heap. Kept out of line
-/// (and cold): building the page as a stack temporary inside `insert`
-/// would bloat the hot path's frame with a ~100 KiB array and make every
-/// call pay stack-probe costs.
+/// Allocates one empty leaf page directly on the heap, zeroed by the
+/// allocator when `None` is all zeroes (see [`PagedMap`]). Kept out of
+/// line (and cold): building the page as a stack temporary inside
+/// `insert` would bloat the hot path's frame with a page-sized array and
+/// make every call pay stack-probe costs.
 #[cold]
 #[inline(never)]
 fn new_page<T: Copy, const PAGE: usize>() -> Box<[Option<T>; PAGE]> {
