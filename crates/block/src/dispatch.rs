@@ -370,6 +370,7 @@ impl BlockLayer {
     }
 
     /// Submits a request from the filesystem.
+    #[inline]
     pub fn submit(&mut self, req: BlockRequest, now: SimTime, out: &mut ActionSink<BlockAction>) {
         debug_assert_eq!(req.id.0 & PART_BIT, 0, "{} uses the part-id bit", req.id);
         self.stats.submitted += 1;
@@ -378,6 +379,7 @@ impl BlockLayer {
     }
 
     /// Handles a previously scheduled [`BlockEvent`].
+    #[inline]
     pub fn handle(&mut self, ev: BlockEvent, now: SimTime, out: &mut ActionSink<BlockAction>) {
         let BlockEvent::Dev { dev, ev } = ev;
         let di = dev as usize;
@@ -414,6 +416,7 @@ impl BlockLayer {
     /// device, as per-device parts otherwise. A barrier additionally
     /// fences every lane and closes the sequencer gate (the epoch
     /// boundary).
+    #[inline]
     fn admit(&mut self, mut req: BlockRequest) {
         debug_assert!(!self.gate_closed, "admit only while the gate is open");
         let t = self.topology;
@@ -482,6 +485,7 @@ impl BlockLayer {
     // arithmetic and `hw_queue` reduced mod `nr_hw_queues`: below
     // `nr_lanes()`, the length `new` gave `lanes`.
     #[allow(clippy::indexing_slicing, reason = "lane from Topology::lane")]
+    #[inline]
     fn enqueue(&mut self, lane: usize, req: BlockRequest) {
         self.lanes[lane].routed += 1;
         self.lanes[lane].sched.enqueue(req);
@@ -514,6 +518,7 @@ impl BlockLayer {
     /// Pumps every lane, again after any sweep in which the sequencer
     /// released an epoch (the requests it admitted may sit on lanes the
     /// sweep had already passed).
+    #[inline]
     fn run(&mut self, now: SimTime, out: &mut ActionSink<BlockAction>) {
         loop {
             let epochs = self.stats.epochs_sequenced;
@@ -539,6 +544,7 @@ impl BlockLayer {
     /// Reopens the gate and re-admits buffered requests; a buffered
     /// barrier closes the gate again and stops the drain (the next epoch
     /// boundary).
+    #[inline]
     fn release_epoch(&mut self) {
         self.gate_closed = false;
         self.stats.epochs_sequenced += 1;
@@ -554,6 +560,7 @@ impl BlockLayer {
     // below `nr_devices`: the length `new` gave `devs`, `inflight` and
     // `next_cmd`. Nothing here comes out of an event.
     #[allow(clippy::indexing_slicing, reason = "run()'s own lane sweep")]
+    #[inline]
     fn pump_lane(&mut self, li: usize, now: SimTime, out: &mut ActionSink<BlockAction>) {
         let di = self.topology.lane_device(li);
         let mut scratch = std::mem::take(&mut self.dev_scratch);
@@ -631,6 +638,7 @@ impl BlockLayer {
 
     /// Drains `actions` (the reusable device scratch) into block actions;
     /// true when one of them was a completion.
+    #[inline]
     fn apply_dev_actions(
         &mut self,
         di: usize,
@@ -667,6 +675,7 @@ impl BlockLayer {
 
     /// Completes one lane-level id: a bio completes upward; a part counts
     /// down its split, whose last part releases what the split was for.
+    #[inline]
     fn complete(&mut self, id: ReqId, at: SimTime, out: &mut ActionSink<BlockAction>) {
         if id.0 & PART_BIT == 0 {
             self.stats.completed += 1;

@@ -54,11 +54,13 @@ pub const MAX_MERGE_BLOCKS: u64 = 128;
 struct ByLba(Vec<(u64, u64)>);
 
 impl ByLba {
+    #[inline]
     fn insert(&mut self, key: (u64, u64)) {
         let at = self.0.partition_point(|k| *k < key);
         self.0.insert(at, key);
     }
 
+    #[inline]
     fn remove(&mut self, key: (u64, u64)) {
         if let Ok(at) = self.0.binary_search(&key) {
             self.0.remove(at);
@@ -73,6 +75,7 @@ impl ByLba {
     }
 
     /// Removes the first key at or above `lba`, or failing that the lowest.
+    #[inline]
     fn take_next_from(&mut self, lba: u64) -> Option<(u64, u64)> {
         let from = self.0.partition_point(|k| k.0 < lba);
         let at = if from < self.0.len() { from } else { 0 };
@@ -135,6 +138,7 @@ impl EpochScheduler {
 
     /// Adds a request to the queue, merging it into an adjacent queued
     /// write where allowed.
+    #[inline]
     pub fn enqueue(&mut self, req: BlockRequest) {
         debug_assert!(
             !req.flags.barrier,
@@ -171,6 +175,7 @@ impl EpochScheduler {
     /// that [`MergedRequest::try_merge`] accepts it into. Only a write
     /// ending where `incoming` starts or starting where it ends can, so
     /// only those are asked.
+    #[inline]
     fn merge_into_queued(&mut self, incoming: &MergedRequest) -> bool {
         let Some((start, end)) = incoming.req.write_span() else {
             return false;
@@ -221,6 +226,7 @@ impl EpochScheduler {
 
     /// Removes the next request to dispatch — a bounced one first — or
     /// `None` if the lane holds nothing.
+    #[inline]
     pub fn dequeue(&mut self) -> Option<MergedRequest> {
         let mut m = if self.bounced.is_some() {
             self.bounced.take()?
@@ -253,6 +259,7 @@ impl EpochScheduler {
 
     /// The one-way elevator: reads and flushes keep FIFO order relative
     /// to their arrival batch, writes leave in ascending-LBA sweeps.
+    #[inline]
     fn sweep(&mut self) -> Option<MergedRequest> {
         let (front, _) = self.queue.first()?;
         // Non-write requests (flush, read) dispatch FIFO-first if they are

@@ -298,6 +298,7 @@ impl IoStack {
     /// filesystem action, which preserves the depth-first routing order
     /// of the recursive version exactly (the block layer never emits
     /// filesystem actions, so the loop is flat).
+    #[inline]
     fn route_fs_actions(&mut self) {
         let mut actions = self.fs_sink.take_buf();
         for a in actions.drain(..) {
@@ -326,6 +327,7 @@ impl IoStack {
     /// Drains the block action sink into scheduled events. Block actions
     /// never re-enter a layer state machine, so this loop cannot grow its
     /// own input.
+    #[inline]
     fn route_block_actions(&mut self) {
         for a in self.block_sink.drain() {
             match a {
@@ -341,6 +343,7 @@ impl IoStack {
 
     /// Records the completion of the current blocked op and schedules the
     /// thread's next operation.
+    #[inline]
     fn complete_op(&mut self, tid: ThreadId) {
         let now = self.q.now();
         // A completion for a thread id this stack never created is a
@@ -369,6 +372,7 @@ impl IoStack {
         file.copied().unwrap_or(FileId(u32::MAX))
     }
 
+    #[inline]
     fn thread_issue(&mut self, tid: ThreadId, now: SimTime) {
         // A `ThreadNext` for a thread this stack never created is forged:
         // dropped and counted like its completion (`complete_op`).
@@ -475,6 +479,7 @@ impl IoStack {
         }
     }
 
+    #[inline]
     fn maybe_uncongest(&mut self) {
         if self.congested.is_empty() || self.block.queued() >= CONGESTION_LIMIT / 2 {
             return;
@@ -496,6 +501,7 @@ impl IoStack {
     /// Processes one event; returns false when the queue is empty.
     /// Exposed so callers can observe intermediate state (e.g. the
     /// committing-transaction list) between events.
+    #[inline]
     pub fn step(&mut self) -> bool {
         let Some((now, ev)) = self.q.pop() else {
             return false;
@@ -507,6 +513,7 @@ impl IoStack {
 
     /// Routes one popped event into the owning layer and drains the
     /// resulting actions through the reusable sinks.
+    #[inline]
     fn dispatch_event(&mut self, ev: Event, now: SimTime) {
         match ev {
             Event::Fs(ev) => {

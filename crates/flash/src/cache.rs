@@ -233,6 +233,7 @@ impl WritebackCache {
     /// Same-epoch overwrites of a still-dirty entry coalesce in place;
     /// anything else creates a new version. Returns the entry's transfer
     /// sequence number.
+    #[inline]
     pub fn insert(&mut self, lba: Lba, tag: BlockTag, barrier: bool) -> u64 {
         let prev_seq = Self::side(&self.latest, lba);
         let seq = match self.slots.get_mut(prev_seq) {
@@ -254,6 +255,7 @@ impl WritebackCache {
         seq
     }
 
+    #[inline]
     fn push_new(&mut self, lba: Lba, tag: BlockTag) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -330,6 +332,7 @@ impl WritebackCache {
     /// them to epochs `<=` the bound (the in-order writeback engine);
     /// epochs are non-decreasing in sequence order, so the walk ends at
     /// the first entry past it.
+    #[inline]
     fn candidates_from(
         &self,
         from: u64,
@@ -356,6 +359,7 @@ impl WritebackCache {
     /// `n` candidates plus the ineligible entries between them, not a walk
     /// of the cache. Equal, element for element, to
     /// `destage_candidates(max_epoch, lba_ordered)`.
+    #[inline]
     pub fn frontier(&mut self, max_epoch: Option<u64>) -> impl Iterator<Item = u64> + '_ {
         let lba_ordered = self.lba_ordered;
         // Advance over what turned ineligible since the last pull. A
@@ -376,6 +380,7 @@ impl WritebackCache {
     /// [`CacheError::UnknownSeq`] if `seq` is not resident,
     /// [`CacheError::AlreadyDestaging`] if it already has a program in
     /// flight.
+    #[inline]
     pub fn mark_destaging(&mut self, seq: u64) -> Result<CacheEntry, CacheError> {
         let slot = self.slots.get_mut(seq).ok_or(CacheError::UnknownSeq(seq))?;
         if slot.entry.state != EntryState::Dirty {
@@ -393,6 +398,7 @@ impl WritebackCache {
     /// [`CacheError::UnknownSeq`] if `seq` is not resident — notably a
     /// *duplicate* completion of an already-removed entry, which a caller
     /// replaying device events can drive externally.
+    #[inline]
     pub fn complete(&mut self, seq: u64) -> Result<CacheEntry, CacheError> {
         let slot = self.slots.remove(seq).ok_or(CacheError::UnknownSeq(seq))?;
         if slot.entry.state == EntryState::Dirty {

@@ -41,6 +41,7 @@ impl ChipArray {
 
     /// Number of dies idle at `now`: the most programs that can start at
     /// this instant.
+    #[inline]
     pub fn idle_count(&self, now: SimTime) -> usize {
         self.free_at.partition_point(|&t| t <= now)
     }
@@ -52,6 +53,7 @@ impl ChipArray {
     ///
     /// Panics in debug builds if no die is idle at `now` (a release build
     /// starts the program at `now` all the same).
+    #[inline]
     pub fn start_op(&mut self, now: SimTime, dur: SimDuration) -> SimTime {
         debug_assert!(self.has_idle(now), "every die is busy at {now}");
         let done = now + dur;
@@ -85,6 +87,7 @@ impl ChipArray {
     /// Jittered duration for one operation: normal noise around `base` with
     /// the profile's relative stddev, clamped to ±3σ and never below a
     /// quarter of the base.
+    #[inline]
     pub fn jittered(base: SimDuration, rel_stddev: f64, rng: &mut SimRng) -> SimDuration {
         if rel_stddev <= 0.0 {
             return base;

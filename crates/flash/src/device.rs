@@ -407,6 +407,7 @@ impl Device {
     /// (the host's dispatch layer must retry — Fig 6(b)). A write reaching
     /// past [`Lba::LIMIT`] completes at once with nothing written, counted
     /// in [`DeviceStats::out_of_range_writes`].
+    #[inline]
     pub fn submit(
         &mut self,
         cmd: Command,
@@ -439,6 +440,7 @@ impl Device {
 
     /// Processes an internal event previously emitted as
     /// [`DevAction::After`].
+    #[inline]
     pub fn handle(&mut self, ev: DevEvent, now: SimTime, out: &mut Vec<DevAction>) {
         match ev {
             DevEvent::DmaDone { id } => self.on_dma_done(id, now, out),
@@ -488,6 +490,7 @@ impl Device {
     // Service pump: picks commands off the queue and drives their stages.
     // ------------------------------------------------------------------
 
+    #[inline]
     fn pump(&mut self, now: SimTime, out: &mut Vec<DevAction>) {
         loop {
             if let Some(id) = self.ready_for_link.pop_front() {
@@ -504,6 +507,7 @@ impl Device {
 
     /// Starts a picked command: a flush, or a write's preflush, drains what
     /// is resident now; everything else queues for the link.
+    #[inline]
     fn begin_service(&mut self, cmd: Command, arrived: SimTime, out: &mut Vec<DevAction>) {
         let id = cmd.id;
         let (stage, drain) = match &cmd.kind {
@@ -550,6 +554,7 @@ impl Device {
         })
     }
 
+    #[inline]
     fn start_dma(&mut self, id: CmdId, now: SimTime, out: &mut Vec<DevAction>) {
         // The link queue only ever holds live WaitLink commands; if the
         // entry is gone or out of phase the enqueue was forged, so skip it
@@ -608,6 +613,7 @@ impl Device {
         ));
     }
 
+    #[inline]
     fn on_dma_done(&mut self, id: CmdId, now: SimTime, out: &mut Vec<DevAction>) {
         // A DmaDone for a command that is not mid-DMA is a replayed or
         // forged event: acting on it would double-queue a cache insert or
@@ -645,6 +651,7 @@ impl Device {
     /// Admits DMA-completed writes into the cache in transfer order, as
     /// long as each fits (FUA writes always fit: they do not occupy a
     /// long-term slot).
+    #[inline]
     fn drain_pending_inserts(&mut self, now: SimTime, out: &mut Vec<DevAction>) {
         while let Some(&id) = self.pending_inserts.front() {
             // Only live writes are ever queued for insertion; a vanished
@@ -686,6 +693,7 @@ impl Device {
     /// Inserts a write command's blocks into the cache in transfer order,
     /// honouring the barrier flag on the final block. Returns the newest
     /// cache sequence the blocks took (0 for none).
+    #[inline]
     fn insert_blocks(&mut self, id: CmdId) -> u64 {
         // The command's own payload is read in place: `active`, `cache`,
         // `stats` and `history` are disjoint fields.
@@ -732,6 +740,7 @@ impl Device {
         drain_active || waiters || over_watermark || open_group
     }
 
+    #[inline]
     fn destage_pump(&mut self, now: SimTime, out: &mut Vec<DevAction>) {
         if !self.destage_wanted() {
             return;
@@ -824,6 +833,7 @@ impl Device {
         }
     }
 
+    #[inline]
     fn on_program_done(&mut self, seq: u64, now: SimTime, out: &mut Vec<DevAction>) {
         // The destage record is the ground truth for in-flight programs: a
         // duplicate or forged ProgramDone has no record and is dropped
@@ -886,6 +896,7 @@ impl Device {
         self.pump(now, out);
     }
 
+    #[inline]
     fn complete_cmd(&mut self, id: CmdId, now: SimTime, out: &mut Vec<DevAction>) {
         // A duplicate Finish event (replayed completion) finds no active
         // command — the sliding window's base makes a completed id read as

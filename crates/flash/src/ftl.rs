@@ -256,6 +256,7 @@ impl Ftl {
     /// GC run, if one happened, so the caller can charge its time cost to
     /// the chip array *before* scheduling the next program. Until that
     /// append, calling it again does nothing.
+    #[inline]
     pub fn prepare_append(&mut self) -> Option<GcRun> {
         let active = &mut self.segments[self.active];
         if active.fill < self.pages_per_segment || active.state == SegState::Sealed {
@@ -274,6 +275,7 @@ impl Ftl {
     ///
     /// When the FTL has no page for the block: the active segment is full,
     /// no segment is free, and GC could not free one.
+    #[inline]
     pub fn append(&mut self, lba: Lba, tag: BlockTag) -> Option<GcRun> {
         let gc = self.prepare_append();
         self.place(lba, tag);
@@ -285,6 +287,7 @@ impl Ftl {
     /// writes the page into the active segment, first opening the next
     /// free one (without GC) if it is full, and invalidates the previous
     /// version.
+    #[inline]
     fn place(&mut self, lba: Lba, tag: BlockTag) {
         if self.segments[self.active].fill == self.pages_per_segment {
             // Only a host append can get here with no segment free: GC
@@ -353,6 +356,7 @@ impl Ftl {
     }
 
     /// Looks up the current physical location of `lba`.
+    #[inline]
     pub fn lookup(&self, lba: Lba) -> Option<PhysLoc> {
         self.mapping.get(lba.0).map(PhysLoc::unpack)
     }

@@ -96,6 +96,7 @@ impl CommandQueue {
     /// Admits a command at time `now`, or returns it when the queue is
     /// full (the host must retry later — the "device busy" path of
     /// Fig 6(b)).
+    #[inline]
     pub fn admit(&mut self, cmd: Command, now: SimTime) -> Result<(), Command> {
         if !self.has_room() {
             return Err(cmd);
@@ -111,6 +112,7 @@ impl CommandQueue {
     /// Picks the next serviceable command under the priority rules, moving
     /// it to the in-service set. Returns the command together with its
     /// admission time; `None` when nothing is eligible.
+    #[inline]
     pub fn pick(&mut self) -> Option<(Command, SimTime)> {
         let idx = self.pick_index()?;
         let (seq, admitted, cmd) = self.waiting.remove(idx)?;
@@ -123,6 +125,7 @@ impl CommandQueue {
         Some((cmd, admitted))
     }
 
+    #[inline]
     fn pick_index(&self) -> Option<usize> {
         // Waiting list is naturally in arrival order (we only remove).
         let (seq, _, first) = self.waiting.front()?;
@@ -163,6 +166,7 @@ impl CommandQueue {
     /// Releases the queue slot of a completed command. Returns false (and
     /// changes nothing) when the command was not in service — e.g. a
     /// duplicate completion delivered by a replayed device event.
+    #[inline]
     pub fn complete(&mut self, id: CmdId) -> bool {
         let Some(i) = self.in_service.iter().position(|&(_, cid)| cid == id) else {
             return false;

@@ -11,6 +11,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::num::NonZeroU64;
 
 use bio_sim::{IntMap, PagedMap, SeqTable};
 
@@ -84,6 +85,7 @@ impl AppendLog {
     /// Folds the longest completed prefix into the base map. Records are
     /// foldable once `done` and (for transactional groups) once their group
     /// committed — after that their durability can no longer change.
+    #[inline]
     pub fn fold<F: Fn(u64) -> bool>(&mut self, group_committed: F) {
         while let Some(&rec) = self.entries.front() {
             if !(rec.done && rec.group.is_none_or(&group_committed)) {
@@ -140,7 +142,7 @@ impl AppendLog {
     }
 }
 
-/// Blocks per [`BlockMap`] page: 8 KiB of 16-byte slots. A crash-explorer
+/// Blocks per [`BlockMap`] page: 4 KiB of one-word slots. A crash-explorer
 /// trace writes three short runs (metadata, journal, data) and builds a
 /// fresh stack and capture cursor per trace; at the device tables' 4,096 a
 /// page the two bases zero-filled 384 KiB per trace device and held
@@ -150,47 +152,67 @@ const BLOCK_MAP_PAGE: usize = 512;
 /// Block address → content version, direct-indexed: a read or a store is
 /// two loads into a [`bio_sim::PagedMap`], iteration is in ascending
 /// address order, and two maps are equal when they hold the same pairs. An
-/// entry is an `Option<BlockTag>` of 16 bytes, so a 512-block page an
-/// address touches is 8 KiB, filled one `None` at a time (the device's
-/// one-word tables take theirs zeroed from the allocator). It is
+/// entry is one word, the tag plus one in a `NonZeroU64`, so an empty slot
+/// is the zero word: a 512-block page an address touches is 4 KiB, taken
+/// zeroed from the allocator like the device's other one-word tables, and
+/// [`BlockTag::UNWRITTEN`] (tag 0) is stored like any other version. It is
 /// [`AppendLog::base`], the base every crash image of a capture point
 /// shares, the base both check indexes read, and every crash image a
 /// device materializes ([`crate::Device::crash_image`]).
 ///
-/// Addresses must lie below [`Lba::LIMIT`]: [`BlockMap::insert`] panics on
-/// any other, and the device refuses a write that reaches past it, so no
-/// such address is ever folded. A read of any address is total.
-#[derive(Clone, Default)]
+/// Addresses must lie below [`Lba::LIMIT`] and tags below `u64::MAX`:
+/// [`BlockMap::insert`] panics on any other. The device refuses a write
+/// that reaches past the address limit, and filesystem tags count up from
+/// 1, so neither is ever folded. A read of any address is total.
+#[derive(Clone)]
 pub struct BlockMap {
-    map: PagedMap<BlockTag, BLOCK_MAP_PAGE>,
+    map: PagedMap<TagWord, BLOCK_MAP_PAGE>,
+}
+
+/// A [`BlockMap`] entry: the tag plus one, which fits every tag below
+/// `u64::MAX` and leaves the zero word for an empty slot.
+type TagWord = NonZeroU64;
+
+/// The entry that stores `tag`.
+fn stored(tag: BlockTag) -> TagWord {
+    TagWord::MIN.saturating_add(tag.0)
+}
+
+/// The version an entry holds.
+fn version(word: TagWord) -> BlockTag {
+    BlockTag(word.get() - 1)
 }
 
 impl BlockMap {
     /// An empty map.
     pub fn new() -> BlockMap {
-        BlockMap::default()
+        BlockMap {
+            map: PagedMap::new(),
+        }
     }
 
     /// The version stored at `lba`, if any.
     #[inline]
     pub fn get(&self, lba: Lba) -> Option<BlockTag> {
-        self.map.get(lba.0)
+        self.map.get(lba.0).map(version)
     }
 
     /// Stores `tag` at `lba`, returning the version it replaced.
     ///
     /// # Panics
     ///
-    /// Panics if `lba` is not below [`Lba::LIMIT`].
+    /// Panics if `lba` is not below [`Lba::LIMIT`], or if `tag` is
+    /// `BlockTag(u64::MAX)`, the one version a word cannot hold.
     #[inline]
     pub fn insert(&mut self, lba: Lba, tag: BlockTag) -> Option<BlockTag> {
-        self.map.insert(lba.0, tag)
+        assert!(tag.0 < u64::MAX, "BlockMap cannot store BlockTag(u64::MAX)");
+        self.map.insert(lba.0, stored(tag)).map(version)
     }
 
     /// Forgets the version stored at `lba`, returning it.
     #[inline]
     pub fn remove(&mut self, lba: Lba) -> Option<BlockTag> {
-        self.map.remove(lba.0)
+        self.map.remove(lba.0).map(version)
     }
 
     /// Number of blocks stored.
@@ -205,7 +227,13 @@ impl BlockMap {
 
     /// `(lba, tag)` pairs in ascending address order.
     pub fn iter(&self) -> impl Iterator<Item = (Lba, BlockTag)> + '_ {
-        self.map.iter().map(|(lba, tag)| (Lba(lba), tag))
+        self.map.iter().map(|(lba, word)| (Lba(lba), version(word)))
+    }
+}
+
+impl Default for BlockMap {
+    fn default() -> BlockMap {
+        BlockMap::new()
     }
 }
 
@@ -972,6 +1000,40 @@ mod tests {
     /// An image holding `(lba, tag)` pairs.
     fn image(pairs: &[(u64, u64)]) -> BlockMap {
         pairs.iter().map(|&(l, t)| (Lba(l), BlockTag(t))).collect()
+    }
+
+    #[test]
+    fn a_block_map_entry_is_one_word() {
+        assert_eq!(std::mem::size_of::<Option<TagWord>>(), 8);
+    }
+
+    #[test]
+    fn the_unwritten_tag_and_the_largest_storable_tag_round_trip() {
+        let (low, high) = (BlockTag::UNWRITTEN, BlockTag(u64::MAX - 1));
+        let mut map = BlockMap::new();
+        assert_eq!(map.insert(Lba(3), low), None);
+        assert_eq!(map.insert(Lba(700), high), None);
+        assert_eq!(
+            (map.get(Lba(3)), map.get(Lba(700))),
+            (Some(low), Some(high))
+        );
+        assert_eq!((map.tag(Lba(3)), map.tag(Lba(700))), (low, high));
+        assert_eq!(map.get(Lba(4)), None, "a slot beside a stored 0 is empty");
+        assert_eq!(map.len(), 2);
+        let pairs: Vec<_> = map.iter().collect();
+        assert_eq!(pairs, [(Lba(3), low), (Lba(700), high)]);
+        let same: BlockMap = pairs.iter().copied().collect();
+        assert_eq!(map, same);
+        assert_ne!(map, image(&[(3, 1), (700, u64::MAX - 1)]));
+        assert_eq!(map.insert(Lba(700), low), Some(high));
+        assert_eq!(map.remove(Lba(3)), Some(low));
+        assert_eq!(map.iter().collect::<Vec<_>>(), [(Lba(700), low)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "BlockMap cannot store BlockTag(u64::MAX)")]
+    fn a_block_map_refuses_the_largest_tag() {
+        BlockMap::new().insert(Lba(0), BlockTag(u64::MAX));
     }
 
     #[test]

@@ -60,6 +60,7 @@ impl DirtyTracker {
     /// Marks `block` dirty with `tag`, replacing the tag in place when the
     /// block was already dirty (page-cache semantics). Returns true when
     /// the block was newly dirtied.
+    #[inline]
     pub fn insert(&mut self, block: u64, tag: BlockTag) -> bool {
         match self.position(block) {
             Ok(i) => {
@@ -132,6 +133,7 @@ impl BlockRuns {
     /// Adds `block`, growing or joining the runs it touches. Returns true
     /// when it was not in the set. (`u64::MAX` ends no run: it is never
     /// added.)
+    #[inline]
     pub fn insert(&mut self, block: u64) -> bool {
         let Some(end) = block.checked_add(1) else {
             return false;
@@ -209,6 +211,7 @@ impl File {
     /// The extent list is kept sorted by file offset and non-overlapping
     /// (`File::insert_extent` keeps it so), so at most one extent can contain
     /// `block`: the last one starting at or before it.
+    #[inline]
     pub fn lba_of(&self, block: u64) -> Option<Lba> {
         let idx = self.extents.partition_point(|&(off, _, _)| off <= block);
         let &(off, lba, len) = self.extents.get(idx.checked_sub(1)?)?;
@@ -313,6 +316,7 @@ impl FileTable {
     /// Ensures blocks `[offset, offset+n)` are allocated, extending the
     /// file with a fresh extent if needed. Returns true when an allocation
     /// happened (metadata change).
+    #[inline]
     pub fn ensure_allocated(
         &mut self,
         id: FileId,

@@ -408,6 +408,7 @@ impl Filesystem {
         self.dirty_inode(file, lba, tag);
     }
 
+    #[inline]
     pub(crate) fn alloc_req(&mut self, purpose: Purpose) -> ReqId {
         let id = ReqId(self.next_req);
         self.next_req += 1;
@@ -417,6 +418,7 @@ impl Filesystem {
 
     /// Buffered write of `blocks` blocks at `offset`. Returns `Done`
     /// unless an EXT4 page conflict blocks the caller (§4.3).
+    #[inline]
     pub fn write(
         &mut self,
         tid: ThreadId,
@@ -513,6 +515,7 @@ impl Filesystem {
     }
 
     /// Inserts the inode buffer into the running transaction.
+    #[inline]
     pub(crate) fn dirty_inode(&mut self, file: FileId, inode_lba: Lba, tag: BlockTag) {
         let rt = self.ensure_running();
         if let Some(t) = self.txns.get_mut(rt.0) {
@@ -521,6 +524,7 @@ impl Filesystem {
         self.files.get_mut(file).txn = Some(rt);
     }
 
+    #[inline]
     pub(crate) fn ensure_running(&mut self) -> TxnId {
         if let Some(rt) = self.running {
             return rt;
@@ -548,6 +552,7 @@ impl Filesystem {
     /// resolves on every real path; a page without one would mean corrupted
     /// tracking state, and every write-out path drops it with a counter
     /// rather than aborting the simulation (totality: docs/INVARIANTS.md).
+    #[inline]
     pub(crate) fn page_lba(&mut self, file: FileId, block: u64) -> Option<Lba> {
         let f = self.files.get_mut(file);
         let Some(lba) = f.lba_of(block) else {
@@ -560,6 +565,7 @@ impl Filesystem {
 
     /// Moves up to `n` of the file's dirty pages, lowest block first, into
     /// `writes` as `(lba, tag)`. Returns how many pages left the cache.
+    #[inline]
     fn take_dirty_pages(
         &mut self,
         file: FileId,
@@ -587,6 +593,7 @@ impl Filesystem {
     /// the paper's workloads): resolve each page, sort by LBA, emit one
     /// request per maximal LBA-adjacent chunk, the barrier on the last.
     /// Returns the request ids it allocated, which are consecutive.
+    #[inline]
     pub(crate) fn submit_dirty_data(
         &mut self,
         tid: ThreadId,
@@ -627,6 +634,7 @@ impl Filesystem {
     // ------------------------------------------------------------------
 
     /// `fsync(fd)`: durability + ordering.
+    #[inline]
     pub fn fsync(
         &mut self,
         tid: ThreadId,
@@ -654,6 +662,7 @@ impl Filesystem {
         self.sync_common(tid, file, true, out)
     }
 
+    #[inline]
     fn sync_common(
         &mut self,
         tid: ThreadId,
@@ -670,6 +679,7 @@ impl Filesystem {
 
     /// `fbarrier(fd)`: ordering-only counterpart of `fsync` (§4.1).
     /// Only meaningful on BarrierFS; on OptFS it maps to `osync`.
+    #[inline]
     pub fn fbarrier(
         &mut self,
         tid: ThreadId,
@@ -690,6 +700,7 @@ impl Filesystem {
 
     /// `fdatabarrier(fd)`: ordering-only counterpart of `fdatasync`; the
     /// storage mfence (§4.1). Returns without blocking on BarrierFS.
+    #[inline]
     pub fn fdatabarrier(
         &mut self,
         tid: ThreadId,
@@ -709,6 +720,7 @@ impl Filesystem {
 
     // --- EXT4 family -----------------------------------------------------
 
+    #[inline]
     fn ext4_sync(
         &mut self,
         tid: ThreadId,
@@ -765,6 +777,7 @@ impl Filesystem {
 
     // --- BarrierFS --------------------------------------------------------
 
+    #[inline]
     fn bfs_sync(
         &mut self,
         tid: ThreadId,
@@ -821,6 +834,7 @@ impl Filesystem {
         self.conflicts.contains(self.files.get(file).inode_lba)
     }
 
+    #[inline]
     fn bfs_barrier(
         &mut self,
         tid: ThreadId,
@@ -963,6 +977,7 @@ impl Filesystem {
 
     /// Processes an event previously emitted via [`FsAction::After`] or a
     /// request completion routed from the block layer.
+    #[inline]
     pub fn handle(&mut self, ev: FsEvent, now: SimTime, out: &mut ActionSink<FsAction>) {
         match ev {
             FsEvent::ReqDone(rid) => self.on_req_done(rid, now, out),
@@ -985,6 +1000,7 @@ impl Filesystem {
         }
     }
 
+    #[inline]
     fn on_req_done(&mut self, rid: ReqId, now: SimTime, out: &mut ActionSink<FsAction>) {
         // A completion for a request with no continuation entry is a
         // duplicate (the device replayed an interrupt) or a forgery; both

@@ -117,6 +117,7 @@ impl Filesystem {
     /// (`release_txn`). BarrierFS sends JD and JC back to back as barrier
     /// writes and takes the next transaction at once, so its committing
     /// list grows. No BarrierFS commit waits for a transfer.
+    #[inline]
     pub(crate) fn on_commit_run(&mut self, out: &mut ActionSink<FsAction>) {
         self.commit_scheduled = false;
         let dual_mode = self.cfg.mode == FsMode::BarrierFs;
@@ -224,6 +225,7 @@ impl Filesystem {
     /// state — when the transaction is retired or its JD was never placed
     /// (a JC cannot exist before its JD: the addresses are allocated
     /// together).
+    #[inline]
     pub(crate) fn submit_jc(
         &mut self,
         txn: TxnId,
@@ -376,6 +378,7 @@ impl Filesystem {
         out.push(FsAction::Submit(BlockRequest::flush(rid)));
     }
 
+    #[inline]
     pub(crate) fn on_txn_flush_done(
         &mut self,
         upto: TxnId,
@@ -441,6 +444,7 @@ impl Filesystem {
     /// conflicts it was holding, releases file buffers, and (optionally)
     /// starts the checkpoint. A release for a retired transaction only
     /// scrubs the committing list.
+    #[inline]
     pub(crate) fn release_txn(
         &mut self,
         txn: TxnId,
@@ -504,6 +508,7 @@ impl Filesystem {
 
     /// Submits the in-place metadata (and OptFS data) writes of a released
     /// transaction.
+    #[inline]
     pub(crate) fn start_checkpoint(&mut self, txn: TxnId, out: &mut ActionSink<FsAction>) {
         let mut writes = std::mem::take(&mut self.scratch_writes);
         match self.txns.get(txn.0) {
@@ -565,6 +570,7 @@ impl Filesystem {
         }
     }
 
+    #[inline]
     fn finish_checkpoint(&mut self, txn: TxnId, out: &mut ActionSink<FsAction>) {
         // The transaction is complete; retire it into the arena (records
         // keep the history).

@@ -109,6 +109,7 @@ impl<E> EventQueue<E> {
     /// Schedules `event` at absolute time `at`. Scheduling in the past is a
     /// logic error: debug builds panic, release builds fire the event "now"
     /// (monotonicity is preserved).
+    #[inline]
     pub fn push(&mut self, at: SimTime, event: E) {
         debug_assert!(
             at >= self.now,
@@ -153,6 +154,7 @@ impl<E> EventQueue<E> {
 
     /// Pops the earliest event only if it is scheduled at or before
     /// `deadline`; on a miss the queue and the clock are untouched.
+    #[inline]
     pub fn pop_at_or_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
         let next = if self.lane.is_empty() {
             self.heap.peek()?.key.0

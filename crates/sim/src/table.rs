@@ -125,6 +125,7 @@ impl<T: Copy, const PAGE: usize> PagedMap<T, PAGE> {
     /// than attempt a multi-gigabyte directory allocation. 2^32 keys
     /// (a 16 TiB device at 4 KiB blocks) cap the directory at 2^32 /
     /// `PAGE` pointers: 8 MiB at 4,096 entries a page.
+    #[inline]
     pub fn insert(&mut self, key: u64, value: T) -> Option<T> {
         assert!(
             key < 1 << 32,
@@ -249,6 +250,7 @@ impl<T> SeqTable<T> {
     /// must never reuse a key that has already been removed (bump-allocated
     /// keys guarantee this); re-opening the window below a reclaimed key
     /// would make that key look live again.
+    #[inline]
     pub fn insert(&mut self, key: u64, value: T) -> Option<T> {
         if self.slots.is_empty() {
             // Fresh window: start it at the first key to avoid a dead
@@ -299,6 +301,7 @@ impl<T> SeqTable<T> {
 
     /// Removes and returns the entry at `key`. Unknown, stale and
     /// already-removed keys all return `None`.
+    #[inline]
     pub fn remove(&mut self, key: u64) -> Option<T> {
         let idx = self.index_of(key)?;
         let old = self.slots[idx].take();
