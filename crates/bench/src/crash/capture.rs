@@ -46,9 +46,14 @@ pub(super) fn point_image<'a>(
 /// is the copy a caller keeps.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrashPoint<'a> {
-    /// Commit count at the capture (the cross-stack alignment key).
+    /// Commit count at the capture: records ever appended, retired ones
+    /// included (the cross-stack alignment key).
     pub commit_idx: usize,
-    /// Ground-truth transaction records at the capture.
+    /// Absolute position of `records[0]`: records the filesystem retired
+    /// before the capture.
+    pub first_record: usize,
+    /// Ground-truth transaction records at the capture: the window a
+    /// verdict can still read.
     pub records: Cow<'a, [TxnRecord]>,
     /// [`barrier_io::ConsistencyCheck`] over `records`, indexed under the
     /// devices' bases.
@@ -64,6 +69,7 @@ impl CrashPoint<'_> {
     pub fn owned(&self) -> CrashPoint<'static> {
         CrashPoint {
             commit_idx: self.commit_idx,
+            first_record: self.first_record,
             records: Cow::Owned(self.records.to_vec()),
             check: Cow::Owned(self.check.as_ref().clone()),
             devices: Cow::Owned(self.devices.to_vec()),
@@ -83,6 +89,7 @@ impl CrashPoint<'_> {
         }
         let mut check = ConsistencyIndex::new();
         check.advance(
+            self.first_record,
             &self.records,
             [],
             &[],
@@ -97,10 +104,11 @@ impl CrashPoint<'static> {
     /// part read through borrowed accessors and materialized, both check
     /// indexes built from scratch. Shares nothing with any cursor.
     fn capture(stack: &IoStack) -> CrashPoint<'static> {
-        let records = stack.fs().records();
+        let fs = stack.fs();
         let mut point = CrashPoint {
-            commit_idx: records.len(),
-            records: Cow::Owned(records.to_vec()),
+            commit_idx: fs.record_count(),
+            first_record: fs.first_record(),
+            records: Cow::Owned(fs.records().to_vec()),
             check: Cow::Owned(ConsistencyIndex::new()),
             devices: stack.devices().iter().map(CrashState::capture).collect(),
             topology: stack.config().topology,
@@ -159,16 +167,19 @@ impl CaptureCursor {
         }
         // The live records already carry every durability flip; the index
         // is told of the flips to recompute those records' verdicts.
-        let records = stack.fs().records();
+        let fs = stack.fs();
+        let (first, records) = (fs.first_record(), fs.records());
         let bases = point_image(topology, &self.devices, &[]);
         self.last_index_work += self.check.advance(
+            first,
             records,
             self.folds.drain(..),
             &self.delta.records_marked_durable,
             &bases,
         );
         CrashPoint {
-            commit_idx: records.len(),
+            commit_idx: fs.record_count(),
+            first_record: first,
             records: Cow::Borrowed(records),
             check: Cow::Borrowed(&self.check),
             devices: Cow::Borrowed(&self.devices),
@@ -229,7 +240,7 @@ pub(super) fn drive<F: FnMut(&CrashPoint<'_>)>(
     let mut commits = 0usize;
     let mut stale = 0u64;
     while stack.step() {
-        let n = stack.fs().records().len();
+        let n = stack.fs().record_count();
         if n > commits {
             commits = n;
             stale = 0;
@@ -296,6 +307,7 @@ impl CrashPoint<'static> {
     ) -> CrashPoint<'static> {
         let mut p = CrashPoint {
             commit_idx,
+            first_record: 0,
             records: Cow::Owned(records),
             check: Cow::Owned(ConsistencyIndex::new()),
             devices: Cow::Owned(vec![dev]),
@@ -322,7 +334,7 @@ mod tests {
                 let log = d.append_log();
                 log.appends() as usize - log.tail_len() + d.history().map_or(0, <[_]>::len)
             });
-            records.len() + claimed + devices.sum::<usize>()
+            stack.fs().record_count() + claimed + devices.sum::<usize>()
         }
         for DiffCell {
             label, cfg, sync, ..
@@ -333,8 +345,8 @@ mod tests {
             let mut cursor = CaptureCursor::new(&stack);
             let (mut commits, mut before) = (0, progress(&stack));
             while stack.step() && !stack.workloads_finished() {
-                if stack.fs().records().len() > commits {
-                    commits = stack.fs().records().len();
+                if stack.fs().record_count() > commits {
+                    commits = stack.fs().record_count();
                     let after = progress(&stack);
                     cursor.capture(&mut stack);
                     assert!(

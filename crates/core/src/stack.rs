@@ -100,9 +100,10 @@ impl CrashReport {
 /// keeps one and drains into it at every capture, reusing its buffers.
 #[derive(Debug, Clone, Default)]
 pub struct StackCaptureDelta {
-    /// Transaction ids whose records flipped `durability_claimed` since
-    /// the last drain (the only in-place mutation of the record history).
-    pub records_marked_durable: Vec<u64>,
+    /// Absolute positions ([`bio_fs::Filesystem::first_record`]'s
+    /// numbering) of records that flipped `durability_claimed` since the
+    /// last drain (the only in-place mutation of the record history).
+    pub records_marked_durable: Vec<usize>,
     /// Per-device folds `(block, tag)`, in fold order, devices in
     /// device-index order.
     pub devices: Vec<Vec<(Lba, BlockTag)>>,
@@ -152,6 +153,9 @@ pub struct IoStack {
     threads: Vec<WThread>,
     metrics: Metrics,
     congested: Vec<ThreadId>,
+    /// The list a wake swaps in for `congested`, so neither regrows from
+    /// empty: empty between wakes.
+    congested_spare: Vec<ThreadId>,
     global_files: Vec<FileId>,
     /// Reusable scratch the filesystem writes its actions into; drained by
     /// the routing work loop after every syscall/event, so routing itself
@@ -187,6 +191,7 @@ impl IoStack {
             threads: Vec::new(),
             metrics: Metrics::new(),
             congested: Vec::new(),
+            congested_spare: Vec::new(),
             global_files: Vec::new(),
             fs_sink: ActionSink::new(),
             block_sink: ActionSink::new(),
@@ -484,14 +489,16 @@ impl IoStack {
         if self.congested.is_empty() || self.block.queued() >= CONGESTION_LIMIT / 2 {
             return;
         }
-        let woken = std::mem::take(&mut self.congested);
-        for tid in woken {
+        let mut woken = std::mem::take(&mut self.congested_spare);
+        std::mem::swap(&mut woken, &mut self.congested);
+        for tid in woken.drain(..) {
             let th = self.threads.get_mut(tid.0 as usize);
             if let Some(th) = th.filter(|th| th.state == ThreadState::Congested) {
                 th.state = ThreadState::Ready;
                 self.q.push_now(Event::ThreadNext(tid));
             }
         }
+        self.congested_spare = woken;
     }
 
     // ------------------------------------------------------------------

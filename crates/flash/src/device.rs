@@ -175,9 +175,10 @@ pub struct DeviceStats {
     pub cache_hit_reads: u64,
     /// Commands that bounced because the queue was full.
     pub queue_full_rejections: u64,
-    /// Writes refused because they reach past [`Lba::LIMIT`]: completed at
-    /// once with nothing written (the model has no error status), so no
-    /// table keyed by address ever sees them.
+    /// Writes refused because they reach past [`Lba::LIMIT`] or carry the
+    /// reserved tag `BlockTag(u64::MAX)`, which no block map can hold:
+    /// completed at once with nothing written (the model has no error
+    /// status), so no table keyed by address or tag ever sees them.
     pub out_of_range_writes: u64,
     /// Nanoseconds completed commands spent in the queue, admission to
     /// completion, summed: over a run that drains, the integral of the
@@ -405,8 +406,9 @@ impl Device {
 
     /// Submits a command. Returns the command back when the queue is full
     /// (the host's dispatch layer must retry — Fig 6(b)). A write reaching
-    /// past [`Lba::LIMIT`] completes at once with nothing written, counted
-    /// in [`DeviceStats::out_of_range_writes`].
+    /// past [`Lba::LIMIT`] or carrying the reserved tag `BlockTag(u64::MAX)`
+    /// completes at once with nothing written, counted in
+    /// [`DeviceStats::out_of_range_writes`].
     #[inline]
     pub fn submit(
         &mut self,
@@ -416,7 +418,8 @@ impl Device {
     ) -> Result<(), Command> {
         if let CmdKind::Write { start, tags, .. } = &cmd.kind {
             let end = start.0.checked_add(tags.len() as u64);
-            if end.is_none_or(|end| end > Lba::LIMIT.0) {
+            let reserved = tags.iter().any(|t| t.0 == u64::MAX);
+            if reserved || end.is_none_or(|end| end > Lba::LIMIT.0) {
                 self.stats.out_of_range_writes += 1;
                 out.push(DevAction::Complete(Completion {
                     id: cmd.id,

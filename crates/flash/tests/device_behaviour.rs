@@ -105,6 +105,29 @@ fn buffered_write_completes_at_dma_time() {
 }
 
 #[test]
+fn a_write_of_the_reserved_tag_is_refused_and_counted() {
+    // No block map can hold `BlockTag(u64::MAX)`: the device completes
+    // such a write at once, writes nothing and counts it like a write past
+    // the address limit, so the flush after it has nothing to fold.
+    let mut h = Harness::new(DeviceProfile::ufs(), 7);
+    h.submit(wcmd(1, 0, 10, WriteFlags::NONE));
+    h.submit(Command::flush(CmdId(2)));
+    h.run_until_complete(CmdId(2));
+    let before: Vec<(Lba, BlockTag)> = h.dev.final_image().iter().collect();
+    let tags = vec![BlockTag(11), BlockTag(u64::MAX)];
+    h.submit(Command::write(CmdId(3), Lba(0), tags, WriteFlags::NONE));
+    assert_eq!(h.dev.queue_depth(), 0, "refused at submission");
+    h.submit(Command::flush(CmdId(4)));
+    h.run();
+    assert!(h.completions.iter().any(|c| c.id == CmdId(3)));
+    assert!(h.completions.iter().any(|c| c.id == CmdId(4)));
+    assert_eq!(h.dev.stats().out_of_range_writes, 1);
+    let after: Vec<(Lba, BlockTag)> = h.dev.final_image().iter().collect();
+    assert_eq!(after, before);
+    assert_eq!(h.dev.crash_image().tag(Lba(0)), BlockTag(10));
+}
+
+#[test]
 fn cached_write_is_lost_on_crash_without_flush() {
     let mut h = Harness::new(DeviceProfile::ufs(), 2);
     h.submit(wcmd(1, 0, 10, WriteFlags::NONE));

@@ -25,6 +25,7 @@ use bio_sim::{ActionSink, SeqTable, SimDuration, SimTime};
 
 use crate::config::{FsConfig, FsMode};
 use crate::file::{FileId, FileTable};
+use crate::history::RecordHistory;
 use crate::layout::Layout;
 use crate::recovery::TxnRecord;
 use crate::txn::{ConflictList, ThreadId, Txn, TxnId, TxnState};
@@ -227,7 +228,8 @@ pub struct Filesystem {
     /// A transferred transaction gained durability waiters while a flush
     /// was in flight; flush again.
     pub(crate) flush_again: bool,
-    pub(crate) records: Vec<TxnRecord>,
+    /// Ground truth for the crash checkers, as long as the journal keeps it.
+    pub(crate) records: RecordHistory,
     pub(crate) stats: FsStats,
     /// Total dirty data pages across all files (writeback watermarking).
     dirty_total: u64,
@@ -245,11 +247,12 @@ pub struct Filesystem {
     pub(crate) scratch_files: Vec<FileId>,
     /// Scratch for checkpoint write lists (same lifecycle).
     pub(crate) scratch_writes: Vec<(Lba, BlockTag)>,
-    /// When capture tracking is armed, ids of records whose
-    /// `durability_claimed` flag flipped since the last drain — the only
-    /// in-place mutation the otherwise append-only record history sees,
-    /// so it is the only part a delta capture cannot read from the tail.
-    pub(crate) durable_mark_log: Option<Vec<u64>>,
+    /// When capture tracking is armed, absolute positions of records
+    /// whose `durability_claimed` flag flipped since the last drain — the
+    /// only in-place mutation the otherwise append-only record history
+    /// sees, so it is the only part a delta capture cannot read from the
+    /// tail.
+    pub(crate) durable_mark_log: Option<Vec<usize>>,
 }
 
 impl Filesystem {
@@ -258,6 +261,7 @@ impl Filesystem {
     pub fn new(cfg: FsConfig) -> Filesystem {
         cfg.validate();
         let layout = Layout::new(65_536, cfg.journal_blocks);
+        let records = RecordHistory::new(layout.journal_start());
         Filesystem {
             layout,
             files: FileTable::new(),
@@ -274,7 +278,7 @@ impl Filesystem {
             journal_stalled: false,
             flush_inflight: false,
             flush_again: false,
-            records: Vec::new(),
+            records,
             stats: FsStats::default(),
             dirty_total: 0,
             dirty_threshold: 256,
@@ -326,9 +330,27 @@ impl Filesystem {
         };
     }
 
-    /// Ground-truth transaction records for the crash checker.
+    /// Ground-truth transaction records for the crash checkers: the
+    /// window a verdict can still read, oldest first. It starts at
+    /// absolute position [`Filesystem::first_record`]; a record leaves it
+    /// once it and every older record are uncheckable (a newer commit
+    /// reused one of its journal blocks), so it holds about as many
+    /// records as the journal holds commits.
     pub fn records(&self) -> &[TxnRecord] {
-        &self.records
+        self.records.window()
+    }
+
+    /// Absolute position of the first record in
+    /// [`Filesystem::records`]: how many records have been retired.
+    pub fn first_record(&self) -> usize {
+        self.records.first()
+    }
+
+    /// Records ever appended, retired ones included: the absolute
+    /// position the next record takes, and the commit count a crash point
+    /// is aligned by.
+    pub fn record_count(&self) -> usize {
+        self.records.end()
     }
 
     /// Number of transactions currently in the committing list.
@@ -365,10 +387,10 @@ impl Filesystem {
         }
     }
 
-    /// Drains the ids of records whose `durability_claimed` flag flipped
-    /// since the previous drain (nothing when tracking was never armed).
-    /// The log keeps its buffer.
-    pub fn drain_durable_marks(&mut self) -> impl Iterator<Item = u64> + '_ {
+    /// Drains the absolute positions of records whose
+    /// `durability_claimed` flag flipped since the previous drain (nothing
+    /// when tracking was never armed). The log keeps its buffer.
+    pub fn drain_durable_marks(&mut self) -> impl Iterator<Item = usize> + '_ {
         self.durable_mark_log
             .iter_mut()
             .flat_map(|log| log.drain(..))

@@ -267,19 +267,18 @@ impl Filesystem {
             debug_assert!(false, "record_txn before journal placement");
             return;
         };
-        // Ascending-id order is what lets `ConsistencyIndex::advance`
-        // binary-search this ever-growing history; records out of order
-        // make the index certify nothing. `mark_durable` finds the record
-        // by the position noted here.
-        debug_assert!(self.records.last().is_none_or(|r| r.id < txn.0));
-        t.record = Some(self.records.len());
-        self.records.push(
+        // Ascending-id order is what lets `ConsistencyIndex` take
+        // positions for commit order; records out of order make the index
+        // certify nothing. `mark_durable` finds the record by the absolute
+        // position noted here.
+        debug_assert!(self.records.window().last().is_none_or(|r| r.id < txn.0));
+        t.record = Some(self.records.push(
             TxnRecord::new(txn.0, jd_lba, t.jd_tags, jc_lba, jc_tag).with_blocks(
                 t.buffers.iter().map(|(l, _, tag)| (*l, *tag)),
                 &t.data_journal,
                 &t.ordered_data,
             ),
-        );
+        ));
     }
 
     /// JD transfer completed (legacy modes only — BarrierFS needs no
@@ -430,10 +429,13 @@ impl Filesystem {
         t.state = TxnState::Durable;
         if real_durability && !t.durable_waiters.is_empty() {
             t.durability_claimed = true;
-            if let Some(rec) = t.record.and_then(|i| self.records.get_mut(i)) {
-                rec.durability_claimed = true;
-                if let Some(log) = &mut self.durable_mark_log {
-                    log.push(txn.0);
+            // A retired record takes no mark: no verdict reads it.
+            if let Some(pos) = t.record {
+                if let Some(rec) = self.records.get_mut(pos) {
+                    rec.durability_claimed = true;
+                    if let Some(log) = &mut self.durable_mark_log {
+                        log.push(pos);
+                    }
                 }
             }
         }

@@ -59,6 +59,7 @@
 mod config;
 mod file;
 mod fs;
+mod history;
 mod journal;
 mod layout;
 mod recovery;

@@ -22,9 +22,9 @@
 //! positives.
 
 // A checker walking its own tables: every position is an `enumerate()`
-// count over `records` or a `u32` the index stored for it, and callers
-// pass `records` whole and only ever longer. It judges crash images; no
-// event reaches it.
+// count over `records` or a `u32` the index stored for it, inside the
+// window the caller passes, whose front only moves forward and whose end
+// only grows. It judges crash images; no event reaches it.
 #![allow(clippy::indexing_slicing, reason = "checker's own stored positions")]
 
 use bio_flash::{BlockTag, ImageView, Lba};
@@ -34,8 +34,9 @@ use crate::layout::TagRun;
 
 /// Ground truth of one committed journal transaction.
 ///
-/// The filesystem keeps one per commit for as long as it runs, so a
-/// record is laid out to cost at most one allocation: the descriptor and
+/// The filesystem keeps one per commit for as long as a verdict can read
+/// it — until the circular journal reuses its blocks — so a record is
+/// laid out to cost at most one allocation: the descriptor and
 /// log tags are a run, and the three block lists share one boxed slice
 /// behind [`TxnRecord::meta_home`], [`TxnRecord::data_home`] and
 /// [`TxnRecord::ordered_data`].
@@ -154,7 +155,7 @@ pub enum FsViolation {
 
 /// The journal blocks of a record: descriptor and logs, then the commit
 /// block.
-fn journal_lbas(r: &TxnRecord) -> impl Iterator<Item = Lba> + '_ {
+pub(crate) fn journal_lbas(r: &TxnRecord) -> impl Iterator<Item = Lba> + '_ {
     (0..r.jd_tags.len)
         .map(|i| Lba(r.jd_lba.0 + i))
         .chain([r.jc_lba])
@@ -314,7 +315,16 @@ fn rec_verdict<V: ImageView>(r: &TxnRecord, image: &V) -> RecVerdict {
 /// records its overlay's blocks name and the bitmaps' extremes without
 /// them.
 ///
-/// Nothing here is a tree walk: a block's slot is found by its address
+/// Positions are absolute (the filesystem's
+/// [`crate::Filesystem::first_record`] numbering): the index covers the
+/// window its caller passes, and when the window's front moves it drops
+/// the bits and block entries of the positions left behind — records
+/// that were uncheckable, so no verdict changes. A block with nothing
+/// left to know has no entry, and a position below the front no bit, so
+/// an index advanced step by step equals one built over its window from
+/// nothing.
+///
+/// Nothing here is a tree walk: a block's entry is found by its address
 /// (an [`IntMap`]: one multiply and a probe, memory per block named) and
 /// holds its last journal writer and the ordered data on it; a record is
 /// its position.
@@ -325,13 +335,15 @@ fn rec_verdict<V: ImageView>(r: &TxnRecord, image: &V) -> RecVerdict {
 /// [`ConsistencyIndex::advance`] takes exactly those.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ConsistencyIndex {
-    /// Per record position: all of its journal blocks still name it as
-    /// last writer ([`ConsistencyCheck`]'s table, kept up to date).
-    checkable: Vec<bool>,
-    /// Block address → its position in `blocks`.
-    slot_of: IntMap<Lba, u32>,
-    /// Every block a record names, in order of first mention.
-    blocks: Vec<BlockRefs>,
+    /// Absolute position of the window's first record.
+    first: usize,
+    /// One past the newest position advanced over.
+    end: usize,
+    /// Positions all of whose journal blocks still name them as last
+    /// writer ([`ConsistencyCheck`]'s table, kept up to date).
+    checkable: PosSet,
+    /// What the index knows of each block a record in the window names.
+    blocks: IntMap<Lba, BlockRefs>,
     /// Checkable records valid under the base.
     valid: PosSet,
     /// Checkable records not valid under the base.
@@ -349,7 +361,8 @@ pub struct ConsistencyIndex {
 /// What [`ConsistencyIndex`] knows of one block.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct BlockRefs {
-    /// Position of the block's last journal writer.
+    /// Position of the block's last journal writer, while it is in the
+    /// window.
     owner: Option<u32>,
     /// `(tag, position)` of the checkable records' ordered data on the
     /// block, ascending.
@@ -363,24 +376,44 @@ impl BlockRefs {
         let to = self.ordered.partition_point(|e| e.0 <= hi).max(from);
         self.ordered[from..to].iter().map(|e| e.1)
     }
+
+    fn is_empty(&self) -> bool {
+        self.owner.is_none() && self.ordered.is_empty()
+    }
 }
 
-/// A set of record positions, one bit each.
+/// A set of absolute record positions, one bit each, over the words from
+/// the window's front on.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct PosSet {
+    /// Word index of `words[0]`: positions below `64 * from` are gone.
+    from: usize,
     words: Vec<u64>,
 }
 
 impl PosSet {
-    /// Makes room for positions below `n` (and for no more, so two sets
+    /// Makes room for positions below `end` (and for no more, so two sets
     /// over the same records are equal whatever order they were set in).
-    fn grow(&mut self, n: usize) {
-        self.words.resize(n.div_ceil(64), 0);
+    fn grow(&mut self, end: usize) {
+        self.words
+            .resize(end.div_ceil(64).saturating_sub(self.from), 0);
+    }
+
+    /// Forgets every position below `first`.
+    fn drop_below(&mut self, first: usize) {
+        let from = first / 64;
+        let gone = from.saturating_sub(self.from).min(self.words.len());
+        self.words.drain(..gone);
+        self.from = self.from.max(from);
+        if let Some(w) = self.words.first_mut().filter(|_| self.from == from) {
+            *w &= !((1u64 << (first % 64)) - 1);
+        }
     }
 
     fn set(&mut self, pos: u32, member: bool) {
         let bit = 1u64 << (pos % 64);
-        if let Some(w) = self.words.get_mut(pos as usize / 64) {
+        let word = (pos as usize / 64).checked_sub(self.from);
+        if let Some(w) = word.and_then(|i| self.words.get_mut(i)) {
             if member {
                 *w |= bit;
             } else {
@@ -389,12 +422,23 @@ impl PosSet {
         }
     }
 
+    fn contains(&self, pos: u32) -> bool {
+        let word = (pos as usize / 64).checked_sub(self.from);
+        word.and_then(|i| self.words.get(i))
+            .is_some_and(|w| w & 1u64 << (pos % 64) != 0)
+    }
+
+    /// The position of bit `bit` of `words[i]`.
+    fn pos(&self, i: usize, bit: u32) -> u32 {
+        ((self.from + i) * 64) as u32 + bit
+    }
+
     /// The smallest member not in `skip` (sorted ascending).
     fn first_outside(&self, skip: &[u32]) -> Option<u32> {
         for (i, &word) in self.words.iter().enumerate() {
             let mut w = word;
             while w != 0 {
-                let pos = i as u32 * 64 + w.trailing_zeros();
+                let pos = self.pos(i, w.trailing_zeros());
                 if skip.binary_search(&pos).is_err() {
                     return Some(pos);
                 }
@@ -410,7 +454,7 @@ impl PosSet {
             let mut w = word;
             while w != 0 {
                 let bit = 63 - w.leading_zeros();
-                let pos = i as u32 * 64 + bit;
+                let pos = self.pos(i, bit);
                 if skip.binary_search(&pos).is_err() {
                     return Some(pos);
                 }
@@ -427,32 +471,51 @@ impl ConsistencyIndex {
         ConsistencyIndex::default()
     }
 
-    /// Brings the index up to `records` (whose prefix it already covers)
-    /// and to `base`, given what happened since the previous call:
-    /// `folds` as `(block, tag before, tag after)` and the ids of records
-    /// whose `durability_claimed` flipped. Returns the number of record
-    /// verdicts recomputed — the work done, bounded by the new records
-    /// plus the records the folds and flips name.
+    /// Brings the index up to the window `records`, whose first record is
+    /// at absolute position `first` (the front only moves forward, the
+    /// end only grows, and the index already covers what it saw of the
+    /// window before), and to `base`, given what happened since the
+    /// previous call: `folds` as `(block, tag before, tag after)` and the
+    /// absolute positions of records whose `durability_claimed` flipped.
+    /// Returns the number of record verdicts recomputed — the work done,
+    /// bounded by the new records plus the records the folds and flips
+    /// name.
+    ///
+    /// A front that moved costs one pass over the block entries, which
+    /// are bounded by the blocks the window names.
     pub fn advance<B: ImageView>(
         &mut self,
+        first: usize,
         records: &[TxnRecord],
         folds: impl IntoIterator<Item = (Lba, BlockTag, BlockTag)>,
-        durable: &[u64],
+        durable: &[usize],
         base: &B,
     ) -> usize {
+        if first > self.first {
+            self.drop_below(first);
+        }
+        let end = first + records.len();
+        for set in [
+            &mut self.checkable,
+            &mut self.valid,
+            &mut self.invalid,
+            &mut self.bad,
+        ] {
+            set.grow(end);
+        }
         let mut dirty = std::mem::take(&mut self.dirty);
-        for (pos, r) in records.iter().enumerate().skip(self.checkable.len()) {
-            self.irregular |= pos > 0 && records[pos - 1].id >= r.id;
-            let pos = pos as u32;
-            self.checkable.push(true);
+        for (i, r) in records.iter().enumerate().skip(self.end - first) {
+            self.irregular |= i > 0 && records[i - 1].id >= r.id;
+            let pos = (first + i) as u32;
+            self.checkable.set(pos, true);
             for lba in journal_lbas(r) {
-                match self.block_mut(lba).owner.replace(pos) {
-                    Some(prev) if prev != pos => self.retire(records, prev),
+                match self.blocks.entry(lba).or_default().owner.replace(pos) {
+                    Some(prev) if prev != pos => self.retire(first, records, prev),
                     _ => {}
                 }
             }
             for &(lba, tag) in r.ordered_data() {
-                let ordered = &mut self.block_mut(lba).ordered;
+                let ordered = &mut self.blocks.entry(lba).or_default().ordered;
                 let at = ordered.partition_point(|&e| e < (tag, pos));
                 if ordered.get(at) != Some(&(tag, pos)) {
                     ordered.insert(at, (tag, pos));
@@ -460,16 +523,14 @@ impl ConsistencyIndex {
             }
             dirty.push(pos);
         }
-        for set in [&mut self.valid, &mut self.invalid, &mut self.bad] {
-            set.grow(records.len());
-        }
-        for id in durable {
-            if let Ok(pos) = records.binary_search_by_key(id, |r| r.id) {
+        self.end = self.end.max(end);
+        for &pos in durable {
+            if (first..end).contains(&pos) {
                 dirty.push(pos as u32);
             }
         }
         for (lba, before, after) in folds {
-            let Some(b) = self.block(lba) else {
+            let Some(b) = self.blocks.get(&lba) else {
                 continue;
             };
             dirty.extend(b.owner);
@@ -479,9 +540,9 @@ impl ConsistencyIndex {
         }
         dirty.sort_unstable();
         dirty.dedup();
-        dirty.retain(|&pos| self.checkable[pos as usize]);
+        dirty.retain(|&pos| self.checkable.contains(pos));
         for &pos in &dirty {
-            let v = rec_verdict(&records[pos as usize], base);
+            let v = rec_verdict(&records[pos as usize - first], base);
             self.valid.set(pos, v.valid);
             self.invalid.set(pos, !v.valid);
             self.bad.set(pos, v.bad);
@@ -492,32 +553,42 @@ impl ConsistencyIndex {
         work
     }
 
-    /// The slot of `lba`, if a record names it.
-    fn block(&self, lba: Lba) -> Option<&BlockRefs> {
-        let slot = *self.slot_of.get(&lba)?;
-        self.blocks.get(slot as usize)
-    }
-
-    /// The slot of `lba`, made on first mention.
-    fn block_mut(&mut self, lba: Lba) -> &mut BlockRefs {
-        let blocks = &mut self.blocks;
-        let slot = *self.slot_of.entry(lba).or_insert_with(|| {
-            blocks.push(BlockRefs::default());
-            blocks.len() as u32 - 1
+    /// The window's front moved to `first`: forget every position below
+    /// it. Those records were uncheckable, so their ordered data has no
+    /// entries left unless the index never saw them retire; the pass over
+    /// the blocks drops both kinds.
+    fn drop_below(&mut self, first: usize) {
+        for set in [
+            &mut self.checkable,
+            &mut self.valid,
+            &mut self.invalid,
+            &mut self.bad,
+        ] {
+            set.drop_below(first);
+        }
+        let live = |pos: u32| pos as usize >= first;
+        self.blocks.retain(|_, b| {
+            b.owner = b.owner.filter(|&pos| live(pos));
+            b.ordered.retain(|e| live(e.1));
+            !b.is_empty()
         });
-        &mut self.blocks[slot as usize]
+        self.first = first;
+        self.end = self.end.max(first);
     }
 
     /// A newer record reused one of `pos`'s journal blocks: it takes no
     /// further part in any invariant.
-    fn retire(&mut self, records: &[TxnRecord], pos: u32) {
-        if !std::mem::take(&mut self.checkable[pos as usize]) {
+    fn retire(&mut self, first: usize, records: &[TxnRecord], pos: u32) {
+        if !self.checkable.contains(pos) {
             return;
         }
-        for &(lba, tag) in records[pos as usize].ordered_data() {
-            let slot = self.slot_of.get(&lba).copied();
-            if let Some(b) = slot.and_then(|s| self.blocks.get_mut(s as usize)) {
+        self.checkable.set(pos, false);
+        for &(lba, tag) in records[pos as usize - first].ordered_data() {
+            if let Some(b) = self.blocks.get_mut(&lba) {
                 b.ordered.retain(|&e| e != (tag, pos));
+                if b.is_empty() {
+                    self.blocks.remove(&lba);
+                }
             }
         }
         self.valid.set(pos, false);
@@ -549,14 +620,15 @@ impl ConsistencyIndex {
         let touched = &mut probe.touched;
         touched.clear();
         probe.regular = !self.irregular;
+        probe.first = self.first;
         if self.irregular {
             return false;
         }
         for (lba, floor) in overlay {
-            let Some(b) = self.block(lba) else {
+            let Some(b) = self.blocks.get(&lba) else {
                 continue;
             };
-            touched.extend(b.owner.filter(|&pos| self.checkable[pos as usize]));
+            touched.extend(b.owner.filter(|&pos| self.checkable.contains(pos)));
             // Ordered data at or below the floor is present in the base
             // and in every image alike.
             touched.extend(b.ordered_between(floor, BlockTag(u64::MAX)));
@@ -578,6 +650,8 @@ impl ConsistencyIndex {
 pub struct ConsistencyProbe {
     /// Aimed at a regular index; a probe that is not certifies nothing.
     regular: bool,
+    /// Absolute position of the index's window front.
+    first: usize,
     /// Checkable records the overlay touches, ascending.
     touched: Vec<u32>,
     /// Over the untouched records, under the base:
@@ -589,7 +663,7 @@ pub struct ConsistencyProbe {
 impl ConsistencyProbe {
     /// True when `image` — the base plus an overlay over the blocks the
     /// probe was built for — provably has no [`FsViolation`]. `records`
-    /// are the ones the index was advanced over. False means "run
+    /// are the window the index was advanced over. False means "run
     /// [`ConsistencyCheck`]".
     pub fn certifies<V: ImageView>(&self, records: &[TxnRecord], image: &V) -> bool {
         if !self.regular || self.bad {
@@ -597,7 +671,7 @@ impl ConsistencyProbe {
         }
         let (mut newest_valid, mut oldest_invalid) = (self.newest_valid, self.oldest_invalid);
         for &pos in &self.touched {
-            let v = rec_verdict(&records[pos as usize], image);
+            let v = rec_verdict(&records[pos as usize - self.first], image);
             if v.bad {
                 return false;
             }
@@ -613,7 +687,8 @@ impl ConsistencyProbe {
     }
 
     /// Over the records the overlay does not touch, under the base: the
-    /// newest valid, the oldest invalid, and whether any is bad.
+    /// newest valid, the oldest invalid (absolute positions), and whether
+    /// any is bad.
     pub fn extremes(&self) -> (Option<u32>, Option<u32>, bool) {
         (self.newest_valid, self.oldest_invalid, self.bad)
     }
@@ -734,10 +809,11 @@ mod tests {
             .any(|x| matches!(x, FsViolation::DurabilityLoss { txn: 1 })));
     }
 
-    /// The index of `records` under `base`, from nothing.
-    fn index_of(records: &[TxnRecord], base: &BlockMap) -> ConsistencyIndex {
+    /// The index of the window `records`, whose first record is at
+    /// absolute position `first`, under `base`, from nothing.
+    fn index_of(first: usize, records: &[TxnRecord], base: &BlockMap) -> ConsistencyIndex {
         let mut index = ConsistencyIndex::new();
-        index.advance(records, [], &[], base);
+        index.advance(first, records, [], &[], base);
         index
     }
 
@@ -767,7 +843,7 @@ mod tests {
             .map(|(l, t)| (Lba(l), BlockTag(t)))
             .into_iter()
             .collect();
-        let index = index_of(&records, &base);
+        let index = index_of(0, &records, &base);
         let over = |pairs: &[(u64, u64)]| -> BlockMap {
             pairs.iter().map(|&(l, t)| (Lba(l), BlockTag(t))).collect()
         };
@@ -787,14 +863,14 @@ mod tests {
     #[test]
     fn out_of_order_ids_are_never_certified() {
         let records = vec![rec(2, 100, &[10], 101, 11), rec(1, 102, &[20], 103, 21)];
-        let index = index_of(&records, &BlockMap::new());
+        let index = index_of(0, &records, &BlockMap::new());
         assert!(index.probe([]).is_none());
     }
 
     #[test]
     fn index_matches_the_checker_on_random_journals() {
         let mut rng = bio_sim::SimRng::new(0xC0DE);
-        let (mut clean, mut dirty) = (0, 0);
+        let (mut clean, mut dirty, mut retired) = (0, 0, 0);
         for _ in 0..300 {
             // Records round a 12-block journal (so blocks are reused), each
             // with up to two ordered data pages out of four; tags grow.
@@ -829,11 +905,12 @@ mod tests {
                 writes.extend(journal_lbas(r).zip(r.jd_tags.iter().chain([r.jc_tag])));
             }
             // Take the records in steps; after each, fold a few writes in
-            // any order, flip a durability flag, and hold the advanced
-            // index to a rebuilt one.
+            // any order, flip a durability flag, retire the leading run of
+            // uncheckable records as the filesystem does, and hold the
+            // advanced index to one rebuilt over the window.
             let mut base = BlockMap::new();
             let mut index = ConsistencyIndex::new();
-            let mut upto = 0;
+            let (mut front, mut upto) = (0, 0);
             while upto < records.len() {
                 upto = (upto + 1 + rng.below(3) as usize).min(records.len());
                 let folds: Vec<(Lba, BlockTag, BlockTag)> = (0..rng.below(8))
@@ -844,12 +921,19 @@ mod tests {
                     })
                     .collect();
                 let flipped = rng.chance(0.3).then(|| {
-                    let r = &mut records[rng.below(upto as u64) as usize];
-                    r.durability_claimed = true;
-                    r.id
+                    let at = rng.below(upto as u64) as usize;
+                    records[at].durability_claimed = true;
+                    at
                 });
-                index.advance(&records[..upto], folds, flipped.as_slice(), &base);
-                assert_eq!(index, index_of(&records[..upto], &base));
+                let reused = |r: &TxnRecord, newer: &[TxnRecord]| {
+                    journal_lbas(r).any(|l| newer.iter().any(|n| journal_lbas(n).any(|m| m == l)))
+                };
+                while front < upto && reused(&records[front], &records[front + 1..upto]) {
+                    front += 1;
+                }
+                let window = &records[front..upto];
+                index.advance(front, window, folds, flipped.as_slice(), &base);
+                assert_eq!(index, index_of(front, window, &base));
                 // Any overlay: each block unwritten, or at any version ever
                 // written to it.
                 let overlay: BlockMap = (0..rng.below(5))
@@ -867,8 +951,9 @@ mod tests {
                 let mut image = base.clone();
                 image.extend(overlay.iter());
                 let full = ConsistencyCheck::new(&records[..upto]).violations(&image);
+                assert_eq!(ConsistencyCheck::new(window).violations(&image), full);
                 assert_eq!(
-                    certifies(&index, &records[..upto], &base, &overlay),
+                    certifies(&index, window, &base, &overlay),
                     full.is_empty(),
                     "{full:?}"
                 );
@@ -877,11 +962,12 @@ mod tests {
                 } else {
                     dirty += 1;
                 }
+                retired += front;
             }
         }
         assert!(
-            clean > 100 && dirty > 100,
-            "{clean} clean, {dirty} violating"
+            clean > 100 && dirty > 100 && retired > 100,
+            "{clean} clean, {dirty} violating, {retired} retired"
         );
     }
 

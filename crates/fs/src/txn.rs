@@ -95,8 +95,8 @@ pub struct Txn {
     /// Outstanding checkpoint (in-place metadata) writes; 0 when no
     /// checkpoint is in flight.
     pub checkpoints_left: usize,
-    /// Position of the transaction's ground-truth record in the
-    /// filesystem's records, once its commit is recorded.
+    /// Absolute position of the transaction's ground-truth record in the
+    /// filesystem's record history, once its commit is recorded.
     pub record: Option<usize>,
 }
 

@@ -10,8 +10,9 @@
 //! The record sets wrap a journal of 4–16 blocks (so journal blocks are
 //! reused and records leave the checkable set), carry ordered data over
 //! four blocks with repeated tags, flip durability on old, new and unknown
-//! ids, and sometimes break commit order (an id that does not grow). Folds
-//! come in any order, including old versions and tags nothing wrote.
+//! record positions, and sometimes break commit order (an id that does
+//! not grow). Folds come in any order, including old versions and tags
+//! nothing wrote.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
@@ -80,7 +81,7 @@ impl RefConsistencyIndex {
         &mut self,
         records: &[TxnRecord],
         folds: impl IntoIterator<Item = (Lba, BlockTag, BlockTag)>,
-        durable: &[u64],
+        durable: &[usize],
         base: &B,
     ) -> usize {
         let mut dirty: Vec<u32> = Vec::new();
@@ -99,10 +100,8 @@ impl RefConsistencyIndex {
             }
             dirty.push(pos);
         }
-        for id in durable {
-            if let Ok(pos) = records.binary_search_by_key(id, |r| r.id) {
-                dirty.push(pos as u32);
-            }
+        for &pos in durable.iter().filter(|&&pos| pos < records.len()) {
+            dirty.push(pos as u32);
         }
         for (lba, before, after) in folds {
             dirty.extend(self.journal_owner.get(&lba));
@@ -309,19 +308,19 @@ fn lockstep(seed: u64) -> Result<Seen, String> {
                 (lba, before, tag)
             })
             .collect();
-        let mut durable: Vec<u64> = Vec::new();
+        let mut durable: Vec<usize> = Vec::new();
         for _ in 0..rng.below(3) {
             if rng.chance(0.1) {
-                durable.push(1_000 + rng.below(10)); // an id no record has
+                durable.push(1_000 + rng.below(10) as usize); // a position no record has
                 continue;
             }
-            let r = &mut records[rng.below(upto as u64) as usize];
-            r.durability_claimed = true;
-            durable.push(r.id);
+            let at = rng.below(upto as u64) as usize;
+            records[at].durability_claimed = true;
+            durable.push(at);
         }
         let recs = &records[..upto];
         let work = (
-            live.advance(recs, folds.iter().copied(), &durable, &base),
+            live.advance(0, recs, folds.iter().copied(), &durable, &base),
             reference.advance(recs, folds, &durable, &base),
         );
         if work.0 != work.1 {

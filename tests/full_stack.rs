@@ -5,7 +5,8 @@
 use std::collections::BTreeSet;
 
 use barrier_io::{
-    DeviceProfile, FileRef, FsViolation, IoStack, SimDuration, StackConfig, Topology,
+    DeviceProfile, FileRef, FsViolation, IoStack, SimDuration, StackCaptureDelta, StackConfig,
+    Topology,
 };
 use bio_bench::crash::{differential_cells, DiffCell};
 use bio_flash::{DeviceStats, FtlStats};
@@ -107,24 +108,27 @@ fn a_returned_fsync_survives_a_crash_at_every_claim_on_several_queues() {
     // prefix up to it is durable, so with several queues feeding one
     // device — where no md-style flush fan-out runs — a transaction whose
     // fsync returned is in every later crash image. The crash is taken at
-    // every step where a record's `durability_claimed` flips: the image
-    // only grows in between, so this sees every exposure a crash after
-    // every step would.
+    // every step where a record's `durability_claimed` flips (the
+    // stack's capture delta lists each flip once, whether or not the
+    // record has left the window since): the image only grows in
+    // between, so this sees every exposure a crash after every step
+    // would.
     let dev = DeviceProfile::plain_ssd();
     for (queues, devices) in [(2, 1), (4, 1), (2, 2)] {
         let cfg =
             StackConfig::ext4_dr(dev.clone()).with_topology(Topology::new(queues, devices, 8));
         let label = cfg.label();
         let mut stack = IoStack::new(cfg);
+        stack.enable_capture_tracking();
         for _ in 0..256 {
             stack.add_thread(Box::new(Dwsl::new(SyncMode::Fsync, 24)));
         }
         let (mut claimed, mut exposed) = (0, BTreeSet::new());
+        let mut delta = StackCaptureDelta::default();
         while !stack.workloads_finished() && stack.step() {
-            let now = stack.fs().records().iter().filter(|r| r.durability_claimed);
-            let now = now.count();
-            if now != claimed {
-                claimed = now;
+            stack.drain_capture_delta(&mut delta);
+            if !delta.records_marked_durable.is_empty() {
+                claimed += delta.records_marked_durable.len();
                 for v in stack.crash().fs_violations {
                     if let FsViolation::DurabilityLoss { txn } = v {
                         exposed.insert(txn);
