@@ -374,7 +374,7 @@ impl IoStack {
             FileRef::Global(i) => global_files.get(i),
             FileRef::Slot(i) => slots.get(i),
         };
-        file.copied().unwrap_or(FileId(u32::MAX))
+        file.copied().unwrap_or(FileId::NONE)
     }
 
     #[inline]

@@ -18,17 +18,20 @@
 //!
 //! A second census nets the bytes a rate-bounded stack allocates against
 //! those it frees, per commit over a steady window: what a long run keeps
-//! live as simulated time passes.
+//! live as simulated time passes. A third nets them per file over a
+//! create → write → fsync → unlink loop: what a file leaves behind once
+//! it is gone.
 //!
 //! The counting allocator is `counting_alloc/mod.rs`, shared with the
 //! crash-point census in `bio-bench`. It counts per thread and only while
 //! armed, i.e. only inside `step()`.
 //!
-//! Run with `--nocapture` to print the six census lines.
+//! Run with `--nocapture` to print the seven census lines.
 
 use barrier_io::{
     DeviceProfile, FileRef, IoStack, Op, ScriptWorkload, SimDuration, StackConfig, Topology,
 };
+use bio_fs::FileId;
 
 mod counting_alloc;
 
@@ -185,5 +188,53 @@ fn a_rate_bounded_stack_retains_little_per_commit() {
     assert!(
         per_commit <= RETAINED_PER_COMMIT,
         "{per_commit:.1} bytes retained per commit, above {RETAINED_PER_COMMIT}"
+    );
+}
+
+/// Files created before the per-file window opens, and the window's
+/// length: the window spans exactly one doubling of the file table, so the
+/// table's growth inside it is one slot per file created.
+const FILES_FROM: u32 = 4096;
+
+/// What one created-then-unlinked file leaves live, in bytes, at most: its
+/// 128-byte slot in the file table and the device's share of the fresh
+/// blocks it wrote (no data block or inode is reused). The window read
+/// 304.1 when this ceiling was set; 528.1 while an unlinked file kept its
+/// extent list, written-back runs and dirty-page buffer (96 + 64 + 64 B).
+const RETAINED_PER_FILE: f64 = 304.1;
+
+#[test]
+fn an_unlinked_file_retains_little() {
+    // One EXT4-DR thread: create, write one block, fsync, unlink, forever.
+    let mut stack = IoStack::new(StackConfig::ext4_dr(DeviceProfile::plain_ssd()));
+    let file = FileRef::Slot(0);
+    stack.add_thread(Box::new(ScriptWorkload::forever(vec![
+        Op::Create { slot: 0 },
+        Op::Write {
+            file,
+            offset: 0,
+            blocks: 1,
+        },
+        Op::Fsync { file },
+        Op::Unlink { file },
+    ])));
+    let created = |stack: &IoStack, n: u32| stack.fs().file(FileId(n - 1)).is_some();
+    while !created(&stack, FILES_FROM) {
+        assert!(stack.step(), "a `forever` workload never runs dry");
+    }
+    let ((), counts) = counting_alloc::counted(|| {
+        while !created(&stack, 2 * FILES_FROM) {
+            assert!(stack.step(), "a `forever` workload never runs dry");
+        }
+    });
+    let per_file = counts.net_bytes as f64 / f64::from(FILES_FROM);
+    println!(
+        "alloc census: EXT4-DR create, write, fsync, unlink: {per_file:.1} bytes retained per \
+         file ({} over {FILES_FROM} files)",
+        counts.net_bytes
+    );
+    assert!(
+        per_file <= RETAINED_PER_FILE,
+        "{per_file:.1} bytes retained per file, above {RETAINED_PER_FILE}"
     );
 }

@@ -10,8 +10,15 @@
 //! [`FileId`]s are dense, contiguous small integers (the table is the
 //! allocator), so the table is a direct-indexed `Vec` — the same idiom as
 //! the per-thread syscall table in `fs.rs` and the dense hot-path indexes
-//! in `bio-flash`. Deleted files keep their slot (marked dead) so ids are
-//! never reused and stale references cannot alias a new file.
+//! in `bio-flash`. An unlinked file keeps its slot (marked dead) so ids are
+//! never reused and stale references cannot alias a new file, but the slot
+//! holds no storage: [`FileTable::unlink`] frees its extents, written-back
+//! runs and dirty pages, and every later syscall naming it is dropped
+//! where a [`FileId`] enters ([`FileTable::is_live`]). What stays is the
+//! 128-byte slot: three empty buffers and the scalars the journal's freeze
+//! and release paths still read — the inode block, its content tag, the
+//! dirt bits and the transaction holding the inode buffer. Neither the
+//! slot nor its inode block is handed out again.
 
 use bio_flash::{BlockTag, Lba};
 
@@ -21,6 +28,14 @@ use crate::txn::TxnId;
 /// File identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FileId(pub u32);
+
+impl FileId {
+    /// An id no file table hands out (the metadata region caps a table far
+    /// below it): what a refused create returns and what a reference to a
+    /// file never created resolves to, so every syscall naming it is
+    /// dropped.
+    pub const NONE: FileId = FileId(u32::MAX);
+}
 
 /// The dirty pages of one file: `(block, tag)` pairs in one `Vec`, sorted by
 /// block, each block at most once — the only invariant.
@@ -191,7 +206,7 @@ pub struct File {
     pub mtime_tick: u64,
     /// Transaction currently holding this inode's dirty buffer.
     pub txn: Option<TxnId>,
-    /// Live (deleted files keep their slot, dead).
+    /// Live (an unlinked file keeps its slot, dead and without storage).
     pub live: bool,
 }
 
@@ -252,11 +267,13 @@ impl FileTable {
         FileTable::default()
     }
 
-    /// Creates a file, allocating its inode block.
-    pub fn create(&mut self, layout: &mut Layout) -> FileId {
+    /// Creates a file, allocating its inode block; `None`, with nothing
+    /// changed, when the metadata region is full.
+    pub fn create(&mut self, layout: &mut Layout) -> Option<FileId> {
+        let inode_lba = layout.alloc_meta()?;
         let id = FileId(self.files.len() as u32);
         self.files.push(File {
-            inode_lba: layout.alloc_meta(),
+            inode_lba,
             size_blocks: 0,
             extents: Vec::new(),
             dirty_data: DirtyTracker::new(),
@@ -268,14 +285,31 @@ impl FileTable {
             txn: None,
             live: true,
         });
-        id
+        Some(id)
     }
 
-    /// True when `id` names a file of this table. A [`FileId`] is checked
-    /// here once, where it enters ([`crate::Filesystem`]'s syscalls), so
-    /// that [`FileTable::get`] can index.
-    pub fn contains(&self, id: FileId) -> bool {
-        (id.0 as usize) < self.files.len()
+    /// True when `id` names a file of this table that has not been
+    /// unlinked. A [`FileId`] is checked here once, where it enters
+    /// ([`crate::Filesystem`]'s syscalls), so that [`FileTable::get`] can
+    /// index.
+    pub fn is_live(&self, id: FileId) -> bool {
+        self.slot(id).is_some_and(|f| f.live)
+    }
+
+    /// The slot of a file this table created, live or unlinked.
+    pub fn slot(&self, id: FileId) -> Option<&File> {
+        self.files.get(id.0 as usize)
+    }
+
+    /// Marks a file dead and frees its storage: the extent list, the
+    /// written-back runs and the dirty pages, whose count it returns. The
+    /// slot's scalars stay for the journal (see the module doc).
+    pub fn unlink(&mut self, id: FileId) -> usize {
+        let f = self.get_mut(id);
+        f.live = false;
+        f.extents = Vec::new();
+        f.committed_blocks = BlockRuns::new();
+        std::mem::take(&mut f.dirty_data).len()
     }
 
     /// Immutable file access.
@@ -284,10 +318,10 @@ impl FileTable {
     ///
     /// Panics on an unknown id.
     // A `FileId` is checked where it enters: every syscall drops an
-    // unknown file (counted in `FsStats::dropped_journal_events`) before
-    // anything is looked up, the ids transactions and syscall
-    // continuations keep were checked then, and no file ever leaves the
-    // table.
+    // unknown or unlinked file (counted in
+    // `FsStats::dropped_journal_events`) before anything is looked up, the
+    // ids transactions and syscall continuations keep were checked then,
+    // and no slot ever leaves the table.
     #[allow(clippy::indexing_slicing, reason = "FileId checked at syscall entry")]
     pub fn get(&self, id: FileId) -> &File {
         &self.files[id.0 as usize]
@@ -359,15 +393,6 @@ impl FileTable {
         }
         allocated
     }
-
-    /// Iterates over live file ids.
-    pub fn ids(&self) -> impl Iterator<Item = FileId> + '_ {
-        self.files
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.live)
-            .map(|(i, _)| FileId(i as u32))
-    }
 }
 
 #[cfg(test)]
@@ -381,8 +406,8 @@ mod tests {
     #[test]
     fn create_allocates_inode() {
         let (mut ft, mut l) = setup();
-        let a = ft.create(&mut l);
-        let b = ft.create(&mut l);
+        let a = ft.create(&mut l).unwrap();
+        let b = ft.create(&mut l).unwrap();
         assert_ne!(ft.get(a).inode_lba, ft.get(b).inode_lba);
         assert!(ft.get(a).alloc_dirty, "fresh inode needs journaling");
         assert_eq!(ft.len(), 2);
@@ -391,7 +416,7 @@ mod tests {
     #[test]
     fn allocation_extends_extents() {
         let (mut ft, mut l) = setup();
-        let f = ft.create(&mut l);
+        let f = ft.create(&mut l).unwrap();
         assert!(ft.ensure_allocated(f, &mut l, 0, 4));
         assert_eq!(ft.get(f).size_blocks, 4);
         let lba0 = ft.get(f).lba_of(0).unwrap();
@@ -404,7 +429,7 @@ mod tests {
     #[test]
     fn appends_merge_into_one_extent() {
         let (mut ft, mut l) = setup();
-        let f = ft.create(&mut l);
+        let f = ft.create(&mut l).unwrap();
         for block in 0..16 {
             ft.ensure_allocated(f, &mut l, block, 1);
         }
@@ -422,7 +447,7 @@ mod tests {
         // not remap the already-allocated middle, and the holes on both
         // sides resolve into the fresh run.
         let (mut ft, mut l) = setup();
-        let f = ft.create(&mut l);
+        let f = ft.create(&mut l).unwrap();
         ft.ensure_allocated(f, &mut l, 5, 2);
         let old5 = ft.get(f).lba_of(5).unwrap();
         ft.ensure_allocated(f, &mut l, 0, 10);
@@ -439,7 +464,7 @@ mod tests {
     #[test]
     fn sparse_extension_allocates_gap() {
         let (mut ft, mut l) = setup();
-        let f = ft.create(&mut l);
+        let f = ft.create(&mut l).unwrap();
         ft.ensure_allocated(f, &mut l, 0, 2);
         ft.ensure_allocated(f, &mut l, 5, 2);
         assert!(ft.get(f).lba_of(6).is_some());
@@ -449,7 +474,7 @@ mod tests {
     #[test]
     fn metadata_dirty_flavours() {
         let (mut ft, mut l) = setup();
-        let f = ft.create(&mut l);
+        let f = ft.create(&mut l).unwrap();
         let file = ft.get_mut(f);
         file.alloc_dirty = false;
         file.mtime_dirty = true;
@@ -570,12 +595,25 @@ mod tests {
     }
 
     #[test]
-    fn ids_iterates_live_files() {
+    fn unlink_frees_storage_and_kills_the_slot() {
         let (mut ft, mut l) = setup();
-        let a = ft.create(&mut l);
-        let b = ft.create(&mut l);
-        ft.get_mut(a).live = false;
-        let ids: Vec<FileId> = ft.ids().collect();
-        assert_eq!(ids, vec![b]);
+        let a = ft.create(&mut l).unwrap();
+        let b = ft.create(&mut l).unwrap();
+        ft.ensure_allocated(a, &mut l, 0, 3);
+        ft.ensure_allocated(a, &mut l, 8, 1);
+        let f = ft.get_mut(a);
+        f.committed_blocks.insert(0);
+        f.dirty_data.insert(1, BlockTag(5));
+        f.dirty_data.insert(8, BlockTag(6));
+        let inode = f.inode_lba;
+        assert_eq!(ft.unlink(a), 2, "the dirty pages it dropped");
+        let f = ft.get(a);
+        assert!(!f.live && f.extent_count() == 0 && f.lba_of(0).is_none());
+        assert!(f.dirty_data.is_empty() && !f.committed_blocks.contains(0));
+        assert_eq!(f.extents.capacity(), 0, "the extent buffer is freed");
+        assert_eq!(f.inode_lba, inode, "the scalars stay");
+        assert!(!ft.is_live(a) && ft.is_live(b) && !ft.is_live(FileId::NONE));
+        assert_eq!(ft.len(), 2, "the slot stays");
+        assert_eq!(std::mem::size_of::<File>(), 128);
     }
 }

@@ -24,7 +24,7 @@ use bio_flash::{BlockTag, Lba};
 use bio_sim::{ActionSink, SeqTable, SimDuration, SimTime};
 
 use crate::config::{FsConfig, FsMode};
-use crate::file::{FileId, FileTable};
+use crate::file::{File, FileId, FileTable};
 use crate::history::RecordHistory;
 use crate::layout::Layout;
 use crate::recovery::TxnRecord;
@@ -185,8 +185,9 @@ pub struct FsStats {
     pub flushes: u64,
     /// Journal events dropped because they referenced a retired or
     /// never-placed transaction (stale, duplicated or forged completions),
-    /// and syscalls dropped because they named a file this filesystem
-    /// never created (the call returns at once, having done nothing).
+    /// syscalls dropped because they named a file this filesystem never
+    /// created or has unlinked (the call returns at once, having done
+    /// nothing), and creates refused because the metadata region was full.
     pub dropped_journal_events: u64,
     /// Dirty pages dropped at submit time because no extent backed them
     /// (corrupted tracking state; the submit path never aborts).
@@ -256,11 +257,14 @@ pub struct Filesystem {
 }
 
 impl Filesystem {
-    /// Creates a filesystem with the given configuration. `meta_blocks`
-    /// bounds how many files can ever be created.
+    /// How many files can ever be created: the metadata region holds one
+    /// inode block per file, and neither is reused after an unlink.
+    pub const MAX_FILES: u64 = 65_536;
+
+    /// Creates a filesystem with the given configuration.
     pub fn new(cfg: FsConfig) -> Filesystem {
         cfg.validate();
-        let layout = Layout::new(65_536, cfg.journal_blocks);
+        let layout = Layout::new(Filesystem::MAX_FILES, cfg.journal_blocks);
         let records = RecordHistory::new(layout.journal_start());
         Filesystem {
             layout,
@@ -353,6 +357,12 @@ impl Filesystem {
         self.records.end()
     }
 
+    /// The slot of a file this filesystem created, live or unlinked (for
+    /// tests and diagnostics).
+    pub fn file(&self, id: FileId) -> Option<&File> {
+        self.files.slot(id)
+    }
+
     /// Number of transactions currently in the committing list.
     pub fn committing_count(&self) -> usize {
         self.committing.len()
@@ -396,9 +406,14 @@ impl Filesystem {
             .flat_map(|log| log.drain(..))
     }
 
-    /// Creates a file.
+    /// Creates a file. Past [`Filesystem::MAX_FILES`] creates the create
+    /// is refused, counted in [`FsStats::dropped_journal_events`], and
+    /// returns [`FileId::NONE`], which every later syscall drops.
     pub fn create(&mut self, _tid: ThreadId, _out: &mut ActionSink<FsAction>) -> FileId {
-        let id = self.files.create(&mut self.layout);
+        let Some(id) = self.files.create(&mut self.layout) else {
+            self.stats.dropped_journal_events += 1;
+            return FileId::NONE;
+        };
         let f = self.files.get(id);
         let (lba, tag) = (f.inode_lba, f.meta_tag);
         self.dirty_inode(id, lba, tag);
@@ -406,25 +421,26 @@ impl Filesystem {
     }
 
     /// Where a [`FileId`] enters: false, and counted, for a file this
-    /// filesystem never created.
+    /// filesystem never created or has unlinked.
     fn known_file(&mut self, file: FileId) -> bool {
-        let known = self.files.contains(file);
+        let known = self.files.is_live(file);
         self.stats.dropped_journal_events += u64::from(!known);
         known
     }
 
-    /// Deletes a file (metadata-only in this model).
+    /// Deletes a file: its inode joins the running transaction, its
+    /// storage (extents, written-back runs, dirty pages) is freed, and
+    /// every later syscall naming it is dropped. Its data blocks and inode
+    /// block are not reused.
     pub fn unlink(&mut self, _tid: ThreadId, file: FileId, _out: &mut ActionSink<FsAction>) {
         if !self.known_file(file) {
             return;
         }
-        let f = self.files.get_mut(file);
-        f.live = false;
-        let dropped = f.dirty_data.clear() as u64;
-        f.alloc_dirty = true;
+        let dropped = self.files.unlink(file) as u64;
         self.dirty_total = self.dirty_total.saturating_sub(dropped);
         let tag = self.layout.next_tag();
         let f = self.files.get_mut(file);
+        f.alloc_dirty = true;
         f.meta_tag = tag;
         let lba = f.inode_lba;
         self.dirty_inode(file, lba, tag);
@@ -1136,12 +1152,15 @@ impl Filesystem {
     fn pdflush(&mut self, out: &mut ActionSink<FsAction>) {
         let mut budget = self.cfg.writeback_batch;
         let mut writes = std::mem::take(&mut self.scratch_writes);
-        let ids: Vec<FileId> = self.files.ids().collect();
-        for id in ids {
+        // Ascending id order, by index: the table only grows, and nothing
+        // below adds or removes a slot.
+        for i in 0..self.files.len() {
             if budget == 0 {
                 break;
             }
-            if self.files.get(id).dirty_data.is_empty() {
+            let id = FileId(i as u32);
+            let f = self.files.get(id);
+            if !f.live || f.dirty_data.is_empty() {
                 continue;
             }
             // Writing back data pages does not commit metadata; take up to

@@ -52,20 +52,15 @@ impl Layout {
         self.journal_blocks
     }
 
-    /// Allocates one metadata home block (e.g. an inode block).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the metadata region is exhausted.
-    pub fn alloc_meta(&mut self) -> Lba {
-        assert!(
-            self.next_meta < self.meta_blocks,
-            "metadata region exhausted ({} blocks)",
-            self.meta_blocks
-        );
+    /// Allocates one metadata home block (e.g. an inode block), or `None`
+    /// once the metadata region is exhausted.
+    pub fn alloc_meta(&mut self) -> Option<Lba> {
+        if self.next_meta >= self.meta_blocks {
+            return None;
+        }
         let lba = Lba(self.next_meta);
         self.next_meta += 1;
-        lba
+        Some(lba)
     }
 
     /// Allocates `n` consecutive journal blocks, wrapping circularly. A
@@ -132,7 +127,7 @@ mod tests {
     #[test]
     fn regions_do_not_overlap() {
         let mut l = Layout::new(64, 128);
-        let m = l.alloc_meta();
+        let m = l.alloc_meta().unwrap();
         assert!(m.0 < 64);
         assert_eq!(l.journal_start(), Lba(64));
         assert_eq!(l.data_start(), Lba(192));
@@ -176,11 +171,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "metadata region exhausted")]
-    fn meta_exhaustion_panics() {
-        let mut l = Layout::new(1, 16);
-        l.alloc_meta();
-        l.alloc_meta();
+    fn meta_exhaustion_refuses() {
+        let mut l = Layout::new(2, 16);
+        assert_eq!(l.alloc_meta(), Some(Lba(0)));
+        assert_eq!(l.alloc_meta(), Some(Lba(1)));
+        assert_eq!(l.alloc_meta(), None);
+        assert_eq!(l.alloc_meta(), None, "and stays refused");
+        assert_eq!(l.alloc_data(1), l.data_start(), "no other region moves");
     }
 
     #[test]

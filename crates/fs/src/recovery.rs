@@ -199,13 +199,31 @@ impl<'a> ConsistencyCheck<'a> {
     /// which the first record to name a journal block is its last writer,
     /// and a record is checkable when it is the last writer of all of its
     /// journal blocks.
+    ///
+    /// A filesystem's journal is one contiguous region, so the last
+    /// writers are a table indexed by offset from the lowest journal block
+    /// the records name, one word per block of the span they cover — for
+    /// one filesystem's records, at most its journal. An entry is the last
+    /// writer's position plus one; zero is none yet.
     pub fn new(records: &'a [TxnRecord]) -> ConsistencyCheck<'a> {
-        let mut last_writer: IntMap<Lba, u64> = IntMap::default();
+        let (lo, hi) = records
+            .iter()
+            .flat_map(journal_lbas)
+            .fold((u64::MAX, 0), |(lo, hi), l| (lo.min(l.0), hi.max(l.0)));
+        let span = hi.checked_sub(lo).map_or(0, |d| d.saturating_add(1));
+        let mut last_writer = vec![0u64; span as usize];
         let mut checkable = vec![false; records.len()];
-        for (r, c) in records.iter().zip(&mut checkable).rev() {
+        for (pos, (r, c)) in records.iter().zip(&mut checkable).enumerate().rev() {
             let mut own = true;
             for lba in journal_lbas(r) {
-                own &= *last_writer.entry(lba).or_insert(r.id) == r.id;
+                let Some(w) = last_writer.get_mut((lba.0 - lo) as usize) else {
+                    continue;
+                };
+                if *w == 0 {
+                    *w = pos as u64 + 1;
+                }
+                let writer = records.get(*w as usize - 1);
+                own &= writer.is_some_and(|w| w.id == r.id);
             }
             *c = own;
         }
