@@ -20,13 +20,16 @@
 //! those it frees, per commit over a steady window: what a long run keeps
 //! live as simulated time passes. A third nets them per file over a
 //! create → write → fsync → unlink loop: what a file leaves behind once
-//! it is gone.
+//! it is gone. A fourth compares two stacks that differ only in the
+//! device's segment count, built and run inside the count: what a modeled
+//! segment costs a stack that never writes it.
 //!
 //! The counting allocator is `counting_alloc/mod.rs`, shared with the
 //! crash-point census in `bio-bench`. It counts per thread and only while
-//! armed, i.e. only inside `step()`.
+//! armed: inside `step()`, and for the per-segment line around the
+//! stack's construction too.
 //!
-//! Run with `--nocapture` to print the seven census lines.
+//! Run with `--nocapture` to print the eight census lines.
 
 use barrier_io::{
     DeviceProfile, FileRef, IoStack, Op, ScriptWorkload, SimDuration, StackConfig, Topology,
@@ -139,17 +142,18 @@ fn steady_state_allocations_stay_at_or_below_their_ceilings() {
 const RETAIN_FROM: usize = 4096;
 
 /// What one commit of a rate-bounded stack leaves live, in bytes, at most.
-/// What grows with simulated time is the FTL's reverse map (16 B per
+/// What grows with simulated time is the FTL's reverse map (12 B per
 /// programmed page, five pages a commit, allocated a segment at a time
 /// until GC recycles segments). The record history no longer does: it
 /// keeps the records a crash verdict can still read, about as many as the
-/// journal holds commits. The window read 90.8 when this ceiling was set;
-/// 223.2 while the history kept every `TxnRecord` (80 B inline plus one
-/// 32 B block list per commit here); 599.2 before that, with the device's
+/// journal holds commits. The window read 67.4 when this ceiling was set;
+/// 90.8 with 16 B reverse-map slots and 8 B forward-map entries; 223.2
+/// while the history kept every `TxnRecord` (80 B inline plus one 32 B
+/// block list per commit here); 599.2 before that, with the device's
 /// always-on queue-depth trace, 136 B records, their three lists in three
 /// allocations and 24 B reverse-map slots. Any of those coming back fails
 /// it.
-const RETAINED_PER_COMMIT: f64 = 95.0;
+const RETAINED_PER_COMMIT: f64 = 67.5;
 
 #[test]
 fn a_rate_bounded_stack_retains_little_per_commit() {
@@ -199,9 +203,10 @@ const FILES_FROM: u32 = 4096;
 /// What one created-then-unlinked file leaves live, in bytes, at most: its
 /// 128-byte slot in the file table and the device's share of the fresh
 /// blocks it wrote (no data block or inode is reused). The window read
-/// 304.1 when this ceiling was set; 528.1 while an unlinked file kept its
-/// extent list, written-back runs and dirty-page buffer (96 + 64 + 64 B).
-const RETAINED_PER_FILE: f64 = 304.1;
+/// 268.7 when this ceiling was set; 304.1 with 16 B reverse-map slots and
+/// 8 B forward-map entries; 528.1 while an unlinked file kept its extent
+/// list, written-back runs and dirty-page buffer (96 + 64 + 64 B).
+const RETAINED_PER_FILE: f64 = 268.8;
 
 #[test]
 fn an_unlinked_file_retains_little() {
@@ -236,5 +241,59 @@ fn an_unlinked_file_retains_little() {
     assert!(
         per_file <= RETAINED_PER_FILE,
         "{per_file:.1} bytes retained per file, above {RETAINED_PER_FILE}"
+    );
+}
+
+/// Segment counts a plain-SSD stack is built with: the preset's 512, and
+/// the 16,384 of the 32 GiB device the benchmark's `oltp_hour` models.
+const SEGMENTS: [usize; 2] = [512, 16 * 1024];
+
+/// What one modeled segment costs a stack, in bytes, at most. The FTL
+/// keeps a table entry and a reverse map only for the segments a run
+/// opens, and its forward map grows with the addresses written, so the
+/// two stacks below retain the same bytes. The line read 57.0 while the
+/// FTL built every segment's 48 B entry and an 8 B free-list slot up
+/// front and sized its forward map's page directory from the capacity.
+const RETAINED_PER_SEGMENT: f64 = 0.0;
+
+#[test]
+fn a_stack_retains_nothing_per_modeled_segment() {
+    // The same one-thread EXT4-DR run, built and stepped inside the count
+    // on both devices: 256 commits of one overwritten block, fewer pages
+    // than a segment holds times the segments either device opens.
+    let retained = |segments: usize| {
+        let mut dev = DeviceProfile::plain_ssd();
+        dev.segments = segments;
+        let (stack, counts) = counting_alloc::counted(|| {
+            let mut stack = IoStack::new(StackConfig::ext4_dr(dev));
+            let file = FileRef::Global(stack.create_global_file());
+            let write = Op::Write {
+                file,
+                offset: 0,
+                blocks: 1,
+            };
+            stack.add_thread(Box::new(ScriptWorkload::forever(vec![
+                write,
+                Op::Fsync { file },
+                Op::TxnMark,
+            ])));
+            while stack.fs().record_count() < 256 {
+                assert!(stack.step(), "a `forever` workload never runs dry");
+            }
+            stack
+        });
+        drop(stack);
+        counts.net_bytes
+    };
+    let [small, large] = SEGMENTS.map(retained);
+    let per_segment = (large - small) as f64 / (SEGMENTS[1] - SEGMENTS[0]) as f64;
+    println!(
+        "alloc census: EXT4-DR plain-SSD, {} -> {} segments: {per_segment:.1} bytes retained per \
+         segment ({small} -> {large} bytes)",
+        SEGMENTS[0], SEGMENTS[1]
+    );
+    assert!(
+        per_segment <= RETAINED_PER_SEGMENT,
+        "{per_segment:.1} bytes retained per modeled segment, above {RETAINED_PER_SEGMENT}"
     );
 }

@@ -16,28 +16,38 @@
 //! watermark. An FTL whose victims have nowhere to put their live pages is
 //! full, and an append to it panics ("FTL out of space").
 //!
+//! ## Memory follows the pages written
+//!
+//! The FTL models `segments × pages_per_segment` physical pages but keeps
+//! state only for the segments a run has opened. The segment table grows
+//! by one entry when a never-opened segment is first opened; the next
+//! segment to open is the most recently erased one, else the lowest never
+//! opened (the order a free list of every segment, built descending and
+//! popped from the end, would give). Free-space accounting — the GC
+//! watermark, [`Ftl::free_segments`] — counts the modeled total, and GC
+//! scans only opened segments, the only ones that can be sealed.
+//!
 //! ## The forward map
 //!
 //! The LBA → physical-location map is a dense, directly indexed table
 //! ([`bio_sim::PagedMap`]), not a hash map: host LBAs are small integers
 //! handed out by bump allocators (metadata region, journal, extent
 //! allocator), so `map[lba]` is two indexed loads on the per-block hot
-//! path — no hashing, no probing. The directory is sized from the segment
-//! geometry (`segments × pages_per_segment`, the physical capacity);
-//! out-of-range LBAs (the host address space can be sparser than physical
-//! capacity — over-provisioning, layout gaps) extend the directory, and
-//! only the 4,096-entry key pages a workload actually touches are ever
-//! allocated. An entry is a [`PhysLoc`] packed into one `NonZeroU64`
-//! (segment + 1 below bit 32, the slot above), so an absent entry is the
-//! all-zero word: a page is 32 KiB from the zeroed-allocation path, not
-//! 4,096 `Option<PhysLoc>`s of 24 B written one by one. Invariants the map
-//! relies on:
+//! path — no hashing, no probing. The directory grows to the highest key
+//! page written, and only the 4,096-entry key pages a workload actually
+//! touches are ever allocated. An entry is a physical page index plus one
+//! in a `NonZeroU32`: the segment in the high bits above `slot_bits`, the
+//! slot below, where a segment's stride is `pages_per_segment` rounded up
+//! to a power of two (every preset's already is one), so packing and
+//! unpacking are a shift and a mask, never a division. An absent entry is
+//! the all-zero word: a page is 16 KiB from the zeroed-allocation path.
+//! Invariants the map relies on:
 //!
 //! * each live LBA has exactly one forward entry, and that entry's segment
 //!   slot holds the same LBA (checked on invalidation);
 //! * the map's length counts exactly the live (mapped) LBAs.
 
-use std::num::{NonZeroU32, NonZeroU64};
+use std::num::NonZeroU32;
 
 use bio_sim::PagedMap;
 
@@ -52,45 +62,32 @@ pub struct PhysLoc {
     pub slot: usize,
 }
 
-/// A forward-map entry: a [`PhysLoc`] as segment + 1 in the low 32 bits
-/// and the slot in the high 32, so never zero ([`Ftl::new`] bounds the
-/// geometry to fit).
-type PackedLoc = NonZeroU64;
-
-impl PhysLoc {
-    fn pack(self) -> PackedLoc {
-        let segment = NonZeroU32::MIN.saturating_add(self.segment as u32);
-        NonZeroU64::from(segment) | (self.slot as u64) << 32
-    }
-
-    fn unpack(packed: PackedLoc) -> PhysLoc {
-        let raw = packed.get();
-        PhysLoc {
-            segment: (raw as u32 - 1) as usize,
-            slot: (raw >> 32) as usize,
-        }
-    }
-}
+/// A forward-map entry: a physical page index plus one, so never zero
+/// ([`Ftl::new`] bounds the geometry to fit).
+type PackedLoc = NonZeroU32;
 
 /// One page's reverse mapping: the block it holds and its content tag, or
-/// [`Slot::VACANT`]. 16 bytes; an `Option` of the pair would be 24.
+/// [`Slot::VACANT`]. 12 bytes at align 4: the address fits a `u32` below
+/// [`Lba::LIMIT`], and packing keeps the tag from padding the slot to 16.
 #[derive(Debug, Clone, Copy)]
+#[repr(C, packed(4))]
 struct Slot {
-    lba: Lba,
+    lba: u32,
     tag: BlockTag,
 }
 
 impl Slot {
-    /// An unused or invalidated page. Its address lies past
-    /// [`Lba::LIMIT`], which no device write reaches.
+    /// An invalidated page: it holds the reserved tag `BlockTag(u64::MAX)`,
+    /// which the device refuses to write.
     const VACANT: Slot = Slot {
-        lba: Lba(u64::MAX),
-        tag: BlockTag::UNWRITTEN,
+        lba: u32::MAX,
+        tag: BlockTag(u64::MAX),
     };
 
     /// The page's `(block, tag)`, unless it is vacant.
     fn live(self) -> Option<(Lba, BlockTag)> {
-        (self.lba != Slot::VACANT.lba).then_some((self.lba, self.tag))
+        let Slot { lba, tag } = self;
+        (tag.0 != u64::MAX).then_some((Lba(u64::from(lba)), tag))
     }
 }
 
@@ -102,44 +99,36 @@ enum SegState {
     Sealed,
 }
 
+/// A segment's state, which exists from the moment the segment is first
+/// opened: a stack pays for the segments it writes, not for the device's
+/// capacity (16,384 segments × 512 slots × 12 B is 101 MB of reverse map
+/// on the 32 GiB profile, of which a run programs under 2 %).
 #[derive(Debug, Clone)]
 struct Segment {
     state: SegState,
-    /// Per-page reverse mapping. Empty until the segment is first
-    /// opened: a stack pays for the segments it writes, not for the
-    /// device's capacity (16,384 segments × 512 slots × 16 B is 134 MB on
-    /// the 32 GiB profile, of which a run programs under 2 %).
+    /// Per-page reverse mapping, one `Vec` per segment, with room for
+    /// every page: its length is the next free slot. A segment is sealed
+    /// only when full, so no reader looks past the length.
     slots: Vec<Slot>,
     /// Slots still referenced by the forward mapping.
     valid: usize,
-    /// Next free slot in the active segment.
-    fill: usize,
 }
 
 impl Segment {
-    fn new() -> Segment {
+    /// A segment opened for the first time, with room for `pages` slots.
+    fn opened(pages: usize) -> Segment {
         Segment {
-            state: SegState::Free,
-            slots: Vec::new(),
+            state: SegState::Active,
+            slots: Vec::with_capacity(pages),
             valid: 0,
-            fill: 0,
         }
     }
 
-    /// Makes the segment the active one, with `pages` unused slots. An
-    /// erased segment kept its storage, so reopening allocates nothing.
-    fn open(&mut self, pages: usize) {
-        self.slots.resize(pages, Slot::VACANT);
-        self.fill = 0;
-        self.state = SegState::Active;
-    }
-
-    /// Erases the segment. `clear` keeps the slot array's storage for the
-    /// next [`Segment::open`].
+    /// Erases the segment. `clear` keeps the slot array's storage, so
+    /// reopening it allocates nothing.
     fn reset(&mut self) {
         self.slots.clear();
         self.valid = 0;
-        self.fill = 0;
         self.state = SegState::Free;
     }
 }
@@ -197,58 +186,87 @@ impl FtlStats {
 /// Log-structured FTL with greedy-victim garbage collection.
 #[derive(Debug, Clone)]
 pub struct Ftl {
+    /// The segments opened so far, indexed by segment; every index from
+    /// `segments.len()` to `total_segments` is free and never opened.
     segments: Vec<Segment>,
+    /// The modeled segment count.
+    total_segments: usize,
     mapping: PagedMap<PackedLoc>,
-    free_list: Vec<usize>,
+    /// Erased segments, reopened last in, first out, before any segment
+    /// never opened.
+    recycled: Vec<usize>,
     active: usize,
     pages_per_segment: usize,
+    /// Bits of a forward-map entry that hold the slot: log2 of
+    /// `pages_per_segment` rounded up to a power of two.
+    slot_bits: u32,
     gc_low_watermark: f64,
     stats: FtlStats,
 }
 
 // Every segment and slot index is the FTL's own state — `active`, a
-// free-list entry, a GC victim, a `PhysLoc` its forward map holds; a
-// command supplies only the LBA, which is a map key.
+// recycled or fresh segment, a GC victim, a location its forward map
+// holds; a command supplies only the LBA, which is a map key.
 #[allow(clippy::indexing_slicing, reason = "FTL-owned segment/slot indexes")]
 impl Ftl {
     /// Creates an FTL with `segments` segments of `pages_per_segment` pages.
+    /// Only the first segment is opened, so nothing here grows with
+    /// `segments`.
     ///
     /// # Panics
     ///
     /// Panics if fewer than two segments or zero pages per segment, or if
-    /// a location does not pack into one word: fewer than 2^32 - 1
-    /// segments, of 2^32 pages at most.
+    /// the physical pages do not fit a `u32`: `segments` times
+    /// `pages_per_segment` rounded up to a power of two must not exceed
+    /// `u32::MAX`.
     pub fn new(segments: usize, pages_per_segment: usize, gc_low_watermark: f64) -> Ftl {
         assert!(segments >= 2, "need >= 2 segments");
         assert!(pages_per_segment > 0, "need >= 1 page per segment");
+        let stride = pages_per_segment.checked_next_power_of_two();
         assert!(
-            (segments as u64) < u64::from(u32::MAX) && pages_per_segment as u64 <= 1 << 32,
-            "FTL geometry {segments} x {pages_per_segment} does not pack into 64 bits"
+            stride.is_some_and(|s| segments as u128 * s as u128 <= u128::from(u32::MAX)),
+            "FTL geometry {segments} x {pages_per_segment} has more physical pages than a u32 holds"
         );
-        let mut segs = vec![Segment::new(); segments];
-        // Segment 0 starts active; the rest are free.
-        segs[0].open(pages_per_segment);
-        let free_list = (1..segments).rev().collect();
         Ftl {
-            segments: segs,
-            mapping: PagedMap::with_key_capacity(segments * pages_per_segment),
-            free_list,
+            // Segment 0 starts active; the rest are free.
+            segments: vec![Segment::opened(pages_per_segment)],
+            total_segments: segments,
+            mapping: PagedMap::new(),
+            recycled: Vec::new(),
             active: 0,
             pages_per_segment,
+            slot_bits: pages_per_segment.next_power_of_two().trailing_zeros(),
             gc_low_watermark,
             stats: FtlStats::default(),
         }
     }
 
-    /// Number of free segments.
+    /// The forward-map entry for `loc`: its physical page index plus one.
+    #[inline]
+    fn pack(&self, loc: PhysLoc) -> PackedLoc {
+        let index = (loc.segment << self.slot_bits) | loc.slot;
+        NonZeroU32::MIN.saturating_add(index as u32)
+    }
+
+    /// The location a forward-map entry names.
+    #[inline]
+    fn unpack(&self, packed: PackedLoc) -> PhysLoc {
+        let index = (packed.get() - 1) as usize;
+        PhysLoc {
+            segment: index >> self.slot_bits,
+            slot: index & ((1 << self.slot_bits) - 1),
+        }
+    }
+
+    /// Number of free segments, opened or not.
     pub fn free_segments(&self) -> usize {
-        self.free_list.len()
+        self.recycled.len() + (self.total_segments - self.segments.len())
     }
 
     /// True when free space is low enough that the next allocation should
     /// run garbage collection first.
     pub fn gc_needed(&self) -> bool {
-        (self.free_list.len() as f64) < (self.segments.len() as f64 * self.gc_low_watermark)
+        (self.free_segments() as f64) < (self.total_segments as f64 * self.gc_low_watermark)
     }
 
     /// Readies the next append: when the active segment is full, seals it
@@ -259,7 +277,7 @@ impl Ftl {
     #[inline]
     pub fn prepare_append(&mut self) -> Option<GcRun> {
         let active = &mut self.segments[self.active];
-        if active.fill < self.pages_per_segment || active.state == SegState::Sealed {
+        if active.slots.len() < self.pages_per_segment || active.state == SegState::Sealed {
             return None;
         }
         active.state = SegState::Sealed;
@@ -269,7 +287,9 @@ impl Ftl {
     /// Appends one host block, invalidating any prior version. Returns the
     /// GC run that segment allocation needed, if any, so the caller can
     /// charge its cost. Callers that need to charge GC before committing to
-    /// the append should call [`Ftl::prepare_append`] first.
+    /// the append should call [`Ftl::prepare_append`] first. `tag` is never
+    /// the reserved `BlockTag(u64::MAX)`, which marks a vacant page (the
+    /// device refuses a write that carries it).
     ///
     /// # Panics
     ///
@@ -283,41 +303,61 @@ impl Ftl {
         gc
     }
 
+    /// The segment to open next: the most recently erased one, else the
+    /// lowest never opened, which gets its table entry now.
+    fn open_next(&mut self) -> Option<usize> {
+        if let Some(segment) = self.recycled.pop() {
+            self.segments[segment].state = SegState::Active;
+            return Some(segment);
+        }
+        let fresh = self.segments.len();
+        (fresh < self.total_segments).then(|| {
+            self.segments.push(Segment::opened(self.pages_per_segment));
+            fresh
+        })
+    }
+
     /// The one write path, for host appends and GC relocation alike:
     /// writes the page into the active segment, first opening the next
     /// free one (without GC) if it is full, and invalidates the previous
     /// version.
     #[inline]
     fn place(&mut self, lba: Lba, tag: BlockTag) {
-        if self.segments[self.active].fill == self.pages_per_segment {
+        debug_assert_ne!(tag.0, u64::MAX, "the vacant-page tag was written");
+        if self.segments[self.active].slots.len() == self.pages_per_segment {
             // Only a host append can get here with no segment free: GC
             // relocates only when one is. A full FTL fails loudly, since a
             // dropped program would falsify every number after it; the
             // figures grid and the benchmark report a panicked cell as
             // failed.
+            self.segments[self.active].state = SegState::Sealed;
             #[expect(clippy::expect_used, reason = "a full FTL fails loudly")]
             let next = self
-                .free_list
-                .pop()
+                .open_next()
                 .expect("FTL out of space: GC could not free a segment");
-            self.segments[self.active].state = SegState::Sealed;
-            self.segments[next].open(self.pages_per_segment);
             self.active = next;
         }
-        if let Some(old) = self.lookup(lba) {
+        let at = PhysLoc {
+            segment: self.active,
+            slot: self.segments[self.active].slots.len(),
+        };
+        // The insert comes first: it refuses an address past the map's
+        // bound before the slot's `u32` could truncate it.
+        if let Some(old) = self.mapping.insert(lba.0, self.pack(at)) {
+            let old = self.unpack(old);
             let seg = &mut self.segments[old.segment];
-            if seg.slots[old.slot].lba == lba {
+            let held = seg.slots[old.slot].lba;
+            if u64::from(held) == lba.0 {
                 seg.slots[old.slot] = Slot::VACANT;
                 seg.valid -= 1;
             }
         }
-        let seg = &mut self.segments[self.active];
-        let slot = seg.fill;
-        seg.slots[slot] = Slot { lba, tag };
+        let seg = &mut self.segments[at.segment];
+        seg.slots.push(Slot {
+            lba: lba.0 as u32,
+            tag,
+        });
         seg.valid += 1;
-        seg.fill += 1;
-        let segment = self.active;
-        self.mapping.insert(lba.0, PhysLoc { segment, slot }.pack());
     }
 
     /// Greedy GC: picks the sealed segment with the fewest valid pages,
@@ -335,7 +375,7 @@ impl Ftl {
             .min_by_key(|(_, s)| s.valid)
             .map(|(i, _)| i)?;
         let moved_pages = self.segments[victim].valid;
-        if moved_pages == self.pages_per_segment || (moved_pages > 0 && self.free_list.is_empty()) {
+        if moved_pages == self.pages_per_segment || (moved_pages > 0 && self.free_segments() == 0) {
             return None;
         }
         for slot in 0..self.segments[victim].slots.len() {
@@ -345,7 +385,7 @@ impl Ftl {
         }
         debug_assert_eq!(self.segments[victim].valid, 0, "a moved page stayed valid");
         self.segments[victim].reset();
-        self.free_list.push(victim);
+        self.recycled.push(victim);
         self.stats.gc_appends += moved_pages as u64;
         self.stats.gc_runs += 1;
         self.stats.erases += 1;
@@ -358,7 +398,7 @@ impl Ftl {
     /// Looks up the current physical location of `lba`.
     #[inline]
     pub fn lookup(&self, lba: Lba) -> Option<PhysLoc> {
-        self.mapping.get(lba.0).map(PhysLoc::unpack)
+        self.mapping.get(lba.0).map(|loc| self.unpack(loc))
     }
 
     /// The content tag currently mapped at `lba`, if any.
@@ -372,7 +412,7 @@ impl Ftl {
     /// Iterates over all mapped `(lba, tag)` pairs (the durable state).
     pub fn mapped(&self) -> impl Iterator<Item = (Lba, BlockTag)> + '_ {
         self.mapping.iter().filter_map(move |(lba, loc)| {
-            let loc = PhysLoc::unpack(loc);
+            let loc = self.unpack(loc);
             let (_, t) = self.segments[loc.segment].slots[loc.slot].live()?;
             Some((Lba(lba), t))
         })
@@ -408,13 +448,22 @@ mod tests {
 
     #[test]
     fn a_reverse_map_slot_is_an_lba_and_a_tag() {
-        assert_eq!(std::mem::size_of::<Slot>(), 16);
-        assert!(Slot::VACANT.lba >= Lba::LIMIT);
+        assert_eq!(std::mem::size_of::<Slot>(), 12);
+        assert_eq!(std::mem::align_of::<Slot>(), 4);
+        assert_eq!(Slot::VACANT.live(), None);
+        let top = Slot {
+            lba: u32::MAX,
+            tag: BlockTag(u64::MAX - 1),
+        };
+        assert_eq!(
+            top.live(),
+            Some((Lba(Lba::LIMIT.0 - 1), BlockTag(u64::MAX - 1)))
+        );
     }
 
     #[test]
     fn a_forward_map_entry_is_one_word() {
-        assert_eq!(std::mem::size_of::<Option<PackedLoc>>(), 8);
+        assert_eq!(std::mem::size_of::<Option<PackedLoc>>(), 4);
     }
 
     #[test]
@@ -427,34 +476,69 @@ mod tests {
             crate::DeviceProfile::plain_ssd().pages_per_segment,
         );
         assert_eq!(pages, 512);
+        let f = Ftl::new(segments, pages, 0.1);
         for (segment, slot) in [
             (0, 0),
             (0, pages - 1),
             (1, 0),
             (segments - 1, 0),
             (segments - 1, pages - 1),
-            (u32::MAX as usize - 2, u32::MAX as usize),
         ] {
             let loc = PhysLoc { segment, slot };
-            assert_eq!(PhysLoc::unpack(loc.pack()), loc, "{loc:?}");
+            assert_eq!(f.unpack(f.pack(loc)), loc, "{loc:?}");
         }
-        assert_eq!(
-            PhysLoc {
-                segment: 0,
-                slot: 0
-            }
-            .pack()
-            .get(),
-            1
-        );
-        let f = Ftl::new(segments, pages, 0.1);
+        let first = PhysLoc {
+            segment: 0,
+            slot: 0,
+        };
+        assert_eq!(f.pack(first).get(), 1);
+        let last = PhysLoc {
+            segment: segments - 1,
+            slot: pages - 1,
+        };
+        assert_eq!(f.pack(last).get() as usize, segments * pages);
         assert_eq!(f.lookup(Lba(0)), None);
+        // A stride that is not a power of two rounds up: 5 pages take 3
+        // slot bits, and the last page of the last segment still fits.
+        let odd = Ftl::new(3, 5, 0.1);
+        let loc = PhysLoc {
+            segment: 2,
+            slot: 4,
+        };
+        assert_eq!(odd.unpack(odd.pack(loc)), loc);
+        assert_eq!(odd.pack(loc).get(), 2 * 8 + 4 + 1);
     }
 
     #[test]
-    #[should_panic(expected = "does not pack into 64 bits")]
-    fn a_geometry_past_one_word_is_refused() {
-        Ftl::new(u32::MAX as usize, 4, 0.1);
+    fn the_largest_geometry_that_fits_a_u32_packs_its_last_page() {
+        // 2^23 - 1 segments of 512 pages: the last page is index
+        // 2^32 - 513, packed as 2^32 - 512. Construction opens one
+        // segment, so it costs no more than the smallest FTL.
+        let segments = (1 << 23) - 1;
+        let f = Ftl::new(segments, 512, 0.1);
+        assert_eq!(f.segments.len(), 1);
+        assert_eq!(f.free_segments(), segments - 1);
+        let last = PhysLoc {
+            segment: segments - 1,
+            slot: 511,
+        };
+        assert_eq!(f.pack(last).get(), u32::MAX - 511);
+        assert_eq!(f.unpack(f.pack(last)), last);
+    }
+
+    #[test]
+    #[should_panic(expected = "has more physical pages than a u32 holds")]
+    fn a_geometry_past_a_u32_of_pages_is_refused() {
+        // 2^23 segments of 512 pages: 2^32 physical pages, one more than
+        // a `NonZeroU32` entry can name.
+        Ftl::new(1 << 23, 512, 0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "has more physical pages than a u32 holds")]
+    fn a_stride_rounded_past_a_u32_is_refused() {
+        // 2^22 segments of 513 pages round to a 1,024-page stride: 2^32.
+        Ftl::new(1 << 22, 513, 0.1);
     }
 
     #[test]
@@ -563,13 +647,17 @@ mod tests {
 
     #[test]
     fn slot_storage_follows_the_segments_written() {
-        let backed = |f: &Ftl| f.segments.iter().filter(|s| s.slots.capacity() > 0).count();
         let mut f = Ftl::new(8, 4, 0.3);
-        assert_eq!(backed(&f), 1, "only the active segment at construction");
+        assert_eq!(
+            f.segments.len(),
+            1,
+            "only the active segment at construction"
+        );
         for i in 0..9u64 {
             put(&mut f, i, i + 1);
         }
-        assert_eq!(backed(&f), 3, "9 appends of 4 pages open ceil(9/4)");
+        assert_eq!(f.segments.len(), 3, "9 appends of 4 pages open ceil(9/4)");
+        assert!(f.segments.iter().all(|s| s.slots.capacity() == 4));
         // Overwrite until GC erases a segment. The roll that ran GC
         // reopens the victim at once, on the array it already had.
         for tag in 100u64.. {
@@ -578,10 +666,45 @@ mod tests {
                 let reopened = &f.segments[gc.victim];
                 assert_eq!(reopened.state, SegState::Active);
                 assert_eq!(reopened.slots.as_ptr(), before[gc.victim]);
-                assert_eq!((reopened.slots.len(), reopened.slots.capacity()), (4, 4));
+                // It holds the append that rolled into it, with room for
+                // the rest of a segment.
+                assert_eq!((reopened.slots.len(), reopened.slots.capacity()), (1, 4));
                 break;
             }
         }
+    }
+
+    #[test]
+    fn an_erased_segment_reopens_before_a_never_opened_one() {
+        // 8 segments × 2 pages, GC below 7.2 free segments: every roll
+        // collects. Overwriting one block leaves each sealed segment one
+        // live page, so GC moves it into the next segment opened.
+        let mut f = Ftl::new(8, 2, 0.9);
+        let mut opened = vec![0];
+        for tag in 1..=12u64 {
+            put(&mut f, 0, tag);
+            let segment = f.lookup(Lba(0)).expect("mapped").segment;
+            if opened.last() != Some(&segment) {
+                opened.push(segment);
+            }
+        }
+        // Segment 1 is the first never opened; from then on each roll
+        // erases the segment it leaves and the next roll reopens it, so
+        // two segments alternate and segment 2 is never opened.
+        assert_eq!(opened, [0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0]);
+        assert_eq!(f.segments.len(), 2);
+        // Six never opened, and the segment the last roll left, erased.
+        assert_eq!(f.free_segments(), 7);
+        assert_eq!(f.stats().erases, 10);
+        // Never-opened segments come in ascending order.
+        let mut g = Ftl::new(4, 1, 0.0);
+        let firsts: Vec<usize> = (0..4u64)
+            .map(|i| {
+                put(&mut g, i, i + 1);
+                g.lookup(Lba(i)).expect("mapped").segment
+            })
+            .collect();
+        assert_eq!(firsts, [0, 1, 2, 3]);
     }
 
     #[test]
