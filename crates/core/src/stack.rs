@@ -18,13 +18,28 @@ use crate::config::StackConfig;
 use crate::metrics::{Metrics, RunReport};
 use crate::ops::{FileRef, Op, OpKind, Workload};
 
-/// Events of the assembled stack.
+/// Events of the assembled stack, as its run loop pops them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Event {
+pub enum Event {
+    /// An event for the filesystem.
     Fs(FsEvent),
+    /// An event for the block layer (and, through it, a device).
     Block(BlockEvent),
     /// A thread is ready to issue its next operation.
     ThreadNext(ThreadId),
+}
+
+/// Sees every event the run loop pops, before it is dispatched. The one
+/// hook into [`IoStack`]'s run loop: `()` sees nothing and compiles to
+/// nothing.
+pub trait Observer {
+    /// Called once per popped event, at its instant.
+    fn popped(&mut self, now: SimTime, ev: &Event);
+}
+
+impl Observer for () {
+    #[inline]
+    fn popped(&mut self, _now: SimTime, _ev: &Event) {}
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,8 +159,9 @@ pub const CPU_PER_OP: SimDuration = SimDuration::from_micros(2);
 /// half of it.
 pub const CONGESTION_LIMIT: usize = 128;
 
-/// The assembled barrier-enabled (or legacy) IO stack.
-pub struct IoStack {
+/// The assembled barrier-enabled (or legacy) IO stack, its run loop seen
+/// by `O` ([`IoStack::observed_by`]).
+pub struct IoStack<O: Observer = ()> {
     cfg: StackConfig,
     q: EventQueue<Event>,
     fs: Filesystem,
@@ -166,6 +182,7 @@ pub struct IoStack {
     /// Threads in the terminal `Finished` state (the all-done check must
     /// run between consecutive events, so it has to be O(1)).
     finished_threads: usize,
+    obs: O,
 }
 
 impl IoStack {
@@ -196,12 +213,39 @@ impl IoStack {
             fs_sink: ActionSink::new(),
             block_sink: ActionSink::new(),
             finished_threads: 0,
+            obs: (),
             cfg,
         };
         // Arm the filesystem's periodic tasks through the router.
         stack.fs.start(&mut stack.fs_sink);
         stack.route_fs_actions();
         stack
+    }
+}
+
+impl<O: Observer> IoStack<O> {
+    /// The same stack, its run loop from now on seen by `obs`.
+    pub fn observed_by<P: Observer>(self, obs: P) -> IoStack<P> {
+        IoStack {
+            cfg: self.cfg,
+            q: self.q,
+            fs: self.fs,
+            block: self.block,
+            threads: self.threads,
+            metrics: self.metrics,
+            congested: self.congested,
+            congested_spare: self.congested_spare,
+            global_files: self.global_files,
+            fs_sink: self.fs_sink,
+            block_sink: self.block_sink,
+            finished_threads: self.finished_threads,
+            obs,
+        }
+    }
+
+    /// The observer of the run loop.
+    pub fn observer(&self) -> &O {
+        &self.obs
     }
 
     /// The configuration.
@@ -510,9 +554,18 @@ impl IoStack {
     /// committing-transaction list) between events.
     #[inline]
     pub fn step(&mut self) -> bool {
-        let Some((now, ev)) = self.q.pop() else {
+        self.step_at_or_before(SimTime::MAX)
+    }
+
+    /// The run loop's one body: pops the next event if it is due at or
+    /// before `deadline`, shows it to the observer, dispatches it and
+    /// wakes congested threads. False (nothing moved) when none is due.
+    #[inline]
+    fn step_at_or_before(&mut self, deadline: SimTime) -> bool {
+        let Some((now, ev)) = self.q.pop_at_or_before(deadline) else {
             return false;
         };
+        self.obs.popped(now, &ev);
         self.dispatch_event(ev, now);
         self.maybe_uncongest();
         true
@@ -542,20 +595,18 @@ impl IoStack {
     }
 
     /// The run loop behind [`IoStack::run_for`] and
-    /// [`IoStack::run_until_done`]: [`IoStack::step`] repeated while an
-    /// event is due at or before `deadline`. With `until_done` it returns
-    /// true as soon as every thread has finished — checked before each
-    /// pop, so nothing past that point is consumed; otherwise false.
+    /// [`IoStack::run_until_done`]: [`IoStack::step`]'s body repeated while
+    /// an event is due at or before `deadline`. With `until_done` it
+    /// returns true as soon as every thread has finished — checked before
+    /// each pop, so nothing past that point is consumed; otherwise false.
     fn drive(&mut self, deadline: SimTime, until_done: bool) -> bool {
         loop {
             if until_done && self.all_threads_finished() {
                 return true;
             }
-            let Some((now, ev)) = self.q.pop_at_or_before(deadline) else {
+            if !self.step_at_or_before(deadline) {
                 return false;
-            };
-            self.dispatch_event(ev, now);
-            self.maybe_uncongest();
+            }
         }
     }
 
