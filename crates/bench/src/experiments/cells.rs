@@ -1,7 +1,7 @@
 //! What a cell is made of, named once: the stack presets, the device
 //! sets, each workload model's files and threads, and the one function
-//! that runs a stack over a span. The figures, `batch_equivalence` and
-//! `grid_determinism` build their cells from here.
+//! that runs a stack over a span. The figures, `grid_determinism` and the
+//! event digests (`tests/golden_digests.rs`) build their cells from here.
 
 use barrier_io::{DeviceProfile, FileRef, IoStack, StackConfig, StackReport, Workload};
 use bio_sim::SimDuration;
@@ -39,7 +39,8 @@ pub fn server_devices() -> [DeviceProfile; 2] {
     [DeviceProfile::plain_ssd(), DeviceProfile::supercap_ssd()]
 }
 
-/// One mobile and one server device (the equivalence suites).
+/// One mobile and one server device (the event digests and the grid
+/// determinism suite).
 pub fn ufs_and_ssd() -> [DeviceProfile; 2] {
     [DeviceProfile::ufs(), DeviceProfile::plain_ssd()]
 }
