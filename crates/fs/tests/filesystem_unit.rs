@@ -62,6 +62,27 @@ fn fdatabarrier_submits_barrier_write_and_returns() {
 }
 
 #[test]
+fn fdatabarrier_over_two_chunks_puts_the_barrier_on_the_last() {
+    // Another file's block sits between this file's two runs, so the
+    // data goes down as two requests: both ordered, and only the last
+    // (highest LBA) carries the barrier that closes the epoch.
+    let (mut fs, f) = setup(FsMode::BarrierFs);
+    let mut out = ActionSink::new();
+    let g = fs.create(T0, &mut out);
+    fs.write(T0, f, 0, 1, SimTime::ZERO, &mut out);
+    fs.write(T0, g, 0, 1, SimTime::ZERO, &mut out);
+    fs.write(T0, f, 1, 1, SimTime::ZERO, &mut out);
+    out.clear();
+    let r = fs.fdatabarrier(T0, f, SimTime::ZERO, &mut out);
+    assert_eq!(r, SyscallOutcome::Done);
+    let flags: Vec<(bool, bool)> = submits(&out)
+        .iter()
+        .map(|&(_, f, _)| (f.ordered, f.barrier))
+        .collect();
+    assert_eq!(flags, [(true, false), (true, true)]);
+}
+
+#[test]
 fn fdatabarrier_with_nothing_dirty_forces_a_commit() {
     let (mut fs, f) = setup(FsMode::BarrierFs);
     // Drain the create's metadata first.
