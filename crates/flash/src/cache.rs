@@ -31,8 +31,8 @@
 //!   LBA, which is exactly the per-LBA eligibility test the in-place
 //!   destage engines need.
 //!
-//! Invariants (property-tested against the original map-based
-//! implementation in `tests/dense_equivalence.rs`):
+//! Invariants (pinned by the unit tests below, the device's action-stream
+//! hashes and the stack's event digests):
 //!
 //! * epochs are non-decreasing in sequence order, so the minimum pending
 //!   epoch is the epoch of the oldest resident entry;
