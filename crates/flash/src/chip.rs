@@ -160,6 +160,22 @@ mod tests {
     }
 
     #[test]
+    fn a_clock_that_steps_back_reads_the_same_array() {
+        // A stale event asks about an instant before the last start: the
+        // answers follow the free instants alone, a start still takes the
+        // die free earliest, and a sweep keeps the order.
+        let mut a = ChipArray::new(3);
+        a.start_op(us(50), SimDuration::from_micros(10));
+        assert_eq!(a.idle_count(us(20)), 2);
+        a.start_op(us(20), SimDuration::from_micros(5));
+        assert_eq!(a.free_at, vec![us(0), us(25), us(60)]);
+        a.delay_all(us(10), SimDuration::from_micros(5));
+        assert_eq!(a.free_at, vec![us(15), us(30), us(65)]);
+        assert!(!a.has_idle(us(14)));
+        assert_eq!(a.next_idle_at(), us(15));
+    }
+
+    #[test]
     fn jitter_is_bounded_and_deterministic() {
         let mut rng1 = SimRng::new(1);
         let mut rng2 = SimRng::new(1);
