@@ -1,160 +1,29 @@
 //! Behaviour lock for the lane queue ([`EpochScheduler`]).
 //!
-//! Two instruments, both recorded against the linear-scan queue of PR 14
-//! (merge by walking the queue, sweep by walking it again, `is_drained` by
-//! walking it a third time):
-//!
-//! * **golden hashes** — seeded `enqueue`/`fence`/`dequeue` traces in four
-//!   shapes, every dequeued request (ids, op, payload, flags) and the
-//!   queue's `len`/`is_drained`/`reassignments` after every step folded
-//!   into one FNV-1a hash per shape. The hash runs over named fields, never
-//!   `Debug` text. Each shape asserts that its traces really contain the
-//!   cases it is there for (back, front and capped merges, duplicate LBAs,
-//!   reads and flushes mid-queue, FUA/preflush writes, ordered writes
-//!   merged into orderless ones);
-//! * **a reference** — that scanning queue, kept verbatim below, driven in
-//!   lockstep with the real one through 256 generated traces; every
-//!   observable must agree after every step.
+//! Golden hashes recorded against the linear-scan queue of PR 14 (merge
+//! by walking the queue, sweep by walking it again, `is_drained` by
+//! walking it a third time): seeded `enqueue`/`fence`/`dequeue` traces in
+//! four shapes, every dequeued request (ids, op, payload, flags) and the
+//! queue's `len`/`is_drained`/`reassignments` after every step folded
+//! into one FNV-1a hash per shape. The hash runs over named fields, never
+//! `Debug` text. Each shape asserts that its traces really contain the
+//! cases it is there for (back, front and capped merges, duplicate LBAs,
+//! reads and flushes mid-queue, FUA/preflush writes, ordered writes
+//! merged into orderless ones). The scanning queue itself, once kept here
+//! and driven in lockstep, is retired: every mutant its PR recorded fails
+//! these hashes and a unit test in `epoch.rs`, and the stack's event
+//! digests (`tests/golden_digests.rs`) pin the queue inside a whole run.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use bio_block::{BlockRequest, EpochScheduler, ReqFlags, ReqId, ReqOp, MAX_MERGE_BLOCKS};
 use bio_flash::{BlockTag, Lba};
 use bio_sim::SimRng;
-use proptest::prelude::*;
-
-// ---------------------------------------------------------------------
-// Reference lane queue: the scanning implementation, verbatim (the merged
-// request's `try_merge` included, so the reference owes nothing to the
-// crate's own request type beyond `BlockRequest`).
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct RefMerged {
-    req: BlockRequest,
-    ids: Vec<ReqId>,
-}
-
-impl RefMerged {
-    fn single(req: BlockRequest) -> RefMerged {
-        let ids = vec![req.id];
-        RefMerged { req, ids }
-    }
-
-    fn try_merge(&mut self, other: &RefMerged, max_blocks: u64) -> bool {
-        let (Some((s1, e1)), Some((s2, e2))) = (self.req.write_span(), other.req.write_span())
-        else {
-            return false;
-        };
-        if self.req.blocks() + other.req.blocks() > max_blocks {
-            return false;
-        }
-        // FUA/preflush writes have point semantics; never merge them.
-        if self.req.flags.fua
-            || self.req.flags.preflush
-            || other.req.flags.fua
-            || other.req.flags.preflush
-        {
-            return false;
-        }
-        let (ReqOp::Write { start, tags: t1 }, ReqOp::Write { tags: t2, .. }) =
-            (&mut self.req.op, &other.req.op)
-        else {
-            return false;
-        };
-        if e1 == s2 {
-            // Back merge (the common one): other follows self.
-            t1.extend_from_slice(t2);
-        } else if e2 == s1 {
-            // Front merge: other precedes self.
-            let mut tags = t2.clone();
-            tags.extend_from_slice(t1);
-            (*start, *t1) = (s2, tags);
-        } else {
-            return false;
-        }
-        self.req.flags.ordered |= other.req.flags.ordered;
-        self.req.flags.barrier |= other.req.flags.barrier;
-        self.ids.extend_from_slice(&other.ids);
-        true
-    }
-}
-
-#[derive(Debug, Default)]
-struct RefScheduler {
-    queue: VecDeque<RefMerged>,
-    /// Position of the last dispatched write, for the sweep.
-    head: u64,
-    /// Set when the stripped barrier must be re-attached to the last
-    /// order-preserving request leaving the queue.
-    barrier_owed: bool,
-    reassignments: u64,
-}
-
-impl RefScheduler {
-    fn enqueue(&mut self, req: BlockRequest) {
-        let incoming = RefMerged::single(req);
-        for existing in self.queue.iter_mut() {
-            if existing.try_merge(&incoming, MAX_MERGE_BLOCKS) {
-                return;
-            }
-        }
-        self.queue.push_back(incoming);
-    }
-
-    fn dequeue(&mut self) -> Option<RefMerged> {
-        let mut m = self.sweep()?;
-        if self.barrier_owed && m.req.flags.is_order_preserving() && self.is_drained() {
-            m.req.flags.barrier = true;
-            self.barrier_owed = false;
-            self.reassignments += 1;
-        }
-        Some(m)
-    }
-
-    fn sweep(&mut self) -> Option<RefMerged> {
-        if !matches!(self.queue.front()?.req.op, ReqOp::Write { .. }) {
-            return self.queue.pop_front();
-        }
-        let mut best: Option<(usize, u64)> = None;
-        let mut wrap: Option<(usize, u64)> = None;
-        for (i, m) in self.queue.iter().enumerate() {
-            let ReqOp::Write { start, .. } = &m.req.op else {
-                break; // do not sweep past a flush/read
-            };
-            let lba = start.0;
-            if lba >= self.head {
-                if best.is_none_or(|(_, b)| lba < b) {
-                    best = Some((i, lba));
-                }
-            } else if wrap.is_none_or(|(_, b)| lba < b) {
-                wrap = Some((i, lba));
-            }
-        }
-        let (idx, lba) = best.or(wrap)?;
-        let m = self.queue.remove(idx)?;
-        self.head = lba + m.req.blocks();
-        Some(m)
-    }
-
-    fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    fn fence(&mut self) {
-        self.barrier_owed |= !self.is_drained();
-    }
-
-    fn is_drained(&self) -> bool {
-        !self.queue.iter().any(|m| m.req.flags.is_order_preserving())
-    }
-}
 
 // ---------------------------------------------------------------------
 // Traces.
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone)]
 enum Step {
     Enqueue(BlockRequest),
     Fence,
@@ -248,14 +117,14 @@ fn trace(shape: Shape, seed: u64) -> Vec<Step> {
     let mut recent: VecDeque<(u64, u64)> = VecDeque::new();
     let mut next_id = 1u64;
     let mut steps: Vec<Step> = Vec::with_capacity(STEPS_PER_TRACE);
-    // The reference runs along so the generator knows when a fenced epoch
-    // has drained: after a fence the trace mostly dequeues until then, as
-    // a lane behind the closed epoch gate does.
-    let mut model = RefScheduler::default();
+    // A queue runs along so the generator knows when a fenced epoch has
+    // drained: after a fence the trace mostly dequeues until then, as a
+    // lane behind the closed epoch gate does.
+    let mut model = EpochScheduler::new();
     let mut draining = false;
     for _ in 0..STEPS_PER_TRACE {
         if let Some(last) = steps.last() {
-            step_reference(&mut model, last);
+            step_real(&mut model, last);
         }
         draining &= !model.is_drained();
         let roll = rng.below(1_000);
@@ -331,7 +200,6 @@ fn trace(shape: Shape, seed: u64) -> Vec<Step> {
 /// A dequeued request: `(ids, request)`.
 type Left = Option<(Vec<ReqId>, BlockRequest)>;
 
-#[derive(Debug, Clone, PartialEq, Eq)]
 struct Seen {
     left: Left,
     len: usize,
@@ -358,26 +226,6 @@ fn step_real(s: &mut EpochScheduler, step: &Step) -> Seen {
         len,
         drained: s.is_drained(),
         reassignments: s.reassignments(),
-    }
-}
-
-fn step_reference(s: &mut RefScheduler, step: &Step) -> Seen {
-    let left = match step {
-        Step::Enqueue(req) => {
-            s.enqueue(req.clone());
-            None
-        }
-        Step::Fence => {
-            s.fence();
-            None
-        }
-        Step::Dequeue => s.dequeue().map(|m| (m.ids, m.req)),
-    };
-    Seen {
-        left,
-        len: s.len(),
-        drained: s.is_drained(),
-        reassignments: s.reassignments,
     }
 }
 
@@ -536,70 +384,4 @@ fn lane_queue_matches_golden_hashes() {
         "lane queue behaviour drifted (shapes {:?}): now {got:#018x?}",
         SHAPES.map(|s| s.name)
     );
-}
-
-// ---------------------------------------------------------------------
-// Lockstep equivalence with the reference.
-// ---------------------------------------------------------------------
-
-/// One generated step: `(kind, lba, blocks, flag selector)`.
-type StepTuple = (u8, u64, u64, u8);
-
-fn step_of(id: u64, (kind, lba, blocks, sel): StepTuple) -> Step {
-    let id = ReqId(id);
-    match kind {
-        0..=2 => Step::Dequeue,
-        3 => Step::Fence,
-        4 => Step::Enqueue(BlockRequest::flush(id)),
-        5 => Step::Enqueue(BlockRequest::read(id, Lba(lba), blocks)),
-        _ => {
-            let flags = match sel {
-                0 => ReqFlags::FLUSH_FUA,
-                1 => ReqFlags {
-                    preflush: true,
-                    ..ReqFlags::ORDERED
-                },
-                2..=7 => ReqFlags::ORDERED,
-                _ => ReqFlags::NONE,
-            };
-            // Every fifth selector stretches the write so a few merges run
-            // into the cap; a zero-length write is legal input too.
-            let blocks = match sel % 5 {
-                0 => blocks * 20,
-                _ => blocks,
-            };
-            let tags = (0..blocks).map(|i| BlockTag(id.0 * 1_000 + i)).collect();
-            Step::Enqueue(BlockRequest::write(id, Lba(lba), tags, flags))
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Over a 24-block region with writes of 0–4 blocks, nearly every
-    /// enqueue has a neighbour or a twin in the queue: the real queue and
-    /// the scanning reference must show the same thing after every step.
-    #[test]
-    fn lane_queue_matches_the_scanning_reference(
-        ops in prop::collection::vec((0u8..12, 0u64..24, 0u64..5, 0u8..16), 1..160)
-    ) {
-        let mut real = EpochScheduler::new();
-        let mut reference = RefScheduler::default();
-        for (i, op) in ops.into_iter().enumerate() {
-            let step = step_of(i as u64 + 1, op);
-            let got = step_real(&mut real, &step);
-            let want = step_reference(&mut reference, &step);
-            prop_assert_eq!(got, want, "step {} ({:?})", i, step);
-        }
-        // Whatever is left drains identically.
-        loop {
-            let got = step_real(&mut real, &Step::Dequeue);
-            let want = step_reference(&mut reference, &Step::Dequeue);
-            prop_assert_eq!(&got, &want, "final drain");
-            if got.left.is_none() {
-                break;
-            }
-        }
-    }
 }
