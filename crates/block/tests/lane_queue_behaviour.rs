@@ -1,18 +1,16 @@
 //! Behaviour lock for the lane queue ([`EpochScheduler`]).
 //!
-//! Golden hashes recorded against the linear-scan queue of PR 14 (merge
-//! by walking the queue, sweep by walking it again, `is_drained` by
-//! walking it a third time): seeded `enqueue`/`fence`/`dequeue` traces in
+//! Golden hashes recorded against the linear-scan queue the lane had
+//! before its indexes (merge by walking the queue, sweep by walking it
+//! again, `is_drained` by walking it a third time): seeded `enqueue`/`fence`/`dequeue` traces in
 //! four shapes, every dequeued request (ids, op, payload, flags) and the
 //! queue's `len`/`is_drained`/`reassignments` after every step folded
 //! into one FNV-1a hash per shape. The hash runs over named fields, never
 //! `Debug` text. Each shape asserts that its traces really contain the
 //! cases it is there for (back, front and capped merges, duplicate LBAs,
 //! reads and flushes mid-queue, FUA/preflush writes, ordered writes
-//! merged into orderless ones). The scanning queue itself, once kept here
-//! and driven in lockstep, is retired: every mutant its PR recorded fails
-//! these hashes and a unit test in `epoch.rs`, and the stack's event
-//! digests (`tests/golden_digests.rs`) pin the queue inside a whole run.
+//! merged into orderless ones). Inside whole stack runs the queue is
+//! pinned by the event digests (`tests/golden_digests.rs`).
 
 use std::collections::{BTreeMap, VecDeque};
 

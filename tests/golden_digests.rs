@@ -23,9 +23,9 @@ use barrier_io::{DeviceProfile, Event, IoStack, Observer, StackConfig, Topology}
 use bio_bench::experiments::cells::{
     bfs_od, oltp, randwrite, sqlite, threads_of, ufs_and_ssd, Preset, ENDLESS, PRESETS,
 };
-use bio_block::BlockEvent;
-use bio_flash::DevEvent;
-use bio_fs::FsEvent;
+use bio_block::{BlockEvent, ReqId};
+use bio_flash::{CmdId, DevEvent};
+use bio_fs::{FsEvent, ThreadId};
 use bio_sim::{SimDuration, SimTime};
 use bio_workloads::{
     Dwsl, MailQueue, RocksDbWal, Sqlite, SqliteJournalMode, SyncMode, Varmail, WriteMode,
@@ -40,7 +40,7 @@ const DONE_CAP: SimDuration = SimDuration::from_secs(3600);
 const DONE_OPS: u64 = 12;
 
 /// FNV-1a over the popped events, and how many there were.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 struct Digest {
     hash: u64,
     events: u64,
@@ -275,40 +275,21 @@ fn the_digest_reads_every_field_it_is_given() {
     // id: all of them hash apart.
     let (t0, t1) = (SimTime::ZERO, SimTime::from_nanos(1));
     let dev = |dev, ev| Event::Block(BlockEvent::Dev { dev, ev });
+    let id = CmdId(1);
     let events = [
-        Event::Fs(FsEvent::ReqDone(bio_block::ReqId(1))),
-        Event::Fs(FsEvent::ReqDone(bio_block::ReqId(2))),
-        Event::Fs(FsEvent::Step(bio_fs::ThreadId(1))),
+        Event::Fs(FsEvent::ReqDone(ReqId(1))),
+        Event::Fs(FsEvent::ReqDone(ReqId(2))),
+        Event::Fs(FsEvent::Step(ThreadId(1))),
         Event::Fs(FsEvent::CommitRun),
         Event::Fs(FsEvent::Pdflush),
         Event::Fs(FsEvent::OptfsFlush),
-        dev(
-            0,
-            DevEvent::DmaDone {
-                id: bio_flash::CmdId(1),
-            },
-        ),
-        dev(
-            1,
-            DevEvent::DmaDone {
-                id: bio_flash::CmdId(1),
-            },
-        ),
+        dev(0, DevEvent::DmaDone { id }),
+        dev(1, DevEvent::DmaDone { id }),
         dev(0, DevEvent::ProgramDone { seq: 1 }),
-        dev(
-            0,
-            DevEvent::Finish {
-                id: bio_flash::CmdId(1),
-            },
-        ),
-        dev(
-            0,
-            DevEvent::PreflushDone {
-                id: bio_flash::CmdId(1),
-            },
-        ),
+        dev(0, DevEvent::Finish { id }),
+        dev(0, DevEvent::PreflushDone { id }),
         dev(0, DevEvent::Pump),
-        Event::ThreadNext(bio_fs::ThreadId(1)),
+        Event::ThreadNext(ThreadId(1)),
     ];
     let mut hashes: Vec<u64> = Vec::new();
     for ev in &events {
