@@ -169,4 +169,55 @@ mod tests {
         let w = StepWindow::new();
         assert_eq!((w.mean(us(5)), w.peak(us(5))), (0.0, 0.0));
     }
+
+    fn ns(v: u64) -> SimTime {
+        SimTime::from_nanos(v)
+    }
+
+    /// Mean and peak up to `to` nanoseconds.
+    fn read(w: &StepWindow, to: u64) -> (f64, f64) {
+        (w.mean(ns(to)), w.peak(ns(to)))
+    }
+
+    #[test]
+    fn a_same_instant_point_overwrites_the_one_before() {
+        let mut w = StepWindow::new();
+        w.record(ns(10), 5.0);
+        w.record(ns(10), 1.0);
+        assert_eq!(read(&w, 20), (0.5, 1.0), "5 never held");
+    }
+
+    #[test]
+    fn the_point_at_the_read_instant_is_not_in_the_peak() {
+        let mut w = StepWindow::new();
+        w.record(ns(10), 1.0);
+        w.record(ns(20), 9.0);
+        assert_eq!(read(&w, 20), (0.5, 1.0));
+        assert_eq!(read(&w, 30), (100.0 / 30.0, 9.0));
+    }
+
+    #[test]
+    fn a_repeated_value_adds_no_term() {
+        // 25/3 × 25 ns is not 25/3 × 10 ns + 25/3 × 15 ns in floating point:
+        // a second step at 20 ns would move the mean's last bit.
+        let v = 25.0 / 3.0;
+        let mut w = StepWindow::new();
+        w.record(ns(10), v);
+        w.record(ns(20), v);
+        assert_eq!(read(&w, 35), (v * 25.0 / 35.0, v));
+    }
+
+    #[test]
+    fn a_reset_at_an_instant_holding_a_point_carries_it_and_its_overwrite() {
+        let mut w = StepWindow::new();
+        w.record(ns(10), 4.0);
+        w.record(ns(20), 8.0);
+        w.reset(ns(20));
+        assert_eq!(read(&w, 20), (0.0, 8.0), "an empty window");
+        assert_eq!(read(&w, 30), (8.0, 8.0));
+        w.record(ns(20), 2.0);
+        assert_eq!(read(&w, 30), (2.0, 2.0));
+        w.record(ns(25), 6.0);
+        assert_eq!(read(&w, 30), (4.0, 6.0));
+    }
 }
