@@ -1037,6 +1037,21 @@ mod tests {
     }
 
     #[test]
+    fn equality_is_by_pairs_not_by_insert_order() {
+        // The same pairs stored far page first and near page first, and one
+        // pair stored twice: equal. One more pair breaks it.
+        let mut a = image(&[(3, 1), (5_000, 2)]);
+        let b = image(&[(5_000, 2), (3, 1)]);
+        a.insert(Lba(3), BlockTag(1));
+        assert_eq!(a, b);
+        a.insert(Lba(1 << 22), BlockTag(9));
+        assert_ne!(a, b);
+        assert_eq!(a.len(), 3);
+        let pairs = [(3, 1), (5_000, 2), (1 << 22, 9)].map(|(l, t)| (Lba(l), BlockTag(t)));
+        assert_eq!(a.iter().collect::<Vec<_>>(), pairs);
+    }
+
+    #[test]
     fn fold_moves_prefix_to_base() {
         let mut log = AppendLog::new();
         let a = log.begin(Lba(1), BlockTag(10), None);
