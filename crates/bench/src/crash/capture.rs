@@ -364,14 +364,21 @@ mod tests {
 
     #[test]
     fn delta_capture_is_bit_identical_to_scratch_capture() {
+        // Trace seed 3 and three drawn at random, on every differential
+        // row: every point of the delta cursor, field for field, against
+        // one built from nothing off the same running stack.
+        let mut rng = bio_sim::SimRng::new(0xCA97);
+        let seeds = [3, rng.below(10_000), rng.below(10_000), rng.below(10_000)];
         for DiffCell {
             label, cfg, sync, ..
         } in differential_cells()
         {
-            let delta = capture_points(cfg.clone(), sync, 3, CaptureMode::Delta);
-            let scratch = capture_points(cfg, sync, 3, CaptureMode::Scratch);
-            assert!(!delta.is_empty(), "{label}: no capture points");
-            assert_eq!(delta, scratch, "{label}: capture paths diverge");
+            for seed in seeds {
+                let delta = capture_points(cfg.clone(), sync, seed, CaptureMode::Delta);
+                let scratch = capture_points(cfg.clone(), sync, seed, CaptureMode::Scratch);
+                assert!(!delta.is_empty(), "{label} seed {seed}: no capture points");
+                assert_eq!(delta, scratch, "{label} seed {seed}: capture paths diverge");
+            }
         }
     }
 }
