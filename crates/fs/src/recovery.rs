@@ -879,6 +879,34 @@ mod tests {
     }
 
     #[test]
+    fn ordered_data_at_the_lower_tag_is_neither_recomputed_nor_touched() {
+        // Txn 1 wants block 500 at tag 5 or newer, and the base holds it.
+        // Ordered data at or below a bound is met by both tags a fold moves
+        // between and by every image over a floor: only what lies above
+        // the lower one changes sides.
+        let records = [ordering(
+            rec(1, 100, &[10], 101, 11),
+            &[(Lba(500), BlockTag(5))],
+        )];
+        let mut base = image(&[(100, 10), (101, 11), (500, 5)]);
+        let mut index = index_of(0, &records, &base);
+        let extremes = |index: &ConsistencyIndex, floor| {
+            index
+                .probe([(Lba(500), BlockTag(floor))])
+                .map(|p| p.extremes())
+        };
+        assert_eq!(extremes(&index, 5), Some((Some(0), None, false)));
+        assert_eq!(extremes(&index, 4), Some((None, None, false)), "touched");
+        base.insert(Lba(500), BlockTag(9));
+        let fold = [(Lba(500), BlockTag(5), BlockTag(9))];
+        assert_eq!(index.advance(0, &records, fold, &[], &base), 0);
+        let fold = [(Lba(500), BlockTag(9), BlockTag(4))];
+        base.insert(Lba(500), BlockTag(4));
+        assert_eq!(index.advance(0, &records, fold, &[], &base), 1);
+        assert_eq!(extremes(&index, 9), Some((Some(0), None, true)), "lost");
+    }
+
+    #[test]
     fn out_of_order_ids_are_never_certified() {
         let records = vec![rec(2, 100, &[10], 101, 11), rec(1, 102, &[20], 103, 21)];
         let index = index_of(0, &records, &BlockMap::new());
