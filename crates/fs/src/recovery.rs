@@ -916,21 +916,24 @@ mod tests {
     #[test]
     fn index_matches_the_checker_on_random_journals() {
         let mut rng = bio_sim::SimRng::new(0xC0DE);
-        let (mut clean, mut dirty, mut retired) = (0, 0, 0);
-        for _ in 0..300 {
-            // Records round a 12-block journal (so blocks are reused), each
-            // with up to two ordered data pages out of four; tags grow.
+        let (mut clean, mut dirty, mut retired, mut broke) = (0, 0, 0, 0);
+        for case in 0..300 {
+            // Records round a journal of 4–16 blocks (so blocks are
+            // reused), each with up to two ordered data pages out of four,
+            // a tag now and then repeated; tags grow.
+            let journal = rng.range(4, 16);
             let mut records: Vec<TxnRecord> = Vec::new();
             let (mut head, mut tag) = (0u64, 1u64);
             for id in 1..=rng.range(2, 14) {
                 let mut ordered_data = Vec::new();
                 for _ in 0..rng.below(3) {
-                    ordered_data.push((Lba(500 + rng.below(4)), BlockTag(tag)));
+                    let t = if rng.chance(0.1) { tag.max(2) - 1 } else { tag };
+                    ordered_data.push((Lba(500 + rng.below(4)), BlockTag(t)));
                     tag += 1;
                 }
                 let mut r = ordering(rec(id, 0, &[], 0, 0), &ordered_data);
                 let logs = 1 + rng.below(2);
-                if head + logs + 1 > 12 {
+                if head + logs + 1 > journal {
                     head = 0;
                 }
                 r.jd_lba = Lba(100 + head);
@@ -944,6 +947,15 @@ mod tests {
                 tag += logs + 1;
                 records.push(r);
             }
+            // One case in eight has an id that does not grow: from that
+            // record on the index certifies nothing. Its window keeps every
+            // record, so the disorder stays in view.
+            let n = records.len();
+            let broken = (case % 8 == 0).then(|| {
+                let at = 1 + rng.below(n as u64 - 1) as usize;
+                records[at].id = records[at - 1].id - rng.below(2);
+                at
+            });
             // Every write the records imply, in tag order.
             let mut writes: Vec<(Lba, BlockTag)> = Vec::new();
             for r in &records {
@@ -951,9 +963,11 @@ mod tests {
                 writes.extend(journal_lbas(r).zip(r.jd_tags.iter().chain([r.jc_tag])));
             }
             // Take the records in steps; after each, fold a few writes in
-            // any order, flip a durability flag, retire the leading run of
-            // uncheckable records as the filesystem does, and hold the
-            // advanced index to one rebuilt over the window.
+            // any order (now and then a tag nothing wrote), flip a
+            // durability flag (now and then of a position no record has
+            // yet), retire the leading run of uncheckable records as the
+            // filesystem does, and hold the advanced index to one rebuilt
+            // over the window.
             let mut base = BlockMap::new();
             let mut index = ConsistencyIndex::new();
             let (mut front, mut upto) = (0, 0);
@@ -961,12 +975,18 @@ mod tests {
                 upto = (upto + 1 + rng.below(3) as usize).min(records.len());
                 let folds: Vec<(Lba, BlockTag, BlockTag)> = (0..rng.below(8))
                     .map(|_| {
-                        let (lba, tag) = *rng.choose(&writes).expect("non-empty");
+                        let (lba, mut tag) = *rng.choose(&writes).expect("non-empty");
+                        if rng.chance(0.05) {
+                            tag = BlockTag(rng.below(200));
+                        }
                         let before = base.insert(lba, tag).unwrap_or(BlockTag::UNWRITTEN);
                         (lba, before, tag)
                     })
                     .collect();
                 let flipped = rng.chance(0.3).then(|| {
+                    if rng.chance(0.1) {
+                        return upto + rng.below(10) as usize;
+                    }
                     let at = rng.below(upto as u64) as usize;
                     records[at].durability_claimed = true;
                     at
@@ -974,14 +994,22 @@ mod tests {
                 let reused = |r: &TxnRecord, newer: &[TxnRecord]| {
                     journal_lbas(r).any(|l| newer.iter().any(|n| journal_lbas(n).any(|m| m == l)))
                 };
-                while front < upto && reused(&records[front], &records[front + 1..upto]) {
+                let retiring = broken.is_none();
+                while retiring && front < upto && reused(&records[front], &records[front + 1..upto])
+                {
                     front += 1;
                 }
                 let window = &records[front..upto];
                 index.advance(front, window, folds, flipped.as_slice(), &base);
                 assert_eq!(index, index_of(front, window, &base));
+                if broken.is_some_and(|at| at < upto) {
+                    assert!(index.probe([]).is_none(), "case {case}: certifies");
+                    broke += 1;
+                    continue;
+                }
                 // Any overlay: each block unwritten, or at any version ever
-                // written to it.
+                // written to it. Each block's floor is the lower of its two
+                // possible tags, or one below.
                 let overlay: BlockMap = (0..rng.below(5))
                     .map(|_| {
                         let lba = rng.choose(&writes).expect("non-empty").0;
@@ -994,15 +1022,17 @@ mod tests {
                         (lba, *rng.choose(&versions).expect("non-empty"))
                     })
                     .collect();
+                let floors: Vec<(Lba, BlockTag)> = overlay
+                    .iter()
+                    .map(|(l, t)| (l, t.min(base.tag(l))))
+                    .map(|(l, t)| (l, BlockTag(t.0.saturating_sub(rng.below(2)))))
+                    .collect();
                 let mut image = base.clone();
                 image.extend(overlay.iter());
                 let full = ConsistencyCheck::new(&records[..upto]).violations(&image);
                 assert_eq!(ConsistencyCheck::new(window).violations(&image), full);
-                assert_eq!(
-                    certifies(&index, window, &base, &overlay),
-                    full.is_empty(),
-                    "{full:?}"
-                );
+                let probe = index.probe(floors).expect("regular");
+                assert_eq!(probe.certifies(window, &image), full.is_empty(), "{full:?}");
                 if full.is_empty() {
                     clean += 1;
                 } else {
@@ -1012,8 +1042,8 @@ mod tests {
             }
         }
         assert!(
-            clean > 100 && dirty > 100 && retired > 100,
-            "{clean} clean, {dirty} violating, {retired} retired"
+            clean > 100 && dirty > 100 && retired > 100 && broke > 20,
+            "{clean} clean, {dirty} violating, {retired} retired, {broke} irregular"
         );
     }
 
