@@ -1193,47 +1193,6 @@ mod tests {
     }
 
     #[test]
-    fn a_write_the_device_cannot_hold_never_reaches_the_log() {
-        use crate::{CmdId, Command, Completion, DevAction, Device, DeviceProfile, WriteFlags};
-        use bio_sim::SimTime;
-        let mut dev = Device::new(DeviceProfile::ufs(), 1);
-        let mut out = Vec::new();
-        let limit = Lba::LIMIT.0;
-        // At the limit, straddling it, and where the span overflows.
-        for (id, start, blocks) in [(1, limit, 1), (2, limit - 1, 2), (3, u64::MAX, 2)] {
-            let tags = (0..blocks).map(|i| BlockTag(10 * id + i)).collect();
-            let cmd = Command::write(CmdId(id), Lba(start), tags, WriteFlags::FLUSH_FUA);
-            assert!(dev.submit(cmd, SimTime::ZERO, &mut out).is_ok());
-        }
-        let done = |id| {
-            DevAction::Complete(Completion {
-                id: CmdId(id),
-                at: SimTime::ZERO,
-            })
-        };
-        assert_eq!(
-            out,
-            [done(1), done(2), done(3)],
-            "completed, nothing scheduled"
-        );
-        assert_eq!(dev.stats().out_of_range_writes, 3);
-        assert_eq!((dev.queue_depth(), dev.append_log().appends()), (0, 0));
-        assert!(dev.crash_image().is_empty() && dev.final_image().is_empty());
-        // The last block below the limit is admitted like any other.
-        out.clear();
-        let last = Command::write(
-            CmdId(4),
-            Lba(limit - 1),
-            vec![BlockTag(7)],
-            WriteFlags::NONE,
-        );
-        assert!(dev.submit(last, SimTime::ZERO, &mut out).is_ok());
-        assert_eq!(dev.queue_depth(), 1);
-        assert!(matches!(out.as_slice(), [DevAction::After(..)]));
-        assert_eq!(dev.stats().out_of_range_writes, 3);
-    }
-
-    #[test]
     fn a_coalesced_overwrite_shares_its_predecessors_entry() {
         // Three transfers of block 10 under one sequence: one entry, with
         // the epoch the sequence was first transferred in — and that is
@@ -1386,14 +1345,15 @@ mod tests {
     #[test]
     fn index_matches_the_audit_on_random_histories() {
         let mut rng = bio_sim::SimRng::new(0xE90C);
-        let (mut clean, mut dirty, mut long) = (0, 0, 0);
+        let (mut clean, mut dirty, mut long, mut broke) = (0, 0, 0, 0);
         for case in 0..300 {
             // A regular history: sequences and epochs grow, every tag is
-            // new, some overwrites coalesce. Two cases in three are six
-            // blocks under slow epochs; the third are two or three blocks
-            // under an epoch per transfer, most folds the newest version
-            // of a block (emptying every epoch it held before) and some an
-            // old one (moving `vis` and `need` back down past empty runs).
+            // new, some overwrites coalesce (a few under a newer epoch). Two
+            // cases in three are six blocks under slow epochs; the third are
+            // two or three blocks under an epoch per transfer, most folds
+            // the newest version of a block (emptying every epoch it held
+            // before) and some an old one (moving `vis` and `need` back down
+            // past empty runs).
             let long_runs = case % 3 == 2;
             let (blocks, len) = if long_runs {
                 (rng.range(2, 4), rng.range(100, 400))
@@ -1406,12 +1366,27 @@ mod tests {
                 epoch += if long_runs { 1 } else { rng.below(3) / 2 };
                 let lba = Lba(rng.below(blocks));
                 let seq = match last_seq.get(&lba) {
-                    Some(&(s, e)) if e == epoch && rng.chance(0.3) => s,
+                    Some(&(s, e)) if (e == epoch || rng.chance(0.1)) && rng.chance(0.3) => s,
                     _ => i + 1,
                 };
                 last_seq.insert(lba, (seq, epoch));
                 history.push(rec(seq, lba.0, 100 + i, epoch));
             }
+            // A short case in four breaks one transfer of its second half:
+            // a tag carried twice, a block's sequence or epoch going back,
+            // the UNWRITTEN tag. From there on the index certifies nothing.
+            let broken = (!long_runs && case % 4 == 0).then(|| {
+                let at = len / 2 + rng.below(len - len / 2);
+                let earlier = history[rng.below(at) as usize];
+                let t = &mut history[at as usize];
+                match rng.below(4) {
+                    0 => t.tag = earlier.tag,
+                    1 => (t.lba, t.seq) = (earlier.lba, earlier.seq - 1),
+                    2 => (t.lba, t.epoch) = (earlier.lba, earlier.epoch.wrapping_sub(1)),
+                    _ => t.tag = BlockTag::UNWRITTEN,
+                }
+                at as usize
+            });
             // Ingest it in steps; after each, fold a few ingested transfers
             // in any order and hold the advanced index to a rebuilt one.
             let mut base = BlockMap::new();
@@ -1428,40 +1403,59 @@ mod tests {
                         _ => any,
                     }
                 };
+                // A tag no transfer carries.
+                let stranger = |rng: &mut bio_sim::SimRng| BlockTag(1_000 + rng.below(1_000));
                 let folded: Vec<Lba> = (0..rng.below(4))
                     .map(|_| {
+                        // Now and then another block's version or a stranger.
                         let t = pick(&mut rng);
-                        base.insert(t.lba, t.tag);
-                        t.lba
+                        let (lba, tag) = match rng.below(10) {
+                            0 => (Lba(rng.below(blocks + 1)), t.tag),
+                            1 => (t.lba, stranger(&mut rng)),
+                            _ => (t.lba, t.tag),
+                        };
+                        base.insert(lba, tag);
+                        lba
                     })
                     .collect();
                 index.advance(&history[..upto], folded, &base);
                 assert_eq!(index, index_of(&history[..upto], &base));
+                if broken.is_some_and(|at| at < upto) {
+                    assert!(index.probe([]).is_none(), "case {case}: certifies");
+                    broke += 1;
+                    continue;
+                }
                 let (vis, need) = (index.vis.highest, index.need.lowest);
                 if long_runs && vis.zip(need).is_some_and(|(v, n)| v.abs_diff(n) > 64) {
                     long += 1;
                 }
-                // Any overlay: each block unwritten, or at any version ever
-                // transferred to it.
-                let overlay: BTreeMap<Lba, BlockTag> = (0..rng.below(4))
-                    .map(|_| {
-                        let lba = Lba(rng.below(blocks));
-                        let versions: Vec<BlockTag> = history[..upto]
-                            .iter()
-                            .filter(|t| t.lba == lba)
-                            .map(|t| t.tag)
-                            .chain([BlockTag::UNWRITTEN])
-                            .collect();
-                        (lba, *rng.choose(&versions).expect("non-empty"))
-                    })
-                    .collect();
-                let pairs = overlay.iter().map(|(&l, &t)| (l, t));
-                let probe = index.probe(pairs).expect("regular");
+                // Any overlay: each block unwritten or at any version ever
+                // transferred to it, all of which the probe is told of; now
+                // and then a version it was not told of.
+                let (mut told, mut overlay) = (Vec::new(), BTreeMap::new());
+                for _ in 0..rng.below(4) {
+                    let lba = Lba(rng.below(blocks));
+                    let versions: Vec<BlockTag> = history[..upto]
+                        .iter()
+                        .filter(|t| t.lba == lba)
+                        .map(|t| t.tag)
+                        .chain([BlockTag::UNWRITTEN])
+                        .collect();
+                    told.extend(versions.iter().map(|&tag| (lba, tag)));
+                    let tag = match rng.below(20) {
+                        0 => history[rng.below(upto as u64) as usize].tag,
+                        1 => stranger(&mut rng),
+                        _ => *rng.choose(&versions).expect("non-empty"),
+                    };
+                    overlay.insert(lba, tag);
+                }
+                let probe = index.probe(told).expect("regular");
                 assert_eq!(probe.extremes(), extremes_by_scan(&index, blocks, &overlay));
+                let pairs = || overlay.iter().map(|(&l, &t)| (l, t));
                 let mut image = base.clone();
-                image.extend(overlay.iter().map(|(&l, &t)| (l, t)));
+                image.extend(pairs());
                 let audit = EpochAudit::new(&history[..upto]).violations(&image);
-                assert_eq!(certifies(&index, &overlay), audit.is_empty());
+                assert_eq!(probe.certifies(&index, pairs()), audit.is_empty());
                 if audit.is_empty() {
                     clean += 1;
                 } else {
@@ -1470,8 +1464,9 @@ mod tests {
             }
         }
         assert!(
-            clean > 100 && dirty > 100 && long > 100,
-            "{clean} clean, {dirty} violating, {long} with extremes 64 epochs apart"
+            clean > 100 && dirty > 100 && long > 100 && broke > 100,
+            "{clean} clean, {dirty} violating, {long} with extremes 64 epochs apart, \
+             {broke} irregular"
         );
     }
 

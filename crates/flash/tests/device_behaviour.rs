@@ -128,6 +128,45 @@ fn a_write_of_the_reserved_tag_is_refused_and_counted() {
 }
 
 #[test]
+fn a_write_the_device_cannot_hold_never_reaches_the_log() {
+    let mut dev = Device::new(DeviceProfile::ufs(), 1);
+    let mut out = Vec::new();
+    let limit = Lba::LIMIT.0;
+    // At the limit, straddling it, and where the span overflows.
+    for (id, start, blocks) in [(1, limit, 1), (2, limit - 1, 2), (3, u64::MAX, 2)] {
+        let tags = (0..blocks).map(|i| BlockTag(10 * id + i)).collect();
+        let cmd = Command::write(CmdId(id), Lba(start), tags, WriteFlags::FLUSH_FUA);
+        assert!(dev.submit(cmd, SimTime::ZERO, &mut out).is_ok());
+    }
+    let done = |id| {
+        DevAction::Complete(Completion {
+            id: CmdId(id),
+            at: SimTime::ZERO,
+        })
+    };
+    assert_eq!(
+        out,
+        [done(1), done(2), done(3)],
+        "completed, nothing scheduled"
+    );
+    assert_eq!(dev.stats().out_of_range_writes, 3);
+    assert_eq!((dev.queue_depth(), dev.append_log().appends()), (0, 0));
+    assert!(dev.crash_image().is_empty() && dev.final_image().is_empty());
+    // The last block below the limit is admitted like any other.
+    out.clear();
+    let last = Command::write(
+        CmdId(4),
+        Lba(limit - 1),
+        vec![BlockTag(7)],
+        WriteFlags::NONE,
+    );
+    assert!(dev.submit(last, SimTime::ZERO, &mut out).is_ok());
+    assert_eq!(dev.queue_depth(), 1);
+    assert!(matches!(out.as_slice(), [DevAction::After(..)]));
+    assert_eq!(dev.stats().out_of_range_writes, 3);
+}
+
+#[test]
 fn cached_write_is_lost_on_crash_without_flush() {
     let mut h = Harness::new(DeviceProfile::ufs(), 2);
     h.submit(wcmd(1, 0, 10, WriteFlags::NONE));
