@@ -856,10 +856,9 @@ impl EpochIndex {
         }
     }
 
-    /// Prepares the per-point half of the check. `candidates` names every
-    /// `(block, tag)` an image of the point may give an overlay block: the
-    /// probe computes those verdicts once, and the extremes over every
-    /// block it does not name. `None` when the history is irregular.
+    /// [`EpochIndex::reprobe`] into a fresh probe; `None` when the history
+    /// is irregular. The unit tests' shorthand.
+    #[cfg(test)]
     pub fn probe(
         &self,
         candidates: impl IntoIterator<Item = (Lba, BlockTag)>,
@@ -868,10 +867,13 @@ impl EpochIndex {
         self.reprobe(&mut probe, candidates).then_some(probe)
     }
 
-    /// [`EpochIndex::probe`] into an existing probe, reusing its buffer: a
-    /// crash explorer keeps one probe per device across the points of a
-    /// trace. False when the history is irregular: the probe then
-    /// certifies nothing.
+    /// Aims `probe`, the per-point half of the check, at this index.
+    /// `candidates` names every `(block, tag)` an image of the point may
+    /// give an overlay block: the probe computes those verdicts once, and
+    /// the extremes over every block it does not name. The probe's buffers
+    /// are reused: a crash explorer keeps one probe per device across the
+    /// points of a trace. False when the history is irregular: the probe
+    /// then certifies nothing.
     pub fn reprobe(
         &self,
         probe: &mut EpochProbe,
@@ -977,6 +979,7 @@ impl EpochProbe {
 
     /// The newest visible and the oldest needed epoch over the blocks the
     /// probe does not name, under the base.
+    #[cfg(test)]
     pub fn extremes(&self) -> (Option<u64>, Option<u64>) {
         (self.vis, self.need)
     }

@@ -614,10 +614,9 @@ impl ConsistencyIndex {
         self.bad.set(pos, false);
     }
 
-    /// Prepares the per-point half of the check. `overlay` names every
-    /// block the point's images may resolve differently from the base,
-    /// each with a lower bound on the tags it may resolve to (the base
-    /// tag included). `None` when the records are irregular.
+    /// [`ConsistencyIndex::reprobe`] into a fresh probe; `None` when the
+    /// records are irregular. The unit tests' shorthand.
+    #[cfg(test)]
     pub fn probe(
         &self,
         overlay: impl IntoIterator<Item = (Lba, BlockTag)>,
@@ -626,8 +625,11 @@ impl ConsistencyIndex {
         self.reprobe(&mut probe, overlay).then_some(probe)
     }
 
-    /// [`ConsistencyIndex::probe`] into an existing probe, reusing its
-    /// buffer: a crash explorer keeps one probe across the points of a
+    /// Aims `probe`, the per-point half of the check, at this index.
+    /// `overlay` names every block the point's images may resolve
+    /// differently from the base, each with a lower bound on the tags it
+    /// may resolve to (the base tag included). The probe's buffer is
+    /// reused: a crash explorer keeps one probe across the points of a
     /// trace. False when the records are irregular: the probe then
     /// certifies nothing.
     pub fn reprobe(
@@ -707,6 +709,7 @@ impl ConsistencyProbe {
     /// Over the records the overlay does not touch, under the base: the
     /// newest valid, the oldest invalid (absolute positions), and whether
     /// any is bad.
+    #[cfg(test)]
     pub fn extremes(&self) -> (Option<u32>, Option<u32>, bool) {
         (self.newest_valid, self.oldest_invalid, self.bad)
     }
