@@ -566,6 +566,48 @@ fn qd_window_tracks_occupancy() {
 }
 
 /// UFS with a single chip, so flash programs run one at a time.
+#[test]
+fn a_resident_version_older_than_a_programmed_one_is_not_a_read_hit() {
+    // Under LFS-style recovery the cache does not serialise a block's
+    // versions, so two versions in two epochs program side by side and
+    // the newer can finish first. The older one is then still resident
+    // but stale: a read of the block must pay a flash read.
+    let p = DeviceProfile::ufs();
+    assert_eq!(p.barrier_mode, BarrierMode::LfsInOrderRecovery);
+    let resident = |h: &Harness| -> Vec<BlockTag> {
+        let entries = h.dev.cache().entries_in_order();
+        entries
+            .filter(|(_, e)| e.lba == Lba(5))
+            .map(|(_, e)| e.tag)
+            .collect()
+    };
+    let mut reached = 0;
+    for seed in 0..32 {
+        let mut h = Harness::new(p.clone(), seed);
+        h.submit(wcmd(1, 5, 10, WriteFlags::BARRIER));
+        h.submit(wcmd(2, 5, 11, WriteFlags::NONE));
+        h.run_until_complete(CmdId(2));
+        assert_eq!(resident(&h), [BlockTag(10), BlockTag(11)], "seed {seed}");
+        h.submit(Command::flush(CmdId(3)));
+        while resident(&h).contains(&BlockTag(11)) {
+            h.step();
+        }
+        if resident(&h) != [BlockTag(10)] {
+            continue; // the older version left first
+        }
+        reached += 1;
+        let (hits, at) = (h.dev.stats().cache_hit_reads, h.q.now());
+        h.submit(Command::read(CmdId(4), Lba(5), 1));
+        let took = h.run_until_complete(CmdId(4)).saturating_since(at);
+        assert_eq!(h.dev.stats().cache_hit_reads, hits, "seed {seed}: a hit");
+        assert_eq!(took, p.cmd_overhead + p.dma_per_block + p.page_read);
+    }
+    assert!(
+        reached > 4,
+        "the newer version left first on {reached} seeds"
+    );
+}
+
 fn one_chip_ufs(mode: BarrierMode) -> DeviceProfile {
     let mut profile = DeviceProfile::ufs().with_barrier_mode(mode);
     profile.ways = 1;
