@@ -19,14 +19,16 @@
 //! (the ignored test rewrites the file); a PR that means to move nothing
 //! states "digests identical".
 
-use barrier_io::{DeviceProfile, Event, IoStack, Observer, StackConfig, Topology};
+use barrier_io::{
+    DeviceProfile, Event, FileRef, IoStack, Observer, Op, StackConfig, Topology, Workload,
+};
 use bio_bench::experiments::cells::{
     bfs_od, oltp, randwrite, sqlite, threads_of, ufs_and_ssd, Preset, ENDLESS, PRESETS,
 };
 use bio_block::{BlockEvent, ReqId};
 use bio_flash::{CmdId, DevEvent};
 use bio_fs::{FsEvent, ThreadId};
-use bio_sim::{SimDuration, SimTime};
+use bio_sim::{SimDuration, SimRng, SimTime};
 use bio_workloads::{
     Dwsl, MailQueue, RocksDbWal, Sqlite, SqliteJournalMode, SyncMode, Varmail, WriteMode,
 };
@@ -157,6 +159,67 @@ fn dwsl_256(cfg: StackConfig, sync: SyncMode, _n: u64) -> IoStack {
     threads_of(cfg, 256, || Box::new(Dwsl::new(sync, 2)))
 }
 
+/// Files each scatter writer creates and spreads its writes over.
+const SCATTER_FILES: usize = 3;
+
+/// One iteration of a scatter writer: `SCATTER_WRITES` rounds of one
+/// random-offset block to each of its files, then a sync of each file.
+/// Blocks are allocated as they are first written, so the rounds
+/// interleave the files' allocations: a sync finds its file's dirty pages
+/// in several LBA runs, and in an order that is not the pages' file
+/// order. The writers' files are their own, so a writer that dirties a
+/// file while another's commit is in flight commits a transaction of
+/// its own, and one flush can find several transactions to release.
+const SCATTER_WRITES: usize = 4;
+
+/// Blocks of each file a scatter writer writes into.
+const SCATTER_REGION: u64 = 256;
+
+struct Scatter {
+    sync: SyncMode,
+    left: u64,
+    /// The rest of the current iteration, last op first.
+    ops: Vec<Op>,
+}
+
+impl Scatter {
+    /// A writer that creates its files, then runs `n` iterations.
+    fn new(sync: SyncMode, n: u64) -> Scatter {
+        let create = (0..SCATTER_FILES).rev().map(|slot| Op::Create { slot });
+        Scatter {
+            sync,
+            left: n,
+            ops: create.collect(),
+        }
+    }
+}
+
+impl Workload for Scatter {
+    fn next_op(&mut self, rng: &mut SimRng) -> Option<Op> {
+        if self.ops.is_empty() && self.left > 0 {
+            self.left -= 1;
+            for i in 0..SCATTER_WRITES * SCATTER_FILES {
+                let file = FileRef::Slot(i % SCATTER_FILES);
+                let offset = rng.below(SCATTER_REGION);
+                self.ops.push(Op::Write {
+                    file,
+                    offset,
+                    blocks: 1,
+                });
+            }
+            let syncs = (0..SCATTER_FILES).map(|f| self.sync.op(FileRef::Slot(f)));
+            self.ops.extend(syncs.flatten());
+            self.ops.reverse();
+        }
+        self.ops.pop()
+    }
+}
+
+/// Four scatter writers.
+fn scatter(cfg: StackConfig, sync: SyncMode, n: u64) -> IoStack {
+    threads_of(cfg, 4, || Box::new(Scatter::new(sync, n)))
+}
+
 /// Every stack preset the figures use × {UFS, plain-SSD}, crossed with
 /// all seven workload models (the window kind alternates so every preset
 /// and every model runs under both), the 2q×2dev lane grid under both,
@@ -215,6 +278,23 @@ fn cells() -> Vec<Cell> {
             let topology = Topology::new(queues, devices, 8);
             let cfg = preset(DeviceProfile::plain_ssd()).with_topology(topology);
             cells.push(Cell::new("dwsl256", cfg, sync, dwsl_256, Window::UntilDone));
+        }
+    }
+    // Appended after the first 78: every preset on both devices under
+    // the scatter writer.
+    for (di, dev) in ufs_and_ssd().into_iter().enumerate() {
+        for (pi, (preset, sync)) in PRESETS.iter().enumerate() {
+            let window = match (di + pi) % 2 {
+                0 => Window::UntilDone,
+                _ => Window::Fixed,
+            };
+            cells.push(Cell::new(
+                "scatter",
+                preset(dev.clone()),
+                *sync,
+                scatter,
+                window,
+            ));
         }
     }
     cells
