@@ -16,6 +16,10 @@
 //! enough to be reused mid-trace (so `checkable` flips), and forged points
 //! — each across the Prefix, Subset, Groups and PLP choice spaces — and
 //! asserts that violations were in fact seen.
+//!
+//! It is no verbatim reference and does not retire: the full checkers
+//! are live code, and this suite is the oracle the check indexes answer
+//! to (`docs/INVARIANTS.md`, "Retired against live oracles").
 
 use barrier_io::{BarrierMode, ConsistencyCheck, DeviceProfile, StackConfig};
 use bio_bench::crash::oracle::{

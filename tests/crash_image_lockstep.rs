@@ -14,6 +14,12 @@
 //! and 4q×2dev, and through a 16-block journal that wraps. After every few
 //! events both audit the same stack: each device's image must hold the
 //! same pairs, and the filesystem and epoch violations must be equal.
+//!
+//! This is the one verbatim reference the crash side still keeps. It
+//! retires once an executable spec of the persist order (ROADMAP item 16)
+//! pins which images a power loss can leave: nothing else holds
+//! `IoStack::crash`'s images to an implementation that is not their own
+//! ancestor.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 

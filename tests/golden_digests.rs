@@ -9,9 +9,14 @@
 //! the number of events popped. The cells are every stack preset the
 //! figures use on a mobile and a server device crossed with all seven
 //! workload models, the lane grid with its cross-lane epoch sequencer,
-//! and fig17's 256-thread DWSL cells on one, two and four queues. Fixed
-//! windows (`run_for` twice around `start_measuring`) and until-done runs
-//! alternate, so the digests also pin where each run loop stops.
+//! fig17's 256-thread DWSL cells on one, two and four queues, and, at
+//! the end, every preset on both devices under a scatter writer whose
+//! syncs reach journal paths the models do not (several data chunks per
+//! barrier sync, pages out of LBA order, several transactions per
+//! flush). Fixed windows (`run_for` twice around `start_measuring`) and
+//! until-done runs alternate, so the digests also pin where each run
+//! loop stops. A new cell goes at the end: the lines before it stay
+//! byte-identical.
 //!
 //! A PR that means to move the model re-pins the fixture, in a commit of
 //! its own, with
