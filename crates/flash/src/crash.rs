@@ -23,9 +23,11 @@
 
 use std::sync::Arc;
 
+use crate::audit::TransferRec;
 use crate::device::Device;
+use crate::epoch_index::EpochIndex;
+use crate::image::{AppendRec, BlockMap, ImageView};
 use crate::profile::BarrierMode;
-use crate::recovery::{AppendRec, BlockMap, EpochIndex, ImageView, TransferRec};
 use crate::types::{BlockTag, Lba};
 
 /// Widest mask a choice holds: a choice is a `u64`.

@@ -33,13 +33,14 @@ use std::collections::VecDeque;
 
 use bio_sim::{SeqTable, SimDuration, SimRng, SimTime, StepWindow};
 
+use crate::audit::TransferRec;
 use crate::cache::WritebackCache;
 use crate::chip::ChipArray;
 use crate::crash::{CrashState, OpenGroup};
 use crate::ftl::Ftl;
+use crate::image::{AppendLog, BlockMap};
 use crate::profile::{BarrierMode, DeviceProfile};
 use crate::queue::CommandQueue;
-use crate::recovery::{AppendLog, BlockMap, TransferRec};
 use crate::types::{BlockTag, CmdId, CmdKind, Command, Completion, Lba};
 
 /// Internal device events; the host event loop schedules these back via

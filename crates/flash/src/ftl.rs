@@ -6,7 +6,7 @@
 //! incoming data blocks to the active segment in the order in which they
 //! are transferred" (§3.2). This module reproduces that design: every
 //! destaged block is an *append* with a monotonically increasing sequence
-//! number; crash recovery (see [`crate::recovery`]) can therefore truncate
+//! number; crash recovery (see [`crate::AppendLog`]) can therefore truncate
 //! the log at the first hole.
 //!
 //! There is one write path. Greedy GC relocates a victim's live pages as

@@ -57,25 +57,26 @@
     )
 )]
 
+mod audit;
 mod cache;
 mod chip;
 mod crash;
 mod device;
+mod epoch_index;
 mod ftl;
+mod image;
 mod profile;
 mod queue;
-mod recovery;
 mod types;
 
+pub use audit::{EpochAudit, EpochViolation, TransferRec};
 pub use cache::{CacheEntry, CacheError, EntryState, WritebackCache};
 pub use chip::ChipArray;
 pub use crash::{ChoiceSpace, CrashState, OpenGroup, Overlay, OverlayImage};
 pub use device::{DevAction, DevEvent, Device, DeviceStats};
+pub use epoch_index::{EpochIndex, EpochProbe};
 pub use ftl::{Ftl, FtlStats, GcRun, PhysLoc};
+pub use image::{AppendLog, AppendRec, BlockMap, ImageView};
 pub use profile::{BarrierMode, BarrierOverhead, DeviceProfile};
 pub use queue::CommandQueue;
-pub use recovery::{
-    AppendLog, AppendRec, BlockMap, EpochAudit, EpochIndex, EpochProbe, EpochViolation, ImageView,
-    TransferRec,
-};
 pub use types::{BlockTag, CmdId, CmdKind, Command, Completion, Lba, Priority, WriteFlags};
