@@ -3,13 +3,16 @@
 //! captures at every journal commit.
 
 use std::borrow::Cow;
+#[cfg(test)]
 use std::sync::Arc;
 
 use barrier_io::{
     ConsistencyIndex, FileRef, IoStack, StackCaptureDelta, StackConfig, StripedImage, Topology,
     TxnRecord,
 };
-use bio_flash::{BlockTag, CrashState, EpochIndex, ImageView, Lba, Overlay};
+#[cfg(test)]
+use bio_flash::EpochIndex;
+use bio_flash::{BlockTag, CrashState, ImageView, Lba, Overlay};
 use bio_sim::SimDuration;
 use bio_workloads::{RandWrite, SyncMode, WriteMode};
 
@@ -77,8 +80,14 @@ impl CrashPoint<'_> {
         }
     }
 
+    /// Each device's state at the point, in device order.
+    pub fn devices(&self) -> &[CrashState] {
+        &self.devices
+    }
+
     /// Builds both check indexes from nothing: the records under the
     /// devices' bases, each transfer history under its device's base.
+    #[cfg(test)]
     pub(super) fn reindex(&mut self) {
         for d in self.devices.to_mut() {
             d.audit = d.history.as_deref().map(|history| {
@@ -96,25 +105,6 @@ impl CrashPoint<'_> {
             &point_image(self.topology, &self.devices, &[]),
         );
         self.check = Cow::Owned(check);
-    }
-}
-
-impl CrashPoint<'static> {
-    /// The live stack as a plain-data crash point built from nothing: every
-    /// part read through borrowed accessors and materialized, both check
-    /// indexes built from scratch. Shares nothing with any cursor.
-    fn capture(stack: &IoStack) -> CrashPoint<'static> {
-        let fs = stack.fs();
-        let mut point = CrashPoint {
-            commit_idx: fs.record_count(),
-            first_record: fs.first_record(),
-            records: Cow::Owned(fs.records().to_vec()),
-            check: Cow::Owned(ConsistencyIndex::new()),
-            devices: stack.devices().iter().map(CrashState::capture).collect(),
-            topology: stack.config().topology,
-        };
-        point.reindex();
-        point
     }
 }
 
@@ -188,7 +178,11 @@ impl CaptureCursor {
     }
 }
 
-/// How crash points are captured from the running trace.
+/// How crash points are captured from the running trace. A build outside
+/// tests has one way, the delta cursor; the enum stays because
+/// `benchmark/src/probes.rs` and `benchmark/src/run.rs` name
+/// [`CaptureMode::Delta`] (ROADMAP item 7(2)). Test builds add the
+/// reference the cursor is held to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CaptureMode {
     /// One point per trace, advanced in place by each epoch's delta (what
@@ -196,6 +190,7 @@ pub enum CaptureMode {
     Delta,
     /// Each point built from nothing by reading the running stack; no
     /// capture tracking is armed.
+    #[cfg(test)]
     Scratch,
 }
 
@@ -230,13 +225,21 @@ pub(super) fn drive<F: FnMut(&CrashPoint<'_>)>(
     mut on_point: F,
 ) {
     let mut stack = trace_stack(cfg, sync, seed, ops);
-    let mut cursor = match mode {
-        CaptureMode::Delta => {
-            stack.enable_capture_tracking();
-            Some(CaptureCursor::new(&stack))
+    match mode {
+        CaptureMode::Delta => {}
+        #[cfg(test)]
+        CaptureMode::Scratch => {
+            return at_commits(stack, seed, |stack| on_point(&CrashPoint::capture(stack)));
         }
-        CaptureMode::Scratch => None,
-    };
+    }
+    stack.enable_capture_tracking();
+    let mut cursor = CaptureCursor::new(&stack);
+    at_commits(stack, seed, |stack| on_point(&cursor.capture(stack)));
+}
+
+/// Steps `stack` to the end of its trace, calling `on_commit` at every
+/// journal commit, then notes its drops.
+fn at_commits(mut stack: IoStack, seed: u64, mut on_commit: impl FnMut(&mut IoStack)) {
     let mut commits = 0usize;
     let mut stale = 0u64;
     while stack.step() {
@@ -244,10 +247,7 @@ pub(super) fn drive<F: FnMut(&CrashPoint<'_>)>(
         if n > commits {
             commits = n;
             stale = 0;
-            match &mut cursor {
-                Some(cursor) => on_point(&cursor.capture(&mut stack)),
-                None => on_point(&CrashPoint::capture(&stack)),
-            }
+            on_commit(&mut stack);
         } else {
             stale += 1;
             if stale > STALE_STEP_LIMIT {
@@ -299,6 +299,23 @@ pub(super) fn state_of_log(
 
 #[cfg(test)]
 impl CrashPoint<'static> {
+    /// The live stack as a plain-data crash point built from nothing: every
+    /// part read through borrowed accessors and materialized, both check
+    /// indexes built from scratch. Shares nothing with any cursor.
+    fn capture(stack: &IoStack) -> CrashPoint<'static> {
+        let fs = stack.fs();
+        let mut point = CrashPoint {
+            commit_idx: fs.record_count(),
+            first_record: fs.first_record(),
+            records: Cow::Owned(fs.records().to_vec()),
+            check: Cow::Owned(ConsistencyIndex::new()),
+            devices: stack.devices().iter().map(CrashState::capture).collect(),
+            topology: stack.config().topology,
+        };
+        point.reindex();
+        point
+    }
+
     /// A one-device point, indexed from nothing.
     pub(super) fn of_device(
         commit_idx: usize,

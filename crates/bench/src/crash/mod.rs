@@ -31,8 +31,10 @@
 //!   `report`, which sums those folds; and
 //!   [`CrashEnumReport::render`], the text `figures --crash-enum` prints.
 //!   Nothing in this module prints.
-//! * [`oracle`] — what only tests call: the reference the capture engine
-//!   is held to and the surface the checker differential test needs.
+//! * `oracle` — compiled into test builds only: the references the
+//!   production path is held to (scratch capture, the unindexed
+//!   enumerator, per-image verdicts, forged points) and the unit tests
+//!   that hold the check indexes to the full checkers.
 //!
 //! The items re-exported here are the product API; everything else is
 //! private to the module tree.
@@ -94,7 +96,8 @@ mod capture;
 mod choice;
 mod differential;
 mod enumerate;
-pub mod oracle;
+#[cfg(test)]
+mod oracle;
 
 pub use capture::{capture_points, CaptureMode, CrashPoint};
 pub(crate) use capture::{trace_stack, TRACE_OPS};
