@@ -48,8 +48,6 @@ pub struct CommandQueue {
     ordered_in_service: Vec<u64>,
     depth: usize,
     next_arrival: u64,
-    /// Peak occupancy, for reporting.
-    peak: usize,
 }
 
 /// Inserts `item` into `sorted` (ascending by `key`), from the back: a
@@ -74,18 +72,12 @@ impl CommandQueue {
             ordered_in_service: Vec::new(),
             depth,
             next_arrival: 0,
-            peak: 0,
         }
     }
 
     /// Commands currently occupying queue slots (waiting + in service).
     pub fn occupancy(&self) -> usize {
         self.waiting.len() + self.in_service.len()
-    }
-
-    /// Highest occupancy seen.
-    pub fn peak_occupancy(&self) -> usize {
-        self.peak
     }
 
     /// True when another command can be admitted.
@@ -105,7 +97,6 @@ impl CommandQueue {
         self.next_arrival += 1;
         self.waiting_head_of_queue += usize::from(cmd.priority == Priority::HeadOfQueue);
         self.waiting.push_back((seq, now, cmd));
-        self.peak = self.peak.max(self.occupancy());
         Ok(())
     }
 
@@ -198,7 +189,6 @@ mod tests {
         let back = q.admit(w(3, Priority::Simple), SimTime::ZERO);
         assert!(back.is_err(), "third command must bounce");
         assert_eq!(q.occupancy(), 2);
-        assert_eq!(q.peak_occupancy(), 2);
     }
 
     #[test]

@@ -77,16 +77,6 @@ impl<T: Copy, const PAGE: usize> PagedMap<T, PAGE> {
         }
     }
 
-    /// An empty map whose page directory is pre-sized for keys below
-    /// `keys` (the directory itself is just pointers; no leaf pages are
-    /// allocated until written).
-    pub fn with_key_capacity(keys: usize) -> PagedMap<T, PAGE> {
-        PagedMap {
-            pages: Vec::with_capacity(keys.div_ceil(PAGE)),
-            live: 0,
-        }
-    }
-
     /// Number of live entries.
     pub fn len(&self) -> usize {
         self.live

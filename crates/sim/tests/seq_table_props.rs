@@ -67,7 +67,7 @@ proptest! {
     fn paged_map_matches_hashmap(
         ops in prop::collection::vec((0u8..3, 0u64..40_000, 0u64..1024), 1..120)
     ) {
-        let mut map: PagedMap<u64> = PagedMap::with_key_capacity(4096);
+        let mut map: PagedMap<u64> = PagedMap::new();
         let mut model: HashMap<u64, u64> = HashMap::new();
         for (op, key, val) in ops {
             match op {
