@@ -1,10 +1,25 @@
 //! The part of the invariant gate clippy and Cargo cannot hold themselves
 //! (docs/INVARIANTS.md): every manifest's dependency names against the
 //! DAG table in that document — closed, so a name the table does not list
-//! fails — and the `deny` lines that switch the determinism and totality
-//! lints on in each simulation crate's `lib.rs`.
+//! fails — the `deny` lines that switch the determinism and totality
+//! lints on in each simulation crate's `lib.rs`, and every test file a
+//! document or a source comment names.
+
+use std::fs;
+use std::path::{Path, PathBuf};
 
 const DOC: &str = include_str!("../docs/INVARIANTS.md");
+
+/// The documents whose `tests/<name>.rs` references must name real files,
+/// besides the comments under `crates/*/src`.
+const DOCS_NAMING_TESTS: [(&str, &str); 3] = [
+    ("README.md", include_str!("../README.md")),
+    ("docs/INVARIANTS.md", DOC),
+    (
+        ".claude/skills/verify/SKILL.md",
+        include_str!("../.claude/skills/verify/SKILL.md"),
+    ),
+];
 
 macro_rules! package {
     ($name:literal, $dir:literal, $lints:literal) => {
@@ -114,4 +129,117 @@ fn every_simulation_crate_still_denies_its_lints() {
         let carried = (lib.contains(DETERMINISM), lib.contains(TOTALITY));
         assert_eq!(carried, (lints >= 1, lints == 2), "{krate}");
     }
+}
+
+/// The repository root.
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Every `tests/<name>.rs` path `text` names that is no file: a path with
+/// a directory written before it (`crates/bench/tests/x.rs`) is looked up
+/// from the repository root, a bare one under `crate_dir` (the crate whose
+/// source names it) or the root.
+fn dangling_test_refs(text: &str, crate_dir: Option<&Path>) -> Vec<String> {
+    let path_char = |c: char| c.is_ascii_alphanumeric() || "_-./".contains(c);
+    let name_char = |c: char| c.is_ascii_alphanumeric() || "_-".contains(c);
+    let mut dangling = Vec::new();
+    for (at, marker) in text.match_indices("tests/") {
+        let rest = &text[at + marker.len()..];
+        let name = rest.split(|c| !name_char(c)).next().unwrap_or("");
+        if name.is_empty() || !rest[name.len()..].starts_with(".rs") {
+            continue;
+        }
+        let dir = &text[text[..at].trim_end_matches(path_char).len()..at];
+        let file = format!("tests/{name}.rs");
+        let exists = if dir.is_empty() {
+            crate_dir.is_some_and(|c| c.join(&file).is_file()) || root().join(&file).is_file()
+        } else {
+            root().join(dir).join(&file).is_file()
+        };
+        if !exists {
+            dangling.push(format!("{dir}{file}"));
+        }
+    }
+    dangling
+}
+
+/// The `.rs` files under `dir`, in path order, at any depth.
+fn rust_files(dir: &Path) -> Vec<PathBuf> {
+    let mut entries: Vec<PathBuf> = fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .map(|e| e.expect("a directory entry").path())
+        .collect();
+    entries.sort();
+    let mut files = Vec::new();
+    for path in entries {
+        if path.is_dir() {
+            files.extend(rust_files(&path));
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            files.push(path);
+        }
+    }
+    files
+}
+
+#[test]
+fn every_test_file_a_document_or_a_comment_names_exists() {
+    // (where, text, the naming crate): a document is read whole, a source
+    // file of `crates/*/src` only in its comments.
+    let mut texts: Vec<(String, String, Option<PathBuf>)> = DOCS_NAMING_TESTS
+        .iter()
+        .map(|&(doc, text)| (doc.to_owned(), text.to_owned(), None))
+        .collect();
+    for krate in fs::read_dir(root().join("crates")).expect("crates/") {
+        let krate = krate.expect("a directory entry").path();
+        if !krate.join("src").is_dir() {
+            continue;
+        }
+        for file in rust_files(&krate.join("src")) {
+            let source = fs::read_to_string(&file).expect("a readable source file");
+            let name = file.strip_prefix(root()).unwrap_or(&file).display();
+            texts.push((name.to_string(), source, Some(krate.clone())));
+        }
+    }
+    assert!(texts.len() > 50, "{} files read", texts.len());
+    let mut dangling = Vec::new();
+    for (name, text, krate) in &texts {
+        for (n, line) in text.lines().enumerate() {
+            let line = match krate {
+                Some(_) => line.find("//").map_or("", |at| &line[at..]),
+                None => line,
+            };
+            for path in dangling_test_refs(line, krate.as_deref()) {
+                dangling.push(format!("{name}:{}: {path}", n + 1));
+            }
+        }
+    }
+    dangling.sort();
+    assert_eq!(dangling, [""; 0], "test files named but not there");
+}
+
+#[test]
+fn a_test_file_named_where_it_is_not_is_a_finding() {
+    // Bare paths resolve under the naming crate or the root, a written
+    // directory only where it says; anything but `tests/<name>.rs` is
+    // not a test file reference.
+    let bench = root().join("crates/bench");
+    let text = "`tests/grid_determinism.rs`, tests/golden_figures.rs, \
+                crates/bench/tests/drop_warning.rs, crates/flash/tests/drop_warning.rs, \
+                tests/no_such_suite.rs; tests/golden/digests.txt, tests/.rs";
+    assert_eq!(
+        dangling_test_refs(text, Some(&bench)),
+        [
+            "crates/flash/tests/drop_warning.rs",
+            "tests/no_such_suite.rs"
+        ]
+    );
+    assert_eq!(
+        dangling_test_refs(text, None),
+        [
+            "tests/grid_determinism.rs",
+            "crates/flash/tests/drop_warning.rs",
+            "tests/no_such_suite.rs"
+        ]
+    );
 }
