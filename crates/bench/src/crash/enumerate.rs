@@ -47,8 +47,9 @@ type Verdict = (Vec<FsViolation>, Vec<EpochViolation>);
 struct Judge<'p, 'e> {
     p: &'p CrashPoint<'p>,
     spaces: &'e [ChoiceSpace],
-    /// Off: no probe is asked, every image takes the full checkers.
-    indexed: bool,
+    /// On: no probe is asked, every image takes the full checkers.
+    #[cfg(test)]
+    unindexed: bool,
     fs_probe: &'e ConsistencyProbe,
     epoch_probes: &'e [EpochProbe],
     checker: Option<ConsistencyCheck<'p>>,
@@ -60,19 +61,28 @@ impl<'p, 'e> Judge<'p, 'e> {
     fn new(
         p: &'p CrashPoint<'p>,
         spaces: &'e [ChoiceSpace],
-        indexed: bool,
         fs_probe: &'e ConsistencyProbe,
         epoch_probes: &'e [EpochProbe],
     ) -> Judge<'p, 'e> {
         Judge {
             p,
             spaces,
-            indexed,
+            #[cfg(test)]
+            unindexed: false,
             fs_probe,
             epoch_probes,
             checker: None,
             audits: Vec::new(),
         }
+    }
+
+    /// Whether the probes may certify an image: always, except in the
+    /// test oracle's reference runs.
+    fn indexed(&self) -> bool {
+        #[cfg(test)]
+        return !self.unindexed;
+        #[cfg(not(test))]
+        true
     }
 
     /// Fresh overlays resolved to one choice combination.
@@ -99,7 +109,7 @@ impl<'p, 'e> Judge<'p, 'e> {
     /// can interpose on its reads.
     fn verdict_on<V: ImageView>(&mut self, global: &V, overlays: &[Overlay]) -> Verdict {
         let p = self.p;
-        let fsv = if self.indexed && self.fs_probe.certifies(&p.records, global) {
+        let fsv = if self.indexed() && self.fs_probe.certifies(&p.records, global) {
             Vec::new()
         } else {
             let checker = self
@@ -115,7 +125,7 @@ impl<'p, 'e> Judge<'p, 'e> {
             let probe = &self.epoch_probes[di];
             let entries = o.entries().iter().copied();
             let certify = |index| probe.certifies(index, entries);
-            if self.indexed && d.audit.as_deref().is_some_and(certify) {
+            if self.indexed() && d.audit.as_deref().is_some_and(certify) {
                 continue;
             }
             self.audits.resize_with(p.devices.len(), || None);
@@ -179,6 +189,16 @@ impl<'p, 'e> Judge<'p, 'e> {
     }
 }
 
+/// A distinct image [`Enumerator::point`] checked, kept for a test that
+/// asked for it: its choices, both verdicts, and the overlays resolved to
+/// it.
+#[cfg(test)]
+pub(super) struct CheckedImage {
+    pub(super) choices: Vec<u64>,
+    pub(super) verdict: Verdict,
+    pub(super) overlays: Vec<Overlay>,
+}
+
 /// Outcome of enumerating one capture point.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PointOutcome {
@@ -218,13 +238,18 @@ pub(super) struct Enumerator {
     choices: Vec<u64>,
     draws: Vec<u64>,
     shuffle: Vec<usize>,
+    /// Set by the test oracle: every image takes the full checkers.
+    #[cfg(test)]
+    pub(super) unindexed: bool,
+    /// Set by a test to `Some`: every distinct image checked, in order.
+    #[cfg(test)]
+    pub(super) kept: Option<Vec<CheckedImage>>,
 }
 
 impl Enumerator {
-    /// Rebuilds the choice spaces and overlays for `p` and, when
-    /// `indexed`, aims the probes at it. Returns whether the point's
-    /// choice space is clamped.
-    fn aim(&mut self, p: &CrashPoint<'_>, indexed: bool) -> bool {
+    /// Rebuilds the choice spaces and overlays for `p` and aims the probes
+    /// at it. Returns whether the point's choice space is clamped.
+    fn aim(&mut self, p: &CrashPoint<'_>) -> bool {
         let n = p.devices.len();
         self.spaces.resize_with(n, ChoiceSpace::default);
         self.overlays.resize_with(n, Overlay::default);
@@ -246,20 +271,18 @@ impl Enumerator {
             .map(|s| exhaustive_choices(s) as u128)
             .product();
         clamped |= product > MAX_IMAGES_PER_POINT as u128;
-        if indexed {
-            // The probes depend on the blocks the overlays cover, not on
-            // the tags any one choice resolves them to.
-            let touched = p.devices.iter().zip(&self.overlays).enumerate();
-            let touched = touched.flat_map(|(di, (_, o))| {
-                let lbas = o.entries().iter().map(move |e| p.topology.global(di, e.0));
-                lbas.zip(o.floors().iter().copied())
-            });
-            p.check.reprobe(&mut self.fs_probe, touched);
-            let devices = p.devices.iter().zip(&self.overlays);
-            for ((d, o), probe) in devices.zip(&mut self.epoch_probes) {
-                if let Some(index) = d.audit.as_deref() {
-                    index.reprobe(probe, o.candidates(d));
-                }
+        // The probes depend on the blocks the overlays cover, not on
+        // the tags any one choice resolves them to.
+        let touched = p.devices.iter().zip(&self.overlays).enumerate();
+        let touched = touched.flat_map(|(di, (_, o))| {
+            let lbas = o.entries().iter().map(move |e| p.topology.global(di, e.0));
+            lbas.zip(o.floors().iter().copied())
+        });
+        p.check.reprobe(&mut self.fs_probe, touched);
+        let devices = p.devices.iter().zip(&self.overlays);
+        for ((d, o), probe) in devices.zip(&mut self.epoch_probes) {
+            if let Some(index) = d.audit.as_deref() {
+                index.reprobe(probe, o.candidates(d));
             }
         }
         clamped
@@ -268,18 +291,9 @@ impl Enumerator {
     /// Enumerates every admissible image at `p` (exhaustively up to the
     /// clamps, then by seeded stratified sampling over the full choice
     /// space when clamped), deduplicates, and checks each image against
-    /// the journal ground truth and the epoch contract. With `indexed`
-    /// off every image takes the full checkers. `on_image` sees every
-    /// distinct image checked: its choices, both violation lists as
-    /// reached, and the overlays resolved to it.
-    pub(super) fn point(
-        &mut self,
-        p: &CrashPoint<'_>,
-        sample_seed: u64,
-        indexed: bool,
-        mut on_image: impl FnMut(&[u64], &[FsViolation], &[EpochViolation], &[Overlay]),
-    ) -> PointOutcome {
-        let clamped = self.aim(p, indexed);
+    /// the journal ground truth and the epoch contract.
+    pub(super) fn point(&mut self, p: &CrashPoint<'_>, sample_seed: u64) -> PointOutcome {
+        let clamped = self.aim(p);
         let Enumerator {
             spaces,
             overlays,
@@ -289,8 +303,16 @@ impl Enumerator {
             choices,
             draws,
             shuffle,
+            #[cfg(test)]
+            unindexed,
+            #[cfg(test)]
+            kept,
         } = self;
-        let mut judge = Judge::new(p, spaces, indexed, fs_probe, epoch_probes);
+        let mut judge = Judge::new(p, spaces, fs_probe, epoch_probes);
+        #[cfg(test)]
+        {
+            judge.unindexed = *unindexed;
+        }
         seen.clear();
         let mut out = PointOutcome {
             commit_idx: p.commit_idx,
@@ -332,7 +354,14 @@ impl Enumerator {
                     detail,
                 });
             }
-            on_image(choices, &fsv, &epv, overlays);
+            #[cfg(test)]
+            if let Some(kept) = kept {
+                kept.push(CheckedImage {
+                    choices: choices.to_vec(),
+                    verdict: (fsv, epv),
+                    overlays: overlays.clone(),
+                });
+            }
         };
 
         // Exhaustive window: odometer over the per-device choice counts.
@@ -387,7 +416,7 @@ impl Enumerator {
 /// `sample_seed` seeds the sampling draws only; the exhaustive window is
 /// deterministic and unaffected.
 pub fn enumerate_point(p: &CrashPoint<'_>, sample_seed: u64) -> PointOutcome {
-    Enumerator::default().point(p, sample_seed, true, |_, _, _, _| {})
+    Enumerator::default().point(p, sample_seed)
 }
 
 /// Result of one (stack, trace) cell.
@@ -413,7 +442,7 @@ pub fn enumerate_trace_with(
     let mut points = Vec::with_capacity(TRACE_OPS as usize);
     drive(cfg, sync, seed, TRACE_OPS, mode, |p| {
         let sample_seed = sample_seed(seed, p.commit_idx);
-        points.push(enumerator.point(p, sample_seed, true, |_, _, _, _| {}));
+        points.push(enumerator.point(p, sample_seed));
     });
     CellOutcome { points }
 }
@@ -537,9 +566,9 @@ mod tests {
         let mut most = 0;
         let mut e = Enumerator::default();
         for p in &points {
-            e.aim(p, true);
+            e.aim(p);
             let (spaces, overlays) = (&e.spaces, &mut e.overlays);
-            let mut judge = Judge::new(p, spaces, true, &e.fs_probe, &e.epoch_probes);
+            let mut judge = Judge::new(p, spaces, &e.fs_probe, &e.epoch_probes);
             let size = (p.devices[0].tail.len() + overlays[0].entries().len()) as u64;
             for choice in 0..exhaustive_choices(&spaces[0]) {
                 overlays[0].resolve(&p.devices[0], &spaces[0], choice);
@@ -589,14 +618,16 @@ mod tests {
     /// Every distinct image `e` checks at `p`: its choices and each
     /// device's overlay entries, with the point's outcome.
     fn images_of(e: &mut Enumerator, p: &CrashPoint<'_>) -> (PointOutcome, Vec<Vec<u64>>) {
-        let mut images = Vec::new();
-        let outcome = e.point(p, 0, true, |choices, _, _, overlays| {
-            let mut image = choices.to_vec();
-            let tags = overlays.iter().flat_map(Overlay::entries);
+        e.kept = Some(Vec::new());
+        let outcome = e.point(p, 0);
+        let kept = e.kept.take().into_iter().flatten();
+        let images = kept.map(|checked| {
+            let mut image = checked.choices;
+            let tags = checked.overlays.iter().flat_map(Overlay::entries);
             image.extend(tags.flat_map(|&(lba, tag)| [lba.0, tag.0]));
-            images.push(image);
+            image
         });
-        (outcome, images)
+        (outcome, images.collect())
     }
 
     #[test]

@@ -122,7 +122,9 @@ impl CrashPoint<'_> {
 ///
 /// [`enumerate_point`]: super::enumerate_point
 pub fn enumerate_point_unindexed(p: &CrashPoint<'_>, sample_seed: u64) -> PointOutcome {
-    Enumerator::default().point(p, sample_seed, false, |_, _, _, _| {})
+    let mut e = Enumerator::default();
+    e.unindexed = true;
+    e.point(p, sample_seed)
 }
 
 /// One distinct image of a capture point with the verdict
@@ -167,8 +169,8 @@ impl ImageCase<'_> {
     }
 }
 
-/// [`enumerate_point`], handing every distinct image it checks to
-/// `on_image` together with the verdict it reached.
+/// [`enumerate_point`], then every distinct image it checked, in order,
+/// handed to `on_image` together with the verdict it reached.
 ///
 /// [`enumerate_point`]: super::enumerate_point
 pub fn enumerate_point_with(
@@ -176,21 +178,21 @@ pub fn enumerate_point_with(
     sample_seed: u64,
     mut on_image: impl FnMut(&ImageCase<'_>),
 ) -> PointOutcome {
-    Enumerator::default().point(
-        p,
-        sample_seed,
-        true,
-        |choices, fs_violations, epoch_violations, views| {
-            on_image(&ImageCase {
-                choices,
-                fs_violations,
-                epoch_violations,
-                topology: p.topology,
-                devices: &p.devices,
-                views,
-            })
-        },
-    )
+    let mut e = Enumerator::default();
+    e.kept = Some(Vec::new());
+    let outcome = e.point(p, sample_seed);
+    for checked in e.kept.into_iter().flatten() {
+        let (fs_violations, epoch_violations) = &checked.verdict;
+        on_image(&ImageCase {
+            choices: &checked.choices,
+            fs_violations,
+            epoch_violations,
+            topology: p.topology,
+            devices: &p.devices,
+            views: &checked.overlays,
+        });
+    }
+    outcome
 }
 
 /// [`capture_points`] of a trace of `ops` write+sync pairs — traces long

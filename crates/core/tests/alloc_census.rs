@@ -142,18 +142,19 @@ fn steady_state_allocations_stay_at_or_below_their_ceilings() {
 const RETAIN_FROM: usize = 4096;
 
 /// What one commit of a rate-bounded stack leaves live, in bytes, at most.
-/// What grows with simulated time is the FTL's reverse map (12 B per
+/// What grows with simulated time is the FTL's reverse map (4 B per
 /// programmed page, five pages a commit, allocated a segment at a time
 /// until GC recycles segments). The record history no longer does: it
 /// keeps the records a crash verdict can still read, about as many as the
-/// journal holds commits. The window read 67.4 when this ceiling was set;
+/// journal holds commits. The window read 19.2 when this ceiling was set;
+/// 67.4 with 12 B reverse-map slots (a `u32` address and a `BlockTag`);
 /// 90.8 with 16 B reverse-map slots and 8 B forward-map entries; 223.2
 /// while the history kept every `TxnRecord` (80 B inline plus one 32 B
 /// block list per commit here); 599.2 before that, with the device's
 /// always-on queue-depth trace, 136 B records, their three lists in three
 /// allocations and 24 B reverse-map slots. Any of those coming back fails
 /// it.
-const RETAINED_PER_COMMIT: f64 = 67.5;
+const RETAINED_PER_COMMIT: f64 = 19.3;
 
 #[test]
 fn a_rate_bounded_stack_retains_little_per_commit() {
@@ -203,10 +204,11 @@ const FILES_FROM: u32 = 4096;
 /// What one created-then-unlinked file leaves live, in bytes, at most: its
 /// 128-byte slot in the file table and the device's share of the fresh
 /// blocks it wrote (no data block or inode is reused). The window read
-/// 268.7 when this ceiling was set; 304.1 with 16 B reverse-map slots and
+/// 212.5 when this ceiling was set; 268.7 with 12 B reverse-map slots;
+/// 304.1 with 16 B reverse-map slots and
 /// 8 B forward-map entries; 528.1 while an unlinked file kept its extent
 /// list, written-back runs and dirty-page buffer (96 + 64 + 64 B).
-const RETAINED_PER_FILE: f64 = 268.8;
+const RETAINED_PER_FILE: f64 = 212.6;
 
 #[test]
 fn an_unlinked_file_retains_little() {

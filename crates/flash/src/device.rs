@@ -812,7 +812,7 @@ impl Device {
             let Ok(entry) = marked else {
                 continue;
             };
-            self.ftl.append(entry.lba, entry.tag);
+            self.ftl.write(entry.lba);
             let append_seq = self.log.begin(entry.lba, entry.tag, self.trans.open);
             self.destage_info.insert(seq, DestageInfo { append_seq });
             let dur = ChipArray::jittered(

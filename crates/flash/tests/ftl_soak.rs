@@ -1,13 +1,15 @@
 //! FTL soak: a 64×512 FTL filled to a share of its logical capacity and
 //! overwritten at random three times over. Greedy GC relocates live pages
 //! as appends to the active segment, so an aged device keeps running, every
-//! live block keeps its newest tag, and write amplification rises with
-//! utilisation. Where each live block sits is pinned too: a hash of every
+//! live block stays mapped, and write amplification rises with
+//! utilisation. The forward and reverse maps agree: every live LBA's
+//! `Ftl::lookup` names a page whose reverse-map slot (`Ftl::lba_at`) holds
+//! that LBA. Where each live block sits is pinned too: a hash of every
 //! live LBA's `Ftl::lookup` at each utilisation holds which segment the FTL
 //! opens next and which victim GC collects, neither of which moves a
 //! device's action stream while the page counts stay the same.
 
-use bio_flash::{BlockTag, Ftl, Lba};
+use bio_flash::{Ftl, Lba};
 use bio_sim::SimRng;
 
 const SEGMENTS: usize = 64;
@@ -17,23 +19,22 @@ const PAGES: usize = 512;
 const LOGICAL: u64 = (SEGMENTS * PAGES) as u64 * 7 / 8;
 
 /// Fills `percent` of the logical capacity, overwrites it three times at
-/// random, checks the forward map and returns the write amplification
-/// with an FNV-1a hash of every live block's physical location.
+/// random, checks the forward map against the reverse map and returns the
+/// write amplification with an FNV-1a hash of every live block's physical
+/// location.
 fn soak(percent: u64) -> (f64, u64) {
     let live = LOGICAL * percent / 100;
     let mut ftl = Ftl::new(SEGMENTS, PAGES, 0.08);
     let mut rng = SimRng::new(42);
-    let mut newest = vec![BlockTag::UNWRITTEN; live as usize];
     let blocks = (0..live).chain((0..3 * live).map(|_| rng.below(live)));
-    for (lba, tag) in blocks.zip(1..) {
-        ftl.append(Lba(lba), BlockTag(tag));
-        newest[lba as usize] = BlockTag(tag);
+    for lba in blocks {
+        ftl.write(Lba(lba));
     }
     assert_eq!(ftl.live_pages() as u64, live);
     let mut places = 0xcbf2_9ce4_8422_2325u64;
-    for (lba, &tag) in (0..).zip(&newest) {
-        assert_eq!(ftl.tag_at(Lba(lba)), Some(tag), "{percent} %: lba {lba}");
+    for lba in 0..live {
         let loc = ftl.lookup(Lba(lba)).expect("a live block is mapped");
+        assert_eq!(ftl.lba_at(loc), Some(Lba(lba)), "{percent} %: {loc:?}");
         for w in [loc.segment as u64, loc.slot as u64] {
             for b in w.to_le_bytes() {
                 places = (places ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
